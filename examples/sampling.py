@@ -1,13 +1,14 @@
 """Checkpointing + SMARTS-style sampling, end to end.
 
-Walks the three pieces PR 4 added:
+Walks three pieces:
 
 1. freeze a warm simulator to a ``.ckpt`` file and resume it
    bit-identically;
 2. run a sampled estimate (chained single pass) and compare it against
    the full detailed simulation of the same stream span;
-3. run the same spec as per-interval engine cells — the shape that
-   parallelizes over ``REPRO_JOBS`` and lands in the persistent cache.
+3. run the same spec as checkpoint-chained engine cells — the shape
+   that parallelizes over ``REPRO_JOBS`` and lands in the persistent
+   cache.
 
 Run with::
 
@@ -23,7 +24,7 @@ from pathlib import Path
 from repro.checkpoint.format import restore_simulator, save_checkpoint
 from repro.checkpoint.sampling import (
     SamplingSpec,
-    run_sampled,
+    run_sampled_cells_chained,
     run_sampled_chained,
 )
 from repro.common.stats import SimStats
@@ -89,9 +90,9 @@ def sampled_vs_detailed() -> None:
 
 
 def sampled_cells() -> None:
-    print("\n== 3. per-interval engine cells (pooled + cached) ==")
-    result = run_sampled(WORKLOAD, PRESET, SPEC, seed=1,
-                         options=EngineOptions.from_env())
+    print("\n== 3. checkpoint-chained engine cells (pooled + cached) ==")
+    result = run_sampled_cells_chained(WORKLOAD, PRESET, SPEC, seed=1,
+                                       options=EngineOptions.from_env())
     ipcs = " ".join(f"{ipc:.3f}" for ipc in result.ipc_values)
     print(f"  interval IPCs: {ipcs}")
     print(f"  mean {result.mean_ipc:.3f} ±{result.ipc_ci95:.3f} (95% CI)")

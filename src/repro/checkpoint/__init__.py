@@ -12,9 +12,8 @@ Three layers:
   purely functional checkpoints (one warming pass serves a whole
   scheduling-policy grid);
 * :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and the
-  sampled-run drivers (per-interval engine cells, checkpoint-chained
-  cells and the chained single-pass runner) with confidence-interval
-  aggregation.
+  sampled-run drivers (checkpoint-chained engine cells and the chained
+  single-pass runner) with confidence-interval aggregation.
 
 Submodules are imported lazily (PEP 562): :mod:`repro.pipeline.cpu`
 imports the codec from :mod:`~repro.checkpoint.state`, while
@@ -38,7 +37,6 @@ _EXPORTS = {
     "rebase_checkpoint": "repro.checkpoint.rebase",
     "SamplingSpec": "repro.checkpoint.sampling",
     "SampledResult": "repro.checkpoint.sampling",
-    "run_sampled": "repro.checkpoint.sampling",
     "run_sampled_cells_chained": "repro.checkpoint.sampling",
     "chained_cell_payloads": "repro.checkpoint.sampling",
     "sample_payloads": "repro.checkpoint.sampling",

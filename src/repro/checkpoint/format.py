@@ -84,8 +84,8 @@ class _PlainUnpickler(pickle.Unpickler):
 def _canonical_state(obj: Any) -> Any:
     # Pickle preserves dict insertion order, but insertion order is not
     # part of a state's *value* — the same workload dict arrives sorted
-    # when a payload travelled through the JSON spool queue and in
-    # builder order when it stayed in-process. Sort keys recursively
+    # when a payload travelled through JSON and in builder order when it
+    # stayed in-process. Sort keys recursively
     # (falling back to insertion order for unorderable key types) so the
     # digest is order-independent. Container types are preserved:
     # restore code may distinguish tuples from lists.

@@ -16,37 +16,36 @@ A :class:`SamplingSpec` pins the geometry::
     interval_uops   measured µops per interval
     intervals       number of intervals
 
-Three execution shapes:
+Two execution shapes:
 
-* **cells** (:func:`sample_payloads` / :func:`run_sampled`): each
-  interval compiles to one self-contained engine cell, dispatched across
-  the process pool and persistently cached like any other cell. A cell
-  fast-forwards from µop zero (or from a checkpoint — whose content
-  digest then keys the cache entry) to its interval start, so its result
-  is a pure function of its payload — but the total warming cost grows
-  quadratically with the interval count.
 * **chained cells** (:func:`chained_cell_payloads` /
-  :func:`run_sampled_cells_chained`): cells again, but each interval's
-  fast-forward chains off the previous interval's checkpoint (produced
-  by a checkpoint-producing cell, content-addressed in the engine's
-  checkpoint store), so total warming cost is linear like the
-  single-pass shape while the measurement cells keep full pool
-  parallelism. One warming chain serves every config of a workload that
-  shares memory/branch parameters — the chain's checkpoints are rebased
+  :func:`run_sampled_cells_chained`): each interval compiles to one
+  self-contained engine cell, dispatched across the process pool and
+  persistently cached like any other cell. Its fast-forward chains off
+  the previous interval's checkpoint (produced by a
+  checkpoint-producing cell, content-addressed in the engine's
+  checkpoint store), so total warming cost is linear in the span. One
+  warming chain serves every config of a workload that shares
+  memory/branch parameters — the chain's checkpoints are rebased
   (:mod:`repro.checkpoint.rebase`) across scheduling-policy configs.
-  Interval results are bit-identical to the legacy **cells** shape
-  (functional warming is deterministic and checkpoint round-trips are
-  exact), so the two modes are interchangeable cache-compatible
-  estimators — they differ only in cost.
+  A chain starts at µop zero or at a user checkpoint.
 * **chained** (:func:`run_sampled_chained`): one simulator walks the
   stream once, alternating fast-forward and detailed intervals — the
-  fastest single-process shape (no per-interval re-warming), used by
+  fastest single-process shape (no per-interval checkpoints), used by
   ``repro run --sample`` and the sampling benchmark.
 
-The cell shapes and the single-pass shape are all unbiased estimators
-but the single-pass shape is not bit-identical to the cells: chained
-intervals inherit detailed-mode cache/predictor perturbations from
-earlier intervals; cells warm purely functionally.
+:func:`sample_payloads` compiles the from-zero form of the same
+intervals: each cell fast-forwards from µop zero (or from its base
+checkpoint) to its interval start. It is the reference the chained
+cells are tested against — they are bit-identical to it, because
+functional warming is deterministic and checkpoint round-trips are
+exact — but its total warming cost grows quadratically with the
+interval count.
+
+Both shapes are unbiased estimators, but the single-pass shape is not
+bit-identical to the cells: chained intervals inherit detailed-mode
+cache/predictor perturbations from earlier intervals; cells warm purely
+functionally.
 """
 
 from __future__ import annotations
@@ -144,7 +143,7 @@ class SamplingSpec:
 
 def sample_payloads(base_payload: Dict[str, Any],
                     spec: SamplingSpec) -> List[Dict[str, Any]]:
-    """Compile one engine cell payload into per-interval payloads.
+    """Compile one engine cell payload into from-zero interval payloads.
 
     Each interval cell carries the spec and its index; the base
     payload's ``functional_warmup_uops`` is zeroed (the spec's
@@ -214,11 +213,13 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
     cell chaining off the previous interval's checkpoint. Chains step in
     lock-step batches through :func:`~repro.experiments.engine.
     run_produce_cells`, so warming parallelism across workloads/configs
-    is preserved even though each chain is sequential. Chain checkpoints
-    are then rebased (cheap, in-process) to every other config in the
-    chain's group, and the returned measurement payloads — in
-    ``bases``-major, interval-minor order, ready for ``run_cells`` —
-    reference the (possibly rebased) checkpoints by digest.
+    is preserved even though each chain is sequential. A base carrying a
+    ``checkpoint`` ref starts its chain there instead of at µop zero.
+    Chain checkpoints are then rebased (cheap, in-process) to every
+    other config in the chain's group, and the returned measurement
+    payloads — in ``bases``-major, interval-minor order, ready for
+    ``run_cells`` — reference the (possibly rebased) checkpoints by
+    digest.
     """
     from repro.checkpoint.rebase import filter_shape
     from repro.experiments.engine import (
@@ -256,6 +257,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
             "seed": base["seed"],
             "memory": base["config"]["memory"],
             "branch": base["config"]["branch"],
+            "start": (base.get("checkpoint") or {}).get("digest"),
         })
         shape = filter_shape(base["config"].get("sched", {}))
         described.append((group, shape))
@@ -277,7 +279,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
     # produce batch (pool parallelism across chains, sequential within).
     chain_ids = list(donors)
     refs: Dict[Any, List[Dict[str, Any]]] = {cid: [] for cid in chain_ids}
-    prev: Dict[Any, Optional[Dict[str, Any]]] = dict.fromkeys(chain_ids)
+    prev = {cid: donors[cid].get("checkpoint") for cid in chain_ids}
     for index in range(spec.intervals):
         batch = [produce_payload(donors[cid], spec.interval_offset(index),
                                  store, checkpoint=prev[cid])
@@ -380,58 +382,24 @@ def _cell_seed(workload, seed: Optional[int]) -> int:
     return int(getattr(workload, "seed", 0) or 0)
 
 
-def run_sampled(workload, config: Union[str, SimConfig],
-                spec: SamplingSpec, *, seed: Optional[int] = None,
-                banked: bool = True, options=None, cache=None,
-                checkpoint=None, warming: Optional[str] = None) -> SampledResult:
-    """Sampled run through the engine: per-interval cells, pooled and
-    persistently cached.
-
-    ``checkpoint`` (a path) bases every cell on a saved warm state
-    instead of fast-forwarding from µop zero; the checkpoint's content
-    digest becomes part of each cell's cache key. ``warming`` selects
-    the functional-warming tier for the cells' fast-forward
-    (scalar/vectorized/auto — bit-identical state either way, so it is
-    deliberately kept *out* of the cell cache key).
-    """
-    from repro.experiments.engine import (
-        EngineOptions,
-        base_cell_payload,
-        run_cells,
-    )
-
-    spec.validate()
-    resolved, config = _resolve(workload, config, banked)
-    base = base_cell_payload(
-        config, resolved, warmup_uops=spec.warmup_uops,
-        measure_uops=spec.interval_uops, functional_warmup_uops=0,
-        seed=_cell_seed(resolved, seed))
-    if checkpoint is not None:
-        base["checkpoint"] = checkpoint_reference(checkpoint)
-    if warming is not None:
-        base["warming"] = warming
-    payloads = sample_payloads(base, spec)
-    stats = run_cells(payloads, options=options or EngineOptions.from_env(),
-                      cache=cache)
-    return SampledResult(workload=resolved.name, config_name=config.name,
-                         spec=spec, interval_stats=list(stats))
-
-
 def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
                               spec: SamplingSpec, *,
                               seed: Optional[int] = None,
                               banked: bool = True, options=None, cache=None,
-                              store=None,
+                              store=None, checkpoint=None,
                               warming: Optional[str] = None) -> SampledResult:
     """Sampled run through checkpoint-chained cells: linear warming cost
     (one stream walk, checkpointed per interval) with full cell
-    parallelism and caching. Interval results are bit-identical to
-    :func:`run_sampled`'s from-zero cells.
+    parallelism and caching. Interval results are bit-identical to the
+    from-zero cells of :func:`sample_payloads`.
 
-    ``store`` overrides the checkpoint store directory; when the
-    persistent cache is disabled and no store is given, a temporary
-    store scoped to this call is used (checkpoints discarded after the
-    measurement cells run).
+    ``checkpoint`` (a path) starts the chain from a saved warm state
+    instead of µop zero. ``store`` overrides the checkpoint store
+    directory; when the persistent cache is disabled and no store is
+    given, a temporary store scoped to this call is used (checkpoints
+    discarded after the measurement cells run). ``warming`` selects the
+    functional-warming tier (bit-identical state either way, so it is
+    kept out of the cell cache key).
     """
     from repro.experiments.engine import (
         EngineOptions,
@@ -446,6 +414,8 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
         config, resolved, warmup_uops=spec.warmup_uops,
         measure_uops=spec.interval_uops, functional_warmup_uops=0,
         seed=_cell_seed(resolved, seed))
+    if checkpoint is not None:
+        base["checkpoint"] = checkpoint_reference(checkpoint)
     if warming is not None:
         base["warming"] = warming
     options = options or EngineOptions.from_env()
@@ -489,10 +459,8 @@ def run_sampled_chained(workload, config: Union[str, SimConfig],
         if gap > 0:
             position += sim.fast_forward(gap, mode=warming)
         base = sim.stats.committed_uops
-        sim.run(max_uops=base + spec.warmup_uops)
-        baseline = sim.stats.copy()
-        sim.run(max_uops=base + spec.warmup_uops + spec.interval_uops)
-        interval_stats.append(sim.stats.delta_since(baseline))
+        interval_stats.append(
+            sim.run_with_warmup(spec.warmup_uops, spec.interval_uops))
         position += sim.stats.committed_uops - base
         if sim.done:
             break                    # stream exhausted: report what ran

@@ -22,9 +22,6 @@ Commands:
   functional checkpoint to another scheduling-policy configuration
   (one warming pass, many configs — see
   :mod:`repro.checkpoint.rebase`);
-* ``worker`` — drain a queue-backend spool directory: the worker half
-  of ``REPRO_BACKEND=queue``, runnable on another host that shares the
-  spool (see :mod:`repro.experiments.backends`);
 * ``bench [NAME ...]`` — measure simulator throughput (headline /
   table2 / trace / sampling / telemetry / warming), write
   ``BENCH_<name>.json`` trajectory files and, with ``--baseline``,
@@ -50,9 +47,7 @@ and recorded-trace names/files are all accepted. Workload selection and
 simulation volume follow the ``REPRO_*`` environment variables (see
 :mod:`repro.experiments.runner`); the ``--jobs`` / ``--cache-dir`` flags
 on ``figure``, ``table2`` and ``sweep`` override ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` for one invocation. ``REPRO_BACKEND=queue`` (with
-``REPRO_SPOOL_DIR``) swaps the local process pool for the spool work
-queue on every engine-driven command.
+``REPRO_CACHE_DIR`` for one invocation.
 """
 
 from __future__ import annotations
@@ -125,15 +120,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--offset", type=int, default=None, metavar="N",
                        help="sampling: functional warming µops before "
                             "the first interval")
-    run_p.add_argument("--sample-mode",
-                       choices=("chained", "cells", "cells-chained"),
+    run_p.add_argument("--sample-mode", choices=("chained", "cells-chained"),
                        default="chained",
                        help="chained: one pass, fastest (default); "
-                            "cells: per-interval engine cells, pooled "
-                            "(--jobs) and persistently cached; "
-                            "cells-chained: cells whose warming chains "
-                            "through per-interval checkpoints (linear "
-                            "warming cost, same results as cells)")
+                            "cells-chained: per-interval engine cells, "
+                            "pooled (--jobs) and persistently cached, "
+                            "whose warming chains through per-interval "
+                            "checkpoints (from --from-checkpoint when "
+                            "given)")
     run_p.add_argument("--warming", choices=("auto", "scalar", "vectorized"),
                        default=None,
                        help="functional-warming tier: vectorized numpy "
@@ -333,26 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                                   help="print the rollup as JSON")
     _add_engine_flags(report_manifests)
 
-    worker_p = sub.add_parser(
-        "worker", help="drain a queue-backend spool: execute tasks "
-                       "enqueued by REPRO_BACKEND=queue submitters")
-    worker_p.add_argument("--spool", default=None, metavar="DIR",
-                          help="spool directory (default: REPRO_SPOOL_DIR, "
-                               "else <cache_dir>/spool)")
-    worker_p.add_argument("--max-tasks", type=int, default=None, metavar="N",
-                          help="exit after N cells (default: run until "
-                               "the queue is idle)")
-    worker_p.add_argument("--idle-timeout", type=float, default=0.0,
-                          metavar="S",
-                          help="keep polling S seconds after the queue "
-                               "runs dry (default 0 = exit as soon as it "
-                               "is empty)")
-    worker_p.add_argument("--requeue-stale", action="store_true",
-                          help="first re-queue claimed tasks left behind "
-                               "by a crashed worker (only safe when no "
-                               "other worker is active)")
-    _add_engine_flags(worker_p)
-
     rv32i_p = sub.add_parser(
         "rv32i", help="run, capture and check real RV32I program images")
     rv32i_sub = rv32i_p.add_subparsers(dest="rv32i_command", required=True)
@@ -504,35 +478,25 @@ def _cmd_run(args: argparse.Namespace) -> int:
         os.environ["REPRO_WARMING"] = args.warming
     if args.sample:
         from repro.checkpoint.sampling import (
-            run_sampled,
             run_sampled_cells_chained,
             run_sampled_chained,
         )
 
         try:
             spec = _sampling_spec(args)
-            if args.sample_mode == "cells":
-                result = run_sampled(
+            if args.sample_mode == "cells-chained":
+                result = run_sampled_cells_chained(
                     args.workload, args.config, spec,
                     banked=not args.dual_ported,
                     options=_engine_options(args),
                     checkpoint=args.from_checkpoint,
                     warming=args.warming)
-            elif args.sample_mode == "cells-chained":
-                if args.from_checkpoint is not None:
-                    raise ValueError(
-                        "--from-checkpoint requires --sample-mode cells "
-                        "(chained cells own their warming chain)")
-                result = run_sampled_cells_chained(
-                    args.workload, args.config, spec,
-                    banked=not args.dual_ported,
-                    options=_engine_options(args),
-                    warming=args.warming)
             else:
                 if args.from_checkpoint is not None:
                     raise ValueError(
-                        "--from-checkpoint requires --sample-mode cells "
-                        "(the chained pass owns its own warming)")
+                        "--from-checkpoint requires --sample-mode "
+                        "cells-chained (the chained pass owns its own "
+                        "warming)")
                 result = run_sampled_chained(args.workload, args.config,
                                              spec,
                                              banked=not args.dual_ported,
@@ -624,28 +588,6 @@ def _cmd_checkpoint_rebase(args: argparse.Namespace) -> int:
           f"(raw state {info.raw_bytes})")
     print(f"  source     {provenance.get('source_config', '?')} "
           f"({str(provenance.get('source_digest', ''))[:12]})")
-    return 0
-
-
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.experiments.backends import drain_spool, requeue_stale
-
-    try:
-        if args.spool is not None:
-            spool = Path(args.spool)
-        else:
-            spool = _engine_options(args).spool_path()
-        if args.requeue_stale:
-            moved = requeue_stale(spool)
-            if moved:
-                print(f"re-queued {moved} stale task(s)", file=sys.stderr)
-        executed = drain_spool(
-            spool, max_tasks=args.max_tasks,
-            idle_timeout=args.idle_timeout,
-            log=lambda line: print(line, file=sys.stderr))
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-    print(f"worker drained {executed} cell(s) from {spool}")
     return 0
 
 
@@ -901,7 +843,10 @@ def _cmd_sweep(path: str, options: EngineOptions,
                show_progress: bool = False) -> int:
     from repro.experiments.runner import shared_cache
 
-    sweep = Sweep.from_file(path)
+    try:
+        sweep = Sweep.from_file(path)
+    except (KeyError, OSError, ValueError) as exc:
+        return _fail(exc)
     cache = shared_cache(options)
     progress = None
     if show_progress:
@@ -1156,15 +1101,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "table1":
         print(render_table1())
         return 0
+    if args.command in ("table2", "figure", "sweep"):
+        try:
+            options = _engine_options(args)
+        except ValueError as exc:
+            return _fail(exc)
     if args.command == "table2":
-        print(render_table2(Settings.from_env(),
-                            options=_engine_options(args)))
+        print(render_table2(Settings.from_env(), options=options))
         return 0
     if args.command == "figure":
-        return _cmd_figure(args.number, _engine_options(args))
+        return _cmd_figure(args.number, options)
     if args.command == "sweep":
-        return _cmd_sweep(args.file, _engine_options(args),
-                          show_progress=args.progress)
+        return _cmd_sweep(args.file, options, show_progress=args.progress)
     if args.command == "trace":
         if args.trace_command == "record":
             return _cmd_trace_record(args)
@@ -1179,8 +1127,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_checkpoint_info(args)
         if args.checkpoint_command == "rebase":
             return _cmd_checkpoint_rebase(args)
-    if args.command == "worker":
-        return _cmd_worker(args)
     if args.command == "bench":
         return _cmd_bench(args)
     if args.command == "events":

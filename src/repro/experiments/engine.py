@@ -6,18 +6,16 @@ This is the batch-execution core every sweep funnels through
 
 1. **Cell dispatch.** A *cell* is one ``(configuration, workload)``
    simulation at fixed µop volumes and seed. :func:`run_cells` executes a
-   batch of cells through a pluggable :class:`~repro.experiments.
-   backends.ExecutionBackend` — inline / local process pool by default,
-   or a file/spool work queue under ``REPRO_BACKEND=queue`` that a
-   ``repro worker`` process (possibly on another host sharing the spool
-   directory) drains. Each cell is fully described by a plain-dict
+   batch of cells inline, or across a local process pool under
+   ``REPRO_JOBS > 1``. Each cell is fully described by a plain-dict
    *payload* (serialized config + workload spec + volumes + seed), so
-   results are bit-identical no matter which process — or which run, or
-   which machine — simulated them. Besides measurement cells there are
+   results are bit-identical no matter which process — or which run —
+   simulated them. Besides measurement cells there are
    *checkpoint-producing* cells (:func:`run_produce_cells`): their
    output is a warm checkpoint at a target µop position, stored
    content-addressed under ``<cache_dir>/checkpoints/`` so sampled
    sweeps can chain each interval off the previous interval's state.
+   Both kinds go through one cached-dispatch routine.
 
 2. **Persistent result cache.** :class:`ResultCache` layers an in-process
    memo over an on-disk store. Entries are keyed by a sha256 content hash
@@ -42,10 +40,7 @@ Engine knobs come from the environment (see :class:`EngineOptions`):
 * ``REPRO_JOBS`` — worker processes (default 1 = serial);
 * ``REPRO_CACHE_DIR`` — cache directory; ``off``/``none``/``0`` or the
   empty string disables the persistent layer (the in-process memo always
-  applies);
-* ``REPRO_BACKEND`` — ``local`` (default) or ``queue``;
-* ``REPRO_SPOOL_DIR`` — queue-backend spool directory (default
-  ``<cache_dir>/spool``).
+  applies).
 """
 
 from __future__ import annotations
@@ -56,6 +51,7 @@ import hashlib
 import json
 import os
 import tempfile
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -148,28 +144,23 @@ def default_cache_dir() -> Path:
     return root / "repro-isca2015"
 
 
-#: Execution-backend names :meth:`EngineOptions.execution_backend` maps.
-BACKENDS = ("local", "queue")
-
-
 @dataclass(frozen=True)
 class EngineOptions:
     """Execution knobs, normally taken from the environment."""
 
     jobs: int = 1
     cache_dir: Optional[str] = None     # None => default; "off" => disabled
-    backend: str = "local"              # see BACKENDS
-    spool_dir: Optional[str] = None     # queue backend; None => cache/spool
 
     @staticmethod
     def from_env() -> "EngineOptions":
-        jobs = int(os.environ.get("REPRO_JOBS", "1") or "1")
-        backend = (os.environ.get("REPRO_BACKEND", "local")
-                   or "local").strip().lower()
+        raw_jobs = os.environ.get("REPRO_JOBS", "1") or "1"
+        try:
+            jobs = int(raw_jobs)
+        except ValueError:
+            raise ValueError(
+                f"REPRO_JOBS must be an integer, not {raw_jobs!r}") from None
         return EngineOptions(jobs=max(1, jobs),
-                             cache_dir=os.environ.get("REPRO_CACHE_DIR"),
-                             backend=backend,
-                             spool_dir=os.environ.get("REPRO_SPOOL_DIR"))
+                             cache_dir=os.environ.get("REPRO_CACHE_DIR"))
 
     def cache_path(self) -> Optional[Path]:
         """Resolved persistent-cache directory, or ``None`` if disabled."""
@@ -178,31 +169,6 @@ class EngineOptions:
         if self.cache_dir.strip().lower() in _DISABLE_TOKENS:
             return None
         return Path(self.cache_dir)
-
-    def spool_path(self) -> Path:
-        """The queue backend's spool directory."""
-        if self.spool_dir:
-            return Path(self.spool_dir)
-        cache = self.cache_path()
-        if cache is None:
-            raise ValueError(
-                "the queue backend needs a spool directory: set "
-                "REPRO_SPOOL_DIR (or --spool) when the result cache is "
-                "disabled")
-        return cache / "spool"
-
-    def execution_backend(self):
-        """The :class:`~repro.experiments.backends.ExecutionBackend`
-        instance this run dispatches cells through."""
-        from repro.experiments.backends import LocalPoolBackend, QueueBackend
-
-        if self.backend in ("", "local"):
-            return LocalPoolBackend(self.jobs)
-        if self.backend == "queue":
-            return QueueBackend(self.spool_path())
-        raise ValueError(
-            f"unknown execution backend {self.backend!r} "
-            f"(REPRO_BACKEND must be one of: {', '.join(BACKENDS)})")
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +235,7 @@ class ResultCache:
         path.parent.mkdir(parents=True, exist_ok=True)
         # Entries record the payload in its location-independent identity
         # form (the structure the key hashes), so the same cell produces
-        # byte-identical entries on any machine or execution backend.
+        # byte-identical entries on any machine.
         entry = {"schema": CACHE_SCHEMA, "key": key,
                  "payload": (payload if payload is None
                              else payload_identity(payload)),
@@ -374,8 +340,8 @@ def payload_identity(payload: Dict[str, Any]) -> Dict[str, Any]:
     This is the exact structure :func:`cell_key` hashes, and the form
     :class:`ResultCache` records in persistent entries — so a cache
     entry's bytes never depend on where a trace file, checkpoint store
-    or cache directory happens to live, and two machines (or two
-    execution backends) computing the same cell write identical entries.
+    or cache directory happens to live, and two machines computing the
+    same cell write identical entries.
     Fields a payload does not carry are left alone, so free-form
     provenance dicts pass through unchanged.
     """
@@ -494,6 +460,7 @@ def simulate_payload(payload: Dict[str, Any],
                         phase_profile=phase_profile,
                         event_bus=event_bus, extra_stages=extra_stages)
 
+    warmup, measure = payload["warmup_uops"], payload["measure_uops"]
     if sampling is not None:
         from repro.checkpoint.sampling import SamplingError, SamplingSpec
 
@@ -505,36 +472,13 @@ def simulate_payload(payload: Dict[str, Any],
                 f"{sampling['index']}'s start "
                 f"({spec.interval_offset(sampling['index'])})")
         sim.fast_forward(gap, mode=warming)
-        base = sim.stats.committed_uops
-        sim.run(max_uops=base + spec.warmup_uops)
-        baseline = sim.stats.copy()
-        sim.run(max_uops=base + spec.warmup_uops + spec.interval_uops)
-        measured = sim.stats.delta_since(baseline)
-        if collector is not None:
-            collector.finalize(sim, measured)
-        return measured.to_dict()
-
-    if checkpoint is not None:
-        # Continue the restored run: warmup/measure volumes are relative
-        # to the checkpointed position.
-        base = sim.stats.committed_uops
-        sim.run(max_uops=base + payload["warmup_uops"],
-                max_cycles=payload.get("max_cycles"))
-        baseline = sim.stats.copy()
-        sim.run(max_uops=(base + payload["warmup_uops"]
-                          + payload["measure_uops"]),
-                max_cycles=payload.get("max_cycles"))
-        measured = sim.stats.delta_since(baseline)
-        if collector is not None:
-            collector.finalize(sim, measured)
-        return measured.to_dict()
-
-    if payload["functional_warmup_uops"]:
+        warmup, measure = spec.warmup_uops, spec.interval_uops
+    elif checkpoint is None and payload["functional_warmup_uops"]:
+        # A checkpoint carries its own warm state; only cold cells warm.
         sim.functional_warmup(workload.build_trace(seed),
                               payload["functional_warmup_uops"],
                               mode=warming)
-    stats = sim.run_with_warmup(payload["warmup_uops"],
-                                payload["measure_uops"],
+    stats = sim.run_with_warmup(warmup, measure,
                                 max_cycles=payload.get("max_cycles"))
     if collector is not None:
         collector.finalize(sim, stats)
@@ -570,25 +514,6 @@ def required_trace_uops(workload_data: Dict[str, Any], *,
             f"trace {workload_data.get('path', '?')} holds only "
             f"{workload_data['uop_count']} µops but {what} = {needed}; "
             f"re-record with more µops (`repro trace record --uops N`)")
-
-
-def simulate_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker wrapper around :func:`simulate_payload` with run telemetry.
-
-    Returns ``{"stats": ..., "wall_seconds": ..., "peak_rss_kb": ...}``.
-    Peak RSS is the worker *process* high-water mark — exact under a
-    fresh pool worker, an upper bound inline — which is what the
-    manifest's runaway-cell alarm wants.
-    """
-    from time import perf_counter
-
-    from repro.telemetry.manifest import peak_rss_kb
-
-    start = perf_counter()
-    stats = simulate_payload(payload)
-    return {"stats": stats,
-            "wall_seconds": perf_counter() - start,
-            "peak_rss_kb": peak_rss_kb()}
 
 
 # ---------------------------------------------------------------------------
@@ -706,19 +631,84 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
             "position": stream_uops}
 
 
-def produce_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Worker wrapper around :func:`produce_checkpoint` with telemetry,
-    mirroring :func:`simulate_cell`'s result shape (``checkpoint``
-    replaces ``stats``)."""
+# ---------------------------------------------------------------------------
+# Cell dispatch
+
+
+def run_cell(payload: Dict[str, Any]) -> Dict[str, Any]:
+    """Worker entry point: run one cell and time it.
+
+    Returns the cell's output — ``{"stats": ...}`` for a measurement
+    cell, ``{"checkpoint": ref}`` for a checkpoint-producing one — plus
+    ``wall_seconds`` and ``peak_rss_kb``. Peak RSS is the worker
+    *process* high-water mark — exact under a fresh pool worker, an
+    upper bound inline — which is what the manifest's runaway-cell alarm
+    wants. Module-level (picklable) and free of mutable process-global
+    state, so a cell computes the same bytes inline or in a pool worker.
+    """
     from time import perf_counter
 
     from repro.telemetry.manifest import peak_rss_kb
 
     start = perf_counter()
-    ref = produce_checkpoint(payload)
-    return {"checkpoint": ref,
-            "wall_seconds": perf_counter() - start,
-            "peak_rss_kb": peak_rss_kb()}
+    if "produce" in payload:
+        cell = {"checkpoint": produce_checkpoint(payload)}
+    else:
+        cell = {"stats": simulate_payload(payload)}
+    cell["wall_seconds"] = perf_counter() - start
+    cell["peak_rss_kb"] = peak_rss_kb()
+    return cell
+
+
+def _dispatch(payloads: Sequence[Dict[str, Any]], options: EngineOptions,
+              lookup, keep, manifest_path: Optional[Path],
+              progress=None) -> Tuple[List[Any], List[Tuple[str, Dict]]]:
+    """The cached-dispatch routine behind :func:`run_cells` and
+    :func:`run_produce_cells`.
+
+    Each payload is hashed once and each distinct key looked up once
+    (``lookup(key, payload)`` returns the stored output or ``None``), so
+    duplicate payloads in a batch run once. Misses run through
+    :func:`run_cell` — inline when ``options.jobs == 1``, across a local
+    process pool otherwise — and land in completion order: ``keep(key,
+    payload, cell)`` persists the cell and returns its output, the cell's
+    run manifest is written under ``manifest_path`` (``None`` skips
+    manifests) and ``progress(done, total, manifest)`` fires. Returns one
+    output per payload, in payload order, and the ``(key, payload)`` of
+    every distinct hit.
+    """
+    from repro.telemetry.manifest import build_manifest, write_manifest
+
+    keys = [cell_key(payload) for payload in payloads]
+    first: Dict[str, Dict[str, Any]] = {}
+    for key, payload in zip(keys, payloads):
+        first.setdefault(key, payload)
+    outputs = {key: lookup(key, payload) for key, payload in first.items()}
+    hits = [key for key, output in outputs.items() if output is not None]
+    misses = [key for key, output in outputs.items() if output is None]
+
+    def land(key: str, cell: Dict[str, Any], done: int) -> None:
+        outputs[key] = keep(key, first[key], cell)
+        manifest = build_manifest(
+            first[key], key, cached=False, wall_seconds=cell["wall_seconds"],
+            peak_rss_kb=cell["peak_rss_kb"], jobs=options.jobs)
+        if manifest_path is not None:
+            write_manifest(manifest_path, manifest)
+        if progress is not None:
+            progress(done, len(misses), manifest)
+
+    if options.jobs > 1 and len(misses) > 1:
+        with ProcessPoolExecutor(
+                max_workers=min(options.jobs, len(misses))) as pool:
+            futures = {pool.submit(run_cell, first[key]): key
+                       for key in misses}
+            for done, future in enumerate(as_completed(futures), start=1):
+                land(futures[future], future.result(), done)
+    else:
+        for done, key in enumerate(misses, start=1):
+            land(key, run_cell(first[key]), done)
+
+    return [outputs[key] for key in keys], [(key, first[key]) for key in hits]
 
 
 def run_produce_cells(payloads: Sequence[Dict[str, Any]],
@@ -731,43 +721,19 @@ def run_produce_cells(payloads: Sequence[Dict[str, Any]],
     run manifests exactly like measurement cells (``produce_position``
     marks them), so sweep ETAs account for warming work too.
     """
-    from repro.telemetry.manifest import (
-        build_manifest, manifests_dir, write_manifest)
+    from repro.checkpoint.format import CHECKPOINT_SUFFIX
+    from repro.telemetry.manifest import manifests_dir
 
     options = options or EngineOptions.from_env()
-    manifest_path = manifests_dir(options.cache_path())
-    results: List[Optional[Dict[str, Any]]] = [None] * len(payloads)
-    pending: Dict[str, List[int]] = {}
-    for index, payload in enumerate(payloads):
-        key = cell_key(payload)
-        ref = checkpoint_store_ref(
-            Path(payload["checkpoint_store"]) / f"{key}.ckpt")
-        if ref is not None:
-            results[index] = ref
-        else:
-            pending.setdefault(key, []).append(index)
 
-    if pending:
-        def on_result(key: str, cell: Dict[str, Any],
-                      done: int, total: int) -> None:
-            for index in pending[key]:
-                results[index] = dict(cell["checkpoint"])
-            manifest = build_manifest(
-                payloads[pending[key][0]], key, cached=False,
-                wall_seconds=cell["wall_seconds"],
-                peak_rss_kb=cell["peak_rss_kb"], jobs=options.jobs)
-            if manifest_path is not None:
-                write_manifest(manifest_path, manifest)
-            if progress is not None:
-                progress(done, total, manifest)
+    def lookup(key: str, payload: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+        return checkpoint_store_ref(
+            Path(payload["checkpoint_store"]) / f"{key}{CHECKPOINT_SUFFIX}")
 
-        options.execution_backend().execute(
-            [(key, payloads[indices[0]])
-             for key, indices in pending.items()],
-            produce_cell, on_result)
-
-    assert all(r is not None for r in results)
-    return results     # type: ignore[return-value]
+    refs, _ = _dispatch(payloads, options, lookup,
+                        lambda key, payload, cell: cell["checkpoint"],
+                        manifests_dir(options.cache_path()), progress)
+    return [dict(ref) for ref in refs]
 
 
 def run_cells(payloads: Sequence[Dict[str, Any]],
@@ -776,19 +742,17 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
               progress=None) -> List[SimStats]:
     """Execute a batch of cells, returning stats in payload order.
 
-    Cache hits (memory, then disk) are never re-simulated; misses are
-    dispatched through ``options.execution_backend()`` — inline or a
-    local process pool by default, the spool work queue under
-    ``REPRO_BACKEND=queue``. Caching stays on this (submitter) side of
-    the backend seam, so every backend produces byte-identical cache
-    entries. Duplicate payloads in one batch simulate once.
+    Cache hits (memory, then disk) are never re-simulated; misses run
+    inline or across ``options.jobs`` worker processes and are stored in
+    ``cache`` as they land. Duplicate payloads in one batch simulate
+    once.
 
     ``progress`` (``callable(done, total, manifest)``) is invoked once
     per *simulated* cell as results land (completion order, not payload
     order); ``manifest`` is the cell's run-manifest record. Whenever the
-    persistent cache is enabled, every executed batch also writes those
-    records under ``<cache_dir>/manifests/`` — one JSON per cell, named
-    by the cell key, overwritten on re-execution — for ``repro report
+    persistent cache is enabled, every batch also writes those records
+    under ``<cache_dir>/manifests/`` — one JSON per cell, named by the
+    cell key, overwritten on re-execution — for ``repro report
     manifests`` (see :mod:`repro.telemetry.manifest`).
     """
     from repro.telemetry.manifest import (
@@ -797,69 +761,29 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
     options = options or EngineOptions.from_env()
     cache = cache if cache is not None else ResultCache(options.cache_path())
     manifest_path = manifests_dir(cache.directory)
-    results: List[Optional[SimStats]] = [None] * len(payloads)
-    pending: Dict[str, List[int]] = {}
-    hits: List[str] = []
-    for index, payload in enumerate(payloads):
-        key = cell_key(payload)
-        hit = cache.get(key)
-        if hit is not None:
-            if results[index] is None:
-                hits.append(key)
-            results[index] = hit
-        else:
-            pending.setdefault(key, []).append(index)
 
-    def note(key: str, first_index: int, cell: Dict[str, Any],
-             done: int, total: int) -> Dict[str, Any]:
-        manifest = build_manifest(
-            payloads[first_index], key, cached=False,
-            wall_seconds=cell["wall_seconds"],
-            peak_rss_kb=cell["peak_rss_kb"], jobs=options.jobs)
-        if manifest_path is not None:
-            write_manifest(manifest_path, manifest)
-        if progress is not None:
-            progress(done, total, manifest)
-        return manifest
+    def keep(key: str, payload: Dict[str, Any],
+             cell: Dict[str, Any]) -> SimStats:
+        stats = SimStats.from_dict(cell["stats"])
+        cache.put(key, stats, payload)
+        return stats
 
-    if pending:
-        todo = [(key, indices[0]) for key, indices in pending.items()]
-        cells: Dict[str, Dict[str, Any]] = {}
-
-        def on_result(key: str, cell: Dict[str, Any],
-                      done: int, total: int) -> None:
-            cells[key] = cell
-            note(key, pending[key][0], cell, done, total)
-
-        options.execution_backend().execute(
-            [(key, payloads[i]) for key, i in todo],
-            simulate_cell, on_result)
-        for key, first_index in todo:
-            stats = SimStats.from_dict(cells[key]["stats"])
-            cache.put(key, stats, payloads[first_index])
-            for index in pending[key]:
-                results[index] = stats.copy()
-
+    stats, hits = _dispatch(payloads, options,
+                            lambda key, payload: cache.get(key), keep,
+                            manifest_path, progress)
     if manifest_path is not None and hits:
         # Cache hits get a manifest too (wall time 0) so a fully-warm
         # sweep still reports its cell census and hit rate.
-        by_key = {cell_key(p): i for i, p in enumerate(payloads)}
         rss = peak_rss_kb()
-        for key in hits:
+        for key, payload in hits:
             write_manifest(manifest_path, build_manifest(
-                payloads[by_key[key]], key, cached=True, wall_seconds=0.0,
+                payload, key, cached=True, wall_seconds=0.0,
                 peak_rss_kb=rss, jobs=options.jobs))
-
-    assert all(r is not None for r in results)
-    return results     # type: ignore[return-value]
+    return [entry.copy() for entry in stats]
 
 
 # ---------------------------------------------------------------------------
 # Declarative sweeps
-
-
-#: Sampled-cell compilation modes a sweep's ``[sampling] mode`` may name.
-SAMPLING_MODES = ("cells-chained", "cells")
 
 
 @dataclass(frozen=True)
@@ -888,12 +812,9 @@ class Sweep:
     SamplingSpec`: ``intervals``, ``interval_uops``, ``warmup_uops``,
     ``period_uops``, ``offset_uops``) switches every cell of the sweep
     to SMARTS-style interval sampling; the per-cell volume fields above
-    are then superseded by the spec's per-interval volumes. Its
-    ``mode`` key picks the cell compilation: ``"cells-chained"``
-    (default — each interval chains off the previous interval's
-    checkpoint, one warming pass per workload rebased across the
-    config grid) or ``"cells"`` (legacy — every interval fast-forwards
-    from µop zero). Both produce bit-identical results.
+    are then superseded by the spec's per-interval volumes. Each
+    interval chains off the previous interval's checkpoint, with one
+    warming pass per workload rebased across the config grid.
     """
 
     name: str
@@ -912,18 +833,7 @@ class Sweep:
             return None
         from repro.checkpoint.sampling import SamplingSpec
 
-        data = {key: value for key, value in self.sampling.items()
-                if key != "mode"}
-        return SamplingSpec.from_dict(data)
-
-    def sampling_mode(self) -> str:
-        """The sampled-cell compilation mode (see class docstring)."""
-        mode = (self.sampling or {}).get("mode", "cells-chained")
-        if mode not in SAMPLING_MODES:
-            raise ValueError(
-                f"unknown sampling mode {mode!r} in sweep {self.name!r} "
-                f"(choose from: {', '.join(SAMPLING_MODES)})")
-        return mode
+        return SamplingSpec.from_dict(self.sampling)
 
     def validate(self) -> "Sweep":
         labels = [s.label for s in self.series]
@@ -938,7 +848,6 @@ class Sweep:
         for workload in self.workloads or ():
             resolve_workload(workload)      # fail fast on workload typos
         self.sampling_spec()                # fail fast on sampling typos
-        self.sampling_mode()
         return self
 
     # -- construction ----------------------------------------------------

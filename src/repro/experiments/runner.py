@@ -226,8 +226,7 @@ def run_experiment(name: str, requests: Sequence[ConfigRequest],
                    settings: Optional[Settings] = None,
                    options: Optional[EngineOptions] = None,
                    cache: Optional[ResultCache] = None,
-                   sampling=None, sampling_mode: str = "cells-chained",
-                   progress=None) -> ExperimentResult:
+                   sampling=None, progress=None) -> ExperimentResult:
     """Run the grid and return the populated :class:`ExperimentResult`.
 
     Cells already present in ``cache`` (or the process-wide memo / the
@@ -241,19 +240,15 @@ def run_experiment(name: str, requests: Sequence[ConfigRequest],
     SamplingSpec`) every grid cell expands into per-interval cells; the
     grid entry becomes the counter-wise interval sum and the result
     carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
-    ``sampling_mode`` picks the compilation: ``"cells-chained"``
-    (default — interval warming chains through checkpoints, one warming
-    pass per workload rebased across the config grid) or ``"cells"``
-    (legacy — every interval fast-forwards from µop zero). Both modes
-    return bit-identical grids.
+    Interval warming chains through checkpoints, one warming pass per
+    workload rebased across the config grid (see
+    :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
     """
     import contextlib
     import tempfile
 
-    from repro.checkpoint.sampling import (
-        SampledResult, chained_cell_payloads, sample_payloads)
-    from repro.experiments.engine import (
-        SAMPLING_MODES, checkpoint_store_path)
+    from repro.checkpoint.sampling import SampledResult, chained_cell_payloads
+    from repro.experiments.engine import checkpoint_store_path
 
     settings = settings or Settings.from_env()
     options = options or EngineOptions.from_env()
@@ -262,25 +257,17 @@ def run_experiment(name: str, requests: Sequence[ConfigRequest],
         raise ValueError(f"duplicate series labels in experiment {name!r}")
     if baseline_label not in labels:
         raise ValueError(f"baseline {baseline_label!r} not among series")
-    if sampling_mode not in SAMPLING_MODES:
-        raise ValueError(
-            f"unknown sampling mode {sampling_mode!r} "
-            f"(choose from: {', '.join(SAMPLING_MODES)})")
     cache = cache if cache is not None else shared_cache(options)
     payloads = _grid_payloads(requests, settings)
     with contextlib.ExitStack() as stack:
         if sampling is not None:
-            if sampling_mode == "cells-chained":
-                store = checkpoint_store_path(options)
-                if store is None:       # cache off: store scoped to run
-                    store = stack.enter_context(
-                        tempfile.TemporaryDirectory(prefix="repro-ckpt-"))
-                payloads = chained_cell_payloads(
-                    payloads, sampling, options=options, store=store,
-                    progress=progress)
-            else:
-                payloads = [cell for base in payloads
-                            for cell in sample_payloads(base, sampling)]
+            store = checkpoint_store_path(options)
+            if store is None:           # cache off: store scoped to run
+                store = stack.enter_context(
+                    tempfile.TemporaryDirectory(prefix="repro-ckpt-"))
+            payloads = chained_cell_payloads(
+                payloads, sampling, options=options, store=store,
+                progress=progress)
         stats_list = run_cells(payloads, options=options, cache=cache,
                                progress=progress)
     result = ExperimentResult(name, baseline_label, settings.workloads)
@@ -318,5 +305,4 @@ def run_sweep(sweep: Sweep,
     return run_experiment(sweep.name, list(sweep.series), sweep.baseline,
                           settings=effective, options=options, cache=cache,
                           sampling=sweep.sampling_spec(),
-                          sampling_mode=sweep.sampling_mode(),
                           progress=progress)

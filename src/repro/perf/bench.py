@@ -363,18 +363,13 @@ def bench_sampling(quick: bool, profile: Optional[PhaseProfile] = None) -> Bench
     error against the detailed region IPC — the two numbers that decide
     whether sampling is usable for headline results.
 
-    The per-interval *cell* compilation is timed twice more: legacy
-    cells (every interval functionally fast-forwards from µop zero —
-    quadratic total warming across the span) against checkpoint-chained
-    cells (one linear warming walk, checkpointed per interval, timed
-    *including* checkpoint production into a throwaway store).
-    ``cell_speedup`` is the legacy/chained wall ratio; the two modes'
-    interval counters are asserted bit-identical so the speedup cannot
-    come from simulating something different.
+    The per-interval *cell* compilation — checkpoint-chained cells, one
+    linear warming walk checkpointed per interval — is timed too,
+    *including* checkpoint production into a throwaway store
+    (``cells_chained_wall_seconds``).
     """
     from repro.checkpoint.sampling import (
         SamplingSpec,
-        run_sampled,
         run_sampled_cells_chained,
         run_sampled_chained,
     )
@@ -403,14 +398,12 @@ def bench_sampling(quick: bool, profile: Optional[PhaseProfile] = None) -> Bench
         )
     resolved = {name: resolve_workload(name) for name in workloads}
     span = spec.span_uops
-    # Serial, cache off: the cell-mode passes must time simulation, not
-    # cache hits or pool scheduling.
+    # Serial, cache off: the cell pass must time simulation, not cache
+    # hits or pool scheduling.
     serial = EngineOptions(jobs=1, cache_dir="off")
     detailed_wall = 0.0
     sampled_wall = 0.0
-    cells_legacy_wall = 0.0
     cells_chained_wall = 0.0
-    mode_mismatches = 0
     errors = []
     for preset in presets:
         for name in workloads:
@@ -431,17 +424,9 @@ def bench_sampling(quick: bool, profile: Optional[PhaseProfile] = None) -> Bench
             if detailed.ipc:
                 errors.append(abs(sampled.mean_ipc - detailed.ipc) / detailed.ipc)
             start = time.perf_counter()
-            legacy = run_sampled(resolved[name], preset, spec,
-                                 seed=settings.seed, options=serial)
-            cells_legacy_wall += time.perf_counter() - start
-            start = time.perf_counter()
-            chained_cells = run_sampled_cells_chained(
-                resolved[name], preset, spec, seed=settings.seed,
-                options=serial)
+            run_sampled_cells_chained(resolved[name], preset, spec,
+                                      seed=settings.seed, options=serial)
             cells_chained_wall += time.perf_counter() - start
-            if ([s.to_dict() for s in legacy.interval_stats]
-                    != [s.to_dict() for s in chained_cells.interval_stats]):
-                mode_mismatches += 1
     # Provenance records what actually ran (the sampled grid), not the
     # REPRO_* sweep volumes this benchmark ignores.
     settings = Settings(
@@ -457,13 +442,8 @@ def bench_sampling(quick: bool, profile: Optional[PhaseProfile] = None) -> Bench
         "detailed_wall_seconds": detailed_wall,
         "sampled_wall_seconds": sampled_wall,
         "chained_wall_seconds": sampled_wall,
-        "cells_legacy_wall_seconds": cells_legacy_wall,
         "cells_chained_wall_seconds": cells_chained_wall,
-        "cell_speedup": (cells_legacy_wall / cells_chained_wall
-                         if cells_chained_wall else 0.0),
-        "cell_mode_mismatches": float(mode_mismatches),
-        "wall_seconds": (detailed_wall + sampled_wall
-                         + cells_legacy_wall + cells_chained_wall),
+        "wall_seconds": detailed_wall + sampled_wall + cells_chained_wall,
         "mean_ipc_rel_err": sum(errors) / len(errors) if errors else 0.0,
         "max_ipc_rel_err": max(errors) if errors else 0.0,
         "cells": cells,

@@ -65,15 +65,6 @@ GATE_SPECS: Dict[str, Tuple[GateSpec, ...]] = {
         # within 2% of the detailed run, as an absolute floor on quality
         # (ROADMAP: sampling accuracy gate).
         GateSpec("mean_ipc_rel_err", direction=LOWER, normalize=False, ceiling=0.02),
-        # Checkpoint-chained cells vs from-zero cells: the warming-cost
-        # ratio the chained compilation exists for. A machine-free wall
-        # ratio, so raw; regressing toward 1.0 means chaining stopped
-        # paying for its checkpoint traffic.
-        GateSpec("cell_speedup", normalize=False),
-        # The speedup is only admissible while the two modes simulate
-        # the same thing; any mismatching (preset, workload) cell voids
-        # it outright.
-        GateSpec("cell_mode_mismatches", direction=LOWER, normalize=False, ceiling=0.0),
     ),
     "telemetry": (
         # Events-off throughput: building with the telemetry seams in

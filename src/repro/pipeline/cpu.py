@@ -138,10 +138,17 @@ class Simulator:
     def run_with_warmup(
         self, warmup_uops: int, measure_uops: int, max_cycles: Optional[int] = None
     ) -> SimStats:
-        """Warm structures, then measure: returns warmed-region deltas."""
-        self.run(max_uops=warmup_uops, max_cycles=max_cycles)
+        """Warm structures, then measure: returns warmed-region deltas.
+
+        Both volumes count from the current committed position, so a
+        restored or fast-forwarded simulator measures the same region
+        shape as a cold one (functional warming never commits).
+        ``max_cycles`` stays an absolute cycle budget.
+        """
+        start = self.stats.committed_uops
+        self.run(max_uops=start + warmup_uops, max_cycles=max_cycles)
         baseline = self.stats.copy()
-        self.run(max_uops=warmup_uops + measure_uops, max_cycles=max_cycles)
+        self.run(max_uops=start + warmup_uops + measure_uops, max_cycles=max_cycles)
         return self.stats.delta_since(baseline)
 
     def functional_warmup(self, trace: TraceSource, uops: int, mode: Optional[str] = None) -> None:

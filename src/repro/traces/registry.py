@@ -128,8 +128,8 @@ def workload_identity(data: Dict[str, Any]) -> Dict[str, Any]:
 
     The view is JSON-canonical (tuples become lists), so identities
     compare equal across a JSON round-trip — a payload that travelled
-    through the spool work queue must match the identity a checkpoint
-    recorded in-process.
+    through JSON must match the identity a checkpoint recorded
+    in-process.
     """
     if data.get("kind") == "trace":
         return {"kind": "trace", "digest": data["digest"],

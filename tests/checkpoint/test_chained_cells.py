@@ -1,5 +1,6 @@
-"""Checkpoint-chained sampling cells: equivalence with from-zero cells,
-the content-addressed store's reuse/tamper/version behavior, and the
+"""Checkpoint-chained sampling cells: equivalence with the from-zero
+interval cells of ``sample_payloads`` (the reference oracle), the
+content-addressed store's reuse/tamper/version behavior, and the
 cache-key contract for producing cells."""
 
 from __future__ import annotations
@@ -10,11 +11,12 @@ import pytest
 
 from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
 from repro.checkpoint.sampling import (
+    SampledResult,
     SamplingError,
     SamplingSpec,
     chained_cell_payloads,
-    run_sampled,
     run_sampled_cells_chained,
+    sample_payloads,
 )
 from repro.core.presets import make_config
 from repro.experiments.engine import (
@@ -24,6 +26,7 @@ from repro.experiments.engine import (
     base_cell_payload,
     cell_key,
     produce_payload,
+    run_cells,
 )
 from repro.experiments.runner import Settings, run_sweep
 from repro.traces.registry import resolve_workload
@@ -40,47 +43,41 @@ def _base(preset="SpecSched_4", workload="gzip"):
         functional_warmup_uops=0, seed=1)
 
 
+def _from_zero(base):
+    """The oracle: every interval fast-forwards from µop zero."""
+    return run_cells(sample_payloads(base, SPEC), options=OFF,
+                     cache=ResultCache(None))
+
+
 # ---------------------------------------------------------------------------
 # Equivalence
 
 
 @pytest.mark.parametrize("preset", ["Baseline_0", "SpecSched_4_Combined"])
 def test_chained_cells_bit_identical_to_legacy_cells(tmp_path, preset):
-    legacy = run_sampled("gzip", preset, SPEC, seed=1, options=OFF)
     chained = run_sampled_cells_chained("gzip", preset, SPEC, seed=1,
                                         options=OFF, store=tmp_path)
     assert [s.to_dict() for s in chained.interval_stats] == \
-        [s.to_dict() for s in legacy.interval_stats]
+        [s.to_dict() for s in _from_zero(_base(preset))]
 
 
 def test_sweep_cells_mode_matches_chained_default(tmp_path):
-    table = {
-        "name": "mode-smoke",
+    sweep = Sweep.from_dict({
+        "name": "oracle-smoke",
         "baseline": "base",
         "series": [{"label": "base", "preset": "Baseline_0"},
                    {"label": "spec", "preset": "SpecSched_4"}],
         "workloads": ["gzip"],
-    }
-    settings = Settings(workloads=("gzip",))
-    grids = {}
-    for mode in ("cells", "cells-chained"):
-        sweep = Sweep.from_dict(
-            dict(table, sampling=dict(SPEC.to_dict(), mode=mode)))
-        assert sweep.sampling_mode() == mode
-        result = run_sweep(sweep, settings=settings, options=OFF,
-                           cache=ResultCache(None))
-        grids[mode] = {(label, "gzip"): result.get(label, "gzip").to_dict()
-                       for label in ("base", "spec")}
-    assert grids["cells"] == grids["cells-chained"]
+        "sampling": SPEC.to_dict(),
+    })
+    result = run_sweep(sweep, settings=Settings(workloads=("gzip",)),
+                       options=OFF, cache=ResultCache(None))
+    for label, preset in (("base", "Baseline_0"), ("spec", "SpecSched_4")):
+        total = SampledResult(workload="gzip", config_name=preset,
+                              spec=SPEC,
+                              interval_stats=_from_zero(_base(preset))).total
+        assert result.get(label, "gzip").to_dict() == total.to_dict()
 
-
-def test_sweep_rejects_unknown_sampling_mode():
-    with pytest.raises(ValueError, match="unknown sampling mode"):
-        Sweep.from_dict({
-            "name": "bad-mode", "baseline": "base",
-            "series": [{"label": "base", "preset": "Baseline_0"}],
-            "sampling": dict(SPEC.to_dict(), mode="telepathy"),
-        }).validate()
 
 
 # ---------------------------------------------------------------------------

@@ -13,19 +13,22 @@ from repro.checkpoint.sampling import (
     SamplingError,
     SamplingSpec,
     checkpoint_reference,
-    run_sampled,
+    run_sampled_cells_chained,
     run_sampled_chained,
     sample_payloads,
 )
 from repro.common.mathutil import ci95_half_width, mean, sample_stdev
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
+from repro.cli import main
 from repro.experiments.engine import (
     EngineOptions,
     ResultCache,
     Sweep,
+    base_cell_payload,
     cell_key,
     cell_payload,
+    run_cells,
     simulate_payload,
 )
 from repro.experiments.report import sampling_table
@@ -35,6 +38,7 @@ from repro.traces.registry import resolve_workload
 
 SPEC = SamplingSpec(intervals=3, interval_uops=1_000, warmup_uops=300,
                     period_uops=4_000, offset_uops=6_000)
+OFF = EngineOptions(jobs=1, cache_dir="off")
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +162,29 @@ def test_interval_cell_simulation_is_deterministic():
     assert committed >= SPEC.interval_uops
 
 
+def _oracle(config="SpecSched_4", checkpoint=None):
+    """From-zero interval cells (optionally based on a checkpoint)."""
+    base = base_cell_payload(
+        make_config(config) if isinstance(config, str) else config,
+        resolve_workload("gzip"), warmup_uops=SPEC.warmup_uops,
+        measure_uops=SPEC.interval_uops, functional_warmup_uops=0, seed=1)
+    if checkpoint is not None:
+        base["checkpoint"] = checkpoint_reference(checkpoint)
+    stats = run_cells(sample_payloads(base, SPEC), options=OFF,
+                      cache=ResultCache(None))
+    return SampledResult(workload="gzip", config_name=base["config"]["name"],
+                         spec=SPEC, interval_stats=stats)
+
+
 def test_run_sampled_uses_cache(tmp_path):
     cache = ResultCache(tmp_path / "cache")
     options = EngineOptions(jobs=1, cache_dir=str(tmp_path / "cache"))
-    first = run_sampled("gzip", "SpecSched_4", SPEC, seed=1,
-                        options=options, cache=cache)
+    first = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
+                                      options=options, cache=cache)
     assert cache.misses == SPEC.intervals
     rerun_cache = ResultCache(tmp_path / "cache")
-    again = run_sampled("gzip", "SpecSched_4", SPEC, seed=1,
-                        options=options, cache=rerun_cache)
+    again = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
+                                      options=options, cache=rerun_cache)
     assert rerun_cache.misses == 0
     assert rerun_cache.disk_hits == SPEC.intervals
     assert [s.to_dict() for s in first.interval_stats] \
@@ -175,24 +193,37 @@ def test_run_sampled_uses_cache(tmp_path):
     assert first.ipc_ci95 >= 0
 
 
-def test_run_sampled_from_checkpoint_matches_cold_cells(tmp_path):
-    """A functional checkpoint at the offset replaces the cold
-    fast-forward bit-identically (same stream, same warm state)."""
+def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
+    """A functional checkpoint before the first interval replaces the
+    cold fast-forward bit-identically (same stream, same warm state),
+    whether the chain or the from-zero oracle starts from it — through
+    the API and through ``repro run``."""
     workload = resolve_workload("gzip")
     config = make_config("SpecSched_4")
     sim = Simulator(config, workload.build_trace(1))
-    consumed = sim.fast_forward(SPEC.offset_uops)
-    path = tmp_path / "off.ckpt"
+    consumed = sim.fast_forward(SPEC.offset_uops - 2_000)
+    path = tmp_path / "early.ckpt"
     save_checkpoint(sim, path, workload=workload, seed=1,
                     provenance={"mode": "functional",
                                 "stream_uops": consumed})
-    cold = run_sampled("gzip", config, SPEC, seed=1,
-                       options=EngineOptions(jobs=1, cache_dir="off"))
-    warm = run_sampled("gzip", config, SPEC, seed=1,
-                       options=EngineOptions(jobs=1, cache_dir="off"),
-                       checkpoint=path)
-    assert [s.to_dict() for s in cold.interval_stats] \
-        == [s.to_dict() for s in warm.interval_stats]
+    cold = [s.to_dict() for s in _oracle(config).interval_stats]
+    based = _oracle(config, checkpoint=path)
+    assert [s.to_dict() for s in based.interval_stats] == cold
+    chained = run_sampled_cells_chained("gzip", config, SPEC, seed=1,
+                                        options=OFF, store=tmp_path / "s",
+                                        checkpoint=path)
+    assert [s.to_dict() for s in chained.interval_stats] == cold
+
+    assert main(["run", "gzip", "SpecSched_4", "--sample",
+                 "--sample-mode", "cells-chained", "--from-checkpoint",
+                 str(path), "--cache-dir", "off",
+                 "--intervals", str(SPEC.intervals),
+                 "--interval-uops", str(SPEC.interval_uops),
+                 "--sample-warmup", str(SPEC.warmup_uops),
+                 "--period", str(SPEC.period_uops),
+                 "--offset", str(SPEC.offset_uops)]) == 0
+    ipcs = " ".join(f"{ipc:.3f}" for ipc in based.ipc_values)
+    assert f"interval IPCs          {ipcs}\n" in capsys.readouterr().out
 
 
 def test_chained_and_cells_agree_on_interval_count():
@@ -200,8 +231,7 @@ def test_chained_and_cells_agree_on_interval_count():
     assert len(chained.interval_stats) == SPEC.intervals
     # Chained inherits detailed-mode perturbations (by design), so only
     # sanity-level agreement with the cell shape is asserted.
-    cells = run_sampled("gzip", "SpecSched_4", SPEC, seed=1,
-                        options=EngineOptions(jobs=1, cache_dir="off"))
+    cells = _oracle()
     assert chained.mean_ipc == pytest.approx(cells.mean_ipc, rel=0.15)
 
 

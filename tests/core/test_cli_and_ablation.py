@@ -1,3 +1,5 @@
+import pytest
+
 from repro.cli import build_parser, main
 from repro.core.hm_filter import FilterPrediction, HitMissFilter
 
@@ -82,6 +84,40 @@ class TestCli:
         out = capsys.readouterr().out
         assert "SpecSched_4" in out and "gmean" in out
         assert "speedup" in out
+
+
+_SWEEP = ('name = "mini"\nbaseline = "Baseline_0"\n'
+          '[[series]]\nlabel = "Baseline_0"\npreset = "Baseline_0"\n')
+
+
+class TestSweepErrors:
+    """Bad sweep inputs end in one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("text, jobs, message", [
+        (None, "1", "No such file"),
+        ("name = \n", "1", "line 1"),
+        ("surprise = 1\n" + _SWEEP, "1", "unknown sweep fields"),
+        (_SWEEP.replace("[[series]]", '[sampling]\nmode = "cells"\n\n'
+                                      "[[series]]"),
+         "1", "unknown sampling fields: ['mode']"),
+        (_SWEEP, "abc", "REPRO_JOBS must be an integer"),
+    ], ids=["missing-file", "bad-toml", "unknown-field",
+            "sampling-mode-key", "non-integer-jobs"])
+    def test_clean_error(self, tmp_path, capsys, monkeypatch, text, jobs,
+                         message):
+        monkeypatch.setenv("REPRO_JOBS", jobs)
+        monkeypatch.setenv("REPRO_CACHE_DIR", "off")
+        path = tmp_path / "sweep.toml"
+        if text is not None:
+            path.write_text(text)
+        assert main(["sweep", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
+    def test_worker_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["worker"])
 
 
 class TestTraceCli:

@@ -1,7 +1,7 @@
 """Engine tests: cell dispatch, persistent cache, determinism, sweeps.
 
 Determinism is the load-bearing property here: the same cell must yield
-bit-identical counters whether simulated inline, in a worker process, or
+bit-identical counters whether simulated inline, in a pool worker, or
 loaded back from the persistent cache — otherwise figures would depend on
 ``REPRO_JOBS`` and cache state.
 """
@@ -152,7 +152,8 @@ class TestDeterminism:
         results = run_cells([payload, dict(payload)],
                             EngineOptions(jobs=1), cache)
         assert results[0].to_dict() == results[1].to_dict()
-        assert cache.stores == 1       # both lookups missed, one simulation
+        assert results[0] is not results[1]
+        assert cache.misses == 1 and cache.stores == 1    # one lookup, one run
 
     @pytest.mark.slow
     def test_grid_identical_across_jobs_and_warm_cache(self, tmp_path):
@@ -176,6 +177,37 @@ class TestDeterminism:
         assert warm.disk_hits == len(GRID) * len(GRID4.workloads)
 
 
+class TestDispatch:
+    def test_run_cells_streams_progress_inline(self, tmp_path):
+        payloads = [_payload(measure_uops=150 + 10 * i, warmup_uops=50,
+                             functional_warmup_uops=0) for i in range(3)]
+        seen = []
+        run_cells(payloads, EngineOptions(jobs=1, cache_dir=str(tmp_path)),
+                  progress=lambda done, total, manifest: seen.append(
+                      (manifest["key"], done, total)))
+        assert seen == [(cell_key(p), done, 3)
+                        for done, p in enumerate(payloads, start=1)]
+        manifests = {path.stem for path in (tmp_path / "manifests").iterdir()}
+        assert manifests == {cell_key(p) for p in payloads}
+
+    def test_warm_rerun_looks_up_each_distinct_key_once(self, tmp_path):
+        class CountingCache(ResultCache):
+            def get(self, key):
+                self.lookups.append(key)
+                return super().get(key)
+
+        payloads = [_payload(), _payload("swim"), _payload()]
+        keys = {cell_key(p) for p in payloads}
+        options = EngineOptions(jobs=1, cache_dir=str(tmp_path))
+        cold = run_cells(payloads, options)
+        warm_cache = CountingCache(tmp_path)     # fresh memory, warm disk
+        warm_cache.lookups = []
+        warm = run_cells(payloads, options, warm_cache)
+        assert sorted(warm_cache.lookups) == sorted(keys)
+        assert warm_cache.disk_hits == len(keys) and warm_cache.misses == 0
+        assert [s.to_dict() for s in warm] == [s.to_dict() for s in cold]
+
+
 class TestEngineOptions:
     def test_from_env_defaults(self, monkeypatch):
         monkeypatch.delenv("REPRO_JOBS", raising=False)
@@ -190,6 +222,11 @@ class TestEngineOptions:
         options = EngineOptions.from_env()
         assert options.jobs == 6
         assert options.cache_path() == tmp_path
+
+    def test_non_integer_jobs_refused(self, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        with pytest.raises(ValueError, match="REPRO_JOBS must be an integer"):
+            EngineOptions.from_env()
 
     @pytest.mark.parametrize("token", ["off", "none", "0", "", "OFF"])
     def test_cache_disable_tokens(self, token):

@@ -2,9 +2,10 @@
 
 Two satellites of the sampling suite, re-proven on RV32I µop streams:
 
-* ``--sample-mode cells-chained`` must match legacy ``cells``
-  bit-identically (interval-for-interval counter equality) on both a
-  long captured rv32i trace and the live executor-backed source — the
+* ``--sample-mode cells-chained`` must match the from-zero interval
+  cells of ``sample_payloads`` bit-identically (interval-for-interval
+  counter equality) on both a long captured rv32i trace and the live
+  executor-backed source — the
   chained path checkpoints the *executor's* architectural state through
   the restricted-unpickler protocol, which no synthetic source
   exercises.
@@ -20,15 +21,17 @@ import pytest
 
 from repro.checkpoint.sampling import (
     SamplingSpec,
-    run_sampled,
     run_sampled_cells_chained,
     run_sampled_chained,
+    sample_payloads,
 )
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
 from repro.experiments.engine import (
     EngineOptions,
+    ResultCache,
     base_cell_payload,
+    run_cells,
     simulate_payload,
 )
 from repro.perf.gate import GATE_SPECS
@@ -49,6 +52,17 @@ GATE_SPEC = SamplingSpec(intervals=8, interval_uops=600, warmup_uops=300,
 
 CAPTURE_UOPS = 40_000
 SEED = 2
+
+
+def _from_zero(workload, preset):
+    """The oracle: every interval fast-forwards from µop zero."""
+    base = base_cell_payload(
+        make_config(preset), resolve_workload(workload),
+        warmup_uops=SPEC.warmup_uops, measure_uops=SPEC.interval_uops,
+        functional_warmup_uops=0, seed=SEED)
+    return [s.to_dict() for s in run_cells(sample_payloads(base, SPEC),
+                                           options=OFF,
+                                           cache=ResultCache(None))]
 
 
 def _gate_ceiling() -> float:
@@ -73,23 +87,19 @@ class TestModeEquivalence:
     def test_captured_trace_chained_matches_cells(self, long_trace,
                                                   tmp_path, preset):
         workload = TraceWorkload(long_trace)
-        legacy = run_sampled(workload, preset, SPEC, seed=SEED,
-                             options=OFF)
         chained = run_sampled_cells_chained(workload, preset, SPEC,
                                             seed=SEED, options=OFF,
                                             store=tmp_path)
         assert [s.to_dict() for s in chained.interval_stats] == \
-            [s.to_dict() for s in legacy.interval_stats]
+            _from_zero(workload, preset)
 
     def test_live_executor_chained_matches_cells(self, tmp_path):
         """The chained path checkpoints Rv32iTrace/Machine state."""
-        legacy = run_sampled("state-machine", "SpecSched_4", SPEC,
-                             seed=SEED, options=OFF)
         chained = run_sampled_cells_chained("state-machine", "SpecSched_4",
                                             SPEC, seed=SEED, options=OFF,
                                             store=tmp_path)
         assert [s.to_dict() for s in chained.interval_stats] == \
-            [s.to_dict() for s in legacy.interval_stats]
+            _from_zero("state-machine", "SpecSched_4")
 
 
 class TestEstimateQuality:

@@ -200,8 +200,8 @@ def test_workload_identity_drops_trace_location(trace_file, tmp_path):
     assert a == b
     # Spec identities are JSON-canonical: equal to the payload modulo
     # container type (tuples become lists), so a payload that crossed a
-    # JSON boundary (the spool work queue) compares equal to one that
-    # stayed in-process.
+    # JSON boundary (a cache entry, a sweep file) compares equal to one
+    # that stayed in-process.
     import json
 
     spec_payload = workload_payload(SUITE["gzip"])

@@ -104,12 +104,16 @@ class TestEnginePayload:
         assert simulate_payload(tagged) == plain
 
     def test_run_sampled_accepts_warming(self):
-        from repro.checkpoint.sampling import SamplingSpec, run_sampled
+        from repro.checkpoint.sampling import SamplingSpec, sample_payloads
+        from repro.experiments.engine import cell_payload, simulate_payload
+        from repro.traces.registry import resolve_workload
 
         spec = SamplingSpec(intervals=2, interval_uops=200,
                             warmup_uops=100, period_uops=1000,
                             offset_uops=500)
-        scalar = run_sampled("gzip", "Baseline_0", spec, seed=1,
-                             warming="scalar")
-        default = run_sampled("gzip", "Baseline_0", spec, seed=1)
-        assert scalar.mean_ipc == default.mean_ipc
+        base = cell_payload("Baseline_0", resolve_workload("gzip"),
+                            warmup_uops=100, measure_uops=200,
+                            functional_warmup_uops=0, seed=1)
+        for cell in sample_payloads(base, spec):
+            scalar = simulate_payload(dict(cell, warming="scalar"))
+            assert scalar == simulate_payload(cell)
