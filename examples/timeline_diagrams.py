@@ -11,10 +11,12 @@ Usage::
 """
 
 from repro.common.config import SimConfig
-from repro.experiments.timeline import TracingSimulator, render_timeline
+from repro.experiments.timeline import TimelineSink, render_timeline
 from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
+from repro.pipeline.cpu import Simulator
+from repro.telemetry.events import EventBus
 
 
 def cfg(delay=4, banked=False, speculative=True, shifting=False):
@@ -33,18 +35,19 @@ def alu(srcs, dst, pc):
 
 
 def run(config, uops, prefill):
-    sim = TracingSimulator(config, ListTrace(uops))
+    timeline = TimelineSink(config.core.issue_to_execute_delay)
+    sim = Simulator(config, ListTrace(uops), event_bus=EventBus(timeline))
     for addr in prefill:
         sim.hierarchy.l1d.fill(addr)
         sim.hierarchy.l2.fill(addr)
     sim.run(max_cycles=10_000)
-    return sim
+    return timeline
 
 
 def figure1():
     print("Figure 1 — two dependent µops issued back-to-back (D=4):\n")
-    sim = run(cfg(), [alu([2], 4, 0x10), alu([4], 5, 0x11)], [])
-    print(render_timeline(sim, labels={0: "I0: add r4", 1: "I1: add r5"}))
+    timeline = run(cfg(), [alu([2], 4, 0x10), alu([4], 5, 0x11)], [])
+    print(render_timeline(timeline, labels={0: "I0: add r4", 1: "I1: add r5"}))
     print()
 
 
@@ -52,13 +55,13 @@ def figure2():
     uops = [load(0x1000, 4, 0x20), alu([4], 5, 0x21)]
     print("Figure 2 (top) — conservative: dependent waits for the hit "
           "signal:\n")
-    sim = run(cfg(speculative=False), [u.clone_arch(0) for u in uops],
+    timeline = run(cfg(speculative=False), [u.clone_arch(0) for u in uops],
               [0x1000])
-    print(render_timeline(sim, labels={0: "load r4", 1: "inc r5"}))
+    print(render_timeline(timeline, labels={0: "load r4", 1: "inc r5"}))
     print("\nFigure 2 (bottom) — speculative: dependent issued assuming "
           "an L1 hit:\n")
-    sim = run(cfg(), [u.clone_arch(0) for u in uops], [0x1000])
-    print(render_timeline(sim, labels={0: "load r4", 1: "inc r5"}))
+    timeline = run(cfg(), [u.clone_arch(0) for u in uops], [0x1000])
+    print(render_timeline(timeline, labels={0: "load r4", 1: "inc r5"}))
     print()
 
 
@@ -70,14 +73,14 @@ def figure6():
               2: "inc r6 <- r4", 3: "inc r7 <- r5"}
     print("Figure 6 (top) — bank conflict without Schedule Shifting: the "
           "second load returns late, dependents replay:\n")
-    sim = run(cfg(banked=True), [u.clone_arch(0) for u in uops],
+    timeline = run(cfg(banked=True), [u.clone_arch(0) for u in uops],
               [0x000, 0x040])
-    print(render_timeline(sim, labels=labels))
+    print(render_timeline(timeline, labels=labels))
     print("\nFigure 6 (bottom) — with Schedule Shifting: the second "
           "load's dependent is issued one cycle late, no replay:\n")
-    sim = run(cfg(banked=True, shifting=True), [u.clone_arch(0) for u in uops],
+    timeline = run(cfg(banked=True, shifting=True), [u.clone_arch(0) for u in uops],
               [0x000, 0x040])
-    print(render_timeline(sim, labels=labels))
+    print(render_timeline(timeline, labels=labels))
 
 
 def main() -> None:

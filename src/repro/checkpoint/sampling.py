@@ -386,8 +386,7 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
                               spec: SamplingSpec, *,
                               seed: Optional[int] = None,
                               banked: bool = True, options=None, cache=None,
-                              store=None, checkpoint=None,
-                              warming: Optional[str] = None) -> SampledResult:
+                              store=None, checkpoint=None) -> SampledResult:
     """Sampled run through checkpoint-chained cells: linear warming cost
     (one stream walk, checkpointed per interval) with full cell
     parallelism and caching. Interval results are bit-identical to the
@@ -397,9 +396,7 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
     instead of µop zero. ``store`` overrides the checkpoint store
     directory; when the persistent cache is disabled and no store is
     given, a temporary store scoped to this call is used (checkpoints
-    discarded after the measurement cells run). ``warming`` selects the
-    functional-warming tier (bit-identical state either way, so it is
-    kept out of the cell cache key).
+    discarded after the measurement cells run).
     """
     from repro.experiments.engine import (
         EngineOptions,
@@ -416,8 +413,6 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
         seed=_cell_seed(resolved, seed))
     if checkpoint is not None:
         base["checkpoint"] = checkpoint_reference(checkpoint)
-    if warming is not None:
-        base["warming"] = warming
     options = options or EngineOptions.from_env()
     with contextlib.ExitStack() as stack:
         if store is None:
@@ -434,17 +429,14 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
 
 def run_sampled_chained(workload, config: Union[str, SimConfig],
                         spec: SamplingSpec, *, seed: Optional[int] = None,
-                        banked: bool = True,
-                        warming: Optional[str] = None) -> SampledResult:
+                        banked: bool = True) -> SampledResult:
     """Sampled run in one pass: a single simulator alternates functional
     fast-forward and detailed measurement intervals.
 
     Stream positions after a detailed interval are tracked by committed
     µops (in-flight fetch-ahead makes the next fast-forward start a few
     µops late) — immaterial for the statistics, and what keeps this the
-    fastest shape: the stream is consumed exactly once. ``warming``
-    selects the functional-warming tier for the fast-forward legs
-    (:mod:`repro.pipeline.warming`).
+    fastest shape: the stream is consumed exactly once.
     """
     from repro.pipeline.cpu import Simulator
 
@@ -457,7 +449,7 @@ def run_sampled_chained(workload, config: Union[str, SimConfig],
     for index in range(spec.intervals):
         gap = spec.interval_offset(index) - position
         if gap > 0:
-            position += sim.fast_forward(gap, mode=warming)
+            position += sim.fast_forward(gap)
         base = sim.stats.committed_uops
         interval_stats.append(
             sim.run_with_warmup(spec.warmup_uops, spec.interval_uops))

@@ -53,7 +53,6 @@ on ``figure``, ``table2`` and ``sweep`` override ``REPRO_JOBS`` /
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -128,12 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "whose warming chains through per-interval "
                             "checkpoints (from --from-checkpoint when "
                             "given)")
-    run_p.add_argument("--warming", choices=("auto", "scalar", "vectorized"),
-                       default=None,
-                       help="functional-warming tier: vectorized numpy "
-                            "kernels or the scalar reference loop "
-                            "(bit-identical results; default auto = "
-                            "vectorized when numpy is available)")
     run_p.add_argument("--metrics", action="store_true",
                        help="attach the telemetry probes (occupancy "
                             "histograms, replay/filter aggregates) and "
@@ -469,13 +462,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if given:
             return _fail(ValueError(
                 f"{', '.join(given)} only take effect with --sample"))
-    if args.warming is not None:
-        from repro.pipeline.warming import set_default_mode
-
-        # Process-wide default for this invocation; the environment
-        # variable is the cross-process channel (engine pool workers).
-        set_default_mode(args.warming)
-        os.environ["REPRO_WARMING"] = args.warming
     if args.sample:
         from repro.checkpoint.sampling import (
             run_sampled_cells_chained,
@@ -489,8 +475,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                     args.workload, args.config, spec,
                     banked=not args.dual_ported,
                     options=_engine_options(args),
-                    checkpoint=args.from_checkpoint,
-                    warming=args.warming)
+                    checkpoint=args.from_checkpoint)
             else:
                 if args.from_checkpoint is not None:
                     raise ValueError(
@@ -499,8 +484,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
                         "warming)")
                 result = run_sampled_chained(args.workload, args.config,
                                              spec,
-                                             banked=not args.dual_ported,
-                                             warming=args.warming)
+                                             banked=not args.dual_ported)
         except (KeyError, OSError, ValueError) as exc:
             return _fail(exc)
         _print_sampled(result)

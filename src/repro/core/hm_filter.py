@@ -98,8 +98,8 @@ class HitMissFilter:
         State-identical to calling :meth:`train` per pair in the same
         order — the counter saturation, silence transitions and periodic
         silence resets are all order-dependent, so the batch form keeps
-        the loop and only amortizes the call dispatch (the vectorized
-        warming tier's filter entry point).
+        the loop and only amortizes the call dispatch (the warming
+        engine's filter entry point).
         """
         train = self.train
         for pc, hit in outcomes:

@@ -70,7 +70,7 @@ class SchedulingPolicy:
 
         ``outcomes`` is an ordered sequence of ``(pc, l1_hit)`` pairs —
         the per-load L1 probe outcomes of one warming block, in stream
-        order. The vectorized warming tier trains through this hook
+        order. The warming engine trains through this hook
         (there are no µop objects on that path), so policies that
         override :meth:`on_load_commit` with per-PC state must override
         this too, preserving per-pair order. No-op by default, matching

@@ -323,11 +323,8 @@ def cell_key(payload: Dict[str, Any]) -> str:
     alone: the same warm state at two paths (or regenerated with
     different compression) hits the same entries, and a regenerated
     checkpoint with different state can never serve stale results.
-    The ``warming`` tier selector is excluded: the vectorized and
-    scalar warming tiers are bit-identical by contract
-    (:mod:`repro.pipeline.warming`), so results are interchangeable.
     ``checkpoint_store`` (where a producing cell writes its output) is
-    likewise excluded — it is a location, not an input; the produced
+    excluded — it is a location, not an input; the produced
     state is pinned by the base digest + target position, which *are*
     keyed.
     """
@@ -348,7 +345,6 @@ def payload_identity(payload: Dict[str, Any]) -> Dict[str, Any]:
     normalized = dict(payload)
     if "workload" in normalized:
         normalized["workload"] = workload_identity(normalized["workload"])
-    normalized.pop("warming", None)
     normalized.pop("checkpoint_store", None)
     checkpoint = normalized.get("checkpoint")
     if checkpoint is not None:
@@ -430,11 +426,6 @@ def simulate_payload(payload: Dict[str, Any],
       interval of a :class:`~repro.checkpoint.sampling.SamplingSpec`:
       functional fast-forward to the interval start, then a detailed
       warmup + measured region at the spec's per-interval volumes.
-
-    A third field, ``warming``, selects the functional-warming tier
-    (``scalar``/``vectorized``/``auto``) for any fast-forward or
-    functional warmup the cell performs; it never changes the counters
-    (bit-identity contract) and is excluded from the cache key.
     """
     from repro.common.config import SimConfig
 
@@ -448,7 +439,6 @@ def simulate_payload(payload: Dict[str, Any],
                         measure_uops=payload["measure_uops"],
                         sampling=sampling)
     seed = cell_seed(payload)
-    warming = payload.get("warming")
     checkpoint = payload.get("checkpoint")
     if checkpoint is not None:
         sim, position = _restore_checkpoint_base(
@@ -471,13 +461,12 @@ def simulate_payload(payload: Dict[str, Any],
                 f"checkpoint position {position} is past interval "
                 f"{sampling['index']}'s start "
                 f"({spec.interval_offset(sampling['index'])})")
-        sim.fast_forward(gap, mode=warming)
+        sim.fast_forward(gap)
         warmup, measure = spec.warmup_uops, spec.interval_uops
     elif checkpoint is None and payload["functional_warmup_uops"]:
         # A checkpoint carries its own warm state; only cold cells warm.
         sim.functional_warmup(workload.build_trace(seed),
-                              payload["functional_warmup_uops"],
-                              mode=warming)
+                              payload["functional_warmup_uops"])
     stats = sim.run_with_warmup(warmup, measure,
                                 max_cycles=payload.get("max_cycles"))
     if collector is not None:
@@ -609,7 +598,7 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
         raise CheckpointError(
             f"checkpoint base at stream position {position} is already "
             f"past the produce target {target}")
-    consumed = sim.fast_forward(gap, mode=payload.get("warming"))
+    consumed = sim.fast_forward(gap)
     stream_uops = position + consumed
 
     store.mkdir(parents=True, exist_ok=True)

@@ -1,69 +1,59 @@
 """Pipeline timing diagrams (Figures 1, 2 and 6 as ASCII).
 
-:class:`TracingSimulator` records every issue/execute/squash event;
-:func:`render_timeline` draws the classic pipeline diagram: ``I`` the issue
-cycle, ``-`` transit between Issue and Execute, ``E`` execution, ``x`` a
-squashed (replayed) issue attempt. Used by ``examples/timeline_diagrams.py``
-to reproduce the paper's illustrative figures from live simulation.
+:class:`TimelineSink` is an :class:`~repro.telemetry.events.EventBus`
+sink that keeps every issue attempt and marks the ones a replay
+squashed; :func:`render_timeline` draws the classic pipeline diagram
+from it: ``I`` the issue cycle, ``.`` transit between Issue and
+Execute, ``E`` execution, ``x`` a squashed (replayed) issue attempt.
+Used by ``examples/timeline_diagrams.py`` to reproduce the paper's
+illustrative figures from live simulation::
+
+    timeline = TimelineSink(config.core.issue_to_execute_delay)
+    sim = Simulator(config, trace, event_bus=EventBus(timeline))
+    sim.run()
+    print(render_timeline(timeline))
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.common.config import SimConfig
-from repro.isa.trace import TraceSource
-from repro.isa.uop import MicroOp
-from repro.pipeline.cpu import Simulator
-from repro.pipeline.stages import Execute, Issue
+from repro.telemetry.events import EV_ISSUE, EV_SQUASH, SQUASH_REPLAY
 
 
-class TracingIssue(Issue):
-    """Issue stage that logs every issue attempt (the stage-override
-    instrumentation seam — see docs/ARCHITECTURE.md)."""
+class TimelineSink:
+    """Per-µop issue log built from ``issue`` and replay ``squash`` events.
 
-    def _do_issue(self, uop: MicroOp, now: int, loads_before: int) -> None:
-        super()._do_issue(uop, now, loads_before)
-        self.sim.issue_log.setdefault(uop.seq, []).append(
-            [now, uop.exec_start, 0])
+    ``issue_log`` maps ``seq -> [[issue, exec_start, squashed], ...]``,
+    one entry per issue attempt in order. ``exec_start`` is
+    ``issue + delay + 1``, as the Issue stage schedules it; a replay
+    squash marks the µop's latest attempt.
+    """
 
-
-class TracingExecute(Execute):
-    """Execute stage that marks squashed issue attempts in the log."""
-
-    def _handle_replay(self, now: int) -> None:
-        doomed_before = {
-            u.seq: u.issue_cycle for u in self.replay.squashable_uops(now)}
-        super()._handle_replay(now)
-        issue_log = self.sim.issue_log
-        for seq, issue_cycle in doomed_before.items():
-            for attempt in issue_log.get(seq, []):
-                if attempt[0] == issue_cycle:
-                    attempt[2] = 1
-
-
-class TracingSimulator(Simulator):
-    """Simulator that keeps a per-µop event log."""
-
-    def __init__(self, config: SimConfig, trace: TraceSource) -> None:
-        # seq -> list of (issue_cycle, exec_start, squashed?); created
-        # before wiring so the tracing stages may bind it if they wish.
+    def __init__(self, delay: int) -> None:
+        self.delay = delay
         self.issue_log: Dict[int, List[List[int]]] = {}
-        super().__init__(config, trace,
-                         stage_overrides={"issue": TracingIssue,
-                                          "execute": TracingExecute})
+
+    def emit(self, cycle: int, kind: str, seq: int,
+             pc: int = 0, a: int = 0, b: int = 0) -> None:
+        if kind == EV_ISSUE:
+            self.issue_log.setdefault(seq, []).append(
+                [cycle, cycle + self.delay + 1, 0])
+        elif kind == EV_SQUASH and a == SQUASH_REPLAY:
+            self.issue_log[seq][-1][2] = 1
 
 
-def render_timeline(sim: TracingSimulator, seqs: Optional[List[int]] = None,
+def render_timeline(timeline: TimelineSink, seqs: Optional[List[int]] = None,
                     labels: Optional[Dict[int, str]] = None,
                     max_cycles: int = 60) -> str:
     """Draw the recorded timeline for the chosen µop sequence numbers."""
-    seqs = seqs if seqs is not None else sorted(sim.issue_log)
+    issue_log = timeline.issue_log
+    seqs = seqs if seqs is not None else sorted(issue_log)
     labels = labels or {}
     events: List[Tuple[int, str, List[List[int]]]] = []
     t0 = None
     for seq in seqs:
-        attempts = sim.issue_log.get(seq, [])
+        attempts = issue_log.get(seq, [])
         if not attempts:
             continue
         first = min(a[0] for a in attempts)

@@ -240,7 +240,7 @@ class TageLite:
         """:meth:`predict` with precomputed per-table indices and tags.
 
         ``idxs``/``tags`` are this branch's table indices and partial
-        tags, low table first, as the vectorized warming tier folds them
+        tags, low table first, as the warming engine folds them
         in bulk (:func:`repro.pipeline.warming.engine.tage_fold_indices`)
         — they must equal what :meth:`predict` would compute for the
         current history. Counter and state effects are identical to

@@ -87,8 +87,8 @@ class TraceSource:
     def next_block(self, max_uops: int) -> List[MicroOp]:
         """Return up to ``max_uops`` correct-path µops (empty when exhausted).
 
-        Block-yield form of :meth:`next_uop` for the functional-warming
-        tier (:mod:`repro.pipeline.warming`): consuming the stream in
+        Block-yield form of :meth:`next_uop` for functional warming
+        (:mod:`repro.pipeline.warming`): consuming the stream in
         blocks amortizes per-µop dispatch. The base implementation loops
         :meth:`next_uop`, so any source is block-capable; generator
         sources override with a bulk walk, and recorded traces

@@ -15,9 +15,10 @@ benchmarks track the hot paths that matter:
   sampled IPC's relative error) on the headline grid;
 * ``telemetry`` — the cost of observation: events-off throughput (the
   seams must be free) and the events-on overhead ratio;
-* ``warming`` — scalar vs vectorized functional-warming throughput on
-  recorded traces over the sampling benchmark's warming span, plus the
-  checkpoint-digest equality that makes the speedup admissible.
+* ``warming`` — functional-warming throughput of the numpy kernels
+  against the scalar reference loop on recorded traces over the
+  sampling benchmark's warming span, plus the checkpoint-digest
+  equality that makes the speedup admissible.
 
 Every run produces a :class:`BenchResult` with provenance (git sha,
 python version, host) and a *calibration* figure — a fixed pure-Python
@@ -88,7 +89,7 @@ TELEMETRY_WORKLOADS_QUICK: Tuple[str, ...] = ("gzip", "mcf")
 #: equals the full sampling benchmark's ``SamplingSpec.span_uops`` — the
 #: stretch of stream functional warming covers per cell when sampling
 #: runs the fig8 grid — in quick mode too: a shorter span would measure
-#: per-block fixed costs instead of the warming tiers, so quick runs
+#: per-block fixed costs instead of warming itself, so quick runs
 #: shrink only the grid.
 WARMING_PRESETS: Tuple[str, ...] = SAMPLING_PRESETS
 WARMING_PRESETS_QUICK: Tuple[str, ...] = SAMPLING_PRESETS_QUICK
@@ -524,29 +525,35 @@ def bench_telemetry(quick: bool, profile: Optional[PhaseProfile] = None) -> Benc
 
 
 def bench_warming(quick: bool, profile: Optional[PhaseProfile] = None) -> BenchResult:
-    """Scalar vs vectorized functional warming on recorded traces.
+    """Production warming vs the scalar reference on recorded traces.
 
     For each (preset, workload) cell one recorded trace of the warming
-    span is replayed twice through :meth:`Simulator.fast_forward` — once
-    per warming tier — on a fresh simulator each time. Each tier is
-    timed best-of-two (fresh simulator per pass; the first pass absorbs
-    cold numpy dispatch), and the final machine state of each tier is
+    span is replayed twice on a fresh simulator each time: through the
+    reference loop (:func:`repro.pipeline.functional.functional_stream`,
+    the ``scalar`` side) and through :meth:`Simulator.fast_forward`, the
+    numpy kernels (the ``vectorized`` side). Each side is timed
+    best-of-two (fresh simulator per pass; the first pass absorbs cold
+    numpy dispatch), and the final machine state of each is
     checkpointed so the digests can be compared: the speedup is only
     admissible while ``digest_mismatches`` is zero, which the CI gate
-    enforces as an absolute ceiling. Requires numpy (the vectorized
-    tier refuses to resolve without it).
+    enforces as an absolute ceiling.
     """
     from repro.checkpoint.format import checkpoint_digest, save_checkpoint
     from repro.core.presets import make_config
     from repro.pipeline.cpu import Simulator
-    from repro.pipeline.warming import resolve_mode
+    from repro.pipeline.functional import functional_stream
 
-    resolve_mode("vectorized")  # fail fast when numpy is missing
     settings = _settings(quick)
     presets = WARMING_PRESETS_QUICK if quick else WARMING_PRESETS
     workloads = (WARMING_WORKLOADS_QUICK if quick else QUICK_WORKLOADS)
     span = WARMING_SPAN_UOPS
     resolved = {name: resolve_workload(name) for name in workloads}
+
+    def scalar(sim):
+        functional_stream(sim, sim.trace, span, train_policy=True)
+
+    def vectorized(sim):
+        sim.fast_forward(span)
 
     walls = {"scalar": 0.0, "vectorized": 0.0}
     mismatches = 0
@@ -571,17 +578,17 @@ def bench_warming(quick: bool, profile: Optional[PhaseProfile] = None) -> BenchR
                 for preset in presets:
                     cells += 1
                     digests = {}
-                    for mode in ("scalar", "vectorized"):
+                    for side, warm in (("scalar", scalar), ("vectorized", vectorized)):
                         best = float("inf")
                         for _ in range(2):
                             sim = Simulator(make_config(preset), FileTrace(trace_path))
                             start = time.perf_counter()
-                            sim.fast_forward(span, mode=mode)
+                            warm(sim)
                             best = min(best, time.perf_counter() - start)
-                        walls[mode] += best
-                        ckpt = os.path.join(tmp, f"{mode}.ckpt")
+                        walls[side] += best
+                        ckpt = os.path.join(tmp, f"{side}.ckpt")
                         save_checkpoint(sim, ckpt)
-                        digests[mode] = checkpoint_digest(ckpt)
+                        digests[side] = checkpoint_digest(ckpt)
                     if digests["scalar"] != digests["vectorized"]:
                         mismatches += 1
         finally:

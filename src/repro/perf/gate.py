@@ -75,12 +75,12 @@ GATE_SPECS: Dict[str, Tuple[GateSpec, ...]] = {
         GateSpec("overhead_ratio", direction=LOWER, normalize=False, ceiling=2.0),
     ),
     "warming": (
-        # Scalar-vs-vectorized wall ratio on the warming span: a
-        # regression here means the vectorized tier lost its reason to
+        # Reference-loop-vs-kernel wall ratio on the warming span: a
+        # regression here means the numpy kernels lost their reason to
         # exist, whatever the machine.
         GateSpec("speedup", normalize=False),
         # The equality that makes the speedup admissible: every cell's
-        # vectorized checkpoint digest must equal the scalar one.
+        # kernel checkpoint digest must equal the reference one.
         # Ceiling 0 — a mismatch can never be ratified by committing it.
         GateSpec("digest_mismatches", direction=LOWER, normalize=False, ceiling=0.0),
     ),

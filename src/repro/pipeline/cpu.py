@@ -151,19 +151,16 @@ class Simulator:
         self.run(max_uops=start + warmup_uops + measure_uops, max_cycles=max_cycles)
         return self.stats.delta_since(baseline)
 
-    def functional_warmup(self, trace: TraceSource, uops: int, mode: Optional[str] = None) -> None:
+    def functional_warmup(self, trace: TraceSource, uops: int) -> None:
         """Timing-free cache/predictor warmup from a *separate* trace
-        instance (Section 3.2). ``mode`` picks the warming tier
-        (scalar/vectorized/auto — bit-identical state either way); see
-        :mod:`repro.pipeline.warming`."""
-        warm_stream(self, trace, uops, mode=mode)
+        instance (Section 3.2); see :mod:`repro.pipeline.warming`."""
+        warm_stream(self, trace, uops)
 
-    def fast_forward(self, uops: int, mode: Optional[str] = None) -> int:
+    def fast_forward(self, uops: int) -> int:
         """Functionally consume ``uops`` from this simulator's *own* trace
         (cursor advances; the policy's hit/miss filter trains); returns
-        the count consumed. ``mode`` picks the warming tier — see
-        :mod:`repro.pipeline.warming`."""
-        return warm_stream(self, self.trace, uops, train_policy=True, mode=mode)
+        the count consumed. See :mod:`repro.pipeline.warming`."""
+        return warm_stream(self, self.trace, uops, train_policy=True)
 
     def step(self) -> None:
         """Advance the machine one cycle: tick every stage in order."""

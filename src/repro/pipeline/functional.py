@@ -1,25 +1,19 @@
-"""Functional (timing-free) µop streaming: the scalar warming tier.
+"""Functional (timing-free) µop streaming: the scalar reference loop.
 
 The OoO backend is bypassed entirely: the stream touches caches and
 branch predictors only, which is why throughput sits an order of
-magnitude above detailed simulation. Two callers reach this body via
-the tier dispatcher (:func:`repro.pipeline.warming.warm_stream`):
+magnitude above detailed simulation. Production warming —
+:meth:`Simulator.functional_warmup` (the paper's 50M-instruction warmup
+analogue, no policy training) and :meth:`Simulator.fast_forward`
+(SMARTS-style warming on the simulator's own trace, additionally
+training the scheduling policy's per-PC hit/miss filter) — runs the
+numpy block kernels of :mod:`repro.pipeline.warming.engine`.
 
-* :meth:`Simulator.functional_warmup` — the paper's 50M-instruction
-  warmup analogue, run on a *separate* trace instance (golden-locked
-  behaviour: no policy training);
-* :meth:`Simulator.fast_forward` — SMARTS-style functional warming on
-  the simulator's *own* trace (advances the cursor), additionally
-  training the scheduling policy's per-PC hit/miss filter.
-
-This per-µop loop is the **semantic reference** for functional
-warming: the vectorized tier (:mod:`repro.pipeline.warming.engine`)
-must leave every component bit-identical to what this loop produces,
-and the equivalence suite under ``tests/warming/`` enforces that
-contract. Keep any state-effect change here mirrored there.
-
-This loop bounds sampling-mode throughput when numpy is unavailable,
-hence the inlining against the cache internals below.
+This per-µop loop is the **reference oracle** for functional warming:
+the kernels must leave every component bit-identical to what this loop
+produces. The equivalence suite under ``tests/warming/`` and the
+``warming`` benchmark compare the two. Keep any state-effect change here
+mirrored there.
 """
 
 from __future__ import annotations
@@ -39,11 +33,8 @@ def functional_stream(sim, trace: TraceSource, uops: int, train_policy: bool = F
     filter-gated configuration toward Always-Hit behaviour.
     """
     # The memory path is inlined against the cache internals (the
-    # exact fill/probe semantics of SetAssocCache, hit path only):
-    # the method-call round trips per µop were a measurable share of
-    # sampled-mode wall time. State effects are identical to calling
-    # fill()/probe() — the golden-locked functional_warmup shares this
-    # body.
+    # exact fill/probe semantics of SetAssocCache, hit path only).
+    # State effects are identical to calling fill()/probe().
     l1d, l2 = sim.hierarchy.l1d, sim.hierarchy.l2
     l1d_fill, l2_fill = l1d.fill, l2.fill
     l1_offset = l1d._offset_bits

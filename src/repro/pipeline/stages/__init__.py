@@ -25,8 +25,8 @@ Swapping or extending the machine never edits the driver loop:
 
 * ``stage_overrides={"issue": MyScheduler}`` replaces a stage class by
   name (subclass the stage you are changing — this is the scheduler
-  seam and the instrumentation hook: see
-  :class:`repro.experiments.timeline.TracingSimulator`);
+  seam and the instrumentation hook: the event bus installs its
+  emitting stages this way, see :mod:`repro.telemetry.stages`);
 * ``extra_stages=[MyProbe]`` inserts additional stages, anchored by
   each class's ``after`` attribute.
 """

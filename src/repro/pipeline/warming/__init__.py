@@ -1,124 +1,35 @@
-"""Functional-warming tier selection: scalar reference vs vectorized kernels.
+"""Functional warming: the numpy block kernels behind every warm call.
 
-Functional warming (:mod:`repro.pipeline.functional`) is the wall-time
-bound of SMARTS-style sampling, so it ships in two tiers:
+Functional warming is the wall-time bound of SMARTS-style sampling and
+the stand-in for the paper's 50M-instruction warmup. Every warm call —
+:meth:`Simulator.functional_warmup`, :meth:`Simulator.fast_forward` and
+through them the sampling drivers — lands in :func:`warm_stream`, which
+runs the batched engine
+(:func:`repro.pipeline.warming.engine.warm_stream_vectorized`): the
+stream is consumed in fixed-size blocks, address/classification math
+runs through numpy array kernels, and state updates apply through the
+components' batch entry points.
 
-* ``scalar`` — the per-µop reference loop
-  (:func:`repro.pipeline.functional.functional_stream`). Always
-  available; its semantics define what warming *means*.
-* ``vectorized`` — the batched engine
-  (:func:`repro.pipeline.warming.engine.warm_stream_vectorized`): the
-  stream is consumed in fixed-size blocks, address/classification math
-  runs through numpy array kernels, and state updates apply through the
-  components' batch entry points. Requires numpy; produces **byte
-  identical** component state (and therefore checkpoint digests) to the
-  scalar tier.
-* ``auto`` — ``vectorized`` when numpy imports, else ``scalar``. This is
-  the default everywhere; it is safe precisely because the two tiers are
-  bit-identical.
+The per-µop loop :func:`repro.pipeline.functional.functional_stream` is
+the reference oracle: its semantics define what warming *means*, and the
+engine must leave every component byte-identical to it (``tests/warming``
+and the ``warming`` benchmark hold that contract).
 
-The process-wide default is ``auto``, overridable per call (the ``mode``
-argument threaded through :meth:`Simulator.fast_forward` and the sampling
-drivers), per process (:func:`set_default_mode`, used by
-``repro run --warming``), or per environment (``REPRO_WARMING`` — also how
-engine pool workers inherit the CLI's choice).
+The engine, and with it numpy, is imported on the first warm call, not
+here: importing the simulator must stay cheap for callers that never
+warm.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional
 
-#: Accepted warming-mode names (``auto`` resolves per :func:`resolve_mode`).
-WARMING_MODES = ("auto", "scalar", "vectorized")
+def warm_stream(sim, trace, uops: int, train_policy: bool = False) -> int:
+    """Functionally stream ``uops`` µops of ``trace`` through ``sim``.
 
-_forced: Optional[str] = None
-_numpy_available: Optional[bool] = None
-
-
-def numpy_available() -> bool:
-    """Return True when numpy imports — what ``auto`` resolves on."""
-    global _numpy_available
-    if _numpy_available is None:
-        try:
-            import numpy  # noqa: F401
-
-            _numpy_available = True
-        except ImportError:
-            _numpy_available = False
-    return _numpy_available
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in WARMING_MODES:
-        raise ValueError(
-            f"unknown warming mode {mode!r}; expected one of " f"{', '.join(WARMING_MODES)}"
-        )
-
-
-def default_mode() -> str:
-    """Return the process default: forced mode, else ``$REPRO_WARMING``, else auto."""
-    if _forced is not None:
-        return _forced
-    return os.environ.get("REPRO_WARMING") or "auto"
-
-
-def set_default_mode(mode: Optional[str]) -> None:
-    """Force the process-wide warming mode (``None`` restores the default).
-
-    ``repro run --warming`` goes through here; the environment variable
-    ``REPRO_WARMING`` is the cross-process (engine pool worker) channel.
-    """
-    global _forced
-    if mode is not None:
-        _check_mode(mode)
-    _forced = mode
-
-
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Resolve ``mode`` (or the process default) to scalar/vectorized.
-
-    Raises ``ValueError`` for unknown modes and for an *explicit*
-    ``vectorized`` request when numpy is unavailable; ``auto`` degrades
-    to ``scalar`` silently.
-    """
-    if mode is None:
-        mode = default_mode()
-    _check_mode(mode)
-    if mode == "auto":
-        return "vectorized" if numpy_available() else "scalar"
-    if mode == "vectorized" and not numpy_available():
-        raise ValueError(
-            "warming mode 'vectorized' requires numpy " "(use 'scalar' or 'auto' without it)"
-        )
-    return mode
-
-
-def warm_stream(
-    sim,
-    trace,
-    uops: int,
-    train_policy: bool = False,
-    mode: Optional[str] = None,
-    block_uops: Optional[int] = None,
-) -> int:
-    """Functionally stream ``uops`` µops through the selected warming tier.
-
-    Dispatch point shared by :meth:`Simulator.functional_warmup` and
+    Shared by :meth:`Simulator.functional_warmup` and
     :meth:`Simulator.fast_forward`; returns the count actually consumed
-    (short when the trace exhausts). ``block_uops`` sizes the vectorized
-    tier's blocks (tests exercise non-frame-aligned boundaries with it);
-    the scalar tier ignores it.
+    (short when the trace exhausts).
     """
-    resolved = resolve_mode(mode)
-    if resolved == "scalar":
-        from repro.pipeline.functional import functional_stream
-
-        return functional_stream(sim, trace, uops, train_policy=train_policy)
     from repro.pipeline.warming.engine import warm_stream_vectorized
 
-    if block_uops is None:
-        return warm_stream_vectorized(sim, trace, uops, train_policy=train_policy)
-    return warm_stream_vectorized(
-        sim, trace, uops, train_policy=train_policy, block_uops=block_uops
-    )
+    return warm_stream_vectorized(sim, trace, uops, train_policy=train_policy)

@@ -1,6 +1,6 @@
 """Array-block representation of the correct-path µop stream.
 
-The vectorized warming tier consumes the stream as :class:`UopBlock`
+The warming engine consumes the stream as :class:`UopBlock`
 slices: parallel numpy arrays carrying exactly the architectural fields
 functional warming reads (pc, memory address, branch target, opclass,
 branch outcome). Two constructors cover the two supply shapes:

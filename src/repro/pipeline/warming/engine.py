@@ -21,7 +21,7 @@ no warming update of one island reads another (the scalar loop in
 self-contained). Within one island the batch entry points apply updates
 in exact stream order. Reordering *across* islands is therefore free,
 and the final ``state_dict()`` — and every checkpoint digest — is byte
-identical to the scalar tier's. ``tests/warming`` holds this contract;
+identical to the scalar reference's. ``tests/warming`` holds this contract;
 extend a batch kernel only with updates that keep per-island stream
 order.
 """
@@ -31,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.isa.trace import TraceSource
-from repro.pipeline.functional import functional_stream
 from repro.pipeline.warming.blocks import (
     DEFAULT_BLOCK_UOPS,
     IS_BRANCH,
@@ -116,7 +115,6 @@ def warm_stream_vectorized(
     uops: int,
     train_policy: bool = False,
     block_uops: int = DEFAULT_BLOCK_UOPS,
-    force_arrays: bool = False,
 ) -> int:
     """Vectorized twin of :func:`repro.pipeline.functional.functional_stream`.
 
@@ -125,14 +123,10 @@ def warm_stream_vectorized(
     trace exhausts). State effects are byte-identical to the scalar
     reference (see the module docstring's bit-identity contract).
 
-    The numpy kernels pay off on recorded traces' zero-decode record
-    blocks (:meth:`FileTrace.next_record_block`); generator-backed
-    sources materialize every µop regardless, so converting them to
-    arrays costs more than it saves — those streams are delegated to the
-    scalar reference wholesale. ``force_arrays`` pushes decoded batches
-    through :meth:`UopBlock.from_uops` and the numpy kernels anyway —
-    the equivalence suite uses it to exercise the kernels on arbitrary
-    streams.
+    Recorded traces supply zero-decode record blocks
+    (:meth:`FileTrace.next_record_block`); every other source supplies
+    decoded batches (:meth:`TraceSource.next_block`), which
+    :meth:`UopBlock.from_uops` turns into the same arrays.
     """
     if uops <= 0:
         return 0
@@ -148,8 +142,6 @@ def warm_stream_vectorized(
     branch_unit = sim.branch_unit
     policy = sim.policy if train_policy else None
     next_records = getattr(trace, "next_record_block", None)
-    if next_records is None and not force_arrays:
-        return functional_stream(sim, trace, uops, train_policy)
     consumed = 0
     while consumed < uops:
         want = min(block_uops, uops - consumed)

@@ -2,10 +2,12 @@
 
 Building a :class:`~repro.pipeline.cpu.Simulator` with ``event_bus=``
 swaps these classes in through the ordinary ``stage_overrides``
-mechanism (PR 5's instrumentation seam) — the same technique as
-:mod:`repro.experiments.timeline`'s tracing stages. The default stage
-list never sees them, so the events-off hot loop is byte-for-byte the
-uninstrumented code.
+mechanism. They are the repo's one instrumentation mechanism: every
+consumer of per-µop lifecycle data — the JSONL writer, the metric
+aggregator, the timing diagrams'
+:class:`~repro.experiments.timeline.TimelineSink` — is a sink on the
+bus. The default stage list never sees them, so the events-off hot loop
+is byte-for-byte the uninstrumented code.
 
 Each override calls the base implementation first and then emits; none
 of them touches machine state, so an instrumented run's ``SimStats``

@@ -80,9 +80,9 @@ def record_dtype():
     """The numpy structured dtype of one :data:`RECORD` (lazy, cached).
 
     Field-for-field mirror of the packed struct layout, so a frame's raw
-    bytes can be viewed with ``np.frombuffer`` — the vectorized warming
-    tier's zero-decode replay path. Raises ``ImportError`` when numpy is
-    unavailable (callers gate on the warming mode first).
+    bytes can be viewed with ``np.frombuffer`` — the warming engine's
+    zero-decode replay path. Raises ``ImportError`` when numpy is
+    unavailable.
     """
     global _RECORD_DTYPE
     if _RECORD_DTYPE is None:
@@ -451,7 +451,7 @@ class FileTrace(TraceSource):
     def next_record_block(self, max_uops: int):
         """Up to ``max_uops`` raw records as a numpy structured array.
 
-        The vectorized warming tier's zero-decode supply: one
+        The warming engine's zero-decode supply: one
         ``np.frombuffer`` view per (partial) frame, no :class:`MicroOp`
         construction at all. Returns ``None`` when raw records cannot be
         served right now — stream exhausted (non-looping), a decoded

@@ -351,8 +351,8 @@ class ScenarioTrace(TraceSource):
 
         Same draws and emission as ``max_uops`` calls of
         :meth:`next_uop` (the generator never exhausts), with the
-        per-µop method dispatch hoisted out of the loop for the
-        functional-warming tier.
+        per-µop method dispatch hoisted out of the loop for
+        functional warming.
         """
         out: List[MicroOp] = []
         append = out.append

@@ -83,9 +83,12 @@ class TestGateExitCodes:
                      "--baseline", str(baseline_path)])
 
     def test_gate_passes_against_own_result(self, tmp_path):
-        def untouched(entry):
-            pass
-        assert self._run_gated(tmp_path, untouched) == 0
+        def deflate(entry):
+            # Pretend the baseline throughput was 100x worse, the mirror
+            # of test_gate_fails_on_regression: the pass path must not
+            # depend on two timed runs landing within 20% of each other.
+            entry.metrics["replay_uops_per_sec"] /= 100
+        assert self._run_gated(tmp_path, deflate) == 0
 
     def test_gate_fails_on_regression(self, tmp_path, capsys):
         def inflate(entry):

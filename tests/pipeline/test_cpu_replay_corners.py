@@ -1,13 +1,17 @@
 """Replay corner cases the paper calls out explicitly."""
 
-from repro.experiments.timeline import TracingSimulator
+from repro.experiments.timeline import TimelineSink
 from repro.isa.trace import ListTrace
+from repro.pipeline.cpu import Simulator
+from repro.telemetry.events import EventBus
 
 from tests.conftest import alu, load, run_to_completion, spec_config
 
 
 def trace_sim(uops, config, prefill=(), l2=()):
-    sim = TracingSimulator(config, ListTrace(uops))
+    timeline = TimelineSink(config.core.issue_to_execute_delay)
+    sim = Simulator(config, ListTrace(uops), event_bus=EventBus(timeline))
+    sim.issue_log = timeline.issue_log
     for addr in prefill:
         sim.hierarchy.l1d.fill(addr)
         sim.hierarchy.l2.fill(addr)

@@ -12,15 +12,19 @@ These pin the paper's timing contract (Figures 1, 2, 6):
 
 from typing import List
 
-from repro.experiments.timeline import TracingSimulator
+from repro.experiments.timeline import TimelineSink
 from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
+from repro.pipeline.cpu import Simulator
+from repro.telemetry.events import EventBus
 
 from tests.conftest import alu, load, run_to_completion, spec_config
 
 
 def trace_sim(uops: List[MicroOp], config, prefill=()):
-    sim = TracingSimulator(config, ListTrace(uops))
+    timeline = TimelineSink(config.core.issue_to_execute_delay)
+    sim = Simulator(config, ListTrace(uops), event_bus=EventBus(timeline))
+    sim.issue_log = timeline.issue_log
     for addr in prefill:
         sim.hierarchy.l1d.fill(addr)
         sim.hierarchy.l2.fill(addr)

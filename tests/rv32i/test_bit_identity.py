@@ -9,9 +9,10 @@ re-proven here on streams lowered from real program execution:
 * **Engine determinism** — the same rv32i cell computed serially, in a
   process pool and through a cold-reloaded persistent cache yields
   identical ``SimStats`` counter dicts.
-* **Warming-tier equivalence** — scalar and vectorized functional
-  warming leave byte-identical machine state (and identical ``.ckpt``
-  digests) after consuming an rv32i stream, live or recorded.
+* **Warming equivalence** — production functional warming and the
+  scalar reference loop leave byte-identical machine state (and
+  identical ``.ckpt`` digests) after consuming an rv32i stream, live or
+  recorded.
 * **Checkpoint round-trip** — save → restore → continue on an rv32i
   workload matches an uninterrupted run counter-for-counter, in memory
   and through the on-disk format (the executor's sparse-memory state
@@ -32,6 +33,7 @@ from repro.experiments.engine import (
     run_cells,
 )
 from repro.pipeline.cpu import Simulator
+from repro.pipeline.functional import functional_stream
 from repro.traces.format import FileTrace, capture
 from repro.traces.registry import TraceWorkload, resolve_workload
 
@@ -140,41 +142,49 @@ class TestEngineDeterminism:
 
 
 class TestWarmingEquivalence:
-    """Scalar vs vectorized warming on real-ISA streams (satellite of
-    ``tests/warming/test_equivalence.py``)."""
+    """Production warming vs the scalar reference loop on real-ISA
+    streams (satellite of ``tests/warming/test_equivalence.py``)."""
 
-    @pytest.fixture(autouse=True)
-    def _numpy(self):
-        pytest.importorskip("numpy")
+    @staticmethod
+    def _oracle(sim, uops):
+        assert functional_stream(sim, sim.trace, uops,
+                                 train_policy=True) == uops
+        return sim
 
     @pytest.mark.parametrize("preset", ("Baseline_0",
                                         "SpecSched_4_Combined"))
     @pytest.mark.parametrize("name", ("ptr-chase", "state-machine"))
     def test_live_stream_identity(self, preset, name):
-        states = {}
-        for mode in ("scalar", "vectorized"):
+        def build():
             workload = resolve_workload(name)
-            sim = Simulator(make_config(preset), workload.build_trace(7))
-            assert sim.fast_forward(9_000, mode=mode) == 9_000
-            states[mode] = pickle.dumps(sim.state_dict())
-        assert states["scalar"] == states["vectorized"]
+            return Simulator(make_config(preset), workload.build_trace(7))
+
+        sim = build()
+        assert sim.fast_forward(9_000) == 9_000
+        oracle = self._oracle(build(), 9_000)
+        assert pickle.dumps(sim.state_dict()) == pickle.dumps(
+            oracle.state_dict())
 
     def test_recorded_stream_state_and_digest_identity(self, captured,
                                                        tmp_path):
         from repro.checkpoint.format import (checkpoint_digest,
                                              save_checkpoint)
 
-        states, digests = {}, {}
-        for mode in ("scalar", "vectorized"):
-            sim = Simulator(make_config("SpecSched_4_Combined"),
-                            FileTrace(captured))
-            assert sim.fast_forward(9_000, mode=mode) == 9_000
-            states[mode] = pickle.dumps(sim.state_dict())
-            ckpt = tmp_path / f"{mode}.ckpt"
-            save_checkpoint(sim, ckpt)
-            digests[mode] = checkpoint_digest(ckpt)
-        assert states["scalar"] == states["vectorized"]
-        assert digests["scalar"] == digests["vectorized"]
+        def build():
+            return Simulator(make_config("SpecSched_4_Combined"),
+                             FileTrace(captured))
+
+        sim = build()
+        assert sim.fast_forward(9_000) == 9_000
+        oracle = self._oracle(build(), 9_000)
+        assert pickle.dumps(sim.state_dict()) == pickle.dumps(
+            oracle.state_dict())
+        digests = []
+        for label, warmed in (("oracle", oracle), ("production", sim)):
+            ckpt = tmp_path / f"{label}.ckpt"
+            save_checkpoint(warmed, ckpt)
+            digests.append(checkpoint_digest(ckpt))
+        assert digests[0] == digests[1]
 
 
 class TestCheckpointRoundtrip:

@@ -1,4 +1,4 @@
-"""Shared builders for the warming-tier equivalence suite."""
+"""Shared builders for the warming equivalence suite."""
 
 from __future__ import annotations
 

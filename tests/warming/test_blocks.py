@@ -2,14 +2,10 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.traces.format import FileTrace
 from repro.traces.registry import resolve_workload
 
 from tests.warming.conftest import list_trace, random_uops
-
-np = pytest.importorskip("numpy")
 
 
 def drain_fields(trace):

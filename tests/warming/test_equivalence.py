@@ -1,10 +1,13 @@
-"""Scalar vs vectorized warming: identical state, identical checkpoints.
+"""Production warming vs the reference loop: identical state and checkpoints.
 
 The contract under test (see ``repro.pipeline.warming.engine``): after
-warming the same stream span, the vectorized tier must leave every
-component byte-identical to the scalar reference — same ``state_dict``
-pickles, same ``.ckpt`` digests. Everything else about the vectorized
-tier is an implementation detail; this equality is the feature.
+warming the same stream span, the numpy kernels behind
+:func:`warm_stream` (and so :meth:`Simulator.fast_forward` and
+:meth:`Simulator.functional_warmup`) must leave every component
+byte-identical to the scalar reference
+:func:`repro.pipeline.functional.functional_stream` — same
+``state_dict`` pickles, same ``.ckpt`` digests. Everything else about
+the kernels is an implementation detail; this equality is the feature.
 """
 
 from __future__ import annotations
@@ -14,7 +17,10 @@ import pytest
 from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
+from repro.pipeline.functional import functional_stream
 from repro.pipeline.warming import warm_stream
+from repro.pipeline.warming.blocks import UopBlock
+from repro.pipeline.warming.engine import warm_stream_vectorized
 
 from tests.warming.conftest import (
     PRESETS,
@@ -25,13 +31,10 @@ from tests.warming.conftest import (
     workload_sim,
 )
 
-np = pytest.importorskip("numpy")
 
-
-def warmed_state(preset, trace_factory, uops, mode, train=True, **kwargs):
-    sim = build_sim(preset, trace_factory())
-    consumed = warm_stream(sim, sim.trace, uops, train_policy=train,
-                           mode=mode, **kwargs)
+def oracle_state(sim, uops):
+    """Fast-forward ``sim`` through the reference loop instead."""
+    consumed = functional_stream(sim, sim.trace, uops, train_policy=True)
     return consumed, state_bytes(sim)
 
 
@@ -39,35 +42,49 @@ class TestSyntheticWorkloads:
     @pytest.mark.parametrize("preset", PRESETS)
     @pytest.mark.parametrize("workload", ("gzip", "mcf"))
     def test_fast_forward_identity(self, preset, workload):
-        states = {}
-        for mode in ("scalar", "vectorized"):
-            sim = workload_sim(preset, workload)
-            assert sim.fast_forward(9000, mode=mode) == 9000
-            states[mode] = state_bytes(sim)
-        assert states["scalar"] == states["vectorized"]
+        sim = workload_sim(preset, workload)
+        assert sim.fast_forward(9000) == 9000
+        assert (9000, state_bytes(sim)) == oracle_state(
+            workload_sim(preset, workload), 9000)
 
     def test_functional_warmup_identity(self):
         from repro.traces.registry import resolve_workload
 
-        states = {}
-        for mode in ("scalar", "vectorized"):
-            sim = workload_sim("SpecSched_4_Combined", "gzip")
-            sim.functional_warmup(
-                resolve_workload("gzip").build_trace(7), 8000, mode=mode)
-            states[mode] = state_bytes(sim)
-        assert states["scalar"] == states["vectorized"]
+        def build():
+            return (workload_sim("SpecSched_4_Combined", "gzip"),
+                    resolve_workload("gzip").build_trace(7))
+
+        oracle, trace = build()
+        functional_stream(oracle, trace, 8000)
+        sim, trace = build()
+        sim.functional_warmup(trace, 8000)
+        assert state_bytes(sim) == state_bytes(oracle)
 
     def test_scenario_identity(self):
         from repro.traces.registry import resolve_workload
 
-        states = {}
-        for mode in ("scalar", "vectorized"):
-            sim = build_sim(
+        def build():
+            return build_sim(
                 "SpecSched_4_Combined",
                 resolve_workload("pointer-chase-storm").build_trace(5))
-            assert sim.fast_forward(6000, mode=mode) == 6000
-            states[mode] = state_bytes(sim)
-        assert states["scalar"] == states["vectorized"]
+
+        sim = build()
+        assert sim.fast_forward(6000) == 6000
+        assert (6000, state_bytes(sim)) == oracle_state(build(), 6000)
+
+    def test_live_sources_run_the_kernels(self, monkeypatch):
+        """Generator sources go through the array kernels, not a
+        delegation to the reference loop."""
+        built = []
+        from_uops = UopBlock.from_uops
+
+        def counting(uops):
+            built.append(len(uops))
+            return from_uops(uops)
+
+        monkeypatch.setattr(UopBlock, "from_uops", counting)
+        workload_sim("Baseline_0", "gzip").fast_forward(5000)
+        assert sum(built) == 5000
 
 
 class TestRecordedTraces:
@@ -75,69 +92,61 @@ class TestRecordedTraces:
         from repro.checkpoint.format import checkpoint_digest, save_checkpoint
         from repro.traces.format import FileTrace
 
-        states, digests = {}, {}
-        for mode in ("scalar", "vectorized"):
-            sim = build_sim("SpecSched_4_Combined", FileTrace(recorded_trace))
-            assert sim.fast_forward(9000, mode=mode) == 9000
-            states[mode] = state_bytes(sim)
-            ckpt = tmp_path / f"{mode}.ckpt"
-            save_checkpoint(sim, ckpt)
-            digests[mode] = checkpoint_digest(ckpt)
-        assert states["scalar"] == states["vectorized"]
-        assert digests["scalar"] == digests["vectorized"]
+        def build():
+            return build_sim("SpecSched_4_Combined", FileTrace(recorded_trace))
+
+        oracle, sim = build(), build()
+        assert functional_stream(oracle, oracle.trace, 9000,
+                                 train_policy=True) == 9000
+        assert sim.fast_forward(9000) == 9000
+        assert state_bytes(sim) == state_bytes(oracle)
+        digests = []
+        for name, warmed in (("oracle", oracle), ("production", sim)):
+            ckpt = tmp_path / f"{name}.ckpt"
+            save_checkpoint(warmed, ckpt)
+            digests.append(checkpoint_digest(ckpt))
+        assert digests[0] == digests[1]
 
     def test_non_frame_aligned_blocks(self, recorded_trace):
         from repro.traces.format import FileTrace
 
-        states = {}
-        for mode, kwargs in (("scalar", {}),
-                             ("vectorized", {"block_uops": 97})):
-            sim = build_sim("Baseline_0", FileTrace(recorded_trace))
-            consumed = warm_stream(sim, sim.trace, 8503, train_policy=True,
-                                   mode=mode, **kwargs)
-            assert consumed == 8503
-            states[mode] = state_bytes(sim)
-        assert states["scalar"] == states["vectorized"]
+        def build():
+            return build_sim("Baseline_0", FileTrace(recorded_trace))
+
+        sim = build()
+        assert warm_stream_vectorized(sim, sim.trace, 8503, train_policy=True,
+                                      block_uops=97) == 8503
+        assert (8503, state_bytes(sim)) == oracle_state(build(), 8503)
 
 
 class TestListStreams:
     def test_random_stream_identity(self):
-        consumed_s, scalar = warmed_state(
-            "SpecSched_4_Combined", lambda: list_trace(11, 4000), 4000,
-            "scalar")
-        consumed_v, vectorized = warmed_state(
-            "SpecSched_4_Combined", lambda: list_trace(11, 4000), 4000,
-            "vectorized")
-        assert consumed_s == consumed_v == 4000
-        assert scalar == vectorized
+        sim = build_sim("SpecSched_4_Combined", list_trace(11, 4000))
+        assert warm_stream(sim, sim.trace, 4000, train_policy=True) == 4000
+        oracle = build_sim("SpecSched_4_Combined", list_trace(11, 4000))
+        assert (4000, state_bytes(sim)) == oracle_state(oracle, 4000)
 
-    def test_force_arrays_identity(self):
-        from repro.pipeline.warming.engine import warm_stream_vectorized
-
-        sim_s = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
-        warm_stream(sim_s, sim_s.trace, 3000, train_policy=True,
-                    mode="scalar")
-        sim_v = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
-        consumed = warm_stream_vectorized(sim_v, sim_v.trace, 3000,
-                                          train_policy=True,
-                                          force_arrays=True, block_uops=97)
-        assert consumed == 3000
-        assert state_bytes(sim_s) == state_bytes(sim_v)
+    def test_unaligned_block_identity(self):
+        sim = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
+        assert warm_stream_vectorized(sim, sim.trace, 3000, train_policy=True,
+                                      block_uops=97) == 3000
+        oracle = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
+        assert (3000, state_bytes(sim)) == oracle_state(oracle, 3000)
 
     def test_short_trace_reports_consumed(self):
-        for mode in ("scalar", "vectorized"):
+        for warm in (functional_stream, warm_stream):
             sim = build_sim("Baseline_0", list_trace(17, 500))
-            assert warm_stream(sim, sim.trace, 2000, mode=mode) == 500
+            assert warm(sim, sim.trace, 2000) == 500
 
     def test_empty_trace(self):
-        for mode in ("scalar", "vectorized"):
+        for warm in (functional_stream, warm_stream):
             sim = build_sim("Baseline_0", ListTrace([]))
-            assert warm_stream(sim, sim.trace, 100, mode=mode) == 0
+            assert warm(sim, sim.trace, 100) == 0
 
     def test_zero_uops(self):
-        for mode in ("scalar", "vectorized"):
+        for warm in (functional_stream, warm_stream):
             sim = build_sim("Baseline_0", list_trace(19, 100))
-            assert warm_stream(sim, sim.trace, 0, mode=mode) == 0
+            assert warm(sim, sim.trace, 0) == 0
 
 
 class TestBtbDemoteDivergence:
@@ -192,32 +201,22 @@ class TestBtbDemoteDivergence:
         assert events >= 1
 
     def test_identity_across_divergence(self):
-        from repro.pipeline.warming.engine import warm_stream_vectorized
-
         stream = self._stream()
-        sim_s = build_sim("SpecSched_4_Combined", ListTrace(stream))
-        warm_stream(sim_s, sim_s.trace, len(stream), train_policy=True,
-                    mode="scalar")
-        sim_v = build_sim("SpecSched_4_Combined", ListTrace(stream))
-        warm_stream_vectorized(sim_v, sim_v.trace, len(stream),
-                               train_policy=True, force_arrays=True)
-        assert state_bytes(sim_s) == state_bytes(sim_v)
+        sim = build_sim("SpecSched_4_Combined", ListTrace(stream))
+        warm_stream(sim, sim.trace, len(stream), train_policy=True)
+        oracle = build_sim("SpecSched_4_Combined", ListTrace(stream))
+        assert state_bytes(sim) == oracle_state(oracle, len(stream))[1]
 
 
 class TestPropertyEquivalence:
     def test_random_seeds_identity(self):
         """Property-style sweep: many random streams, exact identity."""
-        from repro.pipeline.warming.engine import warm_stream_vectorized
-
         for seed in range(12):
             count = 600 + 137 * seed
-            sim_s = build_sim("SpecSched_4_Combined",
-                              ListTrace(random_uops(seed, count)))
-            warm_stream(sim_s, sim_s.trace, count, train_policy=True,
-                        mode="scalar")
-            sim_v = build_sim("SpecSched_4_Combined",
-                              ListTrace(random_uops(seed, count)))
-            warm_stream_vectorized(sim_v, sim_v.trace, count,
-                                   train_policy=True, force_arrays=True,
+            sim = build_sim("SpecSched_4_Combined",
+                            ListTrace(random_uops(seed, count)))
+            warm_stream_vectorized(sim, sim.trace, count, train_policy=True,
                                    block_uops=101)
-            assert state_bytes(sim_s) == state_bytes(sim_v), seed
+            oracle = build_sim("SpecSched_4_Combined",
+                               ListTrace(random_uops(seed, count)))
+            assert state_bytes(sim) == oracle_state(oracle, count)[1], seed

@@ -4,11 +4,9 @@ from __future__ import annotations
 
 import random
 
-import pytest
+import numpy as np
 
 from repro.frontend.tage import TageLite
-
-np = pytest.importorskip("numpy")
 
 
 def branch_stream(seed: int, count: int, pcs: int = 64):
