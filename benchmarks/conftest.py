@@ -33,7 +33,7 @@ import pytest
 from repro.experiments.engine import EngineOptions
 from repro.experiments.runner import Settings
 
-_BENCH_DIR = Path(__file__).resolve().parent
+_BENCHMARKS_DIR = Path(__file__).resolve().parent
 
 
 def _benchmarks_requested(config) -> bool:
@@ -53,7 +53,7 @@ def _benchmarks_requested(config) -> bool:
             resolved = path.resolve()
         except OSError:         # unresolvable arg: not a benchmarks path
             continue
-        if resolved == _BENCH_DIR or _BENCH_DIR in resolved.parents:
+        if resolved == _BENCHMARKS_DIR or _BENCHMARKS_DIR in resolved.parents:
             return True
     return False
 

@@ -22,10 +22,6 @@ Commands:
   functional checkpoint to another scheduling-policy configuration
   (one warming pass, many configs — see
   :mod:`repro.checkpoint.rebase`);
-* ``bench [NAME ...]`` — measure simulator throughput (headline /
-  table2 / trace / sampling / telemetry / warming), write
-  ``BENCH_<name>.json`` trajectory files and, with ``--baseline``,
-  enforce the perf regression gate;
 * ``events record WORKLOAD CONFIG`` / ``events info FILE`` / ``events
   dump FILE`` / ``events export FILE`` — record a per-µop pipeline
   event trace (JSONL, optionally gzip'd), inspect it, print raw events,
@@ -83,6 +79,18 @@ _FIGURES = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type=`` for µop counts: a positive integer or exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="e.g. SpecSched_4_Crit")
     run_p.add_argument("--dual-ported", action="store_true",
                        help="ideal dual-ported L1D instead of banked")
-    run_p.add_argument("--measure", type=int, default=20_000,
+    run_p.add_argument("--measure", type=_positive_int, default=20_000,
                        help="measured µops (default 20000)")
     run_p.add_argument("--from-checkpoint", default=None, metavar="FILE",
                        help="resume from a saved .ckpt instead of "
@@ -161,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
                           help="registry name (suite workload or scenario)")
     record_p.add_argument("-o", "--output", default=None, metavar="FILE",
                           help="output path (default <workload>.trc)")
-    record_p.add_argument("--uops", type=int, default=None, metavar="N",
+    record_p.add_argument("--uops", type=_positive_int,
+                          default=None, metavar="N",
                           help="µops to capture (default: enough for the "
                                "current REPRO_* volumes)")
     record_p.add_argument("--seed", type=int, default=None,
@@ -180,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     replay_p.add_argument("config", help="e.g. SpecSched_4_Crit")
     replay_p.add_argument("--dual-ported", action="store_true",
                           help="ideal dual-ported L1D instead of banked")
-    replay_p.add_argument("--measure", type=int, default=None,
+    replay_p.add_argument("--measure", type=_positive_int, default=None,
                           help="measured µops (default: REPRO_MEASURE)")
 
     ckpt_p = sub.add_parser(
@@ -196,7 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_create.add_argument("-o", "--output", default=None, metavar="FILE",
                              help="output path (default "
                                   "<workload>-<config>.ckpt)")
-    ckpt_create.add_argument("--uops", type=int, default=60_000, metavar="N",
+    ckpt_create.add_argument("--uops", type=_positive_int,
+                             default=60_000, metavar="N",
                              help="µops to advance before saving "
                                   "(default 60000)")
     ckpt_create.add_argument("--mode", choices=("functional", "detailed"),
@@ -236,32 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_rebase.add_argument("--no-compress", action="store_true",
                              help="store the payload raw instead of zlib")
 
-    bench_p = sub.add_parser(
-        "bench", help="measure simulator throughput and write "
-                      "BENCH_<name>.json trajectory files")
-    bench_p.add_argument("names", nargs="*", metavar="NAME",
-                         help="benchmarks to run: headline, table2, "
-                              "trace, sampling, telemetry, warming "
-                              "(default: all)")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="CI volumes: 4 workloads, reduced µop counts")
-    bench_p.add_argument("--out-dir", default=".", metavar="DIR",
-                         help="where BENCH_<name>.json files are written "
-                              "(default: current directory)")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="attach per-stage cycle-loop timers and "
-                              "include the breakdown in the result")
-    bench_p.add_argument("--baseline", default=None, metavar="FILE",
-                         help="perf gate: fail when a benchmark regresses "
-                              "vs this committed baseline")
-    bench_p.add_argument("--max-regression", type=float, default=0.2,
-                         metavar="FRAC",
-                         help="largest tolerated normalized-throughput drop "
-                              "(default 0.2 = 20%%)")
-    bench_p.add_argument("--write-baseline", default=None, metavar="FILE",
-                         help="also write the combined results as a "
-                              "baseline file (e.g. benchmarks/baseline.json)")
-
     events_p = sub.add_parser(
         "events", help="record, inspect and export per-µop pipeline "
                        "event traces")
@@ -277,7 +261,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output path; a .gz suffix gzip-"
                                 "compresses (default "
                                 "<workload>-<config>.events.jsonl.gz)")
-    ev_record.add_argument("--uops", type=int, default=20_000, metavar="N",
+    ev_record.add_argument("--uops", type=_positive_int,
+                           default=20_000, metavar="N",
                            help="µops to simulate with recording on "
                                 "(default 20000)")
     ev_record.add_argument("--seed", type=int, default=None,
@@ -345,7 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
                             help="bundled kernel name or image path")
     rv_capture.add_argument("-o", "--output", default=None, metavar="FILE",
                             help="output path (default <program>.trc)")
-    rv_capture.add_argument("--uops", type=int, default=None, metavar="N",
+    rv_capture.add_argument("--uops", type=_positive_int,
+                            default=None, metavar="N",
                             help="µops to capture, looping the program as "
                                  "needed (default: enough for the current "
                                  "REPRO_* volumes)")
@@ -868,87 +854,6 @@ def _cmd_sweep(path: str, options: EngineOptions,
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.perf.bench import (
-        BENCHMARKS,
-        bench_filename,
-        run_benchmark,
-        write_result,
-    )
-    from repro.perf.gate import (
-        GATED_METRICS,
-        check_regression,
-        read_baseline,
-        write_baseline,
-    )
-
-    names = args.names or list(BENCHMARKS)
-    unknown = [n for n in names if n not in BENCHMARKS]
-    if unknown:
-        return _fail(KeyError(
-            f"unknown benchmark(s) {', '.join(unknown)}; available: "
-            f"{', '.join(BENCHMARKS)}"))
-    baseline = None
-    if args.baseline is not None:
-        try:
-            baseline = read_baseline(args.baseline)
-        except (OSError, ValueError) as exc:
-            return _fail(exc)
-    out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        return _fail(exc)
-
-    failures = []
-    results = {}
-    for name in names:
-        result = run_benchmark(name, quick=args.quick, profile=args.profile)
-        results[name] = result
-        path = write_result(result, out_dir)
-        metric = GATED_METRICS.get(name, "uops_per_sec")
-        rate = result.metrics.get(metric, 0.0)
-        rate_text = f"{rate:12,.2f}" if rate < 1000 else f"{rate:12,.0f}"
-        print(f"{name:10s} {rate_text} {metric}   "
-              f"(wall {result.metrics.get('wall_seconds', 0.0):.2f}s, "
-              f"calibration {result.calibration_ops_per_sec:,.0f} ops/s) "
-              f"-> {path}")
-        if args.profile and result.phases:
-            total = sum(v for k, v in result.phases.items()
-                        if k.endswith("_seconds"))
-            for key in sorted(result.phases,
-                              key=lambda k: -result.phases[k]):
-                if not key.endswith("_seconds"):
-                    continue
-                seconds = result.phases[key]
-                share = seconds / total if total else 0.0
-                print(f"    {key[:-8]:10s} {seconds:8.3f}s  {share:6.1%}")
-        if baseline is not None:
-            if name not in baseline:
-                print(f"    (no baseline entry for {name!r}; not gated)")
-            else:
-                try:
-                    found = check_regression(
-                        result, baseline[name],
-                        max_regression=args.max_regression)
-                except ValueError as exc:
-                    return _fail(exc)
-                failures.extend(found)
-                for failure in found:
-                    print(f"    GATE FAIL: {failure}")
-
-    if args.write_baseline:
-        path = write_baseline(results, args.write_baseline)
-        print(f"baseline written -> {path}")
-    if failures:
-        print(f"perf gate: {len(failures)} benchmark(s) regressed more "
-              f"than {args.max_regression:.0%} "
-              f"({bench_filename('<name>')} files still written)",
-              file=sys.stderr)
-        return 1
-    return 0
-
-
 def _resolve_rv32i(name: str):
     """A program argument -> :class:`Rv32iWorkload` (clean errors)."""
     from repro.isa.rv32i.workload import Rv32iWorkload
@@ -1111,8 +1016,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_checkpoint_info(args)
         if args.checkpoint_command == "rebase":
             return _cmd_checkpoint_rebase(args)
-    if args.command == "bench":
-        return _cmd_bench(args)
     if args.command == "events":
         if args.events_command == "record":
             return _cmd_events_record(args)

@@ -2,7 +2,8 @@
 
 This is the batch-execution core every sweep funnels through
 (:func:`repro.experiments.runner.run_experiment`, the figure drivers, the
-``repro sweep`` CLI subcommand and the benchmarks). It does three things:
+``repro sweep`` CLI subcommand, the ``benchmarks/`` figure suite and
+``perfbench/``). It does three things:
 
 1. **Cell dispatch.** A *cell* is one ``(configuration, workload)``
    simulation at fixed µop volumes and seed. :func:`run_cells` executes a
@@ -408,8 +409,8 @@ def simulate_payload(payload: Dict[str, Any],
     Runs in worker processes under ``jobs > 1``; must stay a module-level
     function (picklable) and must touch no process-global mutable state.
     ``phase_profile`` (a :class:`repro.perf.instrument.PhaseProfile`)
-    attaches per-stage cycle-loop timers — benchmarks only; it is never
-    set on the worker-pool path. ``collector`` (a
+    attaches per-stage cycle-loop timers — perfbench's traced passes
+    only; it is never set on the worker-pool path. ``collector`` (a
     :class:`repro.telemetry.probes.MetricsCollector`) instruments the
     run with the metric probes and folds the distilled table into the
     returned dict's ``telemetry`` key — interactive ``--metrics`` runs

@@ -1,44 +1,17 @@
-"""Performance subsystem: instrumentation, benchmarks, regression gates.
+"""Performance instrumentation for the simulator's cycle loop.
 
-Three layers, bottom-up:
+:mod:`repro.perf.instrument` holds a :class:`PhaseProfile` that the
+simulator fills with per-stage wall time (one bucket per entry of the
+pipeline tick order, ``docs/ARCHITECTURE.md``) and event counters
+(replay storms). Attaching one swaps :meth:`Simulator.step` for an
+instrumented twin; with none attached the hot loop is untouched.
 
-* :mod:`repro.perf.instrument` — a :class:`PhaseProfile` that the
-  simulator fills with per-stage wall time (one bucket per entry of the
-  pipeline tick order, ``docs/ARCHITECTURE.md``) and event counters
-  (replay storms). Attaching one swaps :meth:`Simulator.step` for an
-  instrumented twin; with none attached the hot loop is untouched.
-* :mod:`repro.perf.bench` — the benchmark definitions (headline /
-  table2 / trace / sampling), the :class:`BenchResult` JSON schema with provenance
-  (git sha, python, host), and ``write_result`` producing the
-  ``BENCH_<name>.json`` trajectory files.
-* :mod:`repro.perf.gate` — the regression check the CI perf gate runs:
-  compare a fresh result against a committed baseline, normalized by
-  each run's interpreter-speed calibration so the gate measures the
-  *simulator*, not the runner hardware.
-
-Everything is reachable from the CLI: ``repro bench`` runs the suite,
-writes the JSON files and (with ``--baseline``) enforces the gate.
+Simulator speed itself is measured by the layered benchmark in
+``perfbench/`` (``python3 perfbench/run.py --workload W``), which passes
+a :class:`PhaseProfile` through ``simulate_payload(phase_profile=)`` for
+its per-stage timers.
 """
 
-from repro.perf.bench import (
-    BENCHMARKS,
-    BenchResult,
-    bench_filename,
-    calibrate,
-    run_benchmark,
-    write_result,
-)
-from repro.perf.gate import GateFailure, check_regression
 from repro.perf.instrument import PhaseProfile
 
-__all__ = [
-    "BENCHMARKS",
-    "BenchResult",
-    "GateFailure",
-    "PhaseProfile",
-    "bench_filename",
-    "calibrate",
-    "check_regression",
-    "run_benchmark",
-    "write_result",
-]
+__all__ = ["PhaseProfile"]

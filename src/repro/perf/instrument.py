@@ -10,8 +10,8 @@ Phases are the machine's stages, timed in tick order: one bucket per
 entry of :data:`repro.pipeline.stages.TICK_ORDER` (``commit``,
 ``writeback``, ``execute``, ``wakeup``, ``issue``, ``rename``,
 ``fetch``, ``bookkeep``). Custom stages inserted through
-``extra_stages`` get their own buckets on first tick — a profiled
-``--metrics`` run shows the telemetry probes' cost as its own line
+``extra_stages`` get their own buckets on first tick — a profiled run
+with the metric probes attached shows their cost as its own line
 (e.g. ``telemetry_occupancy``), keeping "how much does observing cost"
 answerable with the same tool as every other phase question.
 """

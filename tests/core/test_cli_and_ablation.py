@@ -119,6 +119,40 @@ class TestSweepErrors:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["worker"])
 
+    def test_bench_command_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+
+class TestPositiveCounts:
+    """Every µop-count flag rejects non-positive values at parse time,
+    before any trace, checkpoint or event file is written."""
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "gzip", "SpecSched_4"], "--measure"),
+        (["trace", "replay", "x.trc", "SpecSched_4"], "--measure"),
+        (["trace", "record", "gzip", "-o", "{out}"], "--uops"),
+        (["rv32i", "capture", "dhry-mix", "-o", "{out}"], "--uops"),
+        (["checkpoint", "create", "gzip", "SpecSched_4", "-o", "{out}"],
+         "--uops"),
+        (["events", "record", "gzip", "SpecSched_4", "-o", "{out}"],
+         "--uops"),
+    ], ids=["run", "trace-replay", "trace-record", "rv32i-capture",
+            "checkpoint-create", "events-record"])
+    @pytest.mark.parametrize("value", ["0", "-3", "ten"])
+    def test_rejected_with_flag_named(self, tmp_path, capsys, argv, flag,
+                                      value):
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in argv] + [flag, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: expected a positive integer" in err
+        assert not out.exists()
+
 
 class TestTraceCli:
     def test_record_info_replay_roundtrip(self, tmp_path, capsys,

@@ -9,10 +9,9 @@ Two satellites of the sampling suite, re-proven on RV32I µop streams:
   chained path checkpoints the *executor's* architectural state through
   the restricted-unpickler protocol, which no synthetic source
   exercises.
-* A sampled IPC estimate over a long captured trace must stay inside
-  the existing ``mean_ipc_rel_err`` perf-gate ceiling (the quick-mode
-  analogue of the sampling benchmark's accuracy metric, same
-  detailed-span definition as ``repro.perf.bench``).
+* A sampled IPC estimate over a long captured trace, from either
+  estimator, must stay within :data:`IPC_REL_ERR_CEILING` of a detailed
+  run over the same span.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from repro.experiments.engine import (
     run_cells,
     simulate_payload,
 )
-from repro.perf.gate import GATE_SPECS
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload, resolve_workload
 
@@ -53,6 +51,14 @@ GATE_SPEC = SamplingSpec(intervals=8, interval_uops=600, warmup_uops=300,
 CAPTURE_UOPS = 40_000
 SEED = 2
 
+#: Largest tolerated relative error of a sampled mean IPC against the
+#: detailed run over the same span. 2% is about twice the mean error of
+#: the sampled Figure-8 grid (1.1%) and about 3x the worst case measured
+#: on this capture (0.74%), so it flags an estimator that loses its
+#: warm state or mis-aligns its intervals without failing on sampling
+#: noise.
+IPC_REL_ERR_CEILING = 0.02
+
 
 def _from_zero(workload, preset):
     """The oracle: every interval fast-forwards from µop zero."""
@@ -63,13 +69,6 @@ def _from_zero(workload, preset):
     return [s.to_dict() for s in run_cells(sample_payloads(base, SPEC),
                                            options=OFF,
                                            cache=ResultCache(None))]
-
-
-def _gate_ceiling() -> float:
-    for gate in GATE_SPECS["sampling"]:
-        if gate.metric == "mean_ipc_rel_err":
-            return gate.ceiling
-    raise AssertionError("mean_ipc_rel_err gate disappeared")
 
 
 @pytest.fixture(scope="module")
@@ -103,22 +102,37 @@ class TestModeEquivalence:
 
 
 class TestEstimateQuality:
-    @pytest.mark.parametrize("preset", ["Baseline_0",
-                                        "SpecSched_4_Combined"])
-    def test_sampled_ipc_within_gate_ceiling(self, long_trace, preset):
-        workload = TraceWorkload(long_trace)
+    @staticmethod
+    def _assert_close_to_detailed(long_trace, preset, sampled):
         spec = GATE_SPEC.validate()
         span = spec.span_uops
         assert span <= CAPTURE_UOPS, "capture too short for the spec"
         payload = base_cell_payload(
-            make_config(preset), workload,
+            make_config(preset), TraceWorkload(long_trace),
             warmup_uops=spec.offset_uops,
             measure_uops=span - spec.offset_uops,
             functional_warmup_uops=0, seed=SEED)
         detailed = SimStats.from_dict(simulate_payload(payload))
-        sampled = run_sampled_chained(workload, preset, spec, seed=SEED)
         assert detailed.ipc > 0
         rel_err = abs(sampled.mean_ipc - detailed.ipc) / detailed.ipc
-        assert rel_err <= _gate_ceiling(), (
+        assert rel_err <= IPC_REL_ERR_CEILING, (
             f"{preset}: sampled {sampled.mean_ipc:.3f} vs detailed "
             f"{detailed.ipc:.3f} (rel err {rel_err:.4f})")
+
+    @pytest.mark.parametrize("preset", ["Baseline_0",
+                                        "SpecSched_4_Combined"])
+    def test_sampled_ipc_within_gate_ceiling(self, long_trace, preset):
+        """The single-pass estimator (``run --sample``)."""
+        sampled = run_sampled_chained(TraceWorkload(long_trace), preset,
+                                      GATE_SPEC, seed=SEED)
+        self._assert_close_to_detailed(long_trace, preset, sampled)
+
+    @pytest.mark.parametrize("preset", ["Baseline_0",
+                                        "SpecSched_4_Combined"])
+    def test_cells_chained_ipc_within_gate_ceiling(self, long_trace,
+                                                   tmp_path, preset):
+        """The estimator sweeps, figures and perfbench run."""
+        sampled = run_sampled_cells_chained(
+            TraceWorkload(long_trace), preset, GATE_SPEC, seed=SEED,
+            options=OFF, store=tmp_path)
+        self._assert_close_to_detailed(long_trace, preset, sampled)

@@ -88,12 +88,15 @@ class TestSyntheticWorkloads:
 
 
 class TestRecordedTraces:
-    def test_state_and_digest_identity(self, recorded_trace, tmp_path):
+    @pytest.mark.parametrize(
+        "preset", ("Baseline_0", "SpecSched_4_Combined", "SpecSched_4_Crit"))
+    def test_state_and_digest_identity(self, recorded_trace, tmp_path, preset):
+        """Equal component state and checkpoint digests on a recording."""
         from repro.checkpoint.format import checkpoint_digest, save_checkpoint
         from repro.traces.format import FileTrace
 
         def build():
-            return build_sim("SpecSched_4_Combined", FileTrace(recorded_trace))
+            return build_sim(preset, FileTrace(recorded_trace))
 
         oracle, sim = build(), build()
         assert functional_stream(oracle, oracle.trace, 9000,
