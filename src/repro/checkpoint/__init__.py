@@ -1,6 +1,6 @@
 """Checkpointing and SMARTS-style interval sampling.
 
-Three layers:
+Four layers:
 
 * :mod:`repro.checkpoint.state` — the µop codec behind the uniform
   ``state_dict()`` / ``load_state_dict()`` protocol every stateful
@@ -12,8 +12,8 @@ Three layers:
   purely functional checkpoints (one warming pass serves a whole
   scheduling-policy grid);
 * :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and the
-  sampled-run drivers (checkpoint-chained engine cells and the chained
-  single-pass runner) with confidence-interval aggregation.
+  sampled-run driver (checkpoint-chained engine cells) with
+  confidence-interval aggregation.
 
 Submodules are imported lazily (PEP 562): :mod:`repro.pipeline.cpu`
 imports the codec from :mod:`~repro.checkpoint.state`, while

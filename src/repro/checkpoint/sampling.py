@@ -16,23 +16,17 @@ A :class:`SamplingSpec` pins the geometry::
     interval_uops   measured µops per interval
     intervals       number of intervals
 
-Two execution shapes:
-
-* **chained cells** (:func:`chained_cell_payloads` /
-  :func:`run_sampled_cells_chained`): each interval compiles to one
-  self-contained engine cell, dispatched across the process pool and
-  persistently cached like any other cell. Its fast-forward chains off
-  the previous interval's checkpoint (produced by a
-  checkpoint-producing cell, content-addressed in the engine's
-  checkpoint store), so total warming cost is linear in the span. One
-  warming chain serves every config of a workload that shares
-  memory/branch parameters — the chain's checkpoints are rebased
-  (:mod:`repro.checkpoint.rebase`) across scheduling-policy configs.
-  A chain starts at µop zero or at a user checkpoint.
-* **chained** (:func:`run_sampled_chained`): one simulator walks the
-  stream once, alternating fast-forward and detailed intervals — the
-  fastest single-process shape (no per-interval checkpoints), used by
-  ``repro run --sample`` and the sampling benchmark.
+Each interval compiles to one self-contained engine cell
+(:func:`chained_cell_payloads` / :func:`run_sampled_cells_chained`),
+dispatched across the process pool and persistently cached like any
+other cell. Its fast-forward chains off the previous interval's
+checkpoint (produced by a checkpoint-producing cell, content-addressed
+in the engine's checkpoint store), so total warming cost is linear in
+the span. One warming chain serves every config of a workload that
+shares memory/branch parameters — the chain's checkpoints are rebased
+(:mod:`repro.checkpoint.rebase`) across scheduling-policy configs. A
+chain starts at µop zero or at a user checkpoint. ``repro run
+--sample``, sweeps, figures and perfbench all run these cells.
 
 :func:`sample_payloads` compiles the from-zero form of the same
 intervals: each cell fast-forwards from µop zero (or from its base
@@ -41,11 +35,6 @@ cells are tested against — they are bit-identical to it, because
 functional warming is deterministic and checkpoint round-trips are
 exact — but its total warming cost grows quadratically with the
 interval count.
-
-Both shapes are unbiased estimators, but the single-pass shape is not
-bit-identical to the cells: chained intervals inherit detailed-mode
-cache/predictor perturbations from earlier intervals; cells warm purely
-functionally.
 """
 
 from __future__ import annotations
@@ -201,8 +190,8 @@ def _rebased_ref(ref: Dict[str, Any], target_config: SimConfig,
     return cached
 
 
-def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
-                          options=None, store=None,
+def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
+                          store, *, options=None,
                           progress=None) -> List[Dict[str, Any]]:
     """Compile base payloads into checkpoint-chained interval cells.
 
@@ -219,12 +208,12 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
     other config in the chain's group, and the returned measurement
     payloads — in ``bases``-major, interval-minor order, ready for
     ``run_cells`` — reference the (possibly rebased) checkpoints by
-    digest.
+    digest. ``store`` is the checkpoint store directory (see
+    :func:`~repro.experiments.engine.checkpoint_store`).
     """
     from repro.checkpoint.rebase import filter_shape
     from repro.experiments.engine import (
         EngineOptions,
-        checkpoint_store_path,
         produce_payload,
         run_produce_cells,
     )
@@ -232,12 +221,6 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec, *,
 
     spec.validate()
     options = options or EngineOptions.from_env()
-    if store is None:
-        store = checkpoint_store_path(options)
-    if store is None:
-        raise SamplingError(
-            "chained-cell sampling needs a checkpoint store: enable the "
-            "persistent cache (REPRO_CACHE_DIR) or pass store=")
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
 
@@ -366,22 +349,6 @@ class SampledResult:
 # Drivers
 
 
-def _resolve(workload, config: Union[str, SimConfig], banked: bool):
-    from repro.core.presets import make_config
-    from repro.traces.registry import resolve_workload
-
-    spec = resolve_workload(workload)
-    if isinstance(config, str):
-        config = make_config(config, banked=banked)
-    return spec, config
-
-
-def _cell_seed(workload, seed: Optional[int]) -> int:
-    if seed is not None:
-        return seed
-    return int(getattr(workload, "seed", 0) or 0)
-
-
 def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
                               spec: SamplingSpec, *,
                               seed: Optional[int] = None,
@@ -394,79 +361,26 @@ def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
 
     ``checkpoint`` (a path) starts the chain from a saved warm state
     instead of µop zero. ``store`` overrides the checkpoint store
-    directory; when the persistent cache is disabled and no store is
-    given, a temporary store scoped to this call is used (checkpoints
-    discarded after the measurement cells run).
+    directory chosen by :func:`~repro.experiments.engine.
+    checkpoint_store`.
     """
     from repro.experiments.engine import (
         EngineOptions,
-        base_cell_payload,
-        checkpoint_store_path,
+        checkpoint_store,
         run_cells,
     )
+    from repro.pipeline.sim import build_payload
 
     spec.validate()
-    resolved, config = _resolve(workload, config, banked)
-    base = base_cell_payload(
-        config, resolved, warmup_uops=spec.warmup_uops,
-        measure_uops=spec.interval_uops, functional_warmup_uops=0,
-        seed=_cell_seed(resolved, seed))
-    if checkpoint is not None:
-        base["checkpoint"] = checkpoint_reference(checkpoint)
+    base, resolved, config = build_payload(
+        workload, config, warmup_uops=spec.warmup_uops,
+        measure_uops=spec.interval_uops, seed=seed, banked=banked,
+        max_cycles=None, functional_warmup_uops=0, checkpoint=checkpoint)
     options = options or EngineOptions.from_env()
-    with contextlib.ExitStack() as stack:
-        if store is None:
-            store = checkpoint_store_path(options)
-        if store is None:
-            store = stack.enter_context(
-                tempfile.TemporaryDirectory(prefix="repro-ckpt-"))
-        payloads = chained_cell_payloads([base], spec, options=options,
-                                         store=store)
+    with (contextlib.nullcontext(store) if store is not None
+          else checkpoint_store(options)) as store:
+        payloads = chained_cell_payloads([base], spec, store,
+                                         options=options)
         stats = run_cells(payloads, options=options, cache=cache)
     return SampledResult(workload=resolved.name, config_name=config.name,
                          spec=spec, interval_stats=list(stats))
-
-
-def run_sampled_chained(workload, config: Union[str, SimConfig],
-                        spec: SamplingSpec, *, seed: Optional[int] = None,
-                        banked: bool = True) -> SampledResult:
-    """Sampled run in one pass: a single simulator alternates functional
-    fast-forward and detailed measurement intervals.
-
-    Stream positions after a detailed interval are tracked by committed
-    µops (in-flight fetch-ahead makes the next fast-forward start a few
-    µops late) — immaterial for the statistics, and what keeps this the
-    fastest shape: the stream is consumed exactly once.
-    """
-    from repro.pipeline.cpu import Simulator
-
-    spec.validate()
-    resolved, config = _resolve(workload, config, banked)
-    trace = resolved.build_trace(seed)
-    sim = Simulator(config, trace)
-    interval_stats: List[SimStats] = []
-    position = 0
-    for index in range(spec.intervals):
-        gap = spec.interval_offset(index) - position
-        if gap > 0:
-            position += sim.fast_forward(gap)
-        base = sim.stats.committed_uops
-        interval_stats.append(
-            sim.run_with_warmup(spec.warmup_uops, spec.interval_uops))
-        position += sim.stats.committed_uops - base
-        if sim.done:
-            break                    # stream exhausted: report what ran
-    return SampledResult(workload=resolved.name, config_name=config.name,
-                         spec=spec, interval_stats=interval_stats)
-
-
-def checkpoint_reference(path) -> Dict[str, Any]:
-    """The payload encoding of a checkpoint base: path for the worker,
-    digest and stream position for the cache key and the fast-forward
-    arithmetic."""
-    from repro.checkpoint.format import read_info
-
-    info = read_info(path)
-    position = int(info.provenance.get("stream_uops",
-                                       info.uops_committed))
-    return {"path": str(path), "digest": info.digest, "position": position}

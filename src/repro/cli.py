@@ -42,8 +42,8 @@ Workload arguments resolve through the workload registry
 and recorded-trace names/files are all accepted. Workload selection and
 simulation volume follow the ``REPRO_*`` environment variables (see
 :mod:`repro.experiments.runner`); the ``--jobs`` / ``--cache-dir`` flags
-on ``figure``, ``table2`` and ``sweep`` override ``REPRO_JOBS`` /
-``REPRO_CACHE_DIR`` for one invocation.
+on ``run --sample``, ``figure``, ``table2`` and ``sweep`` override
+``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` for one invocation.
 """
 
 from __future__ import annotations
@@ -127,14 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--offset", type=int, default=None, metavar="N",
                        help="sampling: functional warming µops before "
                             "the first interval")
-    run_p.add_argument("--sample-mode", choices=("chained", "cells-chained"),
-                       default="chained",
-                       help="chained: one pass, fastest (default); "
-                            "cells-chained: per-interval engine cells, "
-                            "pooled (--jobs) and persistently cached, "
-                            "whose warming chains through per-interval "
-                            "checkpoints (from --from-checkpoint when "
-                            "given)")
     run_p.add_argument("--metrics", action="store_true",
                        help="attach the telemetry probes (occupancy "
                             "histograms, replay/filter aggregates) and "
@@ -449,28 +441,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
             return _fail(ValueError(
                 f"{', '.join(given)} only take effect with --sample"))
     if args.sample:
-        from repro.checkpoint.sampling import (
-            run_sampled_cells_chained,
-            run_sampled_chained,
-        )
+        from repro.checkpoint.sampling import run_sampled_cells_chained
 
         try:
-            spec = _sampling_spec(args)
-            if args.sample_mode == "cells-chained":
-                result = run_sampled_cells_chained(
-                    args.workload, args.config, spec,
-                    banked=not args.dual_ported,
-                    options=_engine_options(args),
-                    checkpoint=args.from_checkpoint)
-            else:
-                if args.from_checkpoint is not None:
-                    raise ValueError(
-                        "--from-checkpoint requires --sample-mode "
-                        "cells-chained (the chained pass owns its own "
-                        "warming)")
-                result = run_sampled_chained(args.workload, args.config,
-                                             spec,
-                                             banked=not args.dual_ported)
+            result = run_sampled_cells_chained(
+                args.workload, args.config, _sampling_spec(args),
+                banked=not args.dual_ported, options=_engine_options(args),
+                checkpoint=args.from_checkpoint)
         except (KeyError, OSError, ValueError) as exc:
             return _fail(exc)
         _print_sampled(result)

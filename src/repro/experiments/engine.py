@@ -14,8 +14,9 @@ This is the batch-execution core every sweep funnels through
    simulated them. Besides measurement cells there are
    *checkpoint-producing* cells (:func:`run_produce_cells`): their
    output is a warm checkpoint at a target µop position, stored
-   content-addressed under ``<cache_dir>/checkpoints/`` so sampled
-   sweeps can chain each interval off the previous interval's state.
+   content-addressed in the checkpoint store (:func:`checkpoint_store`)
+   so sampled runs can chain each interval off the previous interval's
+   state.
    Both kinds go through one cached-dispatch routine.
 
 2. **Persistent result cache.** :class:`ResultCache` layers an in-process
@@ -46,6 +47,7 @@ Engine knobs come from the environment (see :class:`EngineOptions`):
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
@@ -55,7 +57,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.serialize import load_structured_file, stable_hash
 from repro.common.stats import SimStats
@@ -510,12 +512,34 @@ def required_trace_uops(workload_data: Dict[str, Any], *,
 # Checkpoint-producing cells
 
 
-def checkpoint_store_path(options: EngineOptions) -> Optional[Path]:
-    """Where produced checkpoints live: ``<cache_dir>/checkpoints``, or
-    ``None`` when the persistent cache is disabled (callers then supply
-    a temporary store for the run)."""
+@contextlib.contextmanager
+def checkpoint_store(options: EngineOptions) -> Iterator[Path]:
+    """Where produced checkpoints live for one sampled run:
+    ``<cache_dir>/checkpoints`` when the persistent cache is on (the
+    chain then survives the run), else a temporary directory removed on
+    exit."""
     cache = options.cache_path()
-    return None if cache is None else cache / "checkpoints"
+    if cache is not None:
+        yield cache / "checkpoints"
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-ckpt-") as tmp:
+        yield Path(tmp)
+
+
+def _checkpoint_ref(path, info) -> Dict[str, Any]:
+    """The payload encoding of a checkpoint: path for the worker, digest
+    for the cache key, stream position for the fast-forward arithmetic
+    (the recorded stream consumption, else the committed µops)."""
+    position = int(info.provenance.get("stream_uops", info.uops_committed))
+    return {"path": str(path), "digest": info.digest, "position": position}
+
+
+def checkpoint_reference(path) -> Dict[str, Any]:
+    """The ``{path, digest, position}`` ref of a user checkpoint (header
+    read only; the worker verifies the payload when it restores)."""
+    from repro.checkpoint.format import read_info
+
+    return _checkpoint_ref(path, read_info(path))
 
 
 def checkpoint_store_ref(path) -> Optional[Dict[str, Any]]:
@@ -532,8 +556,7 @@ def checkpoint_store_ref(path) -> Optional[Dict[str, Any]]:
         info = load_checkpoint(path).info    # full payload digest verify
     except (OSError, CheckpointError):
         return None
-    position = int(info.provenance.get("stream_uops", info.uops_committed))
-    return {"path": str(path), "digest": info.digest, "position": position}
+    return _checkpoint_ref(path, info)
 
 
 def produce_payload(base: Dict[str, Any], position: int, store, *,
@@ -617,8 +640,7 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
         except OSError:
             pass
         raise
-    return {"path": str(out), "digest": info.digest,
-            "position": stream_uops}
+    return _checkpoint_ref(out, info)
 
 
 # ---------------------------------------------------------------------------

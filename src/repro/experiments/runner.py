@@ -245,10 +245,9 @@ def run_experiment(name: str, requests: Sequence[ConfigRequest],
     :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
     """
     import contextlib
-    import tempfile
 
     from repro.checkpoint.sampling import SampledResult, chained_cell_payloads
-    from repro.experiments.engine import checkpoint_store_path
+    from repro.experiments.engine import checkpoint_store
 
     settings = settings or Settings.from_env()
     options = options or EngineOptions.from_env()
@@ -261,12 +260,9 @@ def run_experiment(name: str, requests: Sequence[ConfigRequest],
     payloads = _grid_payloads(requests, settings)
     with contextlib.ExitStack() as stack:
         if sampling is not None:
-            store = checkpoint_store_path(options)
-            if store is None:           # cache off: store scoped to run
-                store = stack.enter_context(
-                    tempfile.TemporaryDirectory(prefix="repro-ckpt-"))
+            store = stack.enter_context(checkpoint_store(options))
             payloads = chained_cell_payloads(
-                payloads, sampling, options=options, store=store,
+                payloads, sampling, store, options=options,
                 progress=progress)
         stats_list = run_cells(payloads, options=options, cache=cache,
                                progress=progress)

@@ -81,7 +81,7 @@ def build_payload(
     if max_cycles is not None:
         payload["max_cycles"] = max_cycles
     if checkpoint is not None:
-        from repro.checkpoint.sampling import checkpoint_reference
+        from repro.experiments.engine import checkpoint_reference
 
         payload["checkpoint"] = checkpoint_reference(checkpoint)
     return payload, spec, config

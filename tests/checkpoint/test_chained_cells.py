@@ -12,7 +12,6 @@ import pytest
 from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
 from repro.checkpoint.sampling import (
     SampledResult,
-    SamplingError,
     SamplingSpec,
     chained_cell_payloads,
     run_sampled_cells_chained,
@@ -25,6 +24,7 @@ from repro.experiments.engine import (
     Sweep,
     base_cell_payload,
     cell_key,
+    checkpoint_store,
     produce_payload,
     run_cells,
 )
@@ -125,9 +125,17 @@ def test_version_bumped_store_entry_is_regenerated(tmp_path):
     assert load_checkpoint(victim).info.digest
 
 
-def test_chained_cells_without_store_or_cache_refused():
-    with pytest.raises(SamplingError, match="checkpoint store"):
-        chained_cell_payloads([_base()], SPEC, options=OFF)
+def test_checkpoint_store_is_temporary_without_persistent_cache(tmp_path):
+    with checkpoint_store(OFF) as store:
+        assert store.is_dir()
+        (store / "entry.ckpt").write_bytes(b"x")
+    assert not store.exists()
+    cached = EngineOptions(jobs=1, cache_dir=str(tmp_path / "cache"))
+    with checkpoint_store(cached) as store:
+        assert store == tmp_path / "cache" / "checkpoints"
+        store.mkdir(parents=True)
+        (store / "entry.ckpt").write_bytes(b"x")
+    assert (store / "entry.ckpt").exists()     # persistent: kept
 
 
 # ---------------------------------------------------------------------------

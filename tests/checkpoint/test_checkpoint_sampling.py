@@ -1,5 +1,7 @@
 """Sampling-layer tests: spec validation, cell compilation, cache keys,
-determinism, aggregation and the sampled sweep/report path."""
+determinism, aggregation, the sampled sweep/report path and the
+``repro run --sample`` front end (bit-identity with the from-zero
+oracle, refusal of a too-short trace)."""
 
 from __future__ import annotations
 
@@ -12,9 +14,7 @@ from repro.checkpoint.sampling import (
     SampledResult,
     SamplingError,
     SamplingSpec,
-    checkpoint_reference,
     run_sampled_cells_chained,
-    run_sampled_chained,
     sample_payloads,
 )
 from repro.common.mathutil import ci95_half_width, mean, sample_stdev
@@ -28,6 +28,7 @@ from repro.experiments.engine import (
     base_cell_payload,
     cell_key,
     cell_payload,
+    checkpoint_reference,
     run_cells,
     simulate_payload,
 )
@@ -215,8 +216,7 @@ def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
     assert [s.to_dict() for s in chained.interval_stats] == cold
 
     assert main(["run", "gzip", "SpecSched_4", "--sample",
-                 "--sample-mode", "cells-chained", "--from-checkpoint",
-                 str(path), "--cache-dir", "off",
+                 "--from-checkpoint", str(path), "--cache-dir", "off",
                  "--intervals", str(SPEC.intervals),
                  "--interval-uops", str(SPEC.interval_uops),
                  "--sample-warmup", str(SPEC.warmup_uops),
@@ -224,15 +224,6 @@ def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
                  "--offset", str(SPEC.offset_uops)]) == 0
     ipcs = " ".join(f"{ipc:.3f}" for ipc in based.ipc_values)
     assert f"interval IPCs          {ipcs}\n" in capsys.readouterr().out
-
-
-def test_chained_and_cells_agree_on_interval_count():
-    chained = run_sampled_chained("gzip", "SpecSched_4", SPEC, seed=1)
-    assert len(chained.interval_stats) == SPEC.intervals
-    # Chained inherits detailed-mode perturbations (by design), so only
-    # sanity-level agreement with the cell shape is asserted.
-    cells = _oracle()
-    assert chained.mean_ipc == pytest.approx(cells.mean_ipc, rel=0.15)
 
 
 def test_sampled_sweep_carries_confidence_intervals():
@@ -287,3 +278,29 @@ def test_trace_too_short_for_interval_rejected(tmp_path):
     simulate_payload(cells[0])
     with pytest.raises(ValueError, match="holds only"):
         simulate_payload(cells[2])
+
+
+def test_run_sample_refuses_trace_shorter_than_span(tmp_path, capsys):
+    """``repro run --sample`` on a recording that ends before the default
+    spec's span is a one-line error (exit 2), never a made-up interval."""
+    from repro.traces.format import capture
+
+    default = SamplingSpec()
+    path = tmp_path / "short.trc"
+    capture(resolve_workload("gzip").build_trace(1), path,
+            default.interval_offset(1), wp_seed=1)
+    assert main(["run", str(path), "SpecSched_4", "--sample",
+                 "--cache-dir", "off"]) == 2
+    captured = capsys.readouterr()
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ") and "holds only" in errors[0]
+    assert "interval IPCs" not in captured.out
+
+
+def test_run_rejects_removed_estimator_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "gzip", "SpecSched_4", "--sample",
+              "--sample-mode", "chained"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -1,17 +1,16 @@
-"""Sampling on real-ISA streams: mode equivalence and estimate quality.
+"""Sampling on real-ISA streams: oracle equivalence and estimate quality.
 
 Two satellites of the sampling suite, re-proven on RV32I µop streams:
 
-* ``--sample-mode cells-chained`` must match the from-zero interval
-  cells of ``sample_payloads`` bit-identically (interval-for-interval
-  counter equality) on both a long captured rv32i trace and the live
-  executor-backed source — the
-  chained path checkpoints the *executor's* architectural state through
-  the restricted-unpickler protocol, which no synthetic source
-  exercises.
-* A sampled IPC estimate over a long captured trace, from either
-  estimator, must stay within :data:`IPC_REL_ERR_CEILING` of a detailed
-  run over the same span.
+* The checkpoint-chained cells (``run_sampled_cells_chained``, what
+  ``repro run --sample`` and sweeps run) must match the from-zero
+  interval cells of ``sample_payloads`` bit-identically
+  (interval-for-interval counter equality) on both a long captured
+  rv32i trace and the live executor-backed source — the chained path
+  checkpoints the *executor's* architectural state through the
+  restricted-unpickler protocol, which no synthetic source exercises.
+* A sampled IPC estimate over a long captured trace must stay within
+  :data:`IPC_REL_ERR_CEILING` of a detailed run over the same span.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import pytest
 from repro.checkpoint.sampling import (
     SamplingSpec,
     run_sampled_cells_chained,
-    run_sampled_chained,
     sample_payloads,
 )
 from repro.common.stats import SimStats
@@ -121,17 +119,10 @@ class TestEstimateQuality:
 
     @pytest.mark.parametrize("preset", ["Baseline_0",
                                         "SpecSched_4_Combined"])
-    def test_sampled_ipc_within_gate_ceiling(self, long_trace, preset):
-        """The single-pass estimator (``run --sample``)."""
-        sampled = run_sampled_chained(TraceWorkload(long_trace), preset,
-                                      GATE_SPEC, seed=SEED)
-        self._assert_close_to_detailed(long_trace, preset, sampled)
-
-    @pytest.mark.parametrize("preset", ["Baseline_0",
-                                        "SpecSched_4_Combined"])
     def test_cells_chained_ipc_within_gate_ceiling(self, long_trace,
                                                    tmp_path, preset):
-        """The estimator sweeps, figures and perfbench run."""
+        """The estimator ``run --sample``, sweeps, figures and perfbench
+        run."""
         sampled = run_sampled_cells_chained(
             TraceWorkload(long_trace), preset, GATE_SPEC, seed=SEED,
             options=OFF, store=tmp_path)

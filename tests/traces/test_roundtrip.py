@@ -42,7 +42,7 @@ ARCH_FIELDS = ("pc", "opclass", "srcs", "dst", "mem_addr", "mem_size",
                "taken", "target")
 
 
-def _resolve(name: str):
+def _source(name: str):
     if name in SCENARIOS:
         return ScenarioSpec.from_file(SCENARIO_DIR / f"{name}.toml")
     return resolve_workload(name)
@@ -62,7 +62,7 @@ def _record(workload, tmp_path, seed: int) -> TraceWorkload:
 @pytest.mark.parametrize("name", TABLE2_WORKLOADS + SCENARIOS)
 @pytest.mark.parametrize("seed", [1, 42])
 def test_replay_stream_bit_identical(tmp_path, name, seed):
-    workload = _resolve(name)
+    workload = _source(name)
     recorded = _record(workload, tmp_path, seed)
     live = iterate(workload.build_trace(seed), 4000)
     replay = iterate(recorded.build_trace(), 4000)
@@ -75,7 +75,7 @@ def test_replay_stream_bit_identical(tmp_path, name, seed):
 
 @pytest.mark.parametrize("name", ("gzip", "streaming-mlp"))
 def test_replay_wrong_path_bit_identical(tmp_path, name):
-    workload = _resolve(name)
+    workload = _source(name)
     recorded = _record(workload, tmp_path, 7)
     live, replay = workload.build_trace(7), recorded.build_trace()
     for i in range(200):
@@ -96,7 +96,7 @@ def test_replay_wrong_path_bit_identical(tmp_path, name):
     ("streaming-mlp", "SpecSched_4_Ctr"),
 ])
 def test_engine_stats_identical_live_vs_replay(tmp_path, name, preset):
-    workload = _resolve(name)
+    workload = _source(name)
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     live = simulate_payload(cell_payload(preset, workload, **VOLUMES))
     replay = simulate_payload(cell_payload(preset, recorded, **VOLUMES))
@@ -107,7 +107,7 @@ def test_engine_stats_identical_live_vs_replay(tmp_path, name, preset):
 def test_cache_key_differs_between_live_and_trace(tmp_path):
     """Same stream, different provenance: a trace cell must not collide
     with (or go stale against) the live generator's cache entries."""
-    workload = _resolve("gzip")
+    workload = _source("gzip")
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     live_payload = cell_payload("Baseline_0", workload, **VOLUMES)
     trace_payload = cell_payload("Baseline_0", recorded, **VOLUMES)
@@ -123,7 +123,7 @@ def test_cache_key_differs_between_live_and_trace(tmp_path):
 
 def test_cache_key_independent_of_trace_location(tmp_path):
     """The same recording at two paths keys the same cache entries."""
-    workload = _resolve("gzip")
+    workload = _source("gzip")
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     copy = tmp_path / "renamed-elsewhere.trc"
     copy.write_bytes(Path(recorded.path).read_bytes())
@@ -136,7 +136,7 @@ def test_cache_key_independent_of_trace_location(tmp_path):
 def test_undersized_trace_rejected_not_measured(tmp_path):
     """A trace shorter than warmup+measure must fail loudly, not cache
     an all-zero measured region."""
-    workload = _resolve("gzip")
+    workload = _source("gzip")
     path = tmp_path / "short.trc"
     capture(workload.build_trace(VOLUMES["seed"]), path, 500,
             wp_seed=VOLUMES["seed"])
@@ -147,7 +147,7 @@ def test_undersized_trace_rejected_not_measured(tmp_path):
 
 def test_run_experiment_accepts_trace_names(tmp_path, monkeypatch):
     """A recorded trace is addressable by registry name end-to-end."""
-    workload = _resolve("gzip")
+    workload = _source("gzip")
     path = tmp_path / "gzip-rec.trc"
     capture(workload.build_trace(VOLUMES["seed"]), path, CAPTURE_UOPS,
             wp_seed=VOLUMES["seed"], provenance={"workload": "gzip"})
@@ -170,7 +170,7 @@ def test_run_workload_rejects_undersized_trace(tmp_path):
     the engine and the replay subcommand."""
     from repro.pipeline.sim import run_workload
 
-    workload = _resolve("gzip")
+    workload = _source("gzip")
     path = tmp_path / "short.trc"
     capture(workload.build_trace(1), path, 300, wp_seed=1)
     with pytest.raises(ValueError, match="holds only 300"):
