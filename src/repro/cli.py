@@ -8,7 +8,8 @@ Commands:
   from saved warm state;
 * ``table1`` — render the machine configuration (paper Table 1);
 * ``table2`` — run Baseline_0 over the selected workloads (paper Table 2);
-* ``figure {3,4,5,7,8}`` — regenerate one evaluation figure;
+* ``figure {3,4,5,7,8,delay}`` — regenerate one evaluation figure (or
+  the Section 5.3 delay sweep), summary rows beside the paper's values;
 * ``sweep FILE`` — execute a declarative sweep file (TOML/JSON, see
   ``examples/sweeps/``) through the parallel experiment engine; a
   ``[sampling]`` table in the file runs every cell sampled;
@@ -67,17 +68,6 @@ from repro.experiments.tables import render_table1, render_table2
 from repro.pipeline.sim import run_workload
 from repro.traces import capture, default_registry, read_info, verify
 from repro.traces.registry import TraceWorkload
-
-_FIGURES = {
-    "3": ("fig3", []),
-    "4": ("fig4", [("SpecSched_4 (banked)", None)]),
-    "5": ("fig5", [("SpecSched_4_Shift", "SpecSched_4")]),
-    "7": ("fig7", [("SpecSched_4_Ctr", "SpecSched_4"),
-                   ("SpecSched_4_Filter", "SpecSched_4")]),
-    "8": ("fig8", [("SpecSched_4_Combined", "SpecSched_4"),
-                   ("SpecSched_4_Crit", "SpecSched_4")]),
-}
-
 
 def _positive_int(text: str) -> int:
     """argparse ``type=`` for µop counts: a positive integer or exit 2."""
@@ -138,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(table2_p)
 
     fig_p = sub.add_parser("figure", help="regenerate an evaluation figure")
-    fig_p.add_argument("number", choices=sorted(_FIGURES),
-                       help="paper figure number to regenerate")
+    fig_p.add_argument("number", choices=sorted(figures.FIGURES),
+                       help="paper figure number to regenerate ('delay': "
+                            "the Section 5.3 delay sweep)")
     _add_engine_flags(fig_p)
 
     sweep_p = sub.add_parser(
@@ -774,15 +765,14 @@ def _cmd_report_manifests(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(number: str, options: EngineOptions) -> int:
-    sweep_name, summaries = _FIGURES[number]
-    sweep = figures.FIGURE_SWEEPS[sweep_name]()
-    result = run_sweep(sweep, Settings.from_env(), options=options)
+    result = figures.run_figure(number, Settings.from_env(), options)
     print(performance_table(result))
-    for label, reference in summaries:
+    for summary in figures.FIGURES[number].summaries:
         print()
-        print(breakdown_table(result, label))
-        if reference:
-            print(summary_line(result, label, reference))
+        print(breakdown_table(result, summary.label))
+        if summary.reference:
+            print(summary_line(result, summary.label, summary.reference,
+                               summary.paper))
     return 0
 
 

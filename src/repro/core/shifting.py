@@ -21,9 +21,8 @@ from __future__ import annotations
 class ScheduleShifter:
     """Promised-latency adjustment for the N-th load of an issue group."""
 
-    def __init__(self, enabled: bool, slack: int = 1) -> None:
+    def __init__(self, enabled: bool) -> None:
         self.enabled = enabled
-        self.slack = slack
         self.shifted = 0
 
     def promised_latency(self, base_latency: int,
@@ -31,7 +30,7 @@ class ScheduleShifter:
         """Latency to promise for a load being granted a port now."""
         if self.enabled and loads_already_this_cycle >= 1:
             self.shifted += 1
-            return base_latency + self.slack
+            return base_latency + 1
         return base_latency
 
     # -- state protocol (repro.checkpoint) -----------------------------

@@ -5,8 +5,9 @@
   and the declarative :class:`Sweep` API;
 * :mod:`repro.experiments.runner` — grid runner over (configuration,
   workload), funnelling through the engine;
-* :mod:`repro.experiments.figures` — one driver per figure (3, 4, 5, 7, 8)
-  plus the Section-5.3 delay sweep and the headline summary;
+* :mod:`repro.experiments.figures` — the registry of the paper's result
+  grids (Figures 3, 4, 5, 7, 8 and the Section-5.3 delay sweep) with the
+  paper's values for their summary rows;
 * :mod:`repro.experiments.tables` — Table 1 / Table 2 renderers;
 * :mod:`repro.experiments.report` — ASCII table formatting;
 * :mod:`repro.experiments.timeline` — the pipeline timing diagrams of
@@ -26,15 +27,7 @@ from repro.experiments.runner import (
     run_experiment,
     run_sweep,
 )
-from repro.experiments.figures import (
-    fig3,
-    fig4,
-    fig5,
-    fig7,
-    fig8,
-    delay_sweep,
-    headline,
-)
+from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.tables import render_table1, table2
 from repro.experiments.report import format_table
 
@@ -42,20 +35,15 @@ __all__ = [
     "ConfigRequest",
     "EngineOptions",
     "ExperimentResult",
+    "FIGURES",
     "ResultCache",
     "Settings",
     "Sweep",
     "SweepSeries",
-    "delay_sweep",
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig7",
-    "fig8",
     "format_table",
-    "headline",
     "render_table1",
     "run_experiment",
+    "run_figure",
     "run_sweep",
     "table2",
 ]

@@ -1,9 +1,9 @@
 """Parallel experiment engine with a persistent result cache.
 
 This is the batch-execution core every sweep funnels through
-(:func:`repro.experiments.runner.run_experiment`, the figure drivers, the
-``repro sweep`` CLI subcommand, the ``benchmarks/`` figure suite and
-``perfbench/``). It does three things:
+(:func:`repro.experiments.runner.run_experiment`, the figure registry's
+:func:`~repro.experiments.figures.run_figure`, the ``repro sweep`` CLI
+subcommand and ``perfbench/``). It does three things:
 
 1. **Cell dispatch.** A *cell* is one ``(configuration, workload)``
    simulation at fixed µop volumes and seed. :func:`run_cells` executes a

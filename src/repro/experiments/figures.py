@@ -1,9 +1,11 @@
-"""One driver per paper figure.
+"""The paper's result grids: one registry entry per evaluation figure.
 
-Each function runs the exact configuration grid of the corresponding
-figure and returns an :class:`ExperimentResult`; ``print_*`` helpers in
-:mod:`repro.experiments.report` render the paper-style rows. The
-benchmarks call these and record paper-vs-measured in EXPERIMENTS.md.
+:data:`FIGURES` maps each ``repro figure`` key to a :class:`Figure`: the
+configuration grid (a :class:`Sweep`), the (label, reference) pairs whose
+breakdown and summary rows are printed, and the value the paper states
+for each summary metric it gives. :func:`run_figure` runs one grid;
+:mod:`repro.experiments.report` renders the paper-style rows.
+EXPERIMENTS.md records paper-vs-measured from ``repro figure`` output.
 
 Reference frame: as in Section 5, everything is normalized to
 **Baseline_0 with a dual-ported L1D** (the ideal machine in this context).
@@ -11,10 +13,10 @@ Reference frame: as in Section 5, everything is normalized to
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Mapping, Optional, Tuple
 
-from repro.experiments.engine import Sweep, SweepSeries
+from repro.experiments.engine import EngineOptions, Sweep, SweepSeries
 from repro.experiments.runner import (
     ConfigRequest,
     ExperimentResult,
@@ -24,149 +26,89 @@ from repro.experiments.runner import (
 
 #: Every figure normalizes to this series.
 BASELINE = ConfigRequest("Baseline_0", "Baseline_0", banked=False)
-_BASE = BASELINE
 
 
-def _sweep(name: str, series) -> Sweep:
-    return Sweep(name=name, baseline=_BASE.label,
-                 series=(_BASE,) + tuple(series)).validate()
+@dataclass(frozen=True)
+class Summary:
+    """One printed row pair: ``label``'s issued-µop breakdown and, when
+    ``reference`` is set, its :func:`~repro.experiments.report.summary_line`
+    against ``reference``. ``paper`` holds the paper's value for the
+    summary metrics it states (keys from
+    :data:`~repro.experiments.report.SUMMARY_METRICS`; speedup as a
+    signed fraction, reductions as positive fractions)."""
+
+    label: str
+    reference: Optional[str] = None
+    paper: Mapping[str, float] = field(default_factory=dict)
 
 
-def fig3_sweep() -> Sweep:
-    return _sweep("fig3", [
-        SweepSeries("Baseline_0, 1 load/cycle", "Baseline_0",
-                    banked=False, load_ports=1),
-        SweepSeries("Baseline_2", "Baseline_2", banked=False),
-        SweepSeries("Baseline_4", "Baseline_4", banked=False),
-        SweepSeries("Baseline_6", "Baseline_6", banked=False),
-    ])
+@dataclass(frozen=True)
+class Figure:
+    """One paper result grid and the rows ``repro figure`` prints for it."""
+
+    sweep: Sweep
+    summaries: Tuple[Summary, ...] = ()
 
 
-def fig4_sweep() -> Sweep:
-    series = []
-    for delay in (2, 4, 6):
-        series.append(SweepSeries(
-            f"SpecSched_{delay} (dual)", f"SpecSched_{delay}", banked=False))
-        series.append(SweepSeries(
-            f"SpecSched_{delay} (banked)", f"SpecSched_{delay}", banked=True))
-    return _sweep("fig4", series)
+def _sweep(name: str, *series: SweepSeries) -> Sweep:
+    return Sweep(name=name, baseline=BASELINE.label,
+                 series=(BASELINE,) + series).validate()
 
 
-def fig5_sweep() -> Sweep:
-    return _sweep("fig5", [
-        SweepSeries("SpecSched_4", "SpecSched_4", banked=True),
-        SweepSeries("SpecSched_4_Shift", "SpecSched_4_Shift", banked=True),
-    ])
+def _banked(preset: str) -> SweepSeries:
+    return SweepSeries(preset, preset, banked=True)
 
 
-def fig7_sweep() -> Sweep:
-    return _sweep("fig7", [
-        SweepSeries("SpecSched_4", "SpecSched_4", banked=True),
-        SweepSeries("SpecSched_4_Ctr", "SpecSched_4_Ctr", banked=True),
-        SweepSeries("SpecSched_4_Filter", "SpecSched_4_Filter", banked=True),
-    ])
-
-
-def fig8_sweep() -> Sweep:
-    return _sweep("fig8", [
-        SweepSeries("SpecSched_4", "SpecSched_4", banked=True),
-        SweepSeries("SpecSched_4_Combined", "SpecSched_4_Combined",
-                    banked=True),
-        SweepSeries("SpecSched_4_Crit", "SpecSched_4_Crit", banked=True),
-    ])
-
-
-def delay_sweep_sweep() -> Sweep:
-    series = []
-    for delay in (2, 6):
-        series.append(SweepSeries(
-            f"SpecSched_{delay}", f"SpecSched_{delay}", banked=True))
-        series.append(SweepSeries(
-            f"SpecSched_{delay}_Crit", f"SpecSched_{delay}_Crit", banked=True))
-    return _sweep("delay_sweep", series)
-
-
-#: Declarative grid per figure — ``repro figure N`` and the ``fig*``
-#: drivers below execute these by name.
-FIGURE_SWEEPS = {
-    "fig3": fig3_sweep,
-    "fig4": fig4_sweep,
-    "fig5": fig5_sweep,
-    "fig7": fig7_sweep,
-    "fig8": fig8_sweep,
-    "delay_sweep": delay_sweep_sweep,
+FIGURES: Dict[str, Figure] = {
+    # Figure 3: cost of *conservative* scheduling as the issue-to-execute
+    # delay grows, plus the single-load-port bar.
+    "3": Figure(_sweep(
+        "fig3",
+        SweepSeries("Baseline_0, 1 load/cycle", "Baseline_0", banked=False,
+                    load_ports=1),
+        *(SweepSeries(f"Baseline_{d}", f"Baseline_{d}", banked=False)
+          for d in (2, 4, 6)))),
+    # Figure 4: speculative scheduling with dual-ported vs banked L1
+    # (performance, a) and the issued-µop breakdown of the banked case (b).
+    "4": Figure(
+        _sweep("fig4", *(SweepSeries(f"SpecSched_{d} ({kind})",
+                                     f"SpecSched_{d}", banked=kind == "banked")
+                         for d in (2, 4, 6) for kind in ("dual", "banked"))),
+        (Summary("SpecSched_4 (banked)"),)),
+    # Figure 5: Schedule Shifting on the banked L1.
+    "5": Figure(
+        _sweep("fig5", _banked("SpecSched_4"), _banked("SpecSched_4_Shift")),
+        (Summary("SpecSched_4_Shift", "SpecSched_4",
+                 {"speedup": 0.029, "bank": 0.748}),)),
+    # Figure 7: hit/miss filtering (global counter alone, filter+counter).
+    "7": Figure(
+        _sweep("fig7", _banked("SpecSched_4"), _banked("SpecSched_4_Ctr"),
+               _banked("SpecSched_4_Filter")),
+        (Summary("SpecSched_4_Ctr", "SpecSched_4", {"miss": 0.593}),
+         Summary("SpecSched_4_Filter", "SpecSched_4", {"miss": 0.650}))),
+    # Figure 8: the combined mechanisms and criticality gating. The Crit
+    # row carries the abstract's headline numbers.
+    "8": Figure(
+        _sweep("fig8", _banked("SpecSched_4"), _banked("SpecSched_4_Combined"),
+               _banked("SpecSched_4_Crit")),
+        (Summary("SpecSched_4_Combined", "SpecSched_4",
+                 {"speedup": 0.037, "total": 0.682}),
+         Summary("SpecSched_4_Crit", "SpecSched_4",
+                 {"speedup": 0.034, "total": 0.906, "bank": 0.780,
+                  "miss": 0.965, "issued": 0.134}))),
+    # Section 5.3's closing sweep: _Crit vs plain SpecSched at D=2 and 6
+    # (the paper gives "about 90%" fewer replays at both delays).
+    "delay": Figure(
+        _sweep("delay_sweep", *(_banked(f"SpecSched_{d}{suffix}")
+                                for d in (2, 6) for suffix in ("", "_Crit"))),
+        (Summary("SpecSched_2_Crit", "SpecSched_2",
+                 {"speedup": 0.023, "total": 0.90, "issued": 0.112}),
+         Summary("SpecSched_6_Crit", "SpecSched_6",
+                 {"speedup": 0.048, "total": 0.90, "issued": 0.187}))),
 }
 
 
-def fig3(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Figure 3: cost of *conservative* scheduling as the issue-to-execute
-    delay grows (plus the single-load-port bar)."""
-    return run_sweep(fig3_sweep(), settings)
-
-
-def fig4(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Figure 4: speculative scheduling with dual-ported vs banked L1
-    (performance, a) and the issued-µop breakdown for the banked case (b)."""
-    return run_sweep(fig4_sweep(), settings)
-
-
-def fig5(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Figure 5: Schedule Shifting on the banked L1."""
-    return run_sweep(fig5_sweep(), settings)
-
-
-def fig7(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Figure 7: hit/miss filtering (global counter alone, filter+counter)."""
-    return run_sweep(fig7_sweep(), settings)
-
-
-def fig8(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Figure 8: the combined mechanisms and criticality gating."""
-    return run_sweep(fig8_sweep(), settings)
-
-
-def delay_sweep(settings: Optional[Settings] = None) -> ExperimentResult:
-    """Section 5.3's closing sweep: _Crit vs plain SpecSched at D=2 and 6."""
-    return run_sweep(delay_sweep_sweep(), settings)
-
-
-@dataclass
-class HeadlineNumbers:
-    """The abstract/conclusion summary (Sections 1 and 6)."""
-
-    bank_replay_reduction: float      # paper: 78.0% (abstract)
-    miss_replay_reduction: float      # paper: 96.5% (abstract)
-    total_replay_reduction: float     # paper: 90.6%
-    issued_uop_reduction: float       # paper: 13.4%
-    speedup_over_specsched: float     # paper: +3.4%
-    combined_replay_reduction: float  # paper: 68.2% (SpecSched_4_Combined)
-    combined_speedup: float           # paper: +3.7%
-
-    def rows(self) -> Dict[str, float]:
-        return {
-            "bank replays avoided (Crit)": self.bank_replay_reduction,
-            "miss replays avoided (Crit)": self.miss_replay_reduction,
-            "total replays avoided (Crit)": self.total_replay_reduction,
-            "issued-uop reduction (Crit)": self.issued_uop_reduction,
-            "speedup over SpecSched_4 (Crit)": self.speedup_over_specsched,
-            "total replays avoided (Combined)": self.combined_replay_reduction,
-            "speedup over SpecSched_4 (Combined)": self.combined_speedup,
-        }
-
-
-def headline(settings: Optional[Settings] = None) -> HeadlineNumbers:
-    """Compute the paper's headline numbers from the Figure-8 grid."""
-    result = fig8(settings)
-    crit = "SpecSched_4_Crit"
-    combined = "SpecSched_4_Combined"
-    spec = "SpecSched_4"
-    return HeadlineNumbers(
-        bank_replay_reduction=result.replay_reduction(crit, spec, "bank"),
-        miss_replay_reduction=result.replay_reduction(crit, spec, "miss"),
-        total_replay_reduction=result.replay_reduction(crit, spec, "total"),
-        issued_uop_reduction=result.issued_reduction(crit, spec),
-        speedup_over_specsched=result.speedup_over(crit, spec) - 1.0,
-        combined_replay_reduction=result.replay_reduction(
-            combined, spec, "total"),
-        combined_speedup=result.speedup_over(combined, spec) - 1.0,
-    )
+def run_figure(key: str, settings: Optional[Settings] = None,
+               options: Optional[EngineOptions] = None) -> ExperimentResult:
+    """Run the grid of ``FIGURES[key]`` (settings default to the env)."""
+    return run_sweep(FIGURES[key].sweep, settings, options=options)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Mapping, Optional, Sequence
 
 from repro.experiments.runner import ExperimentResult
 
@@ -91,14 +91,34 @@ def breakdown_table(result: ExperimentResult, label: str) -> str:
               f"{result.baseline_label} issued µops")
 
 
-def summary_line(result: ExperimentResult, label: str,
-                 reference: str) -> str:
-    """One-line digest: speedup + replay/issued reductions vs reference."""
-    speedup = result.speedup_over(label, reference) - 1.0
-    total = result.replay_reduction(label, reference, "total")
-    miss = result.replay_reduction(label, reference, "miss")
-    bank = result.replay_reduction(label, reference, "bank")
-    issued = result.issued_reduction(label, reference)
-    return (f"{label} vs {reference}: speedup {speedup:+.1%}, replays "
-            f"-{total:.1%} (miss -{miss:.1%}, bank -{bank:.1%}), "
-            f"issued µops -{issued:.1%}")
+#: The metrics of :func:`summary_line`: speedup over the reference, total
+#: / miss / bank replay reduction and issued-µop reduction.
+SUMMARY_METRICS = ("speedup", "total", "miss", "bank", "issued")
+
+
+def summary_line(result: ExperimentResult, label: str, reference: str,
+                 paper: Optional[Mapping[str, float]] = None) -> str:
+    """One-line digest: speedup + replay/issued reductions vs reference.
+
+    ``paper`` maps some of :data:`SUMMARY_METRICS` to the paper's value,
+    printed as ``[paper X]`` right after the measured one.
+    """
+    measured = {
+        "speedup": result.speedup_over(label, reference) - 1.0,
+        "total": result.replay_reduction(label, reference, "total"),
+        "miss": result.replay_reduction(label, reference, "miss"),
+        "bank": result.replay_reduction(label, reference, "bank"),
+        "issued": result.issued_reduction(label, reference),
+    }
+    paper = paper or {}
+
+    def show(metric: str) -> str:
+        fmt = "{:+.1%}" if metric == "speedup" else "-{:.1%}"
+        text = fmt.format(measured[metric])
+        if metric in paper:
+            text += f" [paper {fmt.format(paper[metric])}]"
+        return text
+
+    return (f"{label} vs {reference}: speedup {show('speedup')}, replays "
+            f"{show('total')} (miss {show('miss')}, bank {show('bank')}), "
+            f"issued µops {show('issued')}")

@@ -187,7 +187,7 @@ class ExperimentResult:
 
 
 # Process-wide memo shared by every sweep: content-hash -> SimStats.
-# Benchmarks share Baseline_0 etc. across figures; the persistent layer
+# Figures share Baseline_0 etc. with each other; the persistent layer
 # (REPRO_CACHE_DIR) additionally shares results across processes.
 _CACHE: Dict[str, SimStats] = {}
 

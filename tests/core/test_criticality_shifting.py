@@ -63,7 +63,3 @@ class TestScheduleShifter:
         s = ScheduleShifter(enabled=False)
         assert s.promised_latency(4, 1) == 4
         assert s.shifted == 0
-
-    def test_custom_slack(self):
-        s = ScheduleShifter(enabled=True, slack=2)
-        assert s.promised_latency(4, 1) == 6

@@ -1,9 +1,14 @@
 """Experiment harness tests (tiny simulation volumes)."""
 
+import argparse
+
 import pytest
 
-from repro.experiments.figures import BASELINE, fig5, headline
+from repro.cli import build_parser, main
+from repro.experiments.engine import EngineOptions
+from repro.experiments.figures import BASELINE, FIGURES, run_figure
 from repro.experiments.report import (
+    SUMMARY_METRICS,
     breakdown_table,
     format_table,
     performance_table,
@@ -18,11 +23,14 @@ from repro.experiments.tables import render_table1, render_table2, table2
 
 TINY = Settings(workloads=("gzip", "swim"), warmup_uops=500,
                 measure_uops=1500, functional_warmup_uops=5000)
+# The module fixture runs before the autouse fixture that disables the
+# persistent result cache, so keep the figure runs off it explicitly.
+NO_DISK = EngineOptions(cache_dir="off")
 
 
 @pytest.fixture(scope="module")
 def fig5_result():
-    return fig5(TINY)
+    return run_figure("5", TINY, NO_DISK)
 
 
 class TestRunner:
@@ -56,7 +64,7 @@ class TestRunner:
 
     def test_cache_hit_on_second_run(self):
         before = len(_CACHE)
-        fig5(TINY)
+        run_figure("5", TINY, NO_DISK)
         assert len(_CACHE) == before     # everything memoized
 
     def test_duplicate_labels_rejected(self):
@@ -111,6 +119,16 @@ class TestReporting:
     def test_summary_line(self, fig5_result):
         line = summary_line(fig5_result, "SpecSched_4_Shift", "SpecSched_4")
         assert "speedup" in line and "bank" in line
+        assert "[paper" not in line
+
+    def test_summary_line_paper_values(self, fig5_result):
+        plain = summary_line(fig5_result, "SpecSched_4_Shift", "SpecSched_4")
+        line = summary_line(fig5_result, "SpecSched_4_Shift", "SpecSched_4",
+                            {"speedup": 0.029, "bank": 0.748})
+        assert "[paper +2.9%]," in line and "[paper -74.8%])" in line
+        # Only the paper annotations are added.
+        assert line.replace(" [paper +2.9%]", "").replace(
+            " [paper -74.8%]", "") == plain
 
 
 class TestTables:
@@ -132,10 +150,48 @@ class TestTables:
         assert "gzip" in text and "swim" in text and "IPC" in text
 
 
-class TestHeadline:
-    def test_headline_numbers_well_formed(self):
-        numbers = headline(TINY)
-        rows = numbers.rows()
-        assert len(rows) == 7
-        assert numbers.total_replay_reduction <= 1.0
-        assert -1.0 < numbers.speedup_over_specsched < 1.0
+def _figure_choices():
+    parser = build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    figure = commands.choices["figure"]
+    return next(action for action in figure._actions
+                if action.dest == "number").choices
+
+
+class TestFigureRegistry:
+    """The registry is self-consistent; none of these simulate."""
+
+    @pytest.mark.parametrize("key", sorted(FIGURES))
+    def test_summary_rows_name_sweep_series(self, key):
+        figure = FIGURES[key]
+        labels = {series.label for series in figure.sweep.series}
+        for summary in figure.summaries:
+            assert summary.label in labels
+            assert summary.reference in labels | {None}
+
+    @pytest.mark.parametrize("key", sorted(FIGURES))
+    def test_paper_keys_are_summary_metrics(self, key):
+        for summary in FIGURES[key].summaries:
+            assert set(summary.paper) <= set(SUMMARY_METRICS)
+            assert not summary.paper or summary.reference
+
+    def test_cli_choices_are_registry_keys(self):
+        assert set(_figure_choices()) == set(FIGURES)
+
+    def test_unknown_figure_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["figure", "9"])
+        assert excinfo.value.code == 2
+        assert "invalid choice: '9'" in capsys.readouterr().err
+
+    def test_fig8_summary_lines_carry_paper_values(self):
+        result = run_figure("8", TINY, NO_DISK)
+        for summary in FIGURES["8"].summaries:
+            line = summary_line(result, summary.label, summary.reference,
+                                summary.paper)
+            assert line.count("[paper ") == len(summary.paper)
+        # The Crit row states all five of the abstract's numbers.
+        crit = FIGURES["8"].summaries[-1]
+        assert crit.label == "SpecSched_4_Crit"
+        assert set(crit.paper) == set(SUMMARY_METRICS)
