@@ -31,6 +31,7 @@ _EXPORTS = {
     "CHECKPOINT_SUFFIX": "repro.checkpoint.format",
     "read_info": "repro.checkpoint.format",
     "load_checkpoint": "repro.checkpoint.format",
+    "verify_checkpoint": "repro.checkpoint.format",
     "save_checkpoint": "repro.checkpoint.format",
     "restore_simulator": "repro.checkpoint.format",
     "RebaseError": "repro.checkpoint.rebase",

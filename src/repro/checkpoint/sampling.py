@@ -41,8 +41,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Union
@@ -151,43 +149,42 @@ def sample_payloads(base_payload: Dict[str, Any],
     ]
 
 
-def _rebased_ref(ref: Dict[str, Any], target_config: SimConfig,
-                 store: Path, memo: Dict[str, Dict[str, Any]]
-                 ) -> Dict[str, Any]:
-    """The checkpoint ref for ``ref`` re-targeted to ``target_config``,
-    materialized content-addressed in ``store`` (reused when present).
+def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
+                  store: Path) -> Dict[str, Dict[str, Any]]:
+    """Refs for chain checkpoint ``ref`` re-targeted to each of
+    ``targets`` (keyed by the caller's target ids), materialized
+    content-addressed in ``store`` (reused when present).
 
     The store name hashes the *source digest* + target config + code
     version, so a regenerated or re-warmed source chain can never serve
-    a stale rebased file.
+    a stale rebased file. The source is loaded at most once, and only
+    when some target's entry is missing; each new entry's ref comes from
+    the info :func:`~repro.checkpoint.rebase.rebase_checkpoint` returns,
+    so the file is not read back.
     """
-    from repro.checkpoint.format import CHECKPOINT_SUFFIX
+    from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
     from repro.checkpoint.rebase import rebase_checkpoint
-    from repro.experiments.engine import checkpoint_store_ref, code_version
+    from repro.experiments.engine import (
+        checkpoint_store_ref,
+        code_version,
+        write_store_entry,
+    )
 
-    key = stable_hash({"rebase": ref["digest"],
-                       "config": target_config.to_dict(),
-                       "code_version": code_version()})
-    if key in memo:
-        return memo[key]
-    out = store / f"{key}{CHECKPOINT_SUFFIX}"
-    cached = checkpoint_store_ref(out)
-    if cached is None:
-        fd, tmp_name = tempfile.mkstemp(dir=store, suffix=".tmp")
-        os.close(fd)
-        try:
-            rebase_checkpoint(ref["path"], target_config, tmp_name)
-            os.replace(tmp_name, out)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+    source = None
+    rebased = {}
+    for target_id, target_config in targets.items():
+        key = stable_hash({"rebase": ref["digest"],
+                           "config": target_config.to_dict(),
+                           "code_version": code_version()})
+        out = store / f"{key}{CHECKPOINT_SUFFIX}"
         cached = checkpoint_store_ref(out)
-        assert cached is not None
-    memo[key] = cached
-    return cached
+        if cached is None:
+            if source is None:
+                source = load_checkpoint(ref["path"])
+            cached = write_store_entry(out, lambda tmp: rebase_checkpoint(
+                source, target_config, tmp))
+        rebased[target_id] = cached
+    return rebased
 
 
 def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
@@ -272,15 +269,31 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
             prev[cid] = ref
             refs[cid].append(ref)
 
-    payloads = []
-    rebase_memo: Dict[str, Dict[str, Any]] = {}
+    # Rebase index-major — per chain, per checkpoint, every target — so
+    # each chain checkpoint is loaded once, and only one is held at a
+    # time.
+    targets: Dict[Any, Dict[str, SimConfig]] = {}
+    target_of = []                       # per base: target id or None
     for base, cid in zip(bases, chain_of):
         if base["config"] == donors[cid]["config"]:
+            target_of.append(None)
+            continue
+        target_id = stable_hash(base["config"])
+        chain_targets = targets.setdefault(cid, {})
+        if target_id not in chain_targets:
+            chain_targets[target_id] = \
+                SimConfig.from_dict(base["config"]).validate()
+        target_of.append(target_id)
+    rebased = {cid: [_rebased_refs(ref, chain_targets, store)
+                     for ref in refs[cid]]
+               for cid, chain_targets in targets.items()}
+
+    payloads = []
+    for base, cid, target_id in zip(bases, chain_of, target_of):
+        if target_id is None:
             base_refs = refs[cid]
         else:
-            target = SimConfig.from_dict(base["config"]).validate()
-            base_refs = [_rebased_ref(ref, target, store, rebase_memo)
-                         for ref in refs[cid]]
+            base_refs = [by_target[target_id] for by_target in rebased[cid]]
         for index in range(spec.intervals):
             payloads.append({
                 **{key: value for key, value in base.items()

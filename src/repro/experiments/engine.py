@@ -547,15 +547,39 @@ def checkpoint_store_ref(path) -> Optional[Dict[str, Any]]:
     ``None`` when the entry is absent, truncated, tampered or written by
     a different format version — all of which read as cache misses, so
     the producing cell simply regenerates the file."""
-    from repro.checkpoint.format import CheckpointError, load_checkpoint
+    from repro.checkpoint.format import CheckpointError, verify_checkpoint
 
     path = Path(path)
     if not path.exists():
         return None
     try:
-        info = load_checkpoint(path).info    # full payload digest verify
+        info = verify_checkpoint(path)       # full payload digest verify
     except (OSError, CheckpointError):
         return None
+    return _checkpoint_ref(path, info)
+
+
+def write_store_entry(path, write) -> Dict[str, Any]:
+    """Atomically materialize the store entry ``path``; returns its ref.
+
+    ``write(tmp)`` writes the checkpoint to a temporary file in the same
+    directory and returns its :class:`~repro.checkpoint.format.
+    CheckpointInfo`, which the ref is taken from — the entry is not read
+    back. The rename is atomic, so concurrent writers of one entry are
+    harmless.
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        info = write(tmp_name)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
     return _checkpoint_ref(path, info)
 
 
@@ -626,21 +650,10 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
     stream_uops = position + consumed
 
     store.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=store, suffix=".tmp")
-    os.close(fd)
-    try:
-        info = save_checkpoint(
-            sim, tmp_name, workload=workload, seed=seed,
-            provenance={"mode": "functional", "stream_uops": stream_uops,
-                        "cell_key": key})
-        os.replace(tmp_name, out)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return _checkpoint_ref(out, info)
+    return write_store_entry(out, lambda tmp: save_checkpoint(
+        sim, tmp, workload=workload, seed=seed,
+        provenance={"mode": "functional", "stream_uops": stream_uops,
+                    "cell_key": key}))
 
 
 # ---------------------------------------------------------------------------

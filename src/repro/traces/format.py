@@ -43,6 +43,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
 import struct
 import zlib
 from collections import deque
@@ -339,11 +340,52 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
 # Reading / replay
 
 
-def _iter_frames(path: Path) -> Iterator[bytes]:
-    """Yield each frame's raw (decompressed) record bytes."""
+def _skip_frames(handle, path: Path, compressed: bool, count: int) -> int:
+    """Step over the whole frames that hold the first ``count`` records.
+
+    Each frame is passed by its header's ``stored_len`` without being read
+    or inflated. Leaves ``handle`` at the header of the frame holding
+    record ``count`` (or at the end of the stream) and returns how many
+    of that frame's records precede it.
+    """
+    while count:
+        frame_header = handle.read(FRAME_HEADER.size)
+        if not frame_header:
+            break
+        if len(frame_header) != FRAME_HEADER.size:
+            raise TraceFormatError(f"{path.name}: truncated frame header")
+        raw_len, stored_len = FRAME_HEADER.unpack(frame_header)
+        if raw_len % RECORD.size or (not compressed
+                                     and stored_len != raw_len):
+            raise TraceFormatError(f"{path.name}: frame length mismatch")
+        records = raw_len // RECORD.size
+        if records > count:
+            handle.seek(-FRAME_HEADER.size, 1)
+            break
+        handle.seek(stored_len, 1)
+        count -= records
+    # Seeking past the end of a file does not fail: a recording cut
+    # inside a skipped frame shows up only as an offset beyond its size.
+    if handle.tell() > os.fstat(handle.fileno()).st_size:
+        raise TraceFormatError(
+            f"truncated trace file: {path.name} ends inside a frame")
+    return count
+
+
+def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
+    """Yield each frame's raw (decompressed) record bytes, starting at
+    record ``skip``.
+
+    Whole frames before record ``skip`` are stepped over by their headers
+    (:func:`_skip_frames`); only the frame holding it is inflated, and
+    its leading records are dropped as raw bytes, so the first yielded
+    chunk may be a partial frame.
+    """
     with path.open("rb") as handle:
         flags, _, _, _ = _read_header(handle, path)
         compressed = bool(flags & FLAG_ZLIB)
+        if skip:
+            skip = _skip_frames(handle, path, compressed, skip)
         while True:
             frame_header = handle.read(FRAME_HEADER.size)
             if not frame_header:
@@ -364,6 +406,9 @@ def _iter_frames(path: Path) -> Iterator[bytes]:
             if len(raw) != raw_len or raw_len % RECORD.size:
                 raise TraceFormatError(
                     f"{path.name}: frame length mismatch")
+            if skip:
+                raw = raw[skip * RECORD.size:]
+                skip = 0
             yield raw
 
 
@@ -455,8 +500,8 @@ class FileTrace(TraceSource):
         ``np.frombuffer`` view per (partial) frame, no :class:`MicroOp`
         construction at all. Returns ``None`` when raw records cannot be
         served right now — stream exhausted (non-looping), a decoded
-        batch is pending from :meth:`next_uop`/restore, or numpy is
-        missing — in which case callers fall back to
+        batch is pending from :meth:`next_uop`, or numpy is missing —
+        in which case callers fall back to
         :meth:`next_block`. Stream position (``replayed``, checkpoint
         state) advances exactly as if the records had been replayed
         per µop.
@@ -502,8 +547,9 @@ class FileTrace(TraceSource):
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        """The cursor is the replayed-µop count; restore re-seeks the
-        frame stream (whole frames are skipped without decoding)."""
+        """The cursor is the replayed-µop count. Restore re-seeks the
+        frame stream: frames before the cursor are stepped over by their
+        headers, and only the frame holding it is inflated."""
         return {"replayed": self.replayed,
                 "synth": self._synth.state_dict(),
                 "loop": self._loop}
@@ -514,25 +560,17 @@ class FileTrace(TraceSource):
         self._seek(state["replayed"])
 
     def _seek(self, count: int) -> None:
-        """Position the stream so the next µop is number ``count``."""
-        self._frames = _iter_frames(self.path)
-        self._batch = deque()
-        self._raw_tail = b""
-        remaining = count
+        """Position the stream so the next µop is number ``count``.
+
+        Frames before the cursor are skipped by their headers; the frame
+        holding it is inflated eagerly (so a truncated recording fails
+        here, at restore) and kept as raw bytes, which both
+        :meth:`next_uop` and :meth:`next_record_block` consume.
+        """
+        skip = count
         if self._loop and self.info.uop_count:
-            remaining %= self.info.uop_count
-        record_size = RECORD.size
-        while remaining:
-            frame = next(self._frames, None)
-            if frame is None:           # exhausted, non-looping stream
-                break
-            records = len(frame) // record_size
-            if records <= remaining:
-                remaining -= records
-            else:
-                batch = decode_frame(frame)
-                for _ in range(remaining):
-                    batch.popleft()
-                self._batch = batch
-                remaining = 0
+            skip %= self.info.uop_count
+        self._frames = _iter_frames(self.path, skip)
+        self._batch = deque()
+        self._raw_tail = next(self._frames, b"") if skip else b""
         self.replayed = count

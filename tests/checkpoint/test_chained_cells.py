@@ -6,10 +6,17 @@ cache-key contract for producing cells."""
 from __future__ import annotations
 
 import struct
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
+from repro.checkpoint import format as checkpoint_format
+from repro.checkpoint.format import (
+    CHECKPOINT_SUFFIX,
+    load_checkpoint,
+    read_info,
+)
 from repro.checkpoint.sampling import (
     SampledResult,
     SamplingSpec,
@@ -25,6 +32,7 @@ from repro.experiments.engine import (
     base_cell_payload,
     cell_key,
     checkpoint_store,
+    checkpoint_store_ref,
     produce_payload,
     run_cells,
 )
@@ -123,6 +131,46 @@ def test_version_bumped_store_entry_is_regenerated(tmp_path):
     assert [s.to_dict() for s in healed.interval_stats] == \
         [s.to_dict() for s in reference.interval_stats]
     assert load_checkpoint(victim).info.digest
+
+
+def test_store_ref_verifies_without_decoding(tmp_path, monkeypatch):
+    run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
+                              options=OFF, store=tmp_path)
+    entry = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))[0]
+
+    def refuse(raw):
+        raise AssertionError("store lookups must not unpickle payloads")
+
+    monkeypatch.setattr(checkpoint_format, "_loads", refuse)
+    ref = checkpoint_store_ref(entry)
+    assert ref is not None and ref["path"] == str(entry)
+    assert ref["digest"] == read_info(entry).digest
+
+
+def test_rebase_loads_each_chain_checkpoint_once(tmp_path, monkeypatch):
+    """Two rebase targets share one load per chain checkpoint."""
+    bases = [_base(preset) for preset in
+             ("SpecSched_4_Combined", "SpecSched_4", "SpecSched_4_Crit")]
+    first = chained_cell_payloads(bases, SPEC, tmp_path, options=OFF)
+    chain = {p["checkpoint"]["path"] for p in first[:SPEC.intervals]}
+    rebased = {p["checkpoint"]["path"] for p in first} - chain
+    assert len(chain) == SPEC.intervals
+    assert len(rebased) == 2 * SPEC.intervals
+    for path in rebased:                # force every rebase to rerun
+        Path(path).unlink()
+
+    loads = Counter()
+    real_load = checkpoint_format.load_checkpoint
+
+    def counting_load(path):
+        loads[str(path)] += 1
+        return real_load(path)
+
+    monkeypatch.setattr(checkpoint_format, "load_checkpoint", counting_load)
+    again = chained_cell_payloads(bases, SPEC, tmp_path, options=OFF)
+    assert loads == Counter({path: 1 for path in chain})
+    assert [p["checkpoint"] for p in again] == \
+        [p["checkpoint"] for p in first]
 
 
 def test_checkpoint_store_is_temporary_without_persistent_cache(tmp_path):

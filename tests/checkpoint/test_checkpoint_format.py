@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.checkpoint.format import (
     CHECKPOINT_SCHEMA,
@@ -12,10 +15,12 @@ from repro.checkpoint.format import (
     FORMAT_VERSION,
     HEADER,
     MAGIC,
+    _dumps,
     checkpoint_digest,
     load_checkpoint,
     read_info,
     save_checkpoint,
+    verify_checkpoint,
 )
 from repro.core.presets import make_config
 from repro.pipeline.cpu import Simulator
@@ -147,3 +152,92 @@ def test_restore_without_workload_needs_trace(tmp_path, warm_sim):
     workload = resolve_workload("gzip")
     restored = loaded.restore(trace=workload.build_trace(1))
     assert restored.stats.to_dict() == sim.stats.to_dict()
+
+
+def test_verify_checkpoint_checks_digest_without_decoding(
+        tmp_path, warm_sim, monkeypatch):
+    from repro.checkpoint import format as checkpoint_format
+
+    workload, sim = warm_sim
+    path = tmp_path / "v.ckpt"
+    saved = save_checkpoint(sim, path, workload=workload, seed=1)
+
+    def refuse(raw):
+        raise AssertionError("verify_checkpoint must not unpickle")
+
+    monkeypatch.setattr(checkpoint_format, "_loads", refuse)
+    assert verify_checkpoint(path) == saved
+    data = bytearray(path.read_bytes())
+    data[-20] ^= 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(CheckpointError, match="corrupt|digest"):
+        verify_checkpoint(path)
+
+
+# ---------------------------------------------------------------------------
+# Payload bytes: the digest is a cache-key ingredient, so it is pinned
+
+
+def _rebuilt_canonical_state(obj):
+    """Canonicalisation that rebuilds every container — the reference
+    the payload encoder must stay byte-equal to."""
+    if isinstance(obj, dict):
+        try:
+            items = sorted(obj.items())
+        except TypeError:
+            items = list(obj.items())
+        return {key: _rebuilt_canonical_state(value) for key, value in items}
+    if isinstance(obj, list):
+        return [_rebuilt_canonical_state(value) for value in obj]
+    if isinstance(obj, tuple):
+        return tuple(_rebuilt_canonical_state(value) for value in obj)
+    return obj
+
+
+def _reference_dumps(state):
+    import io
+    import pickle
+
+    buffer = io.BytesIO()
+    pickler = pickle.Pickler(buffer, protocol=4)
+    pickler.fast = True
+    pickler.dump(_rebuilt_canonical_state(state))
+    return buffer.getvalue()
+
+
+#: Dicts inside lists and tuples, tuples inside lists, unorderable keys
+#: (insertion order kept), and int, bool, str and None leaves.
+PINNED_STATE = {
+    "zeta": [3, (1, [2, {"y": False, "x": "leaf"}]), [(4, 5), (6,)]],
+    "alpha": ({"k": [None, -7], "b": (True, 0)}, [{"n": 1}], ()),
+    "mixed": {2: "int key", "s": "str key", 1: [1, 2]},
+    "table": list(range(-3, 13)),
+    "flags": (True, False, 0, 1),
+    "empty": {"list": [], "dict": {}, "text": ""},
+}
+
+
+def test_payload_digest_is_pinned():
+    raw = _dumps(PINNED_STATE)
+    assert raw == _reference_dumps(PINNED_STATE)
+    assert hashlib.sha256(raw).hexdigest() == (
+        "21bce33f06ee0f2e06e15f9e279bbd1555f0dc6987bac54d97c6c103dbc0473f")
+
+
+_leaves = st.one_of(st.integers(min_value=-2**40, max_value=2**40),
+                    st.booleans(), st.text(max_size=3), st.none())
+_states = st.recursive(
+    _leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=2),
+                                  st.integers(min_value=-3, max_value=3)),
+                        children, max_size=4)),
+    max_leaves=30)
+
+
+@settings(max_examples=200, deadline=None)
+@given(state=_states)
+def test_payload_bytes_match_full_rebuild(state):
+    assert _dumps(state) == _reference_dumps(state)

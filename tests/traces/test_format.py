@@ -13,6 +13,7 @@ from repro.isa.trace import ListTrace, iterate
 from repro.isa.uop import MicroOp
 from repro.traces.format import (
     FLAG_ZLIB,
+    FRAME_HEADER,
     FileTrace,
     HEADER,
     RECORD,
@@ -239,6 +240,104 @@ def test_file_trace_wrong_path_matches_header_seed(tmp_path):
         a, b = trace.wrong_path_uop(0, i), synth.synth(0, i)
         assert (a.srcs, a.dst, a.opclass) == (b.srcs, b.dst, b.opclass)
         assert a.wrong_path
+
+
+# ---------------------------------------------------------------------------
+# Restore seeks (frames before the cursor are stepped over by header)
+
+SEEK_UOPS = 50                 # seven 7-record frames and a 1-record one
+
+
+def _seek_recording(tmp_path, compress):
+    path = tmp_path / "seek.trc"
+    capture(ListTrace(_mixed_uops(SEEK_UOPS)), path, SEEK_UOPS, wp_seed=5,
+            compress=compress, frame_records=7)
+    return path
+
+
+def _restored(path, loop, position):
+    """A FileTrace restored to ``position``, and a from-zero reader that
+    replayed ``position`` records to get there."""
+    reference = FileTrace(path, loop=loop)
+    for _ in range(position):
+        reference.next_uop()
+    restored = FileTrace(path, loop=loop)
+    restored.load_state_dict(reference.state_dict())
+    return restored, reference
+
+
+@pytest.mark.parametrize("compress", [True, False])
+@pytest.mark.parametrize("loop", [False, True])
+def test_restore_seek_matches_skipping_from_zero(tmp_path, compress, loop):
+    """Every cursor — 0, each frame boundary, mid-frame, the end and (when
+    looping) past it — resumes exactly where a from-zero reader would,
+    through both the per-µop and the raw-record-block supply."""
+    path = _seek_recording(tmp_path, compress)
+    follow = SEEK_UOPS + 9                # enough to wrap when looping
+    for position in range((2 if loop else 1) * SEEK_UOPS + 1):
+        restored, reference = _restored(path, loop, position)
+        expected = []
+        for _ in range(follow):
+            uop = reference.next_uop()
+            if uop is None:
+                break
+            expected.append(uop)
+        got = [restored.next_uop() for _ in range(len(expected))]
+        assert [arch(u) for u in got] == [arch(u) for u in expected], \
+            position
+        assert restored.replayed == reference.replayed
+        if not loop:
+            assert restored.next_uop() is None
+
+        restored, _ = _restored(path, loop, position)
+        records = []
+        while len(records) < len(expected):
+            block = restored.next_record_block(
+                min(5, len(expected) - len(records)))
+            if block is None:
+                break
+            records.extend(tuple(row) for row in block.tolist())
+        assert records == [RECORD.unpack(encode_record(u))
+                           for u in expected], position
+        assert restored.replayed == reference.replayed
+
+
+def _frame_offsets(path):
+    """File offset of every frame header in a recording."""
+    data = path.read_bytes()
+    _, _, _, _, _, meta_len, _ = HEADER.unpack_from(data)
+    offset, offsets = HEADER.size + meta_len, []
+    while offset < len(data):
+        offsets.append(offset)
+        _, stored_len = FRAME_HEADER.unpack_from(data, offset)
+        offset += FRAME_HEADER.size + stored_len
+    return offsets
+
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_restore_past_truncation_raises(tmp_path, compress):
+    """A recording cut inside a frame the seek steps over must fail at
+    restore, not end the stream early."""
+    path = _seek_recording(tmp_path, compress)
+    _, reference = _restored(path, False, 40)
+    state = reference.state_dict()
+    cut = _frame_offsets(path)[2] + FRAME_HEADER.size + 3
+    path.write_bytes(path.read_bytes()[:cut])
+    with pytest.raises(TraceFormatError, match="truncated"):
+        FileTrace(path).load_state_dict(state)
+
+
+def test_restore_rejects_skipped_frame_of_partial_records(tmp_path):
+    path = _seek_recording(tmp_path, False)
+    _, reference = _restored(path, False, 40)
+    state = reference.state_dict()
+    data = bytearray(path.read_bytes())
+    offset = _frame_offsets(path)[1]
+    FRAME_HEADER.pack_into(data, offset, 7 * RECORD.size - 1,
+                           7 * RECORD.size - 1)
+    path.write_bytes(bytes(data))
+    with pytest.raises(TraceFormatError, match="length mismatch"):
+        FileTrace(path).load_state_dict(state)
 
 
 def test_header_is_64_bytes():

@@ -177,3 +177,35 @@ def test_run_workload_rejects_undersized_trace(tmp_path):
         run_workload(TraceWorkload(path), "SpecSched_4",
                      warmup_uops=200, measure_uops=1000,
                      functional_warmup_uops=0)
+
+
+def test_restore_past_truncation_is_one_line_cli_error(tmp_path, capsys):
+    """Resuming a checkpoint over a recording cut inside a frame the
+    restore seek steps over is a one-line error (exit 2), not a run over
+    a silently shortened stream."""
+    from repro.checkpoint.format import save_checkpoint
+    from repro.cli import main
+    from repro.core.presets import make_config
+    from repro.pipeline.cpu import Simulator
+    from repro.traces.format import DEFAULT_FRAME_RECORDS, FRAME_HEADER, HEADER
+
+    path = tmp_path / "gzip.trc"
+    capture(_source("gzip").build_trace(1), path,
+            5 * DEFAULT_FRAME_RECORDS, wp_seed=1)
+    workload = TraceWorkload(path)
+    sim = Simulator(make_config("Baseline_0"), workload.build_trace(1))
+    sim.fast_forward(3 * DEFAULT_FRAME_RECORDS)
+    ckpt = tmp_path / "past-cut.ckpt"
+    save_checkpoint(sim, ckpt, workload=workload, seed=1)
+    data = path.read_bytes()
+    meta_len = HEADER.unpack_from(data)[5]
+    first_frame = HEADER.size + meta_len
+    _, stored_len = FRAME_HEADER.unpack_from(data, first_frame)
+    cut = first_frame + FRAME_HEADER.size + stored_len + 100   # in frame 1
+    path.write_bytes(data[:cut])
+    assert main(["run", str(path), "Baseline_0",
+                 "--from-checkpoint", str(ckpt), "--measure", "500"]) == 2
+    captured = capsys.readouterr()
+    errors = captured.err.strip().splitlines()
+    assert len(errors) == 1
+    assert errors[0].startswith("error: ") and "truncated" in errors[0]
