@@ -18,7 +18,7 @@ The same workflow runs from the command line::
 
     python -m repro trace record mcf -o mcf.trc
     python -m repro trace info mcf.trc --verify
-    python -m repro trace replay mcf.trc SpecSched_4_Crit
+    python -m repro run mcf.trc SpecSched_4_Crit
 """
 
 import tempfile

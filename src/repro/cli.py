@@ -3,9 +3,10 @@
 Commands:
 
 * ``run WORKLOAD CONFIG`` — simulate one (workload, configuration) pair
-  and print the statistics; ``--sample`` switches to SMARTS-style
-  interval sampling (mean IPC ± 95% CI), ``--from-checkpoint`` resumes
-  from saved warm state;
+  (any registry workload, recorded ``.trc`` traces included) and print
+  the statistics; ``--sample`` switches to SMARTS-style interval
+  sampling (mean IPC ± 95% CI), ``--from-checkpoint`` resumes from saved
+  warm state;
 * ``table1`` — render the machine configuration (paper Table 1);
 * ``table2`` — run Baseline_0 over the selected workloads (paper Table 2);
 * ``figure {3,4,5,7,8,delay}`` — regenerate one evaluation figure (or
@@ -13,9 +14,9 @@ Commands:
 * ``sweep FILE`` — execute a declarative sweep file (TOML/JSON, see
   ``examples/sweeps/``) through the parallel experiment engine; a
   ``[sampling]`` table in the file runs every cell sampled;
-* ``trace record WORKLOAD`` / ``trace info FILE`` / ``trace replay FILE
-  CONFIG`` — capture a µop stream to the binary trace format, inspect a
-  recording, replay one through the simulator;
+* ``trace record WORKLOAD`` / ``trace info FILE`` — capture a µop
+  stream (suite workload, scenario or RV32I program) to the binary trace
+  format, inspect a recording;
 * ``checkpoint create WORKLOAD CONFIG`` / ``checkpoint info FILE`` /
   ``checkpoint rebase FILE CONFIG`` — freeze a mid-run simulator's
   complete state to a versioned ``.ckpt`` file, inspect one
@@ -30,11 +31,10 @@ Commands:
   ``docs/OBSERVABILITY.md``);
 * ``report manifests`` — roll up the engine's per-cell run manifests
   (wall time, cache hit rate, peak RSS) from the cache directory;
-* ``rv32i run PROGRAM`` / ``rv32i capture PROGRAM`` / ``rv32i check`` —
-  execute a real RV32I program image functionally to halt (end-state
-  registers + memory digest), capture its lowered µop stream to the
-  binary trace format, or re-assemble the bundled kernel corpus and
-  verify the checked-in images (see ``docs/RV32I.md``);
+* ``rv32i run PROGRAM`` / ``rv32i check`` — execute a real RV32I
+  program image functionally to halt (end-state registers + memory
+  digest), or re-assemble the bundled kernel corpus and verify the
+  checked-in images (see ``docs/RV32I.md``);
 * ``list`` — available workloads (suite, scenarios, traces, rv32i
   programs) and presets.
 
@@ -42,9 +42,10 @@ Workload arguments resolve through the workload registry
 (:mod:`repro.traces.registry`): suite names, scenario-spec names/files
 and recorded-trace names/files are all accepted. Workload selection and
 simulation volume follow the ``REPRO_*`` environment variables (see
-:mod:`repro.experiments.runner`); the ``--jobs`` / ``--cache-dir`` flags
-on ``run --sample``, ``figure``, ``table2`` and ``sweep`` override
-``REPRO_JOBS`` / ``REPRO_CACHE_DIR`` for one invocation.
+:mod:`repro.experiments.runner`), ``repro run`` included; the
+``--jobs`` / ``--cache-dir`` flags on ``run --sample``, ``figure``,
+``table2`` and ``sweep`` override ``REPRO_JOBS`` / ``REPRO_CACHE_DIR``
+for one invocation.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from repro.experiments.report import (
 )
 from repro.experiments.runner import Settings, run_sweep
 from repro.experiments.tables import render_table1, render_table2
-from repro.pipeline.sim import run_workload
+from repro.pipeline.sim import run_workload, workload_seed
 from repro.traces import capture, default_registry, read_info, verify
 from repro.traces.registry import TraceWorkload
 
@@ -95,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", help="e.g. SpecSched_4_Crit")
     run_p.add_argument("--dual-ported", action="store_true",
                        help="ideal dual-ported L1D instead of banked")
-    run_p.add_argument("--measure", type=_positive_int, default=20_000,
-                       help="measured µops (default 20000)")
+    run_p.add_argument("--measure", type=_positive_int, default=None,
+                       help="measured µops (default: REPRO_MEASURE)")
     run_p.add_argument("--from-checkpoint", default=None, metavar="FILE",
                        help="resume from a saved .ckpt instead of "
                             "starting cold (see 'repro checkpoint')")
@@ -143,13 +144,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(sweep_p)
 
     trace_p = sub.add_parser(
-        "trace", help="record, inspect and replay binary µop traces")
+        "trace", help="record and inspect binary µop traces (simulate "
+                      "one with 'repro run FILE.trc')")
     trace_sub = trace_p.add_subparsers(dest="trace_command", required=True)
 
     record_p = trace_sub.add_parser(
         "record", help="capture a workload's µop stream to disk")
     record_p.add_argument("workload",
-                          help="registry name (suite workload or scenario)")
+                          help="registry name (suite workload, scenario "
+                               "or RV32I program)")
     record_p.add_argument("-o", "--output", default=None, metavar="FILE",
                           help="output path (default <workload>.trc)")
     record_p.add_argument("--uops", type=_positive_int,
@@ -157,23 +160,15 @@ def build_parser() -> argparse.ArgumentParser:
                           help="µops to capture (default: enough for the "
                                "current REPRO_* volumes)")
     record_p.add_argument("--seed", type=int, default=None,
-                          help="generator seed (default: the spec's seed)")
-    record_p.add_argument("--no-compress", action="store_true",
-                          help="store records raw instead of zlib frames")
+                          help="generator seed (default: the workload's; "
+                               "for an RV32I program it moves only the "
+                               "wrong path)")
 
     info_p = trace_sub.add_parser("info", help="describe a trace file")
     info_p.add_argument("file", help="a .trc recording")
     info_p.add_argument("--verify", action="store_true",
                         help="re-scan the payload against the digest")
 
-    replay_p = trace_sub.add_parser(
-        "replay", help="simulate a recorded trace under one configuration")
-    replay_p.add_argument("file", help="a .trc recording")
-    replay_p.add_argument("config", help="e.g. SpecSched_4_Crit")
-    replay_p.add_argument("--dual-ported", action="store_true",
-                          help="ideal dual-ported L1D instead of banked")
-    replay_p.add_argument("--measure", type=_positive_int, default=None,
-                          help="measured µops (default: REPRO_MEASURE)")
 
     ckpt_p = sub.add_parser(
         "checkpoint", help="create and inspect simulator checkpoints")
@@ -205,8 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="trace seed (default: the workload's)")
     ckpt_create.add_argument("--dual-ported", action="store_true",
                              help="ideal dual-ported L1D instead of banked")
-    ckpt_create.add_argument("--no-compress", action="store_true",
-                             help="store the payload raw instead of zlib")
 
     ckpt_info = ckpt_sub.add_parser("info", help="describe a checkpoint")
     ckpt_info.add_argument("file", help="a .ckpt file")
@@ -226,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="ideal dual-ported L1D instead of banked "
                                   "(must match the source — rebase never "
                                   "crosses memory configs)")
-    ckpt_rebase.add_argument("--no-compress", action="store_true",
-                             help="store the payload raw instead of zlib")
 
     events_p = sub.add_parser(
         "events", help="record, inspect and export per-µop pipeline "
@@ -252,12 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="trace seed (default: the workload's)")
     ev_record.add_argument("--dual-ported", action="store_true",
                            help="ideal dual-ported L1D instead of banked")
-    ev_record.add_argument("--o3pipeview", nargs="?", const="",
-                           default=None, metavar="FILE",
-                           help="also export the trace to an O3PipeView "
-                                "text file (Konata / gem5 viewers); "
-                                "FILE defaults to "
-                                "<output>.o3pipeview.txt")
 
     ev_info = events_sub.add_parser("info", help="describe an event trace")
     ev_info.add_argument("file", help="a .events.jsonl[.gz] trace")
@@ -289,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_engine_flags(report_manifests)
 
     rv32i_p = sub.add_parser(
-        "rv32i", help="run, capture and check real RV32I program images")
+        "rv32i", help="run and check real RV32I program images (record "
+                      "one with 'repro trace record')")
     rv32i_sub = rv32i_p.add_subparsers(dest="rv32i_command", required=True)
 
     rv_run = rv32i_sub.add_parser(
@@ -305,25 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     rv_run.add_argument("--regs", action="store_true",
                         help="print the full register file, not just the "
                              "non-zero entries")
-
-    rv_capture = rv32i_sub.add_parser(
-        "capture", help="execute a program and record its lowered µop "
-                        "stream to a binary .trc trace")
-    rv_capture.add_argument("program",
-                            help="bundled kernel name or image path")
-    rv_capture.add_argument("-o", "--output", default=None, metavar="FILE",
-                            help="output path (default <program>.trc)")
-    rv_capture.add_argument("--uops", type=_positive_int,
-                            default=None, metavar="N",
-                            help="µops to capture, looping the program as "
-                                 "needed (default: enough for the current "
-                                 "REPRO_* volumes)")
-    rv_capture.add_argument("--seed", type=int, default=None,
-                            help="wrong-path synthesizer seed (default: "
-                                 "the workload's; never affects the "
-                                 "committed path)")
-    rv_capture.add_argument("--no-compress", action="store_true",
-                            help="store records raw instead of zlib frames")
 
     rv32i_sub.add_parser(
         "check", help="re-assemble every bundled kernel listing and "
@@ -426,7 +393,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
                   ("--interval-uops", "interval_uops"),
                   ("--sample-warmup", "sample_warmup"),
                   ("--period", "period"),
-                  ("--offset", "offset"))
+                  ("--offset", "offset"),
+                  ("--jobs", "jobs"),
+                  ("--cache-dir", "cache_dir"))
                  if getattr(args, arg_name, None) is not None]
         if given:
             return _fail(ValueError(
@@ -449,11 +418,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
         collector = MetricsCollector()
     try:
-        result = run_workload(args.workload, args.config,
-                              banked=not args.dual_ported,
-                              measure_uops=args.measure,
-                              checkpoint=args.from_checkpoint,
-                              collector=collector)
+        # The REPRO_* volumes, the same ones `trace record` sizes a
+        # recording for; --measure overrides the measured count.
+        settings = Settings.from_env()
+        result = run_workload(
+            args.workload, args.config, banked=not args.dual_ported,
+            warmup_uops=settings.warmup_uops,
+            measure_uops=args.measure or settings.measure_uops,
+            functional_warmup_uops=settings.functional_warmup_uops,
+            checkpoint=args.from_checkpoint, collector=collector)
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
     _print_run(result)
@@ -474,9 +447,7 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
         from repro.core.presets import make_config
 
         config = make_config(args.config, banked=not args.dual_ported)
-        seed = args.seed
-        if seed is None:
-            seed = int(getattr(workload, "seed", 0) or 0)
+        seed = workload_seed(workload, args.seed)
         sim = Simulator(config, workload.build_trace(seed))
         if args.mode == "functional":
             consumed = sim.fast_forward(args.uops)
@@ -493,7 +464,6 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
                           "stream_uops": sim.stats.committed_uops}
         output = args.output or f"{workload.name}-{args.config}.ckpt"
         info = save_checkpoint(sim, output, workload=workload, seed=seed,
-                               compress=not args.no_compress,
                                provenance=provenance)
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
@@ -514,8 +484,7 @@ def _cmd_checkpoint_rebase(args: argparse.Namespace) -> int:
         config = make_config(args.config, banked=not args.dual_ported)
         output = (args.output
                   or f"{Path(args.file).stem}-{args.config}.ckpt")
-        info = rebase_checkpoint(args.file, config, output,
-                                 compress=not args.no_compress)
+        info = rebase_checkpoint(args.file, config, output)
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
     provenance = info.provenance
@@ -573,32 +542,35 @@ def default_capture_uops(settings: Optional[Settings] = None) -> int:
 
 
 def _cmd_trace_record(args: argparse.Namespace) -> int:
+    from repro.isa.rv32i.workload import Rv32iWorkload
+
     try:
         workload = default_registry().resolve(args.workload)
+        if isinstance(workload, TraceWorkload):
+            raise ValueError(
+                "refusing to re-record an existing trace; record from a "
+                "suite workload, scenario spec or RV32I program")
+        seed = workload_seed(workload, args.seed)
+        uops = args.uops if args.uops is not None else default_capture_uops()
+        output = args.output or f"{workload.name}.trc"
+        provenance = {
+            "workload": workload.name,
+            "description": workload.description,
+            "is_fp": workload.is_fp,
+            "seed": seed,
+            "source_hash": workload.content_hash(),
+        }
+        if isinstance(workload, Rv32iWorkload):
+            provenance["image_sha"] = workload.digest
+        info = capture(workload.build_trace(seed), output, uops,
+                       wp_seed=seed, provenance=provenance)
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
-    if isinstance(workload, TraceWorkload):
-        print("refusing to re-record an existing trace; record from a "
-              "suite workload or scenario spec", file=sys.stderr)
-        return 1
-    seed = args.seed if args.seed is not None else workload.seed
-    uops = args.uops if args.uops is not None else default_capture_uops()
-    output = args.output or f"{workload.name}.trc"
-    provenance = {
-        "workload": workload.name,
-        "description": workload.description,
-        "is_fp": workload.is_fp,
-        "seed": seed,
-        "source_hash": workload.content_hash(),
-    }
-    info = capture(workload.build_trace(seed), output, uops, wp_seed=seed,
-                   provenance=provenance, compress=not args.no_compress)
     ratio = info.raw_bytes / info.file_bytes if info.file_bytes else 0.0
     print(f"recorded {info.uop_count} µops of {workload.name!r} -> {output}")
     print(f"  digest     {info.digest}")
     print(f"  size       {info.file_bytes} bytes "
-          f"({ratio:.1f}x vs raw records)" if info.compressed
-          else f"  size       {info.file_bytes} bytes (uncompressed)")
+          f"({ratio:.1f}x vs raw records)")
     return 0
 
 
@@ -624,24 +596,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_trace_replay(args: argparse.Namespace) -> int:
-    # Volumes mirror `trace record`'s sizing: both derive from the
-    # REPRO_* environment, so a recording made "for the current volumes"
-    # replays under those same volumes (--measure still overrides).
-    settings = Settings.from_env()
-    try:
-        workload = TraceWorkload(args.file)
-        result = run_workload(
-            workload, args.config, banked=not args.dual_ported,
-            warmup_uops=settings.warmup_uops,
-            measure_uops=args.measure or settings.measure_uops,
-            functional_warmup_uops=settings.functional_warmup_uops)
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-    _print_run(result)
-    return 0
-
-
 def _cmd_events_record(args: argparse.Namespace) -> int:
     from repro.core.presets import make_config
     from repro.pipeline.cpu import Simulator
@@ -652,9 +606,7 @@ def _cmd_events_record(args: argparse.Namespace) -> int:
         config = make_config(args.config, banked=not args.dual_ported)
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
-    seed = args.seed
-    if seed is None:
-        seed = int(getattr(workload, "seed", 0) or 0)
+    seed = workload_seed(workload, args.seed)
     output = args.output or f"{workload.name}-{args.config}.events.jsonl.gz"
     provenance = {"workload": workload.name, "config": config.name,
                   "seed": seed, "uops": args.uops}
@@ -667,12 +619,6 @@ def _cmd_events_record(args: argparse.Namespace) -> int:
         return _fail(exc)
     print(f"recorded {writer.count} events over {stats.cycles} cycles "
           f"({stats.committed_uops} committed µops) -> {output}")
-    if args.o3pipeview is not None:
-        from repro.telemetry import export_o3pipeview
-
-        viewer_out = args.o3pipeview or _o3pipeview_default(output)
-        _, count = export_o3pipeview(output, viewer_out)
-        print(f"exported {count} µop records -> {viewer_out}")
     return 0
 
 
@@ -746,7 +692,10 @@ def _cmd_report_manifests(args: argparse.Namespace) -> int:
     from repro.telemetry import manifests_dir, read_manifests, \
         render_rollup, rollup
 
-    directory = manifests_dir(_engine_options(args).cache_path())
+    try:
+        directory = manifests_dir(_engine_options(args).cache_path())
+    except ValueError as exc:
+        return _fail(exc)
     if directory is None:
         return _fail(ValueError(
             "the persistent result cache is disabled (REPRO_CACHE_DIR=off) "
@@ -764,8 +713,9 @@ def _cmd_report_manifests(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure(number: str, options: EngineOptions) -> int:
-    result = figures.run_figure(number, Settings.from_env(), options)
+def _cmd_figure(number: str, settings: Settings,
+                options: EngineOptions) -> int:
+    result = figures.run_figure(number, settings, options)
     print(performance_table(result))
     for summary in figures.FIGURES[number].summaries:
         print()
@@ -776,14 +726,11 @@ def _cmd_figure(number: str, options: EngineOptions) -> int:
     return 0
 
 
-def _cmd_sweep(path: str, options: EngineOptions,
+def _cmd_sweep(path: str, settings: Settings, options: EngineOptions,
                show_progress: bool = False) -> int:
     from repro.experiments.runner import shared_cache
 
-    try:
-        sweep = Sweep.from_file(path)
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(exc)
+    sweep = Sweep.from_file(path)
     cache = shared_cache(options)
     progress = None
     if show_progress:
@@ -804,8 +751,8 @@ def _cmd_sweep(path: str, options: EngineOptions,
                 what = f"{manifest['config']} x {manifest['workload']}"
             print(f"[{done}/{total}] {what}  "
                   f"{manifest['wall_seconds']:.2f}s{eta}", file=sys.stderr)
-    result = run_sweep(sweep, options=options, cache=cache,
-                       progress=progress)
+    result = run_sweep(sweep, settings=settings, options=options,
+                       cache=cache, progress=progress)
     print(performance_table(result))
     if result.ipc_ci:
         print()
@@ -848,7 +795,10 @@ def _cmd_rv32i_run(args: argparse.Namespace) -> int:
     except (KeyError, OSError, ValueError) as exc:
         return _fail(exc)
     machine = workload.program.machine()
-    retired = machine.run(max_steps=args.max_steps)
+    try:
+        retired = machine.run(max_steps=args.max_steps)
+    except ValueError as exc:     # an undecodable instruction word
+        return _fail(exc)
     print(f"{workload.name}: {retired} instructions retired, "
           f"halt={machine.halt_reason or 'step cap reached'} "
           f"at pc=0x{machine.pc:x}")
@@ -863,35 +813,6 @@ def _cmd_rv32i_run(args: argparse.Namespace) -> int:
             print(f"  x{index:<2d} ({_ABI_NAMES[index]:>4s}) "
                   f"0x{value:08x}  {value}")
     return 0 if machine.halted else 1
-
-
-def _cmd_rv32i_capture(args: argparse.Namespace) -> int:
-    try:
-        workload = _resolve_rv32i(args.program)
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(exc)
-    seed = args.seed if args.seed is not None else workload.seed
-    uops = args.uops if args.uops is not None else default_capture_uops()
-    output = args.output or f"{workload.name}.trc"
-    provenance = {
-        "workload": workload.name,
-        "description": workload.description,
-        "is_fp": workload.is_fp,
-        "seed": seed,
-        "source_hash": workload.content_hash(),
-        "image_sha": workload.digest,
-    }
-    try:
-        info = capture(workload.build_trace(seed), output, uops,
-                       wp_seed=seed, provenance=provenance,
-                       compress=not args.no_compress)
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-    print(f"captured {info.uop_count} µops of {workload.name!r} -> {output}")
-    print(f"  digest     {info.digest}")
-    print(f"  image sha  {workload.digest}")
-    print(f"  size       {info.file_bytes} bytes")
-    return 0
 
 
 def _cmd_rv32i_check() -> int:
@@ -960,22 +881,21 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command in ("table2", "figure", "sweep"):
         try:
             options = _engine_options(args)
-        except ValueError as exc:
+            settings = Settings.from_env()
+            if args.command == "table2":
+                print(render_table2(settings, options=options))
+                return 0
+            if args.command == "figure":
+                return _cmd_figure(args.number, settings, options)
+            return _cmd_sweep(args.file, settings, options,
+                              show_progress=args.progress)
+        except (KeyError, OSError, ValueError) as exc:
             return _fail(exc)
-    if args.command == "table2":
-        print(render_table2(Settings.from_env(), options=options))
-        return 0
-    if args.command == "figure":
-        return _cmd_figure(args.number, options)
-    if args.command == "sweep":
-        return _cmd_sweep(args.file, options, show_progress=args.progress)
     if args.command == "trace":
         if args.trace_command == "record":
             return _cmd_trace_record(args)
         if args.trace_command == "info":
             return _cmd_trace_info(args)
-        if args.trace_command == "replay":
-            return _cmd_trace_replay(args)
     if args.command == "checkpoint":
         if args.checkpoint_command == "create":
             return _cmd_checkpoint_create(args)
@@ -998,8 +918,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "rv32i":
         if args.rv32i_command == "run":
             return _cmd_rv32i_run(args)
-        if args.rv32i_command == "capture":
-            return _cmd_rv32i_capture(args)
         if args.rv32i_command == "check":
             return _cmd_rv32i_check()
     if args.command == "list":

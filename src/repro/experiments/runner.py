@@ -14,8 +14,10 @@ Scale knobs come from the environment:
   ``full`` (all 36), or a comma-separated list of registry names (suite
   workloads, scenario specs or recorded traces; see
   :mod:`repro.traces.registry`);
-* ``REPRO_WARMUP`` / ``REPRO_MEASURE`` — µop counts per run (defaults
-  3000/12000: small enough for CI, large enough for stable shapes);
+* ``REPRO_WARMUP`` / ``REPRO_MEASURE`` / ``REPRO_FUNC_WARMUP`` — µop
+  counts per run (defaults 3000/12000/60000, the ``DEFAULT_*`` constants
+  of :mod:`repro.pipeline.sim`: small enough for CI, large enough for
+  stable shapes); a bad value is an error naming the variable;
 * ``REPRO_JOBS`` — worker processes per sweep (default 1 = serial);
 * ``REPRO_CACHE_DIR`` — persistent result cache directory
   (``off`` disables; see :mod:`repro.experiments.engine`).
@@ -37,8 +39,28 @@ from repro.experiments.engine import (
     cell_payload,
     run_cells,
 )
+from repro.pipeline.sim import (
+    DEFAULT_FUNCTIONAL_WARMUP_UOPS,
+    DEFAULT_MEASURE_UOPS,
+    DEFAULT_WARMUP_UOPS,
+)
 from repro.traces.registry import resolve_workload
 from repro.workloads.suite import DEFAULT_SUBSET, SUITE
+
+
+def _env_count(name: str, default: int, minimum: int) -> int:
+    """An integer µop volume from the environment, at least ``minimum``."""
+    text = os.environ.get(name, "").strip()
+    if not text:
+        return default
+    try:
+        value = int(text)
+    except ValueError:
+        value = minimum - 1
+    if value < minimum:
+        kind = "a positive" if minimum > 0 else "a non-negative"
+        raise ValueError(f"{name} must be {kind} integer, not {text!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -46,28 +68,38 @@ class Settings:
     """Simulation volume for one experiment sweep."""
 
     workloads: Tuple[str, ...]
-    warmup_uops: int = 3_000
-    measure_uops: int = 12_000
-    functional_warmup_uops: int = 60_000
+    warmup_uops: int = DEFAULT_WARMUP_UOPS
+    measure_uops: int = DEFAULT_MEASURE_UOPS
+    functional_warmup_uops: int = DEFAULT_FUNCTIONAL_WARMUP_UOPS
     seed: int = 1
 
     @staticmethod
     def from_env() -> "Settings":
-        selector = os.environ.get("REPRO_WORKLOADS", "subset").strip()
+        """Settings from the ``REPRO_*`` variables: a one-line
+        ``ValueError`` for a bad count, ``KeyError`` for an unknown
+        workload name."""
+        selector = os.environ.get("REPRO_WORKLOADS", "").strip() or "subset"
         if selector == "full":
             names: Tuple[str, ...] = tuple(SUITE)
         elif selector == "subset":
             names = tuple(DEFAULT_SUBSET)
         else:
             names = tuple(n.strip() for n in selector.split(",") if n.strip())
+            if not names:
+                raise ValueError(
+                    f"REPRO_WORKLOADS names no workloads: {selector!r}")
             for name in names:
-                resolve_workload(name)    # fail fast on typos
-        warmup = int(os.environ.get("REPRO_WARMUP", "3000"))
-        measure = int(os.environ.get("REPRO_MEASURE", "12000"))
-        fwarm = int(os.environ.get("REPRO_FUNC_WARMUP", "60000"))
-        return Settings(workloads=names, warmup_uops=warmup,
-                        measure_uops=measure,
-                        functional_warmup_uops=fwarm)
+                try:
+                    resolve_workload(name)    # fail fast on typos
+                except KeyError as exc:
+                    message = f"REPRO_WORKLOADS: {exc.args[0]}"
+                    raise KeyError(message) from None
+        return Settings(
+            workloads=names,
+            warmup_uops=_env_count("REPRO_WARMUP", DEFAULT_WARMUP_UOPS, 0),
+            measure_uops=_env_count("REPRO_MEASURE", DEFAULT_MEASURE_UOPS, 1),
+            functional_warmup_uops=_env_count(
+                "REPRO_FUNC_WARMUP", DEFAULT_FUNCTIONAL_WARMUP_UOPS, 0))
 
     def with_sweep_overrides(self, sweep: Sweep) -> "Settings":
         """Overlay a sweep's optional overrides on these settings."""

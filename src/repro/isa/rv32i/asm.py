@@ -23,6 +23,7 @@ Pseudo-instructions expand exactly as the standard assembler does:
 
 from __future__ import annotations
 
+import string
 from typing import Dict, List, Tuple
 
 MASK32 = 0xFFFFFFFF
@@ -351,18 +352,18 @@ def to_hex(words: List[int]) -> str:
 
 
 def parse_hex(text: str) -> List[int]:
-    """Inverse of :func:`to_hex`; ``#`` comments and blank lines allowed."""
+    """Inverse of :func:`to_hex`; ``#`` comments and blank lines allowed.
+
+    Every word must be exactly 8 hex digits, so an image cut mid-line is
+    an error rather than a shorter, different program.
+    """
     words: List[int] = []
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        try:
-            value = int(line, 16)
-        except ValueError:
+        if len(line) != 8 or line.strip(string.hexdigits):
             raise AsmError(
-                f"line {line_number}: not a hex word {line!r}") from None
-        if not 0 <= value <= MASK32:
-            raise AsmError(f"line {line_number}: word out of 32-bit range")
-        words.append(value)
+                f"line {line_number}: not an 8-digit hex word {line!r}")
+        words.append(int(line, 16))
     return words

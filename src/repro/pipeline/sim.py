@@ -3,7 +3,10 @@
 The experiment harness and the examples go through these entry points, so
 defaults (warmup/measure µop counts) are centralized here. Counts are small
 relative to the paper's 50M+100M because the synthetic workloads are
-stationary (DESIGN.md §2); override them for higher-fidelity runs.
+stationary (DESIGN.md §2); override them for higher-fidelity runs. The
+``REPRO_*`` volume variables and
+:class:`~repro.experiments.runner.Settings` fall back to these same
+constants.
 
 Execution funnels through the engine's
 :func:`~repro.experiments.engine.simulate_payload` — the same worker
@@ -23,7 +26,7 @@ from repro.traces.registry import resolve_workload
 from repro.workloads.spec import WorkloadSpec
 
 DEFAULT_WARMUP_UOPS = 3_000
-DEFAULT_MEASURE_UOPS = 20_000
+DEFAULT_MEASURE_UOPS = 12_000
 #: Functional (timing-free) cache/predictor warmup before the timed run —
 #: the analogue of the paper's 50M-instruction warmup phase.
 DEFAULT_FUNCTIONAL_WARMUP_UOPS = 60_000
@@ -43,6 +46,18 @@ class RunResult:
     def ipc(self) -> float:
         """Committed µops per cycle over the measured region."""
         return self.stats.ipc
+
+
+def workload_seed(workload, seed: Optional[int] = None) -> int:
+    """``seed``, or the workload's own seed when ``seed`` is None.
+
+    Trace workloads carry no seed (the stream was fixed at record time
+    and ``build_trace`` ignores it) and default to 0; suite specs,
+    scenarios and RV32I programs default to their own.
+    """
+    if seed is not None:
+        return seed
+    return int(getattr(workload, "seed", 0) or 0)
 
 
 def build_payload(
@@ -65,18 +80,13 @@ def build_payload(
     spec = resolve_workload(workload)
     if isinstance(config, str):
         config = make_config(config, banked=banked)
-    if seed is None:
-        # Trace workloads carry no seed (the stream was fixed at record
-        # time and build_trace ignores it); specs/scenarios default to
-        # their own.
-        seed = int(getattr(spec, "seed", 0) or 0)
     payload = base_cell_payload(
         config,
         spec,
         warmup_uops=warmup_uops,
         measure_uops=measure_uops,
         functional_warmup_uops=functional_warmup_uops,
-        seed=seed,
+        seed=workload_seed(spec, seed),
     )
     if max_cycles is not None:
         payload["max_cycles"] = max_cycles

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import gzip
 import json
+import zlib
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
@@ -272,6 +273,14 @@ class EventsFormatError(ValueError):
     """Raised for files that are not (readable) event traces."""
 
 
+#: What a gzip stream cut short or garbled raises while being read.
+_STREAM_ERRORS = (EOFError, zlib.error)
+
+
+def _stream_error(path: Path, exc: BaseException) -> EventsFormatError:
+    return EventsFormatError(f"{path}: truncated or corrupt ({exc})")
+
+
 def _open_text(path: Path):
     handle = path.open("rb")
     magic = handle.read(2)
@@ -292,7 +301,10 @@ def open_events(path) -> Tuple[Dict[str, Any], Iterator[tuple]]:
     path = Path(path)
     handle = _open_text(path)
     try:
-        first = handle.readline()
+        try:
+            first = handle.readline()
+        except _STREAM_ERRORS as exc:
+            raise _stream_error(path, exc) from exc
         try:
             header = json.loads(first)
         except ValueError as exc:
@@ -315,14 +327,17 @@ def open_events(path) -> Tuple[Dict[str, Any], Iterator[tuple]]:
 
     def _iterate() -> Iterator[tuple]:
         with handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                try:
-                    yield tuple(json.loads(line))
-                except ValueError as exc:
-                    raise EventsFormatError(
-                        f"{path}: corrupt event line {line!r}") from exc
+            try:
+                for line in handle:
+                    if not line.strip():
+                        continue
+                    try:
+                        yield tuple(json.loads(line))
+                    except ValueError as exc:
+                        raise EventsFormatError(
+                            f"{path}: corrupt event line {line!r}") from exc
+            except _STREAM_ERRORS as exc:
+                raise _stream_error(path, exc) from exc
 
     return header, _iterate()
 

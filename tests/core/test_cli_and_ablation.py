@@ -125,6 +125,33 @@ class TestSweepErrors:
         assert excinfo.value.code == 2
         assert "invalid choice: 'bench'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "replay", "g.trc", "SpecSched_4"],
+         "invalid choice: 'replay'"),
+        (["rv32i", "capture", "ptr-chase"], "invalid choice: 'capture'"),
+        (["events", "record", "gzip", "SpecSched_4", "--o3pipeview"],
+         "unrecognized arguments: --o3pipeview"),
+        (["trace", "record", "gzip", "--no-compress"],
+         "unrecognized arguments: --no-compress"),
+        (["checkpoint", "create", "gzip", "SpecSched_4", "--no-compress"],
+         "unrecognized arguments: --no-compress"),
+        (["checkpoint", "rebase", "a.ckpt", "Baseline_0", "--no-compress"],
+         "unrecognized arguments: --no-compress"),
+    ], ids=["trace-replay", "rv32i-capture", "events-o3pipeview",
+            "trace-record-no-compress", "checkpoint-create-no-compress",
+            "checkpoint-rebase-no-compress"])
+    def test_duplicate_surface_is_gone(self, tmp_path, capsys, monkeypatch,
+                                       argv, message):
+        # Each removed command or flag duplicated a remaining one: `run
+        # FILE.trc`, `trace record`, `events export`; records are always
+        # zlib-framed.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
 
 class TestPositiveCounts:
     """Every µop-count flag rejects non-positive values at parse time,
@@ -132,15 +159,12 @@ class TestPositiveCounts:
 
     @pytest.mark.parametrize("argv, flag", [
         (["run", "gzip", "SpecSched_4"], "--measure"),
-        (["trace", "replay", "x.trc", "SpecSched_4"], "--measure"),
         (["trace", "record", "gzip", "-o", "{out}"], "--uops"),
-        (["rv32i", "capture", "dhry-mix", "-o", "{out}"], "--uops"),
         (["checkpoint", "create", "gzip", "SpecSched_4", "-o", "{out}"],
          "--uops"),
         (["events", "record", "gzip", "SpecSched_4", "-o", "{out}"],
          "--uops"),
-    ], ids=["run", "trace-replay", "trace-record", "rv32i-capture",
-            "checkpoint-create", "events-record"])
+    ], ids=["run", "trace-record", "checkpoint-create", "events-record"])
     @pytest.mark.parametrize("value", ["0", "-3", "ten"])
     def test_rejected_with_flag_named(self, tmp_path, capsys, argv, flag,
                                       value):
@@ -165,8 +189,7 @@ class TestTraceCli:
         assert main(["trace", "info", "g.trc", "--verify"]) == 0
         out = capsys.readouterr().out
         assert "digest OK" in out and "wp_seed" in out
-        assert main(["trace", "replay", "g.trc", "SpecSched_4",
-                     "--measure", "1200"]) == 0
+        assert main(["run", "g.trc", "SpecSched_4", "--measure", "1200"]) == 0
         assert "IPC" in capsys.readouterr().out
 
     def test_info_missing_file_clean_error(self, capsys):
@@ -174,7 +197,7 @@ class TestTraceCli:
         assert "error:" in capsys.readouterr().err
 
     def test_replay_missing_file_clean_error(self, capsys):
-        assert main(["trace", "replay", "no-such.trc", "SpecSched_4"]) == 2
+        assert main(["run", "no-such.trc", "SpecSched_4"]) == 2
         assert "error:" in capsys.readouterr().err
 
     def test_replay_undersized_trace_clean_error(self, tmp_path, capsys,
@@ -183,12 +206,32 @@ class TestTraceCli:
         assert main(["trace", "record", "gzip", "-o", "tiny.trc",
                      "--uops", "200"]) == 0
         capsys.readouterr()
-        assert main(["trace", "replay", "tiny.trc", "SpecSched_4"]) == 2
+        assert main(["run", "tiny.trc", "SpecSched_4"]) == 2
         assert "re-record" in capsys.readouterr().err
 
     def test_record_unknown_workload_clean_error(self, capsys):
         assert main(["trace", "record", "quake3"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_record_refuses_a_recording(self, tmp_path, capsys):
+        trace = tmp_path / "g.trc"
+        assert main(["trace", "record", "gzip", "-o", str(trace),
+                     "--uops", "200"]) == 0
+        capsys.readouterr()
+        assert main(["trace", "record", str(trace), "-o",
+                     str(tmp_path / "again.trc")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: refusing to re-record")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "again.trc").exists()
+
+    def test_record_unwritable_output_clean_error(self, tmp_path, capsys):
+        out = tmp_path / "missing-dir" / "g.trc"
+        assert main(["trace", "record", "gzip", "-o", str(out),
+                     "--uops", "200"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "missing-dir" in err
 
     def test_run_corrupt_trace_clean_error(self, tmp_path, capsys,
                                            monkeypatch):
@@ -210,15 +253,40 @@ class TestTraceCli:
     def test_replay_defaults_follow_env_volumes(self, tmp_path, capsys,
                                                 monkeypatch):
         # A recording auto-sized for the current REPRO_* volumes must
-        # replay under those same volumes with no extra flags.
+        # run under those same volumes with no extra flags; --measure
+        # overrides the measured count.
         monkeypatch.chdir(tmp_path)
         monkeypatch.setenv("REPRO_WARMUP", "300")
         monkeypatch.setenv("REPRO_MEASURE", "1200")
         monkeypatch.setenv("REPRO_FUNC_WARMUP", "2000")
         assert main(["trace", "record", "gzip", "-o", "g.trc"]) == 0
         capsys.readouterr()
-        assert main(["trace", "replay", "g.trc", "SpecSched_4"]) == 0
-        out = capsys.readouterr().out
-        committed = int(out.split("committed_uops")[1].split()[0])
-        # The REPRO_MEASURE=1200 budget, give or take one retire group.
-        assert 1200 <= committed < 1300
+        # The budget, give or take one retire group.
+        assert 1200 <= _committed(capsys, ["run", "g.trc", "SpecSched_4"]) \
+            < 1300
+        assert 800 <= _committed(capsys, ["run", "g.trc", "SpecSched_4",
+                                          "--measure", "800"]) < 900
+
+    def test_run_follows_env_volumes(self, capsys, monkeypatch):
+        # A suite workload runs under the same REPRO_* volumes as a
+        # recording: the env sets the defaults, --measure overrides.
+        from repro.pipeline.sim import run_workload
+
+        monkeypatch.setenv("REPRO_WARMUP", "300")
+        monkeypatch.setenv("REPRO_MEASURE", "900")
+        monkeypatch.setenv("REPRO_FUNC_WARMUP", "2000")
+        committed = _committed(capsys, ["run", "gzip", "SpecSched_4"])
+        assert 900 <= committed < 1000
+        expected = run_workload("gzip", "SpecSched_4", warmup_uops=300,
+                                measure_uops=900,
+                                functional_warmup_uops=2000)
+        assert committed == expected.stats.committed_uops
+        assert 700 <= _committed(capsys, ["run", "gzip", "SpecSched_4",
+                                          "--measure", "700"]) < 800
+
+
+def _committed(capsys, argv) -> int:
+    """``committed_uops`` printed by one successful ``repro run``."""
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    return int(out.split("committed_uops")[1].split()[0])

@@ -1,0 +1,243 @@
+"""Malformed inputs through every CLI subcommand: one ``error:`` line, exit 2.
+
+A table of truncated recordings, checkpoints, RV32I images and event
+traces, bad TOML, unknown workload and configuration names, and bad
+``REPRO_*`` values, each sent through every subcommand that reads it.
+None may end in a traceback or a silent success. Digest mismatches
+under ``--verify`` keep their documented exit 1.
+"""
+
+from __future__ import annotations
+
+import shutil
+
+import pytest
+
+from repro.cli import main
+from repro.isa.rv32i.corpus import bundled_programs
+
+TINY = {"REPRO_WARMUP": "200", "REPRO_MEASURE": "500",
+        "REPRO_FUNC_WARMUP": "1000", "REPRO_JOBS": "1",
+        "REPRO_CACHE_DIR": "off"}
+
+SAMPLE = ["--sample", "--intervals", "2", "--interval-uops", "200",
+          "--sample-warmup", "100", "--period", "1000", "--offset", "500"]
+
+_SWEEP = ('name = "s"\nbaseline = "B"\nworkloads = ["{workload}"]\n'
+          '[[series]]\nlabel = "B"\npreset = "{preset}"\n')
+
+
+def _cut(src, dst, keep) -> None:
+    data = src.read_bytes()
+    dst.write_bytes(data[:keep(len(data))])
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A directory of good and damaged input files."""
+    root = tmp_path_factory.mktemp("inputs")
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in TINY.items():
+            patch.setenv(name, value)
+        assert main(["trace", "record", "gzip", "--uops", "3000",
+                     "-o", str(root / "good.trc")]) == 0
+        assert main(["checkpoint", "create", "gzip", "SpecSched_4",
+                     "--uops", "2000", "-o", str(root / "good.ckpt")]) == 0
+        assert main(["events", "record", "gzip", "SpecSched_4",
+                     "--uops", "300",
+                     "-o", str(root / "good.events.jsonl.gz")]) == 0
+        assert main(["events", "record", "gzip", "SpecSched_4",
+                     "--uops", "300",
+                     "-o", str(root / "good.events.jsonl")]) == 0
+    shutil.copy(bundled_programs()["ptr-chase"], root / "good.hex")
+    # Cut inside the recording's only frame, and inside each header.
+    _cut(root / "good.trc", root / "cut.trc", lambda n: n // 2)
+    _cut(root / "good.trc", root / "head.trc", lambda n: 10)
+    _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
+    _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
+    # Mid-word: the last line keeps 4 of its 8 hex digits.
+    _cut(root / "good.hex", root / "cut.hex", lambda n: n - 5)
+    _cut(root / "good.hex", root / "cut.bin", lambda n: 10)
+    (root / "undecodable.hex").write_text("00000010\n")
+    _cut(root / "good.events.jsonl.gz", root / "cut.events.jsonl.gz",
+         lambda n: n - 50)
+    _cut(root / "good.events.jsonl.gz", root / "head.events.jsonl.gz",
+         lambda n: 5)
+    _cut(root / "good.events.jsonl", root / "cut.events.jsonl",
+         lambda n: n - 30)
+    (root / "bad.toml").write_text("name = \n")
+    for label, workload, preset in (
+            ("cut-trace", root / "cut.trc", "Baseline_0"),
+            ("unknown-workload", "quake3", "Baseline_0"),
+            ("unknown-config", "gzip", "Turbo_9")):
+        (root / f"sweep-{label}.toml").write_text(
+            _SWEEP.format(workload=workload, preset=preset))
+    return root
+
+
+def _bad_input_cases():
+    cases = []
+
+    def add(case_id, argv, env=None):
+        cases.append(pytest.param(argv, env or {}, id=case_id))
+
+    for trace in ("cut.trc", "head.trc"):
+        stem = trace.split(".")[0]
+        add(f"run-{stem}-trc", ["run", trace, "SpecSched_4"])
+        add(f"run-sample-{stem}-trc", ["run", trace, "SpecSched_4"] + SAMPLE)
+        add(f"checkpoint-create-{stem}-trc",
+            ["checkpoint", "create", trace, "SpecSched_4", "--uops", "1500",
+             "-o", "out.ckpt"])
+        add(f"events-record-{stem}-trc",
+            ["events", "record", trace, "SpecSched_4", "--uops", "1500",
+             "-o", "out.events.jsonl"])
+        add(f"table2-{stem}-trc", ["table2"], {"REPRO_WORKLOADS": trace})
+        add(f"figure-{stem}-trc", ["figure", "5"], {"REPRO_WORKLOADS": trace})
+    add("trace-info-head-trc", ["trace", "info", "head.trc"])
+    add("trace-info-verify-head-trc", ["trace", "info", "head.trc",
+                                       "--verify"])
+    add("trace-record-cut-trc", ["trace", "record", "cut.trc",
+                                 "-o", "out.trc"])
+    add("sweep-cut-trc", ["sweep", "sweep-cut-trace.toml"])
+
+    for ckpt in ("cut.ckpt", "head.ckpt"):
+        stem = ckpt.split(".")[0]
+        add(f"checkpoint-rebase-{stem}-ckpt",
+            ["checkpoint", "rebase", ckpt, "Baseline_0", "-o", "out.ckpt"])
+        add(f"run-from-{stem}-ckpt",
+            ["run", "gzip", "SpecSched_4", "--from-checkpoint", ckpt])
+        add(f"run-sample-from-{stem}-ckpt",
+            ["run", "gzip", "SpecSched_4", "--from-checkpoint", ckpt,
+             "--sample", "--intervals", "2", "--interval-uops", "200",
+             "--sample-warmup", "100", "--period", "1000",
+             "--offset", "3000"])
+    add("checkpoint-info-head-ckpt", ["checkpoint", "info", "head.ckpt"])
+    add("checkpoint-info-verify-head-ckpt",
+        ["checkpoint", "info", "head.ckpt", "--verify"])
+
+    for image in ("cut.hex", "cut.bin", "undecodable.hex"):
+        stem = image.replace(".", "-")
+        add(f"rv32i-run-{stem}", ["rv32i", "run", image])
+        add(f"run-{stem}", ["run", image, "SpecSched_4"])
+        add(f"trace-record-{stem}", ["trace", "record", image,
+                                     "--uops", "500", "-o", "out.trc"])
+        add(f"checkpoint-create-{stem}",
+            ["checkpoint", "create", image, "SpecSched_4", "--uops", "500",
+             "-o", "out.ckpt"])
+        add(f"events-record-{stem}",
+            ["events", "record", image, "SpecSched_4", "--uops", "200",
+             "-o", "out.events.jsonl"])
+
+    for events in ("cut.events.jsonl.gz", "head.events.jsonl.gz",
+                   "cut.events.jsonl"):
+        stem = events.replace(".events.", "-").replace(".", "-")
+        add(f"events-info-{stem}", ["events", "info", events])
+        add(f"events-dump-{stem}", ["events", "dump", events])
+        add(f"events-export-{stem}", ["events", "export", events,
+                                      "-o", "out.o3pipeview.txt"])
+
+    add("sweep-bad-toml", ["sweep", "bad.toml"])
+    add("run-bad-toml", ["run", "bad.toml", "SpecSched_4"])
+    add("trace-record-bad-toml", ["trace", "record", "bad.toml"])
+    add("checkpoint-create-bad-toml",
+        ["checkpoint", "create", "bad.toml", "SpecSched_4"])
+    add("events-record-bad-toml", ["events", "record", "bad.toml",
+                                   "SpecSched_4"])
+    add("table2-bad-toml", ["table2"], {"REPRO_WORKLOADS": "bad.toml"})
+
+    for command, argv in (
+            ("run", ["run", "quake3", "SpecSched_4"]),
+            ("run-sample", ["run", "quake3", "SpecSched_4"] + SAMPLE),
+            ("trace-record", ["trace", "record", "quake3"]),
+            ("checkpoint-create", ["checkpoint", "create", "quake3",
+                                   "SpecSched_4"]),
+            ("events-record", ["events", "record", "quake3",
+                               "SpecSched_4"]),
+            ("rv32i-run", ["rv32i", "run", "quake3"]),
+            ("sweep", ["sweep", "sweep-unknown-workload.toml"])):
+        add(f"{command}-unknown-workload", argv)
+    for command, argv in (
+            ("run", ["run", "gzip", "Turbo_9"]),
+            ("run-sample", ["run", "gzip", "Turbo_9"] + SAMPLE),
+            ("checkpoint-create", ["checkpoint", "create", "gzip",
+                                   "Turbo_9"]),
+            ("checkpoint-rebase", ["checkpoint", "rebase", "good.ckpt",
+                                   "Turbo_9", "-o", "out.ckpt"]),
+            ("events-record", ["events", "record", "gzip", "Turbo_9"]),
+            ("sweep", ["sweep", "sweep-unknown-config.toml"])):
+        add(f"{command}-unknown-config", argv)
+    for command, argv in (
+            ("run-sample", ["run", "gzip", "SpecSched_4"] + SAMPLE),
+            ("table2", ["table2"]),
+            ("sweep", ["sweep", "sweep-unknown-config.toml"]),
+            ("report-manifests", ["report", "manifests"])):
+        add(f"{command}-bad-jobs", argv, {"REPRO_JOBS": "abc"})
+    return cases
+
+
+@pytest.mark.parametrize("argv, env", _bad_input_cases())
+def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
+                                     argv, env):
+    def located(arg):
+        return str(inputs / arg) if (inputs / arg).is_file() else arg
+
+    for name, value in {**TINY, **env}.items():
+        monkeypatch.setenv(name, located(value))
+    monkeypatch.chdir(tmp_path)
+    assert main([located(arg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "info", "cut.trc", "--verify"],
+    ["checkpoint", "info", "cut.ckpt", "--verify"],
+], ids=["trace", "checkpoint"])
+def test_verify_reports_digest_mismatch_with_exit_1(inputs, capsys, argv):
+    # The header is intact, so the file describes itself; the payload
+    # check fails.
+    assert main(argv[:2] + [str(inputs / argv[2])] + argv[3:]) == 1
+    assert "DIGEST MISMATCH" in capsys.readouterr().out
+
+
+_ENV_COMMANDS = {
+    "run": ["run", "gzip", "SpecSched_4"],
+    "table2": ["table2"],
+    "figure": ["figure", "5"],
+    "sweep": ["sweep", "sweep.toml"],
+    "trace-record": ["trace", "record", "gzip", "-o", "out.trc"],
+    "checkpoint-create-detailed": ["checkpoint", "create", "gzip",
+                                   "SpecSched_4", "--mode", "detailed",
+                                   "--uops", "300", "-o", "out.ckpt"],
+}
+
+_BAD_ENV = [
+    ("REPRO_WARMUP", "-1", "REPRO_WARMUP must be a non-negative integer"),
+    ("REPRO_WARMUP", "lots", "REPRO_WARMUP must be a non-negative integer"),
+    ("REPRO_MEASURE", "0", "REPRO_MEASURE must be a positive integer"),
+    ("REPRO_MEASURE", "abc", "REPRO_MEASURE must be a positive integer"),
+    ("REPRO_FUNC_WARMUP", "-5",
+     "REPRO_FUNC_WARMUP must be a non-negative integer"),
+    ("REPRO_FUNC_WARMUP", "1.5",
+     "REPRO_FUNC_WARMUP must be a non-negative integer"),
+    ("REPRO_WORKLOADS", "nope", "REPRO_WORKLOADS: unknown workload 'nope'"),
+    ("REPRO_WORKLOADS", ",", "REPRO_WORKLOADS names no workloads"),
+]
+
+
+@pytest.mark.parametrize("name, value, message", _BAD_ENV,
+                         ids=[f"{n}={v}" for n, v, _ in _BAD_ENV])
+@pytest.mark.parametrize("argv", list(_ENV_COMMANDS.values()),
+                         ids=list(_ENV_COMMANDS))
+def test_bad_env_value_is_one_error_line(tmp_path, capsys, monkeypatch,
+                                         argv, name, value, message):
+    for key, tiny in TINY.items():
+        monkeypatch.setenv(key, tiny)
+    monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.toml").write_text(
+        _SWEEP.format(workload="gzip", preset="Baseline_0"))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep.toml"]

@@ -1,8 +1,8 @@
 """CLI surface for the rv32i workload kind.
 
-Exercises ``repro rv32i run|capture|check``, bundled-name resolution
-through ``repro run`` / ``repro trace record`` / ``repro list``, and the
-clean-error paths — all in-process through ``repro.cli.main``.
+Exercises ``repro rv32i run|check``, capture through ``repro trace
+record``, bundled-name resolution through ``repro run`` / ``repro list``,
+and the clean-error paths — all in-process through ``repro.cli.main``.
 """
 
 from __future__ import annotations
@@ -44,27 +44,33 @@ class TestRv32iRun:
 
 class TestRv32iCapture:
     def test_capture_writes_replayable_trace(self, tmp_path, capsys):
+        from repro.traces.registry import resolve_workload
+
         out = tmp_path / "dhry.trc"
-        assert main(["rv32i", "capture", "dhry-mix", "-o", str(out),
+        assert main(["trace", "record", "dhry-mix", "-o", str(out),
                      "--uops", "5000"]) == 0
         info = read_info(out)
         assert info.uop_count == 5000
         assert info.provenance["workload"] == "dhry-mix"
-        assert info.provenance["image_sha"]
-        assert main(["trace", "replay", str(out), "SpecSched_4",
+        assert info.provenance["image_sha"] == \
+            resolve_workload("dhry-mix").digest
+        assert main(["run", str(out), "SpecSched_4",
                      "--measure", "2000"]) == 0
         assert "IPC" in capsys.readouterr().out
 
     def test_capture_seed_only_changes_wrong_path(self, tmp_path):
         a = tmp_path / "a.trc"
         b = tmp_path / "b.trc"
-        assert main(["rv32i", "capture", "ptr-chase", "-o", str(a),
+        assert main(["trace", "record", "ptr-chase", "-o", str(a),
                      "--uops", "2000", "--seed", "5"]) == 0
-        assert main(["rv32i", "capture", "ptr-chase", "-o", str(b),
+        assert main(["trace", "record", "ptr-chase", "-o", str(b),
                      "--uops", "2000", "--seed", "9"]) == 0
         # Same committed stream -> same record digest; only wp_seed moves.
-        assert read_info(a).digest == read_info(b).digest
-        assert read_info(a).wp_seed != read_info(b).wp_seed
+        info_a, info_b = read_info(a), read_info(b)
+        assert info_a.digest == info_b.digest
+        assert (info_a.wp_seed, info_b.wp_seed) == (5, 9)
+        assert info_a.provenance["image_sha"] == \
+            info_b.provenance["image_sha"]
 
 
 class TestRv32iCheck:
@@ -103,6 +109,11 @@ class TestRegistrySurface:
         assert main(["trace", "record", "matmul-inner", "-o", str(out),
                      "--uops", "3000"]) == 0
         assert read_info(out).uop_count == 3000
+        # Only RV32I recordings carry an image sha.
+        other = tmp_path / "gzip.trc"
+        assert main(["trace", "record", "gzip", "-o", str(other),
+                     "--uops", "300"]) == 0
+        assert "image_sha" not in read_info(other).provenance
 
     def test_list_shows_rv32i_kind(self, capsys):
         assert main(["list"]) == 0
@@ -120,9 +131,11 @@ class TestRegistrySurface:
 
 
 @pytest.mark.parametrize("args", [
-    ["rv32i", "capture", "gzip"],
-    ["rv32i", "capture", "no-such-kernel"],
+    ["trace", "record", "no-such-kernel"],
+    ["trace", "record", "dhry-mix", "--uops", "500",
+     "-o", "{tmp}/missing-dir/dhry.trc"],
 ])
-def test_capture_clean_errors(args, capsys):
-    assert main(args) == 2
-    assert "error:" in capsys.readouterr().err
+def test_capture_clean_errors(args, tmp_path, capsys):
+    assert main([arg.format(tmp=tmp_path) for arg in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
