@@ -165,6 +165,7 @@ def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
     from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
     from repro.checkpoint.rebase import rebase_checkpoint
     from repro.experiments.engine import (
+        _gc_paused,
         checkpoint_store_ref,
         code_version,
         write_store_entry,
@@ -172,18 +173,20 @@ def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
 
     source = None
     rebased = {}
-    for target_id, target_config in targets.items():
-        key = stable_hash({"rebase": ref["digest"],
-                           "config": target_config.to_dict(),
-                           "code_version": code_version()})
-        out = store / f"{key}{CHECKPOINT_SUFFIX}"
-        cached = checkpoint_store_ref(out)
-        if cached is None:
-            if source is None:
-                source = load_checkpoint(ref["path"])
-            cached = write_store_entry(out, lambda tmp: rebase_checkpoint(
-                source, target_config, tmp))
-        rebased[target_id] = cached
+    with _gc_paused():
+        for target_id, target_config in targets.items():
+            key = stable_hash({"rebase": ref["digest"],
+                               "config": target_config.to_dict(),
+                               "code_version": code_version()})
+            out = store / f"{key}{CHECKPOINT_SUFFIX}"
+            cached = checkpoint_store_ref(out)
+            if cached is None:
+                if source is None:
+                    source = load_checkpoint(ref["path"])
+                cached = write_store_entry(
+                    out, lambda tmp: rebase_checkpoint(
+                        source, target_config, tmp))
+            rebased[target_id] = cached
     return rebased
 
 

@@ -30,7 +30,9 @@ Commands:
   or export it to the gem5/Konata O3PipeView format (see
   ``docs/OBSERVABILITY.md``);
 * ``report manifests`` — roll up the engine's per-cell run manifests
-  (wall time, cache hit rate, peak RSS) from the cache directory;
+  (wall time, cache hit rate, peak RSS) from the cache directory
+  (``--cache-dir`` selects it; the command runs no cell, so it takes no
+  ``--jobs``);
 * ``rv32i run PROGRAM`` / ``rv32i check`` — execute a real RV32I
   program image functionally to halt (end-state registers + memory
   digest), or re-assemble the bundled kernel corpus and verify the
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "the result cache")
     report_manifests.add_argument("--json", action="store_true",
                                   help="print the rollup as JSON")
-    _add_engine_flags(report_manifests)
+    _add_cache_dir_flag(report_manifests)
 
     rv32i_p = sub.add_parser(
         "rv32i", help="run and check real RV32I program images (record "
@@ -304,6 +306,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
                         help="worker processes (overrides REPRO_JOBS)")
+    _add_cache_dir_flag(parser)
+
+
+def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
                         help="persistent result cache directory; 'off' "
                              "disables (overrides REPRO_CACHE_DIR)")

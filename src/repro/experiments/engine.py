@@ -50,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import functools
+import gc
 import hashlib
 import json
 import os
@@ -246,7 +247,7 @@ class ResultCache:
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
-                json.dump(entry, handle, sort_keys=True)
+                handle.write(json.dumps(entry, sort_keys=True))
             os.replace(tmp_name, path)
         except BaseException:
             try:
@@ -404,12 +405,34 @@ def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
     return sim, int(checkpoint.get("position", 0))
 
 
+@contextlib.contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore its prior state after.
+
+    A cell allocates millions of short-lived objects, and each collection
+    rescans the machine's live µop graph without freeing anything: the
+    machine holds no reference cycle (see
+    :mod:`repro.pipeline.stages.base`), so reference counting frees it
+    when the cell returns. ``tests/pipeline/test_acyclic.py`` guards that.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+@_gc_paused()
 def simulate_payload(payload: Dict[str, Any],
                      phase_profile=None, collector=None) -> Dict[str, Any]:
     """Worker entry point: simulate one cell, return its counter dict.
 
     Runs in worker processes under ``jobs > 1``; must stay a module-level
-    function (picklable) and must touch no process-global mutable state.
+    function (picklable) and must touch no process-global mutable state
+    beyond pausing the cyclic garbage collector, whose prior state it
+    restores on return or raise (:func:`_gc_paused`).
     ``phase_profile`` (a :class:`repro.perf.instrument.PhaseProfile`)
     attaches per-stage cycle-loop timers — perfbench's traced passes
     only; it is never set on the worker-pool path. ``collector`` (a
@@ -611,6 +634,7 @@ def produce_payload(base: Dict[str, Any], position: int, store, *,
     return payload
 
 
+@_gc_paused()
 def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
     """Materialize one checkpoint-producing cell; returns its store ref.
 

@@ -107,11 +107,10 @@ class Simulator:
             stage_overrides = merged
         self.stages = build_stages(self, overrides=stage_overrides, extra=extra_stages)
 
-        # Optional per-stage instrumentation (repro.perf). Swapping the
-        # bound method keeps the uninstrumented hot loop branch-free.
+        # Optional per-stage instrumentation (repro.perf); :meth:`run`
+        # picks the timed step, so the uninstrumented loop stays
+        # branch-free and the machine holds no bound method of itself.
         self.phase_profile = phase_profile
-        if phase_profile is not None:
-            self.step = self._step_profiled  # type: ignore[method-assign]
 
     def stage(self, name: str) -> Stage:
         """The stage object named ``name`` (KeyError when absent)."""
@@ -128,7 +127,7 @@ class Simulator:
     def run(self, max_uops: Optional[int] = None, max_cycles: Optional[int] = None) -> SimStats:
         """Simulate until done / ``max_uops`` committed / ``max_cycles``."""
         stats = self.stats
-        step = self.step
+        step = self.step if self.phase_profile is None else self._step_profiled
         uop_budget = float("inf") if max_uops is None else max_uops
         cycle_budget = float("inf") if max_cycles is None else max_cycles
         while (not self.done and stats.committed_uops < uop_budget and stats.cycles < cycle_budget):

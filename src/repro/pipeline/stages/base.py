@@ -6,7 +6,12 @@ cycle, calls ``tick(now)`` on every one in list order — there is no other
 control flow between stages. A stage's constructor receives the simulator
 being wired and binds direct references to the structures, ports, wires
 and latches it touches (binding once keeps the per-cycle path as cheap as
-the pre-decomposition method calls).
+the pre-decomposition method calls). A stage keeps no reference to the
+simulator itself, and nothing it hands to a shared structure (a port
+sink, a callback) may point back at the stage: the machine stays
+acyclic, so a finished simulator is freed by reference counting. The
+engine runs every cell with the cyclic garbage collector paused
+(:mod:`repro.experiments.engine`), which relies on that.
 
 Contract (normative statement in ``docs/ARCHITECTURE.md``):
 
@@ -52,10 +57,9 @@ class Stage:
     def __init__(self, sim) -> None:
         """Bind the stage to the machine being wired.
 
-        Subclasses bind direct references to the structures they touch;
-        ``self.sim`` stays available for instrumentation subclasses.
+        Subclasses bind direct references to the structures they touch
+        and keep none to ``sim`` itself (see the module docstring).
         """
-        self.sim = sim
 
     def tick(self, now: int) -> None:
         """Advance the stage one cycle."""

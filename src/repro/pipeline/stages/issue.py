@@ -52,21 +52,26 @@ class Issue(Stage):
         self.issue_block = sim.issue_block
         # This stage owns the consumer side of the ready port; the
         # producers (scoreboard, LSQ) are short-circuited to the sink so
-        # steady-state wakeups pay no forwarding overhead.
-        route = sim.ready_port.connect(self.route_ready)
+        # steady-state wakeups pay no forwarding overhead. The sink closes
+        # over the two ready lists, not over this stage, so the scoreboard
+        # holding it makes no reference cycle.
+        iq_ready = sim.iq.make_ready
+        recovery_ready = sim.recovery.make_ready
+
+        def route_ready(uop: MicroOp) -> None:
+            """Ready-port sink: a µop became source-complete."""
+            if uop.dead or uop.executed:
+                return
+            if uop.num_issues > 0 and not uop.replay_pending:
+                return  # already in flight; nothing to wake
+            if uop.in_iq:
+                iq_ready(uop)
+            elif uop.replay_pending:
+                recovery_ready(uop)
+
+        route = sim.ready_port.connect(route_ready)
         sim.scoreboard.on_ready = route
         sim.lsq.on_ready = route
-
-    def route_ready(self, uop: MicroOp) -> None:
-        """Ready-port sink: a µop became source-complete."""
-        if uop.dead or uop.executed:
-            return
-        if uop.num_issues > 0 and not uop.replay_pending:
-            return  # already in flight; nothing to wake
-        if uop.in_iq:
-            self.iq.make_ready(uop)
-        elif uop.replay_pending:
-            self.recovery.make_ready(uop)
 
     def tick(self, now: int) -> None:
         """Select and launch up to ``issue_width`` ready µops."""

@@ -107,19 +107,26 @@ class EventBus:
         """Add ``sink`` (returns it, for assignment-friendly call sites)."""
         self._sinks.append(sink)
         if len(self._sinks) == 1:
-            self.emit = self._sinks[0].emit
+            self.emit = sink.emit
         else:
-            self.emit = self._fanout
+            self.emit = _fanout(self._sinks)
         return sink
 
     @property
     def sinks(self) -> Tuple[Any, ...]:
         return tuple(self._sinks)
 
-    def _fanout(self, cycle: int, kind: str, seq: int,
-                pc: int = 0, a: int = 0, b: int = 0) -> None:
-        for sink in self._sinks:
+
+def _fanout(sinks: List[Any]):
+    """An emit over every sink in ``sinks`` (a closure over the list, not
+    a bound method, so a bus holding it is no reference cycle)."""
+
+    def emit(cycle: int, kind: str, seq: int,
+             pc: int = 0, a: int = 0, b: int = 0) -> None:
+        for sink in sinks:
             sink.emit(cycle, kind, seq, pc, a, b)
+
+    return emit
 
 
 #: Shared always-disabled bus; its ``emit`` never changes.

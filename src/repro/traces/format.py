@@ -372,6 +372,19 @@ def _skip_frames(handle, path: Path, compressed: bool, count: int) -> int:
     return count
 
 
+def _check_frames(path: Path, count: int) -> None:
+    """Walk every frame header, inflating nothing, and reject a recording
+    whose frames hold fewer than the ``count`` records its header
+    declares (a file cut at, or inside, a frame)."""
+    with path.open("rb") as handle:
+        flags, _, _, _ = _read_header(handle, path)
+        missing = _skip_frames(handle, path, bool(flags & FLAG_ZLIB), count)
+    if missing:
+        raise TraceFormatError(
+            f"truncated trace file: {path.name} holds {count - missing} "
+            f"of the {count} records its header declares")
+
+
 def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
     """Yield each frame's raw (decompressed) record bytes, starting at
     record ``skip``.
@@ -458,12 +471,15 @@ class FileTrace(TraceSource):
     regardless of trace length — while the per-µop cost is a deque pop.
     Wrong-path µops come from the header-seeded :class:`WrongPathSynth` —
     the same stream the live generator produced, which is what keeps
-    replayed ``SimStats`` bit-identical to generate-live runs.
+    replayed ``SimStats`` bit-identical to generate-live runs. Opening
+    walks the frame headers once, so a recording cut short of its
+    header's µop count is refused before any µop is read.
     """
 
     def __init__(self, path, loop: bool = False) -> None:
         self.path = Path(path)
         self.info = read_info(self.path)
+        _check_frames(self.path, self.info.uop_count)
         self._loop = loop
         self._synth = WrongPathSynth(self.info.wp_seed)
         self._frames = _iter_frames(self.path)

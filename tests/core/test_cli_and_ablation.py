@@ -152,6 +152,13 @@ class TestSweepErrors:
         assert message in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_report_manifests_takes_no_jobs(self, capsys):
+        # The rollup runs no cell, so a worker count would be ignored.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["report", "manifests", "--jobs", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestPositiveCounts:
     """Every µop-count flag rejects non-positive values at parse time,

@@ -15,6 +15,7 @@ import pytest
 
 from repro.cli import main
 from repro.isa.rv32i.corpus import bundled_programs
+from repro.traces.format import FRAME_HEADER, HEADER
 
 TINY = {"REPRO_WARMUP": "200", "REPRO_MEASURE": "500",
         "REPRO_FUNC_WARMUP": "1000", "REPRO_JOBS": "1",
@@ -32,6 +33,13 @@ def _cut(src, dst, keep) -> None:
     dst.write_bytes(data[:keep(len(data))])
 
 
+def _second_frame_offset(path) -> int:
+    data = path.read_bytes()
+    first = HEADER.size + HEADER.unpack_from(data)[5]
+    _, stored_len = FRAME_HEADER.unpack_from(data, first)
+    return first + FRAME_HEADER.size + stored_len
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A directory of good and damaged input files."""
@@ -41,6 +49,8 @@ def inputs(tmp_path_factory):
             patch.setenv(name, value)
         assert main(["trace", "record", "gzip", "--uops", "3000",
                      "-o", str(root / "good.trc")]) == 0
+        assert main(["trace", "record", "gzip", "--uops", "10000",
+                     "-o", str(root / "long.trc")]) == 0
         assert main(["checkpoint", "create", "gzip", "SpecSched_4",
                      "--uops", "2000", "-o", str(root / "good.ckpt")]) == 0
         assert main(["events", "record", "gzip", "SpecSched_4",
@@ -53,6 +63,10 @@ def inputs(tmp_path_factory):
     # Cut inside the recording's only frame, and inside each header.
     _cut(root / "good.trc", root / "cut.trc", lambda n: n // 2)
     _cut(root / "good.trc", root / "head.trc", lambda n: 10)
+    # Cut cleanly after the first of three frames: every run below reads
+    # only that frame, so only the header's µop count betrays the cut.
+    _cut(root / "long.trc", root / "tail.trc",
+         lambda n: _second_frame_offset(root / "long.trc"))
     _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
@@ -81,7 +95,7 @@ def _bad_input_cases():
     def add(case_id, argv, env=None):
         cases.append(pytest.param(argv, env or {}, id=case_id))
 
-    for trace in ("cut.trc", "head.trc"):
+    for trace in ("cut.trc", "head.trc", "tail.trc"):
         stem = trace.split(".")[0]
         add(f"run-{stem}-trc", ["run", trace, "SpecSched_4"])
         add(f"run-sample-{stem}-trc", ["run", trace, "SpecSched_4"] + SAMPLE)

@@ -6,12 +6,14 @@ loaded back from the persistent cache — otherwise figures would depend on
 ``REPRO_JOBS`` and cache state.
 """
 
+import io
 import json
 
 import pytest
 
 from repro.common.stats import SimStats
 from repro.experiments.engine import (
+    CACHE_SCHEMA,
     EngineOptions,
     ResultCache,
     Sweep,
@@ -19,6 +21,7 @@ from repro.experiments.engine import (
     cell_key,
     cell_payload,
     code_version,
+    payload_identity,
     run_cells,
     simulate_payload,
 )
@@ -77,6 +80,22 @@ class TestResultCache:
         entry = json.loads(path.read_text())
         assert entry["key"] == key
         assert entry["payload"]["seed"] == 1
+
+    def test_entry_bytes_match_the_streaming_encoder(self, tmp_path):
+        # Entries are written in one json.dumps call; the bytes must equal
+        # what the streaming json.dump wrote, so existing caches stay
+        # byte-identical and keep hitting.
+        stats = SimStats(cycles=7, committed_uops=13)
+        stats.bump("adhoc", 3)
+        payload = _payload()
+        key = cell_key(payload)
+        ResultCache(tmp_path).put(key, stats, payload)
+        streamed = io.StringIO()
+        json.dump({"schema": CACHE_SCHEMA, "key": key,
+                   "payload": payload_identity(payload),
+                   "stats": stats.to_dict()}, streamed, sort_keys=True)
+        written = (tmp_path / key[:2] / f"{key}.json").read_bytes()
+        assert written == streamed.getvalue().encode()
 
     @pytest.mark.parametrize("garbage", [
         "not json{", "[]", "42", '{"schema": 99}',

@@ -163,9 +163,13 @@ class TestStubInsertion:
 class QuietIssue(Issue):
     """Behaviour-preserving override used to exercise the swap seam."""
 
+    def __init__(self, sim):
+        super().__init__(sim)
+        self.machine = sim
+
     def _do_issue(self, uop, now, loads_before):
         super()._do_issue(uop, now, loads_before)
-        self.sim.issue_count = getattr(self.sim, "issue_count", 0) + 1
+        self.machine.issue_count = getattr(self.machine, "issue_count", 0) + 1
 
 
 class TestCheckpointThroughStageApi:

@@ -317,27 +317,45 @@ def _frame_offsets(path):
 @pytest.mark.parametrize("compress", [True, False])
 def test_restore_past_truncation_raises(tmp_path, compress):
     """A recording cut inside a frame the seek steps over must fail at
-    restore, not end the stream early."""
+    restore, not end the stream early (opened before the cut, so the
+    check at open does not catch it first)."""
     path = _seek_recording(tmp_path, compress)
     _, reference = _restored(path, False, 40)
     state = reference.state_dict()
+    trace = FileTrace(path)
     cut = _frame_offsets(path)[2] + FRAME_HEADER.size + 3
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(TraceFormatError, match="truncated"):
-        FileTrace(path).load_state_dict(state)
+        trace.load_state_dict(state)
+    with pytest.raises(TraceFormatError, match="truncated"):
+        FileTrace(path)
+
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_open_rejects_recording_cut_at_a_frame_boundary(tmp_path, compress):
+    """Frames holding fewer records than the header declares are refused
+    when the recording is opened, before any µop is read."""
+    path = _seek_recording(tmp_path, compress)
+    path.write_bytes(path.read_bytes()[:_frame_offsets(path)[3]])
+    with pytest.raises(TraceFormatError,
+                       match=f"holds 21 of the {SEEK_UOPS} records"):
+        FileTrace(path)
 
 
 def test_restore_rejects_skipped_frame_of_partial_records(tmp_path):
     path = _seek_recording(tmp_path, False)
     _, reference = _restored(path, False, 40)
     state = reference.state_dict()
+    trace = FileTrace(path)
     data = bytearray(path.read_bytes())
     offset = _frame_offsets(path)[1]
     FRAME_HEADER.pack_into(data, offset, 7 * RECORD.size - 1,
                            7 * RECORD.size - 1)
     path.write_bytes(bytes(data))
     with pytest.raises(TraceFormatError, match="length mismatch"):
-        FileTrace(path).load_state_dict(state)
+        trace.load_state_dict(state)
+    with pytest.raises(TraceFormatError, match="length mismatch"):
+        FileTrace(path)
 
 
 def test_header_is_64_bytes():
