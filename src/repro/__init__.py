@@ -37,13 +37,13 @@ from repro.common.stats import CAUSE_BANK_CONFLICT, CAUSE_L1_MISS, SimStats
 from repro.core.criticality import CriticalityPredictor
 from repro.core.global_ctr import GlobalHitMissCounter
 from repro.core.hm_filter import FilterPrediction, HitMissFilter
-from repro.core.presets import PRESET_NAMES, make_config, preset_names
+from repro.core.presets import PRESET_NAMES, make_config
 from repro.core.shifting import ScheduleShifter
 from repro.isa.opclass import OpClass
 from repro.isa.uop import MicroOp
 from repro.pipeline.cpu import SimulationError, Simulator
-from repro.pipeline.sim import RunResult, run_config, run_workload
-from repro.workloads.suite import DEFAULT_SUBSET, SUITE, get_workload
+from repro.pipeline.sim import RunResult, run_workload
+from repro.workloads.suite import DEFAULT_SUBSET, SUITE
 
 __version__ = "1.0.0"
 
@@ -72,9 +72,6 @@ __all__ = [
     "SimStats",
     "SimulationError",
     "Simulator",
-    "get_workload",
     "make_config",
-    "preset_names",
-    "run_config",
     "run_workload",
 ]

@@ -24,10 +24,6 @@ from repro.isa.uop import MicroOp
 _QWORD_SHIFT = 3
 
 
-def _qword(addr: int) -> int:
-    return addr >> _QWORD_SHIFT
-
-
 class LoadStoreQueue:
     """Combined LQ/SQ model.
 

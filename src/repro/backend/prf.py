@@ -65,13 +65,6 @@ class Scoreboard:
         self.data_ready_at[preg] = NEVER
         self.version[preg] += 1     # cancels any in-flight wakeup event
 
-    def mark_ready_now(self, preg: int, now: int, data_ready_exec: int = 0) -> None:
-        """Immediately ready (initial architectural mappings, tests)."""
-        self.ready[preg] = True
-        self.ready_at[preg] = now
-        self.data_ready_at[preg] = data_ready_exec
-        self.version[preg] += 1
-
     # -- consumer side ------------------------------------------------------
 
     def watch(self, uop: MicroOp) -> int:
@@ -95,15 +88,6 @@ class Scoreboard:
                     entry.append(uop)
         uop.pending = pending
         return pending
-
-    def operands_issue_ready(self, uop: MicroOp, now: int) -> bool:
-        """True when every register source is issue-ready at ``now``."""
-        ready = self.ready
-        ready_at = self.ready_at
-        for p in uop.psrcs:
-            if not ready[p] or ready_at[p] > now:
-                return False
-        return True
 
     def operands_data_valid(self, uop: MicroOp, exec_cycle: int) -> bool:
         """True when every source's data is genuinely valid at Execute."""

@@ -9,7 +9,7 @@ file, mirroring the binary trace format's header idiom::
     header (64 bytes, fixed):
         magic        4s   b"RPCK"
         version      u16  FORMAT_VERSION
-        flags        u16  bit 0: payload is zlib-compressed
+        flags        u16  bit 0 (zlib payload) must be set
         raw_len      u64  uncompressed payload byte length
         digest       32s  sha256 over the *raw* (uncompressed) payload
         meta_len     u32  length of the meta JSON that follows
@@ -22,7 +22,7 @@ file, mirroring the binary trace format's header idiom::
         zlib(pickle(state))  — plain-data only (the restricted loader
         refuses anything that would import code)
 
-The digest identifies the *state*, independent of compression or file
+The digest identifies the *state*, independent of the zlib level or file
 location — it is what the experiment engine folds into cell cache keys
 when a cell starts from a checkpoint, so a cached result can never be
 served against a regenerated checkpoint.
@@ -151,7 +151,6 @@ class CheckpointInfo:
 
     path: str
     version: int
-    compressed: bool
     digest: str                     # hex sha256 over the raw payload
     config_name: str
     config_hash: str
@@ -165,10 +164,12 @@ class CheckpointInfo:
 
     @property
     def workload_name(self) -> str:
+        """Trace and RV32I payloads keep ``name`` at the top level; suite
+        and scenario payloads keep it in their ``spec``."""
         if not self.workload:
             return "?"
-        if self.workload.get("kind") == "trace":
-            return self.workload.get("name", "?")
+        if "name" in self.workload:
+            return self.workload["name"]
         spec = self.workload.get("spec") or {}
         return spec.get("name", "?")
 
@@ -185,6 +186,10 @@ def _read_header(handle, path: Path):
         raise CheckpointError(
             f"{path.name}: checkpoint format version {version} (this "
             f"build reads {FORMAT_VERSION})")
+    if not flags & FLAG_ZLIB:
+        raise CheckpointError(
+            f"{path.name}: header lacks the zlib flag (uncompressed "
+            f"checkpoints are not read); re-create it")
     meta_raw = handle.read(meta_len)
     if len(meta_raw) != meta_len:
         raise CheckpointError(f"{path.name}: truncated meta JSON")
@@ -196,18 +201,17 @@ def _read_header(handle, path: Path):
         raise CheckpointError(
             f"{path.name}: checkpoint schema {meta.get('schema')} (this "
             f"build reads {CHECKPOINT_SCHEMA})")
-    return flags, raw_len, digest, meta
+    return raw_len, digest, meta
 
 
 def read_info(path) -> CheckpointInfo:
     """Parse header + meta of a checkpoint (no payload decode)."""
     path = Path(path)
     with path.open("rb") as handle:
-        flags, raw_len, digest, meta = _read_header(handle, path)
+        raw_len, digest, meta = _read_header(handle, path)
     return CheckpointInfo(
         path=str(path),
         version=FORMAT_VERSION,
-        compressed=bool(flags & FLAG_ZLIB),
         digest=digest.hex(),
         config_name=meta.get("config_name", "?"),
         config_hash=meta.get("config_hash", ""),
@@ -221,18 +225,12 @@ def read_info(path) -> CheckpointInfo:
     )
 
 
-def checkpoint_digest(path) -> str:
-    """The state digest alone — the engine's cache-key ingredient."""
-    return read_info(path).digest
-
-
 # ---------------------------------------------------------------------------
 # Save
 
 
 def write_checkpoint(payload: Dict[str, Any], path, *,
                      uops_committed: int = 0, cycles: int = 0,
-                     compress: bool = True,
                      provenance: Optional[Dict[str, Any]] = None
                      ) -> CheckpointInfo:
     """Write an already-assembled checkpoint payload dict to ``path``.
@@ -246,7 +244,7 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
     path = Path(path)
     raw = _dumps(payload)
     digest = hashlib.sha256(raw).digest()
-    stored = zlib.compress(raw, ZLIB_LEVEL) if compress else raw
+    stored = zlib.compress(raw, ZLIB_LEVEL)
     meta = {
         "schema": CHECKPOINT_SCHEMA,
         "config_name": payload["config"].get("name", "?"),
@@ -262,9 +260,8 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
         },
     }
     meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    flags = FLAG_ZLIB if compress else 0
     with path.open("wb") as handle:
-        handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, flags, len(raw),
+        handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, FLAG_ZLIB, len(raw),
                                  digest, len(meta_raw), b"\0" * 12))
         handle.write(meta_raw)
         handle.write(stored)
@@ -272,7 +269,6 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
 
 
 def save_checkpoint(sim, path, *, workload=None, seed: Optional[int] = None,
-                    compress: bool = True,
                     provenance: Optional[Dict[str, Any]] = None
                     ) -> CheckpointInfo:
     """Freeze ``sim`` to ``path``.
@@ -294,8 +290,7 @@ def save_checkpoint(sim, path, *, workload=None, seed: Optional[int] = None,
     }
     return write_checkpoint(payload, path,
                             uops_committed=sim.stats.committed_uops,
-                            cycles=sim.stats.cycles, compress=compress,
-                            provenance=provenance)
+                            cycles=sim.stats.cycles, provenance=provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -348,15 +343,12 @@ def _read_verified(path: Path) -> Tuple[CheckpointInfo, bytes]:
     """Header, inflated payload, and the payload checked against the
     header's length and sha256; the payload is not unpickled."""
     with path.open("rb") as handle:
-        flags, raw_len, digest, _meta = _read_header(handle, path)
+        raw_len, digest, _meta = _read_header(handle, path)
         stored = handle.read()
-    if flags & FLAG_ZLIB:
-        try:
-            raw = zlib.decompress(stored)
-        except zlib.error as exc:
-            raise CheckpointError(f"{path.name}: corrupt payload") from exc
-    else:
-        raw = stored
+    try:
+        raw = zlib.decompress(stored)
+    except zlib.error as exc:
+        raise CheckpointError(f"{path.name}: corrupt payload") from exc
     if len(raw) != raw_len:
         raise CheckpointError(f"{path.name}: payload length mismatch")
     if hashlib.sha256(raw).digest() != digest:

@@ -120,7 +120,7 @@ _WARMED_KEYS = ("stats", "trace", "branch_unit", "hierarchy")
 
 
 def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
-                      output, *, compress: bool = True) -> CheckpointInfo:
+                      output) -> CheckpointInfo:
     """Re-target the warm checkpoint ``source`` to ``target_config``,
     writing the result to ``output``; returns the new checkpoint's info.
 
@@ -174,4 +174,4 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     if "stream_uops" in ckpt.info.provenance:
         provenance["stream_uops"] = ckpt.info.provenance["stream_uops"]
     return write_checkpoint(payload, output, uops_committed=0, cycles=0,
-                            compress=compress, provenance=provenance)
+                            provenance=provenance)

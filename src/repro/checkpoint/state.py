@@ -35,7 +35,6 @@ from repro.isa.uop import MicroOp
 UOP_SLOTS: Tuple[str, ...] = tuple(MicroOp.__slots__)
 
 _STORE_DEP_INDEX = UOP_SLOTS.index("store_dep")
-_OPCLASS_INDEX = UOP_SLOTS.index("opclass")
 
 #: Value -> OpClass member (decode runs once per checkpointed µop).
 _OPCLASS_BY_VALUE = tuple(OpClass(v) for v in range(len(OpClass)))

@@ -512,8 +512,7 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(exc)
     print(f"{args.file}:")
-    print(f"  format     v{info.version} "
-          f"({'zlib payload' if info.compressed else 'raw payload'})")
+    print(f"  format     v{info.version} (zlib payload)")
     print(f"  workload   {info.workload_name}")
     print(f"  config     {info.config_name}")
     print(f"  seed       {info.seed}")
@@ -586,8 +585,7 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _fail(exc)
     print(f"{args.file}:")
-    print(f"  format     v{info.version} "
-          f"({'zlib frames' if info.compressed else 'raw records'})")
+    print(f"  format     v{info.version} (zlib frames)")
     print(f"  µops       {info.uop_count}")
     print(f"  digest     {info.digest}")
     print(f"  wp_seed    {info.wp_seed}")

@@ -9,7 +9,7 @@ from repro.common.config import (
     SchedPolicyConfig,
     SimConfig,
 )
-from repro.common.mathutil import clamp, geomean, is_pow2, log2_int
+from repro.common.mathutil import geomean, is_pow2, log2_int
 from repro.common.stats import SimStats
 
 __all__ = [
@@ -21,7 +21,6 @@ __all__ = [
     "SchedPolicyConfig",
     "SimConfig",
     "SimStats",
-    "clamp",
     "geomean",
     "is_pow2",
     "log2_int",

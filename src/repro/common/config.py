@@ -260,10 +260,6 @@ class SimConfig:
         """The paper's issue-to-execute delay, e.g. 4 for SpecSched_4."""
         return self.core.issue_to_execute_delay
 
-    def with_(self, **top_level_fields: Any) -> "SimConfig":
-        """Return a copy with top-level fields replaced."""
-        return replace(self, **top_level_fields)
-
     def with_core(self, **core_fields: Any) -> "SimConfig":
         return replace(self, core=replace(self.core, **core_fields))
 
@@ -273,10 +269,6 @@ class SimConfig:
     def with_l1d(self, **l1d_fields: Any) -> "SimConfig":
         mem = replace(self.memory, l1d=replace(self.memory.l1d, **l1d_fields))
         return replace(self, memory=mem)
-
-    def describe(self) -> Dict[str, Any]:
-        """Flat description used by the Table-1 renderer."""
-        return dataclasses.asdict(self)
 
     # -- serialization (persistent result cache, sweep files) -------------
 

@@ -59,13 +59,6 @@ def ci95_half_width(values: Iterable[float]) -> float:
     return 1.96 * sample_stdev(vals) / math.sqrt(n)
 
 
-def clamp(value: int, lo: int, hi: int) -> int:
-    """Clamp ``value`` into the inclusive range [lo, hi]."""
-    if lo > hi:
-        raise ValueError(f"empty clamp range [{lo}, {hi}]")
-    return lo if value < lo else hi if value > hi else value
-
-
 def is_pow2(n: int) -> bool:
     """True when ``n`` is a positive power of two."""
     return n > 0 and (n & (n - 1)) == 0

@@ -24,7 +24,7 @@ from repro.core.global_ctr import GlobalHitMissCounter
 from repro.core.hm_filter import FilterPrediction, HitMissFilter
 from repro.core.criticality import CriticalityPredictor
 from repro.core.composed import ComposedPolicy, build_policy
-from repro.core.presets import PRESET_NAMES, make_config, preset_names
+from repro.core.presets import PRESET_NAMES, make_config
 
 __all__ = [
     "AlwaysHitPolicy",
@@ -39,5 +39,4 @@ __all__ = [
     "SchedulingPolicy",
     "build_policy",
     "make_config",
-    "preset_names",
 ]

@@ -20,7 +20,6 @@ Baseline_0's reference configuration and the darker bars of Figure 4a).
 from __future__ import annotations
 
 import re
-from typing import Tuple
 
 from repro.common.config import HitMissPolicy, SimConfig
 
@@ -35,10 +34,6 @@ PRESET_NAMES = (
     "SpecSched_4_Shift", "SpecSched_4_Ctr", "SpecSched_4_Filter",
     "SpecSched_4_Combined", "SpecSched_4_Crit",
 )
-
-
-def preset_names() -> Tuple[str, ...]:
-    return PRESET_NAMES
 
 
 def make_config(name: str, banked: bool = True, load_ports: int = 2) -> SimConfig:

@@ -20,19 +20,12 @@ from repro.experiments.engine import (
     Sweep,
     SweepSeries,
 )
-from repro.experiments.runner import (
-    ConfigRequest,
-    ExperimentResult,
-    Settings,
-    run_experiment,
-    run_sweep,
-)
+from repro.experiments.runner import ExperimentResult, Settings, run_sweep
 from repro.experiments.figures import FIGURES, run_figure
 from repro.experiments.tables import render_table1, table2
 from repro.experiments.report import format_table
 
 __all__ = [
-    "ConfigRequest",
     "EngineOptions",
     "ExperimentResult",
     "FIGURES",
@@ -42,7 +35,6 @@ __all__ = [
     "SweepSeries",
     "format_table",
     "render_table1",
-    "run_experiment",
     "run_figure",
     "run_sweep",
     "table2",

@@ -1,9 +1,9 @@
 """Parallel experiment engine with a persistent result cache.
 
 This is the batch-execution core every sweep funnels through
-(:func:`repro.experiments.runner.run_experiment`, the figure registry's
-:func:`~repro.experiments.figures.run_figure`, the ``repro sweep`` CLI
-subcommand and ``perfbench/``). It does three things:
+(:func:`repro.experiments.runner.run_sweep`, which the figure registry's
+:func:`~repro.experiments.figures.run_figure`, Table 2 and the ``repro
+sweep`` CLI subcommand call, and ``perfbench/``). It does three things:
 
 1. **Cell dispatch.** A *cell* is one ``(configuration, workload)``
    simulation at fixed µop volumes and seed. :func:`run_cells` executes a
@@ -33,7 +33,7 @@ subcommand and ``perfbench/``). It does three things:
    sharing a cache directory cannot corrupt entries.
 
 3. **Declarative sweeps.** A :class:`Sweep` names a grid of
-   :class:`ConfigRequest` series plus optional workload/volume overrides;
+   :class:`SweepSeries` series plus optional workload/volume overrides;
    :meth:`Sweep.from_file` loads one from TOML or JSON (see
    ``examples/sweeps/``) and :func:`run_sweep` executes it.
 
@@ -257,9 +257,6 @@ class ResultCache:
             raise
 
     # -- maintenance -----------------------------------------------------
-
-    def clear_memory(self) -> None:
-        self.memory.clear()
 
     def entry_count(self) -> int:
         """Number of entries in the persistent layer (0 if disabled)."""
@@ -837,10 +834,7 @@ def run_cells(payloads: Sequence[Dict[str, Any]],
 
 @dataclass(frozen=True)
 class SweepSeries:
-    """One series (configuration) of a sweep/experiment grid.
-
-    This is the canonical series type; :mod:`repro.experiments.runner`
-    re-exports it under its historical name ``ConfigRequest``."""
+    """One series (configuration) of a sweep grid."""
 
     label: str
     preset: str

@@ -17,15 +17,10 @@ from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.experiments.engine import EngineOptions, Sweep, SweepSeries
-from repro.experiments.runner import (
-    ConfigRequest,
-    ExperimentResult,
-    Settings,
-    run_sweep,
-)
+from repro.experiments.runner import ExperimentResult, Settings, run_sweep
 
 #: Every figure normalizes to this series.
-BASELINE = ConfigRequest("Baseline_0", "Baseline_0", banked=False)
+BASELINE = SweepSeries("Baseline_0", "Baseline_0", banked=False)
 
 
 @dataclass(frozen=True)

@@ -1,12 +1,11 @@
 """Grid runner: (configuration x workload) sweeps over the engine.
 
-Every figure driver funnels through :func:`run_experiment`, so simulation
-volume is controlled in one place. Execution itself — worker processes,
-the persistent result cache, cell hashing — lives in
+Every figure, table and sweep funnels through :func:`run_sweep`, so
+simulation volume is controlled in one place. Execution itself — worker
+processes, the persistent result cache, cell hashing — lives in
 :mod:`repro.experiments.engine`; this module owns the sweep-level
-bookkeeping (:class:`Settings`, :class:`ConfigRequest`,
-:class:`ExperimentResult`) and the process-wide in-memory memo shared by
-every sweep.
+bookkeeping (:class:`Settings`, :class:`ExperimentResult`) and the
+process-wide in-memory memo shared by every sweep.
 
 Scale knobs come from the environment:
 
@@ -37,6 +36,7 @@ from repro.experiments.engine import (
     Sweep,
     SweepSeries,
     cell_payload,
+    checkpoint_store,
     run_cells,
 )
 from repro.pipeline.sim import (
@@ -112,12 +112,6 @@ class Settings:
             if value is not None:
                 overrides[field_name] = value
         return replace(self, **overrides) if overrides else self
-
-
-#: One machine configuration in a sweep (label, preset, banked,
-#: load_ports) — the historical name for the engine's canonical series
-#: type; experiments and sweeps use the same dataclass.
-ConfigRequest = SweepSeries
 
 
 class ExperimentResult:
@@ -224,95 +218,29 @@ class ExperimentResult:
 _CACHE: Dict[str, SimStats] = {}
 
 
-def clear_cache() -> None:
-    _CACHE.clear()
-
-
 def shared_cache(options: Optional[EngineOptions] = None) -> ResultCache:
     """The default cache: process-wide memo + env-configured disk layer."""
     options = options or EngineOptions.from_env()
     return ResultCache(options.cache_path(), memory=_CACHE)
 
 
-def _grid_payloads(requests: Sequence[ConfigRequest],
+def _grid_payloads(series: Sequence[SweepSeries],
                    settings: Settings) -> List[dict]:
     # One resolution per name, not per cell: resolving a scenario or
     # trace name re-reads its file, and the grid repeats each workload
     # once per preset.
     resolved = {name: resolve_workload(name) for name in settings.workloads}
     payloads = []
-    for request in requests:
+    for entry in series:
         for workload in settings.workloads:
             payloads.append(cell_payload(
-                request.preset, resolved[workload],
-                banked=request.banked, load_ports=request.load_ports,
+                entry.preset, resolved[workload],
+                banked=entry.banked, load_ports=entry.load_ports,
                 warmup_uops=settings.warmup_uops,
                 measure_uops=settings.measure_uops,
                 functional_warmup_uops=settings.functional_warmup_uops,
                 seed=settings.seed))
     return payloads
-
-
-def run_experiment(name: str, requests: Sequence[ConfigRequest],
-                   baseline_label: str,
-                   settings: Optional[Settings] = None,
-                   options: Optional[EngineOptions] = None,
-                   cache: Optional[ResultCache] = None,
-                   sampling=None, progress=None) -> ExperimentResult:
-    """Run the grid and return the populated :class:`ExperimentResult`.
-
-    Cells already present in ``cache`` (or the process-wide memo / the
-    persistent on-disk layer when ``cache`` is omitted) are not
-    re-simulated; the rest run serially or across ``options.jobs``
-    worker processes. ``progress`` (``callable(done, total, manifest)``)
-    fires per simulated cell as results land — see
-    :func:`repro.experiments.engine.run_cells`.
-
-    With ``sampling`` (a :class:`~repro.checkpoint.sampling.
-    SamplingSpec`) every grid cell expands into per-interval cells; the
-    grid entry becomes the counter-wise interval sum and the result
-    carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
-    Interval warming chains through checkpoints, one warming pass per
-    workload rebased across the config grid (see
-    :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
-    """
-    import contextlib
-
-    from repro.checkpoint.sampling import SampledResult, chained_cell_payloads
-    from repro.experiments.engine import checkpoint_store
-
-    settings = settings or Settings.from_env()
-    options = options or EngineOptions.from_env()
-    labels = [r.label for r in requests]
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate series labels in experiment {name!r}")
-    if baseline_label not in labels:
-        raise ValueError(f"baseline {baseline_label!r} not among series")
-    cache = cache if cache is not None else shared_cache(options)
-    payloads = _grid_payloads(requests, settings)
-    with contextlib.ExitStack() as stack:
-        if sampling is not None:
-            store = stack.enter_context(checkpoint_store(options))
-            payloads = chained_cell_payloads(
-                payloads, sampling, store, options=options,
-                progress=progress)
-        stats_list = run_cells(payloads, options=options, cache=cache,
-                               progress=progress)
-    result = ExperimentResult(name, baseline_label, settings.workloads)
-    cursor = iter(stats_list)
-    for request in requests:
-        for workload in settings.workloads:
-            if sampling is None:
-                result.add(request.label, workload, next(cursor))
-                continue
-            intervals = [next(cursor) for _ in range(sampling.intervals)]
-            sampled = SampledResult(
-                workload=workload, config_name=request.preset,
-                spec=sampling, interval_stats=intervals)
-            result.add(request.label, workload, sampled.total)
-            result.add_ci(request.label, workload,
-                          sampled.mean_ipc, sampled.ipc_ci95)
-    return result
 
 
 def run_sweep(sweep: Sweep,
@@ -323,14 +251,52 @@ def run_sweep(sweep: Sweep,
     """Execute a declarative :class:`Sweep` and return its result grid.
 
     ``settings`` provides the environment-level defaults; the sweep's own
-    overrides (workloads, µop volumes, seed) win over them. A sweep with
-    a ``[sampling]`` table runs every cell in sampled mode. ``progress``
-    fires per simulated cell (see :func:`run_experiment`).
+    overrides (workloads, µop volumes, seed) win over them. Cells already
+    present in ``cache`` (or the process-wide memo / the persistent
+    on-disk layer when ``cache`` is omitted) are not re-simulated; the
+    rest run serially or across ``options.jobs`` worker processes.
+    ``progress`` (``callable(done, total, manifest)``) fires per
+    simulated cell as results land — see
+    :func:`repro.experiments.engine.run_cells`.
+
+    A sweep with a ``[sampling]`` table (a :class:`~repro.checkpoint.
+    sampling.SamplingSpec`) expands every grid cell into per-interval
+    cells; the grid entry becomes the counter-wise interval sum and the
+    result carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
+    Interval warming chains through checkpoints, one warming pass per
+    workload rebased across the config grid (see
+    :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
     """
+    import contextlib
+
+    from repro.checkpoint.sampling import SampledResult, chained_cell_payloads
+
     sweep.validate()
-    base = settings or Settings.from_env()
-    effective = base.with_sweep_overrides(sweep)
-    return run_experiment(sweep.name, list(sweep.series), sweep.baseline,
-                          settings=effective, options=options, cache=cache,
-                          sampling=sweep.sampling_spec(),
-                          progress=progress)
+    settings = (settings or Settings.from_env()).with_sweep_overrides(sweep)
+    options = options or EngineOptions.from_env()
+    sampling = sweep.sampling_spec()
+    cache = cache if cache is not None else shared_cache(options)
+    payloads = _grid_payloads(sweep.series, settings)
+    with contextlib.ExitStack() as stack:
+        if sampling is not None:
+            store = stack.enter_context(checkpoint_store(options))
+            payloads = chained_cell_payloads(
+                payloads, sampling, store, options=options,
+                progress=progress)
+        stats_list = run_cells(payloads, options=options, cache=cache,
+                               progress=progress)
+    result = ExperimentResult(sweep.name, sweep.baseline, settings.workloads)
+    cursor = iter(stats_list)
+    for series in sweep.series:
+        for workload in settings.workloads:
+            if sampling is None:
+                result.add(series.label, workload, next(cursor))
+                continue
+            intervals = [next(cursor) for _ in range(sampling.intervals)]
+            sampled = SampledResult(
+                workload=workload, config_name=series.preset,
+                spec=sampling, interval_stats=intervals)
+            result.add(series.label, workload, sampled.total)
+            result.add_ci(series.label, workload,
+                          sampled.mean_ipc, sampled.ipc_ci95)
+    return result

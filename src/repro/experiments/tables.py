@@ -6,9 +6,10 @@ from typing import Dict, List, Optional
 
 from repro.common.config import SimConfig
 from repro.core.presets import make_config
-from repro.experiments.engine import EngineOptions
+from repro.experiments.engine import EngineOptions, Sweep
+from repro.experiments.figures import BASELINE
 from repro.experiments.report import format_table
-from repro.experiments.runner import ConfigRequest, Settings, run_experiment
+from repro.experiments.runner import Settings, run_sweep
 from repro.traces.registry import resolve_workload
 
 
@@ -63,12 +64,12 @@ def table2(settings: Optional[Settings] = None,
     Returns ``name -> {ipc, fp, miss_rate, description}``.
     """
     settings = settings or Settings.from_env()
-    request = ConfigRequest("Baseline_0", "Baseline_0", banked=False)
-    result = run_experiment("table2", [request], request.label, settings,
-                            options=options)
+    sweep = Sweep(name="table2", baseline=BASELINE.label,
+                  series=(BASELINE,))
+    result = run_sweep(sweep, settings, options=options)
     out: Dict[str, Dict[str, object]] = {}
     for name in settings.workloads:
-        stats = result.get(request.label, name)
+        stats = result.get(BASELINE.label, name)
         workload = resolve_workload(name)
         out[name] = {
             "ipc": stats.ipc,

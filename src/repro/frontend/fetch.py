@@ -149,22 +149,6 @@ class FetchStage:
         """Consume the µop :meth:`peek` returned."""
         return self.pipe.popleft()[1]
 
-    def deliver(self, now: int, max_uops: int) -> List[MicroOp]:
-        """µops whose frontend traversal completes by ``now`` (for Rename)."""
-        out: List[MicroOp] = []
-        while len(out) < max_uops:
-            uop = self.peek(now)
-            if uop is None:
-                break
-            self.pipe.popleft()
-            out.append(uop)
-        return out
-
-    def undeliver(self, uops: List[MicroOp], now: int) -> None:
-        """Push back µops Rename could not accept this cycle (stall)."""
-        for uop in reversed(uops):
-            self.pipe.appendleft((now, uop))
-
     def _materialize_wrong_path(self, now: int) -> bool:
         """Build the oldest virtual wrong-path µop if it is ready by
         ``now``; True when one was appended to the (empty) pipe."""

@@ -31,7 +31,6 @@ from repro.isa.rv32i.corpus import (
     bundled_programs,
     bundled_workload,
     corpus_dir,
-    listing_path,
 )
 from repro.isa.rv32i.decode import DecodeError, Instr, decode
 from repro.isa.rv32i.lower import lower
@@ -61,7 +60,6 @@ __all__ = [
     "bundled_workload",
     "corpus_dir",
     "decode",
-    "listing_path",
     "lower",
     "parse_hex",
     "to_hex",

@@ -74,11 +74,3 @@ def bundled_workload(name: str) -> Optional[Rv32iWorkload]:
         return None
     return Rv32iWorkload(image, name=name, description=BUNDLED[name])
 
-
-def listing_path(name: str) -> Optional[Path]:
-    """The ``.s`` source listing next to a bundled image."""
-    image = bundled_programs().get(name)
-    if image is None:
-        return None
-    listing = image.with_suffix(".s")
-    return listing if listing.is_file() else None

@@ -12,12 +12,11 @@ instruction to one µop (:mod:`repro.isa.rv32i.lower`).
 
 The µop stream is a pure function of the image: the program's committed
 path never depends on the seed (that only drives the wrong-path
-synthesizer), so the engine keys cells on the image's content hash. By
-default the stream **loops** — when the program halts, the machine is
-reset to its initial state and execution restarts — so finite kernels
-supply unbounded µops exactly like the synthetic generators; pass
-``loop=False`` (or use :meth:`Machine.run` directly) for run-to-halt
-semantics.
+synthesizer), so the engine keys cells on the image's content hash. The
+stream **loops**: when the program halts, the machine is reset to its
+initial state and execution restarts, so finite kernels supply unbounded
+µops exactly like the synthetic generators. :meth:`Machine.run` is the
+run-to-halt path.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from typing import List, Optional
 from repro.isa.rv32i.asm import parse_hex
 from repro.isa.rv32i.core import Machine
 from repro.isa.rv32i.lower import lower
-from repro.isa.trace import TraceSource, WrongPathSynth
+from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 
 #: Image suffixes the workload registry recognizes as RV32I programs.
@@ -92,22 +91,18 @@ class Rv32iProgram:
 class Rv32iTrace(TraceSource):
     """Execute-and-lower trace source over a program image."""
 
-    def __init__(self, program: Rv32iProgram, seed: int = 0,
-                 loop: bool = True) -> None:
+    def __init__(self, program: Rv32iProgram, seed: int = 0) -> None:
+        super().__init__(seed)
         self.program = program
         self._machine = program.machine()
-        self._loop = loop
         self._seq = 0
         self._iterations = 0
-        self._synth = WrongPathSynth(seed)
         self.emitted = 0
 
     def next_uop(self) -> Optional[MicroOp]:
         machine = self._machine
         retired = machine.step()
         while retired is None:
-            if not self._loop:
-                return None
             # Halted: restart from the initial image. Sharing the decoded
             # cache keeps re-runs from re-decoding every static
             # instruction.
@@ -125,19 +120,6 @@ class Rv32iTrace(TraceSource):
         self.emitted += 1
         return uop
 
-    def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
-        return self._synth.synth(seq, pc)
-
-    def skip_wrong_path(self, count: int) -> None:
-        self._synth.skip(count)
-
-    def reset(self) -> None:
-        self._machine = self.program.machine()
-        self._seq = 0
-        self._iterations = 0
-        self._synth = WrongPathSynth(self._synth.seed)
-        self.emitted = 0
-
     # -- state protocol (repro.checkpoint) ------------------------------
 
     def state_dict(self) -> dict:
@@ -146,8 +128,7 @@ class Rv32iTrace(TraceSource):
             "iterations": self._iterations,
             "seq": self._seq,
             "emitted": self.emitted,
-            "loop": self._loop,
-            "synth": self._synth.state_dict(),
+            "synth": self._wp_synth.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -156,8 +137,7 @@ class Rv32iTrace(TraceSource):
         self._iterations = state["iterations"]
         self._seq = state["seq"]
         self.emitted = state["emitted"]
-        self._loop = state["loop"]
-        self._synth.load_state_dict(state["synth"])
+        self._wp_synth.load_state_dict(state["synth"])
 
 
 class Rv32iWorkload:

@@ -1,10 +1,10 @@
 """Trace sources — where the frontend gets its µops.
 
 The fetch stage consumes a :class:`TraceSource`: an infinite (or finite)
-supplier of correct-path µops plus a synthesizer for wrong-path µops fetched
-after a branch misprediction. Workload generators implement this protocol;
-:class:`ListTrace` wraps a plain list for tests and the timing-diagram
-examples.
+supplier of correct-path µops plus the seeded synthesizer for wrong-path
+µops fetched after a branch misprediction, which the base class owns.
+Workload generators implement this protocol; :class:`ListTrace` wraps a
+plain list for tests and the timing-diagram examples.
 """
 
 from __future__ import annotations
@@ -78,7 +78,16 @@ class WrongPathSynth:
 
 
 class TraceSource:
-    """Protocol for correct-path + wrong-path µop supply."""
+    """Protocol for correct-path + wrong-path µop supply.
+
+    Subclasses supply the correct path (:meth:`next_uop`) and the
+    checkpoint state pair. The wrong path is the base class's: a
+    :class:`WrongPathSynth` seeded with ``wp_seed``, which every source
+    hands to :meth:`__init__` and includes in its own ``state_dict``.
+    """
+
+    def __init__(self, wp_seed: int) -> None:
+        self._wp_synth = WrongPathSynth(wp_seed)
 
     def next_uop(self) -> Optional[MicroOp]:
         """Return the next correct-path µop, or ``None`` when exhausted."""
@@ -110,27 +119,22 @@ class TraceSource:
     def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
         """Synthesize one wrong-path µop fetched from (bogus) ``pc``.
 
-        Trace-driven simulation cannot replay real wrong paths, so sources
-        provide plausible filler that consumes pipeline resources until the
-        mispredicted branch resolves (see DESIGN.md §6).
+        Trace-driven simulation cannot replay real wrong paths, so the
+        seeded synthesizer provides filler that consumes pipeline
+        resources until the mispredicted branch resolves.
         """
-        return MicroOp(seq=seq, pc=pc, opclass=OpClass.INT_ALU,
-                       srcs=[0], dst=1, wrong_path=True)
+        return self._wp_synth.synth(seq, pc)
 
     def skip_wrong_path(self, count: int) -> None:
         """Discard ``count`` wrong-path µops from the synthesis stream.
 
         The lazy frontend (:class:`repro.frontend.fetch.FetchStage`) only
         materializes wrong-path µops that actually reach Rename; the rest
-        of an episode is discarded in bulk at redirect through this hook.
-        Sources whose wrong path is seeded **must** advance their stream
-        exactly as if the µops had been built, so later episodes see the
-        same draws as an eager frontend. The base implementation
-        synthesizes and drops (correct for any source); seeded sources
-        override with a cheap stream advance.
+        of an episode is discarded in bulk at redirect through this hook,
+        which advances the stream exactly as if the µops had been built,
+        so later episodes see the same draws as an eager frontend.
         """
-        for _ in range(count):
-            self.wrong_path_uop(0, 0)
+        self._wp_synth.skip(count)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
@@ -151,55 +155,37 @@ class TraceSource:
 
 
 class ListTrace(TraceSource):
-    """A finite trace backed by a list; replays indefinitely if ``loop``.
+    """A finite trace backed by a list: ``None`` after its last µop.
 
-    Wrong-path synthesis is seeded per source (``wp_seed``) rather than
-    inheriting the base class's constant filler, so two traces do not
-    produce one identical degenerate wrong-path chain.
+    Wrong-path synthesis is seeded per source (``wp_seed``).
     """
 
-    def __init__(self, uops: Iterable[MicroOp], loop: bool = False,
-                 wp_seed: int = 0) -> None:
+    def __init__(self, uops: Iterable[MicroOp], wp_seed: int = 0) -> None:
+        super().__init__(wp_seed)
         self._uops: List[MicroOp] = list(uops)
         self._pos = 0
-        self._loop = loop
         self._seq = 0
-        self._wp_seed = wp_seed
-        self._synth = WrongPathSynth(wp_seed)
 
     def __len__(self) -> int:
         return len(self._uops)
 
     def next_uop(self) -> Optional[MicroOp]:
         if self._pos >= len(self._uops):
-            if not self._loop or not self._uops:
-                return None
-            self._pos = 0
+            return None
         template = self._uops[self._pos]
         self._pos += 1
         uop = template.clone_arch(self._seq)
         self._seq += 1
         return uop
 
-    def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
-        return self._synth.synth(seq, pc)
-
-    def skip_wrong_path(self, count: int) -> None:
-        self._synth.skip(count)
-
-    def reset(self) -> None:
-        self._pos = 0
-        self._seq = 0
-        self._synth = WrongPathSynth(self._wp_seed)
-
     def state_dict(self) -> dict:
         return {"pos": self._pos, "seq": self._seq,
-                "synth": self._synth.state_dict()}
+                "synth": self._wp_synth.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         self._pos = state["pos"]
         self._seq = state["seq"]
-        self._synth.load_state_dict(state["synth"])
+        self._wp_synth.load_state_dict(state["synth"])
 
 
 def iterate(source: TraceSource, limit: int) -> Iterator[MicroOp]:

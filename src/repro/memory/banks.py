@@ -91,19 +91,6 @@ class BankScheduler:
         self._maybe_prune(now)
         return delay
 
-    def would_conflict(self, addr_a: int, addr_b: int) -> bool:
-        """True when two simultaneous accesses would serialize.
-
-        Conflict rule of Section 4.2: same bank *and* different set (two
-        same-set accesses share the line buffer).
-        """
-        if not self.banked:
-            return False
-        if bank_of(addr_a, self.num_banks) != bank_of(addr_b, self.num_banks):
-            return False
-        return (set_of(addr_a, self.line_bytes, self.num_sets)
-                != set_of(addr_b, self.line_bytes, self.num_sets))
-
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:

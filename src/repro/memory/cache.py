@@ -37,12 +37,6 @@ class SetAssocCache:
     def line_addr(self, addr: int) -> int:
         return addr >> self._offset_bits
 
-    def set_index(self, addr: int) -> int:
-        return (addr >> self._offset_bits) & self._index_mask
-
-    def tag_of(self, addr: int) -> int:
-        return (addr >> self._offset_bits) >> self._set_bits
-
     # -- operations -------------------------------------------------------
 
     def lookup(self, addr: int, update_lru: bool = True) -> bool:
@@ -124,11 +118,6 @@ class SetAssocCache:
             cache_set[tag] = stamp
         self._stamp = stamp
         return hits
-
-    def invalidate(self, addr: int) -> bool:
-        """Remove the line holding ``addr``; True if it was present."""
-        cache_set = self._sets[self.set_index(addr)]
-        return cache_set.pop(self.tag_of(addr), None) is not None
 
     def resident_lines(self) -> int:
         """Total lines currently valid (for tests / occupancy checks)."""

@@ -14,7 +14,7 @@ Layout (see ``docs/ARCHITECTURE.md`` for the full contract):
 """
 
 from repro.pipeline.cpu import SimulationError, Simulator
-from repro.pipeline.sim import RunResult, run_config, run_workload
+from repro.pipeline.sim import RunResult, run_workload
 from repro.pipeline.stages import TICK_ORDER, Stage, build_stages
 
 __all__ = [
@@ -24,6 +24,5 @@ __all__ = [
     "Stage",
     "TICK_ORDER",
     "build_stages",
-    "run_config",
     "run_workload",
 ]

@@ -96,22 +96,17 @@ class Wire:
     """A named scalar signal shared between stages.
 
     The writer assigns :attr:`value`; readers read it in the same cycle.
-    ``default`` is the reset value (per-cycle wires are reset by the
+    ``default`` is the initial value (per-cycle wires are reset by the
     driver's prologue; sticky wires such as ``last_commit`` are only
-    reset by :meth:`load_state_dict`).
+    overwritten by :meth:`load_state_dict`).
     """
 
-    __slots__ = ("name", "default", "value")
+    __slots__ = ("name", "value")
 
     def __init__(self, name: str, default: Any) -> None:
-        """Declare a wire named ``name`` resetting to ``default``."""
+        """Declare a wire named ``name`` holding ``default``."""
         self.name = name
-        self.default = default
         self.value = default
-
-    def reset(self) -> None:
-        """Drive the wire back to its default."""
-        self.value = self.default
 
     def state_dict(self) -> Any:
         """The wire's current value (plain data)."""

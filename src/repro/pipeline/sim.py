@@ -138,19 +138,3 @@ def run_workload(
     stats = SimStats.from_dict(simulate_payload(payload, collector=collector))
     return RunResult(workload=spec.name, config_name=config.name, stats=stats)
 
-
-def run_config(
-    config: Union[str, SimConfig],
-    workloads,
-    **kwargs,
-) -> dict:
-    """Run several workloads under one configuration; name -> RunResult.
-
-    Each entry of ``workloads`` may be a suite name or a
-    :class:`WorkloadSpec`, exactly as :func:`run_workload` accepts.
-    """
-    results = {}
-    for workload in workloads:
-        result = run_workload(workload, config, **kwargs)
-        results[result.workload] = result
-    return results

@@ -1,8 +1,7 @@
 """Rename/Dispatch stage: pull decoded µops into the out-of-order window.
 
 Inputs: the frontend pipe's delivery buffer (pull interface —
-``peek``/``pop`` keeps stalled µops in the frontend instead of a
-deliver/undeliver round trip).
+``peek``/``pop``, so a stalled µop simply stays in the frontend).
 Outputs: renamed µops allocated into ROB + IQ (+ LSQ for memory µops),
 registered with the scoreboard's waiter lists, store-set dependences
 installed, and immediately-ready µops placed on the IQ ready list.

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable
+from typing import Deque
 
 
 class FreeList:
@@ -38,10 +38,6 @@ class FreeList:
             raise ValueError(f"preg {preg} not in pool [{self.base}, "
                              f"{self.base + self.count})")
         self._free.append(preg)
-
-    def release_many(self, pregs: Iterable[int]) -> None:
-        for preg in pregs:
-            self.release(preg)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 

@@ -212,7 +212,8 @@ class AggregatorSink:
 
 
 class JsonlEventWriter:
-    """Streaming JSONL event-trace writer (optionally gzip-compressed).
+    """Streaming JSONL event-trace writer, gzip-compressed when the path
+    ends in ``.gz``.
 
     Line 1 is a versioned JSON header (format tag, field order,
     caller-supplied provenance); every further line is one event as a
@@ -222,18 +223,17 @@ class JsonlEventWriter:
     produce identical files (asserted by the determinism tests).
     """
 
-    def __init__(self, path, provenance: Optional[Dict[str, Any]] = None,
-                 compress: Optional[bool] = None,
-                 flush_every: int = 8_192) -> None:
+    #: Events buffered before each write.
+    _FLUSH_EVERY = 8_192
+
+    def __init__(self, path,
+                 provenance: Optional[Dict[str, Any]] = None) -> None:
         self.path = Path(path)
         self.count = 0
         self._lines: List[str] = []
-        self._flush_every = flush_every
-        if compress is None:
-            compress = self.path.name.endswith(".gz")
-        self.compressed = compress
+        self.compressed = self.path.name.endswith(".gz")
         self._raw = self.path.open("wb")
-        if compress:
+        if self.compressed:
             # filename="" keeps the path out of the member header: two
             # identical streams must produce identical bytes wherever
             # they are written.
@@ -251,7 +251,7 @@ class JsonlEventWriter:
              pc: int = 0, a: int = 0, b: int = 0) -> None:
         self._lines.append(f'[{cycle},"{kind}",{seq},{pc},{a},{b}]\n')
         self.count += 1
-        if len(self._lines) >= self._flush_every:
+        if len(self._lines) >= self._FLUSH_EVERY:
             self._drain()
 
     def _drain(self) -> None:

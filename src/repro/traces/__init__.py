@@ -20,7 +20,6 @@ from repro.traces.format import (
     TraceWriter,
     capture,
     read_info,
-    read_uops,
     verify,
 )
 from repro.traces.registry import (
@@ -58,7 +57,6 @@ __all__ = [
     "capture",
     "default_registry",
     "read_info",
-    "read_uops",
     "resolve_workload",
     "verify",
     "workload_from_payload",

@@ -12,7 +12,7 @@ Layout of a ``.trc`` file::
     header (64 bytes, fixed):
         magic        4s   b"RPTR"
         version      u16  FORMAT_VERSION
-        flags        u16  bit 0: frames are zlib-compressed
+        flags        u16  bit 0 (zlib frames) must be set
         uop_count    u64  total records (patched on close)
         digest       32s  sha256 over the *raw* record bytes (patched)
         meta_len     u32  length of the meta JSON that follows
@@ -22,15 +22,15 @@ Layout of a ``.trc`` file::
     frames, each:
         raw_len      u32  uncompressed byte length
         stored_len   u32  on-disk byte length
-        payload           raw or zlib-compressed records
+        payload           zlib-compressed records
 
 Records are fixed-width (:data:`RECORD`, 36 bytes) and carry exactly the
 *architectural* :class:`~repro.isa.uop.MicroOp` fields — the pipeline
 annotates everything else at runtime, and ``seq`` is assigned by fetch.
 The content digest is computed over the uncompressed records, so it
-identifies the µop stream independent of compression, and it is the
-ingredient the engine folds into its cache keys: a cached result can
-never be served against a re-recorded trace.
+identifies the µop stream, and it is the ingredient the engine folds
+into its cache keys: a cached result can never be served against a
+re-recorded trace. A header without the zlib flag is refused.
 
 Wrong-path µops are *not* recorded (trace-driven simulation synthesizes
 them); the header's ``wp_seed`` seeds the same
@@ -51,7 +51,7 @@ from pathlib import Path
 from typing import Any, Deque, Dict, Iterator, List, Optional
 
 from repro.isa.opclass import OpClass
-from repro.isa.trace import TraceSource, WrongPathSynth
+from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 
 MAGIC = b"RPTR"
@@ -72,8 +72,8 @@ RECORD = struct.Struct("<QQQhhhhBBH")
 _FLAG_TAKEN = 0x1
 
 #: Lazily-built numpy structured dtype mirroring :data:`RECORD` (see
-#: :func:`record_dtype`); None until first requested so this module
-#: keeps working without numpy installed.
+#: :func:`record_dtype`); None until first requested so importing this
+#: module does not import numpy.
 _RECORD_DTYPE = None
 
 
@@ -82,8 +82,7 @@ def record_dtype():
 
     Field-for-field mirror of the packed struct layout, so a frame's raw
     bytes can be viewed with ``np.frombuffer`` — the warming engine's
-    zero-decode replay path. Raises ``ImportError`` when numpy is
-    unavailable.
+    zero-decode replay path.
     """
     global _RECORD_DTYPE
     if _RECORD_DTYPE is None:
@@ -144,22 +143,6 @@ def encode_record(uop: MicroOp) -> bytes:
                        dst, int(uop.opclass), flags, uop.mem_size)
 
 
-def decode_record(fields) -> MicroOp:
-    """Inverse of :func:`encode_record` (``fields`` = unpacked tuple)."""
-    pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size = fields
-    srcs: List[int] = []
-    if s0 >= 0:
-        srcs.append(s0)
-        if s1 >= 0:
-            srcs.append(s1)
-            if s2 >= 0:
-                srcs.append(s2)
-    return MicroOp(seq=0, pc=pc, opclass=_OPCLASS_BY_VALUE[opclass],
-                   srcs=srcs, dst=dst if dst >= 0 else None,
-                   mem_addr=mem_addr, mem_size=mem_size,
-                   taken=bool(flags & _FLAG_TAKEN), target=target)
-
-
 # ---------------------------------------------------------------------------
 # Header / info
 
@@ -170,7 +153,6 @@ class TraceInfo:
 
     path: str
     version: int
-    compressed: bool
     uop_count: int
     digest: str                     # hex sha256 over raw record bytes
     wp_seed: int
@@ -201,6 +183,10 @@ def _read_header(handle, path: Path):
         raise TraceFormatError(
             f"{path.name}: format version {version} (this build reads "
             f"{FORMAT_VERSION})")
+    if not flags & FLAG_ZLIB:
+        raise TraceFormatError(
+            f"{path.name}: header lacks the zlib flag (uncompressed "
+            f"recordings are not read); re-record it")
     try:
         meta = json.loads(_read_exact(handle, meta_len, "meta"))
     except ValueError as exc:
@@ -209,18 +195,17 @@ def _read_header(handle, path: Path):
         raise TraceFormatError(
             f"{path.name}: record layout {meta.get('record')} (this build "
             f"reads {RECORD_VERSION})")
-    return flags, count, digest, meta
+    return count, digest, meta
 
 
 def read_info(path) -> TraceInfo:
     """Parse the header and meta of a trace file (no payload scan)."""
     path = Path(path)
     with path.open("rb") as handle:
-        flags, count, digest, meta = _read_header(handle, path)
+        count, digest, meta = _read_header(handle, path)
     return TraceInfo(
         path=str(path),
         version=FORMAT_VERSION,
-        compressed=bool(flags & FLAG_ZLIB),
         uop_count=count,
         digest=digest.hex(),
         wp_seed=int(meta.get("wp_seed", 0)),
@@ -253,11 +238,9 @@ class TraceWriter:
 
     def __init__(self, path, *, wp_seed: int,
                  provenance: Optional[Dict[str, Any]] = None,
-                 compress: bool = True,
                  frame_records: int = DEFAULT_FRAME_RECORDS) -> None:
         self.path = Path(path)
         self.wp_seed = wp_seed
-        self.compress = compress
         self.frame_records = max(1, frame_records)
         self.count = 0
         self._sha = hashlib.sha256()
@@ -268,8 +251,7 @@ class TraceWriter:
              "provenance": provenance or {}},
             sort_keys=True).encode("utf-8")
         self._handle = self.path.open("wb")
-        flags = FLAG_ZLIB if compress else 0
-        self._handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, flags, 0,
+        self._handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, FLAG_ZLIB, 0,
                                        b"\0" * 32, len(meta), b"\0" * 12))
         self._handle.write(meta)
 
@@ -286,7 +268,7 @@ class TraceWriter:
             return
         raw = b"".join(self._frame)
         self._frame.clear()
-        stored = zlib.compress(raw, 6) if self.compress else raw
+        stored = zlib.compress(raw, 6)
         self._handle.write(FRAME_HEADER.pack(len(raw), len(stored)))
         self._handle.write(stored)
 
@@ -318,7 +300,6 @@ class TraceWriter:
 
 def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
             provenance: Optional[Dict[str, Any]] = None,
-            compress: bool = True,
             frame_records: int = DEFAULT_FRAME_RECORDS) -> TraceInfo:
     """Pull up to ``limit`` correct-path µops from ``source`` to disk.
 
@@ -327,7 +308,7 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
     workload/scenario traces that is the build seed.
     """
     with TraceWriter(path, wp_seed=wp_seed, provenance=provenance,
-                     compress=compress, frame_records=frame_records) as out:
+                     frame_records=frame_records) as out:
         for _ in range(limit):
             uop = source.next_uop()
             if uop is None:
@@ -340,7 +321,7 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
 # Reading / replay
 
 
-def _skip_frames(handle, path: Path, compressed: bool, count: int) -> int:
+def _skip_frames(handle, path: Path, count: int) -> int:
     """Step over the whole frames that hold the first ``count`` records.
 
     Each frame is passed by its header's ``stored_len`` without being read
@@ -355,8 +336,7 @@ def _skip_frames(handle, path: Path, compressed: bool, count: int) -> int:
         if len(frame_header) != FRAME_HEADER.size:
             raise TraceFormatError(f"{path.name}: truncated frame header")
         raw_len, stored_len = FRAME_HEADER.unpack(frame_header)
-        if raw_len % RECORD.size or (not compressed
-                                     and stored_len != raw_len):
+        if raw_len % RECORD.size:
             raise TraceFormatError(f"{path.name}: frame length mismatch")
         records = raw_len // RECORD.size
         if records > count:
@@ -377,8 +357,8 @@ def _check_frames(path: Path, count: int) -> None:
     whose frames hold fewer than the ``count`` records its header
     declares (a file cut at, or inside, a frame)."""
     with path.open("rb") as handle:
-        flags, _, _, _ = _read_header(handle, path)
-        missing = _skip_frames(handle, path, bool(flags & FLAG_ZLIB), count)
+        _read_header(handle, path)
+        missing = _skip_frames(handle, path, count)
     if missing:
         raise TraceFormatError(
             f"truncated trace file: {path.name} holds {count - missing} "
@@ -395,10 +375,9 @@ def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
     chunk may be a partial frame.
     """
     with path.open("rb") as handle:
-        flags, _, _, _ = _read_header(handle, path)
-        compressed = bool(flags & FLAG_ZLIB)
+        _read_header(handle, path)
         if skip:
-            skip = _skip_frames(handle, path, compressed, skip)
+            skip = _skip_frames(handle, path, skip)
         while True:
             frame_header = handle.read(FRAME_HEADER.size)
             if not frame_header:
@@ -408,14 +387,11 @@ def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
                     f"{path.name}: truncated frame header")
             raw_len, stored_len = FRAME_HEADER.unpack(frame_header)
             stored = _read_exact(handle, stored_len, "frame payload")
-            if compressed:
-                try:
-                    raw = zlib.decompress(stored)
-                except zlib.error as exc:
-                    raise TraceFormatError(
-                        f"{path.name}: corrupt frame") from exc
-            else:
-                raw = stored
+            try:
+                raw = zlib.decompress(stored)
+            except zlib.error as exc:
+                raise TraceFormatError(
+                    f"{path.name}: corrupt frame") from exc
             if len(raw) != raw_len or raw_len % RECORD.size:
                 raise TraceFormatError(
                     f"{path.name}: frame length mismatch")
@@ -425,19 +401,9 @@ def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
             yield raw
 
 
-def read_uops(path, limit: Optional[int] = None) -> Iterator[MicroOp]:
-    """Stream decoded µops from a trace file."""
-    emitted = 0
-    for raw in _iter_frames(Path(path)):
-        for fields in RECORD.iter_unpack(raw):
-            if limit is not None and emitted >= limit:
-                return
-            yield decode_record(fields)
-            emitted += 1
-
-
 def decode_frame(raw: bytes) -> Deque[MicroOp]:
-    """Decode one frame's records into µops in a single batch.
+    """Decode one frame's records into µops in a single batch
+    (the inverse of :func:`encode_record`).
 
     This is the front end's bulk decode path: one tight loop per ~4096
     records instead of an iterator resumption + generator frame per µop,
@@ -473,15 +439,15 @@ class FileTrace(TraceSource):
     the same stream the live generator produced, which is what keeps
     replayed ``SimStats`` bit-identical to generate-live runs. Opening
     walks the frame headers once, so a recording cut short of its
-    header's µop count is refused before any µop is read.
+    header's µop count is refused before any µop is read. The stream
+    ends (``None``) after the last record.
     """
 
-    def __init__(self, path, loop: bool = False) -> None:
+    def __init__(self, path) -> None:
         self.path = Path(path)
         self.info = read_info(self.path)
         _check_frames(self.path, self.info.uop_count)
-        self._loop = loop
-        self._synth = WrongPathSynth(self.info.wp_seed)
+        super().__init__(self.info.wp_seed)
         self._frames = _iter_frames(self.path)
         self._batch: Deque[MicroOp] = deque()
         # Raw record bytes handed back by next_record_block's partial
@@ -501,10 +467,7 @@ class FileTrace(TraceSource):
                 break
             frame = next(self._frames, None)
             if frame is None:
-                if not self._loop or not self.info.uop_count:
-                    return None
-                self._frames = _iter_frames(self.path)
-                continue
+                return None
             batch = self._batch = decode_frame(frame)
         self.replayed += 1
         return batch.popleft()
@@ -515,50 +478,26 @@ class FileTrace(TraceSource):
         The warming engine's zero-decode supply: one
         ``np.frombuffer`` view per (partial) frame, no :class:`MicroOp`
         construction at all. Returns ``None`` when raw records cannot be
-        served right now — stream exhausted (non-looping), a decoded
-        batch is pending from :meth:`next_uop`, or numpy is missing —
-        in which case callers fall back to
-        :meth:`next_block`. Stream position (``replayed``, checkpoint
+        served right now — stream exhausted, or a decoded batch is
+        pending from :meth:`next_uop` — in which case callers fall back
+        to :meth:`next_block`. Stream position (``replayed``, checkpoint
         state) advances exactly as if the records had been replayed
         per µop.
         """
         if self._batch or max_uops <= 0:
             return None
-        try:
-            dtype = record_dtype()
-        except ImportError:
-            return None
         tail = self._raw_tail
         if not tail:
-            frame = next(self._frames, None)
-            if frame is None:
-                if not self._loop or not self.info.uop_count:
-                    return None
-                self._frames = _iter_frames(self.path)
-                frame = next(self._frames, None)
-                if frame is None:
-                    return None
-            tail = frame
+            tail = next(self._frames, None)
+            if tail is None:
+                return None
         count = min(max_uops, len(tail) // RECORD.size)
         split = count * RECORD.size
         self._raw_tail = tail[split:]
         self.replayed += count
         import numpy as np
 
-        return np.frombuffer(tail[:split], dtype=dtype)
-
-    def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
-        return self._synth.synth(seq, pc)
-
-    def skip_wrong_path(self, count: int) -> None:
-        self._synth.skip(count)
-
-    def reset(self) -> None:
-        self._synth = WrongPathSynth(self.info.wp_seed)
-        self._frames = _iter_frames(self.path)
-        self._batch = deque()
-        self._raw_tail = b""
-        self.replayed = 0
+        return np.frombuffer(tail[:split], dtype=record_dtype())
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
@@ -567,12 +506,10 @@ class FileTrace(TraceSource):
         frame stream: frames before the cursor are stepped over by their
         headers, and only the frame holding it is inflated."""
         return {"replayed": self.replayed,
-                "synth": self._synth.state_dict(),
-                "loop": self._loop}
+                "synth": self._wp_synth.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
-        self._loop = state["loop"]
-        self._synth.load_state_dict(state["synth"])
+        self._wp_synth.load_state_dict(state["synth"])
         self._seek(state["replayed"])
 
     def _seek(self, count: int) -> None:
@@ -583,10 +520,7 @@ class FileTrace(TraceSource):
         here, at restore) and kept as raw bytes, which both
         :meth:`next_uop` and :meth:`next_record_block` consume.
         """
-        skip = count
-        if self._loop and self.info.uop_count:
-            skip %= self.info.uop_count
-        self._frames = _iter_frames(self.path, skip)
+        self._frames = _iter_frames(self.path, count)
         self._batch = deque()
-        self._raw_tail = next(self._frames, b"") if skip else b""
+        self._raw_tail = next(self._frames, b"") if count else b""
         self.replayed = count

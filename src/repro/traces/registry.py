@@ -172,7 +172,8 @@ def workload_from_payload(data: Dict[str, Any]) -> WorkloadLike:
 
 
 class WorkloadRegistry:
-    """Name -> workload resolution over the suite, files and registrations."""
+    """Name -> workload resolution over the suite, the bundled RV32I
+    programs and files."""
 
     def __init__(self,
                  search_paths: Optional[Sequence[Union[str, Path]]] = None
@@ -183,20 +184,13 @@ class WorkloadRegistry:
                     "REPRO_WORKLOAD_PATH", "").split(os.pathsep) if entry]
             search_paths.append("examples/scenarios")
         self.search_paths = [Path(p) for p in search_paths]
-        self._registered: Dict[str, WorkloadLike] = {}
-
-    # -- programmatic entries -------------------------------------------
-
-    def register(self, workload: WorkloadLike,
-                 name: Optional[str] = None) -> WorkloadLike:
-        self._registered[name or workload.name] = workload
-        return workload
 
     # -- resolution ------------------------------------------------------
 
     def resolve(self, name: Union[str, Path, WorkloadLike]) -> WorkloadLike:
-        """Resolve a workload by suite name, registered name, file name on
-        the search path, or explicit path. Workload objects pass through."""
+        """Resolve a workload by suite name, bundled RV32I program name,
+        file name on the search path, or explicit path. Workload objects
+        pass through."""
         if not isinstance(name, (str, Path)):
             return name
         text = str(name)
@@ -207,8 +201,6 @@ class WorkloadRegistry:
             return self._load_file(path)
         if text in SUITE:
             return SUITE[text]
-        if text in self._registered:
-            return self._registered[text]
         bundled = bundled_workload(text)
         if bundled is not None:
             return bundled
@@ -237,8 +229,6 @@ class WorkloadRegistry:
     def names(self) -> Dict[str, str]:
         """name -> kind for everything currently addressable by bare name."""
         out: Dict[str, str] = {name: "suite" for name in SUITE}
-        for name, workload in self._registered.items():
-            out.setdefault(name, _kind_of(workload))
         from repro.isa.rv32i.corpus import bundled_programs
         for name in bundled_programs():
             out.setdefault(name, "rv32i")
@@ -265,16 +255,6 @@ class WorkloadRegistry:
             except (KeyError, ValueError, OSError):
                 continue
         return resolved
-
-
-def _kind_of(workload: WorkloadLike) -> str:
-    if isinstance(workload, WorkloadSpec):
-        return "suite"
-    if isinstance(workload, ScenarioSpec):
-        return "scenario"
-    if isinstance(workload, Rv32iWorkload):
-        return "rv32i"
-    return "trace"
 
 
 #: Default registry used by the CLI, the runner and the engine. Built

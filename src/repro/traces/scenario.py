@@ -44,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.common.serialize import load_structured_file, stable_hash
 from repro.isa.opclass import OpClass
-from repro.isa.trace import TraceSource, WrongPathSynth
+from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 
 LINE = 64
@@ -60,9 +60,6 @@ _OPS: Dict[str, Tuple[OpClass, OpClass]] = {
     "branch": (OpClass.BRANCH, OpClass.BRANCH),
     "nop": (OpClass.NOP, OpClass.NOP),
 }
-
-#: Value-producing ops feed the dependency ring.
-_PRODUCERS = frozenset({"alu", "mul", "div", "load"})
 
 _PC_BASE = 0x200000          # disjoint from the kernel suite's PC regions
 _ADDR_BASE = 1 << 30         # ... and from its address regions
@@ -259,10 +256,10 @@ class ScenarioTrace(TraceSource):
     """
 
     def __init__(self, spec: ScenarioSpec, seed: int) -> None:
+        super().__init__(seed)
         self.spec = spec
         self.seed = seed
         self.rng = random.Random(seed)
-        self._wp_synth = WrongPathSynth(seed)
         self._states = list(spec.mix)
         self._by_name = {state.name: state for state in self._states}
         self._transitions = {
@@ -371,12 +368,6 @@ class ScenarioTrace(TraceSource):
         self._state = state
         self.emitted += len(out)
         return out
-
-    def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
-        return self._wp_synth.synth(seq, pc)
-
-    def skip_wrong_path(self, count: int) -> None:
-        self._wp_synth.skip(count)
 
     # -- state protocol (repro.checkpoint) -------------------------------
 

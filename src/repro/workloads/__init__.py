@@ -17,13 +17,7 @@ from repro.workloads.kernels import (
     StreamKernel,
 )
 from repro.workloads.spec import WorkloadSpec, WorkloadTrace
-from repro.workloads.suite import (
-    DEFAULT_SUBSET,
-    SUITE,
-    get_workload,
-    subset_names,
-    suite_names,
-)
+from repro.workloads.suite import DEFAULT_SUBSET, SUITE
 
 __all__ = [
     "BankConflictKernel",
@@ -38,7 +32,4 @@ __all__ = [
     "SUITE",
     "WorkloadSpec",
     "WorkloadTrace",
-    "get_workload",
-    "subset_names",
-    "suite_names",
 ]

@@ -17,7 +17,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.common.serialize import dataclass_from_dict, stable_hash
 
-from repro.isa.trace import TraceSource, WrongPathSynth
+from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 from repro.workloads.kernels import (
     BankConflictKernel,
@@ -115,9 +115,9 @@ class WorkloadTrace(TraceSource):
     """Weighted block interleaving of a spec's kernels."""
 
     def __init__(self, spec: WorkloadSpec, seed: int) -> None:
+        super().__init__(seed)
         self.spec = spec
         self.rng = random.Random(seed)
-        self._wp_synth = WrongPathSynth(seed)
         self.kernels: List[Kernel] = []
         self.weights: List[float] = []
         for i, kspec in enumerate(spec.kernels):
@@ -164,13 +164,6 @@ class WorkloadTrace(TraceSource):
                 append(buffer.popleft())
         self.emitted += len(out)
         return out
-
-    def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
-        """ALU-only wrong-path filler over the reserved registers."""
-        return self._wp_synth.synth(seq, pc)
-
-    def skip_wrong_path(self, count: int) -> None:
-        self._wp_synth.skip(count)
 
     # -- state protocol (repro.checkpoint) -------------------------------
 

@@ -229,19 +229,3 @@ DEFAULT_SUBSET: Tuple[str, ...] = (
     "libquantum", "xalancbmk", "namd", "leslie3d", "omnetpp",
 )
 
-
-def suite_names() -> List[str]:
-    return list(SUITE)
-
-
-def subset_names() -> List[str]:
-    return list(DEFAULT_SUBSET)
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    try:
-        return SUITE[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown workload {name!r}; available: {', '.join(SUITE)}"
-        ) from None

@@ -20,7 +20,8 @@ class TestBroadcastAndWakeup:
         sb, _ = make()
         u = consumer([1, 2])
         assert sb.watch(u) == 0
-        assert sb.operands_issue_ready(u, 0)
+        assert all(sb.ready[p] and sb.ready_at[p] <= 0 for p in u.psrcs)
+        assert sb.operands_data_valid(u, 0)
 
     def test_broadcast_then_event_fires(self):
         sb, woken = make()
@@ -107,13 +108,14 @@ class TestDataValidity:
         assert not sb.operands_data_valid(u, 14)
         assert sb.operands_data_valid(u, 15)
 
-    def test_mark_ready_now(self):
+    def test_rebroadcast_after_unready(self):
         sb, _ = make()
         sb.unready(7)
-        sb.mark_ready_now(7, now=5)
+        sb.broadcast(7, wake_cycle=5, data_ready_exec=5)
+        sb.tick(5)
         u = consumer([7])
         assert sb.watch(u) == 0
-        assert sb.operands_data_valid(u, 0)
+        assert sb.operands_data_valid(u, 5)
 
     def test_wakeups_fired_counter(self):
         sb, _ = make()

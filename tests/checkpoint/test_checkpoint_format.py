@@ -16,7 +16,6 @@ from repro.checkpoint.format import (
     HEADER,
     MAGIC,
     _dumps,
-    checkpoint_digest,
     load_checkpoint,
     read_info,
     save_checkpoint,
@@ -43,7 +42,6 @@ def test_info_fields(tmp_path, warm_sim):
     info = save_checkpoint(sim, path, workload=workload, seed=1,
                            provenance={"mode": "detailed"})
     assert info.version == FORMAT_VERSION
-    assert info.compressed
     assert info.config_name == "SpecSched_4_Combined"
     assert info.workload_name == "gzip"
     assert info.seed == 1
@@ -53,30 +51,31 @@ def test_info_fields(tmp_path, warm_sim):
     assert len(info.digest) == 64
     assert info.file_bytes == path.stat().st_size
     assert info.raw_bytes > info.file_bytes  # zlib actually compressed
-    assert checkpoint_digest(path) == info.digest
+    assert read_info(path).digest == info.digest
 
 
 def test_digest_is_content_addressed(tmp_path, warm_sim):
-    """Same state → same digest, independent of path and compression."""
+    """Same state → same digest, independent of path."""
     workload, sim = warm_sim
     a = save_checkpoint(sim, tmp_path / "a.ckpt", workload=workload, seed=1)
     b = save_checkpoint(sim, tmp_path / "b.ckpt", workload=workload, seed=1)
-    raw = save_checkpoint(sim, tmp_path / "c.ckpt", workload=workload,
-                          seed=1, compress=False)
-    assert a.digest == b.digest == raw.digest
-    assert not raw.compressed
+    assert a.digest == b.digest
     # ... and a different state digests differently.
     sim.run(max_uops=sim.stats.committed_uops + 500)
     c = save_checkpoint(sim, tmp_path / "d.ckpt", workload=workload, seed=1)
     assert c.digest != a.digest
 
 
-def test_uncompressed_roundtrip(tmp_path, warm_sim):
+def test_header_without_zlib_flag_rejected(tmp_path, warm_sim):
     workload, sim = warm_sim
     path = tmp_path / "raw.ckpt"
-    save_checkpoint(sim, path, workload=workload, seed=1, compress=False)
-    loaded = load_checkpoint(path)
-    assert loaded.payload["sim"]["stats"] == sim.stats.to_dict()
+    save_checkpoint(sim, path, workload=workload, seed=1)
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<H", data, 6, 0)           # clear the flags field
+    path.write_bytes(bytes(data))
+    for read in (read_info, verify_checkpoint, load_checkpoint):
+        with pytest.raises(CheckpointError, match="zlib flag"):
+            read(path)
 
 
 def test_truncated_file_rejected(tmp_path, warm_sim):

@@ -113,6 +113,6 @@ class TestWithHelpers:
         b = SimConfig().with_sched(hit_miss=HitMissPolicy.FILTER_CTR)
         assert b.sched.hit_miss == HitMissPolicy.FILTER_CTR
 
-    def test_describe_is_plain_data(self):
-        d = SimConfig().describe()
+    def test_to_dict_is_plain_data(self):
+        d = SimConfig().to_dict()
         assert d["core"]["rob_entries"] == 192

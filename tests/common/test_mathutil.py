@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from repro.common.mathutil import clamp, geomean, is_pow2, log2_int
+from repro.common.mathutil import geomean, is_pow2, log2_int
 
 
 class TestGeomean:
@@ -30,24 +30,6 @@ class TestGeomean:
             geomean([1.0, 0.0])
         with pytest.raises(ValueError):
             geomean([1.0, -2.0])
-
-
-class TestClamp:
-    def test_inside(self):
-        assert clamp(5, 0, 10) == 5
-
-    def test_below(self):
-        assert clamp(-3, 0, 10) == 0
-
-    def test_above(self):
-        assert clamp(42, 0, 10) == 10
-
-    def test_degenerate_range(self):
-        assert clamp(7, 3, 3) == 3
-
-    def test_bad_range_raises(self):
-        with pytest.raises(ValueError):
-            clamp(1, 5, 2)
 
 
 class TestPow2:

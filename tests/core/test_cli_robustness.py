@@ -1,7 +1,8 @@
 """Malformed inputs through every CLI subcommand: one ``error:`` line, exit 2.
 
 A table of truncated recordings, checkpoints, RV32I images and event
-traces, bad TOML, unknown workload and configuration names, and bad
+traces, recordings and checkpoints whose header lacks the zlib flag, bad
+TOML, unknown workload and configuration names, and bad
 ``REPRO_*`` values, each sent through every subcommand that reads it.
 None may end in a traceback or a silent success. Digest mismatches
 under ``--verify`` keep their documented exit 1.
@@ -31,6 +32,14 @@ _SWEEP = ('name = "s"\nbaseline = "B"\nworkloads = ["{workload}"]\n'
 def _cut(src, dst, keep) -> None:
     data = src.read_bytes()
     dst.write_bytes(data[:keep(len(data))])
+
+
+def _clear_flags(src, dst) -> None:
+    """Copy a recording or checkpoint with its header's flags field
+    (the zlib bit) cleared."""
+    data = bytearray(src.read_bytes())
+    data[6:8] = b"\0\0"
+    dst.write_bytes(bytes(data))
 
 
 def _second_frame_offset(path) -> int:
@@ -67,6 +76,8 @@ def inputs(tmp_path_factory):
     # only that frame, so only the header's µop count betrays the cut.
     _cut(root / "long.trc", root / "tail.trc",
          lambda n: _second_frame_offset(root / "long.trc"))
+    _clear_flags(root / "good.trc", root / "raw.trc")
+    _clear_flags(root / "good.ckpt", root / "raw.ckpt")
     _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
@@ -95,7 +106,7 @@ def _bad_input_cases():
     def add(case_id, argv, env=None):
         cases.append(pytest.param(argv, env or {}, id=case_id))
 
-    for trace in ("cut.trc", "head.trc", "tail.trc"):
+    for trace in ("cut.trc", "head.trc", "tail.trc", "raw.trc"):
         stem = trace.split(".")[0]
         add(f"run-{stem}-trc", ["run", trace, "SpecSched_4"])
         add(f"run-sample-{stem}-trc", ["run", trace, "SpecSched_4"] + SAMPLE)
@@ -107,14 +118,16 @@ def _bad_input_cases():
              "-o", "out.events.jsonl"])
         add(f"table2-{stem}-trc", ["table2"], {"REPRO_WORKLOADS": trace})
         add(f"figure-{stem}-trc", ["figure", "5"], {"REPRO_WORKLOADS": trace})
-    add("trace-info-head-trc", ["trace", "info", "head.trc"])
-    add("trace-info-verify-head-trc", ["trace", "info", "head.trc",
-                                       "--verify"])
+    for trace in ("head.trc", "raw.trc"):
+        stem = trace.split(".")[0]
+        add(f"trace-info-{stem}-trc", ["trace", "info", trace])
+        add(f"trace-info-verify-{stem}-trc", ["trace", "info", trace,
+                                              "--verify"])
     add("trace-record-cut-trc", ["trace", "record", "cut.trc",
                                  "-o", "out.trc"])
     add("sweep-cut-trc", ["sweep", "sweep-cut-trace.toml"])
 
-    for ckpt in ("cut.ckpt", "head.ckpt"):
+    for ckpt in ("cut.ckpt", "head.ckpt", "raw.ckpt"):
         stem = ckpt.split(".")[0]
         add(f"checkpoint-rebase-{stem}-ckpt",
             ["checkpoint", "rebase", ckpt, "Baseline_0", "-o", "out.ckpt"])
@@ -125,9 +138,11 @@ def _bad_input_cases():
              "--sample", "--intervals", "2", "--interval-uops", "200",
              "--sample-warmup", "100", "--period", "1000",
              "--offset", "3000"])
-    add("checkpoint-info-head-ckpt", ["checkpoint", "info", "head.ckpt"])
-    add("checkpoint-info-verify-head-ckpt",
-        ["checkpoint", "info", "head.ckpt", "--verify"])
+    for ckpt in ("head.ckpt", "raw.ckpt"):
+        stem = ckpt.split(".")[0]
+        add(f"checkpoint-info-{stem}-ckpt", ["checkpoint", "info", ckpt])
+        add(f"checkpoint-info-verify-{stem}-ckpt",
+            ["checkpoint", "info", ckpt, "--verify"])
 
     for image in ("cut.hex", "cut.bin", "undecodable.hex"):
         stem = image.replace(".", "-")

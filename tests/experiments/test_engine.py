@@ -25,21 +25,17 @@ from repro.experiments.engine import (
     run_cells,
     simulate_payload,
 )
-from repro.experiments.runner import (
-    ConfigRequest,
-    Settings,
-    run_experiment,
-    run_sweep,
-)
-from repro.workloads.suite import get_workload
+from repro.experiments.runner import Settings, run_sweep
+from repro.workloads.suite import SUITE
 
 TINY = Settings(workloads=("gzip", "swim"), warmup_uops=500,
                 measure_uops=1500, functional_warmup_uops=5000)
 
-GRID = [
-    ConfigRequest("Baseline_0", "Baseline_0", banked=False),
-    ConfigRequest("SpecSched_4", "SpecSched_4", banked=True),
-]
+GRID = (
+    SweepSeries("Baseline_0", "Baseline_0", banked=False),
+    SweepSeries("SpecSched_4", "SpecSched_4", banked=True),
+)
+GRID_SWEEP = Sweep(name="grid", baseline="Baseline_0", series=GRID)
 
 GRID4 = Settings(workloads=("gzip", "swim", "mcf", "art"), warmup_uops=500,
                  measure_uops=1500, functional_warmup_uops=5000)
@@ -49,7 +45,7 @@ def _payload(workload="gzip", preset="SpecSched_4", **overrides):
     volumes = dict(warmup_uops=500, measure_uops=1500,
                    functional_warmup_uops=5000, seed=1)
     volumes.update(overrides)
-    return cell_payload(preset, get_workload(workload), **volumes)
+    return cell_payload(preset, SUITE[workload], **volumes)
 
 
 class TestResultCache:
@@ -177,15 +173,13 @@ class TestDeterminism:
     @pytest.mark.slow
     def test_grid_identical_across_jobs_and_warm_cache(self, tmp_path):
         """The acceptance grid: 2 presets x 4 workloads, three ways."""
-        serial = run_experiment("grid", GRID, "Baseline_0", GRID4,
-                                options=EngineOptions(jobs=1),
-                                cache=ResultCache(tmp_path / "c"))
-        pooled = run_experiment("grid", GRID, "Baseline_0", GRID4,
-                                options=EngineOptions(jobs=4),
-                                cache=ResultCache(None))
+        serial = run_sweep(GRID_SWEEP, GRID4, options=EngineOptions(jobs=1),
+                           cache=ResultCache(tmp_path / "c"))
+        pooled = run_sweep(GRID_SWEEP, GRID4, options=EngineOptions(jobs=4),
+                           cache=ResultCache(None))
         warm = ResultCache(tmp_path / "c")     # fresh memory, warm disk
-        cached = run_experiment("grid", GRID, "Baseline_0", GRID4,
-                                options=EngineOptions(jobs=1), cache=warm)
+        cached = run_sweep(GRID_SWEEP, GRID4, options=EngineOptions(jobs=1),
+                           cache=warm)
         for request in GRID:
             for wl in GRID4.workloads:
                 s = serial.get(request.label, wl).to_dict()
@@ -282,13 +276,18 @@ class TestSweep:
         assert result.workloads == ["gzip", "swim"]
         assert result.get("SpecSched_4", "gzip").cycles > 0
 
-    def test_sweep_matches_run_experiment(self):
+    def test_sweep_overrides_match_explicit_settings(self):
+        """A sweep's own workloads/volumes win over the settings it is
+        given, and give the grid those volumes as settings would."""
         sweep = Sweep.from_dict(self._sweep_dict())
-        via_sweep = run_sweep(sweep, options=EngineOptions(jobs=1),
+        via_sweep = run_sweep(sweep, Settings(workloads=("mcf",)),
+                              options=EngineOptions(jobs=1),
                               cache=ResultCache(None))
-        via_grid = run_experiment("mini", GRID, "Baseline_0", TINY,
-                                  options=EngineOptions(jobs=1),
-                                  cache=ResultCache(None))
+        via_grid = run_sweep(Sweep(name="mini", baseline="Baseline_0",
+                                   series=GRID), TINY,
+                             options=EngineOptions(jobs=1),
+                             cache=ResultCache(None))
+        assert via_sweep.workloads == via_grid.workloads == ["gzip", "swim"]
         for wl in TINY.workloads:
             assert (via_sweep.get("SpecSched_4", wl).to_dict()
                     == via_grid.get("SpecSched_4", wl).to_dict())

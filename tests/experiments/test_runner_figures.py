@@ -14,11 +14,8 @@ from repro.experiments.report import (
     performance_table,
     summary_line,
 )
-from repro.experiments.runner import (
-    Settings,
-    _CACHE,
-    run_experiment,
-)
+from repro.experiments.engine import Sweep
+from repro.experiments.runner import Settings, _CACHE, run_sweep
 from repro.experiments.tables import render_table1, render_table2, table2
 
 TINY = Settings(workloads=("gzip", "swim"), warmup_uops=500,
@@ -69,11 +66,13 @@ class TestRunner:
 
     def test_duplicate_labels_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("x", [BASELINE, BASELINE], BASELINE.label, TINY)
+            run_sweep(Sweep(name="x", baseline=BASELINE.label,
+                            series=(BASELINE, BASELINE)), TINY)
 
     def test_unknown_baseline_rejected(self):
         with pytest.raises(ValueError):
-            run_experiment("x", [BASELINE], "nope", TINY)
+            run_sweep(Sweep(name="x", baseline="nope", series=(BASELINE,)),
+                      TINY)
 
 
 class TestSettings:

@@ -16,6 +16,19 @@ def make_fetch(uops, delay=4):
     return FetchStage(ListTrace(uops), BranchUnit(), core, SimStats())
 
 
+def take(f, now, max_uops):
+    """Consume up to ``max_uops`` ready µops the way Rename does:
+    ``peek`` the next one, then ``pop`` it."""
+    out = []
+    while len(out) < max_uops:
+        uop = f.peek(now)
+        if uop is None:
+            break
+        assert f.pop() is uop
+        out.append(uop)
+    return out
+
+
 def test_fetch_width_limit():
     f = make_fetch([alu(i) for i in range(20)])
     f.tick(0)
@@ -25,17 +38,17 @@ def test_fetch_width_limit():
 def test_frontend_depth_delays_delivery():
     f = make_fetch([alu(i) for i in range(4)], delay=4)   # depth 11
     f.tick(0)
-    assert f.deliver(10, 8) == []
-    out = f.deliver(11, 8)
+    assert take(f, 10, 8) == []
+    out = take(f, 11, 8)
     assert len(out) == 4
 
 
 def test_delivery_respects_width():
     f = make_fetch([alu(i) for i in range(8)])
     f.tick(0)
-    out = f.deliver(100, 3)
+    out = take(f, 100, 3)
     assert len(out) == 3
-    assert len(f.deliver(100, 8)) == 5
+    assert len(take(f, 100, 8)) == 5
 
 
 def test_seq_assignment_monotonic():
@@ -46,12 +59,13 @@ def test_seq_assignment_monotonic():
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
-def test_undeliver_preserves_order():
+def test_stalled_peek_keeps_uop_in_order():
     f = make_fetch([alu(i) for i in range(6)])
     f.tick(0)
-    out = f.deliver(50, 6)
-    f.undeliver(out[2:], 50)
-    again = f.deliver(50, 6)
+    take(f, 50, 2)
+    # A stalled Rename peeks without popping: the µop stays at the head.
+    assert f.peek(50) is f.peek(50)
+    again = take(f, 50, 6)
     assert [u.pc for u in again] == [2, 3, 4, 5]
 
 
@@ -69,7 +83,7 @@ def test_wrong_path_mode_on_mispredict():
     assert not any(u.wrong_path for _, u in f.pipe)
     # ...but delivery materializes them once their frontend traversal
     # completes, younger than (and behind) the mispredicted branch.
-    out = f.deliver(1 + f.depth, 16)
+    out = take(f, 1 + f.depth, 16)
     wrong = [u for u in out if u.wrong_path]
     assert len(wrong) == 8, "wrong-path µops must materialize on delivery"
     seqs = [u.seq for u in out]
@@ -84,23 +98,23 @@ def test_wrong_path_bulk_discard_matches_eager_stream():
     # synthesis RNG exactly as if the µops had been built.
     br = MicroOp(0, 0x10, OpClass.BRANCH, srcs=[1], taken=True, target=0x40)
 
-    def episode(deliver_first):
+    def episode(take_first):
         trace = [alu(0), br.clone_arch(), alu(0x11), br.clone_arch()]
         f = make_fetch(trace)
         f.tick(0)                     # mispredict -> wrong-path mode
         for cycle in range(1, 4):
             f.tick(cycle)             # three virtual wrong-path groups
-        if deliver_first:
-            f.deliver(3 + f.depth, 10)
+        if take_first:
+            take(f, 3 + f.depth, 10)
         f.redirect(20)
         f.tick(22)                    # next correct-path group (+ branch)
         assert f.wrong_path           # second mispredict
         f.tick(23)
-        return [(u.srcs[0], u.dst) for u in f.deliver(23 + f.depth, 30)
+        return [(u.srcs[0], u.dst) for u in take(f, 23 + f.depth, 30)
                 if u.wrong_path]
 
-    first = episode(deliver_first=False)
-    second = episode(deliver_first=True)
+    first = episode(take_first=False)
+    second = episode(take_first=True)
     assert first and first == second
 
 
@@ -124,7 +138,7 @@ def test_trace_exhaustion_and_done():
     f.tick(1)
     assert f.trace_exhausted
     assert not f.done            # µop still in the pipe
-    f.deliver(100, 8)
+    take(f, 100, 8)
     assert f.done
 
 

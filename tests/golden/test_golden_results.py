@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.engine import cell_payload, simulate_payload
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 GOLDEN_PATH = Path(__file__).parent / "goldens.json"
 
@@ -44,7 +44,7 @@ VOLUMES = dict(warmup_uops=500, measure_uops=1500,
 
 def _simulate(cell: dict) -> dict:
     payload = cell_payload(
-        cell["preset"], get_workload(cell["workload"]),
+        cell["preset"], SUITE[cell["workload"]],
         banked=cell["banked"], **VOLUMES)
     return simulate_payload(payload)
 

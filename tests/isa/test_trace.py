@@ -1,5 +1,7 @@
+import pytest
+
 from repro.isa.opclass import OpClass
-from repro.isa.trace import ListTrace, TraceSource, iterate
+from repro.isa.trace import ListTrace, TraceSource, WrongPathSynth, iterate
 from repro.isa.uop import MicroOp
 
 
@@ -24,27 +26,12 @@ def test_trace_assigns_monotone_seq():
 
 def test_trace_clones_templates():
     templates = _uops(1)
-    t = ListTrace(templates, loop=True)
+    t = ListTrace(templates * 2)
     a = t.next_uop()
     b = t.next_uop()
     assert a is not b and a is not templates[0]
     a.executed = True
     assert not b.executed
-
-
-def test_loop_trace_repeats():
-    t = ListTrace(_uops(2), loop=True)
-    pcs = [t.next_uop().pc for _ in range(6)]
-    assert pcs == [0x100, 0x101] * 3
-
-
-def test_reset():
-    t = ListTrace(_uops(2))
-    t.next_uop()
-    t.next_uop()
-    assert t.next_uop() is None
-    t.reset()
-    assert t.next_uop().pc == 0x100
 
 
 def test_iterate_limit():
@@ -58,7 +45,7 @@ def test_iterate_stops_at_exhaustion():
 
 
 def test_default_wrong_path_uop_is_alu():
-    t = TraceSource()
+    t = TraceSource(wp_seed=0)
     wp = t.wrong_path_uop(3, 0xDEAD)
     assert wp.wrong_path
     assert wp.opclass == OpClass.INT_ALU
@@ -66,8 +53,8 @@ def test_default_wrong_path_uop_is_alu():
 
 
 def test_list_trace_wrong_path_has_seeded_variety():
-    # ListTrace must not share the base class's constant filler: the
-    # (srcs, dst) pattern varies, but only over the reserved registers.
+    # The seeded filler is no constant chain: the (srcs, dst) pattern
+    # varies, but only over the reserved registers.
     t = ListTrace(_uops(3))
     wps = [t.wrong_path_uop(0, 0x1000 + i) for i in range(64)]
     assert all(w.wrong_path and w.opclass == OpClass.INT_ALU for w in wps)
@@ -89,11 +76,70 @@ def test_list_trace_wrong_path_deterministic_per_seed():
     assert pa != pc
 
 
-def test_list_trace_reset_restarts_wrong_path_stream():
+def test_list_trace_restore_restarts_wrong_path_stream():
     t = ListTrace(_uops(3), wp_seed=5)
+    start = t.state_dict()
     first = [(tuple(u.srcs), u.dst) for u in
              (t.wrong_path_uop(0, i) for i in range(16))]
-    t.reset()
+    t.load_state_dict(start)
     again = [(tuple(u.srcs), u.dst) for u in
              (t.wrong_path_uop(0, i) for i in range(16))]
     assert first == again
+
+
+# ---------------------------------------------------------------------------
+# The five shipped sources share the base class's seeded wrong path.
+
+#: Source kind -> its pinned checkpoint state keys.
+SOURCE_STATE_KEYS = {
+    "list": {"pos", "seq", "synth"},
+    "suite": {"rng", "wp_synth", "kernels", "buffer", "emitted"},
+    "scenario": {"rng", "wp_synth", "state", "ring", "next_reg", "cursors",
+                 "next_stream", "last_load_dst", "branch_count", "emitted"},
+    "recording": {"replayed", "synth"},
+    "rv32i": {"machine", "iterations", "seq", "emitted", "synth"},
+}
+
+
+def _source(kind, tmp_path):
+    from repro.traces.format import FileTrace, capture
+    from repro.traces.registry import resolve_workload
+    from repro.traces.scenario import ScenarioSpec
+
+    if kind == "list":
+        return ListTrace(_uops(40), wp_seed=3)
+    if kind == "suite":
+        return resolve_workload("gzip").build_trace(3)
+    if kind == "scenario":
+        spec = ScenarioSpec.from_dict({
+            "name": "s", "seed": 3,
+            "mix": [{"name": "alu", "op": "alu", "next": {"alu": 1.0}}]})
+        return spec.build_trace(3)
+    if kind == "recording":
+        path = tmp_path / "t.trc"
+        capture(ListTrace(_uops(40)), path, 40, wp_seed=3)
+        return FileTrace(path)
+    return resolve_workload("ptr-chase").build_trace(3)
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCE_STATE_KEYS))
+def test_source_wrong_path_is_the_base_synthesizer(kind, tmp_path):
+    source = _source(kind, tmp_path)
+    for name in ("wrong_path_uop", "skip_wrong_path"):
+        assert name not in vars(type(source)), name
+    assert set(source.state_dict()) == SOURCE_STATE_KEYS[kind]
+
+    reference = WrongPathSynth(3)
+    for i in range(20):
+        a, b = source.wrong_path_uop(0, i), reference.synth(0, i)
+        assert (a.srcs, a.dst, a.wrong_path) == (b.srcs, b.dst, True)
+    source.skip_wrong_path(7)
+    reference.skip(7)
+
+    # A restored source continues the same wrong-path stream.
+    state = source.state_dict()
+    draws = [source.wrong_path_uop(0, i).srcs for i in range(20)]
+    restored = _source(kind, tmp_path)
+    restored.load_state_dict(state)
+    assert [restored.wrong_path_uop(0, i).srcs for i in range(20)] == draws
+    assert draws == [reference.synth(0, i).srcs for i in range(20)]

@@ -23,24 +23,34 @@ class TestAddressMapping:
 
 
 class TestConflictRules:
+    """The conflict rule, as the delay of the second of two same-cycle
+    accesses."""
+
+    @staticmethod
+    def second_delay(b, first, second):
+        assert b.access(first, 10) == 0
+        return b.access(second, 10)
+
     def test_same_bank_different_set_conflicts(self):
         b = BankScheduler()
-        assert b.would_conflict(addr(3, 1), addr(3, 2))
+        assert self.second_delay(b, addr(3, 1), addr(3, 2)) == 1
+        assert b.conflicts == 1
 
     def test_same_set_does_not_conflict(self):
         # Rivers line buffer: two reads to the same set may proceed.
         b = BankScheduler()
-        assert not b.would_conflict(addr(3, 5), addr(3, 5))
+        assert self.second_delay(b, addr(3, 5), addr(3, 5)) == 0
+        assert b.conflicts == 0
 
     def test_different_bank_does_not_conflict(self):
         b = BankScheduler()
-        assert not b.would_conflict(addr(1, 4), addr(2, 4))
+        assert self.second_delay(b, addr(1, 4), addr(2, 4)) == 0
+        assert b.conflicts == 0
 
     def test_unbanked_never_conflicts(self):
         b = BankScheduler(banked=False)
-        assert not b.would_conflict(addr(3, 1), addr(3, 2))
-        assert b.access(addr(3, 1), 10) == 0
-        assert b.access(addr(3, 2), 10) == 0
+        assert self.second_delay(b, addr(3, 1), addr(3, 2)) == 0
+        assert b.conflicts == 0
 
 
 class TestAccessScheduling:

@@ -69,17 +69,6 @@ class TestLru:
         assert c.probe(0) and c.probe(64)
 
 
-class TestInvalidate:
-    def test_invalidate_present(self):
-        c = small_cache()
-        c.fill(0x2000)
-        assert c.invalidate(0x2000)
-        assert not c.probe(0x2000)
-
-    def test_invalidate_absent(self):
-        assert not small_cache().invalidate(0x2000)
-
-
 class TestGeometry:
     def test_table1_l1d_geometry(self):
         c = SetAssocCache(CacheConfig())

@@ -32,7 +32,7 @@ from repro.telemetry.events import EventBus, RingBufferSink
 from repro.telemetry.probes import MetricsCollector
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 VOLUMES = {"warmup_uops": 200, "measure_uops": 800,
            "functional_warmup_uops": 2000, "seed": 1}
@@ -51,7 +51,7 @@ def collector_off():
 
 
 def _payload(preset: str, workload: str = "gzip") -> dict:
-    return cell_payload(preset, get_workload(workload), **VOLUMES)
+    return cell_payload(preset, SUITE[workload], **VOLUMES)
 
 
 @pytest.mark.parametrize("workload", ["gzip", "libquantum", "mcf"])
@@ -159,7 +159,7 @@ def test_simulation_error_restores_an_enabled_collector():
 
 def test_too_short_recording_restores_an_enabled_collector(tmp_path):
     path = tmp_path / "short.trc"
-    capture(get_workload("gzip").build_trace(1), path, 300, wp_seed=1)
+    capture(SUITE["gzip"].build_trace(1), path, 300, wp_seed=1)
     payload = cell_payload("SpecSched_4", TraceWorkload(path), **VOLUMES)
     gc.enable()
     with pytest.raises(ValueError, match="holds only 300"):

@@ -1,9 +1,9 @@
-"""Run-helper coverage: run_workload / run_config / functional warmup."""
+"""Run-helper coverage: run_workload / functional warmup."""
 
 import pytest
 
 from repro.common.config import SimConfig
-from repro.pipeline.sim import RunResult, run_config, run_workload
+from repro.pipeline.sim import RunResult, run_workload
 from repro.workloads.suite import SUITE
 
 TINY = dict(warmup_uops=400, measure_uops=1200, functional_warmup_uops=4000)
@@ -48,22 +48,10 @@ def test_functional_warmup_improves_hit_rate():
     assert warm.stats.dram_reads <= cold.stats.dram_reads
 
 
-def test_run_config_maps_names():
-    results = run_config("Baseline_0", ["gzip", "swim"], **TINY)
-    assert set(results) == {"gzip", "swim"}
-    assert all(r.ipc > 0 for r in results.values())
-
-
-def test_run_config_accepts_spec_objects():
-    results = run_config("Baseline_0", [SUITE["gzip"], "swim"], **TINY)
-    assert set(results) == {"gzip", "swim"}
-    assert all(r.ipc > 0 for r in results.values())
-
-
-def test_run_config_spec_matches_name():
-    by_name = run_config("SpecSched_4", ["mcf"], **TINY)
-    by_spec = run_config("SpecSched_4", [SUITE["mcf"]], **TINY)
-    assert by_name["mcf"].stats.to_dict() == by_spec["mcf"].stats.to_dict()
+def test_run_workload_spec_matches_name():
+    by_name = run_workload("mcf", "SpecSched_4", **TINY)
+    by_spec = run_workload(SUITE["mcf"], "SpecSched_4", **TINY)
+    assert by_name.stats.to_dict() == by_spec.stats.to_dict()
 
 
 def test_unknown_config_name_raises():

@@ -262,12 +262,12 @@ class TestPortPrimitives:
         port.send("event")
         assert seen == ["event"]
 
-    def test_wire_reset_and_state_roundtrip(self):
+    def test_wire_default_and_state_roundtrip(self):
         wire = Wire("w", default=-1)
+        assert wire.value == -1
         wire.value = 7
         assert wire.state_dict() == 7
-        wire.reset()
-        assert wire.value == -1
+        wire.value = 0
         wire.load_state_dict(7)
         assert wire.value == 7
 

@@ -38,7 +38,7 @@ class TestCacheProperties:
             name="p", size_bytes=2 * 8 * 64, assoc=2, banks=0, banked=False))
         c.fill(probe_addr)
         for a in addrs:
-            if c.set_index(a) != c.set_index(probe_addr):
+            if (c.line_addr(a) ^ c.line_addr(probe_addr)) % c.num_sets:
                 c.fill(a)
         assert c.probe(probe_addr)
 

@@ -34,13 +34,6 @@ def test_release_out_of_range_rejected():
         fl.release(14)
 
 
-def test_release_many():
-    fl = FreeList(0, 4)
-    regs = [fl.allocate() for _ in range(3)]
-    fl.release_many(regs)
-    assert len(fl) == 4
-
-
 def test_reserved_larger_than_pool_rejected():
     with pytest.raises(ValueError):
         FreeList(0, 2, reserved=3)

@@ -167,8 +167,7 @@ class TestWarmingEquivalence:
 
     def test_recorded_stream_state_and_digest_identity(self, captured,
                                                        tmp_path):
-        from repro.checkpoint.format import (checkpoint_digest,
-                                             save_checkpoint)
+        from repro.checkpoint.format import save_checkpoint
 
         def build():
             return Simulator(make_config("SpecSched_4_Combined"),
@@ -182,8 +181,7 @@ class TestWarmingEquivalence:
         digests = []
         for label, warmed in (("oracle", oracle), ("production", sim)):
             ckpt = tmp_path / f"{label}.ckpt"
-            save_checkpoint(warmed, ckpt)
-            digests.append(checkpoint_digest(ckpt))
+            digests.append(save_checkpoint(warmed, ckpt).digest)
         assert digests[0] == digests[1]
 
 
@@ -234,3 +232,39 @@ class TestCheckpointRoundtrip:
         restored = restore_simulator(path)
         restored.run(max_uops=self.TOTAL)
         assert restored.stats.to_dict() == reference
+
+
+class TestRestart:
+    """An RV32I stream loops: when the program halts, it restarts from the
+    initial image, so a finite kernel supplies µops without end."""
+
+    def test_stream_restarts_after_halt(self):
+        workload = resolve_workload("ptr-chase")
+        one_run = workload.program.machine().run()
+        trace = workload.build_trace()
+        first = [_uop_tuple(trace.next_uop()) for _ in range(one_run)]
+        again = [_uop_tuple(trace.next_uop()) for _ in range(one_run + 1)]
+        assert trace.emitted == 2 * one_run + 1 > one_run
+        assert again[:one_run] == first
+        assert again[one_run] == first[0]
+
+    def test_checkpoint_after_restart_round_trips(self, tmp_path):
+        from repro.checkpoint.format import (restore_simulator,
+                                             save_checkpoint)
+
+        workload = resolve_workload("ptr-chase")
+        one_run = workload.program.machine().run()
+        config = make_config("SpecSched_4")
+        sim = Simulator(config, workload.build_trace(workload.seed))
+        assert sim.fast_forward(one_run + 500) == one_run + 500
+        assert sim.trace.state_dict()["iterations"] == 1
+        path = tmp_path / "restarted.ckpt"
+        info = save_checkpoint(sim, path, workload=workload,
+                               seed=workload.seed)
+        restored = restore_simulator(path)
+        again = save_checkpoint(restored, tmp_path / "again.ckpt",
+                                workload=workload, seed=workload.seed)
+        assert again.digest == info.digest
+        sim.run(max_uops=3_000)
+        restored.run(max_uops=3_000)
+        assert restored.stats.to_dict() == sim.stats.to_dict()

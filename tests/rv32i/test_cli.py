@@ -122,6 +122,15 @@ class TestRegistrySurface:
             assert f"{name}" in out
         assert "(rv32i)" in out
 
+    def test_checkpoint_info_names_the_program(self, tmp_path, capsys):
+        ckpt = tmp_path / "pc.ckpt"
+        assert main(["checkpoint", "create", "ptr-chase", "SpecSched_4",
+                     "--uops", "2000", "-o", str(ckpt)]) == 0
+        capsys.readouterr()
+        assert main(["checkpoint", "info", str(ckpt)]) == 0
+        out = capsys.readouterr().out
+        assert "  workload   ptr-chase\n" in out
+
     def test_sampled_run_on_bundled_kernel(self, capsys):
         assert main(["run", "ptr-chase", "SpecSched_4", "--sample",
                      "--intervals", "3", "--interval-uops", "400",

@@ -25,7 +25,7 @@ from repro.telemetry.events import (
     null_emit,
     open_events,
 )
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def test_corrupt_event_line_raises_on_iteration(tmp_path):
 
 def _record(path, seed: int) -> None:
     config = make_config("SpecSched_4_Crit", banked=True)
-    trace = get_workload("mcf").build_trace(seed)
+    trace = SUITE["mcf"].build_trace(seed)
     with JsonlEventWriter(path, provenance={"seed": seed}) as writer:
         sim = Simulator(config, trace, event_bus=EventBus(writer))
         sim.run(max_uops=1_500)

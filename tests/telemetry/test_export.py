@@ -16,7 +16,7 @@ from repro.telemetry.export import (
     export_o3pipeview,
     write_o3pipeview,
 )
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 GOLDEN_PATH = Path(__file__).parent / "golden_o3pipeview.txt"
 
@@ -103,7 +103,7 @@ def _record_and_export(tmp_path) -> str:
     events_path = tmp_path / "golden.events.jsonl.gz"
     out_path = tmp_path / "golden.o3pipeview.txt"
     config = make_config("SpecSched_4_Crit", banked=True)
-    trace = get_workload("mcf").build_trace(1)
+    trace = SUITE["mcf"].build_trace(1)
     with JsonlEventWriter(events_path) as writer:
         Simulator(config, trace,
                   event_bus=EventBus(writer)).run(max_uops=250)

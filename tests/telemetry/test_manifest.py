@@ -21,14 +21,14 @@ from repro.telemetry.manifest import (
     rollup,
     write_manifest,
 )
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 VOLUMES = dict(warmup_uops=200, measure_uops=600,
                functional_warmup_uops=1_000, seed=1)
 
 
 def _payload(workload="gzip", preset="Baseline_0"):
-    return cell_payload(preset, get_workload(workload), banked=False,
+    return cell_payload(preset, SUITE[workload], banked=False,
                         **VOLUMES)
 
 

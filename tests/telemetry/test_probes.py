@@ -10,14 +10,14 @@ from repro.telemetry.probes import (
     OccupancyProbe,
     render_metrics,
 )
-from repro.workloads.suite import get_workload
+from repro.workloads.suite import SUITE
 
 UOPS = 2_000
 
 
 def _run(collector=None):
     config = make_config("SpecSched_4_Crit", banked=True)
-    trace = get_workload("mcf").build_trace(1)
+    trace = SUITE["mcf"].build_trace(1)
     if collector is None:
         sim = Simulator(config, trace)
     else:
@@ -83,7 +83,7 @@ def test_collector_bus_accepts_extra_sinks():
 def test_finalize_without_probe_omits_occupancy():
     collector = MetricsCollector()
     config = make_config("Baseline_0", banked=False)
-    trace = get_workload("gzip").build_trace(1)
+    trace = SUITE["gzip"].build_trace(1)
     # Bus wired, probes not: e.g. a caller recording events only.
     sim = Simulator(config, trace, event_bus=collector.bus)
     sim.run(max_uops=500)

@@ -20,10 +20,9 @@ from repro.traces.format import (
     TraceFormatError,
     TraceWriter,
     capture,
-    decode_record,
+    decode_frame,
     encode_record,
     read_info,
-    read_uops,
     verify,
 )
 
@@ -33,6 +32,10 @@ ARCH_FIELDS = ("pc", "opclass", "srcs", "dst", "mem_addr", "mem_size",
 
 def arch(uop):
     return tuple(getattr(uop, name) for name in ARCH_FIELDS)
+
+
+def replay(path, limit=10_000):
+    return list(iterate(FileTrace(path), limit))
 
 
 def _mixed_uops(n=100):
@@ -75,7 +78,8 @@ uop_strategy = st.builds(
 @settings(max_examples=200, deadline=None)
 @given(uop=uop_strategy)
 def test_record_roundtrip_property(uop):
-    assert arch(decode_record(RECORD.unpack(encode_record(uop)))) == arch(uop)
+    [decoded] = decode_frame(encode_record(uop))
+    assert arch(decoded) == arch(uop)
 
 
 def test_record_is_fixed_width():
@@ -98,16 +102,14 @@ def test_wrong_path_uop_rejected():
 # File round-trips
 
 
-@pytest.mark.parametrize("compress", [True, False])
-def test_file_roundtrip(tmp_path, compress):
+def test_file_roundtrip(tmp_path):
     uops = _mixed_uops(500)
     path = tmp_path / "t.trc"
     info = capture(ListTrace(uops), path, 500, wp_seed=3,
-                   provenance={"workload": "hand"}, compress=compress,
+                   provenance={"workload": "hand"},
                    frame_records=64)       # force multiple frames
     assert info.uop_count == 500
-    assert info.compressed is compress
-    assert [arch(u) for u in read_uops(path)] == [arch(u) for u in uops]
+    assert [arch(u) for u in replay(path)] == [arch(u) for u in uops]
     assert verify(path)
 
 
@@ -115,13 +117,7 @@ def test_capture_stops_at_exhaustion(tmp_path):
     path = tmp_path / "t.trc"
     info = capture(ListTrace(_mixed_uops(20)), path, 1000, wp_seed=0)
     assert info.uop_count == 20
-    assert len(list(read_uops(path))) == 20
-
-
-def test_read_uops_limit(tmp_path):
-    path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(50)), path, 50, wp_seed=0)
-    assert len(list(read_uops(path, limit=7))) == 7
+    assert len(replay(path)) == 20
 
 
 def test_info_provenance_and_wp_seed(tmp_path):
@@ -134,14 +130,13 @@ def test_info_provenance_and_wp_seed(tmp_path):
     assert info.raw_bytes == 10 * RECORD.size
 
 
-def test_digest_independent_of_compression(tmp_path):
+def test_digest_independent_of_framing(tmp_path):
     uops = _mixed_uops(200)
-    a = capture(ListTrace(uops), tmp_path / "a.trc", 200, wp_seed=0,
-                compress=True)
+    a = capture(ListTrace(uops), tmp_path / "a.trc", 200, wp_seed=0)
     b = capture(ListTrace(uops), tmp_path / "b.trc", 200, wp_seed=0,
-                compress=False)
+                frame_records=16)
     assert a.digest == b.digest
-    assert a.file_bytes < b.file_bytes        # zlib must actually help
+    assert a.file_bytes < a.raw_bytes         # zlib must actually help
 
 
 def test_writer_context_manager_removes_partial_file(tmp_path):
@@ -181,10 +176,20 @@ def test_future_version_rejected(tmp_path):
         read_info(path)
 
 
+def test_header_without_zlib_flag_rejected(tmp_path):
+    path = tmp_path / "t.trc"
+    capture(ListTrace(_mixed_uops(5)), path, 5, wp_seed=0)
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<H", raw, 6, 0)         # clear the flags field
+    path.write_bytes(bytes(raw))
+    for read in (read_info, verify, FileTrace):
+        with pytest.raises(TraceFormatError, match="zlib flag"):
+            read(path)
+
+
 def test_tampered_payload_fails_verify(tmp_path):
     path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(100)), path, 100, wp_seed=0,
-            compress=False)
+    capture(ListTrace(_mixed_uops(100)), path, 100, wp_seed=0)
     assert verify(path)
     raw = bytearray(path.read_bytes())
     raw[-3] ^= 0xFF                           # flip payload bits
@@ -198,7 +203,7 @@ def test_truncated_frame_detected(tmp_path):
     data = path.read_bytes()
     path.write_bytes(data[:-10])
     with pytest.raises(TraceFormatError):
-        list(read_uops(path))
+        replay(path)
     assert not verify(path)
 
 
@@ -217,16 +222,16 @@ def test_file_trace_assigns_no_state(tmp_path):
     assert [arch(u) for u in replayed] == [arch(u) for u in uops]
 
 
-def test_file_trace_loop_and_reset(tmp_path):
+def test_record_blocks_end_after_last_record(tmp_path):
     path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(10)), path, 10, wp_seed=0)
-    looped = FileTrace(path, loop=True)
-    pcs = [looped.next_uop().pc for _ in range(25)]
-    assert pcs[:10] == pcs[10:20]
+    capture(ListTrace(_mixed_uops(10)), path, 10, wp_seed=0,
+            frame_records=4)
     trace = FileTrace(path)
-    first = trace.next_uop().pc
-    trace.reset()
-    assert trace.next_uop().pc == first
+    sizes = []
+    while (block := trace.next_record_block(3)) is not None:
+        sizes.append(len(block))
+    assert sum(sizes) == 10 and trace.replayed == 10
+    assert trace.next_uop() is None
 
 
 def test_file_trace_wrong_path_matches_header_seed(tmp_path):
@@ -248,34 +253,32 @@ def test_file_trace_wrong_path_matches_header_seed(tmp_path):
 SEEK_UOPS = 50                 # seven 7-record frames and a 1-record one
 
 
-def _seek_recording(tmp_path, compress):
+def _seek_recording(tmp_path):
     path = tmp_path / "seek.trc"
     capture(ListTrace(_mixed_uops(SEEK_UOPS)), path, SEEK_UOPS, wp_seed=5,
-            compress=compress, frame_records=7)
+            frame_records=7)
     return path
 
 
-def _restored(path, loop, position):
+def _restored(path, position):
     """A FileTrace restored to ``position``, and a from-zero reader that
     replayed ``position`` records to get there."""
-    reference = FileTrace(path, loop=loop)
+    reference = FileTrace(path)
     for _ in range(position):
         reference.next_uop()
-    restored = FileTrace(path, loop=loop)
+    restored = FileTrace(path)
     restored.load_state_dict(reference.state_dict())
     return restored, reference
 
 
-@pytest.mark.parametrize("compress", [True, False])
-@pytest.mark.parametrize("loop", [False, True])
-def test_restore_seek_matches_skipping_from_zero(tmp_path, compress, loop):
-    """Every cursor — 0, each frame boundary, mid-frame, the end and (when
-    looping) past it — resumes exactly where a from-zero reader would,
-    through both the per-µop and the raw-record-block supply."""
-    path = _seek_recording(tmp_path, compress)
-    follow = SEEK_UOPS + 9                # enough to wrap when looping
-    for position in range((2 if loop else 1) * SEEK_UOPS + 1):
-        restored, reference = _restored(path, loop, position)
+def test_restore_seek_matches_skipping_from_zero(tmp_path):
+    """Every cursor — 0, each frame boundary, mid-frame and the end —
+    resumes exactly where a from-zero reader would, through both the
+    per-µop and the raw-record-block supply."""
+    path = _seek_recording(tmp_path)
+    follow = SEEK_UOPS + 9                # runs past the end
+    for position in range(SEEK_UOPS + 1):
+        restored, reference = _restored(path, position)
         expected = []
         for _ in range(follow):
             uop = reference.next_uop()
@@ -286,10 +289,9 @@ def test_restore_seek_matches_skipping_from_zero(tmp_path, compress, loop):
         assert [arch(u) for u in got] == [arch(u) for u in expected], \
             position
         assert restored.replayed == reference.replayed
-        if not loop:
-            assert restored.next_uop() is None
+        assert restored.next_uop() is None
 
-        restored, _ = _restored(path, loop, position)
+        restored, _ = _restored(path, position)
         records = []
         while len(records) < len(expected):
             block = restored.next_record_block(
@@ -314,13 +316,12 @@ def _frame_offsets(path):
     return offsets
 
 
-@pytest.mark.parametrize("compress", [True, False])
-def test_restore_past_truncation_raises(tmp_path, compress):
+def test_restore_past_truncation_raises(tmp_path):
     """A recording cut inside a frame the seek steps over must fail at
     restore, not end the stream early (opened before the cut, so the
     check at open does not catch it first)."""
-    path = _seek_recording(tmp_path, compress)
-    _, reference = _restored(path, False, 40)
+    path = _seek_recording(tmp_path)
+    _, reference = _restored(path, 40)
     state = reference.state_dict()
     trace = FileTrace(path)
     cut = _frame_offsets(path)[2] + FRAME_HEADER.size + 3
@@ -331,11 +332,10 @@ def test_restore_past_truncation_raises(tmp_path, compress):
         FileTrace(path)
 
 
-@pytest.mark.parametrize("compress", [True, False])
-def test_open_rejects_recording_cut_at_a_frame_boundary(tmp_path, compress):
+def test_open_rejects_recording_cut_at_a_frame_boundary(tmp_path):
     """Frames holding fewer records than the header declares are refused
     when the recording is opened, before any µop is read."""
-    path = _seek_recording(tmp_path, compress)
+    path = _seek_recording(tmp_path)
     path.write_bytes(path.read_bytes()[:_frame_offsets(path)[3]])
     with pytest.raises(TraceFormatError,
                        match=f"holds 21 of the {SEEK_UOPS} records"):
@@ -343,8 +343,8 @@ def test_open_rejects_recording_cut_at_a_frame_boundary(tmp_path, compress):
 
 
 def test_restore_rejects_skipped_frame_of_partial_records(tmp_path):
-    path = _seek_recording(tmp_path, False)
-    _, reference = _restored(path, False, 40)
+    path = _seek_recording(tmp_path)
+    _, reference = _restored(path, 40)
     state = reference.state_dict()
     trace = FileTrace(path)
     data = bytearray(path.read_bytes())

@@ -93,13 +93,6 @@ def test_suite_shadows_files(tmp_path):
     assert workload is SUITE["mcf"]
 
 
-def test_programmatic_registration():
-    registry = WorkloadRegistry(search_paths=[])
-    spec = ScenarioSpec.from_dict(SCENARIO_DICT)
-    registry.register(spec)
-    assert registry.resolve("reg-scenario") is spec
-
-
 def test_workload_objects_pass_through():
     registry = WorkloadRegistry(search_paths=[])
     spec = SUITE["gzip"]

@@ -19,7 +19,7 @@ import pytest
 
 from repro.common.serialize import stable_hash
 from repro.experiments.engine import cell_key, cell_payload, simulate_payload
-from repro.experiments.runner import Settings, run_experiment, SweepSeries
+from repro.experiments.runner import Settings, Sweep, SweepSeries, run_sweep
 from repro.isa.trace import iterate
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload, resolve_workload
@@ -145,7 +145,7 @@ def test_undersized_trace_rejected_not_measured(tmp_path):
         simulate_payload(payload)
 
 
-def test_run_experiment_accepts_trace_names(tmp_path, monkeypatch):
+def test_run_sweep_accepts_trace_names(tmp_path, monkeypatch):
     """A recorded trace is addressable by registry name end-to-end."""
     workload = _source("gzip")
     path = tmp_path / "gzip-rec.trc"
@@ -159,14 +159,15 @@ def test_run_experiment_accepts_trace_names(tmp_path, monkeypatch):
                             "functional_warmup_uops"],
                         seed=VOLUMES["seed"])
     series = SweepSeries("Baseline_0", "Baseline_0", banked=False)
-    result = run_experiment("trace-name", [series], "Baseline_0", settings)
+    result = run_sweep(Sweep(name="trace-name", baseline="Baseline_0",
+                             series=(series,)), settings)
     live = result.get("Baseline_0", "gzip")
     replay = result.get("Baseline_0", "gzip-rec")
     assert stable_hash(live.to_dict()) == stable_hash(replay.to_dict())
 
 
 def test_run_workload_rejects_undersized_trace(tmp_path):
-    """The guard holds on the run_workload/run_config path too, not just
+    """The guard holds on the run_workload path too, not just
     the engine and the replay subcommand."""
     from repro.pipeline.sim import run_workload
 

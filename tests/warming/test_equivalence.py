@@ -92,7 +92,7 @@ class TestRecordedTraces:
         "preset", ("Baseline_0", "SpecSched_4_Combined", "SpecSched_4_Crit"))
     def test_state_and_digest_identity(self, recorded_trace, tmp_path, preset):
         """Equal component state and checkpoint digests on a recording."""
-        from repro.checkpoint.format import checkpoint_digest, save_checkpoint
+        from repro.checkpoint.format import save_checkpoint
         from repro.traces.format import FileTrace
 
         def build():
@@ -106,8 +106,7 @@ class TestRecordedTraces:
         digests = []
         for name, warmed in (("oracle", oracle), ("production", sim)):
             ckpt = tmp_path / f"{name}.ckpt"
-            save_checkpoint(warmed, ckpt)
-            digests.append(checkpoint_digest(ckpt))
+            digests.append(save_checkpoint(warmed, ckpt).digest)
         assert digests[0] == digests[1]
 
     def test_non_frame_aligned_blocks(self, recorded_trace):

@@ -1,7 +1,7 @@
 import pytest
 
 from repro.workloads.spec import KernelSpec, WorkloadSpec
-from repro.workloads.suite import DEFAULT_SUBSET, SUITE, get_workload
+from repro.workloads.suite import DEFAULT_SUBSET, SUITE
 
 
 class TestSuiteShape:
@@ -25,10 +25,6 @@ class TestSuiteShape:
     def test_subset_is_within_suite(self):
         assert set(DEFAULT_SUBSET) <= set(SUITE)
         assert len(DEFAULT_SUBSET) >= 10
-
-    def test_get_workload_errors_helpfully(self):
-        with pytest.raises(KeyError, match="unknown workload"):
-            get_workload("quake3")
 
     def test_descriptions_present(self):
         for spec in SUITE.values():
