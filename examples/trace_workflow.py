@@ -3,8 +3,8 @@
 
 Walks the full capture/replay workflow against a throwaway directory:
 
-1. resolve a workload through the registry (a Table-2 suite entry and a
-   declarative scenario from ``examples/scenarios/``);
+1. resolve two workloads through the registry: a Table-2 suite entry
+   and the bundled RV32I program ``ptr-chase`` from ``examples/rv32i/``;
 2. record each µop stream to the binary trace format and inspect it;
 3. simulate generate-live vs replay-from-file through the experiment
    engine and check the ``SimStats`` are bit-identical;
@@ -29,9 +29,6 @@ from repro.common.serialize import stable_hash
 from repro.experiments.engine import cell_payload, simulate_payload
 from repro.isa.trace import iterate
 from repro.traces import TraceWorkload, capture, default_registry
-from repro.traces.registry import WorkloadRegistry
-
-SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
 VOLUMES = dict(warmup_uops=500, measure_uops=3000,
                functional_warmup_uops=8000, seed=3)
@@ -46,9 +43,8 @@ def throughput(source, uops: int) -> float:
 
 
 def main() -> None:
-    registry = WorkloadRegistry(search_paths=[SCENARIO_DIR])
-    workloads = [registry.resolve("mcf"),
-                 registry.resolve("pointer-chase-storm")]
+    registry = default_registry()
+    workloads = [registry.resolve("mcf"), registry.resolve("ptr-chase")]
 
     with tempfile.TemporaryDirectory() as tmp:
         for workload in workloads:
@@ -78,13 +74,12 @@ def main() -> None:
                   f"replay {replay_rate / 1e3:.0f} kµops/s "
                   f"(x{replay_rate / live_rate:.2f})\n")
 
-    print("registry view (suite + example scenarios):")
-    names = default_registry().names()
-    scenarios = ", ".join(sorted(n for n, k in names.items()
-                                 if k == "scenario"))
+    print("registry view (suite + bundled RV32I programs):")
+    names = registry.names()
+    programs = ", ".join(sorted(n for n, k in names.items() if k == "rv32i"))
     suite_count = sum(1 for k in names.values() if k == "suite")
-    print(f"  {suite_count} suite workloads; scenarios: "
-          f"{scenarios or '(none found; run from the repository root)'}")
+    print(f"  {suite_count} suite workloads; rv32i programs: "
+          f"{programs or '(none found)'}")
 
 
 if __name__ == "__main__":

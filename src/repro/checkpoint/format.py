@@ -164,14 +164,9 @@ class CheckpointInfo:
 
     @property
     def workload_name(self) -> str:
-        """Trace and RV32I payloads keep ``name`` at the top level; suite
-        and scenario payloads keep it in their ``spec``."""
-        if not self.workload:
-            return "?"
-        if "name" in self.workload:
-            return self.workload["name"]
-        spec = self.workload.get("spec") or {}
-        return spec.get("name", "?")
+        from repro.traces.registry import payload_name
+
+        return payload_name(self.workload) if self.workload else "?"
 
 
 def _read_header(handle, path: Path):

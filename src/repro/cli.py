@@ -15,8 +15,8 @@ Commands:
   ``examples/sweeps/``) through the parallel experiment engine; a
   ``[sampling]`` table in the file runs every cell sampled;
 * ``trace record WORKLOAD`` / ``trace info FILE`` — capture a µop
-  stream (suite workload, scenario or RV32I program) to the binary trace
-  format, inspect a recording;
+  stream (suite workload or RV32I program) to the binary trace format,
+  inspect a recording;
 * ``checkpoint create WORKLOAD CONFIG`` / ``checkpoint info FILE`` /
   ``checkpoint rebase FILE CONFIG`` — freeze a mid-run simulator's
   complete state to a versioned ``.ckpt`` file, inspect one
@@ -37,11 +37,11 @@ Commands:
   program image functionally to halt (end-state registers + memory
   digest), or re-assemble the bundled kernel corpus and verify the
   checked-in images (see ``docs/RV32I.md``);
-* ``list`` — available workloads (suite, scenarios, traces, rv32i
-  programs) and presets.
+* ``list`` — available workloads (suite, rv32i programs, traces) and
+  presets.
 
 Workload arguments resolve through the workload registry
-(:mod:`repro.traces.registry`): suite names, scenario-spec names/files
+(:mod:`repro.traces.registry`): suite names, RV32I program names/images
 and recorded-trace names/files are all accepted. Workload selection and
 simulation volume follow the ``REPRO_*`` environment variables (see
 :mod:`repro.experiments.runner`), ``repro run`` included; the
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="simulate one workload/config pair")
     run_p.add_argument("workload",
                        help="registry name or file: suite workload, "
-                            "scenario spec (.toml/.json) or trace (.trc)")
+                            "RV32I program (.hex/.bin) or trace (.trc)")
     run_p.add_argument("config", help="e.g. SpecSched_4_Crit")
     run_p.add_argument("--dual-ported", action="store_true",
                        help="ideal dual-ported L1D instead of banked")
@@ -153,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
     record_p = trace_sub.add_parser(
         "record", help="capture a workload's µop stream to disk")
     record_p.add_argument("workload",
-                          help="registry name (suite workload, scenario "
-                               "or RV32I program)")
+                          help="registry name (suite workload or RV32I "
+                               "program)")
     record_p.add_argument("-o", "--output", default=None, metavar="FILE",
                           help="output path (default <workload>.trc)")
     record_p.add_argument("--uops", type=_positive_int,
@@ -344,7 +344,7 @@ def _print_run(result) -> None:
 
 def _fail(exc: BaseException) -> int:
     """Uniform clean-error exit for expected bad inputs (unknown names,
-    malformed scenario/trace files, undersized traces)."""
+    malformed trace/program files, undersized traces)."""
     if isinstance(exc, OSError):
         # args[0] is the bare errno for OSErrors; str() keeps the path.
         message = str(exc)
@@ -554,7 +554,7 @@ def _cmd_trace_record(args: argparse.Namespace) -> int:
         if isinstance(workload, TraceWorkload):
             raise ValueError(
                 "refusing to re-record an existing trace; record from a "
-                "suite workload, scenario spec or RV32I program")
+                "suite workload or RV32I program")
         seed = workload_seed(workload, args.seed)
         uops = args.uops if args.uops is not None else default_capture_uops()
         output = args.output or f"{workload.name}.trc"
@@ -863,8 +863,8 @@ def _cmd_rv32i_check() -> int:
 def _cmd_list() -> int:
     registry = default_registry()
     kinds = registry.names()
-    print("workloads (suite + scenario specs + recorded traces + rv32i "
-          "programs on the registry search path):")
+    print("workloads (suite + rv32i programs + recorded traces and "
+          "images on the registry search path):")
     for name, workload in registry.entries():
         kind = kinds.get(name, "suite")
         klass = "FP " if workload.is_fp else "INT"

@@ -9,8 +9,7 @@ produces the same bytes, across processes and Python versions. Hence:
 * :func:`stable_hash` — sha256 over the canonical JSON;
 * :func:`dataclass_from_dict` — the inverse of :func:`dataclasses.asdict`
   for the (nested, frozen) dataclasses used in this codebase;
-* :func:`load_structured_file` — the one TOML/JSON file loader shared by
-  every declarative input (sweep files, scenario specs).
+* :func:`load_structured_file` — the TOML/JSON loader for sweep files.
 """
 
 from __future__ import annotations
@@ -42,8 +41,8 @@ def stable_hash(obj: Any) -> str:
 def load_structured_file(path) -> Dict[str, Any]:
     """Load a ``.toml`` or ``.json`` file into a plain dict.
 
-    The declarative inputs (sweeps, scenario specs) accept either syntax;
-    dispatch is by file suffix so error messages stay precise.
+    Sweep files accept either syntax; dispatch is by file suffix so
+    error messages stay precise.
     """
     path = Path(path)
     text = path.read_text()

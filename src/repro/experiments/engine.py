@@ -299,13 +299,13 @@ def cell_payload(preset: str, workload: WorkloadLike, *,
 
     Everything that can influence the measured counters is in here — the
     fully resolved :class:`SimConfig`, the full workload encoding
-    (spec/scenario dict, or trace path + content digest — so a cached
+    (spec dict, or file path + content digest — so a cached
     result can never be served against a re-recorded trace), the µop
     volumes, the seed and the code-version digest — so the payload's
     content hash is a sound cache key. ``workload`` is anything the
     workload registry hands out: a :class:`WorkloadSpec`, a
-    :class:`~repro.traces.scenario.ScenarioSpec` or a
-    :class:`~repro.traces.registry.TraceWorkload`.
+    :class:`~repro.traces.registry.TraceWorkload` or an
+    :class:`~repro.isa.rv32i.workload.Rv32iWorkload`.
     """
     config = make_config(preset, banked=banked, load_ports=load_ports)
     return base_cell_payload(

@@ -11,7 +11,7 @@ Scale knobs come from the environment:
 
 * ``REPRO_WORKLOADS`` — ``subset`` (default, 12 diverse workloads),
   ``full`` (all 36), or a comma-separated list of registry names (suite
-  workloads, scenario specs or recorded traces; see
+  workloads, RV32I programs or recorded traces; see
   :mod:`repro.traces.registry`);
 * ``REPRO_WARMUP`` / ``REPRO_MEASURE`` / ``REPRO_FUNC_WARMUP`` — µop
   counts per run (defaults 3000/12000/60000, the ``DEFAULT_*`` constants
@@ -226,8 +226,8 @@ def shared_cache(options: Optional[EngineOptions] = None) -> ResultCache:
 
 def _grid_payloads(series: Sequence[SweepSeries],
                    settings: Settings) -> List[dict]:
-    # One resolution per name, not per cell: resolving a scenario or
-    # trace name re-reads its file, and the grid repeats each workload
+    # One resolution per name, not per cell: resolving a trace or
+    # program name re-reads its file, and the grid repeats each workload
     # once per preset.
     resolved = {name: resolve_workload(name) for name in settings.workloads}
     payloads = []

@@ -52,8 +52,8 @@ def workload_seed(workload, seed: Optional[int] = None) -> int:
     """``seed``, or the workload's own seed when ``seed`` is None.
 
     Trace workloads carry no seed (the stream was fixed at record time
-    and ``build_trace`` ignores it) and default to 0; suite specs,
-    scenarios and RV32I programs default to their own.
+    and ``build_trace`` ignores it) and default to 0; suite specs and
+    RV32I programs default to their own.
     """
     if seed is not None:
         return seed
@@ -114,7 +114,7 @@ def run_workload(
     ``config`` may be a preset name ("SpecSched_4_Crit") or a full
     :class:`SimConfig`; ``banked`` only applies when a name is given.
     ``workload`` may be a suite name, any other workload-registry name or
-    path (scenario spec, recorded trace), or a workload object.
+    path (recorded trace, RV32I image), or a workload object.
     ``checkpoint`` (a ``.ckpt`` path) resumes from saved warm state
     instead of starting cold — warmup/measure volumes then count from
     the checkpointed position. ``collector`` (a

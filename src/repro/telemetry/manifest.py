@@ -28,6 +28,8 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.traces.registry import payload_name
+
 __all__ = [
     "MANIFEST_SCHEMA",
     "build_manifest",
@@ -64,16 +66,6 @@ def manifests_dir(cache_dir: Optional[Path]) -> Optional[Path]:
     return Path(cache_dir) / "manifests"
 
 
-def _workload_label(workload_data: Dict[str, Any]) -> str:
-    kind = workload_data.get("kind", "spec")
-    if kind in ("spec", "scenario"):
-        return str(workload_data.get("spec", {}).get("name", "?"))
-    if kind == "trace":
-        return str(workload_data.get("name")
-                   or workload_data.get("digest", "?")[:12])
-    return "?"
-
-
 def build_manifest(payload: Dict[str, Any], key: str, *,
                    cached: bool, wall_seconds: float,
                    peak_rss_kb: int = 0, jobs: int = 1) -> Dict[str, Any]:
@@ -83,8 +75,8 @@ def build_manifest(payload: Dict[str, Any], key: str, *,
         "schema": MANIFEST_SCHEMA,
         "key": key,
         "config": payload["config"].get("name", "?"),
-        "workload": _workload_label(workload_data),
-        "workload_kind": workload_data.get("kind", "spec"),
+        "workload": payload_name(workload_data),
+        "workload_kind": workload_data["kind"],
         "warmup_uops": payload["warmup_uops"],
         "measure_uops": payload["measure_uops"],
         "functional_warmup_uops": payload["functional_warmup_uops"],

@@ -1,15 +1,13 @@
-"""Trace subsystem: binary capture/replay, scenario specs, the registry.
+"""Trace subsystem: binary capture/replay and the workload registry.
 
-Three layers (see the module docstrings for the details):
+Two layers (see the module docstrings for the details):
 
 * :mod:`repro.traces.format` — the versioned binary on-disk µop-stream
   encoding, its streaming reader/writer, :func:`capture` and
   :class:`FileTrace` replay;
-* :mod:`repro.traces.scenario` — declarative :class:`ScenarioSpec`
-  behavioural classes compiled into deterministic seeded trace sources;
 * :mod:`repro.traces.registry` — the single namespace through which the
-  engine, CLI, figures and benchmarks resolve kernel suites, scenario
-  specs and recorded traces uniformly.
+  engine, CLI, figures and benchmarks resolve kernel suites, recorded
+  traces and RV32I program images uniformly.
 """
 
 from repro.traces.format import (
@@ -31,23 +29,9 @@ from repro.traces.registry import (
     workload_identity,
     workload_payload,
 )
-from repro.traces.scenario import (
-    BranchModel,
-    DepModel,
-    MemoryModel,
-    MixState,
-    ScenarioSpec,
-    ScenarioTrace,
-)
 
 __all__ = [
-    "BranchModel",
-    "DepModel",
     "FileTrace",
-    "MemoryModel",
-    "MixState",
-    "ScenarioSpec",
-    "ScenarioTrace",
     "TRACE_SUFFIX",
     "TraceFormatError",
     "TraceInfo",

@@ -305,7 +305,7 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
 
     ``wp_seed`` must be the seed whose :class:`WrongPathSynth` stream the
     source uses, so replay reproduces the wrong path exactly; for
-    workload/scenario traces that is the build seed.
+    live workload traces that is the build seed.
     """
     with TraceWriter(path, wp_seed=wp_seed, provenance=provenance,
                      frame_records=frame_records) as out:

@@ -1,25 +1,21 @@
-"""The workload registry: one namespace for suites, scenarios and traces.
+"""The workload registry: one namespace for suites, traces and programs.
 
 Everything that consumes workloads — ``repro run``/``repro sweep``, the
 experiment engine, figures/tables, benchmarks — resolves them here, so a
-new behavioural class is addressable end-to-end by name the moment its
-file exists. Three kinds resolve uniformly:
+recording or program image is addressable end-to-end by name the moment
+its file exists. Three kinds resolve uniformly:
 
 * **suite** — the built-in Table-2 :class:`~repro.workloads.spec.WorkloadSpec`
   entries ("mcf", "xalancbmk", ...);
-* **scenario** — declarative :class:`~repro.traces.scenario.ScenarioSpec`
-  files (``.toml``/``.json``), discovered on the search path or given as
-  explicit paths;
 * **trace** — recorded binary traces (``.trc``), wrapped in
   :class:`TraceWorkload`;
 * **rv32i** — real RV32I program images (``.hex``/``.bin``), wrapped in
   :class:`~repro.isa.rv32i.workload.Rv32iWorkload`. The bundled kernel
   corpus under ``examples/rv32i`` resolves by bare name.
 
-The search path is ``REPRO_WORKLOAD_PATH`` (``os.pathsep``-separated
-directories) followed by ``examples/scenarios`` relative to the current
-directory. Names containing a path separator or a recognized suffix
-bypass the search and load directly.
+Recordings and images are discovered on ``REPRO_WORKLOAD_PATH``
+(``os.pathsep``-separated directories). Names containing a path
+separator or a recognized suffix bypass the search and load directly.
 
 All kinds satisfy one protocol — ``name``, ``description``,
 ``is_fp``, ``build_trace(seed)``, ``content_hash()`` — and
@@ -40,16 +36,13 @@ from repro.common.serialize import canonical_json, stable_hash
 from repro.isa.rv32i.corpus import bundled_workload
 from repro.isa.rv32i.workload import RV32I_SUFFIXES, Rv32iWorkload
 from repro.traces.format import FileTrace, TRACE_SUFFIX, TraceInfo, read_info
-from repro.traces.scenario import ScenarioSpec
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import SUITE
 
-_SCENARIO_SUFFIXES = (".toml", ".json")
-_FILE_SUFFIXES = _SCENARIO_SUFFIXES + (TRACE_SUFFIX,) + RV32I_SUFFIXES
+_FILE_SUFFIXES = (TRACE_SUFFIX,) + RV32I_SUFFIXES
 
 #: Union of everything the registry hands out.
-WorkloadLike = Union[WorkloadSpec, ScenarioSpec, "TraceWorkload",
-                     Rv32iWorkload]
+WorkloadLike = Union[WorkloadSpec, "TraceWorkload", Rv32iWorkload]
 
 
 class TraceWorkload:
@@ -103,8 +96,6 @@ def workload_payload(workload: WorkloadLike) -> Dict[str, Any]:
     """Self-contained plain-dict encoding of any registry workload."""
     if isinstance(workload, WorkloadSpec):
         return {"kind": "spec", "spec": workload.to_dict()}
-    if isinstance(workload, ScenarioSpec):
-        return {"kind": "scenario", "spec": workload.to_dict()}
     if isinstance(workload, TraceWorkload):
         return {"kind": "trace", "name": workload.name,
                 "path": str(workload.path), "digest": workload.digest,
@@ -120,7 +111,7 @@ def workload_payload(workload: WorkloadLike) -> Dict[str, Any]:
 def workload_identity(data: Dict[str, Any]) -> Dict[str, Any]:
     """The hash-relevant view of a workload payload.
 
-    For spec/scenario payloads that is the payload itself; for traces the
+    For spec payloads that is the payload itself; for traces the
     file location and display name are dropped so the cache key depends
     only on the recorded stream (digest + wrong-path seed + length) — the
     same recording at two paths, or on two machines sharing a cache,
@@ -142,13 +133,19 @@ def workload_identity(data: Dict[str, Any]) -> Dict[str, Any]:
     return json.loads(canonical_json(data))
 
 
+def payload_name(data: Dict[str, Any]) -> str:
+    """Display name of a workload payload: trace and RV32I payloads keep
+    ``name`` at the top level, suite payloads keep it in their ``spec``."""
+    if "name" in data:
+        return str(data["name"])
+    return str(data.get("spec", {}).get("name", "?"))
+
+
 def workload_from_payload(data: Dict[str, Any]) -> WorkloadLike:
     """Inverse of :func:`workload_payload` (runs in engine workers)."""
-    kind = data.get("kind", "spec")
+    kind = data.get("kind")
     if kind == "spec":
-        return WorkloadSpec.from_dict(data.get("spec", data))
-    if kind == "scenario":
-        return ScenarioSpec.from_dict(data["spec"])
+        return WorkloadSpec.from_dict(data["spec"])
     if kind == "trace":
         workload = TraceWorkload(data["path"], name=data.get("name"))
         if workload.digest != data["digest"]:
@@ -182,7 +179,6 @@ class WorkloadRegistry:
             search_paths = [
                 entry for entry in os.environ.get(
                     "REPRO_WORKLOAD_PATH", "").split(os.pathsep) if entry]
-            search_paths.append("examples/scenarios")
         self.search_paths = [Path(p) for p in search_paths]
 
     # -- resolution ------------------------------------------------------
@@ -216,8 +212,6 @@ class WorkloadRegistry:
     @staticmethod
     def _load_file(path: Path) -> WorkloadLike:
         suffix = path.suffix.lower()
-        if suffix in _SCENARIO_SUFFIXES:
-            return ScenarioSpec.from_file(path)
         if suffix == TRACE_SUFFIX:
             return TraceWorkload(path)
         if suffix in RV32I_SUFFIXES:
@@ -237,9 +231,7 @@ class WorkloadRegistry:
                 continue
             for entry in sorted(directory.iterdir()):
                 suffix = entry.suffix.lower()
-                if suffix in _SCENARIO_SUFFIXES:
-                    out.setdefault(entry.stem, "scenario")
-                elif suffix == TRACE_SUFFIX:
+                if suffix == TRACE_SUFFIX:
                     out.setdefault(entry.stem, "trace")
                 elif suffix in RV32I_SUFFIXES:
                     out.setdefault(entry.stem, "rv32i")

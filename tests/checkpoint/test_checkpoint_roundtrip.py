@@ -96,8 +96,8 @@ def test_file_checkpoint_roundtrip_is_bit_identical(tmp_path, workload_name,
     assert restored.stats.to_dict() == reference
 
 
-def test_scenario_workload_roundtrip():
-    workload = resolve_workload("examples/scenarios/pointer-chase-storm.toml")
+def test_explicit_path_workload_roundtrip():
+    workload = resolve_workload("examples/rv32i/ptr-chase.hex")
     config = make_config("SpecSched_4_Combined")
     reference = _reference_stats(workload, config, seed=workload.seed)
 

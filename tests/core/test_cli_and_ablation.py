@@ -41,7 +41,7 @@ class TestCli:
 
     def test_unknown_workload_rejected(self):
         # Workload validation happens in the registry (names may be
-        # scenario/trace files), not in argparse: clean error, exit 2.
+        # recordings or RV32I images), not in argparse: clean error, exit 2.
         assert main(["run", "quake3", "SpecSched_4"]) == 2
 
     def test_table1_command(self, capsys):
@@ -247,15 +247,6 @@ class TestTraceCli:
         bad.write_bytes(b"RPTR not a real trace")
         assert main(["run", str(bad), "SpecSched_4"]) == 2
         assert "error:" in capsys.readouterr().err
-
-    def test_run_bad_scenario_knob_clean_error(self, tmp_path, capsys,
-                                               monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        (tmp_path / "s.toml").write_text(
-            'name = "s"\n[deps]\nbogus_knob = 3\n'
-            '[[mix]]\nname = "a"\nop = "alu"\nnext = { a = 1.0 }\n')
-        assert main(["run", "s.toml", "SpecSched_4"]) == 2
-        assert "unknown [deps] fields" in capsys.readouterr().err
 
     def test_replay_defaults_follow_env_volumes(self, tmp_path, capsys,
                                                 monkeypatch):

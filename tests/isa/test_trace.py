@@ -88,14 +88,12 @@ def test_list_trace_restore_restarts_wrong_path_stream():
 
 
 # ---------------------------------------------------------------------------
-# The five shipped sources share the base class's seeded wrong path.
+# The four shipped sources share the base class's seeded wrong path.
 
 #: Source kind -> its pinned checkpoint state keys.
 SOURCE_STATE_KEYS = {
     "list": {"pos", "seq", "synth"},
     "suite": {"rng", "wp_synth", "kernels", "buffer", "emitted"},
-    "scenario": {"rng", "wp_synth", "state", "ring", "next_reg", "cursors",
-                 "next_stream", "last_load_dst", "branch_count", "emitted"},
     "recording": {"replayed", "synth"},
     "rv32i": {"machine", "iterations", "seq", "emitted", "synth"},
 }
@@ -104,17 +102,11 @@ SOURCE_STATE_KEYS = {
 def _source(kind, tmp_path):
     from repro.traces.format import FileTrace, capture
     from repro.traces.registry import resolve_workload
-    from repro.traces.scenario import ScenarioSpec
 
     if kind == "list":
         return ListTrace(_uops(40), wp_seed=3)
     if kind == "suite":
         return resolve_workload("gzip").build_trace(3)
-    if kind == "scenario":
-        spec = ScenarioSpec.from_dict({
-            "name": "s", "seed": 3,
-            "mix": [{"name": "alu", "op": "alu", "next": {"alu": 1.0}}]})
-        return spec.build_trace(3)
     if kind == "recording":
         path = tmp_path / "t.trc"
         capture(ListTrace(_uops(40)), path, 40, wp_seed=3)

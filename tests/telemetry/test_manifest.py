@@ -21,6 +21,7 @@ from repro.telemetry.manifest import (
     rollup,
     write_manifest,
 )
+from repro.traces.registry import resolve_workload
 from repro.workloads.suite import SUITE
 
 VOLUMES = dict(warmup_uops=200, measure_uops=600,
@@ -107,6 +108,20 @@ def test_rollup_splits_simulated_and_cached():
     assert "cells: 3" in text
     assert "Baseline_0" in text
     assert "by workload:" in text
+
+
+def test_rollup_names_each_rv32i_program():
+    names = ("ptr-chase", "dhry-mix", "gzip")
+    records = [
+        build_manifest(cell_payload("Baseline_0", resolve_workload(name),
+                                    banked=False, **VOLUMES),
+                       f"k{i}", cached=False, wall_seconds=1.0)
+        for i, name in enumerate(names)]
+    assert [r["workload_kind"] for r in records] == ["rv32i", "rv32i",
+                                                     "spec"]
+    by_workload = rollup(records)["by_workload"]
+    assert sorted(by_workload) == sorted(names)
+    assert all(row["cells"] == 1 for row in by_workload.values())
 
 
 def test_manifests_dir_follows_the_cache():

@@ -1,8 +1,8 @@
-"""Workload registry: uniform resolution of suites, scenarios, traces."""
+"""Workload registry: uniform resolution of suites, traces, RV32I images."""
 
 from __future__ import annotations
 
-import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -16,8 +16,8 @@ from repro.traces.registry import (
     workload_from_payload,
     workload_payload,
 )
-from repro.traces.scenario import ScenarioSpec
 from repro.isa.opclass import OpClass
+from repro.isa.rv32i.workload import Rv32iWorkload
 from repro.isa.uop import MicroOp
 from repro.workloads.spec import WorkloadSpec
 from repro.workloads.suite import SUITE
@@ -28,17 +28,13 @@ def _mixed_uops(n):
                     mem_addr=0x4000 + 64 * i) for i in range(n)]
 
 
-SCENARIO_DICT = {
-    "name": "reg-scenario",
-    "seed": 5,
-    "mix": [{"name": "alu", "op": "alu", "next": {"alu": 1.0}}],
-}
+PTR_CHASE_HEX = Path(__file__).parents[2] / "examples/rv32i/ptr-chase.hex"
 
 
 @pytest.fixture
-def scenario_file(tmp_path) -> Path:
-    path = tmp_path / "reg-scenario.json"
-    path.write_text(json.dumps(SCENARIO_DICT))
+def program_file(tmp_path) -> Path:
+    path = tmp_path / "reg-program.hex"
+    shutil.copyfile(PTR_CHASE_HEX, path)
     return path
 
 
@@ -61,12 +57,6 @@ def test_suite_names_resolve():
     assert workload is SUITE["xalancbmk"]
 
 
-def test_explicit_scenario_path(scenario_file):
-    workload = WorkloadRegistry(search_paths=[]).resolve(str(scenario_file))
-    assert isinstance(workload, ScenarioSpec)
-    assert workload.name == "reg-scenario"
-
-
 def test_explicit_trace_path(trace_file):
     workload = WorkloadRegistry(search_paths=[]).resolve(str(trace_file))
     assert isinstance(workload, TraceWorkload)
@@ -74,21 +64,22 @@ def test_explicit_trace_path(trace_file):
     assert len(list(iterate(workload.build_trace(), 100))) == 40
 
 
-def test_search_path_resolution(scenario_file, trace_file):
-    registry = WorkloadRegistry(search_paths=[scenario_file.parent])
-    assert isinstance(registry.resolve("reg-scenario"), ScenarioSpec)
+def test_search_path_resolution(program_file, trace_file):
+    registry = WorkloadRegistry(search_paths=[program_file.parent])
+    assert isinstance(registry.resolve("reg-program"), Rv32iWorkload)
     assert isinstance(registry.resolve("reg-trace"), TraceWorkload)
 
 
-def test_env_search_path(scenario_file, monkeypatch):
-    monkeypatch.setenv("REPRO_WORKLOAD_PATH", str(scenario_file.parent))
-    assert isinstance(resolve_workload("reg-scenario"), ScenarioSpec)
+def test_env_search_path(program_file, trace_file, monkeypatch):
+    monkeypatch.setenv("REPRO_WORKLOAD_PATH", str(program_file.parent))
+    assert isinstance(resolve_workload("reg-program"), Rv32iWorkload)
+    assert isinstance(resolve_workload("reg-trace"), TraceWorkload)
 
 
 def test_suite_shadows_files(tmp_path):
     # A stray file must not hijack a canonical Table-2 name.
-    (tmp_path / "mcf.json").write_text(json.dumps(
-        dict(SCENARIO_DICT, name="mcf")))
+    capture(ListTrace(_mixed_uops(40)), tmp_path / "mcf.trc", 40,
+            wp_seed=4, provenance={"workload": "mcf"})
     workload = WorkloadRegistry(search_paths=[tmp_path]).resolve("mcf")
     assert workload is SUITE["mcf"]
 
@@ -107,20 +98,21 @@ def test_unknown_name_lists_available():
 
 def test_missing_file_rejected():
     with pytest.raises(KeyError, match="does not exist"):
-        WorkloadRegistry(search_paths=[]).resolve("nope/missing.toml")
+        WorkloadRegistry(search_paths=[]).resolve("nope/missing.trc")
 
 
-def test_names_enumerates_kinds(scenario_file, trace_file):
-    names = WorkloadRegistry(search_paths=[scenario_file.parent]).names()
+def test_names_enumerates_kinds(program_file, trace_file):
+    names = WorkloadRegistry(search_paths=[program_file.parent]).names()
     assert names["gzip"] == "suite"
-    assert names["reg-scenario"] == "scenario"
+    assert names["ptr-chase"] == "rv32i"
+    assert names["reg-program"] == "rv32i"
     assert names["reg-trace"] == "trace"
 
 
-def test_entries_resolve_all(scenario_file):
-    registry = WorkloadRegistry(search_paths=[scenario_file.parent])
+def test_entries_resolve_all(program_file, trace_file):
+    registry = WorkloadRegistry(search_paths=[program_file.parent])
     entries = dict(registry.entries())
-    assert "reg-scenario" in entries and "gzip" in entries
+    assert {"gzip", "reg-program", "reg-trace"} <= set(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -133,16 +125,10 @@ def test_spec_payload_roundtrip():
     assert workload_from_payload(payload) == SUITE["gzip"]
 
 
-def test_legacy_payload_without_kind_still_decodes():
-    # Pre-registry payloads stored the bare WorkloadSpec dict.
-    assert workload_from_payload(SUITE["gzip"].to_dict()) == SUITE["gzip"]
-
-
-def test_scenario_payload_roundtrip():
-    spec = ScenarioSpec.from_dict(SCENARIO_DICT)
-    payload = workload_payload(spec)
-    assert payload["kind"] == "scenario"
-    assert workload_from_payload(payload) == spec
+def test_payload_without_kind_rejected():
+    # Every payload names its kind; a bare WorkloadSpec dict is refused.
+    with pytest.raises(ValueError, match="unknown workload payload kind"):
+        workload_from_payload(SUITE["gzip"].to_dict())
 
 
 def test_trace_payload_roundtrip(trace_file):

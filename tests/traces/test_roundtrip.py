@@ -1,7 +1,6 @@
 """Capture -> replay fidelity: the trace subsystem's core guarantee.
 
-Two properties, asserted across Table-2 workloads, scenario specs and
-seeds:
+Two properties, asserted across Table-2 workloads and seeds:
 
 1. **Stream fidelity** — replaying a recorded trace yields the
    bit-identical architectural µop sequence the live generator produces
@@ -23,12 +22,10 @@ from repro.experiments.runner import Settings, Sweep, SweepSeries, run_sweep
 from repro.isa.trace import iterate
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload, resolve_workload
-from repro.traces.scenario import ScenarioSpec
 
-SCENARIO_DIR = Path(__file__).parents[2] / "examples" / "scenarios"
-
-TABLE2_WORKLOADS = ("gzip", "swim", "mcf")
-SCENARIOS = ("pointer-chase-storm", "branchy-low-ilp", "streaming-mlp")
+#: Compute, FP and pointer-chasing programs, then pointer chasing plus
+#: branches (omnetpp), hard branches (gobmk) and streaming (libquantum).
+TABLE2_WORKLOADS = ("gzip", "swim", "mcf", "omnetpp", "gobmk", "libquantum")
 
 #: Tiny but real volumes: functional warmup, timed warmup and measure all
 #: exercised. The capture must cover the longer of the two streams plus
@@ -42,12 +39,6 @@ ARCH_FIELDS = ("pc", "opclass", "srcs", "dst", "mem_addr", "mem_size",
                "taken", "target")
 
 
-def _source(name: str):
-    if name in SCENARIOS:
-        return ScenarioSpec.from_file(SCENARIO_DIR / f"{name}.toml")
-    return resolve_workload(name)
-
-
 def _record(workload, tmp_path, seed: int) -> TraceWorkload:
     path = tmp_path / f"{workload.name}-{seed}.trc"
     capture(workload.build_trace(seed), path, CAPTURE_UOPS, wp_seed=seed,
@@ -59,10 +50,10 @@ def _record(workload, tmp_path, seed: int) -> TraceWorkload:
 # Stream fidelity
 
 
-@pytest.mark.parametrize("name", TABLE2_WORKLOADS + SCENARIOS)
+@pytest.mark.parametrize("name", TABLE2_WORKLOADS)
 @pytest.mark.parametrize("seed", [1, 42])
 def test_replay_stream_bit_identical(tmp_path, name, seed):
-    workload = _source(name)
+    workload = resolve_workload(name)
     recorded = _record(workload, tmp_path, seed)
     live = iterate(workload.build_trace(seed), 4000)
     replay = iterate(recorded.build_trace(), 4000)
@@ -73,9 +64,9 @@ def test_replay_stream_bit_identical(tmp_path, name, seed):
                 f"pc={expected.pc:#x}")
 
 
-@pytest.mark.parametrize("name", ("gzip", "streaming-mlp"))
+@pytest.mark.parametrize("name", ("gzip", "libquantum"))
 def test_replay_wrong_path_bit_identical(tmp_path, name):
-    workload = _source(name)
+    workload = resolve_workload(name)
     recorded = _record(workload, tmp_path, 7)
     live, replay = workload.build_trace(7), recorded.build_trace()
     for i in range(200):
@@ -91,12 +82,12 @@ def test_replay_wrong_path_bit_identical(tmp_path, name):
     ("gzip", "Baseline_0"),
     ("swim", "SpecSched_4"),
     ("mcf", "SpecSched_4_Crit"),
-    ("pointer-chase-storm", "SpecSched_4"),
-    ("branchy-low-ilp", "SpecSched_4_Shift"),
-    ("streaming-mlp", "SpecSched_4_Ctr"),
+    ("omnetpp", "SpecSched_4"),
+    ("gobmk", "SpecSched_4_Shift"),
+    ("libquantum", "SpecSched_4_Ctr"),
 ])
 def test_engine_stats_identical_live_vs_replay(tmp_path, name, preset):
-    workload = _source(name)
+    workload = resolve_workload(name)
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     live = simulate_payload(cell_payload(preset, workload, **VOLUMES))
     replay = simulate_payload(cell_payload(preset, recorded, **VOLUMES))
@@ -107,7 +98,7 @@ def test_engine_stats_identical_live_vs_replay(tmp_path, name, preset):
 def test_cache_key_differs_between_live_and_trace(tmp_path):
     """Same stream, different provenance: a trace cell must not collide
     with (or go stale against) the live generator's cache entries."""
-    workload = _source("gzip")
+    workload = resolve_workload("gzip")
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     live_payload = cell_payload("Baseline_0", workload, **VOLUMES)
     trace_payload = cell_payload("Baseline_0", recorded, **VOLUMES)
@@ -123,7 +114,7 @@ def test_cache_key_differs_between_live_and_trace(tmp_path):
 
 def test_cache_key_independent_of_trace_location(tmp_path):
     """The same recording at two paths keys the same cache entries."""
-    workload = _source("gzip")
+    workload = resolve_workload("gzip")
     recorded = _record(workload, tmp_path, VOLUMES["seed"])
     copy = tmp_path / "renamed-elsewhere.trc"
     copy.write_bytes(Path(recorded.path).read_bytes())
@@ -136,7 +127,7 @@ def test_cache_key_independent_of_trace_location(tmp_path):
 def test_undersized_trace_rejected_not_measured(tmp_path):
     """A trace shorter than warmup+measure must fail loudly, not cache
     an all-zero measured region."""
-    workload = _source("gzip")
+    workload = resolve_workload("gzip")
     path = tmp_path / "short.trc"
     capture(workload.build_trace(VOLUMES["seed"]), path, 500,
             wp_seed=VOLUMES["seed"])
@@ -147,7 +138,7 @@ def test_undersized_trace_rejected_not_measured(tmp_path):
 
 def test_run_sweep_accepts_trace_names(tmp_path, monkeypatch):
     """A recorded trace is addressable by registry name end-to-end."""
-    workload = _source("gzip")
+    workload = resolve_workload("gzip")
     path = tmp_path / "gzip-rec.trc"
     capture(workload.build_trace(VOLUMES["seed"]), path, CAPTURE_UOPS,
             wp_seed=VOLUMES["seed"], provenance={"workload": "gzip"})
@@ -171,7 +162,7 @@ def test_run_workload_rejects_undersized_trace(tmp_path):
     the engine and the replay subcommand."""
     from repro.pipeline.sim import run_workload
 
-    workload = _source("gzip")
+    workload = resolve_workload("gzip")
     path = tmp_path / "short.trc"
     capture(workload.build_trace(1), path, 300, wp_seed=1)
     with pytest.raises(ValueError, match="holds only 300"):
@@ -191,7 +182,7 @@ def test_restore_past_truncation_is_one_line_cli_error(tmp_path, capsys):
     from repro.traces.format import DEFAULT_FRAME_RECORDS, FRAME_HEADER, HEADER
 
     path = tmp_path / "gzip.trc"
-    capture(_source("gzip").build_trace(1), path,
+    capture(resolve_workload("gzip").build_trace(1), path,
             5 * DEFAULT_FRAME_RECORDS, wp_seed=1)
     workload = TraceWorkload(path)
     sim = Simulator(make_config("Baseline_0"), workload.build_trace(1))

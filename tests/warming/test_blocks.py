@@ -99,19 +99,6 @@ class TestNextBlock:
                        for u in batch)
         assert got[:5000] == reference
 
-    def test_scenario_trace_matches_next_uop(self):
-        spec = resolve_workload("pointer-chase-storm")
-        reference_trace = spec.build_trace(5)
-        reference = [(u.pc, u.mem_addr, int(u.opclass))
-                     for u in (reference_trace.next_uop()
-                               for _ in range(3000))]
-        blocked = spec.build_trace(5)
-        got = []
-        while len(got) < 3000:
-            batch = blocked.next_block(501)
-            got.extend((u.pc, u.mem_addr, int(u.opclass)) for u in batch)
-        assert got[:3000] == reference
-
     def test_list_trace_base_implementation(self):
         trace = list_trace(23, 250)
         first = trace.next_block(100)

@@ -60,18 +60,6 @@ class TestSyntheticWorkloads:
         sim.functional_warmup(trace, 8000)
         assert state_bytes(sim) == state_bytes(oracle)
 
-    def test_scenario_identity(self):
-        from repro.traces.registry import resolve_workload
-
-        def build():
-            return build_sim(
-                "SpecSched_4_Combined",
-                resolve_workload("pointer-chase-storm").build_trace(5))
-
-        sim = build()
-        assert sim.fast_forward(6000) == 6000
-        assert (6000, state_bytes(sim)) == oracle_state(build(), 6000)
-
     def test_live_sources_run_the_kernels(self, monkeypatch):
         """Generator sources go through the array kernels, not a
         delegation to the reference loop."""
