@@ -4,9 +4,10 @@ Walks three pieces:
 
 1. freeze a warm simulator to a ``.ckpt`` file and resume it
    bit-identically;
-2. run a sampled estimate (checkpoint-chained engine cells, cold: no
-   persistent cache) and compare it against the full detailed
-   simulation of the same stream span;
+2. run a sampled cell (``run_workload(..., sampling=SPEC)``:
+   checkpoint-chained engine cells, cold: no persistent cache) and
+   compare it against the full detailed simulation of the same stream
+   span;
 3. run the same spec with the environment's engine options — the cells
    parallelize over ``REPRO_JOBS`` and land in the persistent cache.
 
@@ -22,7 +23,7 @@ import time
 from pathlib import Path
 
 from repro.checkpoint.format import restore_simulator, save_checkpoint
-from repro.checkpoint.sampling import SamplingSpec, run_sampled_cells_chained
+from repro import SamplingSpec, run_workload
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
 from repro.experiments.engine import (
@@ -75,30 +76,30 @@ def sampled_vs_detailed() -> None:
 
     start = time.perf_counter()
     # Cache off, one process: a cold run keeps the speedup honest.
-    sampled = run_sampled_cells_chained(
-        workload, PRESET, SPEC, seed=1,
-        options=EngineOptions(jobs=1, cache_dir="off"))
+    sampled = run_workload(workload, PRESET, seed=1, sampling=SPEC,
+                           options=EngineOptions(jobs=1, cache_dir="off"))
     sampled_wall = time.perf_counter() - start
 
-    err = abs(sampled.mean_ipc - detailed.ipc) / detailed.ipc
+    err = abs(sampled.ipc - detailed.ipc) / detailed.ipc
     print(f"  span {span} µops; detailed IPC {detailed.ipc:.3f} "
           f"({detailed_wall:.1f}s)")
-    print(f"  sampled IPC {sampled.mean_ipc:.3f} ±{sampled.ipc_ci95:.3f} "
+    print(f"  sampled IPC {sampled.ipc:.3f} ±{sampled.ipc_ci95:.3f} "
           f"({sampled_wall:.1f}s) — {detailed_wall / sampled_wall:.1f}x "
           f"faster, {err:.1%} error")
 
 
 def sampled_cells() -> None:
     print("\n== 3. the same cells, pooled + persistently cached ==")
-    result = run_sampled_cells_chained(WORKLOAD, PRESET, SPEC, seed=1,
-                                       options=EngineOptions.from_env())
-    ipcs = " ".join(f"{ipc:.3f}" for ipc in result.ipc_values)
+    result = run_workload(WORKLOAD, PRESET, seed=1, sampling=SPEC,
+                          options=EngineOptions.from_env())
+    ipcs = " ".join(f"{stats.ipc:.3f}" for stats in result.intervals)
     print(f"  interval IPCs: {ipcs}")
-    print(f"  mean {result.mean_ipc:.3f} ±{result.ipc_ci95:.3f} (95% CI)")
-    breakdown = result.breakdown()
-    print(f"  issued breakdown: unique {breakdown['unique']:.3f}, "
-          f"rpld_miss {breakdown['rpld_miss']:.3f}, "
-          f"rpld_bank {breakdown['rpld_bank']:.3f}")
+    print(f"  mean {result.ipc:.3f} ±{result.ipc_ci95:.3f} (95% CI)")
+    total = result.stats            # counter-wise sum over the intervals
+    issued = total.issued_total or 1
+    print(f"  issued breakdown: unique {total.unique_issued / issued:.3f}, "
+          f"rpld_miss {total.replayed_miss / issued:.3f}, "
+          f"rpld_bank {total.replayed_bank / issued:.3f}")
     print("  (re-run this script: every interval now comes from the "
           "persistent cache)")
 

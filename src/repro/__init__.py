@@ -15,14 +15,16 @@ Public surface:
 * configurations — :class:`SimConfig`, :func:`make_config` and the
   ``Baseline_*`` / ``SpecSched_*`` preset grammar;
 * workloads — the 36-entry synthetic :data:`SUITE` (Table 2 analogue);
-* simulation — :class:`Simulator` (cycle-level core) and the
-  :func:`run_workload` convenience runner;
+* simulation — :class:`Simulator` (cycle-level core) and
+  :func:`run_workload`, the one driver of a single cell, plain or
+  sampled (``sampling=SamplingSpec(...)``);
 * mechanisms — :class:`HitMissFilter`, :class:`GlobalHitMissCounter`,
   :class:`CriticalityPredictor`, :class:`ScheduleShifter` for standalone
   study;
 * experiments — :mod:`repro.experiments` regenerates every figure/table.
 """
 
+from repro.checkpoint.sampling import SamplingSpec
 from repro.common.config import (
     BranchPredictorConfig,
     CacheConfig,
@@ -66,6 +68,7 @@ __all__ = [
     "PRESET_NAMES",
     "RunResult",
     "SUITE",
+    "SamplingSpec",
     "SchedPolicyConfig",
     "ScheduleShifter",
     "SimConfig",

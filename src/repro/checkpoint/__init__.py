@@ -11,9 +11,9 @@ Four layers:
 * :mod:`repro.checkpoint.rebase` — cross-configuration re-targeting of
   purely functional checkpoints (one warming pass serves a whole
   scheduling-policy grid);
-* :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and the
-  sampled-run driver (checkpoint-chained engine cells) with
-  confidence-interval aggregation.
+* :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and its
+  compilation into checkpoint-chained engine cells (run one sampled
+  cell with ``repro.run_workload(..., sampling=spec)``).
 
 Submodules are imported lazily (PEP 562): :mod:`repro.pipeline.cpu`
 imports the codec from :mod:`~repro.checkpoint.state`, while
@@ -37,8 +37,6 @@ _EXPORTS = {
     "RebaseError": "repro.checkpoint.rebase",
     "rebase_checkpoint": "repro.checkpoint.rebase",
     "SamplingSpec": "repro.checkpoint.sampling",
-    "SampledResult": "repro.checkpoint.sampling",
-    "run_sampled_cells_chained": "repro.checkpoint.sampling",
     "chained_cell_payloads": "repro.checkpoint.sampling",
     "sample_payloads": "repro.checkpoint.sampling",
 }

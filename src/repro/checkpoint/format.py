@@ -364,7 +364,6 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(info, _loads(raw))
 
 
-def restore_simulator(path, trace=None, phase_profile=None):
+def restore_simulator(path, trace=None):
     """One-call restore: load ``path`` and rebuild its simulator."""
-    return load_checkpoint(path).restore(trace=trace,
-                                         phase_profile=phase_profile)
+    return load_checkpoint(path).restore(trace=trace)

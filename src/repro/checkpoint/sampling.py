@@ -17,16 +17,18 @@ A :class:`SamplingSpec` pins the geometry::
     intervals       number of intervals
 
 Each interval compiles to one self-contained engine cell
-(:func:`chained_cell_payloads` / :func:`run_sampled_cells_chained`),
-dispatched across the process pool and persistently cached like any
-other cell. Its fast-forward chains off the previous interval's
-checkpoint (produced by a checkpoint-producing cell, content-addressed
-in the engine's checkpoint store), so total warming cost is linear in
-the span. One warming chain serves every config of a workload that
+(:func:`chained_cell_payloads`), dispatched across the process pool and
+persistently cached like any other cell. Its fast-forward chains off
+the previous interval's checkpoint (produced by a checkpoint-producing
+cell, content-addressed in the engine's checkpoint store), so total
+warming cost is linear in the span. One warming chain serves every config of a workload that
 shares memory/branch parameters — the chain's checkpoints are rebased
 (:mod:`repro.checkpoint.rebase`) across scheduling-policy configs. A
 chain starts at µop zero or at a user checkpoint. ``repro run
---sample``, sweeps, figures and perfbench all run these cells.
+--sample`` (through :func:`repro.pipeline.sim.run_workload`), sweeps,
+figures and perfbench all run these cells; the interval mean IPC and
+its confidence interval come from
+:class:`~repro.pipeline.sim.RunResult`.
 
 :func:`sample_payloads` compiles the from-zero form of the same
 intervals: each cell fast-forwards from µop zero (or from its base
@@ -39,16 +41,13 @@ interval count.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List
 
 from repro.common.config import SimConfig
-from repro.common.mathutil import ci95_half_width, mean
 from repro.common.serialize import stable_hash
-from repro.common.stats import SimStats
 
 
 class SamplingError(ValueError):
@@ -308,95 +307,3 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                 "checkpoint": base_refs[index],
             })
     return payloads
-
-
-# ---------------------------------------------------------------------------
-# Aggregation
-
-
-@dataclass
-class SampledResult:
-    """Per-interval stats + the aggregate estimates the figures report."""
-
-    workload: str
-    config_name: str
-    spec: SamplingSpec
-    interval_stats: List[SimStats]
-
-    @property
-    def ipc_values(self) -> List[float]:
-        return [stats.ipc for stats in self.interval_stats]
-
-    @property
-    def mean_ipc(self) -> float:
-        return mean(self.ipc_values)
-
-    @property
-    def ipc_ci95(self) -> float:
-        """Half-width of the 95% CI on the interval-mean IPC."""
-        return ci95_half_width(self.ipc_values)
-
-    @property
-    def total(self) -> SimStats:
-        """Counter-wise sum over intervals (the replay-breakdown view:
-        summed counters aggregate exactly; ratios recompute from them)."""
-        out = SimStats()
-        for stats in self.interval_stats:
-            for name, value in stats.__dict__.items():
-                if name in ("extra", "telemetry"):   # non-counter tables
-                    continue
-                setattr(out, name, getattr(out, name) + value)
-            for key, value in stats.extra.items():
-                out.extra[key] = out.extra.get(key, 0) + value
-        return out
-
-    def breakdown(self) -> Dict[str, float]:
-        """Unique / RpldMiss / RpldBank fractions of issued µops."""
-        total = self.total
-        denom = total.issued_total or 1
-        return {
-            "unique": total.unique_issued / denom,
-            "rpld_miss": total.replayed_miss / denom,
-            "rpld_bank": total.replayed_bank / denom,
-        }
-
-
-# ---------------------------------------------------------------------------
-# Drivers
-
-
-def run_sampled_cells_chained(workload, config: Union[str, SimConfig],
-                              spec: SamplingSpec, *,
-                              seed: Optional[int] = None,
-                              banked: bool = True, options=None, cache=None,
-                              store=None, checkpoint=None) -> SampledResult:
-    """Sampled run through checkpoint-chained cells: linear warming cost
-    (one stream walk, checkpointed per interval) with full cell
-    parallelism and caching. Interval results are bit-identical to the
-    from-zero cells of :func:`sample_payloads`.
-
-    ``checkpoint`` (a path) starts the chain from a saved warm state
-    instead of µop zero. ``store`` overrides the checkpoint store
-    directory chosen by :func:`~repro.experiments.engine.
-    checkpoint_store`.
-    """
-    from repro.experiments.engine import (
-        EngineOptions,
-        checkpoint_store,
-        run_cells,
-    )
-    from repro.pipeline.sim import build_payload
-
-    spec.validate()
-    base, resolved, config = build_payload(
-        workload, config, warmup_uops=spec.warmup_uops,
-        measure_uops=spec.interval_uops, seed=seed, banked=banked,
-        max_cycles=None, functional_warmup_uops=0, checkpoint=checkpoint)
-    options = options or EngineOptions.from_env()
-    with (contextlib.nullcontext(store) if store is not None
-          else checkpoint_store(options)) as store:
-        payloads = chained_cell_payloads([base], spec, store,
-                                         options=options)
-        stats = run_cells(payloads, options=options, cache=cache)
-    return SampledResult(workload=resolved.name, config_name=config.name,
-                         spec=spec, interval_stats=list(stats))

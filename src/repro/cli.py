@@ -6,7 +6,8 @@ Commands:
   (any registry workload, recorded ``.trc`` traces included) and print
   the statistics; ``--sample`` switches to SMARTS-style interval
   sampling (mean IPC ± 95% CI), ``--from-checkpoint`` resumes from saved
-  warm state;
+  warm state, ``--events FILE`` records the cell's per-µop pipeline
+  event trace (JSONL, gzip'd with a ``.gz`` suffix);
 * ``table1`` — render the machine configuration (paper Table 1);
 * ``table2`` — run Baseline_0 over the selected workloads (paper Table 2);
 * ``figure {3,4,5,7,8,delay}`` — regenerate one evaluation figure (or
@@ -24,10 +25,9 @@ Commands:
   functional checkpoint to another scheduling-policy configuration
   (one warming pass, many configs — see
   :mod:`repro.checkpoint.rebase`);
-* ``events record WORKLOAD CONFIG`` / ``events info FILE`` / ``events
-  dump FILE`` / ``events export FILE`` — record a per-µop pipeline
-  event trace (JSONL, optionally gzip'd), inspect it, print raw events,
-  or export it to the gem5/Konata O3PipeView format (see
+* ``events info FILE`` / ``events dump FILE`` / ``events export FILE``
+  — inspect an event trace written by ``run --events``, print raw
+  events, or export it to the gem5/Konata O3PipeView format (see
   ``docs/OBSERVABILITY.md``);
 * ``report manifests`` — roll up the engine's per-cell run manifests
   (wall time, cache hit rate, peak RSS) from the cache directory
@@ -53,6 +53,7 @@ for one invocation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -124,6 +125,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach the telemetry probes (occupancy "
                             "histograms, replay/filter aggregates) and "
                             "print the metrics report after the run")
+    run_p.add_argument("--events", default=None, metavar="FILE",
+                       help="record the cell's per-µop pipeline events "
+                            "to a JSONL trace; a .gz suffix gzip-"
+                            "compresses")
     _add_engine_flags(run_p)
 
     sub.add_parser("table1", help="render the machine configuration")
@@ -193,11 +198,8 @@ def build_parser() -> argparse.ArgumentParser:
                              default="functional",
                              help="functional: fast-forward (caches + "
                                   "branch predictors warmed, default); "
-                                  "detailed: full pipeline simulation")
-    ckpt_create.add_argument("--functional-warmup", type=int, default=None,
-                             metavar="N",
-                             help="functional warmup before a detailed-"
-                                  "mode run (default: REPRO_FUNC_WARMUP)")
+                                  "detailed: REPRO_FUNC_WARMUP functional "
+                                  "warmup, then full pipeline simulation")
     ckpt_create.add_argument("--seed", type=int, default=None,
                              help="trace seed (default: the workload's)")
     ckpt_create.add_argument("--dual-ported", action="store_true",
@@ -223,28 +225,10 @@ def build_parser() -> argparse.ArgumentParser:
                                   "crosses memory configs)")
 
     events_p = sub.add_parser(
-        "events", help="record, inspect and export per-µop pipeline "
-                       "event traces")
+        "events", help="inspect and export per-µop pipeline event traces "
+                       "(record one with 'repro run --events FILE')")
     events_sub = events_p.add_subparsers(dest="events_command",
                                          required=True)
-
-    ev_record = events_sub.add_parser(
-        "record", help="simulate with event recording on and write a "
-                       "JSONL event trace")
-    ev_record.add_argument("workload", help="registry name or file")
-    ev_record.add_argument("config", help="e.g. SpecSched_4_Crit")
-    ev_record.add_argument("-o", "--output", default=None, metavar="FILE",
-                           help="output path; a .gz suffix gzip-"
-                                "compresses (default "
-                                "<workload>-<config>.events.jsonl.gz)")
-    ev_record.add_argument("--uops", type=_positive_int,
-                           default=20_000, metavar="N",
-                           help="µops to simulate with recording on "
-                                "(default 20000)")
-    ev_record.add_argument("--seed", type=int, default=None,
-                           help="trace seed (default: the workload's)")
-    ev_record.add_argument("--dual-ported", action="store_true",
-                           help="ideal dual-ported L1D instead of banked")
 
     ev_info = events_sub.add_parser("info", help="describe an event trace")
     ev_info.add_argument("file", help="a .events.jsonl[.gz] trace")
@@ -370,56 +354,53 @@ def _sampling_spec(args: argparse.Namespace):
     return SamplingSpec(**overrides).validate()
 
 
-def _print_sampled(result) -> None:
-    spec = result.spec
+def _print_sampled(result, spec) -> None:
     print(f"{result.workload} under {result.config_name} (sampled: "
-          f"{len(result.interval_stats)} x {spec.interval_uops} µops, "
+          f"{len(result.intervals)} x {spec.interval_uops} µops, "
           f"period {spec.period_uops}, offset {spec.offset_uops}):")
-    ipcs = " ".join(f"{ipc:.3f}" for ipc in result.ipc_values)
+    ipcs = " ".join(f"{stats.ipc:.3f}" for stats in result.intervals)
     print(f"  interval IPCs          {ipcs}")
-    print(f"  {'IPC':22s} {result.mean_ipc:.3f} ±{result.ipc_ci95:.3f} "
+    print(f"  {'IPC':22s} {result.ipc:.3f} ±{result.ipc_ci95:.3f} "
           f"(95% CI)")
-    breakdown = result.breakdown()
-    print(f"  {'issued breakdown':22s} unique {breakdown['unique']:.3f}, "
-          f"rpld_miss {breakdown['rpld_miss']:.3f}, "
-          f"rpld_bank {breakdown['rpld_bank']:.3f}")
-    total = result.total
+    total = result.stats
+    issued = total.issued_total or 1
+    print(f"  {'issued breakdown':22s} "
+          f"unique {total.unique_issued / issued:.3f}, "
+          f"rpld_miss {total.replayed_miss / issued:.3f}, "
+          f"rpld_bank {total.replayed_bank / issued:.3f}")
     print(f"  {'detailed µops':22s} {total.committed_uops} "
           f"(of a {spec.span_uops}-µop span)")
 
 
+#: ``run`` flags that only shape sampled cells.
+_SAMPLE_FLAGS = (("--intervals", "intervals"),
+                 ("--interval-uops", "interval_uops"),
+                 ("--sample-warmup", "sample_warmup"),
+                 ("--period", "period"),
+                 ("--offset", "offset"),
+                 ("--jobs", "jobs"),
+                 ("--cache-dir", "cache_dir"))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
-    if args.metrics and args.sample:
-        return _fail(ValueError(
-            "--metrics instruments one detailed run; combine it with a "
-            "plain (non --sample) invocation"))
-    if not args.sample:
-        given = [flag for flag, arg_name in
-                 (("--intervals", "intervals"),
-                  ("--interval-uops", "interval_uops"),
-                  ("--sample-warmup", "sample_warmup"),
-                  ("--period", "period"),
-                  ("--offset", "offset"),
-                  ("--jobs", "jobs"),
-                  ("--cache-dir", "cache_dir"))
-                 if getattr(args, arg_name, None) is not None]
+    if args.sample:
+        given = [flag for flag, is_set in
+                 (("--measure", args.measure is not None),
+                  ("--metrics", args.metrics),
+                  ("--events", args.events is not None)) if is_set]
+        if given:
+            return _fail(ValueError(
+                f"{', '.join(given)} cannot be combined with --sample: "
+                f"sampled cells run at the spec's volumes, "
+                f"uninstrumented"))
+    else:
+        given = [flag for flag, arg_name in _SAMPLE_FLAGS
+                 if getattr(args, arg_name) is not None]
         if given:
             return _fail(ValueError(
                 f"{', '.join(given)} only take effect with --sample"))
-    if args.sample:
-        from repro.checkpoint.sampling import run_sampled_cells_chained
-
-        try:
-            result = run_sampled_cells_chained(
-                args.workload, args.config, _sampling_spec(args),
-                banked=not args.dual_ported, options=_engine_options(args),
-                checkpoint=args.from_checkpoint)
-        except (KeyError, OSError, ValueError) as exc:
-            return _fail(exc)
-        _print_sampled(result)
-        return 0
-    collector = None
-    if args.metrics:
+    collector = writer = None
+    if args.metrics or args.events is not None:
         from repro.telemetry import MetricsCollector
 
         collector = MetricsCollector()
@@ -427,20 +408,44 @@ def _cmd_run(args: argparse.Namespace) -> int:
         # The REPRO_* volumes, the same ones `trace record` sizes a
         # recording for; --measure overrides the measured count.
         settings = Settings.from_env()
-        result = run_workload(
-            args.workload, args.config, banked=not args.dual_ported,
-            warmup_uops=settings.warmup_uops,
-            measure_uops=args.measure or settings.measure_uops,
-            functional_warmup_uops=settings.functional_warmup_uops,
-            checkpoint=args.from_checkpoint, collector=collector)
+        volumes = {"warmup_uops": settings.warmup_uops,
+                   "measure_uops": args.measure or settings.measure_uops,
+                   "functional_warmup_uops":
+                       settings.functional_warmup_uops}
+        sampling = _sampling_spec(args) if args.sample else None
+        workload = default_registry().resolve(args.workload)
+        with contextlib.ExitStack() as stack:
+            if args.events is not None:
+                from repro.telemetry import JsonlEventWriter
+
+                provenance = {"workload": workload.name,
+                              "config": args.config,
+                              "seed": workload_seed(workload), **volumes}
+                if args.from_checkpoint is not None:
+                    provenance["checkpoint"] = args.from_checkpoint
+                writer = collector.bus.attach(stack.enter_context(
+                    JsonlEventWriter(args.events, provenance=provenance)))
+            result = run_workload(
+                workload, args.config, banked=not args.dual_ported,
+                checkpoint=args.from_checkpoint, collector=collector,
+                sampling=sampling,
+                options=_engine_options(args) if sampling else None,
+                **volumes)
     except (KeyError, OSError, ValueError) as exc:
+        if args.events is not None:       # no half-written trace
+            Path(args.events).unlink(missing_ok=True)
         return _fail(exc)
+    if sampling is not None:
+        _print_sampled(result, sampling)
+        return 0
     _print_run(result)
-    if collector is not None:
+    if args.metrics:
         from repro.telemetry import render_metrics
 
         print()
         print(render_metrics(result.stats.telemetry))
+    if writer is not None:
+        print(f"\nrecorded {writer.count} events -> {args.events}")
     return 0
 
 
@@ -459,9 +464,7 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
             consumed = sim.fast_forward(args.uops)
             provenance = {"mode": "functional", "stream_uops": consumed}
         else:
-            functional = (args.functional_warmup
-                          if args.functional_warmup is not None
-                          else Settings.from_env().functional_warmup_uops)
+            functional = Settings.from_env().functional_warmup_uops
             if functional:
                 sim.functional_warmup(workload.build_trace(seed), functional)
             sim.run(max_uops=args.uops)
@@ -597,32 +600,6 @@ def _cmd_trace_info(args: argparse.Namespace) -> int:
         ok = verify(args.file)
         print(f"  payload    {'digest OK' if ok else 'DIGEST MISMATCH'}")
         return 0 if ok else 1
-    return 0
-
-
-def _cmd_events_record(args: argparse.Namespace) -> int:
-    from repro.core.presets import make_config
-    from repro.pipeline.cpu import Simulator
-    from repro.telemetry import EventBus, JsonlEventWriter
-
-    try:
-        workload = default_registry().resolve(args.workload)
-        config = make_config(args.config, banked=not args.dual_ported)
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(exc)
-    seed = workload_seed(workload, args.seed)
-    output = args.output or f"{workload.name}-{args.config}.events.jsonl.gz"
-    provenance = {"workload": workload.name, "config": config.name,
-                  "seed": seed, "uops": args.uops}
-    try:
-        with JsonlEventWriter(output, provenance=provenance) as writer:
-            sim = Simulator(config, workload.build_trace(seed),
-                            event_bus=EventBus(writer))
-            stats = sim.run(max_uops=args.uops)
-    except (OSError, ValueError) as exc:
-        return _fail(exc)
-    print(f"recorded {writer.count} events over {stats.cycles} cycles "
-          f"({stats.committed_uops} committed µops) -> {output}")
     return 0
 
 
@@ -908,8 +885,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.checkpoint_command == "rebase":
             return _cmd_checkpoint_rebase(args)
     if args.command == "events":
-        if args.events_command == "record":
-            return _cmd_events_record(args)
         if args.events_command == "info":
             return _cmd_events_info(args)
         if args.events_command == "dump":

@@ -75,8 +75,8 @@ from repro.traces.registry import (
 #: Bumped when the cache entry format (not the simulator) changes.
 #: 2: cell payloads carry a typed workload encoding ({kind, ...}) and
 #: trace cells key on the recording's content digest.
-#: 3: payloads may carry sampling ({spec, index}), checkpoint
-#: ({path, digest, position} — keyed by digest only) and max_cycles.
+#: 3: payloads may carry sampling ({spec, index}) and checkpoint
+#: ({path, digest, position} — keyed by digest only).
 #: (Checkpoint-producing payloads — produce/checkpoint_store — never
 #: enter this cache: their output lives in the checkpoint store, and
 #: the new fields change keys via the content hash, not the schema.)
@@ -276,9 +276,9 @@ def base_cell_payload(config, workload: WorkloadLike, *,
     """Cell payload from an already-resolved :class:`SimConfig`.
 
     The entry point every payload builder funnels through —
-    :func:`cell_payload` (presets), :func:`repro.pipeline.sim.
-    run_workload` (arbitrary configs) and the sampling driver — so
-    checkpoint/sampling options cannot diverge between them.
+    :func:`cell_payload` (presets) and :func:`repro.pipeline.sim.
+    run_workload` (one cell, plain or sampled) — so a single cell is
+    built exactly like a grid cell.
     """
     return {
         "config": config.to_dict(),
@@ -435,8 +435,8 @@ def simulate_payload(payload: Dict[str, Any],
     only; it is never set on the worker-pool path. ``collector`` (a
     :class:`repro.telemetry.probes.MetricsCollector`) instruments the
     run with the metric probes and folds the distilled table into the
-    returned dict's ``telemetry`` key — interactive ``--metrics`` runs
-    only; instrumented results are never written to the result cache
+    returned dict's ``telemetry`` key — interactive ``repro run
+    --metrics``/``--events`` cells only; instrumented results are never written to the result cache
     (callers that cache never pass a collector).
 
     Beyond the plain (cold-start, fixed-volume) cell, two optional
@@ -490,8 +490,7 @@ def simulate_payload(payload: Dict[str, Any],
         # A checkpoint carries its own warm state; only cold cells warm.
         sim.functional_warmup(workload.build_trace(seed),
                               payload["functional_warmup_uops"])
-    stats = sim.run_with_warmup(warmup, measure,
-                                max_cycles=payload.get("max_cycles"))
+    stats = sim.run_with_warmup(warmup, measure)
     if collector is not None:
         collector.finalize(sim, stats)
     return stats.to_dict()

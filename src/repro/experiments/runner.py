@@ -43,6 +43,7 @@ from repro.pipeline.sim import (
     DEFAULT_FUNCTIONAL_WARMUP_UOPS,
     DEFAULT_MEASURE_UOPS,
     DEFAULT_WARMUP_UOPS,
+    RunResult,
 )
 from repro.traces.registry import resolve_workload
 from repro.workloads.suite import DEFAULT_SUBSET, SUITE
@@ -261,15 +262,17 @@ def run_sweep(sweep: Sweep,
 
     A sweep with a ``[sampling]`` table (a :class:`~repro.checkpoint.
     sampling.SamplingSpec`) expands every grid cell into per-interval
-    cells; the grid entry becomes the counter-wise interval sum and the
-    result carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
+    cells, aggregated like a sampled :func:`~repro.pipeline.sim.
+    run_workload` cell (:class:`~repro.pipeline.sim.RunResult`): the
+    grid entry becomes the counter-wise interval sum and the result
+    carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
     Interval warming chains through checkpoints, one warming pass per
     workload rebased across the config grid (see
     :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
     """
     import contextlib
 
-    from repro.checkpoint.sampling import SampledResult, chained_cell_payloads
+    from repro.checkpoint.sampling import chained_cell_payloads
 
     sweep.validate()
     settings = (settings or Settings.from_env()).with_sweep_overrides(sweep)
@@ -292,11 +295,9 @@ def run_sweep(sweep: Sweep,
             if sampling is None:
                 result.add(series.label, workload, next(cursor))
                 continue
-            intervals = [next(cursor) for _ in range(sampling.intervals)]
-            sampled = SampledResult(
-                workload=workload, config_name=series.preset,
-                spec=sampling, interval_stats=intervals)
-            result.add(series.label, workload, sampled.total)
-            result.add_ci(series.label, workload,
-                          sampled.mean_ipc, sampled.ipc_ci95)
+            cell = RunResult.from_intervals(
+                workload, series.preset,
+                [next(cursor) for _ in range(sampling.intervals)])
+            result.add(series.label, workload, cell.stats)
+            result.add_ci(series.label, workload, cell.ipc, cell.ipc_ci95)
     return result

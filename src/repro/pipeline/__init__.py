@@ -10,7 +10,8 @@ Layout (see ``docs/ARCHITECTURE.md`` for the full contract):
 * :mod:`repro.pipeline.functional` — timing-free warmup/fast-forward;
 * :mod:`repro.pipeline.checkpointing` — the component codec
   registration behind ``state_dict``/``load_state_dict``;
-* :mod:`repro.pipeline.sim` — one-shot convenience runners.
+* :mod:`repro.pipeline.sim` — :func:`run_workload`, the driver of one
+  cell (plain or sampled), and the default µop volumes.
 """
 
 from repro.pipeline.cpu import SimulationError, Simulator

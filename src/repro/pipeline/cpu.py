@@ -50,7 +50,6 @@ class Simulator:
         self,
         config: SimConfig,
         trace: TraceSource,
-        stats: Optional[SimStats] = None,
         phase_profile=None,
         stage_overrides=None,
         extra_stages=(),
@@ -68,7 +67,7 @@ class Simulator:
         config.validate()
         self.config = config
         self.trace = trace
-        self.stats = stats if stats is not None else SimStats()
+        self.stats = SimStats()
         core = config.core
         self.delay = core.issue_to_execute_delay
         self.load_to_use = config.memory.l1d.latency
@@ -134,20 +133,19 @@ class Simulator:
             step()
         return stats
 
-    def run_with_warmup(
-        self, warmup_uops: int, measure_uops: int, max_cycles: Optional[int] = None
-    ) -> SimStats:
+    def run_with_warmup(self, warmup_uops: int, measure_uops: int) -> SimStats:
         """Warm structures, then measure: returns warmed-region deltas.
 
         Both volumes count from the current committed position, so a
         restored or fast-forwarded simulator measures the same region
-        shape as a cold one (functional warming never commits).
-        ``max_cycles`` stays an absolute cycle budget.
+        shape as a cold one (functional warming never commits). The
+        run ends on the µop budget or the end of the trace; a wedged
+        machine raises after :attr:`DEADLOCK_LIMIT` idle cycles.
         """
         start = self.stats.committed_uops
-        self.run(max_uops=start + warmup_uops, max_cycles=max_cycles)
+        self.run(max_uops=start + warmup_uops)
         baseline = self.stats.copy()
-        self.run(max_uops=start + warmup_uops + measure_uops, max_cycles=max_cycles)
+        self.run(max_uops=start + warmup_uops + measure_uops)
         return self.stats.delta_since(baseline)
 
     def functional_warmup(self, trace: TraceSource, uops: int) -> None:

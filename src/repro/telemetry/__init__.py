@@ -30,8 +30,6 @@ from repro.telemetry.events import (
     EventBus,
     EventsFormatError,
     JsonlEventWriter,
-    NULL_BUS,
-    RingBufferSink,
     count_events,
     null_emit,
     open_events,
@@ -65,9 +63,7 @@ __all__ = [
     "JsonlEventWriter",
     "MANIFEST_SCHEMA",
     "MetricsCollector",
-    "NULL_BUS",
     "OccupancyProbe",
-    "RingBufferSink",
     "TELEMETRY_STAGES",
     "build_manifest",
     "count_events",

@@ -9,15 +9,11 @@ next to each ``EV_*`` constant and in ``docs/OBSERVABILITY.md``).
 The bus itself is a thin fan-out. When a simulator is built *without* a
 bus (the default) nothing here is even imported into the tick path —
 the stage list uses the plain stage classes and the hot loop is
-bit-identical to an uninstrumented build. :data:`NULL_BUS` exists for
-code that wants an unconditionally callable ``emit`` anyway; its emit is
-the module-level no-op :func:`null_emit`, so such a caller pays one
-attribute lookup and one falsy-cheap call, nothing more.
+bit-identical to an uninstrumented build. A bus with no sink emits to
+the module-level no-op :func:`null_emit`.
 
 Sinks implement one method, ``emit(cycle, kind, seq, pc=0, a=0, b=0)``:
 
-* :class:`RingBufferSink` — bounded in-memory tail for tests and
-  interactive inspection;
 * :class:`JsonlEventWriter` — streaming (optionally gzip'd) JSONL file
   with a versioned header + provenance line, mirroring the binary trace
   format's header/provenance discipline (:mod:`repro.traces.format`);
@@ -30,7 +26,6 @@ from __future__ import annotations
 import gzip
 import json
 import zlib
-from collections import deque
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
@@ -43,8 +38,6 @@ __all__ = [
     "EventBus",
     "EventsFormatError",
     "JsonlEventWriter",
-    "NULL_BUS",
-    "RingBufferSink",
     "SQUASH_CAUSES",
     "null_emit",
     "open_events",
@@ -129,34 +122,8 @@ def _fanout(sinks: List[Any]):
     return emit
 
 
-#: Shared always-disabled bus; its ``emit`` never changes.
-NULL_BUS = EventBus()
-
-
 # ---------------------------------------------------------------------------
 # Sinks
-
-
-class RingBufferSink:
-    """Keep the most recent ``capacity`` events in memory."""
-
-    def __init__(self, capacity: int = 65_536) -> None:
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-
-    def emit(self, cycle: int, kind: str, seq: int,
-             pc: int = 0, a: int = 0, b: int = 0) -> None:
-        self._events.append((cycle, kind, seq, pc, a, b))
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def events(self) -> List[tuple]:
-        """Oldest-first snapshot of the retained tail."""
-        return list(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
 
 
 class AggregatorSink:

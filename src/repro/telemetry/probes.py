@@ -90,9 +90,11 @@ class MetricsCollector:
         sim.run()
         collector.finalize(sim)      # fills sim.stats.telemetry
 
-    ``bus`` may be pre-populated with extra sinks (e.g. a
-    :class:`~repro.telemetry.events.JsonlEventWriter`) before the
-    simulator is built.
+    ``bus`` may be pre-populated with extra sinks, or more sinks
+    attached to ``collector.bus``, before the simulator is built:
+    ``repro run --events`` attaches its
+    :class:`~repro.telemetry.events.JsonlEventWriter` this way, so the
+    trace and the metrics observe the same cell.
     """
 
     def __init__(self, bus: Optional[EventBus] = None) -> None:

@@ -18,10 +18,8 @@ from repro.checkpoint.format import (
     read_info,
 )
 from repro.checkpoint.sampling import (
-    SampledResult,
     SamplingSpec,
     chained_cell_payloads,
-    run_sampled_cells_chained,
     sample_payloads,
 )
 from repro.core.presets import make_config
@@ -37,11 +35,24 @@ from repro.experiments.engine import (
     run_cells,
 )
 from repro.experiments.runner import Settings, run_sweep
+from repro.pipeline.sim import RunResult, run_workload
 from repro.traces.registry import resolve_workload
 
 SPEC = SamplingSpec(intervals=3, interval_uops=600, warmup_uops=200,
                     period_uops=2_500, offset_uops=3_000)
 OFF = EngineOptions(jobs=1, cache_dir="off")
+
+
+def _sampled(options=OFF):
+    """One sampled gzip cell under SpecSched_4; its interval stats."""
+    result = run_workload("gzip", "SpecSched_4", seed=1, sampling=SPEC,
+                          options=options)
+    return [s.to_dict() for s in result.intervals]
+
+
+def _persistent(tmp_path):
+    """Options whose checkpoint store is ``tmp_path / "checkpoints"``."""
+    return EngineOptions(jobs=1, cache_dir=str(tmp_path))
 
 
 def _base(preset="SpecSched_4", workload="gzip"):
@@ -62,10 +73,10 @@ def _from_zero(base):
 
 
 @pytest.mark.parametrize("preset", ["Baseline_0", "SpecSched_4_Combined"])
-def test_chained_cells_bit_identical_to_legacy_cells(tmp_path, preset):
-    chained = run_sampled_cells_chained("gzip", preset, SPEC, seed=1,
-                                        options=OFF, store=tmp_path)
-    assert [s.to_dict() for s in chained.interval_stats] == \
+def test_chained_cells_bit_identical_to_legacy_cells(preset):
+    chained = run_workload("gzip", preset, seed=1, sampling=SPEC,
+                           options=OFF)
+    assert [s.to_dict() for s in chained.intervals] == \
         [s.to_dict() for s in _from_zero(_base(preset))]
 
 
@@ -81,9 +92,8 @@ def test_sweep_cells_mode_matches_chained_default(tmp_path):
     result = run_sweep(sweep, settings=Settings(workloads=("gzip",)),
                        options=OFF, cache=ResultCache(None))
     for label, preset in (("base", "Baseline_0"), ("spec", "SpecSched_4")):
-        total = SampledResult(workload="gzip", config_name=preset,
-                              spec=SPEC,
-                              interval_stats=_from_zero(_base(preset))).total
+        total = RunResult.from_intervals(
+            "gzip", preset, _from_zero(_base(preset))).stats
         assert result.get(label, "gzip").to_dict() == total.to_dict()
 
 
@@ -93,50 +103,44 @@ def test_sweep_cells_mode_matches_chained_default(tmp_path):
 
 
 def test_store_entries_are_reused_across_runs(tmp_path):
-    first = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                      options=OFF, store=tmp_path)
-    entries = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
+    first = _sampled(_persistent(tmp_path))
+    store = tmp_path / "checkpoints"
+    entries = sorted(store.glob(f"*{CHECKPOINT_SUFFIX}"))
     assert len(entries) == SPEC.intervals
     stamps = {p: p.stat().st_mtime_ns for p in entries}
-    again = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                      options=OFF, store=tmp_path)
+    again = _sampled(_persistent(tmp_path))
     assert {p: p.stat().st_mtime_ns for p in entries} == stamps
-    assert [s.to_dict() for s in again.interval_stats] == \
-        [s.to_dict() for s in first.interval_stats]
+    assert again == first
 
 
 def test_tampered_store_entry_is_regenerated(tmp_path):
-    reference = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                          options=OFF, store=tmp_path)
-    victim = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))[0]
+    reference = _sampled(_persistent(tmp_path))
+    victim = sorted((tmp_path / "checkpoints").glob(
+        f"*{CHECKPOINT_SUFFIX}"))[0]
+    digest = read_info(victim).digest
     blob = bytearray(victim.read_bytes())
     blob[-1] ^= 0xFF                    # corrupt the compressed payload
     victim.write_bytes(bytes(blob))
-    healed = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                       options=OFF, store=tmp_path)
-    assert [s.to_dict() for s in healed.interval_stats] == \
-        [s.to_dict() for s in reference.interval_stats]
-    load_checkpoint(victim)             # regenerated file verifies again
+    assert _sampled(_persistent(tmp_path)) == reference
+    # The regenerated file verifies again, with the same content.
+    assert load_checkpoint(victim).info.digest == digest
 
 
 def test_version_bumped_store_entry_is_regenerated(tmp_path):
-    reference = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                          options=OFF, store=tmp_path)
-    victim = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))[0]
+    reference = _sampled(_persistent(tmp_path))
+    victim = sorted((tmp_path / "checkpoints").glob(
+        f"*{CHECKPOINT_SUFFIX}"))[0]
     blob = bytearray(victim.read_bytes())
     blob[4:6] = struct.pack("<H", 99)   # foreign FORMAT_VERSION
     victim.write_bytes(bytes(blob))
-    healed = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                       options=OFF, store=tmp_path)
-    assert [s.to_dict() for s in healed.interval_stats] == \
-        [s.to_dict() for s in reference.interval_stats]
+    assert _sampled(_persistent(tmp_path)) == reference
     assert load_checkpoint(victim).info.digest
 
 
 def test_store_ref_verifies_without_decoding(tmp_path, monkeypatch):
-    run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                              options=OFF, store=tmp_path)
-    entry = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))[0]
+    _sampled(_persistent(tmp_path))
+    entry = sorted((tmp_path / "checkpoints").glob(
+        f"*{CHECKPOINT_SUFFIX}"))[0]
 
     def refuse(raw):
         raise AssertionError("store lookups must not unpickle payloads")

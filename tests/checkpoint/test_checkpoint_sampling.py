@@ -11,10 +11,8 @@ import pytest
 
 from repro.checkpoint.format import save_checkpoint
 from repro.checkpoint.sampling import (
-    SampledResult,
     SamplingError,
     SamplingSpec,
-    run_sampled_cells_chained,
     sample_payloads,
 )
 from repro.common.mathutil import ci95_half_width, mean, sample_stdev
@@ -35,6 +33,7 @@ from repro.experiments.engine import (
 from repro.experiments.report import sampling_table
 from repro.experiments.runner import Settings, run_sweep
 from repro.pipeline.cpu import Simulator
+from repro.pipeline.sim import RunResult, run_workload
 from repro.traces.registry import resolve_workload
 
 SPEC = SamplingSpec(intervals=3, interval_uops=1_000, warmup_uops=300,
@@ -95,16 +94,17 @@ def test_sampled_result_aggregation():
                  unique_issued=240, replayed_miss=8, replayed_bank=2)
     b = SimStats(cycles=100, committed_uops=100, issued_total=120,
                  unique_issued=110, replayed_miss=6, replayed_bank=4)
-    result = SampledResult(workload="w", config_name="c", spec=SPEC,
-                           interval_stats=[a, b])
-    assert result.ipc_values == [2.0, 1.0]
-    assert result.mean_ipc == 1.5
-    total = result.total
+    result = RunResult.from_intervals("w", "c", [a, b])
+    assert [stats.ipc for stats in result.intervals] == [2.0, 1.0]
+    assert result.ipc == 1.5
+    assert result.ipc_ci95 == pytest.approx(ci95_half_width([2.0, 1.0]))
+    total = result.stats
     assert total.cycles == 200 and total.committed_uops == 300
-    breakdown = result.breakdown()
-    assert breakdown["unique"] == pytest.approx(350 / 370)
-    assert breakdown["rpld_miss"] == pytest.approx(14 / 370)
-    assert breakdown["rpld_bank"] == pytest.approx(6 / 370)
+    assert (total.issued_total, total.unique_issued) == (370, 350)
+    assert (total.replayed_miss, total.replayed_bank) == (14, 6)
+    # A plain cell: no intervals, the region's own IPC, no interval.
+    plain = RunResult("w", "c", a)
+    assert (plain.ipc, plain.ipc_ci95) == (2.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -173,25 +173,30 @@ def _oracle(config="SpecSched_4", checkpoint=None):
         base["checkpoint"] = checkpoint_reference(checkpoint)
     stats = run_cells(sample_payloads(base, SPEC), options=OFF,
                       cache=ResultCache(None))
-    return SampledResult(workload="gzip", config_name=base["config"]["name"],
-                         spec=SPEC, interval_stats=stats)
+    return RunResult.from_intervals("gzip", base["config"]["name"], stats)
 
 
 def test_run_sampled_uses_cache(tmp_path):
-    cache = ResultCache(tmp_path / "cache")
+    sweep = Sweep.from_dict({
+        "name": "rerun", "baseline": "spec",
+        "series": [{"label": "spec", "preset": "SpecSched_4"}],
+        "workloads": ["gzip"], "sampling": SPEC.to_dict(),
+    })
+    settings = Settings(workloads=("gzip",))
     options = EngineOptions(jobs=1, cache_dir=str(tmp_path / "cache"))
-    first = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                      options=options, cache=cache)
+    cache = ResultCache(tmp_path / "cache")
+    first = run_sweep(sweep, settings=settings, options=options, cache=cache)
     assert cache.misses == SPEC.intervals
     rerun_cache = ResultCache(tmp_path / "cache")
-    again = run_sampled_cells_chained("gzip", "SpecSched_4", SPEC, seed=1,
-                                      options=options, cache=rerun_cache)
+    again = run_sweep(sweep, settings=settings, options=options,
+                      cache=rerun_cache)
     assert rerun_cache.misses == 0
     assert rerun_cache.disk_hits == SPEC.intervals
-    assert [s.to_dict() for s in first.interval_stats] \
-        == [s.to_dict() for s in again.interval_stats]
-    assert first.mean_ipc > 0
-    assert first.ipc_ci95 >= 0
+    assert again.get("spec", "gzip").to_dict() \
+        == first.get("spec", "gzip").to_dict()
+    mean_ipc, half = first.ipc_ci["spec"]["gzip"]
+    assert mean_ipc > 0 and half >= 0
+    assert again.ipc_ci == first.ipc_ci
 
 
 def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
@@ -207,13 +212,12 @@ def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
     save_checkpoint(sim, path, workload=workload, seed=1,
                     provenance={"mode": "functional",
                                 "stream_uops": consumed})
-    cold = [s.to_dict() for s in _oracle(config).interval_stats]
+    cold = [s.to_dict() for s in _oracle(config).intervals]
     based = _oracle(config, checkpoint=path)
-    assert [s.to_dict() for s in based.interval_stats] == cold
-    chained = run_sampled_cells_chained("gzip", config, SPEC, seed=1,
-                                        options=OFF, store=tmp_path / "s",
-                                        checkpoint=path)
-    assert [s.to_dict() for s in chained.interval_stats] == cold
+    assert [s.to_dict() for s in based.intervals] == cold
+    chained = run_workload("gzip", config, seed=1, sampling=SPEC,
+                           options=OFF, checkpoint=path)
+    assert [s.to_dict() for s in chained.intervals] == cold
 
     assert main(["run", "gzip", "SpecSched_4", "--sample",
                  "--from-checkpoint", str(path), "--cache-dir", "off",
@@ -222,7 +226,7 @@ def test_chained_cells_from_checkpoint_match_cold_cells(tmp_path, capsys):
                  "--sample-warmup", str(SPEC.warmup_uops),
                  "--period", str(SPEC.period_uops),
                  "--offset", str(SPEC.offset_uops)]) == 0
-    ipcs = " ".join(f"{ipc:.3f}" for ipc in based.ipc_values)
+    ipcs = " ".join(f"{s.ipc:.3f}" for s in based.intervals)
     assert f"interval IPCs          {ipcs}\n" in capsys.readouterr().out
 
 

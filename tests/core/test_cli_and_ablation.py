@@ -130,7 +130,12 @@ class TestSweepErrors:
          "invalid choice: 'replay'"),
         (["rv32i", "capture", "ptr-chase"], "invalid choice: 'capture'"),
         (["events", "record", "gzip", "SpecSched_4", "--o3pipeview"],
-         "unrecognized arguments: --o3pipeview"),
+         "invalid choice: 'record'"),
+        (["events", "record", "gzip", "SpecSched_4"],
+         "invalid choice: 'record'"),
+        (["checkpoint", "create", "gzip", "SpecSched_4",
+          "--functional-warmup", "7"],
+         "unrecognized arguments: --functional-warmup 7"),
         (["trace", "record", "gzip", "--no-compress"],
          "unrecognized arguments: --no-compress"),
         (["checkpoint", "create", "gzip", "SpecSched_4", "--no-compress"],
@@ -138,13 +143,14 @@ class TestSweepErrors:
         (["checkpoint", "rebase", "a.ckpt", "Baseline_0", "--no-compress"],
          "unrecognized arguments: --no-compress"),
     ], ids=["trace-replay", "rv32i-capture", "events-o3pipeview",
+            "events-record", "checkpoint-create-functional-warmup",
             "trace-record-no-compress", "checkpoint-create-no-compress",
             "checkpoint-rebase-no-compress"])
     def test_duplicate_surface_is_gone(self, tmp_path, capsys, monkeypatch,
                                        argv, message):
         # Each removed command or flag duplicated a remaining one: `run
-        # FILE.trc`, `trace record`, `events export`; records are always
-        # zlib-framed.
+        # FILE.trc`, `trace record`, `events export`, `run --events`,
+        # REPRO_FUNC_WARMUP; records are always zlib-framed.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)
@@ -169,8 +175,7 @@ class TestPositiveCounts:
         (["trace", "record", "gzip", "-o", "{out}"], "--uops"),
         (["checkpoint", "create", "gzip", "SpecSched_4", "-o", "{out}"],
          "--uops"),
-        (["events", "record", "gzip", "SpecSched_4", "-o", "{out}"],
-         "--uops"),
+        (["run", "gzip", "SpecSched_4", "--events", "{out}"], "--measure"),
     ], ids=["run", "trace-record", "checkpoint-create", "events-record"])
     @pytest.mark.parametrize("value", ["0", "-3", "ten"])
     def test_rejected_with_flag_named(self, tmp_path, capsys, argv, flag,

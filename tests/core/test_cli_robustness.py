@@ -1,7 +1,8 @@
 """Malformed inputs through every CLI subcommand: one ``error:`` line, exit 2.
 
 A table of truncated recordings, checkpoints, RV32I images and event
-traces, recordings and checkpoints whose header lacks the zlib flag, bad
+traces (the ``events-record-*`` rows record through ``run --events``),
+recordings and checkpoints whose header lacks the zlib flag, bad
 TOML, unknown workload and configuration names, and bad
 ``REPRO_*`` values, each sent through every subcommand that reads it.
 None may end in a traceback or a silent success. Digest mismatches
@@ -62,12 +63,9 @@ def inputs(tmp_path_factory):
                      "-o", str(root / "long.trc")]) == 0
         assert main(["checkpoint", "create", "gzip", "SpecSched_4",
                      "--uops", "2000", "-o", str(root / "good.ckpt")]) == 0
-        assert main(["events", "record", "gzip", "SpecSched_4",
-                     "--uops", "300",
-                     "-o", str(root / "good.events.jsonl.gz")]) == 0
-        assert main(["events", "record", "gzip", "SpecSched_4",
-                     "--uops", "300",
-                     "-o", str(root / "good.events.jsonl")]) == 0
+        for events in ("good.events.jsonl.gz", "good.events.jsonl"):
+            assert main(["run", "gzip", "SpecSched_4", "--measure", "300",
+                         "--events", str(root / events)]) == 0
     shutil.copy(bundled_programs()["ptr-chase"], root / "good.hex")
     # Cut inside the recording's only frame, and inside each header.
     _cut(root / "good.trc", root / "cut.trc", lambda n: n // 2)
@@ -88,8 +86,9 @@ def inputs(tmp_path_factory):
          lambda n: n - 50)
     _cut(root / "good.events.jsonl.gz", root / "head.events.jsonl.gz",
          lambda n: 5)
+    # Inside the last event line, whatever its length.
     _cut(root / "good.events.jsonl", root / "cut.events.jsonl",
-         lambda n: n - 30)
+         lambda n: n - 5)
     (root / "bad.toml").write_text("name = \n")
     for label, workload, preset in (
             ("cut-trace", root / "cut.trc", "Baseline_0"),
@@ -114,8 +113,8 @@ def _bad_input_cases():
             ["checkpoint", "create", trace, "SpecSched_4", "--uops", "1500",
              "-o", "out.ckpt"])
         add(f"events-record-{stem}-trc",
-            ["events", "record", trace, "SpecSched_4", "--uops", "1500",
-             "-o", "out.events.jsonl"])
+            ["run", trace, "SpecSched_4", "--measure", "1500",
+             "--events", "out.events.jsonl"])
         add(f"table2-{stem}-trc", ["table2"], {"REPRO_WORKLOADS": trace})
         add(f"figure-{stem}-trc", ["figure", "5"], {"REPRO_WORKLOADS": trace})
     for trace in ("head.trc", "raw.trc"):
@@ -154,8 +153,8 @@ def _bad_input_cases():
             ["checkpoint", "create", image, "SpecSched_4", "--uops", "500",
              "-o", "out.ckpt"])
         add(f"events-record-{stem}",
-            ["events", "record", image, "SpecSched_4", "--uops", "200",
-             "-o", "out.events.jsonl"])
+            ["run", image, "SpecSched_4", "--measure", "200",
+             "--events", "out.events.jsonl"])
 
     for events in ("cut.events.jsonl.gz", "head.events.jsonl.gz",
                    "cut.events.jsonl"):
@@ -170,8 +169,8 @@ def _bad_input_cases():
     add("trace-record-bad-toml", ["trace", "record", "bad.toml"])
     add("checkpoint-create-bad-toml",
         ["checkpoint", "create", "bad.toml", "SpecSched_4"])
-    add("events-record-bad-toml", ["events", "record", "bad.toml",
-                                   "SpecSched_4"])
+    add("events-record-bad-toml", ["run", "bad.toml", "SpecSched_4",
+                                   "--events", "out.events.jsonl"])
     add("table2-bad-toml", ["table2"], {"REPRO_WORKLOADS": "bad.toml"})
 
     for command, argv in (
@@ -180,8 +179,8 @@ def _bad_input_cases():
             ("trace-record", ["trace", "record", "quake3"]),
             ("checkpoint-create", ["checkpoint", "create", "quake3",
                                    "SpecSched_4"]),
-            ("events-record", ["events", "record", "quake3",
-                               "SpecSched_4"]),
+            ("events-record", ["run", "quake3", "SpecSched_4",
+                               "--events", "out.events.jsonl"]),
             ("rv32i-run", ["rv32i", "run", "quake3"]),
             ("sweep", ["sweep", "sweep-unknown-workload.toml"])):
         add(f"{command}-unknown-workload", argv)
@@ -192,9 +191,15 @@ def _bad_input_cases():
                                    "Turbo_9"]),
             ("checkpoint-rebase", ["checkpoint", "rebase", "good.ckpt",
                                    "Turbo_9", "-o", "out.ckpt"]),
-            ("events-record", ["events", "record", "gzip", "Turbo_9"]),
+            ("events-record", ["run", "gzip", "Turbo_9",
+                               "--events", "out.events.jsonl"]),
             ("sweep", ["sweep", "sweep-unknown-config.toml"])):
         add(f"{command}-unknown-config", argv)
+    # A sampled cell runs at the spec's volumes, uninstrumented.
+    for flag in (["--measure", "5000"], ["--metrics"],
+                 ["--events", "out.events.jsonl"]):
+        add(f"run-sample{flag[0][1:]}",
+            ["run", "gzip", "SpecSched_4"] + SAMPLE + flag)
     for command, argv in (
             ("run-sample", ["run", "gzip", "SpecSched_4"] + SAMPLE),
             ("table2", ["table2"]),
@@ -216,6 +221,7 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
     assert main([located(arg) for arg in argv]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out.events.jsonl").exists()   # no partial trace
 
 
 @pytest.mark.parametrize("argv", [

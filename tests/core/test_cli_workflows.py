@@ -2,7 +2,7 @@
 
 Each test drives one multi-command workflow the way a user would:
 checkpoints (create -> info --verify -> rebase -> run), event traces
-(record -> info -> dump -> export) and sweep telemetry (sweep -> report
+(run --events -> info -> dump -> export) and sweep telemetry (sweep -> report
 manifests).
 """
 
@@ -65,10 +65,13 @@ class TestCheckpointRoundTrip:
         assert read_info("native.ckpt").digest == \
             read_info("g-base.ckpt").digest
 
-    def test_detailed_create_verify_run(self, tiny_env, capsys):
+    def test_detailed_create_verify_run(self, tiny_env, capsys,
+                                        monkeypatch):
+        # A detailed checkpoint warms functionally by REPRO_FUNC_WARMUP.
+        monkeypatch.setenv("REPRO_FUNC_WARMUP", "1000")
         out = _ok(capsys, ["checkpoint", "create", "gzip", "SpecSched_4",
                            "--mode", "detailed", "--uops", "400",
-                           "--functional-warmup", "1000", "-o", "d.ckpt"])
+                           "-o", "d.ckpt"])
         assert "-> d.ckpt" in out
         info = _ok(capsys, ["checkpoint", "info", "d.ckpt", "--verify"])
         assert "mode       detailed" in info
@@ -86,11 +89,23 @@ class TestCheckpointRoundTrip:
 
 
 class TestEventsRoundTrip:
-    def test_record_info_dump_export(self, tiny_env, capsys):
-        out = _ok(capsys, ["events", "record", "mcf", "SpecSched_4",
-                           "--uops", "400", "-o", "m.events.jsonl.gz"])
-        assert "-> m.events.jsonl.gz" in out
-        recorded = int(out.split()[1])
+    def test_record_info_dump_export(self, tiny_env, capsys, monkeypatch):
+        # No detailed warmup: the trace covers exactly the measured region.
+        monkeypatch.setenv("REPRO_WARMUP", "0")
+        plain = _ok(capsys, ["run", "mcf", "SpecSched_4", "--measure", "400"])
+        out = _ok(capsys, ["run", "mcf", "SpecSched_4", "--measure", "400",
+                           "--metrics", "--events", "m.events.jsonl.gz"])
+        # Recording observes the reported cell without changing it.
+        assert out.startswith(plain)
+        assert out.rstrip().endswith("-> m.events.jsonl.gz")
+        recorded = int(out.rstrip().splitlines()[-1].split()[1])
+        census = {}
+        for line in out.split("event census:\n")[1].splitlines():
+            if not line.startswith("  "):
+                break
+            kind, count = line.split()
+            census[kind] = int(count.replace(",", ""))
+        committed = int(plain.split("committed_uops")[1].split()[0])
 
         info = _ok(capsys, ["events", "info", "m.events.jsonl.gz"])
         assert "workload   mcf" in info and "config     SpecSched_4" in info
@@ -99,7 +114,8 @@ class TestEventsRoundTrip:
             kind, count = line.split()
             counts[kind] = int(count)
         assert sum(counts.values()) == recorded
-        assert counts["issue"] > 0 and counts["commit"] > 0
+        assert counts == census
+        assert counts["issue"] > 0 and counts["commit"] == committed
 
         dump = _ok(capsys, ["events", "dump", "m.events.jsonl.gz",
                             "--kind", "issue", "--limit", "5"])

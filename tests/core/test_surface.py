@@ -1,7 +1,7 @@
 """Guard against public code that only tests reach.
 
-Every public top-level function and method under ``src/repro`` must be
-referenced by name from the program itself: the library, the benchmark,
+Every public top-level class and function, and every public method,
+under ``src/repro`` must be referenced by name from the program itself: the library, the benchmark,
 the examples, the tools or the scripts. A name that only tests call is a
 second path the simulator never runs, and a test of it can pass while
 the path the simulator does run regresses.
@@ -51,7 +51,7 @@ def _overrides_external(module: str, cls: str, name: str) -> bool:
 
 
 def _definitions() -> Dict[str, List[str]]:
-    """Public function/method name -> the places defining it."""
+    """Public class/function/method name -> the places defining it."""
     found: Dict[str, List[str]] = {}
 
     def public(node: ast.AST) -> bool:
@@ -63,9 +63,10 @@ def _definitions() -> Dict[str, List[str]]:
         module = ".".join(path.relative_to(LIBRARY.parent)
                           .with_suffix("").parts)
         for node in ast.parse(path.read_text()).body:
-            if public(node):
+            is_class = isinstance(node, ast.ClassDef)
+            if public(node) or (is_class and not node.name.startswith("_")):
                 found.setdefault(node.name, []).append(f"{where}:{node.name}")
-            if not isinstance(node, ast.ClassDef):
+            if not is_class:
                 continue
             for member in node.body:
                 if public(member) and not _overrides_external(

@@ -28,7 +28,7 @@ from repro.experiments.engine import (
 )
 from repro.perf.instrument import PhaseProfile
 from repro.pipeline.stages.base import SimulationError, Stage
-from repro.telemetry.events import EventBus, RingBufferSink
+from repro.telemetry.events import AggregatorSink, EventBus
 from repro.telemetry.probes import MetricsCollector
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload
@@ -72,9 +72,8 @@ def test_gzip_exercises_store_load_violations():
 
 
 def test_telemetry_cell_leaves_no_cyclic_garbage():
-    # Two sinks on the bus: the collector's aggregator and a ring buffer,
-    # so events go through the bus's fan-out.
-    collector = MetricsCollector(EventBus(RingBufferSink()))
+    # Two sinks on the bus, so events go through the bus's fan-out.
+    collector = MetricsCollector(EventBus(AggregatorSink()))
     stats = simulate_payload(_payload("SpecSched_4_Combined"),
                              collector=collector)
     assert stats["telemetry"]["events"]

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.checkpoint.sampling import SamplingSpec
 from repro.common.config import SimConfig
+from repro.experiments.engine import cell_payload, simulate_payload
 from repro.pipeline.sim import RunResult, run_workload
+from repro.telemetry import MetricsCollector
 from repro.workloads.suite import SUITE
 
 TINY = dict(warmup_uops=400, measure_uops=1200, functional_warmup_uops=4000)
@@ -57,3 +60,25 @@ def test_run_workload_spec_matches_name():
 def test_unknown_config_name_raises():
     with pytest.raises(ValueError):
         run_workload("gzip", "HyperSched_9000", **TINY)
+
+
+@pytest.mark.parametrize("preset, workload, banked", [
+    ("SpecSched_4_Crit", "mcf", True),
+    ("Baseline_0", "gzip", False),
+])
+def test_one_cell_one_recipe(preset, workload, banked):
+    """A single cell is the grid cell of the same preset, workload,
+    volumes and seed: same payload, no cycle cap, same counters."""
+    single = run_workload(workload, preset, banked=banked, seed=1, **TINY)
+    grid = simulate_payload(cell_payload(preset, SUITE[workload],
+                                         banked=banked, seed=1, **TINY))
+    assert single.stats.to_dict() == grid
+    assert single.intervals == [] and single.ipc == single.stats.ipc
+
+
+def test_sampled_cell_refuses_a_collector():
+    spec = SamplingSpec(intervals=2, interval_uops=200, warmup_uops=100,
+                        period_uops=1_000, offset_uops=500)
+    with pytest.raises(ValueError, match="one detailed cell"):
+        run_workload("gzip", "SpecSched_4", sampling=spec,
+                     collector=MetricsCollector())

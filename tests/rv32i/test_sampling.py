@@ -2,8 +2,8 @@
 
 Two satellites of the sampling suite, re-proven on RV32I µop streams:
 
-* The checkpoint-chained cells (``run_sampled_cells_chained``, what
-  ``repro run --sample`` and sweeps run) must match the from-zero
+* The checkpoint-chained cells (``run_workload(..., sampling=...)``,
+  what ``repro run --sample`` and sweeps run) must match the from-zero
   interval cells of ``sample_payloads`` bit-identically
   (interval-for-interval counter equality) on both a long captured
   rv32i trace and the live executor-backed source — the chained path
@@ -17,11 +17,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpoint.sampling import (
-    SamplingSpec,
-    run_sampled_cells_chained,
-    sample_payloads,
-)
+from repro.checkpoint.sampling import SamplingSpec, sample_payloads
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
 from repro.experiments.engine import (
@@ -31,6 +27,7 @@ from repro.experiments.engine import (
     run_cells,
     simulate_payload,
 )
+from repro.pipeline.sim import run_workload
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload, resolve_workload
 
@@ -82,20 +79,18 @@ class TestModeEquivalence:
     @pytest.mark.parametrize("preset", ["Baseline_0",
                                         "SpecSched_4_Combined"])
     def test_captured_trace_chained_matches_cells(self, long_trace,
-                                                  tmp_path, preset):
+                                                  preset):
         workload = TraceWorkload(long_trace)
-        chained = run_sampled_cells_chained(workload, preset, SPEC,
-                                            seed=SEED, options=OFF,
-                                            store=tmp_path)
-        assert [s.to_dict() for s in chained.interval_stats] == \
+        chained = run_workload(workload, preset, seed=SEED, sampling=SPEC,
+                               options=OFF)
+        assert [s.to_dict() for s in chained.intervals] == \
             _from_zero(workload, preset)
 
-    def test_live_executor_chained_matches_cells(self, tmp_path):
+    def test_live_executor_chained_matches_cells(self):
         """The chained path checkpoints Rv32iTrace/Machine state."""
-        chained = run_sampled_cells_chained("state-machine", "SpecSched_4",
-                                            SPEC, seed=SEED, options=OFF,
-                                            store=tmp_path)
-        assert [s.to_dict() for s in chained.interval_stats] == \
+        chained = run_workload("state-machine", "SpecSched_4", seed=SEED,
+                               sampling=SPEC, options=OFF)
+        assert [s.to_dict() for s in chained.intervals] == \
             _from_zero("state-machine", "SpecSched_4")
 
 
@@ -112,18 +107,17 @@ class TestEstimateQuality:
             functional_warmup_uops=0, seed=SEED)
         detailed = SimStats.from_dict(simulate_payload(payload))
         assert detailed.ipc > 0
-        rel_err = abs(sampled.mean_ipc - detailed.ipc) / detailed.ipc
+        rel_err = abs(sampled.ipc - detailed.ipc) / detailed.ipc
         assert rel_err <= IPC_REL_ERR_CEILING, (
-            f"{preset}: sampled {sampled.mean_ipc:.3f} vs detailed "
+            f"{preset}: sampled {sampled.ipc:.3f} vs detailed "
             f"{detailed.ipc:.3f} (rel err {rel_err:.4f})")
 
     @pytest.mark.parametrize("preset", ["Baseline_0",
                                         "SpecSched_4_Combined"])
     def test_cells_chained_ipc_within_gate_ceiling(self, long_trace,
-                                                   tmp_path, preset):
+                                                   preset):
         """The estimator ``run --sample``, sweeps, figures and perfbench
         run."""
-        sampled = run_sampled_cells_chained(
-            TraceWorkload(long_trace), preset, GATE_SPEC, seed=SEED,
-            options=OFF, store=tmp_path)
+        sampled = run_workload(TraceWorkload(long_trace), preset,
+                               seed=SEED, sampling=GATE_SPEC, options=OFF)
         self._assert_close_to_detailed(long_trace, preset, sampled)

@@ -19,13 +19,21 @@ from repro.telemetry.events import (
     EventBus,
     EventsFormatError,
     JsonlEventWriter,
-    NULL_BUS,
-    RingBufferSink,
     count_events,
     null_emit,
     open_events,
 )
 from repro.workloads.suite import SUITE
+
+
+class ListSink:
+    """Keeps every event it is sent, in order."""
+
+    def __init__(self) -> None:
+        self.events = []
+
+    def emit(self, cycle, kind, seq, pc=0, a=0, b=0) -> None:
+        self.events.append((cycle, kind, seq, pc, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -38,47 +46,34 @@ def test_empty_bus_emits_to_the_null_sink():
     bus.emit(1, EV_ISSUE, 2)            # must be callable and do nothing
 
 
-def test_null_bus_is_shared_and_disabled():
-    assert NULL_BUS.emit is null_emit
-
-
 def test_single_sink_bus_uses_the_sinks_bound_emit():
-    sink = RingBufferSink()
+    sink = ListSink()
     bus = EventBus()
     assert bus.attach(sink) is sink     # assignment-friendly return
     assert bus.emit == sink.emit
     bus.emit(7, EV_ISSUE, 3, pc=0x40, a=1, b=2)
-    assert sink.events() == [(7, EV_ISSUE, 3, 0x40, 1, 2)]
+    assert sink.events == [(7, EV_ISSUE, 3, 0x40, 1, 2)]
 
 
 def test_multi_sink_bus_fans_out_to_every_sink():
-    first, second = RingBufferSink(), RingBufferSink()
+    first, second = ListSink(), ListSink()
     bus = EventBus(first)
     bus.attach(second)
     bus.emit(1, EV_ISSUE, 1)
-    assert first.events() == second.events() == [(1, EV_ISSUE, 1, 0, 0, 0)]
+    assert first.events == second.events == [(1, EV_ISSUE, 1, 0, 0, 0)]
 
 
 def test_emission_points_see_sinks_attached_mid_run():
     bus = EventBus()
     emitting = bus
-    sink = RingBufferSink()
+    sink = ListSink()
     bus.attach(sink)
     emitting.emit(5, EV_ISSUE, 9)       # read through the bus, not captured
-    assert len(sink) == 1
+    assert len(sink.events) == 1
 
 
 # ---------------------------------------------------------------------------
 # Sinks
-
-
-def test_ring_buffer_keeps_the_most_recent_tail():
-    sink = RingBufferSink(capacity=3)
-    for cycle in range(5):
-        sink.emit(cycle, EV_ISSUE, cycle)
-    assert [event[0] for event in sink.events()] == [2, 3, 4]
-    sink.clear()
-    assert len(sink) == 0
 
 
 def test_aggregator_histograms_and_census():
