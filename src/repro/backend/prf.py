@@ -99,6 +99,11 @@ class Scoreboard:
 
     # -- clock -----------------------------------------------------------
 
+    @property
+    def event_cycles(self) -> Dict[int, List[tuple]]:
+        """The wakeup calendar keyed by cycle (read it, never mutate it)."""
+        return self._events
+
     def tick(self, now: int) -> None:
         """Fire wakeup events scheduled for ``now``.
 
@@ -141,13 +146,18 @@ class Scoreboard:
     # -- state protocol (repro.checkpoint) -------------------------------
 
     def state_dict(self, ctx) -> dict:
+        """Waiter lists are stored seq-sorted, by register, for a
+        deterministic encoding: replay re-arm fills them in the IQ's set
+        order, and their order never affects behaviour (each wakeup
+        decrements every waiter; the ready lists it feeds are
+        seq-sorted)."""
         return {
             "ready": list(self.ready),
             "ready_at": list(self.ready_at),
             "data_ready_at": list(self.data_ready_at),
             "version": list(self.version),
-            "waiters": [(preg, ctx.refs(waiters))
-                        for preg, waiters in self._waiters.items()],
+            "waiters": [(preg, ctx.refs(sorted(waiters, key=lambda u: u.seq)))
+                        for preg, waiters in sorted(self._waiters.items())],
             "events": [(cycle, [tuple(e) for e in events])
                        for cycle, events in self._events.items()],
             "wakeups_fired": self.wakeups_fired,

@@ -75,6 +75,12 @@ class ReplayController:
     def schedule(self, event: ReplayEvent, detection_cycle: int) -> None:
         self._events.setdefault(detection_cycle, []).append(event)
 
+    @property
+    def event_cycles(self) -> Dict[int, List[ReplayEvent]]:
+        """The detection calendar keyed by cycle (read it, never mutate
+        it)."""
+        return self._events
+
     def has_event(self, now: int) -> bool:
         return now in self._events
 

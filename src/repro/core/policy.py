@@ -59,7 +59,9 @@ class SchedulingPolicy:
         ``l1_miss_this_cycle``: a load missed the L1 this cycle;
         ``l1_access_this_cycle``: any load accessed the L1 this cycle.
         The global counter only trains on access cycles (idle cycles say
-        nothing about hit/miss behaviour).
+        nothing about hit/miss behaviour). A call without an access must
+        do nothing: the driver skips quiescent cycles without calling
+        it (:class:`repro.pipeline.stages.Bookkeep`).
         """
 
     def on_load_commit(self, uop: MicroOp) -> None:

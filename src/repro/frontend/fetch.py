@@ -127,8 +127,48 @@ class FetchStage:
                     # Rest of this group comes from the wrong path next cycle.
                     return
 
+    def next_event(self, now: int) -> Optional[int]:
+        """First cycle ``>= now`` whose :meth:`tick` cannot be applied
+        in bulk by :meth:`skip` (``None`` when no such cycle is due
+        without another stage's event).
+
+        Correct-path fetch pulls the trace and predicts, so it ticks
+        every cycle; a stall ends at ``_stall_until``. Wrong-path fetch
+        only appends virtual groups, which :meth:`skip` reproduces; the
+        one cycle it names is the first group's arrival when nothing is
+        in flight, which Rename must see (it materialises that group).
+        """
+        if now < self._stall_until:
+            return self._stall_until
+        if not self.wrong_path:
+            return now
+        if self.pipe or self._wp_groups:
+            return None
+        return now + self.depth
+
+    def skip(self, now: int, until: int) -> None:
+        """Apply the ticks of cycles ``now .. until-1``, a span that ends
+        by :meth:`next_event`: stalled throughout, or in wrong-path mode
+        throughout, where each tick appends one full-width group."""
+        if now < self._stall_until or not self.wrong_path:
+            return
+        width, depth = self.width, self.depth
+        self._wp_groups.extend([cycle + depth, width] for cycle in range(now, until))
+        self._wp_pending += (until - now) * width
+        self.fetched_wrong += (until - now) * width
+
     # ------------------------------------------------------------------
     # delivery to Rename
+
+    def head(self) -> Optional[Tuple[int, Optional[MicroOp]]]:
+        """``(ready cycle, µop)`` of the next µop to deliver, with the µop
+        ``None`` when it is still a virtual wrong-path group; ``None``
+        when nothing is in flight."""
+        if self.pipe:
+            return self.pipe[0]
+        if self._wp_groups:
+            return self._wp_groups[0][0], None
+        return None
 
     def peek(self, now: int) -> Optional[MicroOp]:
         """The next µop Rename could take at ``now`` (without taking it).

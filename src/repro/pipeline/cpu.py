@@ -4,9 +4,13 @@ One :class:`Simulator` models the machine of Table 1 executing one trace
 under one configuration. The machine itself lives in
 :mod:`repro.pipeline.stages` — stage objects connected by the typed ports,
 wires and latches of :mod:`repro.pipeline.ports` — and the driver's
-:meth:`Simulator.step` is a tick over that stage list, nothing more. Tick
-order, wiring diagram and timing contract (Section 4.1 / Figure 1)
-are documented normatively in ``docs/ARCHITECTURE.md``."""
+:meth:`Simulator.step` is a tick over that stage list, nothing more.
+:meth:`Simulator.run` also skips quiescent cycles: when every stage's
+``next_event`` names a later cycle, it applies the span through each
+stage's ``skip`` and jumps there, with counters and machine state as if
+every cycle had ticked. Tick order, wiring diagram and timing contract
+(Section 4.1 / Figure 1) are documented normatively in
+``docs/ARCHITECTURE.md``."""
 
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from repro.pipeline import checkpointing
 from repro.pipeline.warming import warm_stream
 from repro.pipeline.ports import DelayQueue, Port, Wire
 from repro.pipeline.stages import build_stages
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import NEVER, SimulationError, Stage
 from repro.rename.rename import RegisterRenamer
 
 __all__ = ["SimulationError", "Simulator"]
@@ -124,12 +128,46 @@ class Simulator:
         return self.fetch.done and self.rob.empty
 
     def run(self, max_uops: Optional[int] = None, max_cycles: Optional[int] = None) -> SimStats:
-        """Simulate until done / ``max_uops`` committed / ``max_cycles``."""
+        """Simulate until done / ``max_uops`` committed / ``max_cycles``.
+
+        Before each cycle the stages are asked for their next event; the
+        first that answers ``now`` makes it an ordinary :meth:`step`.
+        When all answer later, the cycles up to the earliest answer are
+        applied in bulk (:meth:`_skip`), clamped so that the
+        deadlock-trap cycle and the ``max_cycles`` bound are reached
+        exactly as by stepping.
+
+        Fetch is asked first: on the correct path it ticks every cycle,
+        so on most busy cycles its answer alone settles the question.
+        The others are asked in tick order. Only Issue's question has a
+        side effect (the pruning its tick would do), and it still comes
+        after every stage that ticks before it.
+        """
         stats = self.stats
         step = self.step if self.phase_profile is None else self._step_profiled
+        fetch = self.stage("fetch")
+        next_events = [fetch.next_event]
+        next_events += [stage.next_event for stage in self.stages if stage is not fetch]
+        last_commit = self.last_commit
+        trap_distance = self.DEADLOCK_LIMIT + 1
         uop_budget = float("inf") if max_uops is None else max_uops
         cycle_budget = float("inf") if max_cycles is None else max_cycles
         while (not self.done and stats.committed_uops < uop_budget and stats.cycles < cycle_budget):
+            now = self.now
+            until = NEVER
+            for next_event in next_events:
+                due = next_event(now)
+                if due <= now:
+                    break
+                if due < until:
+                    until = due
+            else:
+                until = min(
+                    until, last_commit.value + trap_distance, now + cycle_budget - stats.cycles
+                )
+                if until > now:
+                    self._skip(now, until)
+                    continue
             step()
         return stats
 
@@ -170,6 +208,18 @@ class Simulator:
         self.now = now + 1
         if now - self.last_commit.value > self.DEADLOCK_LIMIT:
             self._raise_deadlock(now)
+
+    def _skip(self, now: int, until: int) -> None:
+        """Apply the quiescent cycles ``now .. until-1`` in bulk: the
+        driver's prologue, each stage's ``skip`` and the cycle count."""
+        self.l1_miss.value = self.l1_access.value = False
+        self.fus.new_cycle()
+        for stage in self.stages:
+            stage.skip(now, until)
+        self.stats.cycles += until - now
+        if self.phase_profile is not None:
+            self.phase_profile.cycles += until - now
+        self.now = until
 
     def _step_profiled(self) -> None:
         """:meth:`step` twin with per-stage timers (repro.perf.instrument)."""

@@ -21,6 +21,16 @@ Contract (normative statement in ``docs/ARCHITECTURE.md``):
   machine;
 * ``tick(now)`` advances the stage one cycle and communicates only
   through ports, wires, latches and the shared structures it bound;
+* ``next_event(now)`` returns the first cycle ``>= now`` whose tick the
+  stage cannot reproduce in bulk (:data:`NEVER` when only another
+  stage's event can give it work), and ``skip(now, until)`` applies the
+  ticks of cycles ``now .. until-1`` in bulk. The driver calls ``skip``
+  only when every stage answered a cycle past ``now``, so a stage may
+  assume nothing else moves during the span. The defaults (answer
+  ``now``, skip nothing) keep the stage ticking every cycle; a subclass
+  that overrides ``tick`` without redefining ``next_event`` gets the
+  default ``next_event`` back, so an observer sees every cycle unless
+  it implements both methods;
 * ``state_dict(ctx)`` / ``load_state_dict(state, ctx)`` implement the
   component state protocol (:mod:`repro.checkpoint.state`) for state the
   stage *owns* (most stages own none — shared structures and latches are
@@ -38,8 +48,20 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 
+#: ``next_event`` answer of a stage that has nothing due on its own.
+NEVER = 1 << 62
+
+
 class SimulationError(RuntimeError):
     """Raised when a model invariant is violated (bug trap, not recovery)."""
+
+
+def first_due(slots: Dict[int, object], now: int) -> int:
+    """The earliest cycle of a cycle-keyed event table (``now`` when an
+    entry is due now, :data:`NEVER` when the table is empty)."""
+    if now in slots:
+        return now
+    return min(slots) if slots else NEVER
 
 
 class Stage:
@@ -61,9 +83,25 @@ class Stage:
         and keep none to ``sim`` itself (see the module docstring).
         """
 
+    def __init_subclass__(cls, **kwargs) -> None:
+        """A class that redefines ``tick`` but not ``next_event`` ticks
+        every cycle: the inherited skip rules described another tick."""
+        super().__init_subclass__(**kwargs)
+        if "tick" in cls.__dict__ and "next_event" not in cls.__dict__:
+            cls.next_event = Stage.next_event
+
     def tick(self, now: int) -> None:
         """Advance the stage one cycle."""
         raise NotImplementedError
+
+    def next_event(self, now: int) -> int:
+        """First cycle ``>= now`` whose tick cannot be skipped (default:
+        ``now``, i.e. tick every cycle)."""
+        return now
+
+    def skip(self, now: int, until: int) -> None:
+        """Apply the ticks of cycles ``now .. until-1`` in bulk (default:
+        nothing, for stages whose quiescent ticks do nothing)."""
 
     # -- state protocol (repro.checkpoint) -------------------------------
 

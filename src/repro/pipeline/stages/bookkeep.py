@@ -11,7 +11,7 @@ here, which is why it is last in the tick order.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Bookkeep(Stage):
@@ -31,3 +31,12 @@ class Bookkeep(Stage):
         """Feed the cycle's L1 outcome to the policy; prune the window."""
         self.policy.on_cycle(self.l1_miss.value, self.l1_access.value)
         self.replay.prune(now)
+
+    def next_event(self, now: int) -> int:
+        """Never: a cycle without an L1 access trains no policy, and the
+        window prune is monotone, so :meth:`skip` covers any span."""
+        return NEVER
+
+    def skip(self, now: int, until: int) -> None:
+        """Prune the replay window as the span's last tick would."""
+        self.replay.prune(until - 1)

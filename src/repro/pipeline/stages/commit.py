@@ -11,7 +11,7 @@ completing in cycle ``X`` retires no earlier than ``X + 1``).
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import NEVER, SimulationError, Stage
 
 
 class Commit(Stage):
@@ -49,6 +49,12 @@ class Commit(Stage):
             head = rob.head()
         if retired:
             self.last_commit.value = now
+
+    def next_event(self, now: int) -> int:
+        """``now`` when the ROB head is completed; otherwise only
+        Writeback or Execute can complete it."""
+        head = self.rob.head()
+        return now if head is not None and head.completed else NEVER
 
     def _retire(self, head, now: int) -> None:
         """Architectural effects of one retirement (the per-µop seam

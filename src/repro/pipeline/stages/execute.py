@@ -28,7 +28,7 @@ from repro.backend.replay import ReplayEvent
 from repro.common.stats import CAUSE_BANK_CONFLICT, CAUSE_L1_MISS
 from repro.isa.opclass import EXEC_LATENCY_BY_OP
 from repro.isa.uop import MicroOp
-from repro.pipeline.stages.base import SimulationError, Stage
+from repro.pipeline.stages.base import SimulationError, Stage, first_due
 
 
 class Execute(Stage):
@@ -71,6 +71,13 @@ class Execute(Stage):
             if uop.dead or uop.squashed or uop.num_issues != issue_id:
                 continue
             self._execute_uop(uop, now)
+
+    def next_event(self, now: int) -> int:
+        """The earliest issue->execute delivery or replay detection."""
+        due = first_due(self._slots, now)
+        if due == now:
+            return now
+        return min(due, first_due(self.replay.event_cycles, now))
 
     def _execute_uop(self, uop: MicroOp, now: int) -> None:
         if not self.scoreboard.operands_data_valid(uop, now):

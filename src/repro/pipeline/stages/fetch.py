@@ -18,7 +18,7 @@ stage-protocol adapter the driver ticks.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Fetch(Stage):
@@ -34,3 +34,12 @@ class Fetch(Stage):
     def tick(self, now: int) -> None:
         """Fetch/decode one cycle of µops into the frontend pipe."""
         self.frontend.tick(now)
+
+    def next_event(self, now: int) -> int:
+        """See :meth:`repro.frontend.fetch.FetchStage.next_event`."""
+        due = self.frontend.next_event(now)
+        return NEVER if due is None else due
+
+    def skip(self, now: int, until: int) -> None:
+        """Append the wrong-path groups the skipped ticks would have."""
+        self.frontend.skip(now, until)

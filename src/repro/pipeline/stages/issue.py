@@ -28,7 +28,7 @@ from typing import List
 
 from repro.isa.opclass import EXEC_LATENCY_BY_OP
 from repro.isa.uop import MicroOp
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Issue(Stage):
@@ -88,6 +88,14 @@ class Issue(Stage):
             ready = self.iq.take_ready()
             if ready:
                 self._issue_from(ready, budget, now)
+
+    def next_event(self, now: int) -> int:
+        """``now`` while a ready list holds a candidate; otherwise only a
+        wakeup can give Issue work. Prunes the lists as this cycle's
+        tick would (the earlier stages' ticks this cycle do nothing)."""
+        if self.recovery.take_ready() or self.iq.take_ready():
+            return now
+        return NEVER
 
     def _issue_from(self, candidates: List[MicroOp], budget: int, now: int) -> int:
         for uop in list(candidates):

@@ -17,7 +17,7 @@ frontend pipe) in the stage map.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 
 
 class Rename(Stage):
@@ -41,22 +41,38 @@ class Rename(Stage):
         """Rename and dispatch up to ``rename_width`` µops, stalling in
         order on the first structural hazard."""
         fetch = self.frontend
-        rob, iq, lsq = self.rob, self.iq, self.lsq
-        renamer = self.renamer
+        blocked = self._blocked
         for _ in range(self.width):
             uop = fetch.peek(now)
-            if uop is None:
-                return
-            if (
-                rob.full
-                or iq.full
-                or not renamer.can_rename(uop)
-                or (uop.is_load and lsq.lq_full())
-                or (uop.is_store and lsq.sq_full())
-            ):
+            if uop is None or blocked(uop):
                 return
             fetch.pop()
             self._dispatch(uop, now)
+
+    def _blocked(self, uop) -> bool:
+        """A ROB/IQ/free-list/LQ/SQ hazard stops ``uop`` (and, in order,
+        everything behind it)."""
+        return (
+            self.rob.full
+            or self.iq.full
+            or not self.renamer.can_rename(uop)
+            or (uop.is_load and self.lsq.lq_full())
+            or (uop.is_store and self.lsq.sq_full())
+        )
+
+    def next_event(self, now: int) -> int:
+        """When the frontend's head is deliverable, or :data:`NEVER`
+        while a hazard blocks it (only another stage's event lifts one).
+        An empty pipe answers the oldest virtual wrong-path group's
+        ready cycle even under a hazard, because ``peek`` materialises
+        that group's first µop."""
+        head = self.frontend.head()
+        if head is None:
+            return NEVER
+        ready, uop = head
+        if uop is not None and self._blocked(uop):
+            return NEVER
+        return ready if ready > now else now
 
     def _dispatch(self, uop, now: int) -> None:
         """Atomic rename+dispatch of one accepted µop (the per-µop seam

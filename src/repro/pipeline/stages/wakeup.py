@@ -15,7 +15,7 @@ either independently.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import Stage, first_due
 
 
 class Wakeup(Stage):
@@ -31,3 +31,7 @@ class Wakeup(Stage):
     def tick(self, now: int) -> None:
         """Deliver every wakeup event scheduled for ``now``."""
         self.scoreboard.tick(now)
+
+    def next_event(self, now: int) -> int:
+        """The earliest scheduled wakeup event."""
+        return first_due(self.scoreboard.event_cycles, now)

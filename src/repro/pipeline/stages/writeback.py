@@ -11,7 +11,7 @@ snapshot) are dropped silently.
 
 from __future__ import annotations
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import Stage, first_due
 
 
 class Writeback(Stage):
@@ -34,3 +34,7 @@ class Writeback(Stage):
             if uop.dead or uop.num_issues != issue_id or not uop.executed:
                 continue
             self.rob.note_completed(uop)
+
+    def next_event(self, now: int) -> int:
+        """The earliest completion-latch delivery."""
+        return first_due(self._slots, now)

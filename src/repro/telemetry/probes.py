@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.pipeline.stages.base import Stage
+from repro.pipeline.stages.base import NEVER, Stage
 from repro.telemetry.events import AggregatorSink, EventBus
 
 __all__ = ["MetricsCollector", "OccupancyProbe", "render_metrics"]
@@ -29,7 +29,9 @@ class OccupancyProbe(Stage):
     Samples at the end of every cycle (anchored after ``bookkeep``):
     IQ, ROB, load queue, store queue, recovery buffer, and the two
     latch banks (issue→execute, execute→writeback). Each histogram maps
-    ``occupancy -> cycles observed at that occupancy``.
+    ``occupancy -> cycles observed at that occupancy``. A quiescent span
+    the driver skips is sampled in bulk: nothing it observes can change
+    during the span, so each of its cycles counts the same occupancies.
     """
 
     name = "telemetry_occupancy"
@@ -51,7 +53,17 @@ class OccupancyProbe(Stage):
             name: {} for name in self.STRUCTURES}
 
     def tick(self, now: int) -> None:
-        self.cycles += 1
+        self._sample(1)
+
+    def next_event(self, now: int) -> int:
+        return NEVER
+
+    def skip(self, now: int, until: int) -> None:
+        self._sample(until - now)
+
+    def _sample(self, cycles: int) -> None:
+        """Count the current occupancies ``cycles`` times."""
+        self.cycles += cycles
         hists = self.hists
         for name, value in (
                 ("iq", len(self.iq)),
@@ -62,7 +74,7 @@ class OccupancyProbe(Stage):
                 ("exec_latch", self.exec_latch.in_flight()),
                 ("completion_latch", self.completion_latch.in_flight())):
             hist = hists[name]
-            hist[value] = hist.get(value, 0) + 1
+            hist[value] = hist.get(value, 0) + cycles
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able per-structure mean/peak + full histograms."""

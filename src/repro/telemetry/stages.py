@@ -140,6 +140,9 @@ class TelemetryExecute(Execute):
 class TelemetryWriteback(Writeback):
     """Writeback override: completion events for latch-delivered µops."""
 
+    # The emitting tick drains the same latch, so the base rule holds.
+    next_event = Writeback.next_event
+
     def __init__(self, sim) -> None:
         super().__init__(sim)
         self.events = sim.event_bus
