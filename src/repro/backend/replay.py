@@ -13,7 +13,9 @@ is available one cycle before the data returns). When the event fires:
   recovery buffer (everything else).
 
 Multiple loads detecting in the same cycle fold into one squash; the cause
-recorded for the replayed µops is the *oldest* trigger's (DESIGN.md §6).
+recorded for the replayed µops is the *oldest* trigger's. The paper does
+not say how a squash with two causes is counted; charging it to one
+cause keeps each replayed µop in exactly one per-cause count.
 """
 
 from __future__ import annotations

@@ -132,26 +132,6 @@ class UopDecoder:
 
 
 # ---------------------------------------------------------------------------
-# Architectural-only µop encoding (trace-source buffers)
-
-
-def encode_arch_uop(uop: MicroOp) -> Tuple:
-    """Compact encoding of a not-yet-fetched µop (architectural fields
-    only — exactly what :meth:`MicroOp.clone_arch` carries)."""
-    return (uop.pc, int(uop.opclass), list(uop.srcs), uop.dst,
-            uop.mem_addr, uop.mem_size, uop.taken, uop.target,
-            uop.wrong_path)
-
-
-def decode_arch_uop(row: Sequence[Any]) -> MicroOp:
-    pc, opclass, srcs, dst, mem_addr, mem_size, taken, target, wrong = row
-    return MicroOp(seq=0, pc=pc, opclass=_OPCLASS_BY_VALUE[opclass],
-                   srcs=list(srcs), dst=dst, mem_addr=mem_addr,
-                   mem_size=mem_size, taken=taken, target=target,
-                   wrong_path=wrong)
-
-
-# ---------------------------------------------------------------------------
 # RNG state helpers (random.Random round-trips as plain data)
 
 

@@ -1,10 +1,20 @@
 """Trace sources — where the frontend gets its µops.
 
-The fetch stage consumes a :class:`TraceSource`: an infinite (or finite)
-supplier of correct-path µops plus the seeded synthesizer for wrong-path
-µops fetched after a branch misprediction, which the base class owns.
-Workload generators implement this protocol; :class:`ListTrace` wraps a
-plain list for tests and the timing-diagram examples.
+A :class:`TraceSource` is an infinite (or finite) supplier of
+correct-path µops in two shapes over one stream position:
+
+* :meth:`TraceSource.next_uop` — one :class:`MicroOp`, for the fetch
+  stage of the detailed machine;
+* :meth:`TraceSource.next_record_block` — a block of records in the
+  trace file's layout (:func:`repro.traces.format.record_dtype`), the
+  only input of functional warming and trace capture. No ``MicroOp`` is
+  needed for it: the workload generator fills it from kernel rows and a
+  recording views its frame bytes.
+
+The base class also owns the seeded synthesizer for wrong-path µops
+fetched after a branch misprediction. Workload generators implement
+this protocol; :class:`ListTrace` wraps a plain list for tests and the
+timing-diagram examples.
 """
 
 from __future__ import annotations
@@ -93,28 +103,31 @@ class TraceSource:
         """Return the next correct-path µop, or ``None`` when exhausted."""
         raise NotImplementedError
 
-    def next_block(self, max_uops: int) -> List[MicroOp]:
-        """Return up to ``max_uops`` correct-path µops (empty when exhausted).
+    def next_record_block(self, max_uops: int):
+        """Return up to ``max_uops`` correct-path µops as a record array.
 
-        Block-yield form of :meth:`next_uop` for functional warming
-        (:mod:`repro.pipeline.warming`): consuming the stream in
-        blocks amortizes per-µop dispatch. The base implementation loops
-        :meth:`next_uop`, so any source is block-capable; generator
-        sources override with a bulk walk, and recorded traces
-        additionally expose raw record blocks
-        (:meth:`repro.traces.format.FileTrace.next_record_block`).
-        Stream position and checkpoint state advance exactly as if
-        :meth:`next_uop` had been called per µop.
+        ``max_uops`` is positive. The array has dtype
+        :func:`repro.traces.format.record_dtype` and holds at least one
+        record; ``None`` means the stream is exhausted. Stream position
+        and checkpoint state advance exactly as if :meth:`next_uop` had
+        been called per µop. The base implementation encodes
+        :meth:`next_uop` results one at a time; the workload generator
+        and recordings override it without building µops.
         """
-        out: List[MicroOp] = []
-        append = out.append
+        from repro.traces.format import encode_record, record_dtype
+
+        records = []
         next_uop = self.next_uop
         for _ in range(max_uops):
             uop = next_uop()
             if uop is None:
                 break
-            append(uop)
-        return out
+            records.append(encode_record(uop))
+        if not records:
+            return None
+        import numpy as np
+
+        return np.frombuffer(b"".join(records), dtype=record_dtype())
 
     def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
         """Synthesize one wrong-path µop fetched from (bogus) ``pc``.

@@ -6,7 +6,9 @@ cycles at 4 GHz — the paper's minimum); a row-buffer miss additionally pays
 ``row_miss_penalty`` (precharge + activate at 11-11-11). Bus and bank
 occupancy serialize closely spaced requests. Total latency is clamped at the
 paper's quoted maximum (185 cycles), standing in for scheduling effects the
-paper's controller hides (refresh is not modeled; DESIGN.md §6).
+paper's controller hides. Refresh is not modeled: the paper quotes only
+the minimum and maximum latency, and the clamp keeps every access in
+that range.
 """
 
 from __future__ import annotations

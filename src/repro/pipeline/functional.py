@@ -11,9 +11,9 @@ numpy block kernels of :mod:`repro.pipeline.warming.engine`.
 
 This per-µop loop is the **reference oracle** for functional warming:
 the kernels must leave every component bit-identical to what this loop
-produces. The equivalence suite under ``tests/warming/`` and the
-``warming`` benchmark compare the two. Keep any state-effect change here
-mirrored there.
+produces. The equivalence suite under ``tests/warming/`` compares the
+two; perfbench's ``warming.*`` layers (``perfbench/run.py --trace 1``)
+time the kernels. Keep any state-effect change here mirrored there.
 """
 
 from __future__ import annotations

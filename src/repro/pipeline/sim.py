@@ -10,8 +10,10 @@ checkpoint-chained interval cells through
 measure differently here than in a sweep.
 
 The default µop volumes live here. They are small relative to the
-paper's 50M+100M because the synthetic workloads are stationary
-(DESIGN.md §2); override them for higher-fidelity runs. The ``REPRO_*``
+paper's 50M+100M because the synthetic workloads are stationary: each
+kernel repeats the same static blocks, so a short interval already
+shows its steady-state behaviour. Override them for higher-fidelity
+runs. The ``REPRO_*``
 volume variables and :class:`~repro.experiments.runner.Settings` fall
 back to these same constants.
 """

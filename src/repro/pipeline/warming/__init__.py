@@ -13,7 +13,7 @@ components' batch entry points.
 The per-µop loop :func:`repro.pipeline.functional.functional_stream` is
 the reference oracle: its semantics define what warming *means*, and the
 engine must leave every component byte-identical to it (``tests/warming``
-and the ``warming`` benchmark hold that contract).
+holds that contract; perfbench's ``warming.*`` layers time the engine).
 
 The engine, and with it numpy, is imported on the first warm call, not
 here: importing the simulator must stay cheap for callers that never

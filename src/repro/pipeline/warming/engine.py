@@ -1,8 +1,10 @@
 """The vectorized functional-warming engine.
 
-Blocks of the µop stream are classified and address-decomposed with
-numpy kernels (:mod:`repro.pipeline.warming.blocks`), then applied to
-the machine through the components' batch entry points:
+The µop stream arrives as record arrays
+(:meth:`repro.isa.trace.TraceSource.next_record_block`), one input shape
+for every source. Each block is classified and address-decomposed with
+numpy kernels (the masks of :mod:`repro.pipeline.warming.blocks`), then
+applied to the machine through the components' batch entry points:
 
 * :meth:`SetAssocCache.warm_block` — L1 touch-or-fill with LRU stamps;
 * :meth:`MemoryHierarchy.warm_l2_block` — L2 touch / prefetcher-train /
@@ -37,7 +39,6 @@ from repro.pipeline.warming.blocks import (
     IS_CALL_OR_RET,
     IS_LOAD,
     IS_MEM,
-    UopBlock,
 )
 
 
@@ -122,11 +123,6 @@ def warm_stream_vectorized(
     ``block_uops``, returning the count actually consumed (short when the
     trace exhausts). State effects are byte-identical to the scalar
     reference (see the module docstring's bit-identity contract).
-
-    Recorded traces supply zero-decode record blocks
-    (:meth:`FileTrace.next_record_block`); every other source supplies
-    decoded batches (:meth:`TraceSource.next_block`), which
-    :meth:`UopBlock.from_uops` turns into the same arrays.
     """
     if uops <= 0:
         return 0
@@ -141,25 +137,18 @@ def warm_stream_vectorized(
     l2_set_bits = l2._set_bits
     branch_unit = sim.branch_unit
     policy = sim.policy if train_policy else None
-    next_records = getattr(trace, "next_record_block", None)
+    next_records = trace.next_record_block
     consumed = 0
     while consumed < uops:
-        want = min(block_uops, uops - consumed)
-        block = None
-        if next_records is not None:
-            records = next_records(want)
-            if records is not None:
-                block = UopBlock.from_records(records)
-        if block is None:
-            batch = trace.next_block(want)
-            if not batch:
-                return consumed
-            block = UopBlock.from_uops(batch)
-        opclass = block.opclass
+        records = next_records(min(block_uops, uops - consumed))
+        if records is None:
+            return consumed
+        pc = records["pc"]
+        opclass = records["opclass"]
         mem = np.flatnonzero(IS_MEM[opclass])
         if mem.size:
-            addr = block.addr[mem]
-            pcs = block.pc[mem].tolist()
+            addr = records["mem_addr"][mem]
+            pcs = pc[mem].tolist()
             l1_line = addr >> l1_offset
             l1_sets = (l1_line & l1_mask).tolist()
             l1_tags = (l1_line >> l1_set_bits).tolist()
@@ -180,18 +169,18 @@ def warm_stream_vectorized(
             hierarchy.warm_l2_block(pcs, addr.tolist(), l2_sets, l2_tags)
         branches = np.flatnonzero(IS_BRANCH[opclass])
         if branches.size:
-            branch_pc = block.pc[branches]
-            branch_op = block.opclass[branches]
-            branch_taken = block.taken[branches]
+            branch_pc = pc[branches]
+            branch_op = opclass[branches]
+            branch_taken = (records["flags"][branches] & 1) != 0
             cond = ~IS_CALL_OR_RET[branch_op]
             branch_unit.resolve_block(
                 branch_pc.tolist(),
                 branch_op.tolist(),
-                block.target[branches].tolist(),
+                records["target"][branches].tolist(),
                 branch_taken.tolist(),
                 cond_indices=tage_fold_indices(
                     branch_unit.tage, branch_pc[cond], branch_taken[cond]
                 ),
             )
-        consumed += block.size
+        consumed += len(records)
     return consumed

@@ -36,6 +36,12 @@ Wrong-path µops are *not* recorded (trace-driven simulation synthesizes
 them); the header's ``wp_seed`` seeds the same
 :class:`~repro.isa.trace.WrongPathSynth` stream the live generator used,
 which is what makes replayed ``SimStats`` bit-identical.
+
+The same record layout, as a numpy array (:func:`record_dtype`), is what
+every trace source serves from
+:meth:`~repro.isa.trace.TraceSource.next_record_block`: :func:`capture`
+writes those arrays straight into frames, and :class:`FileTrace` hands
+its frame bytes back as views.
 """
 
 from __future__ import annotations
@@ -46,9 +52,8 @@ import json
 import os
 import struct
 import zlib
-from collections import deque
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterator, List, Optional
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.isa.opclass import OpClass
 from repro.isa.trace import TraceSource
@@ -81,8 +86,10 @@ def record_dtype():
     """The numpy structured dtype of one :data:`RECORD` (lazy, cached).
 
     Field-for-field mirror of the packed struct layout, so a frame's raw
-    bytes can be viewed with ``np.frombuffer`` — the warming engine's
-    zero-decode replay path.
+    bytes can be viewed with ``np.frombuffer``. Every trace source serves
+    blocks in this dtype (:meth:`~repro.isa.trace.TraceSource.
+    next_record_block`), and it is the one input of functional warming
+    and :func:`capture`.
     """
     global _RECORD_DTYPE
     if _RECORD_DTYPE is None:
@@ -141,6 +148,30 @@ def encode_record(uop: MicroOp) -> bytes:
     flags = _FLAG_TAKEN if uop.taken else 0
     return RECORD.pack(uop.pc, uop.mem_addr, uop.target, s0, s1, s2,
                        dst, int(uop.opclass), flags, uop.mem_size)
+
+
+def encode_rows(rows: Sequence[tuple]):
+    """Kernel rows as one record array, filled column by column.
+
+    A row is ``(pc, opclass, srcs, dst, mem_addr, mem_size, taken,
+    target)`` with at most 3 sources (:mod:`repro.workloads.kernels`);
+    the array's bytes equal :func:`encode_record` applied row by row.
+    """
+    import numpy as np
+
+    pcs, opclasses, srcs, dsts, addrs, sizes, takens, targets = zip(*rows)
+    records = np.empty(len(rows), dtype=record_dtype())
+    records["pc"] = pcs
+    records["mem_addr"] = addrs
+    records["target"] = targets
+    records["s0"] = [s[0] if s else -1 for s in srcs]
+    records["s1"] = [s[1] if len(s) > 1 else -1 for s in srcs]
+    records["s2"] = [s[2] if len(s) > 2 else -1 for s in srcs]
+    records["dst"] = [-1 if d is None else d for d in dsts]
+    records["opclass"] = opclasses
+    records["flags"] = takens
+    records["mem_size"] = sizes
+    return records
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +265,9 @@ def verify(path) -> bool:
 
 
 class TraceWriter:
-    """Streaming writer: append µops, close to patch count + digest."""
+    """Streaming writer: write record blocks, close to patch count +
+    digest. Frames hold ``frame_records`` records whatever the block
+    sizes, so the file bytes depend only on the record stream."""
 
     def __init__(self, path, *, wp_seed: int,
                  provenance: Optional[Dict[str, Any]] = None,
@@ -244,7 +277,7 @@ class TraceWriter:
         self.frame_records = max(1, frame_records)
         self.count = 0
         self._sha = hashlib.sha256()
-        self._frame: List[bytes] = []
+        self._pending = bytearray()
         self._closed = False
         meta = json.dumps(
             {"record": RECORD_VERSION, "wp_seed": wp_seed,
@@ -255,19 +288,19 @@ class TraceWriter:
                                        b"\0" * 32, len(meta), b"\0" * 12))
         self._handle.write(meta)
 
-    def append(self, uop: MicroOp) -> None:
-        record = encode_record(uop)
-        self._sha.update(record)
-        self._frame.append(record)
-        self.count += 1
-        if len(self._frame) >= self.frame_records:
-            self._flush_frame()
+    def write(self, records) -> None:
+        """Append a record array (:func:`record_dtype`)."""
+        raw = records.tobytes()
+        self._sha.update(raw)
+        self.count += len(records)
+        pending = self._pending
+        pending += raw
+        frame_bytes = self.frame_records * RECORD.size
+        while len(pending) >= frame_bytes:
+            self._write_frame(pending[:frame_bytes])
+            del pending[:frame_bytes]
 
-    def _flush_frame(self) -> None:
-        if not self._frame:
-            return
-        raw = b"".join(self._frame)
-        self._frame.clear()
+    def _write_frame(self, raw) -> None:
         stored = zlib.compress(raw, 6)
         self._handle.write(FRAME_HEADER.pack(len(raw), len(stored)))
         self._handle.write(stored)
@@ -275,7 +308,9 @@ class TraceWriter:
     def close(self) -> TraceInfo:
         if self._closed:
             return read_info(self.path)
-        self._flush_frame()
+        if self._pending:
+            self._write_frame(self._pending)
+            self._pending.clear()
         digest = self._sha.digest()
         self._handle.seek(8)             # past magic/version/flags
         self._handle.write(struct.pack("<Q32s", self.count, digest))
@@ -303,17 +338,21 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
             frame_records: int = DEFAULT_FRAME_RECORDS) -> TraceInfo:
     """Pull up to ``limit`` correct-path µops from ``source`` to disk.
 
-    ``wp_seed`` must be the seed whose :class:`WrongPathSynth` stream the
-    source uses, so replay reproduces the wrong path exactly; for
-    live workload traces that is the build seed.
+    The stream is read as record blocks
+    (:meth:`~repro.isa.trace.TraceSource.next_record_block`), one frame's
+    worth at a time. ``wp_seed`` must be the seed whose
+    :class:`WrongPathSynth` stream the source uses, so replay reproduces
+    the wrong path exactly; for live workload traces that is the build
+    seed.
     """
     with TraceWriter(path, wp_seed=wp_seed, provenance=provenance,
                      frame_records=frame_records) as out:
-        for _ in range(limit):
-            uop = source.next_uop()
-            if uop is None:
+        while out.count < limit:
+            records = source.next_record_block(
+                min(out.frame_records, limit - out.count))
+            if records is None:
                 break
-            out.append(uop)
+            out.write(records)
     return read_info(path)
 
 
@@ -401,46 +440,20 @@ def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
             yield raw
 
 
-def decode_frame(raw: bytes) -> Deque[MicroOp]:
-    """Decode one frame's records into µops in a single batch
-    (the inverse of :func:`encode_record`).
-
-    This is the front end's bulk decode path: one tight loop per ~4096
-    records instead of an iterator resumption + generator frame per µop,
-    which is what makes replay faster than live generation.
-    """
-    out: Deque[MicroOp] = deque()
-    append = out.append
-    by_value = _OPCLASS_BY_VALUE
-    for fields in RECORD.iter_unpack(raw):
-        pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size \
-            = fields
-        srcs: List[int] = []
-        if s0 >= 0:
-            srcs.append(s0)
-            if s1 >= 0:
-                srcs.append(s1)
-                if s2 >= 0:
-                    srcs.append(s2)
-        append(MicroOp(seq=0, pc=pc, opclass=by_value[opclass],
-                       srcs=srcs, dst=dst if dst >= 0 else None,
-                       mem_addr=mem_addr, mem_size=mem_size,
-                       taken=bool(flags & _FLAG_TAKEN), target=target))
-    return out
-
-
 class FileTrace(TraceSource):
     """Replay a recorded trace as a :class:`TraceSource`.
 
-    Frames are decoded lazily one whole frame at a time (the batched
-    decode path), so replay is streaming — a few hundred KB resident
-    regardless of trace length — while the per-µop cost is a deque pop.
-    Wrong-path µops come from the header-seeded :class:`WrongPathSynth` —
-    the same stream the live generator produced, which is what keeps
-    replayed ``SimStats`` bit-identical to generate-live runs. Opening
-    walks the frame headers once, so a recording cut short of its
-    header's µop count is refused before any µop is read. The stream
-    ends (``None``) after the last record.
+    The reader holds one inflated frame and a byte offset into it:
+    :meth:`next_uop` decodes the record at the offset, and
+    :meth:`next_record_block` views the records from the offset on, so
+    the two calls interleave freely. Replay is streaming — one frame
+    (about 150 KB) resident regardless of trace length. Wrong-path µops
+    come from the header-seeded :class:`WrongPathSynth` — the same stream
+    the live generator produced, which is what keeps replayed
+    ``SimStats`` bit-identical to generate-live runs. Opening walks the
+    frame headers once, so a recording cut short of its header's µop
+    count is refused before any µop is read. The stream ends (``None``)
+    after the last record.
     """
 
     def __init__(self, path) -> None:
@@ -449,55 +462,60 @@ class FileTrace(TraceSource):
         _check_frames(self.path, self.info.uop_count)
         super().__init__(self.info.wp_seed)
         self._frames = _iter_frames(self.path)
-        self._batch: Deque[MicroOp] = deque()
-        # Raw record bytes handed back by next_record_block's partial
-        # consumption of a frame; next_uop decodes it on demand, so the
-        # two consumption shapes can interleave freely.
-        self._raw_tail = b""
+        self._frame = b""
+        self._offset = 0
         self.replayed = 0
+
+    def _records_left(self) -> bool:
+        """Move to the next frame once this one is used up; False at the
+        end of the stream."""
+        while self._offset >= len(self._frame):
+            frame = next(self._frames, None)
+            if frame is None:
+                return False
+            self._frame = frame
+            self._offset = 0
+        return True
 
     # -- TraceSource ---------------------------------------------------
 
     def next_uop(self) -> Optional[MicroOp]:
-        batch = self._batch
-        while not batch:
-            if self._raw_tail:
-                batch = self._batch = decode_frame(self._raw_tail)
-                self._raw_tail = b""
-                break
-            frame = next(self._frames, None)
-            if frame is None:
-                return None
-            batch = self._batch = decode_frame(frame)
+        if not self._records_left():
+            return None
+        pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size \
+            = RECORD.unpack_from(self._frame, self._offset)
+        self._offset += RECORD.size
         self.replayed += 1
-        return batch.popleft()
+        srcs = []
+        if s0 >= 0:
+            srcs.append(s0)
+            if s1 >= 0:
+                srcs.append(s1)
+                if s2 >= 0:
+                    srcs.append(s2)
+        return MicroOp(0, pc, _OPCLASS_BY_VALUE[opclass], srcs,
+                       dst if dst >= 0 else None, mem_addr, mem_size,
+                       bool(flags & _FLAG_TAKEN), target)
 
     def next_record_block(self, max_uops: int):
-        """Up to ``max_uops`` raw records as a numpy structured array.
+        """Up to ``max_uops`` records as a view over the current frame.
 
-        The warming engine's zero-decode supply: one
-        ``np.frombuffer`` view per (partial) frame, no :class:`MicroOp`
-        construction at all. Returns ``None`` when raw records cannot be
-        served right now — stream exhausted, or a decoded batch is
-        pending from :meth:`next_uop` — in which case callers fall back
-        to :meth:`next_block`. Stream position (``replayed``, checkpoint
-        state) advances exactly as if the records had been replayed
-        per µop.
+        One ``np.frombuffer`` per call, nothing decoded: a block never
+        spans two frames. ``None`` once the stream is exhausted. Stream
+        position (``replayed``, checkpoint state) advances exactly as if
+        the records had been replayed per µop.
         """
-        if self._batch or max_uops <= 0:
+        if not self._records_left():
             return None
-        tail = self._raw_tail
-        if not tail:
-            tail = next(self._frames, None)
-            if tail is None:
-                return None
-        count = min(max_uops, len(tail) // RECORD.size)
-        split = count * RECORD.size
-        self._raw_tail = tail[split:]
-        self.replayed += count
         import numpy as np
 
-        return np.frombuffer(tail[:split], dtype=record_dtype())
+        count = min(max_uops,
+                    (len(self._frame) - self._offset) // RECORD.size)
+        records = np.frombuffer(self._frame, dtype=record_dtype(),
+                                count=count, offset=self._offset)
+        self._offset += count * RECORD.size
+        self.replayed += count
+        return records
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
@@ -516,11 +534,10 @@ class FileTrace(TraceSource):
         """Position the stream so the next µop is number ``count``.
 
         Frames before the cursor are skipped by their headers; the frame
-        holding it is inflated eagerly (so a truncated recording fails
-        here, at restore) and kept as raw bytes, which both
-        :meth:`next_uop` and :meth:`next_record_block` consume.
+        holding it is inflated eagerly, so a truncated recording fails
+        here, at restore.
         """
         self._frames = _iter_frames(self.path, count)
-        self._batch = deque()
-        self._raw_tail = next(self._frames, b"") if count else b""
+        self._frame = next(self._frames, b"") if count else b""
+        self._offset = 0
         self.replayed = count

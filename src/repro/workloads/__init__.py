@@ -2,8 +2,11 @@
 
 Trace-driven simulation of the paper's scheduler mechanisms needs µop
 streams with controllable dependence structure, load miss rate, bank
-behaviour and branch predictability — see DESIGN.md §2 for why parametric
-kernels preserve the phenomena the paper measures.
+behaviour and branch predictability. Parametric kernels preserve the
+phenomena the paper measures because the scheduler mechanisms react to
+exactly those properties, not to what a program computes;
+:mod:`repro.workloads.suite` places each benchmark analogue in the
+behavioural class the paper reports for it.
 """
 
 from repro.workloads.kernels import (

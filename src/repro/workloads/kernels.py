@@ -19,17 +19,27 @@ BankConflictKernel  L1-resident streams striding one cache line so every
 BranchKernel        patterned/noisy conditional branches
 StoreLoadKernel     store->load pairs exercising forwarding + store sets
 ==================  =========================================================
+
+A block is a list of plain rows, not :class:`~repro.isa.uop.MicroOp`
+objects. A row holds the ``MicroOp`` positional arguments after ``seq``:
+``(pc, opclass, srcs, dst, mem_addr, mem_size, taken, target)``.
+:class:`~repro.workloads.spec.WorkloadTrace` builds a ``MicroOp`` from a
+row only when the detailed machine fetches it (``MicroOp(0, *row)``);
+functional warming and trace capture turn rows straight into record
+arrays.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.isa.opclass import OpClass
-from repro.isa.uop import MicroOp
 
 LINE = 64
+
+#: One emitted µop (the row layout in the module docstring).
+Row = Tuple[int, OpClass, List[int], Optional[int], int, int, bool, int]
 
 
 class Kernel:
@@ -68,18 +78,17 @@ class Kernel:
 
     # -- block emission ----------------------------------------------------
 
-    def next_block(self) -> List[MicroOp]:
+    def next_block(self) -> List[Row]:
         block = self._emit()
         self._iteration += 1
         return block
 
-    def _emit(self) -> List[MicroOp]:
+    def _emit(self) -> List[Row]:
         raise NotImplementedError
 
-    def _branch(self, pc_off: int, taken: bool) -> MicroOp:
-        return MicroOp(seq=0, pc=self.pc(pc_off), opclass=OpClass.BRANCH,
-                       srcs=[self.ireg(0)], dst=None, taken=taken,
-                       target=self.pc_base if taken else self.pc(pc_off) + 1)
+    def _branch(self, pc_off: int, taken: bool) -> Row:
+        return (self.pc(pc_off), OpClass.BRANCH, [self.ireg(0)], None, 0, 8,
+                taken, self.pc_base if taken else self.pc(pc_off) + 1)
 
     # -- state protocol (repro.checkpoint) -------------------------------
 
@@ -118,8 +127,8 @@ class StreamKernel(Kernel):
         self._offsets = [i * (self.ws_bytes // self.streams)
                          for i in range(self.streams)]
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         for u in range(self.unroll):
             stream = u % self.streams
@@ -127,15 +136,13 @@ class StreamKernel(Kernel):
             self._offsets[stream] = (
                 self._offsets[stream] + self.stride) % self.ws_bytes
             value_reg = self.reg(1 + (u % 3))
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-                srcs=[self.ireg(0)], dst=value_reg, mem_addr=addr))
+            block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
+                          value_reg, addr, 8, False, 0))
             pc_off += 1
             acc = self.reg(0) if self.serial_acc else self.reg(4)
             srcs = [acc, value_reg] if self.serial_acc else [value_reg]
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                srcs=srcs, dst=acc))
+            block.append((self.pc(pc_off), self.alu_op(), srcs, acc, 0, 8,
+                          False, 0))
             pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
         return block
@@ -156,23 +163,21 @@ class PointerChaseKernel(Kernel):
         self._idx = (self._idx * 1103515245 + 12345) % self.ws_lines
         return self._idx
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         addr = self.addr_base + self._next_index() * LINE
         ptr = self.ireg(1)
         # The load's address source is the previous load's destination —
         # a genuinely serial chain.
-        block.append(MicroOp(
-            seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-            srcs=[ptr], dst=ptr, mem_addr=addr))
+        block.append((self.pc(pc_off), OpClass.LOAD, [ptr], ptr, addr, 8,
+                      False, 0))
         pc_off += 1
         prev = ptr
         for w in range(self.work):
             dst = self.reg(2 + (w % 2))
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                srcs=[prev], dst=dst))
+            block.append((self.pc(pc_off), self.alu_op(), [prev], dst, 0, 8,
+                          False, 0))
             prev = dst
             pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 32 != 31))
@@ -216,8 +221,8 @@ class RandomLoadKernel(Kernel):
             return False
         return (self._iteration // self.phase_blocks) % 2 == 0
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         hot = self._in_hot_phase()
         # Cold phases are load-dominated (the gather loop is traversing
@@ -238,20 +243,18 @@ class RandomLoadKernel(Kernel):
                 self._index_cursor = (self._index_cursor + 8) % (
                     self.INDEX_LINES * LINE)
                 idx_reg = self.ireg(5)
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-                    srcs=[self.ireg(0)], dst=idx_reg,
-                    mem_addr=self.addr_base + self._index_cursor))
+                block.append((self.pc(pc_off), OpClass.LOAD,
+                              [self.ireg(0)], idx_reg,
+                              self.addr_base + self._index_cursor, 8,
+                              False, 0))
                 pc_off += 1
                 addr_reg = idx_reg
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-                srcs=[addr_reg], dst=value_reg, mem_addr=addr))
+            block.append((self.pc(pc_off), OpClass.LOAD, [addr_reg],
+                          value_reg, addr, 8, False, 0))
             pc_off += 1
             for w in range(work_per_load):
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                    srcs=[value_reg], dst=self.reg(4 + (w % 2))))
+                block.append((self.pc(pc_off), self.alu_op(), [value_reg],
+                              self.reg(4 + (w % 2)), 0, 8, False, 0))
                 pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 16 != 15))
         return block
@@ -267,8 +270,8 @@ class ComputeKernel(Kernel):
         self.chain_len = chain_len
         self.mul_every = mul_every
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         for step in range(self.chain_len):
             for chain in range(self.chains):
@@ -277,9 +280,8 @@ class ComputeKernel(Kernel):
                 if self.mul_every and (step * self.chains + chain) \
                         % self.mul_every == self.mul_every - 1:
                     opclass = OpClass.FP_MUL if self.fp else OpClass.INT_MUL
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=opclass,
-                    srcs=[reg], dst=reg))
+                block.append((self.pc(pc_off), opclass, [reg], reg, 0, 8,
+                              False, 0))
                 pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
         return block
@@ -309,8 +311,8 @@ class BankConflictKernel(Kernel):
         self._line = [i * (ws_lines // self.streams)
                       for i in range(self.streams)]
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         for u in range(self.unroll):
             bank = (self._iteration * self.unroll + u) % 8
@@ -321,14 +323,13 @@ class BankConflictKernel(Kernel):
                 offset = (bank if self.same_bank else (bank + side) % 8) * 8
                 addr = self.addr_base + line * LINE + offset
                 value_reg = self.reg(1 + ((2 * u + side) % 3))
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-                    srcs=[self.ireg(0)], dst=value_reg, mem_addr=addr))
+                block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
+                              value_reg, addr, 8, False, 0))
                 pc_off += 1
             for f in range(self.filler):
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                    srcs=[self.reg(1 + f % 3)], dst=self.reg(4)))
+                block.append((self.pc(pc_off), self.alu_op(),
+                              [self.reg(1 + f % 3)], self.reg(4), 0, 8,
+                              False, 0))
                 pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
         return block
@@ -350,22 +351,20 @@ class BranchKernel(Kernel):
         self.noise = noise
         self.filler = filler
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         for b in range(self.branches):
             for f in range(self.filler):
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                    srcs=[self.reg(1 + f % 2)], dst=self.reg(1 + f % 2)))
+                block.append((self.pc(pc_off), self.alu_op(),
+                              [self.reg(1 + f % 2)], self.reg(1 + f % 2),
+                              0, 8, False, 0))
                 pc_off += 1
             pattern = (self._iteration + b) % self.period != 0
             taken = pattern ^ (self.rng.random() < self.noise)
-            uop = MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=OpClass.BRANCH,
-                srcs=[self.reg(1)], dst=None, taken=taken,
-                target=self.pc_base if taken else self.pc(pc_off) + 1)
-            block.append(uop)
+            block.append((self.pc(pc_off), OpClass.BRANCH, [self.reg(1)],
+                          None, 0, 8, taken,
+                          self.pc_base if taken else self.pc(pc_off) + 1))
             pc_off += 1
         return block
 
@@ -388,31 +387,28 @@ class StoreLoadKernel(Kernel):
         self.chain = chain
         self._cursor = 0
 
-    def _emit(self) -> List[MicroOp]:
-        block: List[MicroOp] = []
+    def _emit(self) -> List[Row]:
+        block: List[Row] = []
         pc_off = 0
         for p in range(self.pairs):
             self._cursor = (self._cursor + 8) % self.buffer_bytes
             store_addr = self.addr_base + self._cursor
             data_reg = self.reg(1)
             for c in range(self.chain):
-                block.append(MicroOp(
-                    seq=0, pc=self.pc(pc_off), opclass=self.alu_op(),
-                    srcs=[data_reg], dst=data_reg))
+                block.append((self.pc(pc_off), self.alu_op(), [data_reg],
+                              data_reg, 0, 8, False, 0))
                 pc_off += 1
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=OpClass.STORE,
-                srcs=[self.ireg(0), data_reg], dst=None,
-                mem_addr=store_addr))
+            block.append((self.pc(pc_off), OpClass.STORE,
+                          [self.ireg(0), data_reg], None, store_addr, 8,
+                          False, 0))
             pc_off += 1
             if self.rng.random() < self.alias_prob:
                 load_addr = store_addr
             else:
                 load_addr = (self.addr_base
                              + self.rng.randrange(self.buffer_bytes // 8) * 8)
-            block.append(MicroOp(
-                seq=0, pc=self.pc(pc_off), opclass=OpClass.LOAD,
-                srcs=[self.ireg(0)], dst=self.reg(3), mem_addr=load_addr))
+            block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
+                          self.reg(3), load_addr, 8, False, 0))
             pc_off += 1
         block.append(self._branch(pc_off, taken=self._iteration % 32 != 31))
         return block

@@ -17,6 +17,7 @@ from typing import Deque, Dict, List, Optional
 
 from repro.common.serialize import dataclass_from_dict, stable_hash
 
+from repro.isa.opclass import OpClass
 from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 from repro.workloads.kernels import (
@@ -26,6 +27,7 @@ from repro.workloads.kernels import (
     Kernel,
     PointerChaseKernel,
     RandomLoadKernel,
+    Row,
     StoreLoadKernel,
     StreamKernel,
 )
@@ -133,57 +135,67 @@ class WorkloadTrace(TraceSource):
             )
             self.kernels.append(kernel)
             self.weights.append(kspec.weight)
-        self._buffer: Deque[MicroOp] = deque()
+        self._buffer: Deque[Row] = deque()
         self.emitted = 0
+
+    def _refill(self) -> None:
+        kernel = self.rng.choices(self.kernels, weights=self.weights)[0]
+        self._buffer.extend(kernel.next_block())
 
     # -- TraceSource -------------------------------------------------------
 
     def next_uop(self) -> Optional[MicroOp]:
         if not self._buffer:
-            kernel = self.rng.choices(self.kernels, weights=self.weights)[0]
-            self._buffer.extend(kernel.next_block())
-        uop = self._buffer.popleft()
+            self._refill()
         self.emitted += 1
-        return uop
+        return MicroOp(0, *self._buffer.popleft())
 
-    def next_block(self, max_uops: int) -> List[MicroOp]:
-        """Bulk :meth:`next_uop`: drain whole kernel blocks per refill.
+    def next_record_block(self, max_uops: int):
+        """The next ``max_uops`` rows as one record array.
 
-        Identical stream and RNG consumption (one weighted draw per
-        buffer refill), so cursor/checkpoint state after a block matches
-        per-µop iteration exactly.
+        Whole kernel blocks are drained per refill, with one weighted
+        draw per refill exactly as :meth:`next_uop` makes, so the stream
+        and the checkpoint state after a block match per-µop iteration.
+        No :class:`MicroOp` is built.
         """
-        out: List[MicroOp] = []
-        append = out.append
+        from repro.traces.format import encode_rows
+
         buffer = self._buffer
-        while len(out) < max_uops:
+        rows: List[Row] = []
+        while len(rows) < max_uops:
             if not buffer:
-                kernel = self.rng.choices(self.kernels, weights=self.weights)[0]
-                buffer.extend(kernel.next_block())
-            for _ in range(min(max_uops - len(out), len(buffer))):
-                append(buffer.popleft())
-        self.emitted += len(out)
-        return out
+                self._refill()
+            take = max_uops - len(rows)
+            if take >= len(buffer):
+                rows.extend(buffer)
+                buffer.clear()
+            else:
+                rows.extend([buffer.popleft() for _ in range(take)])
+        self.emitted += len(rows)
+        return encode_rows(rows)
 
     # -- state protocol (repro.checkpoint) -------------------------------
 
     def state_dict(self) -> dict:
-        from repro.checkpoint.state import encode_arch_uop
-
         return {
             "rng": self.rng.getstate(),
             "wp_synth": self._wp_synth.state_dict(),
             "kernels": [kernel.state_dict() for kernel in self.kernels],
-            "buffer": [encode_arch_uop(uop) for uop in self._buffer],
+            # The checkpoint layout ends each µop with its wrong-path
+            # flag, always False for kernel rows.
+            "buffer": [(pc, int(opclass), list(srcs), *rest, False)
+                       for pc, opclass, srcs, *rest in self._buffer],
             "emitted": self.emitted,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        from repro.checkpoint.state import decode_arch_uop, set_rng_state
+        from repro.checkpoint.state import set_rng_state
 
         set_rng_state(self.rng, state["rng"])
         self._wp_synth.load_state_dict(state["wp_synth"])
         for kernel, kernel_state in zip(self.kernels, state["kernels"]):
             kernel.load_state_dict(kernel_state)
-        self._buffer = deque(decode_arch_uop(row) for row in state["buffer"])
+        self._buffer = deque(
+            (pc, OpClass(opclass), list(srcs), *rest)
+            for pc, opclass, srcs, *rest, _ in state["buffer"])
         self.emitted = state["emitted"]

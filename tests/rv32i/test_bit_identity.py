@@ -80,16 +80,6 @@ class TestCaptureIdentity:
             assert _uop_tuple(replayed.wrong_path_uop(seq, pc)) == \
                 _uop_tuple(live.wrong_path_uop(seq, pc))
 
-    def test_block_fetch_matches_single_steps(self, captured):
-        one = FileTrace(captured)
-        block = FileTrace(captured)
-        singles = [one.next_uop() for _ in range(600)]
-        batched = []
-        while len(batched) < 600:
-            batched.extend(block.next_block(97))
-        assert [_uop_tuple(u) for u in singles] == \
-            [_uop_tuple(u) for u in batched[:600]]
-
 
 class TestEngineDeterminism:
     def _payloads(self, captured):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import struct
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,8 +22,8 @@ from repro.traces.format import (
     TraceFormatError,
     TraceWriter,
     capture,
-    decode_frame,
     encode_record,
+    encode_rows,
     read_info,
     verify,
 )
@@ -75,11 +77,25 @@ uop_strategy = st.builds(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(uop=uop_strategy)
-def test_record_roundtrip_property(uop):
-    [decoded] = decode_frame(encode_record(uop))
-    assert arch(decoded) == arch(uop)
+@settings(max_examples=100, deadline=None)
+@given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
+def test_record_roundtrip_property(uops):
+    """Recorded µops replay field for field (``FileTrace.next_uop``
+    decodes what :func:`encode_record` wrote)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.trc"
+        capture(ListTrace(uops), path, len(uops), wp_seed=0,
+                frame_records=5)
+        assert [arch(u) for u in replay(path)] == [arch(u) for u in uops]
+
+
+@settings(max_examples=100, deadline=None)
+@given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
+def test_rows_encode_like_records_property(uops):
+    """The columnwise fill of kernel rows equals per-µop encoding."""
+    rows = [arch(u) for u in uops]
+    assert encode_rows(rows).tobytes() == b"".join(
+        encode_record(u) for u in uops)
 
 
 def test_record_is_fixed_width():
@@ -143,7 +159,7 @@ def test_writer_context_manager_removes_partial_file(tmp_path):
     path = tmp_path / "t.trc"
     with pytest.raises(RuntimeError):
         with TraceWriter(path, wp_seed=0) as out:
-            out.append(_mixed_uops(1)[0])
+            out.write(encode_rows([arch(_mixed_uops(1)[0])]))
             raise RuntimeError("boom")
     assert not path.exists()
 

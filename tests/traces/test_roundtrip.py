@@ -49,6 +49,29 @@ def _record(workload, tmp_path, seed: int) -> TraceWorkload:
 # ---------------------------------------------------------------------------
 # Stream fidelity
 
+#: Content digests of ``repro trace record W --seed 1 --uops 20000``. They
+#: pin the generated µop streams (the kernels and the RV32I executor) to
+#: the bit: any change to a kernel's rows, its RNG draws or the record
+#: encoding moves them.
+RECORD_DIGESTS = {
+    "gzip": "ac97098bb101eea41f3ca8e2d26cc13bf1cdd360c72e8dd5dfdd15fdc7cd60ce",
+    "dhry-mix":
+        "935dbd8dc17826138264fee92e35b5ac41c53d9d60d1ca1f490643f4fbca1d68",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
+def test_trace_record_digest_pinned(tmp_path, capsys, name):
+    from repro.cli import main
+    from repro.traces.format import read_info, verify
+
+    path = tmp_path / f"{name}.trc"
+    assert main(["trace", "record", name, "--seed", "1", "--uops", "20000",
+                 "-o", str(path)]) == 0
+    assert RECORD_DIGESTS[name] in capsys.readouterr().out
+    assert read_info(path).digest == RECORD_DIGESTS[name]
+    assert verify(path)
+
 
 @pytest.mark.parametrize("name", TABLE2_WORKLOADS)
 @pytest.mark.parametrize("seed", [1, 42])

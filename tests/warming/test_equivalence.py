@@ -19,7 +19,6 @@ from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
 from repro.pipeline.functional import functional_stream
 from repro.pipeline.warming import warm_stream
-from repro.pipeline.warming.blocks import UopBlock
 from repro.pipeline.warming.engine import warm_stream_vectorized
 
 from tests.warming.conftest import (
@@ -60,19 +59,26 @@ class TestSyntheticWorkloads:
         sim.functional_warmup(trace, 8000)
         assert state_bytes(sim) == state_bytes(oracle)
 
-    def test_live_sources_run_the_kernels(self, monkeypatch):
-        """Generator sources go through the array kernels, not a
-        delegation to the reference loop."""
+    def test_warming_builds_no_micro_ops(self, monkeypatch,
+                                         recorded_trace):
+        """Warming a live workload or a recording reads record arrays
+        only: not one ``MicroOp`` is constructed."""
+        from repro.traces.format import FileTrace
+
+        sims = (workload_sim("Baseline_0", "gzip"),
+                build_sim("Baseline_0", FileTrace(recorded_trace)))
         built = []
-        from_uops = UopBlock.from_uops
+        init = MicroOp.__init__
 
-        def counting(uops):
-            built.append(len(uops))
-            return from_uops(uops)
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
 
-        monkeypatch.setattr(UopBlock, "from_uops", counting)
-        workload_sim("Baseline_0", "gzip").fast_forward(5000)
-        assert sum(built) == 5000
+        monkeypatch.setattr(MicroOp, "__init__", counting)
+        for sim in sims:
+            assert sim.fast_forward(5000) == 5000
+        assert sims[0].trace.next_uop() is not None     # the probe counts
+        assert len(built) == 1
 
 
 class TestRecordedTraces:
