@@ -43,7 +43,6 @@ class BranchPredictorConfig:
     min_history: int = 4
     max_history: int = 128
     bimodal_entries: int = 8192
-    use_alt_threshold: int = 8
     btb_entries: int = 8192
     btb_ways: int = 2
     ras_entries: int = 32
@@ -71,8 +70,6 @@ class CacheConfig:
     mshrs: int = 64
     banks: int = 8            # quadword-interleaved data banks (L1D only)
     banked: bool = True       # False models the ideal dual-ported L1D
-    read_ports: int = 2
-    write_ports: int = 2
 
     @property
     def num_sets(self) -> int:
@@ -151,7 +148,6 @@ class CoreConfig:
     """Pipeline dimensions (Table 1, Front End & Execution rows)."""
 
     fetch_width: int = 8
-    decode_width: int = 8
     rename_width: int = 8
     issue_width: int = 6
     retire_width: int = 8

@@ -9,7 +9,9 @@ produces the same bytes, across processes and Python versions. Hence:
 * :func:`stable_hash` — sha256 over the canonical JSON;
 * :func:`dataclass_from_dict` — the inverse of :func:`dataclasses.asdict`
   for the (nested, frozen) dataclasses used in this codebase;
-* :func:`load_structured_file` — the TOML/JSON loader for sweep files.
+* :func:`load_structured_file` — the TOML/JSON loader for sweep files;
+* :func:`atomic_write` — write a file so that readers (and concurrent
+  writers) only ever see a complete one.
 """
 
 from __future__ import annotations
@@ -17,10 +19,12 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import tempfile
 import types
 import typing
 from pathlib import Path
-from typing import Any, Dict, Type, TypeVar
+from typing import Any, Callable, Dict, Type, TypeVar
 
 T = TypeVar("T")
 
@@ -36,6 +40,28 @@ def canonical_json(obj: Any) -> str:
 def stable_hash(obj: Any) -> str:
     """Hex sha256 of the canonical JSON encoding of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
+
+
+def atomic_write(path, write: Callable[[str], T]) -> T:
+    """Materialize ``path`` atomically; returns what ``write`` returns.
+
+    ``write(tmp)`` writes the whole file at ``tmp``, a temporary path in
+    the same directory, which then replaces ``path`` in one rename (or
+    is removed if anything fails).
+    """
+    path = Path(path)
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    os.close(fd)
+    try:
+        result = write(tmp_name)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return result
 
 
 def load_structured_file(path) -> Dict[str, Any]:

@@ -29,8 +29,8 @@ sweep`` CLI subcommand call, and ``perfbench/``). It does three things:
        <cache_dir>/<key[:2]>/<key>.json
            {"schema": 1, "key": ..., "payload": {...}, "stats": {...}}
 
-   Writes are atomic (tempfile + ``os.replace``), so concurrent sweeps
-   sharing a cache directory cannot corrupt entries.
+   Writes are atomic (:func:`~repro.common.serialize.atomic_write`), so
+   concurrent sweeps sharing a cache directory cannot corrupt entries.
 
 3. **Declarative sweeps.** A :class:`Sweep` names a grid of
    :class:`SweepSeries` series plus optional workload/volume overrides;
@@ -60,7 +60,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.common.serialize import load_structured_file, stable_hash
+from repro.common.serialize import (
+    atomic_write,
+    load_structured_file,
+    stable_hash,
+)
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
 from repro.pipeline.cpu import Simulator
@@ -244,17 +248,8 @@ class ResultCache:
                  "payload": (payload if payload is None
                              else payload_identity(payload)),
                  "stats": stats.to_dict()}
-        fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(entry, sort_keys=True))
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        text = json.dumps(entry, sort_keys=True)
+        atomic_write(path, lambda tmp: Path(tmp).write_text(text))
 
     # -- maintenance -----------------------------------------------------
 
@@ -587,19 +582,7 @@ def write_store_entry(path, write) -> Dict[str, Any]:
     back. The rename is atomic, so concurrent writers of one entry are
     harmless.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
-    try:
-        info = write(tmp_name)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return _checkpoint_ref(path, info)
+    return _checkpoint_ref(path, atomic_write(path, write))
 
 
 def produce_payload(base: Dict[str, Any], position: int, store, *,

@@ -103,7 +103,9 @@ class FetchStage:
             uop.fetch_cycle = now
             uop.seq = self._next_seq
             self._next_seq += 1
-            if uop.is_branch and not uop.wrong_path:
+            pipe_append((ready, uop))
+            self.fetched_correct += 1
+            if uop.is_branch:
                 pred_taken, pred_target = self.branch_unit.predict(uop)
                 uop.pred_taken = pred_taken
                 uop.pred_target = pred_target
@@ -111,21 +113,14 @@ class FetchStage:
                     uop.taken and pred_target != uop.target)
                 if uop.mispredicted:
                     self.wrong_path = True
-                    self._wrong_path_pc = (uop.pred_target if pred_taken
+                    self._wrong_path_pc = (pred_target if pred_taken
                                            else uop.pc + 1)
-            pipe_append((ready, uop))
-            if uop.wrong_path:      # only via hand-built test traces
-                self.fetched_wrong += 1
-            else:
-                self.fetched_correct += 1
-            if uop.is_branch:
-                if uop.pred_taken:
+                    # Rest of this group comes from the wrong path next cycle.
+                    return
+                if pred_taken:
                     taken_seen += 1
                     if taken_seen >= 2:
                         return
-                if uop.mispredicted:
-                    # Rest of this group comes from the wrong path next cycle.
-                    return
 
     def next_event(self, now: int) -> Optional[int]:
         """First cycle ``>= now`` whose :meth:`tick` cannot be applied
@@ -197,7 +192,6 @@ class FetchStage:
         if ready > now:
             return False
         uop = self.trace.wrong_path_uop(0, self._wrong_path_pc)
-        uop.wrong_path = True
         self._wrong_path_pc += 1
         uop.fetch_cycle = ready - self.depth
         uop.seq = self._next_seq

@@ -1,8 +1,8 @@
 """Real-ISA workload front: a functional RV32I executor and µop capture.
 
 This package runs real compiled/assembled RV32I programs to completion
-and lowers each retired instruction into the architectural
-:class:`~repro.isa.uop.MicroOp` fields the pipeline consumes — genuine
+and lowers each retired instruction into a row of the architectural
+µop fields the pipeline consumes (:data:`repro.isa.trace.Row`) — genuine
 loop-carried dependences, real branch correlation and actual address
 reuse, where every other workload in the repository is synthetic.
 
@@ -14,7 +14,7 @@ Layers (each importable on its own):
   ``.hex`` image codec for the bundled corpus;
 * :mod:`~repro.isa.rv32i.core` — the functional machine (register file,
   sparse byte memory, run-to-halt);
-* :mod:`~repro.isa.rv32i.lower` — retired instruction -> µop lowering;
+* :mod:`~repro.isa.rv32i.lower` — retired instruction -> µop row lowering;
 * :mod:`~repro.isa.rv32i.workload` — registry workloads and the
   :class:`~repro.isa.trace.TraceSource` the pipeline fetches from;
 * :mod:`~repro.isa.rv32i.corpus` — the bundled kernel programs under

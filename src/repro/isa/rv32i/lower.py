@@ -1,9 +1,11 @@
-"""Lower retired RV32I instructions into :class:`~repro.isa.uop.MicroOp`.
+"""Lower retired RV32I instructions into trace rows.
 
-Each retired instruction becomes exactly one µop carrying the
-*architectural* fields the pipeline consumes — pc, :class:`OpClass`,
-source/destination architectural registers, effective address and size
-for memory ops, outcome and target for control flow. RV32I registers map
+Each retired instruction becomes exactly one row
+(:data:`repro.isa.trace.Row`) carrying the *architectural* µop fields
+the pipeline consumes — pc, :class:`OpClass`, source/destination
+architectural registers, effective address and size for memory ops,
+outcome and target for control flow. A ``MicroOp`` is built from the
+row only when fetch asks for one. RV32I registers map
 directly onto the integer half of the renamer's architectural namespace
 (x1..x31 -> 1..31); ``x0`` is hardwired zero, so it is dropped from both
 sources and destinations — it can never carry a dependence.
@@ -22,7 +24,7 @@ from typing import List
 from repro.isa.opclass import OpClass
 from repro.isa.rv32i.core import Retired
 from repro.isa.rv32i.decode import BRANCHES, LOADS, MEM_SIZE, STORES
-from repro.isa.uop import MicroOp
+from repro.isa.trace import Row
 
 #: Registers the RAS hints treat as link registers (ra, t0).
 LINK_REGS = frozenset((1, 5))
@@ -33,8 +35,8 @@ _USES_RS2 = frozenset(("add", "sub", "sll", "slt", "sltu", "xor", "srl",
                        "sra", "or", "and")) | STORES | BRANCHES
 
 
-def lower(retired: Retired, seq: int = 0) -> MicroOp:
-    """One retired instruction -> one architectural µop."""
+def lower(retired: Retired) -> Row:
+    """One retired instruction -> one architectural µop row."""
     instr = retired.instr
     name = instr.mnemonic
 
@@ -68,14 +70,5 @@ def lower(retired: Retired, seq: int = 0) -> MicroOp:
     else:
         opclass = OpClass.INT_ALU
 
-    return MicroOp(
-        seq=seq,
-        pc=retired.pc,
-        opclass=opclass,
-        srcs=srcs,
-        dst=dst,
-        mem_addr=retired.mem_addr,
-        mem_size=MEM_SIZE.get(name, 8),
-        taken=retired.taken,
-        target=retired.target,
-    )
+    return (retired.pc, opclass, srcs, dst, retired.mem_addr,
+            MEM_SIZE.get(name, 8), retired.taken, retired.target)

@@ -6,9 +6,11 @@ through the workload-registry protocol (``name`` / ``description`` /
 ``is_fp`` / ``build_trace(seed)`` / ``content_hash``), so a real program
 is addressable everywhere a Table-2 workload is — ``repro run``, sweeps,
 trace capture, checkpoints, sampling. :class:`Rv32iTrace` is the
-:class:`~repro.isa.trace.TraceSource`: it steps the functional
+:class:`~repro.isa.trace.TraceSource`: each refill steps the functional
 :class:`~repro.isa.rv32i.core.Machine` and lowers each retired
-instruction to one µop (:mod:`repro.isa.rv32i.lower`).
+instruction to one row (:mod:`repro.isa.rv32i.lower`) in the base
+class's buffer, so warming and ``trace record`` read the program without
+building a ``MicroOp``.
 
 The µop stream is a pure function of the image: the program's committed
 path never depends on the seed (that only drives the wrong-path
@@ -29,7 +31,6 @@ from repro.isa.rv32i.asm import parse_hex
 from repro.isa.rv32i.core import Machine
 from repro.isa.rv32i.lower import lower
 from repro.isa.trace import TraceSource
-from repro.isa.uop import MicroOp
 
 #: Image suffixes the workload registry recognizes as RV32I programs.
 RV32I_SUFFIXES = (".hex", ".bin")
@@ -95,11 +96,8 @@ class Rv32iTrace(TraceSource):
         super().__init__(seed)
         self.program = program
         self._machine = program.machine()
-        self._seq = 0
-        self._iterations = 0
-        self.emitted = 0
 
-    def next_uop(self) -> Optional[MicroOp]:
+    def _refill(self) -> bool:
         machine = self._machine
         retired = machine.step()
         while retired is None:
@@ -109,35 +107,25 @@ class Rv32iTrace(TraceSource):
             fresh = Machine(self.program.words)
             fresh._decoded = machine._decoded
             self._machine = machine = fresh
-            self._iterations += 1
             retired = machine.step()
             if retired is None:
                 raise Rv32iError(
                     f"program {self.program.name!r} halts without "
                     f"retiring a single instruction")
-        uop = lower(retired, self._seq)
-        self._seq += 1
-        self.emitted += 1
-        return uop
+        self._buffer.append(lower(retired))
+        return True
 
     # -- state protocol (repro.checkpoint) ------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "machine": self._machine.state_dict(),
-            "iterations": self._iterations,
-            "seq": self._seq,
-            "emitted": self.emitted,
-            "synth": self._wp_synth.state_dict(),
-        }
+        state = super().state_dict()
+        state["machine"] = self._machine.state_dict()
+        return state
 
     def load_state_dict(self, state: dict) -> None:
+        super().load_state_dict(state)
         self._machine = self.program.machine()
         self._machine.load_state_dict(state["machine"])
-        self._iterations = state["iterations"]
-        self._seq = state["seq"]
-        self.emitted = state["emitted"]
-        self._wp_synth.load_state_dict(state["synth"])
 
 
 class Rv32iWorkload:

@@ -7,23 +7,35 @@ correct-path µops in two shapes over one stream position:
   stage of the detailed machine;
 * :meth:`TraceSource.next_record_block` — a block of records in the
   trace file's layout (:func:`repro.traces.format.record_dtype`), the
-  only input of functional warming and trace capture. No ``MicroOp`` is
-  needed for it: the workload generator fills it from kernel rows and a
-  recording views its frame bytes.
+  only input of functional warming and trace capture.
+
+Every generated source supplies its stream as plain rows
+(:data:`Row`) through one buffer the base class owns: a subclass only
+implements :meth:`TraceSource._refill`, and the base builds a
+``MicroOp`` from a row when fetch asks for one and fills record columns
+from rows otherwise (:func:`repro.traces.format.encode_rows`), so
+warming never builds a ``MicroOp``. A recording
+(:class:`repro.traces.format.FileTrace`) overrides both shapes to read
+its frame bytes instead.
 
 The base class also owns the seeded synthesizer for wrong-path µops
-fetched after a branch misprediction. Workload generators implement
-this protocol; :class:`ListTrace` wraps a plain list for tests and the
-timing-diagram examples.
+fetched after a branch misprediction. :class:`ListTrace` wraps a plain
+list for tests and the timing-diagram examples.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, List, Optional
+from collections import deque
+from typing import Deque, Iterable, Iterator, List, Optional, Tuple
 
 from repro.isa.opclass import OpClass
 from repro.isa.uop import MicroOp
+
+#: One correct-path µop as a plain row: the ``MicroOp`` positional
+#: arguments after ``seq``, ``(pc, opclass, srcs, dst, mem_addr,
+#: mem_size, taken, target)``, with at most 3 sources.
+Row = Tuple[int, OpClass, List[int], Optional[int], int, int, bool, int]
 
 #: Mixed into wrong-path RNG seeds so the wrong-path stream is decorrelated
 #: from the correct-path generator seeded with the same value.
@@ -90,44 +102,62 @@ class WrongPathSynth:
 class TraceSource:
     """Protocol for correct-path + wrong-path µop supply.
 
-    Subclasses supply the correct path (:meth:`next_uop`) and the
-    checkpoint state pair. The wrong path is the base class's: a
+    The correct path is a buffer of rows (:data:`Row`) that a subclass
+    tops up in :meth:`_refill`; :meth:`next_uop` and
+    :meth:`next_record_block` drain it and count ``emitted``. The
+    checkpoint state holds the buffer, ``emitted`` and the wrong-path
+    stream; a subclass whose refill keeps its own cursor (an RNG, a
+    machine) adds that to :meth:`state_dict` and
+    :meth:`load_state_dict`. The wrong path is a
     :class:`WrongPathSynth` seeded with ``wp_seed``, which every source
-    hands to :meth:`__init__` and includes in its own ``state_dict``.
+    hands to :meth:`__init__`.
     """
 
     def __init__(self, wp_seed: int) -> None:
         self._wp_synth = WrongPathSynth(wp_seed)
+        self._buffer: Deque[Row] = deque()
+        self.emitted = 0
+
+    def _refill(self) -> bool:
+        """Append the next rows to the (empty) buffer; False once the
+        stream is exhausted."""
+        raise NotImplementedError
 
     def next_uop(self) -> Optional[MicroOp]:
         """Return the next correct-path µop, or ``None`` when exhausted."""
-        raise NotImplementedError
+        buffer = self._buffer
+        if not buffer and not self._refill():
+            return None
+        self.emitted += 1
+        return MicroOp(0, *buffer.popleft())
 
     def next_record_block(self, max_uops: int):
         """Return up to ``max_uops`` correct-path µops as a record array.
 
         ``max_uops`` is positive. The array has dtype
         :func:`repro.traces.format.record_dtype` and holds at least one
-        record; ``None`` means the stream is exhausted. Stream position
-        and checkpoint state advance exactly as if :meth:`next_uop` had
-        been called per µop. The base implementation encodes
-        :meth:`next_uop` results one at a time; the workload generator
-        and recordings override it without building µops.
+        record; ``None`` means the stream is exhausted. Whole refills
+        are drained at once, so the stream position and checkpoint state
+        advance exactly as if :meth:`next_uop` had been called per µop.
+        No :class:`MicroOp` is built.
         """
-        from repro.traces.format import encode_record, record_dtype
+        from repro.traces.format import encode_rows
 
-        records = []
-        next_uop = self.next_uop
-        for _ in range(max_uops):
-            uop = next_uop()
-            if uop is None:
+        buffer = self._buffer
+        rows: List[Row] = []
+        while len(rows) < max_uops:
+            if not buffer and not self._refill():
                 break
-            records.append(encode_record(uop))
-        if not records:
+            take = max_uops - len(rows)
+            if take >= len(buffer):
+                rows.extend(buffer)
+                buffer.clear()
+            else:
+                rows.extend([buffer.popleft() for _ in range(take)])
+        if not rows:
             return None
-        import numpy as np
-
-        return np.frombuffer(b"".join(records), dtype=record_dtype())
+        self.emitted += len(rows)
+        return encode_rows(rows)
 
     def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
         """Synthesize one wrong-path µop fetched from (bogus) ``pc``.
@@ -152,53 +182,44 @@ class TraceSource:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        """Cursor/RNG state sufficient to resume this stream exactly.
-
-        Every shipped source implements the pair; custom sources must
-        override both to be checkpointable.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the checkpoint "
-            f"state protocol (state_dict/load_state_dict)")
+        """Buffered rows, ``emitted`` and the wrong-path stream."""
+        return {
+            "buffer": [(pc, int(opclass), list(srcs), *rest)
+                       for pc, opclass, srcs, *rest in self._buffer],
+            "emitted": self.emitted,
+            "synth": self._wp_synth.state_dict(),
+        }
 
     def load_state_dict(self, state: dict) -> None:
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement the checkpoint "
-            f"state protocol (state_dict/load_state_dict)")
+        self._buffer = deque(
+            (pc, OpClass(opclass), list(srcs), *rest)
+            for pc, opclass, srcs, *rest in state["buffer"])
+        self.emitted = state["emitted"]
+        self._wp_synth.load_state_dict(state["synth"])
 
 
 class ListTrace(TraceSource):
     """A finite trace backed by a list: ``None`` after its last µop.
 
-    Wrong-path synthesis is seeded per source (``wp_seed``).
+    The templates' architectural fields become rows once, here; a
+    wrong-path template is refused, since a row has no wrong-path flag
+    (the wrong path is always synthesized). Wrong-path synthesis is
+    seeded per source (``wp_seed``).
     """
 
     def __init__(self, uops: Iterable[MicroOp], wp_seed: int = 0) -> None:
         super().__init__(wp_seed)
-        self._uops: List[MicroOp] = list(uops)
-        self._pos = 0
-        self._seq = 0
+        for uop in uops:
+            if uop.wrong_path:
+                raise ValueError(
+                    f"ListTrace: µop at pc={uop.pc:#x} is wrong-path; "
+                    f"a trace holds only the correct path")
+            self._buffer.append(
+                (uop.pc, uop.opclass, list(uop.srcs), uop.dst,
+                 uop.mem_addr, uop.mem_size, uop.taken, uop.target))
 
-    def __len__(self) -> int:
-        return len(self._uops)
-
-    def next_uop(self) -> Optional[MicroOp]:
-        if self._pos >= len(self._uops):
-            return None
-        template = self._uops[self._pos]
-        self._pos += 1
-        uop = template.clone_arch(self._seq)
-        self._seq += 1
-        return uop
-
-    def state_dict(self) -> dict:
-        return {"pos": self._pos, "seq": self._seq,
-                "synth": self._wp_synth.state_dict()}
-
-    def load_state_dict(self, state: dict) -> None:
-        self._pos = state["pos"]
-        self._seq = state["seq"]
-        self._wp_synth.load_state_dict(state["synth"])
+    def _refill(self) -> bool:
+        return False
 
 
 def iterate(source: TraceSource, limit: int) -> Iterator[MicroOp]:

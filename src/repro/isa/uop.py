@@ -115,8 +115,7 @@ class MicroOp:
     def clone_arch(self, seq: int = 0) -> "MicroOp":
         """Fresh dynamic instance carrying only the architectural fields.
 
-        Used to re-fetch µops after a memory-order-violation squash and to
-        replicate trace templates.
+        Used to re-fetch µops after a memory-order-violation squash.
         """
         return MicroOp(
             seq=seq,

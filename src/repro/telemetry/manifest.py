@@ -11,8 +11,8 @@ Layout, next to the persistent result cache::
 
     <REPRO_CACHE_DIR>/manifests/<key>.json
 
-Writes are atomic (tempfile + ``os.replace``), mirroring the cache's
-discipline; when the persistent cache is disabled manifests are skipped
+Writes are atomic (:func:`repro.common.serialize.atomic_write`), as the
+cache's are; when the persistent cache is disabled manifests are skipped
 too — there is no run directory to anchor them.
 
 ``repro report manifests`` rolls the directory up into a per-config ×
@@ -23,11 +23,10 @@ per-workload wall-time/hit-rate table (:func:`rollup` /
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.common.serialize import atomic_write
 from repro.traces.registry import payload_name
 
 __all__ = [
@@ -106,17 +105,8 @@ def write_manifest(directory: Path, manifest: Dict[str, Any]) -> Path:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{manifest['key']}.json"
-    fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(manifest, handle, sort_keys=True, indent=1)
-        os.replace(tmp_name, path)
-    except BaseException:
-        try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
+    text = json.dumps(manifest, sort_keys=True, indent=1)
+    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
     return path
 
 

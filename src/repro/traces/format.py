@@ -131,35 +131,22 @@ class TraceFormatError(ValueError):
 # Record encoding
 
 
-def encode_record(uop: MicroOp) -> bytes:
-    """Fixed-width encoding of one correct-path µop's architectural fields."""
-    srcs = uop.srcs
-    if len(srcs) > 3:
-        raise TraceFormatError(
-            f"µop at pc={uop.pc:#x} has {len(srcs)} sources; the record "
-            f"format encodes at most 3")
-    if uop.wrong_path:
-        raise TraceFormatError(
-            "wrong-path µops are synthesized at replay, not recorded")
-    s0 = srcs[0] if len(srcs) > 0 else -1
-    s1 = srcs[1] if len(srcs) > 1 else -1
-    s2 = srcs[2] if len(srcs) > 2 else -1
-    dst = uop.dst if uop.dst is not None else -1
-    flags = _FLAG_TAKEN if uop.taken else 0
-    return RECORD.pack(uop.pc, uop.mem_addr, uop.target, s0, s1, s2,
-                       dst, int(uop.opclass), flags, uop.mem_size)
-
-
 def encode_rows(rows: Sequence[tuple]):
-    """Kernel rows as one record array, filled column by column.
+    """Trace rows as one record array, filled column by column.
 
     A row is ``(pc, opclass, srcs, dst, mem_addr, mem_size, taken,
-    target)`` with at most 3 sources (:mod:`repro.workloads.kernels`);
-    the array's bytes equal :func:`encode_record` applied row by row.
+    target)`` (:data:`repro.isa.trace.Row`); absent registers become -1
+    and ``taken`` is flag bit 0. A row with more than 3 sources is
+    refused rather than cut short.
     """
     import numpy as np
 
     pcs, opclasses, srcs, dsts, addrs, sizes, takens, targets = zip(*rows)
+    if max(map(len, srcs)) > 3:
+        row = next(row for row in rows if len(row[2]) > 3)
+        raise TraceFormatError(
+            f"µop at pc={row[0]:#x} has {len(row[2])} sources; the record "
+            f"format encodes at most 3")
     records = np.empty(len(rows), dtype=record_dtype())
     records["pc"] = pcs
     records["mem_addr"] = addrs
@@ -464,7 +451,6 @@ class FileTrace(TraceSource):
         self._frames = _iter_frames(self.path)
         self._frame = b""
         self._offset = 0
-        self.replayed = 0
 
     def _records_left(self) -> bool:
         """Move to the next frame once this one is used up; False at the
@@ -485,7 +471,7 @@ class FileTrace(TraceSource):
         pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size \
             = RECORD.unpack_from(self._frame, self._offset)
         self._offset += RECORD.size
-        self.replayed += 1
+        self.emitted += 1
         srcs = []
         if s0 >= 0:
             srcs.append(s0)
@@ -502,7 +488,7 @@ class FileTrace(TraceSource):
 
         One ``np.frombuffer`` per call, nothing decoded: a block never
         spans two frames. ``None`` once the stream is exhausted. Stream
-        position (``replayed``, checkpoint state) advances exactly as if
+        position (``emitted``, checkpoint state) advances exactly as if
         the records had been replayed per µop.
         """
         if not self._records_left():
@@ -514,21 +500,21 @@ class FileTrace(TraceSource):
         records = np.frombuffer(self._frame, dtype=record_dtype(),
                                 count=count, offset=self._offset)
         self._offset += count * RECORD.size
-        self.replayed += count
+        self.emitted += count
         return records
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        """The cursor is the replayed-µop count. Restore re-seeks the
+        """The cursor is the emitted-µop count. Restore re-seeks the
         frame stream: frames before the cursor are stepped over by their
         headers, and only the frame holding it is inflated."""
-        return {"replayed": self.replayed,
+        return {"emitted": self.emitted,
                 "synth": self._wp_synth.state_dict()}
 
     def load_state_dict(self, state: dict) -> None:
         self._wp_synth.load_state_dict(state["synth"])
-        self._seek(state["replayed"])
+        self._seek(state["emitted"])
 
     def _seek(self, count: int) -> None:
         """Position the stream so the next µop is number ``count``.
@@ -540,4 +526,4 @@ class FileTrace(TraceSource):
         self._frames = _iter_frames(self.path, count)
         self._frame = next(self._frames, b"") if count else b""
         self._offset = 0
-        self.replayed = count
+        self.emitted = count

@@ -20,26 +20,25 @@ BranchKernel        patterned/noisy conditional branches
 StoreLoadKernel     store->load pairs exercising forwarding + store sets
 ==================  =========================================================
 
-A block is a list of plain rows, not :class:`~repro.isa.uop.MicroOp`
-objects. A row holds the ``MicroOp`` positional arguments after ``seq``:
-``(pc, opclass, srcs, dst, mem_addr, mem_size, taken, target)``.
-:class:`~repro.workloads.spec.WorkloadTrace` builds a ``MicroOp`` from a
-row only when the detailed machine fetches it (``MicroOp(0, *row)``);
-functional warming and trace capture turn rows straight into record
-arrays.
+A block is a list of plain rows (:data:`repro.isa.trace.Row`), not
+:class:`~repro.isa.uop.MicroOp` objects. A row holds the ``MicroOp``
+positional arguments after ``seq``: ``(pc, opclass, srcs, dst, mem_addr,
+mem_size, taken, target)``. :class:`~repro.workloads.spec.WorkloadTrace`
+buffers them in its :class:`~repro.isa.trace.TraceSource` row buffer,
+which builds a ``MicroOp`` from a row only when the detailed machine
+fetches it; functional warming and trace capture turn rows straight into
+record arrays.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List
 
 from repro.isa.opclass import OpClass
+from repro.isa.trace import Row
 
 LINE = 64
-
-#: One emitted µop (the row layout in the module docstring).
-Row = Tuple[int, OpClass, List[int], Optional[int], int, int, bool, int]
 
 
 class Kernel:

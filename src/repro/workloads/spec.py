@@ -11,15 +11,13 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from itertools import accumulate
+from typing import Dict, List, Optional
 
 from repro.common.serialize import dataclass_from_dict, stable_hash
 
-from repro.isa.opclass import OpClass
 from repro.isa.trace import TraceSource
-from repro.isa.uop import MicroOp
 from repro.workloads.kernels import (
     BankConflictKernel,
     BranchKernel,
@@ -27,7 +25,6 @@ from repro.workloads.kernels import (
     Kernel,
     PointerChaseKernel,
     RandomLoadKernel,
-    Row,
     StoreLoadKernel,
     StreamKernel,
 )
@@ -114,14 +111,14 @@ class WorkloadSpec:
 
 
 class WorkloadTrace(TraceSource):
-    """Weighted block interleaving of a spec's kernels."""
+    """Weighted block interleaving of a spec's kernels: each refill
+    draws one kernel and buffers its next block of rows."""
 
     def __init__(self, spec: WorkloadSpec, seed: int) -> None:
         super().__init__(seed)
         self.spec = spec
         self.rng = random.Random(seed)
         self.kernels: List[Kernel] = []
-        self.weights: List[float] = []
         for i, kspec in enumerate(spec.kernels):
             cls = KERNEL_KINDS[kspec.kind]
             kernel = cls(
@@ -134,68 +131,28 @@ class WorkloadTrace(TraceSource):
                 **kspec.params,
             )
             self.kernels.append(kernel)
-            self.weights.append(kspec.weight)
-        self._buffer: Deque[Row] = deque()
-        self.emitted = 0
+        # ``choices`` accumulates ``weights`` on every call; the same
+        # running sums, computed once, make the same draws.
+        self._cum_weights = list(accumulate(k.weight for k in spec.kernels))
 
-    def _refill(self) -> None:
-        kernel = self.rng.choices(self.kernels, weights=self.weights)[0]
+    def _refill(self) -> bool:
+        kernel = self.rng.choices(self.kernels,
+                                  cum_weights=self._cum_weights)[0]
         self._buffer.extend(kernel.next_block())
-
-    # -- TraceSource -------------------------------------------------------
-
-    def next_uop(self) -> Optional[MicroOp]:
-        if not self._buffer:
-            self._refill()
-        self.emitted += 1
-        return MicroOp(0, *self._buffer.popleft())
-
-    def next_record_block(self, max_uops: int):
-        """The next ``max_uops`` rows as one record array.
-
-        Whole kernel blocks are drained per refill, with one weighted
-        draw per refill exactly as :meth:`next_uop` makes, so the stream
-        and the checkpoint state after a block match per-µop iteration.
-        No :class:`MicroOp` is built.
-        """
-        from repro.traces.format import encode_rows
-
-        buffer = self._buffer
-        rows: List[Row] = []
-        while len(rows) < max_uops:
-            if not buffer:
-                self._refill()
-            take = max_uops - len(rows)
-            if take >= len(buffer):
-                rows.extend(buffer)
-                buffer.clear()
-            else:
-                rows.extend([buffer.popleft() for _ in range(take)])
-        self.emitted += len(rows)
-        return encode_rows(rows)
+        return True
 
     # -- state protocol (repro.checkpoint) -------------------------------
 
     def state_dict(self) -> dict:
-        return {
-            "rng": self.rng.getstate(),
-            "wp_synth": self._wp_synth.state_dict(),
-            "kernels": [kernel.state_dict() for kernel in self.kernels],
-            # The checkpoint layout ends each µop with its wrong-path
-            # flag, always False for kernel rows.
-            "buffer": [(pc, int(opclass), list(srcs), *rest, False)
-                       for pc, opclass, srcs, *rest in self._buffer],
-            "emitted": self.emitted,
-        }
+        state = super().state_dict()
+        state["rng"] = self.rng.getstate()
+        state["kernels"] = [kernel.state_dict() for kernel in self.kernels]
+        return state
 
     def load_state_dict(self, state: dict) -> None:
         from repro.checkpoint.state import set_rng_state
 
+        super().load_state_dict(state)
         set_rng_state(self.rng, state["rng"])
-        self._wp_synth.load_state_dict(state["wp_synth"])
         for kernel, kernel_state in zip(self.kernels, state["kernels"]):
             kernel.load_state_dict(kernel_state)
-        self._buffer = deque(
-            (pc, OpClass(opclass), list(srcs), *rest)
-            for pc, opclass, srcs, *rest, _ in state["buffer"])
-        self.emitted = state["emitted"]

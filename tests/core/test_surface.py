@@ -17,6 +17,7 @@ e.g. ``pickle.Unpickler.find_class``) are not checked.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 from typing import Dict, Iterator, List, Set
@@ -89,28 +90,28 @@ def _skipped_strings(tree: ast.AST) -> Set[int]:
     return skipped
 
 
-def _references() -> Set[str]:
+def _references(paths) -> Set[str]:
     names: Set[str] = set()
-    for top in CALLERS:
-        for path in _python_files(ROOT / top):
-            tree = ast.parse(path.read_text())
-            skipped = _skipped_strings(tree)
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif (isinstance(node, ast.Constant)
-                      and isinstance(node.value, str)
-                      and node.value.isidentifier()
-                      and id(node) not in skipped):
-                    names.add(node.value)
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        skipped = _skipped_strings(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif (isinstance(node, ast.Constant)
+                  and isinstance(node.value, str)
+                  and node.value.isidentifier()
+                  and id(node) not in skipped):
+                names.add(node.value)
     return names
 
 
 def unreferenced() -> List[str]:
     """Where each public name that only tests reach is defined."""
-    references = _references()
+    references = _references(path for top in CALLERS
+                             for path in _python_files(ROOT / top))
     return sorted(where for name, places in _definitions().items()
                   if name not in references and name not in ALLOWED
                   for where in places)
@@ -126,3 +127,28 @@ def test_every_public_function_has_a_caller_outside_the_tests():
 def test_allowlist_names_still_exist():
     defined = _definitions()
     assert sorted(ALLOWED - defined.keys()) == []
+
+
+def _config_fields(cls, prefix: str) -> Iterator[tuple]:
+    """``(field name, dotted path)`` of every field of a config
+    dataclass and of the config dataclasses nested in it."""
+    defaults = cls()
+    for field in dataclasses.fields(cls):
+        yield field.name, f"{prefix}.{field.name}"
+        value = getattr(defaults, field.name)
+        if dataclasses.is_dataclass(value):
+            yield from _config_fields(type(value), f"{prefix}.{field.name}")
+
+
+def test_every_config_field_is_read_by_the_simulator():
+    """A config field nothing outside its definition reads is a knob
+    that does nothing when set."""
+    from repro.common.config import SimConfig
+
+    config_module = LIBRARY / "common" / "config.py"
+    references = _references(path for path in _python_files(LIBRARY)
+                             if path != config_module)
+    unread = sorted(where for name, where in
+                    _config_fields(SimConfig, "SimConfig")
+                    if name not in references)
+    assert not unread, "config fields nothing reads:\n" + "\n".join(unread)

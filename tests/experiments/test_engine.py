@@ -8,6 +8,7 @@ loaded back from the persistent cache — otherwise figures would depend on
 
 import io
 import json
+import os
 
 import pytest
 
@@ -92,6 +93,23 @@ class TestResultCache:
                    "stats": stats.to_dict()}, streamed, sort_keys=True)
         written = (tmp_path / key[:2] / f"{key}.json").read_bytes()
         assert written == streamed.getvalue().encode()
+
+    def test_failed_write_keeps_the_entry_and_leaves_no_temp_file(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path)
+        key = "cc" * 32
+        cache.put(key, SimStats(cycles=1))
+        path = tmp_path / key[:2] / f"{key}.json"
+        before = path.read_bytes()
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="disk full"):
+            cache.put(key, SimStats(cycles=2))
+        assert path.read_bytes() == before
+        assert [entry.name for entry in path.parent.iterdir()] == [path.name]
 
     @pytest.mark.parametrize("garbage", [
         "not json{", "[]", "42", '{"schema": 99}',

@@ -17,11 +17,17 @@ def test_finite_trace_exhausts():
     assert [u.pc for u in got[:3]] == [0x100, 0x101, 0x102]
 
 
-def test_trace_assigns_monotone_seq():
+def test_fetch_assigns_monotone_seq():
+    """Sources hand out µops unnumbered; fetch numbers every µop."""
+    from repro.common.config import CoreConfig
+    from repro.common.stats import SimStats
+    from repro.frontend.fetch import FetchStage
+
     t = ListTrace(_uops(5))
-    seqs = [t.next_uop().seq for _ in range(5)]
-    assert seqs == sorted(seqs)
-    assert len(set(seqs)) == 5
+    fetch = FetchStage(t, None, CoreConfig(), SimStats())
+    fetch.tick(0)
+    seqs = [uop.seq for _, uop in fetch.pipe]
+    assert seqs == list(range(5))
 
 
 def test_trace_clones_templates():
@@ -92,10 +98,10 @@ def test_list_trace_restore_restarts_wrong_path_stream():
 
 #: Source kind -> its pinned checkpoint state keys.
 SOURCE_STATE_KEYS = {
-    "list": {"pos", "seq", "synth"},
-    "suite": {"rng", "wp_synth", "kernels", "buffer", "emitted"},
-    "recording": {"replayed", "synth"},
-    "rv32i": {"machine", "iterations", "seq", "emitted", "synth"},
+    "list": {"buffer", "emitted", "synth"},
+    "suite": {"rng", "kernels", "buffer", "emitted", "synth"},
+    "recording": {"emitted", "synth"},
+    "rv32i": {"machine", "buffer", "emitted", "synth"},
 }
 
 
@@ -135,3 +141,13 @@ def test_source_wrong_path_is_the_base_synthesizer(kind, tmp_path):
     restored.load_state_dict(state)
     assert [restored.wrong_path_uop(0, i).srcs for i in range(20)] == draws
     assert draws == [reference.synth(0, i).srcs for i in range(20)]
+
+
+@pytest.mark.parametrize("kind", sorted(SOURCE_STATE_KEYS))
+def test_only_a_recording_overrides_the_row_supply(kind, tmp_path):
+    """Generated sources refill the base class's row buffer; only a
+    recording reads its own frames."""
+    supply = ("next_uop", "next_record_block")
+    overridden = [name for name in supply
+                  if name in vars(type(_source(kind, tmp_path)))]
+    assert overridden == (list(supply) if kind == "recording" else [])

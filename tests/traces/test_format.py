@@ -22,7 +22,6 @@ from repro.traces.format import (
     TraceFormatError,
     TraceWriter,
     capture,
-    encode_record,
     encode_rows,
     read_info,
     verify,
@@ -34,6 +33,15 @@ ARCH_FIELDS = ("pc", "opclass", "srcs", "dst", "mem_addr", "mem_size",
 
 def arch(uop):
     return tuple(getattr(uop, name) for name in ARCH_FIELDS)
+
+
+def packed(uop):
+    """One µop's record bytes, packed field by field (-1 for an absent
+    register, flag bit 0 for the branch outcome)."""
+    srcs = list(uop.srcs) + [-1] * (3 - len(uop.srcs))
+    return RECORD.pack(uop.pc, uop.mem_addr, uop.target, *srcs,
+                       -1 if uop.dst is None else uop.dst, int(uop.opclass),
+                       1 if uop.taken else 0, uop.mem_size)
 
 
 def replay(path, limit=10_000):
@@ -81,7 +89,7 @@ uop_strategy = st.builds(
 @given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
 def test_record_roundtrip_property(uops):
     """Recorded µops replay field for field (``FileTrace.next_uop``
-    decodes what :func:`encode_record` wrote)."""
+    decodes what :func:`encode_rows` wrote)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.trc"
         capture(ListTrace(uops), path, len(uops), wp_seed=0,
@@ -92,26 +100,33 @@ def test_record_roundtrip_property(uops):
 @settings(max_examples=100, deadline=None)
 @given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
 def test_rows_encode_like_records_property(uops):
-    """The columnwise fill of kernel rows equals per-µop encoding."""
+    """The columnwise fill of rows equals per-µop packing."""
     rows = [arch(u) for u in uops]
-    assert encode_rows(rows).tobytes() == b"".join(
-        encode_record(u) for u in uops)
+    assert encode_rows(rows).tobytes() == b"".join(packed(u) for u in uops)
 
 
 def test_record_is_fixed_width():
-    assert len(encode_record(_mixed_uops(1)[0])) == RECORD.size
+    assert len(encode_rows([arch(_mixed_uops(1)[0])]).tobytes()) == \
+        RECORD.size
 
 
 def test_too_many_sources_rejected():
-    uop = MicroOp(0, 0x1, OpClass.INT_ALU, srcs=[1, 2, 3, 4], dst=5)
-    with pytest.raises(TraceFormatError, match="at most 3"):
-        encode_record(uop)
+    """No block drops a fourth source, wherever its row sits."""
+    wide = arch(MicroOp(0, 0x1, OpClass.INT_ALU, srcs=[1, 2, 3, 4], dst=5))
+    for position in range(3):
+        rows = [arch(u) for u in _mixed_uops(3)]
+        rows[position] = wide
+        with pytest.raises(TraceFormatError, match="at most 3"):
+            encode_rows(rows)
 
 
 def test_wrong_path_uop_rejected():
+    """A wrong-path µop never reaches a recording: a trace source holds
+    the correct path only, so ``ListTrace`` refuses the template."""
     uop = MicroOp(0, 0x1, OpClass.INT_ALU, srcs=[0], dst=1, wrong_path=True)
-    with pytest.raises(TraceFormatError, match="wrong-path"):
-        encode_record(uop)
+    with pytest.raises(ValueError, match="wrong-path") as refused:
+        ListTrace([MicroOp(0, 0x0, OpClass.INT_ALU), uop])
+    assert "\n" not in str(refused.value)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +261,7 @@ def test_record_blocks_end_after_last_record(tmp_path):
     sizes = []
     while (block := trace.next_record_block(3)) is not None:
         sizes.append(len(block))
-    assert sum(sizes) == 10 and trace.replayed == 10
+    assert sum(sizes) == 10 and trace.emitted == 10
     assert trace.next_uop() is None
 
 
@@ -304,7 +319,7 @@ def test_restore_seek_matches_skipping_from_zero(tmp_path):
         got = [restored.next_uop() for _ in range(len(expected))]
         assert [arch(u) for u in got] == [arch(u) for u in expected], \
             position
-        assert restored.replayed == reference.replayed
+        assert restored.emitted == reference.emitted
         assert restored.next_uop() is None
 
         restored, _ = _restored(path, position)
@@ -315,9 +330,9 @@ def test_restore_seek_matches_skipping_from_zero(tmp_path):
             if block is None:
                 break
             records.extend(tuple(row) for row in block.tolist())
-        assert records == [RECORD.unpack(encode_record(u))
+        assert records == [RECORD.unpack(packed(u))
                            for u in expected], position
-        assert restored.replayed == reference.replayed
+        assert restored.emitted == reference.emitted
 
 
 def _frame_offsets(path):

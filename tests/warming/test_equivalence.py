@@ -61,12 +61,15 @@ class TestSyntheticWorkloads:
 
     def test_warming_builds_no_micro_ops(self, monkeypatch,
                                          recorded_trace):
-        """Warming a live workload or a recording reads record arrays
-        only: not one ``MicroOp`` is constructed."""
+        """Warming a live workload, a recording, an RV32I program or a
+        hand-built list reads record arrays only: not one ``MicroOp`` is
+        constructed."""
         from repro.traces.format import FileTrace
 
         sims = (workload_sim("Baseline_0", "gzip"),
-                build_sim("Baseline_0", FileTrace(recorded_trace)))
+                build_sim("Baseline_0", FileTrace(recorded_trace)),
+                workload_sim("Baseline_0", "dhry-mix"),
+                build_sim("Baseline_0", list_trace(19, 6000)))
         built = []
         init = MicroOp.__init__
 
