@@ -138,6 +138,10 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
         load_checkpoint(source)
     target_config = target_config.validate()
     target_dict = target_config.to_dict()
+    version = (ckpt.payload.get("sim") or {}).get("version")
+    if version != Simulator.STATE_VERSION:     # carried islands keep the source's layout
+        raise RebaseError(f"{ckpt.info.path}: checkpoint state version {version} "
+                          f"(this build reads {Simulator.STATE_VERSION})")
     _require_purely_functional(ckpt)
     check_rebase_compatible(ckpt.payload["config"], target_dict)
     workload_data = ckpt.payload.get("workload")

@@ -17,6 +17,7 @@ produces the same bytes, across processes and Python versions. Hence:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -29,6 +30,8 @@ from typing import Any, Callable, Dict, Type, TypeVar
 T = TypeVar("T")
 
 _UNION_TYPES = (typing.Union, getattr(types, "UnionType", typing.Union))
+#: ``get_type_hints`` re-evaluates string annotations per call; configs are rebuilt per cell.
+_type_hints = functools.lru_cache(maxsize=None)(typing.get_type_hints)
 
 
 def canonical_json(obj: Any) -> str:
@@ -130,7 +133,7 @@ def dataclass_from_dict(cls: Type[T], data: Dict[str, Any]) -> T:
     """
     if not dataclasses.is_dataclass(cls):
         raise TypeError(f"{cls!r} is not a dataclass")
-    hints = typing.get_type_hints(cls)
+    hints = _type_hints(cls)
     kwargs = {}
     for field in dataclasses.fields(cls):
         if field.name not in data:

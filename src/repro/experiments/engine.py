@@ -359,6 +359,15 @@ def cell_seed(payload: Dict[str, Any]) -> int:
     return payload["seed"]
 
 
+def _config_difference(saved: Any, cell: Any, path: str = "") -> str:
+    """``"dotted.path: checkpoint X, cell Y"`` where two unequal config dicts first differ."""
+    if isinstance(saved, dict) and isinstance(cell, dict):
+        for key in [*saved, *(key for key in cell if key not in saved)]:
+            if saved.get(key) != cell.get(key):
+                return _config_difference(saved.get(key), cell.get(key), f"{path}{key}.")
+    return f"{path[:-1]}: checkpoint {saved!r}, cell {cell!r}"
+
+
 def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
                              phase_profile=None, event_bus=None,
                              extra_stages=()) -> Tuple[Simulator, int]:
@@ -379,9 +388,8 @@ def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
             f"was built (digest mismatch)")
     if loaded.payload["config"] != payload["config"]:
         raise CheckpointError(
-            f"checkpoint {checkpoint['path']} was saved under "
-            f"configuration {loaded.info.config_name!r}, but this "
-            f"cell runs {payload['config'].get('name', '?')!r}; "
+            f"checkpoint {checkpoint['path']} was saved under another configuration "
+            f"({_config_difference(loaded.payload['config'], payload['config'])}); "
             f"checkpoints resume their own configuration")
     saved_workload = loaded.payload.get("workload")
     if saved_workload is not None and (

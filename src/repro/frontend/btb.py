@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional
 
 
@@ -47,18 +48,23 @@ class Btb:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
+        """Flat int columns: pcs, targets and LRU stamps set by set, each set in
+        insertion order (a pc names its set)."""
+        entries = list(chain.from_iterable(map(dict.values, self._sets)))
         return {
-            "sets": [list(s.items()) for s in self._sets],
+            "pcs": list(chain.from_iterable(self._sets)),
+            "targets": [target for target, _ in entries],
+            "stamps": [stamp for _, stamp in entries],
             "stamp": self._stamp,
             "hits": self.hits,
             "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        for btb_set, items in zip(self._sets, state["sets"]):
+        for btb_set in filter(None, self._sets):
             btb_set.clear()
-            for pc, entry in items:
-                btb_set[pc] = tuple(entry)
+        for pc, entry in zip(state["pcs"], zip(state["targets"], state["stamps"])):
+            self._set_of(pc)[pc] = entry
         self._stamp = state["stamp"]
         self.hits = state["hits"]
         self.misses = state["misses"]

@@ -3,10 +3,11 @@
 A faithful-in-structure, reduced-in-size TAGE (Seznec & Michaud, the
 predictor of Table 1): a bimodal base table plus ``num_tagged_tables``
 partially tagged tables indexed with geometrically increasing global
-history lengths. Each tagged entry holds a 3-bit signed counter, a partial
-tag and a useful bit. Prediction comes from the longest-history matching
-table; allocation on mispredictions picks a not-useful entry in a longer
-table.
+history lengths. Each tagged table is three flat int columns, which
+checkpoints save as they are: partial tags (-1 when never allocated),
+3-bit signed counters and useful bits. Prediction comes from the
+longest-history matching table; allocation on mispredictions picks a
+not-useful entry in a longer table.
 
 The global history is speculatively updated at prediction time;
 :meth:`snapshot_history` / :meth:`restore_history` let the pipeline repair
@@ -28,15 +29,6 @@ _BIMODAL_MAX = 3      # 2-bit saturating
 STATE_HISTORY = 4
 
 
-class _TaggedEntry:
-    __slots__ = ("tag", "ctr", "useful")
-
-    def __init__(self) -> None:
-        self.tag = -1
-        self.ctr = 0
-        self.useful = 0
-
-
 class TageLite:
     """TAGE with geometric history lengths."""
 
@@ -46,10 +38,10 @@ class TageLite:
         self.config.validate()
         cfg = self.config
         self._bimodal = [0] * cfg.bimodal_entries
-        self._tables: List[List[_TaggedEntry]] = [
-            [_TaggedEntry() for _ in range(cfg.table_entries)]
-            for _ in range(cfg.num_tagged_tables)
-        ]
+        entries, tables = cfg.table_entries, range(cfg.num_tagged_tables)
+        self._tags: List[List[int]] = [[-1] * entries for _ in tables]
+        self._ctrs: List[List[int]] = [[0] * entries for _ in tables]
+        self._useful: List[List[int]] = [[0] * entries for _ in tables]
         # Geometric history lengths from min to max.
         ratio = (cfg.max_history / cfg.min_history) ** (
             1.0 / max(1, cfg.num_tagged_tables - 1))
@@ -197,7 +189,7 @@ class TageLite:
             self._recompute_folds(history)
         fold_idx = self._fold_idx
         fold_tag = self._fold_tag
-        tables = self._tables
+        tags, ctrs = self._tags, self._ctrs
         bits = self._index_bits
         index_mask = self._index_mask
         tag_mask = self._tag_mask
@@ -205,13 +197,12 @@ class TageLite:
         pc_tag = ((pc >> 2) ^ (pc * 0x9E3779B1 >> 13)) & tag_mask
         for t in range(self.config.num_tagged_tables - 1, -1, -1):
             idx = (fold_idx[t] ^ pc_idx ^ t) & index_mask
-            entry = tables[t][idx]
-            if entry.tag == (fold_tag[t] ^ pc_tag) & tag_mask:
+            if tags[t][idx] == (fold_tag[t] ^ pc_tag) & tag_mask:
                 if provider == -1:
                     provider, provider_idx = t, idx
-                    pred = entry.ctr >= 0
+                    pred = ctrs[t][idx] >= 0
                 elif alt_pred is None:
-                    alt_pred = entry.ctr >= 0
+                    alt_pred = ctrs[t][idx] >= 0
                     break
         bimodal_pred = self._bimodal[self._bimodal_index(pc)] >= 2
         if alt_pred is None:
@@ -253,16 +244,15 @@ class TageLite:
         provider_idx = -1
         alt_pred = None
         pred = None
-        tables = self._tables
+        table_tags, ctrs = self._tags, self._ctrs
         for t in range(self.config.num_tagged_tables - 1, -1, -1):
             idx = idxs[t]
-            entry = tables[t][idx]
-            if entry.tag == tags[t]:
+            if table_tags[t][idx] == tags[t]:
                 if provider == -1:
                     provider, provider_idx = t, idx
-                    pred = entry.ctr >= 0
+                    pred = ctrs[t][idx] >= 0
                 elif alt_pred is None:
-                    alt_pred = entry.ctr >= 0
+                    alt_pred = ctrs[t][idx] >= 0
                     break
         bimodal_pred = self._bimodal[self._bimodal_index(pc)] >= 2
         if alt_pred is None:
@@ -284,11 +274,11 @@ class TageLite:
         self._history = history            # rebuild indices as at predict
         try:
             if provider >= 0:
-                entry = self._tables[provider][provider_idx]
-                entry.ctr = _saturate(entry.ctr + (1 if taken else -1))
+                ctrs = self._ctrs[provider]
+                ctrs[provider_idx] = _saturate(ctrs[provider_idx] + (1 if taken else -1))
                 if pred != alt_pred:
-                    entry.useful = min(entry.useful + 1, 3) if correct \
-                        else max(entry.useful - 1, 0)
+                    useful, u = self._useful[provider], self._useful[provider][provider_idx]
+                    useful[provider_idx] = min(u + 1, 3) if correct else max(u - 1, 0)
             else:
                 idx = self._bimodal_index(pc)
                 ctr = self._bimodal[idx]
@@ -315,12 +305,12 @@ class TageLite:
             start += 1
         for t in range(start, self.config.num_tagged_tables):
             idx = self._index(pc, t)
-            entry = self._tables[t][idx]
-            if entry.useful == 0:
-                entry.tag = self._tag(pc, t)
-                entry.ctr = 0 if taken else -1
+            useful = self._useful[t]
+            if useful[idx] == 0:
+                self._tags[t][idx] = self._tag(pc, t)
+                self._ctrs[t][idx] = 0 if taken else -1
                 return
-            entry.useful -= 1   # age useful bits when allocation fails
+            useful[idx] -= 1    # age useful bits when allocation fails
 
     @property
     def accuracy(self) -> float:
@@ -331,12 +321,13 @@ class TageLite:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        """Predictor tables + history + RNG (the fold memo is a pure
+        """Predictor columns + history + RNG (the fold memo is a pure
         cache and is rebuilt empty on load)."""
         return {
             "bimodal": list(self._bimodal),
-            "tables": [[(e.tag, e.ctr, e.useful) for e in table]
-                       for table in self._tables],
+            "tags": [list(column) for column in self._tags],
+            "ctrs": [list(column) for column in self._ctrs],
+            "useful": [list(column) for column in self._useful],
             "history": self._history,
             "rng_state": self._rng_state,
             "predictions": self.predictions,
@@ -345,11 +336,9 @@ class TageLite:
 
     def load_state_dict(self, state: dict) -> None:
         self._bimodal[:] = state["bimodal"]
-        for table, rows in zip(self._tables, state["tables"]):
-            for entry, (tag, ctr, useful) in zip(table, rows):
-                entry.tag = tag
-                entry.ctr = ctr
-                entry.useful = useful
+        for key, columns in zip(("tags", "ctrs", "useful"), (self._tags, self._ctrs, self._useful)):
+            for column, saved in zip(columns, state[key]):
+                column[:] = saved
         self._history = state["history"]
         self._rng_state = state["rng_state"]
         self.predictions = state["predictions"]

@@ -41,6 +41,9 @@ Row = Tuple[int, OpClass, List[int], Optional[int], int, int, bool, int]
 #: from the correct-path generator seeded with the same value.
 WRONG_PATH_SEED_SALT = 0x5DEECE66D
 
+#: Top bytes of the RNG words a 2-bit rejection draw refuses (``0b11...``).
+_REJECTED_TOP_BYTES = bytes(range(0xC0, 0x100))
+
 
 class WrongPathSynth:
     """Seeded wrong-path µop synthesizer shared by all trace sources.
@@ -62,9 +65,8 @@ class WrongPathSynth:
         # exact consumption pattern ``Random.randrange(3)`` has always
         # used, spelled out so the variant stream (and thus every golden
         # SimStats file) is pinned to this module, not to the stdlib's
-        # internals. Also measurably faster than randrange's argument
-        # handling: fetch synthesizes one draw per wrong-path µop, and
-        # :meth:`skip` burns through millions on long replay episodes.
+        # internals. Also faster than randrange's argument handling, and
+        # fetch synthesizes one draw per wrong-path µop.
         getrandbits = self._rng.getrandbits
         r = getrandbits(2)
         while r >= 3:
@@ -80,12 +82,15 @@ class WrongPathSynth:
 
     def skip(self, count: int) -> None:
         """Advance the variant stream by ``count`` draws without building
-        µops — the bulk discard the lazy frontend performs at redirect."""
+        µops — the bulk discard the lazy frontend performs at redirect.
+        A draw keeps the top two bits of one 32-bit word, and ``getrandbits(32 * k)``
+        takes the same ``k`` words, low first: take as many words as accepts are still
+        needed (never one too many), and count the accepted ones by their top bytes."""
         getrandbits = self._rng.getrandbits
-        for _ in range(count):
-            r = getrandbits(2)
-            while r >= 3:
-                r = getrandbits(2)
+        while count > 0:
+            words = min(count, 1 << 16)     # at most 256 KiB at once
+            top_bytes = getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+            count -= len(top_bytes.translate(None, _REJECTED_TOP_BYTES))
 
     # -- state protocol (repro.checkpoint) -----------------------------
 

@@ -7,6 +7,7 @@ evicted on a fill" — which is all the scheduler-speculation study needs.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional
 
 from repro.common.config import CacheConfig
@@ -39,7 +40,7 @@ class SetAssocCache:
 
     # -- operations -------------------------------------------------------
 
-    def lookup(self, addr: int, update_lru: bool = True) -> bool:
+    def lookup(self, addr: int) -> bool:
         """Access the cache; returns hit/miss and updates LRU on a hit.
 
         Does *not* allocate on a miss — callers decide fill timing.
@@ -49,9 +50,8 @@ class SetAssocCache:
         cache_set = self._sets[line & self._index_mask]
         tag = line >> self._set_bits
         if tag in cache_set:
-            if update_lru:
-                self._stamp += 1
-                cache_set[tag] = self._stamp
+            self._stamp += 1
+            cache_set[tag] = self._stamp
             return True
         self.misses += 1
         return False
@@ -76,8 +76,7 @@ class SetAssocCache:
         if len(cache_set) >= self.assoc:
             victim_tag = min(cache_set, key=cache_set.get)
             del cache_set[victim_tag]
-            victim_line = (victim_tag << self._set_bits) | set_idx \
-                if self.num_sets > 1 else victim_tag
+            victim_line = (victim_tag << self._set_bits) | set_idx
         cache_set[tag] = self._stamp
         return victim_line
 
@@ -130,20 +129,25 @@ class SetAssocCache:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        """Per-set entries keep insertion order: stamps are unique, so
-        LRU victims are order-independent, but a deterministic encoding
-        keeps checkpoint digests stable."""
+        """Flat int columns: per-set ``sizes``, then tags and LRU stamps set by set in
+        insertion order (stamps are unique; the order only keeps digests stable)."""
+        sets = self._sets
         return {
-            "sets": [list(s.items()) for s in self._sets],
+            "sizes": [len(cache_set) for cache_set in sets],
+            "tags": list(chain.from_iterable(sets)),
+            "stamps": list(chain.from_iterable(map(dict.values, sets))),
             "stamp": self._stamp,
             "accesses": self.accesses,
             "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        for cache_set, items in zip(self._sets, state["sets"]):
+        tags, stamps, end = state["tags"], state["stamps"], 0
+        for cache_set, size in zip(self._sets, state["sizes"]):
             cache_set.clear()
-            cache_set.update(items)
+            if size:
+                start, end = end, end + size
+                cache_set.update(zip(tags[start:end], stamps[start:end]))
         self._stamp = state["stamp"]
         self.accesses = state["accesses"]
         self.misses = state["misses"]

@@ -15,8 +15,9 @@ Invariants (normative list in ``docs/ARCHITECTURE.md``):
   chance to register in-flight µops;
 * inter-stage latches and wires are serialized by the driver alongside
   the components; stage objects contribute a ``stages`` table only when
-  they own state (default stages own none, keeping the payload layout
-  identical to the pre-decomposition format — ``STATE_VERSION`` 1).
+  they own state (default stages own none);
+* a table is saved as flat int columns, one list per field, never as a
+  list of per-entry containers; a layout change bumps ``STATE_VERSION``.
 """
 
 from __future__ import annotations

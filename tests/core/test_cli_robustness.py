@@ -15,6 +15,7 @@ import shutil
 
 import pytest
 
+from repro.checkpoint.format import load_checkpoint, write_checkpoint
 from repro.cli import main
 from repro.isa.rv32i.corpus import bundled_programs
 from repro.traces.format import FRAME_HEADER, HEADER
@@ -41,6 +42,14 @@ def _clear_flags(src, dst) -> None:
     data = bytearray(src.read_bytes())
     data[6:8] = b"\0\0"
     dst.write_bytes(bytes(data))
+
+
+def _relabel_version(src, dst, version) -> None:
+    """Copy a checkpoint with its machine state's layout version set to
+    ``version``, as an older build would have written it."""
+    payload = load_checkpoint(src).payload
+    payload["sim"]["version"] = version
+    write_checkpoint(payload, dst)
 
 
 def _second_frame_offset(path) -> int:
@@ -77,6 +86,7 @@ def inputs(tmp_path_factory):
     _clear_flags(root / "good.trc", root / "raw.trc")
     _clear_flags(root / "good.ckpt", root / "raw.ckpt")
     _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
+    _relabel_version(root / "good.ckpt", root / "v1.ckpt", 1)
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
     _cut(root / "good.hex", root / "cut.hex", lambda n: n - 5)
@@ -97,6 +107,21 @@ def inputs(tmp_path_factory):
         (root / f"sweep-{label}.toml").write_text(
             _SWEEP.format(workload=workload, preset=preset))
     return root
+
+
+#: A sound checkpoint that does not fit the run: an older state layout,
+#: or another configuration than the cell's.
+_CHECKPOINT_MISMATCHES = {
+    "run-from-v1-ckpt": ["run", "gzip", "SpecSched_4",
+                         "--from-checkpoint", "v1.ckpt"],
+    "run-sample-from-v1-ckpt": ["run", "gzip", "SpecSched_4",
+                                "--from-checkpoint", "v1.ckpt"] + SAMPLE,
+    "checkpoint-rebase-v1-ckpt": ["checkpoint", "rebase", "v1.ckpt",
+                                  "SpecSched_2", "-o", "out.ckpt"],
+    "run-from-ckpt-dual-ported": ["run", "gzip", "SpecSched_4",
+                                  "--dual-ported",
+                                  "--from-checkpoint", "good.ckpt"],
+}
 
 
 def _bad_input_cases():
@@ -137,6 +162,8 @@ def _bad_input_cases():
              "--sample", "--intervals", "2", "--interval-uops", "200",
              "--sample-warmup", "100", "--period", "1000",
              "--offset", "3000"])
+    for case_id, argv in _CHECKPOINT_MISMATCHES.items():
+        add(case_id, argv)
     for ckpt in ("head.ckpt", "raw.ckpt"):
         stem = ckpt.split(".")[0]
         add(f"checkpoint-info-{stem}-ckpt", ["checkpoint", "info", ckpt])
@@ -222,6 +249,25 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert not (tmp_path / "out.events.jsonl").exists()   # no partial trace
+
+
+@pytest.mark.parametrize("case_id, message", [
+    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 2)"),
+    ("checkpoint-rebase-v1-ckpt",
+     "checkpoint state version 1 (this build reads 2)"),
+    ("run-from-ckpt-dual-ported",
+     "(memory.l1d.banked: checkpoint True, cell False)"),
+])
+def test_checkpoint_mismatch_names_what_differs(inputs, tmp_path, capsys,
+                                                monkeypatch, case_id,
+                                                message):
+    for name, value in TINY.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    argv = [str(inputs / arg) if (inputs / arg).is_file() else arg
+            for arg in _CHECKPOINT_MISMATCHES[case_id]]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [

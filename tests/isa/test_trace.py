@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace, TraceSource, WrongPathSynth, iterate
@@ -151,3 +153,17 @@ def test_only_a_recording_overrides_the_row_supply(kind, tmp_path):
     overridden = [name for name in supply
                   if name in vars(type(_source(kind, tmp_path)))]
     assert overridden == (list(supply) if kind == "recording" else [])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       count=st.one_of(st.sampled_from([0, 1, 3, 65_536, 65_537, 140_000]),
+                       st.integers(0, 500)))
+def test_skip_consumes_the_rng_like_single_draws(seed, count):
+    """The bulk discard leaves the RNG exactly where ``count`` single
+    variant draws leave it, across its word-block boundary too."""
+    bulk, single = WrongPathSynth(seed), WrongPathSynth(seed)
+    bulk.skip(count)
+    for _ in range(count):
+        single._draw_variant()
+    assert bulk._rng.getstate() == single._rng.getstate()
