@@ -2,12 +2,14 @@
 
 4 ALU (1c), 1 MulDiv (3c mul / 25c div, divider not pipelined), 2 FP (3c),
 2 FPMulDiv (5c mul / 10c div, divider not pipelined), 2 load ports,
-1 store port. Issue allocates a unit slot for the cycle; unpipelined ops
-additionally block a unit for their full latency.
+1 store port. Issue takes a unit slot of the µop's kind for the cycle;
+unpipelined ops additionally block a unit for their full latency.
 
-Per-kind state lives in flat lists indexed by ``FuKind`` value —
-``try_allocate`` runs once per selected µop and ``new_cycle`` every
-cycle, so dict-of-enum bookkeeping was measurable cycle-loop overhead.
+The cycle's port table is two flat lists indexed by ``FuKind`` value,
+``used`` and ``counts``: Issue reads and bumps them directly, one kind
+lookup per select candidate, and only unpipelined ops call
+:meth:`FuPool.claim_unpipelined`. ``new_cycle`` clears ``used`` every
+cycle.
 """
 
 from __future__ import annotations
@@ -15,17 +17,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.common.config import CoreConfig
-from repro.isa.opclass import (
-    EXEC_LATENCY_BY_OP,
-    FU_KIND_BY_OP,
-    UNPIPELINED_BY_OP,
-    FuKind,
-    OpClass,
-)
+from repro.isa.opclass import EXEC_LATENCY_BY_OP, FuKind, OpClass
 
 
 class FuPool:
-    """Per-cycle issue-port and unit-occupancy arbitration."""
+    """Per-cycle issue-port table and unpipelined-unit occupancy."""
 
     def __init__(self, config: CoreConfig) -> None:
         self.config = config
@@ -36,54 +32,37 @@ class FuPool:
         counts[FuKind.FPMULDIV] = config.num_fpmuldiv
         counts[FuKind.LOAD_PORT] = config.num_load_ports
         counts[FuKind.STORE_PORT] = config.num_store_ports
-        self._counts: List[int] = counts
-        self._used: List[int] = [0] * len(FuKind)
+        #: Units per kind, and the slots each kind granted this cycle.
+        self.counts: List[int] = counts
+        self.used: List[int] = [0] * len(FuKind)
         self._zeros: List[int] = [0] * len(FuKind)
         # Unpipelined units: per-unit busy-until cycle (issue-time view).
         self._busy_until: List[List[int]] = [[] for _ in FuKind]
         self._busy_until[FuKind.MULDIV] = [0] * config.num_muldiv
         self._busy_until[FuKind.FPMULDIV] = [0] * config.num_fpmuldiv
-        self.grants = 0
-        self.rejections = 0
 
     def new_cycle(self) -> None:
-        self._used[:] = self._zeros
+        self.used[:] = self._zeros
 
-    def try_allocate(self, opclass: OpClass, now: int) -> bool:
-        """Reserve a unit for a µop issuing at ``now``; False if none free."""
-        kind = FU_KIND_BY_OP[opclass]
-        used = self._used
-        if used[kind] >= self._counts[kind]:
-            self.rejections += 1
-            return False
-        if UNPIPELINED_BY_OP[opclass]:
-            units = self._busy_until[kind]
-            for i, busy in enumerate(units):
-                if busy <= now:
-                    units[i] = now + EXEC_LATENCY_BY_OP[opclass]
-                    break
-            else:
-                self.rejections += 1
-                return False
-        used[kind] += 1
-        self.grants += 1
-        return True
-
-    def loads_issued_this_cycle(self) -> int:
-        return self._used[FuKind.LOAD_PORT]
+    def claim_unpipelined(self, kind: int, opclass: OpClass, now: int) -> bool:
+        """Block a free unit of ``kind`` for ``opclass``'s latency from
+        ``now``; False when every unit is still busy. The caller checks
+        and takes the kind's port slot in :attr:`used`."""
+        units = self._busy_until[kind]
+        for i, busy in enumerate(units):
+            if busy <= now:
+                units[i] = now + EXEC_LATENCY_BY_OP[opclass]
+                return True
+        return False
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
         return {
-            "used": list(self._used),
+            "used": list(self.used),
             "busy_until": [list(units) for units in self._busy_until],
-            "grants": self.grants,
-            "rejections": self.rejections,
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self._used[:] = state["used"]
+        self.used[:] = state["used"]
         self._busy_until = [list(units) for units in state["busy_until"]]
-        self.grants = state["grants"]
-        self.rejections = state["rejections"]

@@ -5,40 +5,38 @@ the moment they issue (speculatively or not); loads and stores keep theirs
 until they have *executed*, because a squashed memory µop is re-issued from
 the IQ rather than from the recovery buffer.
 
-The ready list is kept sorted by ``seq`` at insertion (binary search) and
-each µop carries an ``in_ready`` flag, so per-cycle select is a pruned
-walk — no per-cycle sort, no linear membership scans. Select order is
-identical to the old sort-on-take implementation: ``seq`` is unique, so
-"insertion-sorted by seq" and "sorted at take time" agree exactly.
+The ready list is kept sorted by ``seq`` at insertion (an append for
+the youngest µop, Rename's case, else a binary search) and each µop
+carries an ``in_ready`` flag, so per-cycle select is a plain walk — no
+per-cycle sort, no linear membership scans.
+
+The ready lists hold only live µops: every µop leaves them when it
+issues, executes or is released, and a squash releases every doomed µop
+through ``squash_younger``, so select never meets a dead or stale
+member and ``take_ready`` returns the list as it is.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import attrgetter
 from typing import List, Set
 
 from repro.isa.uop import MicroOp
 
+_seq = attrgetter("seq")
+
 
 def insert_by_seq(ready: List[MicroOp], uop: MicroOp) -> None:
     """Insert ``uop`` into a seq-sorted ready list (shared with the
-    recovery buffer)."""
+    recovery buffer): an append when it is the youngest, else a binary
+    search."""
     seq = uop.seq
-    lo, hi = 0, len(ready)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if ready[mid].seq < seq:
-            lo = mid + 1
-        else:
-            hi = mid
-    ready.insert(lo, uop)
+    if not ready or ready[-1].seq < seq:
+        ready.append(uop)
+    else:
+        ready.insert(bisect_left(ready, seq, key=_seq), uop)
     uop.in_ready = True
-
-
-def clear_ready(ready: List[MicroOp]) -> None:
-    """Empty a ready list, resetting every member's flag."""
-    for uop in ready:
-        uop.in_ready = False
-    ready.clear()
 
 
 class IssueQueue:
@@ -63,12 +61,14 @@ class IssueQueue:
         return self.capacity - len(self._occupants)
 
     def insert(self, uop: MicroOp) -> None:
-        if len(self._occupants) >= self.capacity:
+        occupants = self._occupants
+        occupancy = len(occupants)
+        if occupancy >= self.capacity:
             raise OverflowError("IQ overflow")
-        self._occupants.add(uop)
+        occupants.add(uop)
         uop.in_iq = True
-        if len(self._occupants) > self.peak_occupancy:
-            self.peak_occupancy = len(self._occupants)
+        if occupancy >= self.peak_occupancy:
+            self.peak_occupancy = occupancy + 1
 
     def make_ready(self, uop: MicroOp) -> None:
         """Move a source-complete occupant onto the ready list."""
@@ -77,28 +77,13 @@ class IssueQueue:
         insert_by_seq(self.ready, uop)
 
     def take_ready(self) -> List[MicroOp]:
-        """Current ready µops, oldest (smallest seq) first, pruned of dead."""
-        ready = self.ready
-        if not ready:
-            return ready
-        if any(u.dead or not u.in_iq for u in ready):
-            kept = []
-            for u in ready:
-                if u.dead or not u.in_iq:
-                    u.in_ready = False
-                else:
-                    kept.append(u)
-            self.ready = ready = kept
-        return ready
+        """Current ready µops, oldest (smallest seq) first."""
+        return self.ready
 
     def remove_from_ready(self, uop: MicroOp) -> None:
         if uop.in_ready:
             self.ready.remove(uop)
             uop.in_ready = False
-
-    def clear_ready(self) -> None:
-        """Empty the ready list (replay re-arm rebuilds it from truth)."""
-        clear_ready(self.ready)
 
     def release(self, uop: MicroOp) -> None:
         """Free the entry (at issue for non-memory, at execute for memory)."""
@@ -134,5 +119,5 @@ class IssueQueue:
 
     def load_state_dict(self, state: dict, ctx) -> None:
         self._occupants = set(ctx.uops(state["occupants"]))
-        self.ready = ctx.uops(state["ready"])
+        self.ready[:] = ctx.uops(state["ready"])
         self.peak_occupancy = state["peak_occupancy"]

@@ -111,8 +111,8 @@ class LoadStoreQueue:
         for store in self.stores:
             if store.seq >= load_seq:
                 break                  # program order: no older stores left
-            if (store.executed and not store.dead
-                    and store.mem_addr >> _QWORD_SHIFT == target):
+            if (store.mem_addr >> _QWORD_SHIFT == target
+                    and store.executed and not store.dead):
                 best = store           # walking oldest->youngest
         if best is not None:
             self.forwards += 1
@@ -147,8 +147,9 @@ class LoadStoreQueue:
         target = store.mem_addr >> _QWORD_SHIFT
         store_seq = store.seq
         for load in self.loads:
-            if (load.seq > store_seq and load.executed and not load.dead
-                    and load.mem_addr >> _QWORD_SHIFT == target):
+            if (load.mem_addr >> _QWORD_SHIFT == target
+                    and load.seq > store_seq and load.executed
+                    and not load.dead):
                 self.violations += 1
                 return load            # oldest match: queue is seq-sorted
         return None

@@ -89,14 +89,6 @@ class Scoreboard:
         uop.pending = pending
         return pending
 
-    def operands_data_valid(self, uop: MicroOp, exec_cycle: int) -> bool:
-        """True when every source's data is genuinely valid at Execute."""
-        data_ready_at = self.data_ready_at
-        for p in uop.psrcs:
-            if data_ready_at[p] > exec_cycle:
-                return False
-        return True
-
     # -- clock -----------------------------------------------------------
 
     @property
@@ -177,7 +169,7 @@ class Scoreboard:
     def rewatch(self, uop: MicroOp) -> int:
         """Fused :meth:`drop_waiter` + :meth:`watch` (replay re-arm).
 
-        Replay storms re-arm the whole waiting population, so shaving
+        Replay storms re-arm every waiting µop they touch, so shaving
         call overhead here is a measurable share of miss-heavy runs.
         The drop pass must fully precede the re-add pass: a µop can name
         the same source register twice (``srcs=[2, 2]``), and

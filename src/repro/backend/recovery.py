@@ -10,14 +10,15 @@ fills the holes in replayed issue groups.
 Like the IQ, the replay-ready list stays seq-sorted at insertion and uses
 the µop's ``in_ready`` flag for O(1) membership (a µop is never on both
 ready lists: non-memory µops leave the IQ at first issue, memory µops
-never enter the recovery buffer).
+never enter the recovery buffer). Its members are live replay
+candidates only (see :mod:`repro.backend.iq`).
 """
 
 from __future__ import annotations
 
 from typing import List, Set
 
-from repro.backend.iq import clear_ready, insert_by_seq
+from repro.backend.iq import insert_by_seq
 from repro.isa.uop import MicroOp
 
 
@@ -57,29 +58,12 @@ class RecoveryBuffer:
 
     def take_ready(self) -> List[MicroOp]:
         """Replay candidates, oldest first (head-of-buffer priority)."""
-        ready = self.ready
-        if not ready:
-            return ready
-        members = self._members
-        if any(u.dead or not u.replay_pending or u not in members
-               for u in ready):
-            kept = []
-            for u in ready:
-                if u.dead or not u.replay_pending or u not in members:
-                    u.in_ready = False
-                else:
-                    kept.append(u)
-            self.ready = ready = kept
-        return ready
+        return self.ready
 
     def remove_from_ready(self, uop: MicroOp) -> None:
         if uop.in_ready:
             self.ready.remove(uop)
             uop.in_ready = False
-
-    def clear_ready(self) -> None:
-        """Empty the ready list (replay re-arm rebuilds it from truth)."""
-        clear_ready(self.ready)
 
     def squash_younger(self, seq: int, inclusive: bool = False) -> List[MicroOp]:
         doomed = [u for u in self._members

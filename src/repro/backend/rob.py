@@ -20,39 +20,37 @@ class ReorderBuffer:
         if capacity < 1:
             raise ValueError("ROB capacity must be >= 1")
         self.capacity = capacity
-        self._entries: Deque[MicroOp] = deque()
+        #: Program-order window; Commit pops its head directly.
+        self.entries: Deque[MicroOp] = deque()
         self.retired = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     @property
     def full(self) -> bool:
-        return len(self._entries) >= self.capacity
+        return len(self.entries) >= self.capacity
 
     @property
     def empty(self) -> bool:
-        return not self._entries
+        return not self.entries
 
     def free_slots(self) -> int:
-        return self.capacity - len(self._entries)
+        return self.capacity - len(self.entries)
 
     def allocate(self, uop: MicroOp) -> None:
-        if self.full:
+        entries = self.entries
+        if len(entries) >= self.capacity:
             raise OverflowError("ROB overflow")
-        self._entries.append(uop)
+        entries.append(uop)
 
     def head(self) -> Optional[MicroOp]:
-        return self._entries[0] if self._entries else None
-
-    def retire_head(self) -> MicroOp:
-        self.retired += 1
-        return self._entries.popleft()
+        return self.entries[0] if self.entries else None
 
     def note_completed(self, uop: MicroOp) -> None:
         """Record completion; tags criticality if the µop is the head."""
         uop.completed = True
-        if self._entries and self._entries[0] is uop:
+        if self.entries and self.entries[0] is uop:
             uop.was_critical = True
 
     def squash_younger(self, seq: int, inclusive: bool = False) -> List[MicroOp]:
@@ -62,22 +60,24 @@ class ReorderBuffer:
         (memory-order-violation refetch starts *at* the offending load).
         """
         squashed: List[MicroOp] = []
-        while self._entries:
-            tail = self._entries[-1]
+        while self.entries:
+            tail = self.entries[-1]
             if tail.seq > seq or (inclusive and tail.seq == seq):
-                squashed.append(self._entries.pop())
+                squashed.append(self.entries.pop())
             else:
                 break
         return squashed
 
     def __iter__(self):
-        return iter(self._entries)
+        return iter(self.entries)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self, ctx) -> dict:
-        return {"entries": ctx.refs(self._entries), "retired": self.retired}
+        return {"entries": ctx.refs(self.entries), "retired": self.retired}
 
     def load_state_dict(self, state: dict, ctx) -> None:
-        self._entries = deque(ctx.uops(state["entries"]))
+        # In place: Commit binds the deque.
+        self.entries.clear()
+        self.entries.extend(ctx.uops(state["entries"]))
         self.retired = state["retired"]

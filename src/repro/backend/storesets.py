@@ -30,9 +30,6 @@ class StoreSets:
     def _ssit_index(self, pc: int) -> int:
         return pc % self.ssit_entries
 
-    def _ssid_of(self, pc: int) -> int:
-        return self._ssit[self._ssit_index(pc)]
-
     # -- dispatch-time ---------------------------------------------------
 
     def lookup_dependence(self, uop: MicroOp) -> Optional[MicroOp]:
@@ -41,7 +38,7 @@ class StoreSets:
         For stores, additionally records the µop as the new last fetched
         store of its set (store-store ordering).
         """
-        ssid = self._ssid_of(uop.pc)
+        ssid = self._ssit[uop.pc % self.ssit_entries]
         dep: Optional[MicroOp] = None
         if ssid != _INVALID:
             last = self._lfst.get(ssid % self.lfst_entries)
@@ -56,7 +53,7 @@ class StoreSets:
 
     def store_done(self, store: MicroOp) -> None:
         """Clear the LFST entry when the store executes or is squashed."""
-        ssid = self._ssid_of(store.pc)
+        ssid = self._ssit[store.pc % self.ssit_entries]
         if ssid == _INVALID:
             return
         key = ssid % self.lfst_entries

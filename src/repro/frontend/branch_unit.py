@@ -154,8 +154,8 @@ class BranchUnit:
                 pred_taken, tage_state = warm_predict(pc, idxs, tags)
             tage_pred = pred_taken
             if pred_taken:
-                btb_set = btb_sets[(pc >> 2) % btb_num_sets]
-                entry = btb_set.get(pc)
+                btb_set = btb_sets.get((pc >> 2) % btb_num_sets)
+                entry = None if btb_set is None else btb_set.get(pc)
                 if entry is None:             # BTB miss: demote (predict)
                     btb_misses += 1
                     pred_taken, pred_target = False, pc + 1
@@ -170,7 +170,10 @@ class BranchUnit:
                 taken and pred_target != target)
             tage_update(taken, tage_state)
             if taken:                         # install()
-                btb_set = btb_sets[(pc >> 2) % btb_num_sets]
+                index = (pc >> 2) % btb_num_sets
+                btb_set = btb_sets.get(index)
+                if btb_set is None:
+                    btb_set = btb_sets[index] = {}
                 btb_stamp += 1
                 if pc not in btb_set and len(btb_set) >= btb_ways:
                     victim = min(btb_set, key=lambda key: btb_set[key][1])

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class Btb:
@@ -15,30 +15,33 @@ class Btb:
         self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways
-        # per-set dict: pc -> (target, lru_stamp)
-        self._sets: List[Dict[int, tuple]] = [dict() for _ in range(self.num_sets)]
+        # set index -> per-set dict pc -> (target, lru_stamp); a set is
+        # allocated on its first install (most of the 4K sets of a
+        # short run stay empty, and every restore builds a machine).
+        self._sets: Dict[int, Dict[int, tuple]] = {}
         self._stamp = 0
         self.hits = 0
         self.misses = 0
 
-    def _set_of(self, pc: int) -> Dict[int, tuple]:
-        return self._sets[(pc >> 2) % self.num_sets]
-
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for a branch at ``pc``, or None on a BTB miss."""
-        entry = self._set_of(pc).get(pc)
+        btb_set = self._sets.get((pc >> 2) % self.num_sets)
+        entry = None if btb_set is None else btb_set.get(pc)
         if entry is None:
             self.misses += 1
             return None
         self.hits += 1
         self._stamp += 1
         target = entry[0]
-        self._set_of(pc)[pc] = (target, self._stamp)
+        btb_set[pc] = (target, self._stamp)
         return target
 
     def install(self, pc: int, target: int) -> None:
         """Record (or refresh) a taken branch's target."""
-        btb_set = self._set_of(pc)
+        index = (pc >> 2) % self.num_sets
+        btb_set = self._sets.get(index)
+        if btb_set is None:
+            btb_set = self._sets[index] = {}
         self._stamp += 1
         if pc not in btb_set and len(btb_set) >= self.ways:
             victim = min(btb_set, key=lambda key: btb_set[key][1])
@@ -50,9 +53,10 @@ class Btb:
     def state_dict(self) -> dict:
         """Flat int columns: pcs, targets and LRU stamps set by set, each set in
         insertion order (a pc names its set)."""
-        entries = list(chain.from_iterable(map(dict.values, self._sets)))
+        sets = [self._sets[index] for index in sorted(self._sets)]
+        entries = list(chain.from_iterable(map(dict.values, sets)))
         return {
-            "pcs": list(chain.from_iterable(self._sets)),
+            "pcs": list(chain.from_iterable(sets)),
             "targets": [target for target, _ in entries],
             "stamps": [stamp for _, stamp in entries],
             "stamp": self._stamp,
@@ -61,10 +65,14 @@ class Btb:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        for btb_set in filter(None, self._sets):
-            btb_set.clear()
+        sets = self._sets = {}
+        num_sets = self.num_sets
         for pc, entry in zip(state["pcs"], zip(state["targets"], state["stamps"])):
-            self._set_of(pc)[pc] = entry
+            index = (pc >> 2) % num_sets
+            btb_set = sets.get(index)
+            if btb_set is None:
+                btb_set = sets[index] = {}
+            btb_set[pc] = entry
         self._stamp = state["stamp"]
         self.hits = state["hits"]
         self.misses = state["misses"]

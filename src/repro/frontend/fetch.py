@@ -56,7 +56,7 @@ class FetchStage:
         self.stats = stats
         self.width = config.fetch_width
         self.depth = config.frontend_depth
-        # (ready_cycle, uop) in fetch order.
+        # (ready_cycle, uop) in fetch order; Rename reads its head.
         self.pipe: Deque[Tuple[int, MicroOp]] = deque()
         # Virtual wrong-path groups behind the pipe: [ready_cycle, count]
         # lists in fetch order, materialized on demand (module docstring).
@@ -92,6 +92,7 @@ class FetchStage:
         replay_queue = self.replay_queue
         next_trace_uop = self.trace.next_uop
         ready = now + self.depth
+        seq = self._next_seq
         for _ in range(self.width):
             if replay_queue:
                 uop = replay_queue.popleft()
@@ -99,12 +100,11 @@ class FetchStage:
                 uop = next_trace_uop()
                 if uop is None:
                     self.trace_exhausted = True
-                    return
+                    break
             uop.fetch_cycle = now
-            uop.seq = self._next_seq
-            self._next_seq += 1
+            uop.seq = seq
+            seq += 1
             pipe_append((ready, uop))
-            self.fetched_correct += 1
             if uop.is_branch:
                 pred_taken, pred_target = self.branch_unit.predict(uop)
                 uop.pred_taken = pred_taken
@@ -116,11 +116,14 @@ class FetchStage:
                     self._wrong_path_pc = (pred_target if pred_taken
                                            else uop.pc + 1)
                     # Rest of this group comes from the wrong path next cycle.
-                    return
+                    break
                 if pred_taken:
                     taken_seen += 1
                     if taken_seen >= 2:
-                        return
+                        break
+        # The group's numbering is written back once per cycle.
+        self.fetched_correct += seq - self._next_seq
+        self._next_seq = seq
 
     def next_event(self, now: int) -> Optional[int]:
         """First cycle ``>= now`` whose :meth:`tick` cannot be applied
@@ -166,7 +169,8 @@ class FetchStage:
         return None
 
     def peek(self, now: int) -> Optional[MicroOp]:
-        """The next µop Rename could take at ``now`` (without taking it).
+        """The next µop Rename could take at ``now`` (without taking it;
+        Rename pops the pipe's head itself).
 
         Materializes at most one virtual wrong-path µop. Returns ``None``
         when nothing has finished its frontend traversal yet.
@@ -179,10 +183,6 @@ class FetchStage:
         if ready > now:
             return None
         return uop
-
-    def pop(self) -> MicroOp:
-        """Consume the µop :meth:`peek` returned."""
-        return self.pipe.popleft()[1]
 
     def _materialize_wrong_path(self, now: int) -> bool:
         """Build the oldest virtual wrong-path µop if it is ready by
@@ -278,8 +278,9 @@ class FetchStage:
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
-        self.pipe = deque(
-            (ready, ctx.uop(ref)) for ready, ref in state["pipe"])
+        # In place: Rename reads the pipe's head directly.
+        self.pipe.clear()
+        self.pipe.extend((ready, ctx.uop(ref)) for ready, ref in state["pipe"])
         self._wp_groups = deque(list(g) for g in state["wp_groups"])
         self._wp_pending = state["wp_pending"]
         self.replay_queue = deque(ctx.uops(state["replay_queue"]))

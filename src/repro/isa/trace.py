@@ -77,8 +77,7 @@ class WrongPathSynth:
         variant = self._draw_variant()
         src = 0 if variant != 2 else 1
         dst = 1 if variant != 1 else 0
-        return MicroOp(seq=seq, pc=pc, opclass=OpClass.INT_ALU,
-                       srcs=[src], dst=dst, wrong_path=True)
+        return MicroOp(seq, pc, OpClass.INT_ALU, [src], dst, 0, 8, False, 0, True)
 
     def skip(self, count: int) -> None:
         """Advance the variant stream by ``count`` draws without building

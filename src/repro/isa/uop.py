@@ -38,7 +38,7 @@ class MicroOp:
         # branch prediction state (filled at fetch)
         "pred_taken", "pred_target", "mispredicted", "bp_state",
         # rename state
-        "psrcs", "pdst", "prev_pdst", "rob_idx", "lsq_idx",
+        "psrcs", "pdst", "prev_pdst",
         # scheduling state
         "in_iq", "in_ready", "pending", "store_dep", "issue_cycle",
         "exec_start",
@@ -82,8 +82,6 @@ class MicroOp:
         self.psrcs: List[int] = []
         self.pdst = -1
         self.prev_pdst = -1
-        self.rob_idx = -1
-        self.lsq_idx = -1
 
         self.in_iq = False
         self.in_ready = False

@@ -34,7 +34,7 @@ class PhaseProfile:
     counts instrumented cycles so per-cycle costs can be derived. The
     replay-storm counter tracks squash events observed while profiling
     (they are the classic cause of pathological simulation slowdowns:
-    every storm re-arms the waiting population).
+    every storm re-arms the waiting µops it touched).
     """
 
     __slots__ = ("seconds", "cycles", "replay_storms", "uops_committed")

@@ -48,7 +48,7 @@ class Simulator:
     #: Cycles without a commit before we declare the model wedged.
     DEADLOCK_LIMIT = 100_000
     #: Bumped when the simulator-level state layout changes.
-    STATE_VERSION = 2
+    STATE_VERSION = 3
 
     def __init__(
         self,
@@ -139,9 +139,10 @@ class Simulator:
 
         Fetch is asked first: on the correct path it ticks every cycle,
         so on most busy cycles its answer alone settles the question.
-        The others are asked in tick order. Only Issue's question has a
-        side effect (the pruning its tick would do), and it still comes
-        after every stage that ticks before it.
+        The others are asked in tick order. Rename's question peeks
+        nothing (the head it reads is already built, or it answers the
+        virtual group's ready cycle), and Issue's reads the ready lists,
+        which hold only live µops, so no question has a side effect.
         """
         stats = self.stats
         step = self.step if self.phase_profile is None else self._step_profiled

@@ -23,6 +23,7 @@ class Commit(Stage):
         """Bind the ROB, renamer, LSQ, policy and the commit wire."""
         super().__init__(sim)
         self.rob = sim.rob
+        self._entries = sim.rob.entries
         self.renamer = sim.renamer
         self.lsq = sim.lsq
         self.policy = sim.policy
@@ -31,30 +32,33 @@ class Commit(Stage):
         self.last_commit = sim.last_commit
 
     def tick(self, now: int) -> None:
-        """Retire completed ROB-head µops, oldest first."""
-        rob = self.rob
-        head = rob.head()
-        if head is None or not head.completed:
+        """Retire completed ROB-head µops, oldest first: the loop pops
+        the ROB's deque and counts the cycle's retirements once."""
+        entries = self._entries
+        if not entries or not entries[0].completed:
             return
+        retire = self._retire
+        pop = entries.popleft
         retired = 0
-        width = self.width
-        while retired < width:
-            if head is None or not head.completed:
+        for _ in range(self.width):
+            if not entries:
+                break
+            head = entries[0]
+            if not head.completed:
                 break
             if head.wrong_path:
                 raise SimulationError(f"wrong-path µop reached ROB head: {head!r}")
-            rob.retire_head()
-            self._retire(head, now)
+            pop()
+            retire(head, now)
             retired += 1
-            head = rob.head()
-        if retired:
-            self.last_commit.value = now
+        self.rob.retired += retired
+        self.last_commit.value = now
 
     def next_event(self, now: int) -> int:
         """``now`` when the ROB head is completed; otherwise only
         Writeback or Execute can complete it."""
-        head = self.rob.head()
-        return now if head is not None and head.completed else NEVER
+        entries = self._entries
+        return now if entries and entries[0].completed else NEVER
 
     def _retire(self, head, now: int) -> None:
         """Architectural effects of one retirement (the per-µop seam

@@ -40,6 +40,7 @@ class Execute(Stage):
         """Bind the backend structures and the stage's ports/wires."""
         super().__init__(sim)
         self.scoreboard = sim.scoreboard
+        self._data_ready_at = sim.scoreboard.data_ready_at
         self.rob = sim.rob
         self.iq = sim.iq
         self.lsq = sim.lsq
@@ -80,22 +81,23 @@ class Execute(Stage):
         return min(due, first_due(self.replay.event_cycles, now))
 
     def _execute_uop(self, uop: MicroOp, now: int) -> None:
-        if not self.scoreboard.operands_data_valid(uop, now):
-            raise SimulationError(f"µop executed with invalid operands at cycle {now}: {uop!r}")
+        data_ready_at = self._data_ready_at
+        for preg in uop.psrcs:
+            if data_ready_at[preg] > now:
+                raise SimulationError(f"µop executed with invalid operands at cycle {now}: {uop!r}")
         uop.executed = True
-        if uop.is_load:
-            self._execute_load(uop, now)
-        elif uop.is_store:
-            self._execute_store(uop, now)
-        elif uop.is_branch:
+        if uop.is_mem:
+            if uop.is_load:
+                self._execute_load(uop, now)
+            else:
+                self._execute_store(uop, now)
+            self.iq.release(uop)
+            return
+        if uop.is_branch:
             self._execute_branch(uop, now)
         else:
-            latency = EXEC_LATENCY_BY_OP[uop.opclass]
-            self._schedule_completion(uop, now + latency - 1, now)
-        if uop.is_mem:
-            self.iq.release(uop)
-        else:
-            self.recovery.remove(uop)
+            self._schedule_completion(uop, now + EXEC_LATENCY_BY_OP[uop.opclass] - 1, now)
+        self.recovery.remove(uop)
 
     def _execute_load(self, uop: MicroOp, now: int) -> None:
         forwarding_store = self.lsq.forwarding_store(uop)
@@ -189,7 +191,7 @@ class Execute(Stage):
                 self.scoreboard.broadcast(
                     load.pdst, wake, issue + self.delay + 1 + event.corrected_latency
                 )
-        self._rearm_waiting_uops()
+        self._rearm_waiting_uops(doomed, events)
         if doomed or self.delay > 0:
             # Handling the misspeculation blocks issue for a cycle even
             # when every in-flight µop was already squashed by an earlier
@@ -209,25 +211,36 @@ class Execute(Stage):
         the µops squashed by them.
         """
 
-    def _rearm_waiting_uops(self) -> None:
-        """Recompute readiness for every µop still waiting to (re-)issue.
+    def _rearm_waiting_uops(self, doomed: List[MicroOp], events: List[ReplayEvent]) -> None:
+        """Recompute readiness for the waiting µops a replay touched.
 
-        After a squash, previously fired wakeups may be stale (their
-        producer got squashed or corrected); rebuilding the ready lists
-        from scoreboard truth is simple and safe — the populations are
-        bounded by the IQ and the in-flight window.
+        A replay un-readies the doomed µops' destinations and re-times
+        the triggering loads'. Every waiting µop that reads one of those
+        registers may have been woken too early, and every doomed µop
+        waits to re-issue again: those re-watch from scoreboard truth
+        and leave or (re-)join a ready list. Any other waiting µop reads
+        only registers whose readiness the replay did not change, so its
+        ``pending`` count, waiter entries and ready-list place already
+        are what a rebuild would give them (waiter-list order aside,
+        which nothing observes).
         """
+        touched = {u.pdst for u in doomed if u.pdst >= 0}
+        touched.update(ev.load.pdst for ev in events if ev.load.pdst >= 0)
+        doomed_set = set(doomed)
         waiting: List[MicroOp] = [
             u
             for u in self.iq.occupants()
             if not u.executed and (u.num_issues == 0 or u.replay_pending)
         ]
         waiting.extend(u for u in self.recovery.members() if u.replay_pending)
-        self.iq.clear_ready()
-        self.recovery.clear_ready()
+        iq, recovery = self.iq, self.recovery
         rewatch = self.scoreboard.rewatch
         route_ready = self._ready_port.sink()
         for uop in waiting:
+            if uop not in doomed_set and touched.isdisjoint(uop.psrcs):
+                continue
+            if uop.in_ready:
+                (iq if uop.in_iq else recovery).remove_from_ready(uop)
             pending = rewatch(uop)
             store_dep = uop.store_dep
             if store_dep is not None and not store_dep.executed:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.isa.opclass import EXEC_LATENCY_BY_OP
+from repro.isa.opclass import EXEC_LATENCY_BY_OP, FU_KIND_BY_OP, UNPIPELINED_BY_OP
 from repro.isa.uop import MicroOp
 from repro.pipeline.stages.base import NEVER, Stage
 
@@ -42,6 +42,8 @@ class Issue(Stage):
         self.iq = sim.iq
         self.recovery = sim.recovery
         self.fus = sim.fus
+        self._used = sim.fus.used
+        self._counts = sim.fus.counts
         self.scoreboard = sim.scoreboard
         self.replay = sim.replay
         self.policy = sim.policy
@@ -91,46 +93,59 @@ class Issue(Stage):
 
     def next_event(self, now: int) -> int:
         """``now`` while a ready list holds a candidate; otherwise only a
-        wakeup can give Issue work. Prunes the lists as this cycle's
-        tick would (the earlier stages' ticks this cycle do nothing)."""
-        if self.recovery.take_ready() or self.iq.take_ready():
+        wakeup can give Issue work. The lists hold only live µops, so
+        the question has no side effect."""
+        if self.recovery.ready or self.iq.ready:
             return now
         return NEVER
 
     def _issue_from(self, candidates: List[MicroOp], budget: int, now: int) -> int:
-        for uop in list(candidates):
-            if budget == 0:
-                break
-            if uop.dead or uop.executed:
+        """Issue oldest-first from one ready list while ``budget`` and
+        the cycle's port table allow; returns the budget left.
+
+        Each candidate costs one kind lookup against the table; only an
+        unpipelined op asks the pool for a free unit. The slots its kind
+        already used this cycle are, for a load, the loads issued before
+        it (the policy's ``loads_before``)."""
+        used = self._used
+        counts = self._counts
+        do_issue = self._do_issue
+        # _do_issue takes each issued µop off the list: walk a copy.
+        for uop in candidates[:]:
+            opclass = uop.opclass
+            kind = FU_KIND_BY_OP[opclass]
+            taken = used[kind]
+            if taken >= counts[kind]:
                 continue
-            if uop.num_issues > 0 and not uop.replay_pending:
+            if UNPIPELINED_BY_OP[opclass] and not self.fus.claim_unpipelined(kind, opclass, now):
                 continue
-            loads_before = self.fus.loads_issued_this_cycle()
-            if not self.fus.try_allocate(uop.opclass, now):
-                continue
-            self._do_issue(uop, now, loads_before)
+            used[kind] = taken + 1
+            do_issue(uop, now, taken)
             budget -= 1
+            if not budget:
+                break
         return budget
 
     def _do_issue(self, uop: MicroOp, now: int, loads_before: int) -> None:
-        first_issue = uop.num_issues == 0
+        num_issues = uop.num_issues + 1
         was_replay = uop.replay_pending
         uop.issue_cycle = now
-        uop.num_issues += 1
+        uop.num_issues = num_issues
         uop.squashed = False
         uop.replay_pending = False
-        exec_start = uop.exec_start = now + self.delay + 1
+        delay = self.delay
+        exec_start = uop.exec_start = now + delay + 1
         queue = self._slots
         entry = queue.get(exec_start)
         if entry is None:
-            queue[exec_start] = [(uop, uop.num_issues)]
+            queue[exec_start] = [(uop, num_issues)]
         else:
-            entry.append((uop, uop.num_issues))
+            entry.append((uop, num_issues))
         self.replay.note_issue(uop, now)
 
         stats = self.stats
         stats.issued_total += 1
-        if first_issue:
+        if num_issues == 1:
             stats.unique_issued += 1
         else:
             self.recovery.replays_issued += 1
@@ -138,28 +153,25 @@ class Issue(Stage):
             stats.wrong_path_issued += 1
 
         # Wakeup broadcast.
+        pdst = uop.pdst
         if uop.is_load:
             decision = self.policy.decide(uop, loads_before)
             uop.spec_woken = decision.speculate
-            uop.promised_latency = decision.promised_latency
+            promised = uop.promised_latency = decision.promised_latency
             if decision.speculate:
                 stats.speculative_loads += 1
-                if uop.pdst >= 0:
-                    self.scoreboard.broadcast(
-                        uop.pdst,
-                        now + decision.promised_latency,
-                        now + decision.promised_latency + self.delay + 1,
-                    )
+                if pdst >= 0:
+                    self.scoreboard.broadcast(pdst, now + promised, now + promised + delay + 1)
             else:
                 stats.conservative_loads += 1
-                if uop.pdst >= 0:
-                    self.scoreboard.unready(uop.pdst)
+                if pdst >= 0:
+                    self.scoreboard.unready(pdst)
         else:
             latency = EXEC_LATENCY_BY_OP[uop.opclass]
             uop.spec_woken = True
             uop.promised_latency = latency
-            if uop.pdst >= 0:
-                self.scoreboard.broadcast(uop.pdst, now + latency, now + latency + self.delay + 1)
+            if pdst >= 0:
+                self.scoreboard.broadcast(pdst, now + latency, now + latency + delay + 1)
 
         # Structure management.
         if uop.is_mem:

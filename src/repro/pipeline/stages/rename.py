@@ -1,7 +1,8 @@
 """Rename/Dispatch stage: pull decoded µops into the out-of-order window.
 
 Inputs: the frontend pipe's delivery buffer (pull interface —
-``peek``/``pop``, so a stalled µop simply stays in the frontend).
+``peek``, then a pop of the pipe head, so a stalled µop simply stays in
+the frontend).
 Outputs: renamed µops allocated into ROB + IQ (+ LSQ for memory µops),
 registered with the scoreboard's waiter lists, store-set dependences
 installed, and immediately-ready µops placed on the IQ ready list.
@@ -17,7 +18,9 @@ frontend pipe) in the stage map.
 
 from __future__ import annotations
 
+from repro.backend.iq import insert_by_seq
 from repro.pipeline.stages.base import NEVER, Stage
+from repro.rename.rename import FP_REG_BASE
 
 
 class Rename(Stage):
@@ -36,29 +39,70 @@ class Rename(Stage):
         self.scoreboard = sim.scoreboard
         self.store_sets = sim.store_sets
         self.width = sim.config.core.rename_width
+        # Containers the per-µop path touches; restores refill them in
+        # place, so these bindings stay valid.
+        self._pipe = sim.fetch.pipe
+        self._iq_ready = sim.iq.ready
+
+    def _room(self):
+        """This cycle's allocation budgets, read once: (ROB and IQ slots,
+        LQ slots, SQ slots, free int registers, free FP registers). The
+        ROB and IQ take every µop, so one budget serves both."""
+        rob, iq, lsq, renamer = self.rob, self.iq, self.lsq, self.renamer
+        return (
+            min(rob.capacity - len(rob), iq.capacity - len(iq)),
+            lsq.lq_capacity - len(lsq.loads),
+            lsq.sq_capacity - len(lsq.stores),
+            len(renamer.int_free),
+            len(renamer.fp_free),
+        )
 
     def tick(self, now: int) -> None:
         """Rename and dispatch up to ``rename_width`` µops, stalling in
-        order on the first structural hazard."""
-        fetch = self.frontend
-        blocked = self._blocked
-        for _ in range(self.width):
-            uop = fetch.peek(now)
-            if uop is None or blocked(uop):
-                return
-            fetch.pop()
-            self._dispatch(uop, now)
+        order on the first structural hazard.
 
-    def _blocked(self, uop) -> bool:
-        """A ROB/IQ/free-list/LQ/SQ hazard stops ``uop`` (and, in order,
-        everything behind it)."""
-        return (
-            self.rob.full
-            or self.iq.full
-            or not self.renamer.can_rename(uop)
-            or (uop.is_load and self.lsq.lq_full())
-            or (uop.is_store and self.lsq.sq_full())
-        )
+        The budgets are read once and counted down per µop; only this
+        stage allocates, so they track the structures exactly. The head
+        is peeked before every hazard test, because a peek materialises
+        a virtual wrong-path µop (see :meth:`next_event`); a µop already
+        in the pipe is read from it directly."""
+        pipe = self._pipe
+        peek = self.frontend.peek
+        uop = pipe[0][1] if pipe and pipe[0][0] <= now else peek(now)
+        if uop is None:
+            return
+        window, lq, sq, int_regs, fp_regs = self._room()
+        pop = pipe.popleft
+        dispatch = self._dispatch
+        for left in range(self.width - 1, -1, -1):
+            if not window:
+                return
+            dst = uop.dst
+            if dst is not None:
+                if dst >= FP_REG_BASE:
+                    if not fp_regs:
+                        return
+                    fp_regs -= 1
+                elif not int_regs:
+                    return
+                else:
+                    int_regs -= 1
+            if uop.is_load:
+                if not lq:
+                    return
+                lq -= 1
+            elif uop.is_store:
+                if not sq:
+                    return
+                sq -= 1
+            window -= 1
+            pop()
+            dispatch(uop, now)
+            if not left:
+                return
+            uop = pipe[0][1] if pipe and pipe[0][0] <= now else peek(now)
+            if uop is None:
+                return
 
     def next_event(self, now: int) -> int:
         """When the frontend's head is deliverable, or :data:`NEVER`
@@ -70,26 +114,36 @@ class Rename(Stage):
         if head is None:
             return NEVER
         ready, uop = head
-        if uop is not None and self._blocked(uop):
-            return NEVER
+        if uop is not None:
+            window, lq, sq, int_regs, fp_regs = self._room()
+            dst = uop.dst
+            if (
+                not window
+                or (dst is not None and not (fp_regs if dst >= FP_REG_BASE else int_regs))
+                or (uop.is_load and not lq)
+                or (uop.is_store and not sq)
+            ):
+                return NEVER
         return ready if ready > now else now
 
     def _dispatch(self, uop, now: int) -> None:
         """Atomic rename+dispatch of one accepted µop (the per-µop seam
-        telemetry overrides; hazards were already checked by ``tick``)."""
+        telemetry overrides; ``tick`` already charged its budgets)."""
         scoreboard = self.scoreboard
         self.renamer.rename(uop)
-        if uop.pdst >= 0:
-            scoreboard.unready(uop.pdst)
+        pdst = uop.pdst
+        if pdst >= 0:
+            scoreboard.unready(pdst)
         self.rob.allocate(uop)
-        iq = self.iq
-        iq.insert(uop)
-        scoreboard.watch(uop)
+        self.iq.insert(uop)
+        pending = scoreboard.watch(uop)
         if uop.is_mem:
             lsq = self.lsq
             lsq.insert(uop)
             dep = self.store_sets.lookup_dependence(uop)
             if dep is not None:
                 lsq.add_store_dependence(uop, dep)
-        if uop.pending == 0:
-            iq.make_ready(uop)
+                pending = uop.pending
+        if pending == 0:
+            # The youngest µop in the machine: appended to the ready list.
+            insert_by_seq(self._iq_ready, uop)

@@ -14,31 +14,33 @@ class RegisterAliasTable:
 
     def __init__(self, num_arch_regs: int) -> None:
         self.num_arch_regs = num_arch_regs
-        self._map: List[int] = [-1] * num_arch_regs
+        #: arch -> preg, ``-1`` while unmapped (the renamer reads it
+        #: directly; restores refill it in place).
+        self.mapping: List[int] = [-1] * num_arch_regs
 
     def lookup(self, arch: int) -> int:
-        preg = self._map[arch]
+        preg = self.mapping[arch]
         if preg < 0:
             raise KeyError(f"architectural register {arch} never mapped")
         return preg
 
     def set(self, arch: int, preg: int) -> int:
         """Map ``arch`` to ``preg``; returns the previous mapping."""
-        prev = self._map[arch]
-        self._map[arch] = preg
+        prev = self.mapping[arch]
+        self.mapping[arch] = preg
         return prev
 
     def restore(self, arch: int, prev_preg: int) -> None:
         """Undo one rename during a squash walk."""
-        self._map[arch] = prev_preg
+        self.mapping[arch] = prev_preg
 
     def snapshot(self) -> List[int]:
-        return list(self._map)
+        return list(self.mapping)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        return {"map": list(self._map)}
+        return {"map": list(self.mapping)}
 
     def load_state_dict(self, state: dict) -> None:
-        self._map = list(state["map"])
+        self.mapping[:] = state["map"]

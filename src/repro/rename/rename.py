@@ -34,6 +34,7 @@ class RegisterRenamer:
             self.rat.set(arch, arch)
         for arch in range(FP_REG_BASE, NUM_ARCH_REGS):
             self.rat.set(arch, cfg.int_prf + (arch - FP_REG_BASE))
+        self._map = self.rat.mapping
         self.renames = 0
 
     # ------------------------------------------------------------------
@@ -41,21 +42,21 @@ class RegisterRenamer:
     def _pool_for(self, arch: int) -> FreeList:
         return self.fp_free if arch >= FP_REG_BASE else self.int_free
 
-    def can_rename(self, uop: MicroOp) -> bool:
-        """True when a destination register (if any) can be allocated."""
-        if uop.dst is None:
-            return True
-        return not self._pool_for(uop.dst).empty
-
     def rename(self, uop: MicroOp) -> None:
         """Rename sources then allocate the destination.
 
-        Caller must have checked :meth:`can_rename`.
+        The caller must have checked that the destination's free list
+        has a register. Every architectural register is mapped from
+        construction on (and a restore refuses a map that is not), so
+        sources read the map without a check.
         """
-        uop.psrcs = [self.rat.lookup(src) for src in uop.srcs]
-        if uop.dst is not None:
-            pdst = self._pool_for(uop.dst).allocate()
-            uop.prev_pdst = self.rat.set(uop.dst, pdst)
+        rat = self._map
+        uop.psrcs = [rat[src] for src in uop.srcs]
+        dst = uop.dst
+        if dst is not None:
+            pdst = (self.fp_free if dst >= FP_REG_BASE else self.int_free).allocate()
+            uop.prev_pdst = rat[dst]
+            rat[dst] = pdst
             uop.pdst = pdst
         else:
             uop.pdst = -1
@@ -64,8 +65,9 @@ class RegisterRenamer:
 
     def commit(self, uop: MicroOp) -> None:
         """Retire: the previous mapping of the destination is now dead."""
-        if uop.dst is not None and uop.prev_pdst >= 0:
-            self._pool_for(uop.dst).release(uop.prev_pdst)
+        dst = uop.dst
+        if dst is not None and uop.prev_pdst >= 0:
+            (self.fp_free if dst >= FP_REG_BASE else self.int_free).release(uop.prev_pdst)
 
     def rollback(self, uops_youngest_first: List[MicroOp]) -> None:
         """Squash: undo renames in reverse program order."""
@@ -91,6 +93,9 @@ class RegisterRenamer:
         }
 
     def load_state_dict(self, state: dict) -> None:
+        unmapped = [arch for arch, preg in enumerate(state["rat"]["map"]) if preg < 0]
+        if unmapped:
+            raise KeyError(f"architectural register {unmapped[0]} never mapped")
         self.rat.load_state_dict(state["rat"])
         self.int_free.load_state_dict(state["int_free"])
         self.fp_free.load_state_dict(state["fp_free"])

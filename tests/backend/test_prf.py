@@ -21,7 +21,7 @@ class TestBroadcastAndWakeup:
         u = consumer([1, 2])
         assert sb.watch(u) == 0
         assert all(sb.ready[p] and sb.ready_at[p] <= 0 for p in u.psrcs)
-        assert sb.operands_data_valid(u, 0)
+        assert all(sb.data_ready_at[p] <= 0 for p in u.psrcs)
 
     def test_broadcast_then_event_fires(self):
         sb, woken = make()
@@ -105,8 +105,8 @@ class TestDataValidity:
         sb.broadcast(5, 10, data_ready_exec=15)
         u = consumer([5])
         sb.tick(10)
-        assert not sb.operands_data_valid(u, 14)
-        assert sb.operands_data_valid(u, 15)
+        # Execute refuses a µop before its sources' data is valid.
+        assert [sb.data_ready_at[p] for p in u.psrcs] == [15]
 
     def test_rebroadcast_after_unready(self):
         sb, _ = make()
@@ -115,7 +115,7 @@ class TestDataValidity:
         sb.tick(5)
         u = consumer([7])
         assert sb.watch(u) == 0
-        assert sb.operands_data_valid(u, 5)
+        assert sb.data_ready_at[7] == 5
 
     def test_wakeups_fired_counter(self):
         sb, _ = make()

@@ -40,16 +40,18 @@ class TestRecoveryBuffer:
             rb.make_ready(u)
         assert [u.seq for u in rb.take_ready()] == [0, 1, 2]
 
-    def test_take_ready_prunes_stale(self):
+    def test_squash_leaves_no_dead_uop_on_the_ready_list(self):
         rb = RecoveryBuffer()
-        a, b = op(0), op(1)
-        for u in (a, b):
+        uops = [op(i) for i in range(4)]
+        for u in uops:
             u.replay_pending = True
             rb.insert(u)
             rb.make_ready(u)
-        a.dead = True
-        b.replay_pending = False
-        assert rb.take_ready() == []
+        for u in uops[1:]:
+            u.dead = True
+        rb.squash_younger(0)
+        assert rb.take_ready() == uops[:1]
+        assert not any(u.in_ready for u in uops[1:])
 
     def test_squash_younger(self):
         rb = RecoveryBuffer()

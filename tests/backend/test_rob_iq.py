@@ -17,7 +17,7 @@ class TestRob:
         for u in uops:
             rob.allocate(u)
         assert rob.head() is uops[0]
-        assert rob.retire_head() is uops[0]
+        assert rob.entries.popleft() is uops[0]     # Commit pops the head
         assert rob.head() is uops[1]
 
     def test_capacity(self):
@@ -54,12 +54,6 @@ class TestRob:
         rob.note_completed(a)
         assert a.was_critical             # at head when completed
 
-    def test_retired_counter(self):
-        rob = ReorderBuffer(4)
-        rob.allocate(op(0))
-        rob.retire_head()
-        assert rob.retired == 1
-
 
 class TestIq:
     def test_insert_release(self):
@@ -93,15 +87,19 @@ class TestIq:
         iq.make_ready(u)          # never inserted: ignored
         assert iq.take_ready() == []
 
-    def test_take_ready_prunes_dead(self):
-        iq = IssueQueue(4)
-        a, b = op(0), op(1)
-        iq.insert(a)
-        iq.insert(b)
-        iq.make_ready(a)
-        iq.make_ready(b)
-        a.dead = True
-        assert iq.take_ready() == [b]
+    def test_squash_leaves_no_dead_uop_on_the_ready_list(self):
+        """A squash kills µops and releases them in one step, so the
+        ready list never holds a dead µop (select does not prune)."""
+        iq = IssueQueue(8)
+        uops = [op(i) for i in range(5)]
+        for u in uops:
+            iq.insert(u)
+            iq.make_ready(u)
+        for u in uops[2:]:
+            u.dead = True             # as Execute._kill_uops marks them
+        iq.squash_younger(1)
+        assert iq.take_ready() == uops[:2]
+        assert not any(u.in_ready for u in uops[2:])
 
     def test_squash_younger(self):
         iq = IssueQueue(8)

@@ -18,13 +18,13 @@ def make_fetch(uops, delay=4):
 
 def take(f, now, max_uops):
     """Consume up to ``max_uops`` ready µops the way Rename does:
-    ``peek`` the next one, then ``pop`` it."""
+    ``peek`` the next one, then pop it off the pipe's head."""
     out = []
     while len(out) < max_uops:
         uop = f.peek(now)
         if uop is None:
             break
-        assert f.pop() is uop
+        assert f.pipe.popleft()[1] is uop
         out.append(uop)
     return out
 

@@ -80,15 +80,24 @@ class TestRenamer:
         assert r.rat.snapshot() == snapshot
         assert r.free_counts() == free_before
 
-    def test_can_rename_when_pool_empty(self):
+    def test_int_pool_drains_independently_of_fp(self):
         core = CoreConfig()
         r = RegisterRenamer(core)
-        n = len(r.int_free)
-        for _ in range(n):
+        fp_before = len(r.fp_free)
+        for _ in range(len(r.int_free)):
             r.rename(op([2], 5))
-        assert not r.can_rename(op([2], 5))
-        assert r.can_rename(op([2], None))          # no dst: always OK
-        assert r.can_rename(op([2], FP_REG_BASE))   # FP pool unaffected
+        assert r.int_free.empty
+        assert len(r.fp_free) == fp_before   # FP pool unaffected
+        r.rename(op([2], None))              # no dst: needs no register
+        r.rename(op([2], FP_REG_BASE))
+        assert len(r.fp_free) == fp_before - 1
+
+    def test_restore_refuses_an_unmapped_register(self):
+        r = RegisterRenamer()
+        state = r.state_dict()
+        state["rat"]["map"][3] = -1
+        with pytest.raises(KeyError, match="register 3 never mapped"):
+            RegisterRenamer().load_state_dict(state)
 
     def test_no_dst_rename(self):
         r = RegisterRenamer()
