@@ -18,9 +18,9 @@ Public surface:
 * simulation — :class:`Simulator` (cycle-level core) and
   :func:`run_workload`, the one driver of a single cell, plain or
   sampled (``sampling=SamplingSpec(...)``);
-* mechanisms — :class:`HitMissFilter`, :class:`GlobalHitMissCounter`,
-  :class:`CriticalityPredictor`, :class:`ScheduleShifter` for standalone
-  study;
+* mechanisms — :class:`HitMissFilter`, :class:`GlobalHitMissCounter`
+  and :class:`CriticalityPredictor` for standalone study, and
+  :class:`SchedulingPolicy`, the load-wakeup decision over them;
 * experiments — :mod:`repro.experiments` regenerates every figure/table.
 """
 
@@ -39,8 +39,8 @@ from repro.common.stats import CAUSE_BANK_CONFLICT, CAUSE_L1_MISS, SimStats
 from repro.core.criticality import CriticalityPredictor
 from repro.core.global_ctr import GlobalHitMissCounter
 from repro.core.hm_filter import FilterPrediction, HitMissFilter
+from repro.core.policy import SchedulingPolicy
 from repro.core.presets import PRESET_NAMES, make_config
-from repro.core.shifting import ScheduleShifter
 from repro.isa.opclass import OpClass
 from repro.isa.uop import MicroOp
 from repro.pipeline.cpu import SimulationError, Simulator
@@ -70,7 +70,7 @@ __all__ = [
     "SUITE",
     "SamplingSpec",
     "SchedPolicyConfig",
-    "ScheduleShifter",
+    "SchedulingPolicy",
     "SimConfig",
     "SimStats",
     "SimulationError",

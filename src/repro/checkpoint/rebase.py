@@ -67,8 +67,9 @@ FILTER_SHAPE_FIELDS = ("filter_entries", "filter_ctr_bits",
 
 def filter_shape(sched: Dict[str, Any]) -> Optional[Tuple]:
     """The filter's shape tuple for a sched-config dict, or ``None`` for
-    policies that carry no per-PC filter."""
-    if sched.get("hit_miss") != HitMissPolicy.FILTER_CTR:
+    policies that carry no per-PC filter (a conservative policy has none,
+    whatever its ``hit_miss``)."""
+    if not sched.get("speculative", True) or sched.get("hit_miss") != HitMissPolicy.FILTER_CTR:
         return None
     return tuple(sched.get(field) for field in FILTER_SHAPE_FIELDS)
 
@@ -158,7 +159,7 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     merged = dict(fresh)                 # preserves native key order
     for key in _WARMED_KEYS:
         merged[key] = source_state[key]
-    if filter_shape(target_dict["sched"]) is not None:
+    if "hm_filter" in fresh["policy"]:
         policy = dict(fresh["policy"])
         policy["hm_filter"] = source_state["policy"]["hm_filter"]
         merged["policy"] = policy

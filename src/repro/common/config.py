@@ -228,6 +228,10 @@ class SchedPolicyConfig:
             raise ValueError("predictor table sizes must be powers of two")
         if self.criticality and not self.speculative:
             raise ValueError("criticality gating requires speculative scheduling")
+        if self.criticality and self.hit_miss != HitMissPolicy.FILTER_CTR:
+            raise ValueError(
+                "criticality gating requires the hit/miss filter "
+                "(the paper's SpecSched_*_Crit builds on _Combined)")
         if self.global_ctr_bits < 2 or self.filter_ctr_bits < 1:
             raise ValueError("counter widths too small")
 

@@ -21,7 +21,6 @@ class CriticalityPredictor:
         self.ctr_max = (1 << (ctr_bits - 1)) - 1      # e.g. +7
         self.ctr_min = -(1 << (ctr_bits - 1))         # e.g. -8
         self._counters = [0] * entries
-        self.updates = 0
 
     def _index(self, pc: int) -> int:
         return pc % self.entries
@@ -36,7 +35,6 @@ class CriticalityPredictor:
 
     def train(self, pc: int, was_critical: bool) -> None:
         """Retire-time update with the ROB-head completion tag."""
-        self.updates += 1
         idx = self._index(pc)
         ctr = self._counters[idx]
         if was_critical:
@@ -47,8 +45,7 @@ class CriticalityPredictor:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        return {"counters": list(self._counters), "updates": self.updates}
+        return {"counters": list(self._counters)}
 
     def load_state_dict(self, state: dict) -> None:
         self._counters[:] = state["counters"]
-        self.updates = state["updates"]

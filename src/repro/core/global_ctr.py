@@ -25,8 +25,6 @@ class GlobalHitMissCounter:
         self.inc_on_hit = inc_on_hit
         # Start saturated-high: speculate until misses say otherwise.
         self.value = self.max_value
-        self.miss_cycles = 0
-        self.hit_cycles = 0
 
     def predict_hit(self) -> bool:
         """True: wake dependents speculatively."""
@@ -34,19 +32,14 @@ class GlobalHitMissCounter:
 
     def observe_cycle(self, l1_miss_this_cycle: bool) -> None:
         if l1_miss_this_cycle:
-            self.miss_cycles += 1
             self.value = max(0, self.value - self.dec_on_miss)
         else:
-            self.hit_cycles += 1
             self.value = min(self.max_value, self.value + self.inc_on_hit)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        return {"value": self.value, "miss_cycles": self.miss_cycles,
-                "hit_cycles": self.hit_cycles}
+        return {"value": self.value}
 
     def load_state_dict(self, state: dict) -> None:
         self.value = state["value"]
-        self.miss_cycles = state["miss_cycles"]
-        self.hit_cycles = state["hit_cycles"]

@@ -51,8 +51,6 @@ class HitMissFilter:
         self._silenced = [False] * entries
         self.reset_interval = reset_interval
         self._committed_loads = 0
-        self.silence_resets = 0
-        self.storage_bits = entries * (ctr_bits + 1)
 
     def _index(self, pc: int) -> int:
         return pc % self.entries
@@ -106,7 +104,6 @@ class HitMissFilter:
             train(pc, hit)
 
     def _reset_silence(self) -> None:
-        self.silence_resets += 1
         self._silenced = [False] * self.entries
 
     # -- state protocol (repro.checkpoint) ----------------------------------
@@ -116,14 +113,12 @@ class HitMissFilter:
             "counters": list(self._counters),
             "silenced": list(self._silenced),
             "committed_loads": self._committed_loads,
-            "silence_resets": self.silence_resets,
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._counters[:] = state["counters"]
         self._silenced[:] = state["silenced"]
         self._committed_loads = state["committed_loads"]
-        self.silence_resets = state["silence_resets"]
 
     # -- introspection ------------------------------------------------------
 

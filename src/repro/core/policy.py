@@ -1,115 +1,145 @@
-"""Scheduling-policy interface.
+"""The scheduling policy: one load-wakeup decision tree (Sections 4.1-5.3).
 
-The policy answers one question per issued load: *should its dependents be
-woken speculatively, and with what promised latency?* (Section 4.1). It
-also receives the training hooks the paper's mechanisms need: cycle-level
-L1-miss observations (global counter), per-load outcomes at commit
-(hit/miss filter) and criticality tags at retire (criticality predictor).
+The policy answers one question per issued load: *should its dependents
+be woken speculatively, and with what promised latency?* Every
+configuration the paper evaluates is one decision tree over the
+mechanisms :class:`repro.common.config.SchedPolicyConfig` switches on:
 
-Policies are deliberately replay-scheme-agnostic, mirroring the paper's
-framing: they only influence *wakeup*, never the recovery machinery.
+* ``speculative`` off (``Baseline_*``): dependents always wait for the
+  hit/miss outcome (Figure 3);
+* ``hit_miss``: *always_hit* speculates on every load; *global_ctr*
+  asks the Alpha-21264 global counter (:mod:`repro.core.global_ctr`);
+  *filter_ctr* first asks the per-PC hit/miss filter
+  (:mod:`repro.core.hm_filter`) and defers to the counter when unsure;
+* ``criticality``: the ROB-head criticality predictor
+  (:mod:`repro.core.criticality`) stalls non-critical unsure loads;
+* ``schedule_shifting``: Schedule Shifting, below.
+
+Decision for a load (Section 5.3): a *sure hit* from the filter always
+speculates; a *sure miss* never does; otherwise, if criticality gating
+is on and the load is predicted non-critical, dependents are stalled;
+the remaining cases follow the global counter (or speculate, under
+Always-Hit).
+
+Schedule Shifting (Section 5.1): "Although we issue two loads in the
+same cycle, we speculatively wake up dependents on the second one with
+a latency increased by one. In other words, we always expect pairs of
+loads to conflict in the L1." It is a one-cycle adjustment of the
+promise; its three documented drawbacks all emerge from the timing
+model rather than from special cases here:
+
+1. a non-conflicting pair still delays the second load's dependents by
+   one cycle;
+2. conflicts across *different* issue cycles still cause replays;
+3. two same-cycle loads that both miss trigger two squash events
+   instead of one (their detection cycles differ by the extra promised
+   cycle).
+
+The policy owns its tables but not their training. A table the
+configuration leaves out is ``None``, and the stages bind, once at build
+time, only the tables the cell has: Commit trains the filter on retired
+loads and the criticality table on every retired µop, Bookkeep feeds
+the global counter each cycle with an L1 access, and fast-forward
+warming trains the filter on L1 probe outcomes.
+
+The policy only influences *wakeup*, never the recovery machinery, so
+it is independent of the replay scheme, as in the paper's framing.
 """
 
 from __future__ import annotations
 
-from repro.isa.uop import MicroOp
+from typing import Optional
+
+from repro.common.config import HitMissPolicy, SchedPolicyConfig
+from repro.common.stats import SimStats
+from repro.core.criticality import CriticalityPredictor
+from repro.core.global_ctr import GlobalHitMissCounter
+from repro.core.hm_filter import FilterPrediction, HitMissFilter
+
+#: The policy's tables, in checkpoint order.
+TABLES = ("global_ctr", "hm_filter", "crit")
 
 
-class LoadDecision:
-    """Outcome of the per-load wakeup decision."""
-
-    __slots__ = ("speculate", "promised_latency")
-
-    def __init__(self, speculate: bool, promised_latency: int) -> None:
-        self.speculate = speculate
-        self.promised_latency = promised_latency
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return (f"LoadDecision(speculate={self.speculate}, "
-                f"promised={self.promised_latency})")
+def _layout(state: dict) -> dict:
+    """Table name -> entry count (0 for the counter) of a policy state."""
+    return {name: len(table.get("counters", ())) for name, table in state.items()}
 
 
 class SchedulingPolicy:
-    """Base class; concrete policies override the decision + hooks."""
+    """The load-wakeup decision over the configured mechanisms."""
 
-    #: False for the paper's Baseline_* configurations: loads never wake
-    #: dependents early and no replays can occur.
-    speculative = True
-
-    def __init__(self, load_to_use: int) -> None:
+    def __init__(self, sched: SchedPolicyConfig, load_to_use: int,
+                 stats: Optional[SimStats] = None) -> None:
+        sched.validate()
         self.load_to_use = load_to_use
+        self.stats = stats if stats is not None else SimStats()
+        self.speculative = sched.speculative
+        self.shift = sched.speculative and sched.schedule_shifting
+        gated = sched.speculative and sched.hit_miss != HitMissPolicy.ALWAYS_HIT
+        self.global_ctr: Optional[GlobalHitMissCounter] = None
+        if gated:
+            self.global_ctr = GlobalHitMissCounter(
+                sched.global_ctr_bits, sched.global_ctr_dec, sched.global_ctr_inc)
+        self.hm_filter: Optional[HitMissFilter] = None
+        if gated and sched.hit_miss == HitMissPolicy.FILTER_CTR:
+            self.hm_filter = HitMissFilter(
+                sched.filter_entries, sched.filter_ctr_bits,
+                sched.filter_reset_interval,
+                use_silence_bit=sched.filter_silence_bit)
+        self.crit: Optional[CriticalityPredictor] = None
+        if sched.criticality:          # validate(): only on top of the filter
+            self.crit = CriticalityPredictor(sched.crit_entries, sched.crit_ctr_bits)
 
-    # -- the decision -----------------------------------------------------
+    # -- the decision ------------------------------------------------------
 
-    def decide(self, uop: MicroOp, loads_already_this_cycle: int) -> LoadDecision:
-        """Wakeup decision for a load selected this cycle.
+    def decide(self, pc: int, loads_before: int) -> Optional[int]:
+        """The latency promised to the dependents of the load at ``pc``
+        selected this cycle, or ``None`` when they wait for its outcome.
 
-        ``loads_already_this_cycle`` is the number of loads already granted
-        a port this cycle (0 for the first of a group, 1 for the second) —
+        ``loads_before`` is the number of loads already granted a port
+        this cycle (0 for the first of a group, 1 for the second);
         Schedule Shifting keys off it.
         """
-        raise NotImplementedError
+        if not self._speculates(pc):
+            return None
+        if self.shift and loads_before > 0:
+            self.stats.shifted_loads += 1
+            return self.load_to_use + 1
+        return self.load_to_use
 
-    # -- training hooks -------------------------------------------------------
+    def _speculates(self, pc: int) -> bool:
+        if not self.speculative:
+            return False
+        stats = self.stats
+        if self.hm_filter is not None:
+            prediction = self.hm_filter.predict(pc)
+            if prediction is FilterPrediction.SURE_HIT:
+                stats.filter_sure_hit += 1
+                return True
+            if prediction is FilterPrediction.SURE_MISS:
+                stats.filter_sure_miss += 1
+                return False
+            stats.filter_deferred += 1
+        if self.crit is not None:
+            if self.crit.predict_critical(pc):
+                stats.crit_predicted_critical += 1
+            else:
+                stats.crit_predicted_noncritical += 1
+                return False          # non-critical, not a sure hit: stall
+        return self.global_ctr is None or self.global_ctr.predict_hit()
 
-    def on_cycle(self, l1_miss_this_cycle: bool,
-                 l1_access_this_cycle: bool = True) -> None:
-        """End of cycle.
-
-        ``l1_miss_this_cycle``: a load missed the L1 this cycle;
-        ``l1_access_this_cycle``: any load accessed the L1 this cycle.
-        The global counter only trains on access cycles (idle cycles say
-        nothing about hit/miss behaviour). A call without an access must
-        do nothing: the driver skips quiescent cycles without calling
-        it (:class:`repro.pipeline.stages.Bookkeep`).
-        """
-
-    def on_load_commit(self, uop: MicroOp) -> None:
-        """A load retired; ``uop.l1_hit`` holds its outcome."""
-
-    def on_load_commits(self, outcomes) -> None:
-        """Batch form of :meth:`on_load_commit` for functional warming.
-
-        ``outcomes`` is an ordered sequence of ``(pc, l1_hit)`` pairs —
-        the per-load L1 probe outcomes of one warming block, in stream
-        order. The warming engine trains through this hook
-        (there are no µop objects on that path), so policies that
-        override :meth:`on_load_commit` with per-PC state must override
-        this too, preserving per-pair order. No-op by default, matching
-        :meth:`on_load_commit`.
-        """
-
-    def on_uop_commit(self, uop: MicroOp) -> None:
-        """Any µop retired; ``uop.was_critical`` holds the ROB-head tag."""
-
-    # -- state protocol (repro.checkpoint) -------------------------------
+    # -- state protocol (repro.checkpoint) ---------------------------------
 
     def state_dict(self) -> dict:
-        """Stateless by default; stateful policies (the composed
-        mechanism stack) extend this with their predictor tables. The
-        kind tag guards against restoring across configurations."""
-        return {"kind": type(self).__name__}
+        """The present tables by name; absent tables are omitted."""
+        return {name: getattr(self, name).state_dict()
+                for name in TABLES if getattr(self, name) is not None}
 
     def load_state_dict(self, state: dict) -> None:
-        if state.get("kind") != type(self).__name__:
-            raise ValueError(
-                f"checkpoint policy kind {state.get('kind')!r} does not "
-                f"match this configuration's {type(self).__name__!r}")
-
-
-class AlwaysHitPolicy(SchedulingPolicy):
-    """SpecSched_* default: dependents always woken assuming an L1 hit."""
-
-    speculative = True
-
-    def decide(self, uop: MicroOp, loads_already_this_cycle: int) -> LoadDecision:
-        return LoadDecision(True, self.load_to_use)
-
-
-class ConservativePolicy(SchedulingPolicy):
-    """Baseline_*: dependents wait for the hit/miss outcome (Figure 3)."""
-
-    speculative = False
-
-    def decide(self, uop: MicroOp, loads_already_this_cycle: int) -> LoadDecision:
-        return LoadDecision(False, self.load_to_use)
+        """Restore :meth:`state_dict`; a state saved under another
+        mechanism set or table size is refused before anything changes."""
+        if _layout(state) != _layout(self.state_dict()):
+            raise ValueError(f"checkpoint policy tables {_layout(state)} do not match "
+                             f"this configuration's {_layout(self.state_dict())}")
+        for name in state:
+            getattr(self, name).load_state_dict(state[name])

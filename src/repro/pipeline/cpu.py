@@ -2,8 +2,8 @@
 
 One :class:`Simulator` models the machine of Table 1 executing one trace
 under one configuration. The machine itself lives in
-:mod:`repro.pipeline.stages` — stage objects connected by the typed ports,
-wires and latches of :mod:`repro.pipeline.ports` — and the driver's
+:mod:`repro.pipeline.stages` — stage objects connected by the wires and
+latches of :mod:`repro.pipeline.ports` — and the driver's
 :meth:`Simulator.step` is a tick over that stage list, nothing more.
 :meth:`Simulator.run` also skips quiescent cycles: when every stage's
 ``next_event`` names a later cycle, it applies the span through each
@@ -27,14 +27,14 @@ from repro.backend.rob import ReorderBuffer
 from repro.backend.storesets import StoreSets
 from repro.common.config import SimConfig
 from repro.common.stats import SimStats
-from repro.core.composed import build_policy
+from repro.core.policy import SchedulingPolicy
 from repro.frontend.branch_unit import BranchUnit
 from repro.frontend.fetch import FetchStage
 from repro.isa.trace import TraceSource
 from repro.memory.hierarchy import MemoryHierarchy
 from repro.pipeline import checkpointing
 from repro.pipeline.warming import warm_stream
-from repro.pipeline.ports import DelayQueue, Port, Wire
+from repro.pipeline.ports import DelayQueue, Wire
 from repro.pipeline.stages import build_stages
 from repro.pipeline.stages.base import NEVER, SimulationError, Stage
 from repro.rename.rename import RegisterRenamer
@@ -48,7 +48,7 @@ class Simulator:
     #: Cycles without a commit before we declare the model wedged.
     DEADLOCK_LIMIT = 100_000
     #: Bumped when the simulator-level state layout changes.
-    STATE_VERSION = 3
+    STATE_VERSION = 4
 
     def __init__(
         self,
@@ -82,16 +82,15 @@ class Simulator:
         self.branch_unit = BranchUnit(config.branch)
         self.fetch = FetchStage(trace, self.branch_unit, core, self.stats)
         self.renamer = RegisterRenamer(core)
-        self.ready_port = Port("ready", payload="MicroOp")
-        self.scoreboard = Scoreboard(core.int_prf + core.fp_prf, on_ready=self.ready_port.send)
+        self.scoreboard = Scoreboard(core.int_prf + core.fp_prf)
         self.rob = ReorderBuffer(core.rob_entries)
         self.iq = IssueQueue(core.iq_entries)
-        self.lsq = LoadStoreQueue(core.lq_entries, core.sq_entries, on_ready=self.ready_port.send)
+        self.lsq = LoadStoreQueue(core.lq_entries, core.sq_entries)
         self.fus = FuPool(core)
         self.recovery = RecoveryBuffer()
         self.replay = ReplayController(self.delay)
         self.store_sets = StoreSets(core.store_set_ssid_entries, core.store_set_lfst_entries)
-        self.policy = build_policy(config.sched, self.load_to_use, self.stats)
+        self.policy = SchedulingPolicy(config.sched, self.load_to_use, self.stats)
 
         # Inter-stage latches and wires (see docs/ARCHITECTURE.md).
         self.exec_latch = DelayQueue("issue->execute")

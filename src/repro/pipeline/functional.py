@@ -27,9 +27,9 @@ def functional_stream(sim, trace: TraceSource, uops: int, train_policy: bool = F
     consumed (short when the trace exhausts).
 
     With ``train_policy`` each load's L1 probe outcome also trains the
-    scheduling policy's per-PC hit/miss filter — the filter's
-    saturate-and-silence dynamics span far more committed loads than a
-    measurement interval, so leaving it cold would bias every
+    scheduling policy's per-PC hit/miss filter, when it has one — the
+    filter's saturate-and-silence dynamics span far more committed loads
+    than a measurement interval, so leaving it cold would bias every
     filter-gated configuration toward Always-Hit behaviour.
     """
     # The memory path is inlined against the cache internals (the
@@ -48,7 +48,8 @@ def functional_stream(sim, trace: TraceSource, uops: int, train_policy: bool = F
     train = sim.hierarchy.prefetcher.train_and_prefetch
     predict = sim.branch_unit.predict
     resolve = sim.branch_unit.resolve
-    on_load_commit = sim.policy.on_load_commit if train_policy else None
+    hm_filter = sim.policy.hm_filter if train_policy else None
+    train_filter = hm_filter.train if hm_filter is not None else None
     next_uop = trace.next_uop
     line_bytes = sim.config.memory.l2.line_bytes
     for consumed in range(uops):
@@ -60,12 +61,11 @@ def functional_stream(sim, trace: TraceSource, uops: int, train_policy: bool = F
             l1_line = addr >> l1_offset
             l1_set = l1_sets[l1_line & l1_mask]
             l1_tag = l1_line >> l1_set_bits
-            if on_load_commit is not None and uop.is_load:
+            if train_filter is not None and uop.is_load:
                 # The probe outcome is what a detailed run would have
                 # committed (modulo in-flight effects): train the
                 # per-PC filter on it before the line is installed.
-                uop.l1_hit = l1_tag in l1_set
-                on_load_commit(uop)
+                train_filter(uop.pc, l1_tag in l1_set)
             if l1_tag in l1_set:  # fill() hit path: LRU touch
                 l1d._stamp += 1
                 l1_set[l1_tag] = l1d._stamp

@@ -1,14 +1,10 @@
-"""Typed ports, wires and latches: the connective tissue between stages.
+"""Wires and latches: the connective tissue between stages.
 
 Stages (:mod:`repro.pipeline.stages`) never call each other directly.
-Everything that crosses a stage boundary travels through one of three
-primitives, each with an explicit contract (the full wiring diagram
-lives in ``docs/ARCHITECTURE.md``):
+What crosses a stage boundary travels through one of two primitives,
+each with an explicit contract, or through a shared structure (the full
+wiring diagram lives in ``docs/ARCHITECTURE.md``):
 
-* :class:`Port` — a same-cycle, one-way dataflow connection from a
-  producer structure to exactly one consumer callback, bound once at
-  wiring time. The machine's single port instance is ``ready`` (the
-  scoreboard / LSQ wakeup path into the Issue stage's ready lists).
 * :class:`Wire` — a named scalar signal shared by stages within a
   cycle (L1 outcome flags, the replay issue-block cycle, the last
   commit cycle). Wires are plain mutable cells: writers assign
@@ -20,76 +16,26 @@ lives in ``docs/ARCHITECTURE.md``):
   issue→execute latch (D+1 cycles deep) and the execute→writeback
   completion latch are DelayQueues.
 
-Latency contract: a ``Port`` delivers in the same cycle it fires (it
-models a combinational path); a ``DelayQueue`` delivers at exactly the
-cycle the producer stamped, never earlier; ``Wire`` values written in
-one stage are visible to every later stage of the same cycle.
+Stages share these cells rather than the simulator, which keeps the
+machine acyclic. Wakeups are the one same-cycle, one-way callback: the
+Issue stage binds its ready-list router into the scoreboard and the LSQ
+(their ``on_ready``).
 
-Hot-path note: ``DelayQueue.slots`` (the underlying ``dict``) and
-``Port.sink()`` (the bound consumer callable) are deliberately public
-so per-µop paths can bind them once and skip a method-call round trip;
-both views stay valid across checkpoint restores because
-``load_state_dict`` mutates in place.
+Latency contract: a ``DelayQueue`` delivers at exactly the cycle the
+producer stamped, never earlier; ``Wire`` values written in one stage
+are visible to every later stage of the same cycle.
+
+Hot-path note: ``DelayQueue.slots`` (the underlying ``dict``) is
+deliberately public so per-µop paths can bind it once and skip a
+method-call round trip; it stays valid across checkpoint restores
+because ``load_state_dict`` mutates in place.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.isa.uop import MicroOp
-
-
-class PortError(RuntimeError):
-    """A port was used before wiring, or wired twice."""
-
-
-class Port:
-    """One-way, typed, same-cycle connection with exactly one consumer.
-
-    Producers are constructed against :meth:`send` (safe before wiring:
-    it raises :class:`PortError` instead of dropping events on the
-    floor). The consumer side calls :meth:`connect` once; wiring code
-    may then rebind hot producers straight to :meth:`sink` so steady-
-    state traffic pays no forwarding overhead.
-    """
-
-    __slots__ = ("name", "payload", "_sink")
-
-    def __init__(self, name: str, payload: str = "object") -> None:
-        """Declare a port named ``name`` carrying ``payload`` values."""
-        self.name = name
-        self.payload = payload
-        self._sink: Optional[Callable[[Any], None]] = None
-
-    @property
-    def connected(self) -> bool:
-        """True once a consumer has been bound."""
-        return self._sink is not None
-
-    def connect(self, sink: Callable[[Any], None]) -> Callable[[Any], None]:
-        """Bind the consumer callback (exactly once) and return it.
-
-        Returning the sink lets wiring code short-circuit hot producers
-        (store the callable directly instead of going through
-        :meth:`send`).
-        """
-        if self._sink is not None:
-            raise PortError(f"port {self.name!r} is already connected")
-        self._sink = sink
-        return sink
-
-    def sink(self) -> Callable[[Any], None]:
-        """The connected consumer callback (raises when unwired)."""
-        if self._sink is None:
-            raise PortError(f"port {self.name!r} is not connected")
-        return self._sink
-
-    def send(self, value: Any) -> None:
-        """Deliver ``value`` to the consumer, same cycle."""
-        sink = self._sink
-        if sink is None:
-            raise PortError(f"port {self.name!r} fired before wiring completed")
-        sink(value)
 
 
 class Wire:

@@ -1,7 +1,7 @@
 """Stage objects for the out-of-order core, in declarative tick order.
 
 The machine is a tuple of :class:`~repro.pipeline.stages.base.Stage`
-objects connected by the typed ports, wires and latches of
+objects connected by the wires and latches of
 :mod:`repro.pipeline.ports`. The driver
 (:class:`repro.pipeline.cpu.Simulator`) ticks them in :data:`TICK_ORDER`
 — back-to-front, so same-cycle producer→consumer flows resolve

@@ -4,11 +4,11 @@ A stage is one tick-ordered slice of the machine. The driver
 (:class:`repro.pipeline.cpu.Simulator`) holds a tuple of stages and, each
 cycle, calls ``tick(now)`` on every one in list order — there is no other
 control flow between stages. A stage's constructor receives the simulator
-being wired and binds direct references to the structures, ports, wires
-and latches it touches (binding once keeps the per-cycle path as cheap as
+being wired and binds direct references to the structures, wires and
+latches it touches (binding once keeps the per-cycle path as cheap as
 the pre-decomposition method calls). A stage keeps no reference to the
-simulator itself, and nothing it hands to a shared structure (a port
-sink, a callback) may point back at the stage: the machine stays
+simulator itself, and nothing it hands to a shared structure (a wakeup
+router, a callback) may point back at the stage: the machine stays
 acyclic, so a finished simulator is freed by reference counting. The
 engine runs every cell with the cyclic garbage collector paused
 (:mod:`repro.experiments.engine`), which relies on that.
@@ -20,7 +20,7 @@ Contract (normative statement in ``docs/ARCHITECTURE.md``):
   checkpoint payload's ``stages`` table — names must be unique per
   machine;
 * ``tick(now)`` advances the stage one cycle and communicates only
-  through ports, wires, latches and the shared structures it bound;
+  through wires, latches and the shared structures it bound;
 * ``next_event(now)`` returns the first cycle ``>= now`` whose tick the
   stage cannot reproduce in bulk (:data:`NEVER` when only another
   stage's event can give it work), and ``skip(now, until)`` applies the

@@ -2,8 +2,10 @@
 
 Inputs: the ROB (head entries marked ``completed`` by Writeback).
 Outputs: architectural effects — RAT commit in the renamer, LSQ entry
-release, policy commit hooks (hit/miss filter training, criticality) —
-plus the ``last_commit`` wire the driver's deadlock trap watches.
+release, training of the policy's commit-time tables (the hit/miss
+filter on loads, the criticality table on every µop, each only when the
+cell has it) — plus the ``last_commit`` wire the driver's deadlock trap
+watches.
 Latency: retires up to ``retire_width`` µops in the cycle they are
 observed complete (commit runs first in the tick order, so a µop
 completing in cycle ``X`` retires no earlier than ``X + 1``).
@@ -20,13 +22,16 @@ class Commit(Stage):
     name = "commit"
 
     def __init__(self, sim) -> None:
-        """Bind the ROB, renamer, LSQ, policy and the commit wire."""
+        """Bind the ROB, renamer, LSQ, the policy tables trained at
+        commit (``None`` when the cell has none) and the commit wire."""
         super().__init__(sim)
         self.rob = sim.rob
         self._entries = sim.rob.entries
         self.renamer = sim.renamer
         self.lsq = sim.lsq
-        self.policy = sim.policy
+        hm_filter, crit = sim.policy.hm_filter, sim.policy.crit
+        self._train_filter = hm_filter.train if hm_filter is not None else None
+        self._train_crit = crit.train if crit is not None else None
         self.stats = sim.stats
         self.width = sim.config.core.retire_width
         self.last_commit = sim.last_commit
@@ -68,7 +73,7 @@ class Commit(Stage):
             self.lsq.release(head)
         head.commit_cycle = now
         self.stats.committed_uops += 1
-        policy = self.policy
-        if head.is_load:
-            policy.on_load_commit(head)
-        policy.on_uop_commit(head)
+        if head.is_load and self._train_filter is not None:
+            self._train_filter(head.pc, head.l1_hit)
+        if self._train_crit is not None:
+            self._train_crit(head.pc, head.was_critical)

@@ -37,7 +37,7 @@ class Execute(Stage):
     name = "execute"
 
     def __init__(self, sim) -> None:
-        """Bind the backend structures and the stage's ports/wires."""
+        """Bind the backend structures and the stage's latches/wires."""
         super().__init__(sim)
         self.scoreboard = sim.scoreboard
         self._data_ready_at = sim.scoreboard.data_ready_at
@@ -59,7 +59,6 @@ class Execute(Stage):
         self.issue_block = sim.issue_block
         self.l1_miss = sim.l1_miss
         self.l1_access = sim.l1_access
-        self._ready_port = sim.ready_port
 
     def tick(self, now: int) -> None:
         """Handle due replay events, then execute every due µop."""
@@ -235,7 +234,7 @@ class Execute(Stage):
         waiting.extend(u for u in self.recovery.members() if u.replay_pending)
         iq, recovery = self.iq, self.recovery
         rewatch = self.scoreboard.rewatch
-        route_ready = self._ready_port.sink()
+        route_ready = self.scoreboard.on_ready     # Issue's router
         for uop in waiting:
             if uop not in doomed_set and touched.isdisjoint(uop.psrcs):
                 continue

@@ -1,8 +1,8 @@
 """Issue (select) stage: pick ready µops and launch them toward Execute.
 
-Inputs: the ready lists fed by the ``ready`` port (this stage owns the
-port's consumer side), the FU pool's per-cycle port budget, and the
-``issue_block`` wire (a replay handled this cycle blocks issue).
+Inputs: the ready lists fed through ``route_ready`` (this stage binds it
+into the scoreboard and the LSQ), the FU pool's per-cycle port budget,
+and the ``issue_block`` wire (a replay handled this cycle blocks issue).
 Outputs: issued µops pushed into the issue→execute
 :class:`~repro.pipeline.ports.DelayQueue` stamped ``now + D + 1``, and
 speculative wakeup broadcasts into the scoreboard promising each
@@ -16,7 +16,7 @@ Section 3.1), then the IQ, both oldest-first; the per-cycle budget is
 ``issue_width`` across the two.
 
 The load wakeup decision is delegated to the configured scheduling
-policy (:func:`repro.core.composed.build_policy`): Always-Hit
+policy (:class:`repro.core.policy.SchedulingPolicy`): Always-Hit
 speculation, Schedule Shifting, hit/miss filtering, criticality gating,
 or the conservative baseline — swapping schedulers never edits this
 stage, let alone the driver loop.
@@ -37,7 +37,8 @@ class Issue(Stage):
     name = "issue"
 
     def __init__(self, sim) -> None:
-        """Bind select/launch structures and take the ready port."""
+        """Bind select/launch structures and route wakeups to the
+        ready lists."""
         super().__init__(sim)
         self.iq = sim.iq
         self.recovery = sim.recovery
@@ -46,22 +47,22 @@ class Issue(Stage):
         self._counts = sim.fus.counts
         self.scoreboard = sim.scoreboard
         self.replay = sim.replay
-        self.policy = sim.policy
+        self._decide = sim.policy.decide
+        self.load_to_use = sim.load_to_use
         self.stats = sim.stats
         self.width = sim.config.core.issue_width
         self.delay = sim.delay
         self._slots = sim.exec_latch.slots
         self.issue_block = sim.issue_block
-        # This stage owns the consumer side of the ready port; the
-        # producers (scoreboard, LSQ) are short-circuited to the sink so
-        # steady-state wakeups pay no forwarding overhead. The sink closes
-        # over the two ready lists, not over this stage, so the scoreboard
-        # holding it makes no reference cycle.
+        # The wakeup producers (scoreboard, LSQ) call the router
+        # directly, and Execute's replay re-arm reads it back from the
+        # scoreboard. It closes over the two ready lists, not over this
+        # stage, so the scoreboard holding it makes no reference cycle.
         iq_ready = sim.iq.make_ready
         recovery_ready = sim.recovery.make_ready
 
         def route_ready(uop: MicroOp) -> None:
-            """Ready-port sink: a µop became source-complete."""
+            """A µop became source-complete: put it on its ready list."""
             if uop.dead or uop.executed:
                 return
             if uop.num_issues > 0 and not uop.replay_pending:
@@ -71,9 +72,7 @@ class Issue(Stage):
             elif uop.replay_pending:
                 recovery_ready(uop)
 
-        route = sim.ready_port.connect(route_ready)
-        sim.scoreboard.on_ready = route
-        sim.lsq.on_ready = route
+        sim.scoreboard.on_ready = sim.lsq.on_ready = route_ready
 
     def tick(self, now: int) -> None:
         """Select and launch up to ``issue_width`` ready µops."""
@@ -155,14 +154,16 @@ class Issue(Stage):
         # Wakeup broadcast.
         pdst = uop.pdst
         if uop.is_load:
-            decision = self.policy.decide(uop, loads_before)
-            uop.spec_woken = decision.speculate
-            promised = uop.promised_latency = decision.promised_latency
-            if decision.speculate:
+            promised = self._decide(uop.pc, loads_before)
+            if promised is not None:
+                uop.spec_woken = True
+                uop.promised_latency = promised
                 stats.speculative_loads += 1
                 if pdst >= 0:
                     self.scoreboard.broadcast(pdst, now + promised, now + promised + delay + 1)
             else:
+                uop.spec_woken = False
+                uop.promised_latency = self.load_to_use
                 stats.conservative_loads += 1
                 if pdst >= 0:
                     self.scoreboard.unready(pdst)

@@ -2,8 +2,8 @@
 
 Inputs: the scoreboard's internal event queue (broadcasts scheduled by
 Issue's promises and Execute's corrections).
-Outputs: newly source-complete µops routed through the ``ready``
-:class:`~repro.pipeline.ports.Port` into the Issue stage's ready lists.
+Outputs: newly source-complete µops handed to the scoreboard's
+``on_ready`` router, which the Issue stage binds to its ready lists.
 Latency: zero — events due at ``now`` fire at ``now``; because Wakeup
 ticks immediately before Issue, a µop woken this cycle can be selected
 this same cycle (the back-to-back scheduling of Figure 1).
@@ -19,7 +19,7 @@ from repro.pipeline.stages.base import Stage, first_due
 
 
 class Wakeup(Stage):
-    """Fire due wakeup events into the ready port."""
+    """Fire due wakeup events into the ready lists."""
 
     name = "wakeup"
 

@@ -9,8 +9,8 @@ applied to the machine through the components' batch entry points:
 * :meth:`SetAssocCache.warm_block` — L1 touch-or-fill with LRU stamps;
 * :meth:`MemoryHierarchy.warm_l2_block` — L2 touch / prefetcher-train /
   timeless fill;
-* :meth:`SchedulingPolicy.on_load_commits` — hit/miss-filter training on
-  the ordered per-load L1 probe outcomes;
+* :meth:`HitMissFilter.train_batch` — hit/miss-filter training on the
+  ordered per-load L1 probe outcomes, when the policy has a filter;
 * :meth:`BranchUnit.resolve_block` — predict+resolve in stream order;
   the TAGE history folds (the hash math that dominates prediction cost)
   are precomputed for the whole block by :func:`tage_fold_indices`, so
@@ -136,7 +136,9 @@ def warm_stream_vectorized(
     l2_mask = l2._index_mask
     l2_set_bits = l2._set_bits
     branch_unit = sim.branch_unit
-    policy = sim.policy if train_policy else None
+    # L1 probe outcomes are recorded only when a filter will be trained.
+    hm_filter = sim.policy.hm_filter if train_policy else None
+    train_filter = hm_filter.train_batch if hm_filter is not None else None
     next_records = trace.next_record_block
     consumed = 0
     while consumed < uops:
@@ -155,7 +157,7 @@ def warm_stream_vectorized(
             l2_line = addr >> l2_offset
             l2_sets = (l2_line & l2_mask).tolist()
             l2_tags = (l2_line >> l2_set_bits).tolist()
-            if policy is not None:
+            if train_filter is not None:
                 # The probe outcome each load would have committed,
                 # captured before its own install — the scalar loop's
                 # train-before-fill ordering, batched per island.
@@ -163,7 +165,7 @@ def warm_stream_vectorized(
                 loads = IS_LOAD[opclass[mem]].tolist()
                 outcomes = [(pc, hit) for pc, hit, is_load in zip(pcs, hits, loads) if is_load]
                 if outcomes:
-                    policy.on_load_commits(outcomes)
+                    train_filter(outcomes)
             else:
                 l1d.warm_block(l1_sets, l1_tags)
             hierarchy.warm_l2_block(pcs, addr.tolist(), l2_sets, l2_tags)

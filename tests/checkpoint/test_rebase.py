@@ -68,6 +68,27 @@ def test_rebase_is_byte_identical_to_native_warming(tmp_path, source, target):
     assert rebased.config_name == target
 
 
+@pytest.mark.parametrize("target", ["SpecSched_4_Crit", "SpecSched_4_Shift"])
+def test_rebase_carries_a_trained_filter(tmp_path, target):
+    """Fast-forwarding trains the filter. A Crit target keeps the
+    source's filter beside a fresh criticality table; a Shift target
+    keeps no policy table at all."""
+    workload = resolve_workload("gzip")
+
+    def fast_forwarded(preset, path):
+        sim = Simulator(make_config(preset), workload.build_trace(SEED))
+        sim.fast_forward(WARM_UOPS)
+        return save_checkpoint(sim, path, workload=workload, seed=SEED)
+
+    fast_forwarded("SpecSched_4_Combined", tmp_path / "src.ckpt")
+    policy = load_checkpoint(tmp_path / "src.ckpt").payload["sim"]["policy"]
+    assert policy["hm_filter"]["committed_loads"] > 0
+    rebased = rebase_checkpoint(tmp_path / "src.ckpt", make_config(target),
+                                tmp_path / "rebased.ckpt")
+    native = fast_forwarded(target, tmp_path / "native.ckpt")
+    assert rebased.digest == native.digest
+
+
 def test_rebase_recorded_trace_workload(tmp_path):
     workload = _recorded_workload(tmp_path)
     _functional_checkpoint("Baseline_0", workload, tmp_path / "src.ckpt")
@@ -152,6 +173,10 @@ def test_filter_shape_only_for_filter_policies():
     assert shape is not None
     assert shape == filter_shape(
         make_config("SpecSched_4_Crit").to_dict()["sched"])
+    # A conservative policy builds no filter, whatever its hit_miss.
+    conservative = dict(make_config("SpecSched_4_Filter").to_dict()["sched"],
+                        speculative=False)
+    assert filter_shape(conservative) is None
 
 
 def test_rebase_refuses_workloadless_checkpoint(tmp_path):

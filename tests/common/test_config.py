@@ -93,6 +93,20 @@ class TestValidation:
         with pytest.raises(ValueError):
             SchedPolicyConfig(speculative=False, criticality=True).validate()
 
+    def test_criticality_without_filter_rejected(self):
+        with pytest.raises(ValueError, match="requires the hit/miss filter"):
+            SchedPolicyConfig(hit_miss=HitMissPolicy.GLOBAL_CTR,
+                              criticality=True).validate()
+
+    def test_criticality_without_filter_rejected_from_a_dict(self):
+        """A config read back from a checkpoint or cache payload is
+        refused when validated, before any machine is built."""
+        data = SimConfig().to_dict()
+        data["sched"].update(hit_miss=HitMissPolicy.GLOBAL_CTR, criticality=True)
+        config = SimConfig.from_dict(data)
+        with pytest.raises(ValueError, match="requires the hit/miss filter"):
+            config.validate()
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             SimConfig().name = "x"

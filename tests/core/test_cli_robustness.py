@@ -88,6 +88,7 @@ def inputs(tmp_path_factory):
     _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
     _relabel_version(root / "good.ckpt", root / "v1.ckpt", 1)
     _relabel_version(root / "good.ckpt", root / "v2.ckpt", 2)
+    _relabel_version(root / "good.ckpt", root / "v3.ckpt", 3)
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
     _cut(root / "good.hex", root / "cut.hex", lambda n: n - 5)
@@ -123,6 +124,12 @@ _CHECKPOINT_MISMATCHES = {
     "run-from-v2-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v2.ckpt"],
     "checkpoint-rebase-v2-ckpt": ["checkpoint", "rebase", "v2.ckpt",
+                                  "SpecSched_2", "-o", "out.ckpt"],
+    # Version 3 is the layout before the policy lost its kind tag and
+    # its absent tables.
+    "run-from-v3-ckpt": ["run", "gzip", "SpecSched_4",
+                         "--from-checkpoint", "v3.ckpt"],
+    "checkpoint-rebase-v3-ckpt": ["checkpoint", "rebase", "v3.ckpt",
                                   "SpecSched_2", "-o", "out.ckpt"],
     "run-from-ckpt-dual-ported": ["run", "gzip", "SpecSched_4",
                                   "--dual-ported",
@@ -258,12 +265,15 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("case_id, message", [
-    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 3)"),
+    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 4)"),
     ("checkpoint-rebase-v1-ckpt",
-     "checkpoint state version 1 (this build reads 3)"),
-    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 3)"),
+     "checkpoint state version 1 (this build reads 4)"),
+    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 4)"),
     ("checkpoint-rebase-v2-ckpt",
-     "checkpoint state version 2 (this build reads 3)"),
+     "checkpoint state version 2 (this build reads 4)"),
+    ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 4)"),
+    ("checkpoint-rebase-v3-ckpt",
+     "checkpoint state version 3 (this build reads 4)"),
     ("run-from-ckpt-dual-ported",
      "(memory.l1d.banked: checkpoint True, cell False)"),
 ])

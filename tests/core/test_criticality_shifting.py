@@ -1,5 +1,6 @@
+from repro.common.config import SchedPolicyConfig
 from repro.core.criticality import CriticalityPredictor
-from repro.core.shifting import ScheduleShifter
+from repro.core.policy import SchedulingPolicy
 
 
 class TestCriticality:
@@ -42,24 +43,20 @@ class TestCriticality:
         p.train(0, False)
         assert p.predict_critical(8) is p.predict_critical(0)
 
-    def test_update_counter(self):
-        p = CriticalityPredictor()
-        p.train(1, True)
-        p.train(2, False)
-        assert p.updates == 2
+class TestScheduleShifting:
+    @staticmethod
+    def _policy(enabled):
+        return SchedulingPolicy(SchedPolicyConfig(schedule_shifting=enabled), 4)
 
-
-class TestScheduleShifter:
     def test_first_load_unshifted(self):
-        s = ScheduleShifter(enabled=True)
-        assert s.promised_latency(4, loads_already_this_cycle=0) == 4
+        assert self._policy(True).decide(0x10, loads_before=0) == 4
 
     def test_second_load_shifted(self):
-        s = ScheduleShifter(enabled=True)
-        assert s.promised_latency(4, loads_already_this_cycle=1) == 5
-        assert s.shifted == 1
+        p = self._policy(True)
+        assert p.decide(0x10, loads_before=1) == 5
+        assert p.stats.shifted_loads == 1
 
     def test_disabled_never_shifts(self):
-        s = ScheduleShifter(enabled=False)
-        assert s.promised_latency(4, 1) == 4
-        assert s.shifted == 0
+        p = self._policy(False)
+        assert p.decide(0x10, 1) == 4
+        assert p.stats.shifted_loads == 0

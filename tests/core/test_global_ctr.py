@@ -50,14 +50,6 @@ def test_miss_bursts_flip_mode_quickly():
     assert c.predict_hit()
 
 
-def test_cycle_counters():
-    c = GlobalHitMissCounter()
-    c.observe_cycle(True)
-    c.observe_cycle(False)
-    c.observe_cycle(False)
-    assert c.miss_cycles == 1 and c.hit_cycles == 2
-
-
 def test_custom_geometry():
     c = GlobalHitMissCounter(bits=3, dec_on_miss=1, inc_on_hit=2)
     assert c.max_value == 7

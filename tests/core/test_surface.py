@@ -31,7 +31,7 @@ ALLOWED = frozenset({
     # Read-only measurement accessors, for interactive study.
     "miss_rate", "accuracy", "row_hit_rate", "silenced_fraction",
     "free_slots", "free_counts", "resident_lines", "entry_count",
-    "branch_mpki", "connected",
+    "branch_mpki",
     # Reference oracles the tests compare the production paths against.
     "functional_stream", "sample_payloads",
     # repro.perf, kept whole until the benchmark stops importing it.

@@ -69,7 +69,7 @@ class FullRearmExecute(Execute):
             for uop in ready:
                 uop.in_ready = False
             ready.clear()
-        route_ready = self._ready_port.sink()
+        route_ready = self.scoreboard.on_ready
         for uop in waiting:
             pending = self.scoreboard.rewatch(uop)
             store_dep = uop.store_dep

@@ -22,7 +22,7 @@ import pytest
 from repro.core.presets import make_config
 from repro.isa.trace import ListTrace
 from repro.pipeline.cpu import Simulator
-from repro.pipeline.ports import DelayQueue, Port, PortError, Wire
+from repro.pipeline.ports import DelayQueue, Wire
 from repro.pipeline.stages import (
     DEFAULT_STAGES,
     TICK_ORDER,
@@ -241,27 +241,6 @@ class TestCheckpointThroughStageApi:
 
 
 class TestPortPrimitives:
-    def test_port_connects_exactly_once(self):
-        port = Port("p")
-        sink = port.connect(lambda value: None)
-        assert port.connected and callable(sink)
-        with pytest.raises(PortError, match="already connected"):
-            port.connect(lambda value: None)
-
-    def test_unconnected_port_raises_on_send_and_sink(self):
-        port = Port("p")
-        with pytest.raises(PortError, match="before wiring"):
-            port.send(object())
-        with pytest.raises(PortError, match="not connected"):
-            port.sink()
-
-    def test_connected_port_forwards_same_cycle(self):
-        port = Port("p")
-        seen = []
-        port.connect(seen.append)
-        port.send("event")
-        assert seen == ["event"]
-
     def test_wire_default_and_state_roundtrip(self):
         wire = Wire("w", default=-1)
         assert wire.value == -1
