@@ -5,8 +5,8 @@ Four layers:
 * :mod:`repro.checkpoint.state` — the µop codec behind the uniform
   ``state_dict()`` / ``load_state_dict()`` protocol every stateful
   pipeline component implements;
-* :mod:`repro.checkpoint.format` — the versioned, zlib-compressed,
-  content-digested on-disk checkpoint format (``.ckpt`` files) and the
+* :mod:`repro.checkpoint.format` — the plain-data state payload of a
+  ``.ckpt`` file (a :mod:`repro.common.container` file) and the
   save/load/restore entry points;
 * :mod:`repro.checkpoint.rebase` — cross-configuration re-targeting of
   purely functional checkpoints (one warming pass serves a whole

@@ -3,56 +3,47 @@
 A checkpoint freezes a complete mid-run :class:`~repro.pipeline.cpu.
 Simulator` — every pipeline structure, predictor table, cache directory,
 RNG and trace cursor — so later runs resume from warm state instead of
-re-simulating (or re-warming) from µop zero. Layout of a ``.ckpt``
-file, mirroring the binary trace format's header idiom::
+re-simulating (or re-warming) from µop zero. A ``.ckpt`` file is a
+:mod:`repro.common.container` file (magic ``b"RPCK"``, version
+:data:`FORMAT_VERSION`) whose header counts the raw payload in bytes::
 
-    header (64 bytes, fixed):
-        magic        4s   b"RPCK"
-        version      u16  FORMAT_VERSION
-        flags        u16  bit 0 (zlib payload) must be set
-        raw_len      u64  uncompressed payload byte length
-        digest       32s  sha256 over the *raw* (uncompressed) payload
-        meta_len     u32  length of the meta JSON that follows
-        reserved     12s
-    meta JSON (meta_len bytes):
+    meta JSON:
         {"schema": 1, "config_name": ..., "config_hash": ...,
          "workload": <workload payload or null>, "seed": ...,
          "uops_committed": ..., "cycles": ..., "provenance": {...}}
-    payload:
+    one frame:
         zlib(pickle(state))  — plain-data only (the restricted loader
         refuses anything that would import code)
 
 The digest identifies the *state*, independent of the zlib level or file
 location — it is what the experiment engine folds into cell cache keys
 when a cell starts from a checkpoint, so a cached result can never be
-served against a regenerated checkpoint.
+served against a regenerated checkpoint. Version 1 files (the payload
+an unframed zlib stream) are refused.
 
 The payload is a pickle of builtin containers and scalars only (that is
 what the component ``state_dict()`` protocol guarantees); loading goes
 through :class:`_PlainUnpickler`, which rejects any global reference, so
-a tampered file cannot execute code.
+a tampered file cannot execute code; a payload that is not a checkpoint
+state (a dict of ``config``, ``workload``, ``seed`` and ``sim``) is
+refused before use.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
-import json
 import pickle
 import platform
-import struct
 import time
-import zlib
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.common.config import SimConfig
+from repro.common.container import Container, Header
 from repro.common.serialize import stable_hash
 
-MAGIC = b"RPCK"
-FORMAT_VERSION = 1
-FLAG_ZLIB = 0x1
+FORMAT_VERSION = 2
 
 #: Bumped when the meta layout (not the simulator state) changes.
 CHECKPOINT_SCHEMA = 1
@@ -69,11 +60,12 @@ PICKLE_PROTOCOL = 4
 #: about three times faster than level 6, for a file about 6% larger.
 ZLIB_LEVEL = 1
 
-HEADER = struct.Struct("<4sHHQ32sI12s")
-
 
 class CheckpointError(ValueError):
     """Malformed, truncated, tampered or incompatible checkpoint file."""
+
+
+CONTAINER = Container(b"RPCK", FORMAT_VERSION, "checkpoint", CheckpointError)
 
 
 class _PlainUnpickler(pickle.Unpickler):
@@ -169,45 +161,16 @@ class CheckpointInfo:
         return payload_name(self.workload) if self.workload else "?"
 
 
-def _read_header(handle, path: Path):
-    raw = handle.read(HEADER.size)
-    if len(raw) != HEADER.size:
-        raise CheckpointError(
-            f"{path.name}: not a checkpoint file (too short)")
-    magic, version, flags, raw_len, digest, meta_len, _ = HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise CheckpointError(f"{path.name}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path.name}: checkpoint format version {version} (this "
-            f"build reads {FORMAT_VERSION})")
-    if not flags & FLAG_ZLIB:
-        raise CheckpointError(
-            f"{path.name}: header lacks the zlib flag (uncompressed "
-            f"checkpoints are not read); re-create it")
-    meta_raw = handle.read(meta_len)
-    if len(meta_raw) != meta_len:
-        raise CheckpointError(f"{path.name}: truncated meta JSON")
-    try:
-        meta = json.loads(meta_raw)
-    except ValueError as exc:
-        raise CheckpointError(f"{path.name}: corrupt meta JSON") from exc
+def _info(path: Path, head: Header) -> CheckpointInfo:
+    meta = head.meta
     if meta.get("schema") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
             f"{path.name}: checkpoint schema {meta.get('schema')} (this "
             f"build reads {CHECKPOINT_SCHEMA})")
-    return raw_len, digest, meta
-
-
-def read_info(path) -> CheckpointInfo:
-    """Parse header + meta of a checkpoint (no payload decode)."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        raw_len, digest, meta = _read_header(handle, path)
     return CheckpointInfo(
         path=str(path),
         version=FORMAT_VERSION,
-        digest=digest.hex(),
+        digest=head.digest.hex(),
         config_name=meta.get("config_name", "?"),
         config_hash=meta.get("config_hash", ""),
         workload=meta.get("workload"),
@@ -216,8 +179,14 @@ def read_info(path) -> CheckpointInfo:
         cycles=int(meta.get("cycles", 0)),
         provenance=dict(meta.get("provenance") or {}),
         file_bytes=path.stat().st_size,
-        raw_bytes=raw_len,
+        raw_bytes=head.count,
     )
+
+
+def read_info(path) -> CheckpointInfo:
+    """Parse header + meta of a checkpoint (no payload decode)."""
+    path = Path(path)
+    return _info(path, CONTAINER.header(path))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +205,7 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
     what :mod:`repro.checkpoint.rebase` uses to emit a re-targeted state
     without ever building a live simulator.
     """
-    path = Path(path)
     raw = _dumps(payload)
-    digest = hashlib.sha256(raw).digest()
-    stored = zlib.compress(raw, ZLIB_LEVEL)
     meta = {
         "schema": CHECKPOINT_SCHEMA,
         "config_name": payload["config"].get("name", "?"),
@@ -254,12 +220,7 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
             **(provenance or {}),
         },
     }
-    meta_raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    with path.open("wb") as handle:
-        handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, FLAG_ZLIB, len(raw),
-                                 digest, len(meta_raw), b"\0" * 12))
-        handle.write(meta_raw)
-        handle.write(stored)
+    CONTAINER.write(path, meta, (raw,), level=ZLIB_LEVEL)
     return read_info(path)
 
 
@@ -334,34 +295,26 @@ class Checkpoint:
         return sim
 
 
-def _read_verified(path: Path) -> Tuple[CheckpointInfo, bytes]:
-    """Header, inflated payload, and the payload checked against the
-    header's length and sha256; the payload is not unpickled."""
-    with path.open("rb") as handle:
-        raw_len, digest, _meta = _read_header(handle, path)
-        stored = handle.read()
-    try:
-        raw = zlib.decompress(stored)
-    except zlib.error as exc:
-        raise CheckpointError(f"{path.name}: corrupt payload") from exc
-    if len(raw) != raw_len:
-        raise CheckpointError(f"{path.name}: payload length mismatch")
-    if hashlib.sha256(raw).digest() != digest:
-        raise CheckpointError(
-            f"{path.name}: payload digest mismatch (file corrupted or "
-            f"tampered)")
-    return read_info(path), raw
-
-
 def verify_checkpoint(path) -> CheckpointInfo:
     """Digest-verify a checkpoint file without decoding its state."""
-    return _read_verified(Path(path))[0]
+    path = Path(path)
+    return _info(path, CONTAINER.verify(path)[0])
 
 
 def load_checkpoint(path) -> Checkpoint:
     """Read, digest-verify and decode a checkpoint file."""
-    info, raw = _read_verified(Path(path))
-    return Checkpoint(info, _loads(raw))
+    path = Path(path)
+    head, raw = CONTAINER.verify(path, keep=True)
+    info = _info(path, head)
+    payload = _loads(raw)
+    if not (isinstance(payload, dict)
+            and {"config", "workload", "seed", "sim"} <= payload.keys()
+            and isinstance(payload["config"], dict)
+            and isinstance(payload["sim"], dict)):
+        raise CheckpointError(
+            f"{path.name}: payload is not a checkpoint state (a dict of "
+            f"config, workload, seed and sim)")
+    return Checkpoint(info, payload)
 
 
 def restore_simulator(path, trace=None):

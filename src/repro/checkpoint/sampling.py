@@ -164,10 +164,10 @@ def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
     from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
     from repro.checkpoint.rebase import rebase_checkpoint
     from repro.experiments.engine import (
+        _checkpoint_ref,
         _gc_paused,
         checkpoint_store_ref,
         code_version,
-        write_store_entry,
     )
 
     source = None
@@ -182,9 +182,8 @@ def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
             if cached is None:
                 if source is None:
                     source = load_checkpoint(ref["path"])
-                cached = write_store_entry(
-                    out, lambda tmp: rebase_checkpoint(
-                        source, target_config, tmp))
+                cached = _checkpoint_ref(
+                    out, rebase_checkpoint(source, target_config, out))
             rebased[target_id] = cached
     return rebased
 

@@ -432,8 +432,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 options=_engine_options(args) if sampling else None,
                 **volumes)
     except (KeyError, OSError, ValueError) as exc:
-        if args.events is not None:       # no half-written trace
-            Path(args.events).unlink(missing_ok=True)
         return _fail(exc)
     if sampling is not None:
         _print_sampled(result, sampling)

@@ -10,22 +10,22 @@ produces the same bytes, across processes and Python versions. Hence:
 * :func:`dataclass_from_dict` — the inverse of :func:`dataclasses.asdict`
   for the (nested, frozen) dataclasses used in this codebase;
 * :func:`load_structured_file` — the TOML/JSON loader for sweep files;
-* :func:`atomic_write` — write a file so that readers (and concurrent
+* :class:`AtomicFile` — write a file so that readers (and concurrent
   writers) only ever see a complete one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import functools
 import hashlib
 import json
 import os
-import tempfile
 import types
 import typing
 from pathlib import Path
-from typing import Any, Callable, Dict, Type, TypeVar
+from typing import Any, Dict, Type, TypeVar
 
 T = TypeVar("T")
 
@@ -45,26 +45,42 @@ def stable_hash(obj: Any) -> str:
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
 
 
-def atomic_write(path, write: Callable[[str], T]) -> T:
-    """Materialize ``path`` atomically; returns what ``write`` returns.
+class AtomicFile:
+    """A file that appears at ``path`` whole or not at all.
 
-    ``write(tmp)`` writes the whole file at ``tmp``, a temporary path in
-    the same directory, which then replaces ``path`` in one rename (or
-    is removed if anything fails).
+    Bytes go to :attr:`handle`, a temp file beside ``path``, which
+    :meth:`commit` renames into place (atomically: the last of
+    concurrent writers wins) and :meth:`discard` removes. As a context
+    manager it yields the handle and commits unless the block raises.
     """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-    os.close(fd)
-    try:
-        result = write(tmp_name)
-        os.replace(tmp_name, path)
-    except BaseException:
+
+    def __init__(self, path) -> None:
+        self.path = Path(path)
+        self._tmp = self.path.with_name(
+            f"{self.path.name}.{os.urandom(4).hex()}.tmp")
+        self.handle = self._tmp.open("xb")
+
+    def commit(self) -> None:
         try:
-            os.unlink(tmp_name)
-        except OSError:
-            pass
-        raise
-    return result
+            self.handle.close()
+            os.replace(self._tmp, self.path)
+        except BaseException:
+            self.discard()
+            raise
+
+    def discard(self) -> None:
+        with contextlib.suppress(OSError):   # a flush fails as writes did
+            self.handle.close()
+        self._tmp.unlink(missing_ok=True)
+
+    def __enter__(self):
+        return self.handle
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.commit()
+        else:
+            self.discard()
 
 
 def load_structured_file(path) -> Dict[str, Any]:

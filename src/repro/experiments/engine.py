@@ -29,7 +29,7 @@ sweep`` CLI subcommand call, and ``perfbench/``). It does three things:
        <cache_dir>/<key[:2]>/<key>.json
            {"schema": 1, "key": ..., "payload": {...}, "stats": {...}}
 
-   Writes are atomic (:func:`~repro.common.serialize.atomic_write`), so
+   Writes are atomic (:class:`~repro.common.serialize.AtomicFile`), so
    concurrent sweeps sharing a cache directory cannot corrupt entries.
 
 3. **Declarative sweeps.** A :class:`Sweep` names a grid of
@@ -61,7 +61,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.common.serialize import (
-    atomic_write,
+    AtomicFile,
     load_structured_file,
     stable_hash,
 )
@@ -249,7 +249,8 @@ class ResultCache:
                              else payload_identity(payload)),
                  "stats": stats.to_dict()}
         text = json.dumps(entry, sort_keys=True)
-        atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+        with AtomicFile(path) as handle:
+            handle.write(text.encode("utf-8"))
 
     # -- maintenance -----------------------------------------------------
 
@@ -581,18 +582,6 @@ def checkpoint_store_ref(path) -> Optional[Dict[str, Any]]:
     return _checkpoint_ref(path, info)
 
 
-def write_store_entry(path, write) -> Dict[str, Any]:
-    """Atomically materialize the store entry ``path``; returns its ref.
-
-    ``write(tmp)`` writes the checkpoint to a temporary file in the same
-    directory and returns its :class:`~repro.checkpoint.format.
-    CheckpointInfo`, which the ref is taken from — the entry is not read
-    back. The rename is atomic, so concurrent writers of one entry are
-    harmless.
-    """
-    return _checkpoint_ref(path, atomic_write(path, write))
-
-
 def produce_payload(base: Dict[str, Any], position: int, store, *,
                     checkpoint: Optional[Dict[str, Any]] = None
                     ) -> Dict[str, Any]:
@@ -661,8 +650,8 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
     stream_uops = position + consumed
 
     store.mkdir(parents=True, exist_ok=True)
-    return write_store_entry(out, lambda tmp: save_checkpoint(
-        sim, tmp, workload=workload, seed=seed,
+    return _checkpoint_ref(out, save_checkpoint(
+        sim, out, workload=workload, seed=seed,
         provenance={"mode": "functional", "stream_uops": stream_uops,
                     "cell_key": key}))
 

@@ -23,11 +23,14 @@ Sinks implement one method, ``emit(cycle, kind, seq, pc=0, a=0, b=0)``:
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import json
 import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple
+
+from repro.common.serialize import AtomicFile
 
 __all__ = [
     "AggregatorSink",
@@ -187,7 +190,10 @@ class JsonlEventWriter:
     JSON array in :data:`EVENT_FIELDS` order. Bytes are deterministic —
     the gzip member is written with ``mtime=0`` and no filename, and the
     header carries only what the caller passes — so identical runs
-    produce identical files (asserted by the determinism tests).
+    produce identical files (asserted by the determinism tests). The
+    file appears whole or not at all (:class:`~repro.common.serialize.
+    AtomicFile`): :meth:`close` puts it in place, a raising ``with``
+    block removes it.
     """
 
     #: Events buffered before each write.
@@ -199,15 +205,15 @@ class JsonlEventWriter:
         self.count = 0
         self._lines: List[str] = []
         self.compressed = self.path.name.endswith(".gz")
-        self._raw = self.path.open("wb")
+        self._file = AtomicFile(self.path)
         if self.compressed:
             # filename="" keeps the path out of the member header: two
             # identical streams must produce identical bytes wherever
             # they are written.
-            self._handle = gzip.GzipFile(filename="", fileobj=self._raw,
-                                         mode="wb", mtime=0)
+            self._handle = gzip.GzipFile(
+                filename="", fileobj=self._file.handle, mode="wb", mtime=0)
         else:
-            self._handle = self._raw
+            self._handle = self._file.handle
         header = {"format": EVENTS_FORMAT, "version": EVENTS_VERSION,
                   "fields": list(EVENT_FIELDS),
                   "provenance": dict(provenance or {})}
@@ -229,14 +235,18 @@ class JsonlEventWriter:
     def close(self) -> None:
         self._drain()
         self._handle.close()
-        if self._handle is not self._raw:
-            self._raw.close()
+        self._file.commit()
 
     def __enter__(self) -> "JsonlEventWriter":
         return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            with contextlib.suppress(OSError):   # the gzip trailer, if any
+                self._handle.close()
+            self._file.discard()
 
 
 # ---------------------------------------------------------------------------

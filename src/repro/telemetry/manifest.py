@@ -11,7 +11,7 @@ Layout, next to the persistent result cache::
 
     <REPRO_CACHE_DIR>/manifests/<key>.json
 
-Writes are atomic (:func:`repro.common.serialize.atomic_write`), as the
+Writes are atomic (:class:`repro.common.serialize.AtomicFile`), as the
 cache's are; when the persistent cache is disabled manifests are skipped
 too — there is no run directory to anchor them.
 
@@ -26,7 +26,7 @@ import json
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.common.serialize import atomic_write
+from repro.common.serialize import AtomicFile
 from repro.traces.registry import payload_name
 
 __all__ = [
@@ -106,7 +106,8 @@ def write_manifest(directory: Path, manifest: Dict[str, Any]) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / f"{manifest['key']}.json"
     text = json.dumps(manifest, sort_keys=True, indent=1)
-    atomic_write(path, lambda tmp: Path(tmp).write_text(text))
+    with AtomicFile(path) as handle:
+        handle.write(text.encode("utf-8"))
     return path
 
 

@@ -2,9 +2,9 @@
 
 Two layers (see the module docstrings for the details):
 
-* :mod:`repro.traces.format` — the versioned binary on-disk µop-stream
-  encoding, its streaming reader/writer, :func:`capture` and
-  :class:`FileTrace` replay;
+* :mod:`repro.traces.format` — the record encoding of the binary
+  on-disk µop stream (a :mod:`repro.common.container` file),
+  :func:`capture` and :class:`FileTrace` replay;
 * :mod:`repro.traces.registry` — the single namespace through which the
   engine, CLI, figures and benchmarks resolve kernel suites, recorded
   traces and RV32I program images uniformly.
@@ -15,7 +15,6 @@ from repro.traces.format import (
     TRACE_SUFFIX,
     TraceFormatError,
     TraceInfo,
-    TraceWriter,
     capture,
     read_info,
     verify,
@@ -36,7 +35,6 @@ __all__ = [
     "TraceFormatError",
     "TraceInfo",
     "TraceWorkload",
-    "TraceWriter",
     "WorkloadRegistry",
     "capture",
     "default_registry",

@@ -7,22 +7,14 @@ every cell; this module takes it off: a stream is captured to a compact,
 versioned on-disk encoding once and replayed from disk thereafter —
 bit-identically, including the synthesized wrong path.
 
-Layout of a ``.trc`` file::
+A ``.trc`` file is a :mod:`repro.common.container` file (magic
+``b"RPTR"``, version :data:`FORMAT_VERSION`) whose header counts the
+payload in records::
 
-    header (64 bytes, fixed):
-        magic        4s   b"RPTR"
-        version      u16  FORMAT_VERSION
-        flags        u16  bit 0 (zlib frames) must be set
-        uop_count    u64  total records (patched on close)
-        digest       32s  sha256 over the *raw* record bytes (patched)
-        meta_len     u32  length of the meta JSON that follows
-        reserved     12s
-    meta JSON (meta_len bytes):
+    meta JSON:
         {"record": 1, "wp_seed": ..., "provenance": {...}}
     frames, each:
-        raw_len      u32  uncompressed byte length
-        stored_len   u32  on-disk byte length
-        payload           zlib-compressed records
+        zlib-compressed records, DEFAULT_FRAME_RECORDS per frame
 
 Records are fixed-width (:data:`RECORD`, 36 bytes) and carry exactly the
 *architectural* :class:`~repro.isa.uop.MicroOp` fields — the pipeline
@@ -30,7 +22,7 @@ annotates everything else at runtime, and ``seq`` is assigned by fetch.
 The content digest is computed over the uncompressed records, so it
 identifies the µop stream, and it is the ingredient the engine folds
 into its cache keys: a cached result can never be served against a
-re-recorded trace. A header without the zlib flag is refused.
+re-recorded trace.
 
 Wrong-path µops are *not* recorded (trace-driven simulation synthesizes
 them); the header's ``wp_seed`` seeds the same
@@ -47,28 +39,20 @@ its frame bytes back as views.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
-import os
 import struct
-import zlib
 from pathlib import Path
 from typing import Any, Dict, Iterator, Optional, Sequence
 
+from repro.common.container import Container
 from repro.isa.opclass import OpClass
 from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 
-MAGIC = b"RPTR"
 FORMAT_VERSION = 1
 RECORD_VERSION = 1
-FLAG_ZLIB = 0x1
 
 #: Canonical file suffix for recorded traces.
 TRACE_SUFFIX = ".trc"
-
-HEADER = struct.Struct("<4sHHQ32sI12s")
-FRAME_HEADER = struct.Struct("<II")
 
 #: pc, mem_addr, target, src0..src2, dst, opclass, flags, mem_size.
 #: Absent registers are encoded as -1; flag bit 0 is the branch outcome.
@@ -127,6 +111,10 @@ class TraceFormatError(ValueError):
     """Malformed, truncated or incompatible trace file."""
 
 
+CONTAINER = Container(b"RPTR", FORMAT_VERSION, "trace", TraceFormatError,
+                      unit=RECORD.size, units="records")
+
+
 # ---------------------------------------------------------------------------
 # Record encoding
 
@@ -183,49 +171,20 @@ class TraceInfo:
         return self.uop_count * RECORD.size
 
 
-def _read_exact(handle, n: int, what: str) -> bytes:
-    data = handle.read(n)
-    if len(data) != n:
-        raise TraceFormatError(f"truncated trace file: short read in {what}")
-    return data
-
-
-def _read_header(handle, path: Path):
-    raw = handle.read(HEADER.size)
-    if len(raw) != HEADER.size:
-        raise TraceFormatError(f"{path.name}: not a trace file (too short)")
-    magic, version, flags, count, digest, meta_len, _ = HEADER.unpack(raw)
-    if magic != MAGIC:
-        raise TraceFormatError(f"{path.name}: bad magic {magic!r}")
-    if version != FORMAT_VERSION:
-        raise TraceFormatError(
-            f"{path.name}: format version {version} (this build reads "
-            f"{FORMAT_VERSION})")
-    if not flags & FLAG_ZLIB:
-        raise TraceFormatError(
-            f"{path.name}: header lacks the zlib flag (uncompressed "
-            f"recordings are not read); re-record it")
-    try:
-        meta = json.loads(_read_exact(handle, meta_len, "meta"))
-    except ValueError as exc:
-        raise TraceFormatError(f"{path.name}: corrupt meta JSON") from exc
+def read_info(path) -> TraceInfo:
+    """Parse the header and meta of a trace file (no payload scan)."""
+    path = Path(path)
+    head = CONTAINER.header(path)
+    meta = head.meta
     if meta.get("record") != RECORD_VERSION:
         raise TraceFormatError(
             f"{path.name}: record layout {meta.get('record')} (this build "
             f"reads {RECORD_VERSION})")
-    return count, digest, meta
-
-
-def read_info(path) -> TraceInfo:
-    """Parse the header and meta of a trace file (no payload scan)."""
-    path = Path(path)
-    with path.open("rb") as handle:
-        count, digest, meta = _read_header(handle, path)
     return TraceInfo(
         path=str(path),
         version=FORMAT_VERSION,
-        uop_count=count,
-        digest=digest.hex(),
+        uop_count=head.count,
+        digest=head.digest.hex(),
         wp_seed=int(meta.get("wp_seed", 0)),
         provenance=dict(meta.get("provenance") or {}),
         file_bytes=path.stat().st_size,
@@ -233,91 +192,42 @@ def read_info(path) -> TraceInfo:
 
 
 def verify(path) -> bool:
-    """Full-scan check: recompute the payload digest against the header."""
+    """Full-scan check: recompute the payload digest against the header
+    (a faulty header raises)."""
     path = Path(path)
-    info = read_info(path)
-    sha = hashlib.sha256()
-    count = 0
+    read_info(path)
     try:
-        for raw in _iter_frames(path):
-            sha.update(raw)
-            count += len(raw) // RECORD.size
+        CONTAINER.verify(path)
     except TraceFormatError:
         return False
-    return count == info.uop_count and sha.hexdigest() == info.digest
+    return True
 
 
 # ---------------------------------------------------------------------------
 # Writing
 
 
-class TraceWriter:
-    """Streaming writer: write record blocks, close to patch count +
-    digest. Frames hold ``frame_records`` records whatever the block
-    sizes, so the file bytes depend only on the record stream."""
-
-    def __init__(self, path, *, wp_seed: int,
-                 provenance: Optional[Dict[str, Any]] = None,
-                 frame_records: int = DEFAULT_FRAME_RECORDS) -> None:
-        self.path = Path(path)
-        self.wp_seed = wp_seed
-        self.frame_records = max(1, frame_records)
-        self.count = 0
-        self._sha = hashlib.sha256()
-        self._pending = bytearray()
-        self._closed = False
-        meta = json.dumps(
-            {"record": RECORD_VERSION, "wp_seed": wp_seed,
-             "provenance": provenance or {}},
-            sort_keys=True).encode("utf-8")
-        self._handle = self.path.open("wb")
-        self._handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, FLAG_ZLIB, 0,
-                                       b"\0" * 32, len(meta), b"\0" * 12))
-        self._handle.write(meta)
-
-    def write(self, records) -> None:
-        """Append a record array (:func:`record_dtype`)."""
-        raw = records.tobytes()
-        self._sha.update(raw)
-        self.count += len(records)
-        pending = self._pending
-        pending += raw
-        frame_bytes = self.frame_records * RECORD.size
+def _frames(source: TraceSource, limit: int,
+            frame_records: int) -> Iterator[bytearray]:
+    """The first ``limit`` records of ``source`` as raw frames of
+    ``frame_records`` records (the last may hold fewer), whatever block
+    sizes the source serves, so the file bytes depend only on the record
+    stream."""
+    frame_bytes = frame_records * RECORD.size
+    pending = bytearray()
+    count = 0
+    while count < limit:
+        records = source.next_record_block(
+            min(frame_records, limit - count))
+        if records is None:
+            break
+        count += len(records)
+        pending += records.tobytes()
         while len(pending) >= frame_bytes:
-            self._write_frame(pending[:frame_bytes])
+            yield pending[:frame_bytes]
             del pending[:frame_bytes]
-
-    def _write_frame(self, raw) -> None:
-        stored = zlib.compress(raw, 6)
-        self._handle.write(FRAME_HEADER.pack(len(raw), len(stored)))
-        self._handle.write(stored)
-
-    def close(self) -> TraceInfo:
-        if self._closed:
-            return read_info(self.path)
-        if self._pending:
-            self._write_frame(self._pending)
-            self._pending.clear()
-        digest = self._sha.digest()
-        self._handle.seek(8)             # past magic/version/flags
-        self._handle.write(struct.pack("<Q32s", self.count, digest))
-        self._handle.close()
-        self._closed = True
-        return read_info(self.path)
-
-    def __enter__(self) -> "TraceWriter":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        if exc_type is None:
-            self.close()
-        else:                            # leave no half-written file behind
-            self._handle.close()
-            self._closed = True
-            try:
-                self.path.unlink()
-            except OSError:
-                pass
+    if pending:
+        yield pending
 
 
 def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
@@ -330,101 +240,17 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
     worth at a time. ``wp_seed`` must be the seed whose
     :class:`WrongPathSynth` stream the source uses, so replay reproduces
     the wrong path exactly; for live workload traces that is the build
-    seed.
+    seed. The file appears whole or not at all.
     """
-    with TraceWriter(path, wp_seed=wp_seed, provenance=provenance,
-                     frame_records=frame_records) as out:
-        while out.count < limit:
-            records = source.next_record_block(
-                min(out.frame_records, limit - out.count))
-            if records is None:
-                break
-            out.write(records)
+    meta = {"record": RECORD_VERSION, "wp_seed": wp_seed,
+            "provenance": provenance or {}}
+    CONTAINER.write(path, meta, _frames(source, limit, max(1, frame_records)),
+                    level=6)
     return read_info(path)
 
 
 # ---------------------------------------------------------------------------
 # Reading / replay
-
-
-def _skip_frames(handle, path: Path, count: int) -> int:
-    """Step over the whole frames that hold the first ``count`` records.
-
-    Each frame is passed by its header's ``stored_len`` without being read
-    or inflated. Leaves ``handle`` at the header of the frame holding
-    record ``count`` (or at the end of the stream) and returns how many
-    of that frame's records precede it.
-    """
-    while count:
-        frame_header = handle.read(FRAME_HEADER.size)
-        if not frame_header:
-            break
-        if len(frame_header) != FRAME_HEADER.size:
-            raise TraceFormatError(f"{path.name}: truncated frame header")
-        raw_len, stored_len = FRAME_HEADER.unpack(frame_header)
-        if raw_len % RECORD.size:
-            raise TraceFormatError(f"{path.name}: frame length mismatch")
-        records = raw_len // RECORD.size
-        if records > count:
-            handle.seek(-FRAME_HEADER.size, 1)
-            break
-        handle.seek(stored_len, 1)
-        count -= records
-    # Seeking past the end of a file does not fail: a recording cut
-    # inside a skipped frame shows up only as an offset beyond its size.
-    if handle.tell() > os.fstat(handle.fileno()).st_size:
-        raise TraceFormatError(
-            f"truncated trace file: {path.name} ends inside a frame")
-    return count
-
-
-def _check_frames(path: Path, count: int) -> None:
-    """Walk every frame header, inflating nothing, and reject a recording
-    whose frames hold fewer than the ``count`` records its header
-    declares (a file cut at, or inside, a frame)."""
-    with path.open("rb") as handle:
-        _read_header(handle, path)
-        missing = _skip_frames(handle, path, count)
-    if missing:
-        raise TraceFormatError(
-            f"truncated trace file: {path.name} holds {count - missing} "
-            f"of the {count} records its header declares")
-
-
-def _iter_frames(path: Path, skip: int = 0) -> Iterator[bytes]:
-    """Yield each frame's raw (decompressed) record bytes, starting at
-    record ``skip``.
-
-    Whole frames before record ``skip`` are stepped over by their headers
-    (:func:`_skip_frames`); only the frame holding it is inflated, and
-    its leading records are dropped as raw bytes, so the first yielded
-    chunk may be a partial frame.
-    """
-    with path.open("rb") as handle:
-        _read_header(handle, path)
-        if skip:
-            skip = _skip_frames(handle, path, skip)
-        while True:
-            frame_header = handle.read(FRAME_HEADER.size)
-            if not frame_header:
-                return
-            if len(frame_header) != FRAME_HEADER.size:
-                raise TraceFormatError(
-                    f"{path.name}: truncated frame header")
-            raw_len, stored_len = FRAME_HEADER.unpack(frame_header)
-            stored = _read_exact(handle, stored_len, "frame payload")
-            try:
-                raw = zlib.decompress(stored)
-            except zlib.error as exc:
-                raise TraceFormatError(
-                    f"{path.name}: corrupt frame") from exc
-            if len(raw) != raw_len or raw_len % RECORD.size:
-                raise TraceFormatError(
-                    f"{path.name}: frame length mismatch")
-            if skip:
-                raw = raw[skip * RECORD.size:]
-                skip = 0
-            yield raw
 
 
 class FileTrace(TraceSource):
@@ -446,9 +272,9 @@ class FileTrace(TraceSource):
     def __init__(self, path) -> None:
         self.path = Path(path)
         self.info = read_info(self.path)
-        _check_frames(self.path, self.info.uop_count)
+        CONTAINER.check_frames(self.path, self.info.uop_count)
         super().__init__(self.info.wp_seed)
-        self._frames = _iter_frames(self.path)
+        self._frames = CONTAINER.frames(self.path)
         self._frame = b""
         self._offset = 0
 
@@ -523,7 +349,7 @@ class FileTrace(TraceSource):
         holding it is inflated eagerly, so a truncated recording fails
         here, at restore.
         """
-        self._frames = _iter_frames(self.path, count)
+        self._frames = CONTAINER.frames(self.path, count)
         self._frame = next(self._frames, b"") if count else b""
         self._offset = 0
         self.emitted = count

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import struct
 
 import pytest
 from hypothesis import given, settings
@@ -11,10 +10,9 @@ from hypothesis import strategies as st
 
 from repro.checkpoint.format import (
     CHECKPOINT_SCHEMA,
+    CONTAINER,
     CheckpointError,
     FORMAT_VERSION,
-    HEADER,
-    MAGIC,
     _dumps,
     load_checkpoint,
     read_info,
@@ -66,26 +64,7 @@ def test_digest_is_content_addressed(tmp_path, warm_sim):
     assert c.digest != a.digest
 
 
-def test_header_without_zlib_flag_rejected(tmp_path, warm_sim):
-    workload, sim = warm_sim
-    path = tmp_path / "raw.ckpt"
-    save_checkpoint(sim, path, workload=workload, seed=1)
-    data = bytearray(path.read_bytes())
-    struct.pack_into("<H", data, 6, 0)           # clear the flags field
-    path.write_bytes(bytes(data))
-    for read in (read_info, verify_checkpoint, load_checkpoint):
-        with pytest.raises(CheckpointError, match="zlib flag"):
-            read(path)
-
-
-def test_truncated_file_rejected(tmp_path, warm_sim):
-    workload, sim = warm_sim
-    path = tmp_path / "t.ckpt"
-    save_checkpoint(sim, path, workload=workload, seed=1)
-    data = path.read_bytes()
-    path.write_bytes(data[: len(data) // 2])
-    with pytest.raises(CheckpointError):
-        load_checkpoint(path)
+# Header faults and truncation: tests/common/test_container.py
 
 
 def test_corrupt_payload_rejected(tmp_path, warm_sim):
@@ -99,44 +78,38 @@ def test_corrupt_payload_rejected(tmp_path, warm_sim):
         load_checkpoint(path)
 
 
-def test_bad_magic_and_version_rejected(tmp_path, warm_sim):
-    workload, sim = warm_sim
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(sim, path, workload=workload, seed=1)
-    data = bytearray(path.read_bytes())
-    original = bytes(data)
+def _hand_made(path, payload) -> None:
+    """A checkpoint file of ``payload`` pickled as is, bypassing the
+    canonical encoder and its state shape."""
+    import pickle
 
-    data[:4] = b"NOPE"
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="magic"):
-        read_info(path)
-
-    data = bytearray(original)
-    struct.pack_into("<H", data, 4, FORMAT_VERSION + 1)
-    path.write_bytes(bytes(data))
-    with pytest.raises(CheckpointError, match="version"):
-        read_info(path)
+    CONTAINER.write(path, {"schema": CHECKPOINT_SCHEMA},
+                    (pickle.dumps(payload, protocol=4),), level=1)
 
 
 def test_code_bearing_payload_rejected(tmp_path):
     """A payload referencing any global (class/function) must not load."""
     import math
-    import pickle
-    import zlib
 
-    payload = pickle.dumps({"evil": math.sqrt}, protocol=4)
-    import hashlib
-    import json
-
-    meta = json.dumps({"schema": CHECKPOINT_SCHEMA}).encode()
     path = tmp_path / "evil.ckpt"
-    with path.open("wb") as handle:
-        handle.write(HEADER.pack(MAGIC, FORMAT_VERSION, 0x1, len(payload),
-                                 hashlib.sha256(payload).digest(),
-                                 len(meta), b"\0" * 12))
-        handle.write(meta)
-        handle.write(zlib.compress(payload))
+    _hand_made(path, {"evil": math.sqrt})
     with pytest.raises(CheckpointError, match="plain data"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("payload", [
+    [1, 2, 3],
+    {"config": {}, "workload": None, "seed": 1},
+    {"config": [], "workload": None, "seed": 1, "sim": {}},
+    {"config": {}, "workload": None, "seed": 1, "sim": 7},
+], ids=["list", "no-sim", "config-not-dict", "sim-not-dict"])
+def test_non_state_payload_rejected(tmp_path, payload):
+    """A payload whose digest checks out but that is not a checkpoint
+    state is refused on load, before anything uses it."""
+    path = tmp_path / "odd.ckpt"
+    _hand_made(path, payload)
+    assert verify_checkpoint(path).digest == read_info(path).digest
+    with pytest.raises(CheckpointError, match="not a checkpoint state"):
         load_checkpoint(path)
 
 

@@ -2,7 +2,8 @@
 
 A table of truncated recordings, checkpoints, RV32I images and event
 traces (the ``events-record-*`` rows record through ``run --events``),
-recordings and checkpoints whose header lacks the zlib flag, bad
+recordings and checkpoints whose header lacks the zlib flag or whose
+meta JSON is not an object, a version-1 checkpoint file, bad
 TOML, unknown workload and configuration names, and bad
 ``REPRO_*`` values, each sent through every subcommand that reads it.
 None may end in a traceback or a silent success. Digest mismatches
@@ -17,8 +18,8 @@ import pytest
 
 from repro.checkpoint.format import load_checkpoint, write_checkpoint
 from repro.cli import main
+from repro.common.container import FRAME_HEADER, HEADER
 from repro.isa.rv32i.corpus import bundled_programs
-from repro.traces.format import FRAME_HEADER, HEADER
 
 TINY = {"REPRO_WARMUP": "200", "REPRO_MEASURE": "500",
         "REPRO_FUNC_WARMUP": "1000", "REPRO_JOBS": "1",
@@ -42,6 +43,25 @@ def _clear_flags(src, dst) -> None:
     data = bytearray(src.read_bytes())
     data[6:8] = b"\0\0"
     dst.write_bytes(bytes(data))
+
+
+def _meta_not_object(src, dst) -> None:
+    """Copy a recording or checkpoint with its meta JSON replaced by
+    ``[1]``, valid JSON that is not an object."""
+    data = src.read_bytes()
+    header = bytearray(data[:HEADER.size])
+    header[48:52] = (3).to_bytes(4, "little")       # the meta_len field
+    dst.write_bytes(bytes(header) + b"[1]"
+                    + data[HEADER.size + HEADER.unpack_from(data)[5]:])
+
+
+def _format_v1(src, dst) -> None:
+    """Copy a checkpoint as the version-1 layout held it: the same
+    header and meta, the payload one bare zlib stream."""
+    data = src.read_bytes()
+    first = HEADER.size + HEADER.unpack_from(data)[5]
+    dst.write_bytes(data[:4] + (1).to_bytes(2, "little") + data[6:first]
+                    + data[first + FRAME_HEADER.size:])
 
 
 def _relabel_version(src, dst, version) -> None:
@@ -85,6 +105,9 @@ def inputs(tmp_path_factory):
          lambda n: _second_frame_offset(root / "long.trc"))
     _clear_flags(root / "good.trc", root / "raw.trc")
     _clear_flags(root / "good.ckpt", root / "raw.ckpt")
+    _meta_not_object(root / "good.trc", root / "meta-not-object.trc")
+    _meta_not_object(root / "good.ckpt", root / "meta-not-object.ckpt")
+    _format_v1(root / "good.ckpt", root / "format-v1.ckpt")
     _cut(root / "good.ckpt", root / "cut.ckpt", lambda n: n - 100)
     _relabel_version(root / "good.ckpt", root / "v1.ckpt", 1)
     _relabel_version(root / "good.ckpt", root / "v2.ckpt", 2)
@@ -143,7 +166,8 @@ def _bad_input_cases():
     def add(case_id, argv, env=None):
         cases.append(pytest.param(argv, env or {}, id=case_id))
 
-    for trace in ("cut.trc", "head.trc", "tail.trc", "raw.trc"):
+    for trace in ("cut.trc", "head.trc", "tail.trc", "raw.trc",
+                  "meta-not-object.trc"):
         stem = trace.split(".")[0]
         add(f"run-{stem}-trc", ["run", trace, "SpecSched_4"])
         add(f"run-sample-{stem}-trc", ["run", trace, "SpecSched_4"] + SAMPLE)
@@ -155,7 +179,7 @@ def _bad_input_cases():
              "--events", "out.events.jsonl"])
         add(f"table2-{stem}-trc", ["table2"], {"REPRO_WORKLOADS": trace})
         add(f"figure-{stem}-trc", ["figure", "5"], {"REPRO_WORKLOADS": trace})
-    for trace in ("head.trc", "raw.trc"):
+    for trace in ("head.trc", "raw.trc", "meta-not-object.trc"):
         stem = trace.split(".")[0]
         add(f"trace-info-{stem}-trc", ["trace", "info", trace])
         add(f"trace-info-verify-{stem}-trc", ["trace", "info", trace,
@@ -164,7 +188,8 @@ def _bad_input_cases():
                                  "-o", "out.trc"])
     add("sweep-cut-trc", ["sweep", "sweep-cut-trace.toml"])
 
-    for ckpt in ("cut.ckpt", "head.ckpt", "raw.ckpt"):
+    for ckpt in ("cut.ckpt", "head.ckpt", "raw.ckpt", "meta-not-object.ckpt",
+                 "format-v1.ckpt"):
         stem = ckpt.split(".")[0]
         add(f"checkpoint-rebase-{stem}-ckpt",
             ["checkpoint", "rebase", ckpt, "Baseline_0", "-o", "out.ckpt"])
@@ -177,7 +202,8 @@ def _bad_input_cases():
              "--offset", "3000"])
     for case_id, argv in _CHECKPOINT_MISMATCHES.items():
         add(case_id, argv)
-    for ckpt in ("head.ckpt", "raw.ckpt"):
+    for ckpt in ("head.ckpt", "raw.ckpt", "meta-not-object.ckpt",
+                 "format-v1.ckpt"):
         stem = ckpt.split(".")[0]
         add(f"checkpoint-info-{stem}-ckpt", ["checkpoint", "info", ckpt])
         add(f"checkpoint-info-verify-{stem}-ckpt",
@@ -341,3 +367,9 @@ def test_bad_env_value_is_one_error_line(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
     assert sorted(path.name for path in tmp_path.iterdir()) == ["sweep.toml"]
+
+
+def test_format_v1_checkpoint_names_both_versions(inputs, capsys):
+    assert main(["checkpoint", "info", str(inputs / "format-v1.ckpt")]) == 2
+    err = capsys.readouterr().err
+    assert "checkpoint format version 1 (this build reads 2)" in err

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import struct
 import tempfile
 from pathlib import Path
 
@@ -10,17 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.common.container import FRAME_HEADER, HEADER
 from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace, iterate
 from repro.isa.uop import MicroOp
 from repro.traces.format import (
-    FLAG_ZLIB,
-    FRAME_HEADER,
     FileTrace,
-    HEADER,
     RECORD,
     TraceFormatError,
-    TraceWriter,
     capture,
     encode_rows,
     read_info,
@@ -170,52 +166,8 @@ def test_digest_independent_of_framing(tmp_path):
     assert a.file_bytes < a.raw_bytes         # zlib must actually help
 
 
-def test_writer_context_manager_removes_partial_file(tmp_path):
-    path = tmp_path / "t.trc"
-    with pytest.raises(RuntimeError):
-        with TraceWriter(path, wp_seed=0) as out:
-            out.write(encode_rows([arch(_mixed_uops(1)[0])]))
-            raise RuntimeError("boom")
-    assert not path.exists()
-
-
 # ---------------------------------------------------------------------------
-# Corruption and version handling
-
-
-def test_bad_magic_rejected(tmp_path):
-    path = tmp_path / "t.trc"
-    path.write_bytes(b"NOPE" + b"\0" * 100)
-    with pytest.raises(TraceFormatError, match="bad magic"):
-        read_info(path)
-
-
-def test_truncated_header_rejected(tmp_path):
-    path = tmp_path / "t.trc"
-    path.write_bytes(b"RPTR\x01")
-    with pytest.raises(TraceFormatError, match="too short"):
-        read_info(path)
-
-
-def test_future_version_rejected(tmp_path):
-    path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(5)), path, 5, wp_seed=0)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<H", raw, 4, 99)        # bump the version field
-    path.write_bytes(bytes(raw))
-    with pytest.raises(TraceFormatError, match="version 99"):
-        read_info(path)
-
-
-def test_header_without_zlib_flag_rejected(tmp_path):
-    path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(5)), path, 5, wp_seed=0)
-    raw = bytearray(path.read_bytes())
-    struct.pack_into("<H", raw, 6, 0)         # clear the flags field
-    path.write_bytes(bytes(raw))
-    for read in (read_info, verify, FileTrace):
-        with pytest.raises(TraceFormatError, match="zlib flag"):
-            read(path)
+# Corruption (header faults and truncation: tests/common/test_container.py)
 
 
 def test_tampered_payload_fails_verify(tmp_path):
@@ -225,16 +177,6 @@ def test_tampered_payload_fails_verify(tmp_path):
     raw = bytearray(path.read_bytes())
     raw[-3] ^= 0xFF                           # flip payload bits
     path.write_bytes(bytes(raw))
-    assert not verify(path)
-
-
-def test_truncated_frame_detected(tmp_path):
-    path = tmp_path / "t.trc"
-    capture(ListTrace(_mixed_uops(100)), path, 100, wp_seed=0)
-    data = path.read_bytes()
-    path.write_bytes(data[:-10])
-    with pytest.raises(TraceFormatError):
-        replay(path)
     assert not verify(path)
 
 
@@ -387,9 +329,3 @@ def test_restore_rejects_skipped_frame_of_partial_records(tmp_path):
         trace.load_state_dict(state)
     with pytest.raises(TraceFormatError, match="length mismatch"):
         FileTrace(path)
-
-
-def test_header_is_64_bytes():
-    # The writer patches count+digest at fixed offsets; layout is frozen.
-    assert HEADER.size == 64
-    assert FLAG_ZLIB == 1

@@ -202,7 +202,8 @@ def test_restore_past_truncation_is_one_line_cli_error(tmp_path, capsys):
     from repro.cli import main
     from repro.core.presets import make_config
     from repro.pipeline.cpu import Simulator
-    from repro.traces.format import DEFAULT_FRAME_RECORDS, FRAME_HEADER, HEADER
+    from repro.common.container import FRAME_HEADER, HEADER
+    from repro.traces.format import DEFAULT_FRAME_RECORDS
 
     path = tmp_path / "gzip.trc"
     capture(resolve_workload("gzip").build_trace(1), path,
