@@ -24,7 +24,6 @@ class FuPool:
     """Per-cycle issue-port table and unpipelined-unit occupancy."""
 
     def __init__(self, config: CoreConfig) -> None:
-        self.config = config
         counts = [0] * len(FuKind)
         counts[FuKind.ALU] = config.num_alu
         counts[FuKind.MULDIV] = config.num_muldiv

@@ -48,7 +48,6 @@ class IssueQueue:
         self.capacity = capacity
         self._occupants: Set[MicroOp] = set()
         self.ready: List[MicroOp] = []   # source-complete, awaiting select
-        self.peak_occupancy = 0
 
     def __len__(self) -> int:
         return len(self._occupants)
@@ -62,13 +61,10 @@ class IssueQueue:
 
     def insert(self, uop: MicroOp) -> None:
         occupants = self._occupants
-        occupancy = len(occupants)
-        if occupancy >= self.capacity:
+        if len(occupants) >= self.capacity:
             raise OverflowError("IQ overflow")
         occupants.add(uop)
         uop.in_iq = True
-        if occupancy >= self.peak_occupancy:
-            self.peak_occupancy = occupancy + 1
 
     def make_ready(self, uop: MicroOp) -> None:
         """Move a source-complete occupant onto the ready list."""
@@ -114,10 +110,8 @@ class IssueQueue:
             "occupants": ctx.refs(
                 sorted(self._occupants, key=lambda u: u.seq)),
             "ready": ctx.refs(self.ready),
-            "peak_occupancy": self.peak_occupancy,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
         self._occupants = set(ctx.uops(state["occupants"]))
         self.ready[:] = ctx.uops(state["ready"])
-        self.peak_occupancy = state["peak_occupancy"]

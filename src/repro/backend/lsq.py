@@ -40,8 +40,6 @@ class LoadStoreQueue:
         self.stores: Deque[MicroOp] = deque()
         self._dep_waiters: Dict[int, List[MicroOp]] = {}  # store seq -> µops
         self.on_ready = on_ready or (lambda uop: None)
-        self.forwards = 0
-        self.violations = 0
 
     # -- occupancy ---------------------------------------------------------
 
@@ -114,8 +112,6 @@ class LoadStoreQueue:
             if (store.mem_addr >> _QWORD_SHIFT == target
                     and store.executed and not store.dead):
                 best = store           # walking oldest->youngest
-        if best is not None:
-            self.forwards += 1
         return best
 
     # -- state protocol (repro.checkpoint) ----------------------------------
@@ -126,8 +122,6 @@ class LoadStoreQueue:
             "stores": ctx.refs(self.stores),
             "dep_waiters": [(seq, ctx.refs(waiters))
                             for seq, waiters in self._dep_waiters.items()],
-            "forwards": self.forwards,
-            "violations": self.violations,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
@@ -135,8 +129,6 @@ class LoadStoreQueue:
         self.stores = deque(ctx.uops(state["stores"]))
         self._dep_waiters = {seq: ctx.uops(refs)
                              for seq, refs in state["dep_waiters"]}
-        self.forwards = state["forwards"]
-        self.violations = state["violations"]
 
     def detect_violation(self, store: MicroOp) -> Optional[MicroOp]:
         """Oldest younger executed load overlapping the store's quadword.
@@ -150,6 +142,5 @@ class LoadStoreQueue:
             if (load.mem_addr >> _QWORD_SHIFT == target
                     and load.seq > store_seq and load.executed
                     and not load.dead):
-                self.violations += 1
                 return load            # oldest match: queue is seq-sorted
         return None

@@ -29,15 +29,12 @@ class Scoreboard:
 
     def __init__(self, num_pregs: int,
                  on_ready: Optional[Callable[[MicroOp], None]] = None) -> None:
-        self.num_pregs = num_pregs
         self.ready = [True] * num_pregs         # issue-visible readiness
-        self.ready_at = [0] * num_pregs         # cycle it became/becomes ready
         self.data_ready_at = [0] * num_pregs    # earliest valid Execute cycle
         self.version = [0] * num_pregs          # cancels stale wakeup events
         self._waiters: Dict[int, List[MicroOp]] = {}
         self._events: Dict[int, List[tuple]] = {}  # cycle -> [(preg, version)]
         self.on_ready = on_ready or (lambda uop: None)
-        self.wakeups_fired = 0
 
     # -- producer side ----------------------------------------------------
 
@@ -47,7 +44,6 @@ class Scoreboard:
         ``data_ready_exec`` is the earliest Execute cycle with valid data.
         """
         self.ready[preg] = False
-        self.ready_at[preg] = wake_cycle
         self.data_ready_at[preg] = data_ready_exec
         version = self.version[preg] + 1
         self.version[preg] = version
@@ -61,7 +57,6 @@ class Scoreboard:
     def unready(self, preg: int) -> None:
         """Squash a producer: its destination is no longer coming."""
         self.ready[preg] = False
-        self.ready_at[preg] = NEVER
         self.data_ready_at[preg] = NEVER
         self.version[preg] += 1     # cancels any in-flight wakeup event
 
@@ -113,7 +108,6 @@ class Scoreboard:
             if versions[preg] != version:
                 continue            # squashed/corrected since scheduling
             ready[preg] = True
-            self.wakeups_fired += 1
             waiters = all_waiters.pop(preg, None)
             if not waiters:
                 continue
@@ -145,26 +139,22 @@ class Scoreboard:
         seq-sorted)."""
         return {
             "ready": list(self.ready),
-            "ready_at": list(self.ready_at),
             "data_ready_at": list(self.data_ready_at),
             "version": list(self.version),
             "waiters": [(preg, ctx.refs(sorted(waiters, key=lambda u: u.seq)))
                         for preg, waiters in sorted(self._waiters.items())],
             "events": [(cycle, [tuple(e) for e in events])
                        for cycle, events in self._events.items()],
-            "wakeups_fired": self.wakeups_fired,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
         self.ready[:] = state["ready"]
-        self.ready_at[:] = state["ready_at"]
         self.data_ready_at[:] = state["data_ready_at"]
         self.version[:] = state["version"]
         self._waiters = {preg: ctx.uops(refs)
                          for preg, refs in state["waiters"]}
         self._events = {cycle: [tuple(e) for e in events]
                         for cycle, events in state["events"]}
-        self.wakeups_fired = state["wakeups_fired"]
 
     def rewatch(self, uop: MicroOp) -> int:
         """Fused :meth:`drop_waiter` + :meth:`watch` (replay re-arm).

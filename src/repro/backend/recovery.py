@@ -28,8 +28,6 @@ class RecoveryBuffer:
     def __init__(self) -> None:
         self._members: Set[MicroOp] = set()
         self.ready: List[MicroOp] = []    # replay_pending with sources ready
-        self.peak_occupancy = 0
-        self.replays_issued = 0
 
     def __len__(self) -> int:
         return len(self._members)
@@ -40,8 +38,6 @@ class RecoveryBuffer:
     def insert(self, uop: MicroOp) -> None:
         """Called at first issue of a non-memory µop."""
         self._members.add(uop)
-        if len(self._members) > self.peak_occupancy:
-            self.peak_occupancy = len(self._members)
 
     def remove(self, uop: MicroOp) -> None:
         """Called when the µop executes (leaves the danger window)."""
@@ -82,12 +78,8 @@ class RecoveryBuffer:
             "members": ctx.refs(
                 sorted(self._members, key=lambda u: u.seq)),
             "ready": ctx.refs(self.ready),
-            "peak_occupancy": self.peak_occupancy,
-            "replays_issued": self.replays_issued,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
         self._members = set(ctx.uops(state["members"]))
         self.ready = ctx.uops(state["ready"])
-        self.peak_occupancy = state["peak_occupancy"]
-        self.replays_issued = state["replays_issued"]

@@ -55,7 +55,6 @@ class ReplayController:
         self.delay = delay
         self._events: Dict[int, List[ReplayEvent]] = {}
         self._window: Deque[Tuple[int, List[MicroOp]]] = deque()
-        self.events_fired = 0
 
     # -- issue-side bookkeeping -------------------------------------------
 
@@ -89,7 +88,6 @@ class ReplayController:
     def pop_events(self, now: int) -> List[ReplayEvent]:
         events = self._events.pop(now, [])
         if events:
-            self.events_fired += len(events)
             events.sort(key=_event_seq)
         return events
 
@@ -103,7 +101,6 @@ class ReplayController:
                 for cycle, events in self._events.items()],
             "window": [(cycle, ctx.refs(group))
                        for cycle, group in self._window],
-            "events_fired": self.events_fired,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
@@ -113,7 +110,6 @@ class ReplayController:
             for cycle, events in state["events"]}
         self._window = deque(
             (cycle, ctx.uops(refs)) for cycle, refs in state["window"])
-        self.events_fired = state["events_fired"]
 
     def squashable_uops(self, now: int) -> List[MicroOp]:
         """µops issued in ``[now−D, now−1]`` that have not executed.

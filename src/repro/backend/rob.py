@@ -22,7 +22,6 @@ class ReorderBuffer:
         self.capacity = capacity
         #: Program-order window; Commit pops its head directly.
         self.entries: Deque[MicroOp] = deque()
-        self.retired = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -74,10 +73,9 @@ class ReorderBuffer:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self, ctx) -> dict:
-        return {"entries": ctx.refs(self.entries), "retired": self.retired}
+        return {"entries": ctx.refs(self.entries)}
 
     def load_state_dict(self, state: dict, ctx) -> None:
         # In place: Commit binds the deque.
         self.entries.clear()
         self.entries.extend(ctx.uops(state["entries"]))
-        self.retired = state["retired"]

@@ -25,7 +25,6 @@ class StoreSets:
         self._ssit = [_INVALID] * ssit_entries
         self._lfst: Dict[int, MicroOp] = {}
         self._next_ssid = 0
-        self.violations_trained = 0
 
     def _ssit_index(self, pc: int) -> int:
         return pc % self.ssit_entries
@@ -68,20 +67,17 @@ class StoreSets:
             "lfst": [(key, ctx.ref(store))
                      for key, store in self._lfst.items()],
             "next_ssid": self._next_ssid,
-            "violations_trained": self.violations_trained,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
         self._ssit = list(state["ssit"])
         self._lfst = {key: ctx.uop(ref) for key, ref in state["lfst"]}
         self._next_ssid = state["next_ssid"]
-        self.violations_trained = state["violations_trained"]
 
     # -- violation training -------------------------------------------------
 
     def train_violation(self, store_pc: int, load_pc: int) -> None:
         """Memory-order violation: put both PCs in the same store set."""
-        self.violations_trained += 1
         s_idx = self._ssit_index(store_pc)
         l_idx = self._ssit_index(load_pc)
         s_set = self._ssit[s_idx]

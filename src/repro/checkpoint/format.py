@@ -26,7 +26,8 @@ what the component ``state_dict()`` protocol guarantees); loading goes
 through :class:`_PlainUnpickler`, which rejects any global reference, so
 a tampered file cannot execute code; a payload that is not a checkpoint
 state (a dict of ``config``, ``workload``, ``seed`` and ``sim``) is
-refused before use.
+refused before use. Both refusals of a payload whose digest holds raise
+:class:`PayloadError`.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ class CheckpointError(ValueError):
     """Malformed, truncated, tampered or incompatible checkpoint file."""
 
 
+class PayloadError(CheckpointError):
+    """A payload that matches its digest but is not a plain-data
+    checkpoint state."""
+
+
 CONTAINER = Container(b"RPCK", FORMAT_VERSION, "checkpoint", CheckpointError)
 
 
@@ -73,7 +79,7 @@ class _PlainUnpickler(pickle.Unpickler):
     plain data, so any class/function reference means tampering."""
 
     def find_class(self, module: str, name: str):
-        raise CheckpointError(
+        raise PayloadError(
             f"checkpoint payload references {module}.{name}; payloads "
             f"must be plain data")
 
@@ -130,7 +136,7 @@ def _loads(raw: bytes) -> Any:
     except CheckpointError:
         raise
     except Exception as exc:             # pickle's zoo of decode errors
-        raise CheckpointError(f"corrupt checkpoint payload: {exc}") from exc
+        raise PayloadError(f"corrupt checkpoint payload: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +317,7 @@ def load_checkpoint(path) -> Checkpoint:
             and {"config", "workload", "seed", "sim"} <= payload.keys()
             and isinstance(payload["config"], dict)
             and isinstance(payload["sim"], dict)):
-        raise CheckpointError(
+        raise PayloadError(
             f"{path.name}: payload is not a checkpoint state (a dict of "
             f"config, workload, seed and sim)")
     return Checkpoint(info, payload)

@@ -21,7 +21,8 @@ Commands:
 * ``checkpoint create WORKLOAD CONFIG`` / ``checkpoint info FILE`` /
   ``checkpoint rebase FILE CONFIG`` — freeze a mid-run simulator's
   complete state to a versioned ``.ckpt`` file, inspect one
-  (``--verify`` re-checks the content digest), or re-target a purely
+  (``--verify`` re-checks the content digest, then decodes the state),
+  or re-target a purely
   functional checkpoint to another scheduling-policy configuration
   (one warming pass, many configs — see
   :mod:`repro.checkpoint.rebase`);
@@ -208,7 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_info = ckpt_sub.add_parser("info", help="describe a checkpoint")
     ckpt_info.add_argument("file", help="a .ckpt file")
     ckpt_info.add_argument("--verify", action="store_true",
-                           help="decode the payload against the digest")
+                           help="check the payload against the digest, "
+                                "then decode the state")
 
     ckpt_rebase = ckpt_sub.add_parser(
         "rebase", help="re-target a purely functional checkpoint to a "
@@ -506,7 +508,7 @@ def _cmd_checkpoint_rebase(args: argparse.Namespace) -> int:
 
 
 def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
-    from repro.checkpoint.format import load_checkpoint, read_info
+    from repro.checkpoint.format import PayloadError, load_checkpoint, read_info
 
     try:
         info = read_info(args.file)
@@ -526,10 +528,15 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
     if args.verify:
         try:
             load_checkpoint(args.file)
+        except PayloadError as exc:
+            print("  payload    digest OK")
+            print(f"  state      REFUSED ({exc})")
+            return 1
         except (OSError, ValueError) as exc:
             print(f"  payload    DIGEST MISMATCH ({exc})")
             return 1
         print("  payload    digest OK")
+        print("  state      decoded OK")
     return 0
 
 

@@ -18,7 +18,6 @@ class GlobalHitMissCounter:
                  inc_on_hit: int = 1) -> None:
         if bits < 2:
             raise ValueError("counter needs at least 2 bits")
-        self.bits = bits
         self.max_value = (1 << bits) - 1
         self.msb = 1 << (bits - 1)
         self.dec_on_miss = dec_on_miss

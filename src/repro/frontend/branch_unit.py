@@ -40,7 +40,6 @@ class BranchUnit:
         self.tage = TageLite(self.config)
         self.btb = Btb(self.config.btb_entries, self.config.btb_ways)
         self.ras = ReturnAddressStack(self.config.ras_entries)
-        self.lookups = 0
 
     def predict(self, uop: MicroOp) -> Tuple[bool, int]:
         """Predict direction and target for a branch µop at fetch.
@@ -50,7 +49,6 @@ class BranchUnit:
         A BTB miss on a predicted-taken conditional demotes the prediction
         to not-taken (the frontend has no target to redirect to).
         """
-        self.lookups += 1
         pc = uop.pc
         opclass = uop.opclass
         if opclass == OpClass.CALL:
@@ -104,9 +102,8 @@ class BranchUnit:
         ``(idx_rows, tag_rows)`` pair of block-folded TAGE lookups
         (:func:`repro.pipeline.warming.engine.tage_fold_indices`), one
         row per conditional branch in order. ``opclasses`` may be raw
-        ints (``OpClass`` is an ``IntEnum``). State and counter effects
-        are identical to calling :meth:`predict` + :meth:`resolve` per
-        branch µop.
+        ints (``OpClass`` is an ``IntEnum``). State effects are identical
+        to calling :meth:`predict` + :meth:`resolve` per branch µop.
         """
         shim = _WarmBranch()
         predict = self.predict
@@ -119,24 +116,18 @@ class BranchUnit:
         push_history = tage._push_history
         call, ret = OpClass.CALL, OpClass.RET
         rows = iter(zip(*cond_indices)) if cond_indices is not None else None
-        lookups = 0
         # The BTB is inlined against its internals (exact lookup/install
-        # semantics incl. hit/miss/stamp accounting); its counters live
-        # in locals and are synced around the call/ret path, which goes
-        # through the real methods.
+        # semantics incl. LRU stamps); its stamp lives in a local and is
+        # synced around the call/ret path, which goes through the real
+        # methods.
         btb = self.btb
         btb_sets = btb._sets
         btb_num_sets = btb.num_sets
         btb_ways = btb.ways
         btb_stamp = btb._stamp
-        btb_hits = 0
-        btb_misses = 0
         for pc, opclass, target, taken in zip(pcs, opclasses, targets, takens):
             if opclass == call or opclass == ret:
                 btb._stamp = btb_stamp
-                btb.hits += btb_hits
-                btb.misses += btb_misses
-                btb_hits = btb_misses = 0
                 shim.pc = pc
                 shim.opclass = opclass
                 shim.target = target
@@ -146,7 +137,6 @@ class BranchUnit:
                 resolve(shim)
                 btb_stamp = btb._stamp
                 continue
-            lookups += 1
             if rows is None:
                 pred_taken, tage_state = tage_predict(pc)
             else:
@@ -157,10 +147,8 @@ class BranchUnit:
                 btb_set = btb_sets.get((pc >> 2) % btb_num_sets)
                 entry = None if btb_set is None else btb_set.get(pc)
                 if entry is None:             # BTB miss: demote (predict)
-                    btb_misses += 1
                     pred_taken, pred_target = False, pc + 1
                 else:
-                    btb_hits += 1
                     btb_stamp += 1
                     pred_target = entry[0]
                     btb_set[pc] = (pred_target, btb_stamp)
@@ -190,9 +178,6 @@ class BranchUnit:
                 # stale. Finish the block on the self-folding predict.
                 rows = None
         btb._stamp = btb_stamp
-        btb.hits += btb_hits
-        btb.misses += btb_misses
-        self.lookups += lookups
 
     def _repair(self, uop: MicroOp) -> None:
         """Restore speculative history/RAS to the post-branch state."""
@@ -216,14 +201,12 @@ class BranchUnit:
 
     def state_dict(self) -> dict:
         return {
-            "lookups": self.lookups,
             "tage": self.tage.state_dict(),
             "btb": self.btb.state_dict(),
             "ras": self.ras.state_dict(),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        self.lookups = state["lookups"]
         self.tage.load_state_dict(state["tage"])
         self.btb.load_state_dict(state["btb"])
         self.ras.load_state_dict(state["ras"])

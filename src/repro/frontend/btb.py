@@ -12,7 +12,6 @@ class Btb:
     def __init__(self, entries: int = 8192, ways: int = 2) -> None:
         if entries % ways != 0:
             raise ValueError("BTB entries must divide evenly into ways")
-        self.entries = entries
         self.ways = ways
         self.num_sets = entries // ways
         # set index -> per-set dict pc -> (target, lru_stamp); a set is
@@ -20,17 +19,13 @@ class Btb:
         # short run stay empty, and every restore builds a machine).
         self._sets: Dict[int, Dict[int, tuple]] = {}
         self._stamp = 0
-        self.hits = 0
-        self.misses = 0
 
     def lookup(self, pc: int) -> Optional[int]:
         """Predicted target for a branch at ``pc``, or None on a BTB miss."""
         btb_set = self._sets.get((pc >> 2) % self.num_sets)
         entry = None if btb_set is None else btb_set.get(pc)
         if entry is None:
-            self.misses += 1
             return None
-        self.hits += 1
         self._stamp += 1
         target = entry[0]
         btb_set[pc] = (target, self._stamp)
@@ -60,8 +55,6 @@ class Btb:
             "targets": [target for target, _ in entries],
             "stamps": [stamp for _, stamp in entries],
             "stamp": self._stamp,
-            "hits": self.hits,
-            "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -74,5 +67,3 @@ class Btb:
                 btb_set = sets[index] = {}
             btb_set[pc] = entry
         self._stamp = state["stamp"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]

@@ -52,7 +52,6 @@ class FetchStage:
                  config: CoreConfig, stats: SimStats) -> None:
         self.trace = trace
         self.branch_unit = branch_unit
-        self.config = config
         self.stats = stats
         self.width = config.fetch_width
         self.depth = config.frontend_depth
@@ -69,8 +68,6 @@ class FetchStage:
         self._stall_until = 0
         self._next_seq = 0
         self.trace_exhausted = False
-        self.fetched_correct = 0
-        self.fetched_wrong = 0
 
     # ------------------------------------------------------------------
 
@@ -85,7 +82,6 @@ class FetchStage:
             width = self.width
             self._wp_groups.append([now + self.depth, width])
             self._wp_pending += width
-            self.fetched_wrong += width
             return
         taken_seen = 0
         pipe_append = self.pipe.append
@@ -122,7 +118,6 @@ class FetchStage:
                     if taken_seen >= 2:
                         break
         # The group's numbering is written back once per cycle.
-        self.fetched_correct += seq - self._next_seq
         self._next_seq = seq
 
     def next_event(self, now: int) -> Optional[int]:
@@ -153,7 +148,6 @@ class FetchStage:
         width, depth = self.width, self.depth
         self._wp_groups.extend([cycle + depth, width] for cycle in range(now, until))
         self._wp_pending += (until - now) * width
-        self.fetched_wrong += (until - now) * width
 
     # ------------------------------------------------------------------
     # delivery to Rename
@@ -273,8 +267,6 @@ class FetchStage:
             "stall_until": self._stall_until,
             "next_seq": self._next_seq,
             "trace_exhausted": self.trace_exhausted,
-            "fetched_correct": self.fetched_correct,
-            "fetched_wrong": self.fetched_wrong,
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
@@ -289,5 +281,3 @@ class FetchStage:
         self._stall_until = state["stall_until"]
         self._next_seq = state["next_seq"]
         self.trace_exhausted = state["trace_exhausted"]
-        self.fetched_correct = state["fetched_correct"]
-        self.fetched_wrong = state["fetched_wrong"]

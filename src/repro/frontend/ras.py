@@ -26,22 +26,16 @@ class ReturnAddressStack:
         self._top = 0          # index of next push slot
         self._depth = 0        # live entries (saturates at `entries`)
         self._stack_snapshot: Optional[Tuple[int, ...]] = None
-        self.pushes = 0
-        self.pops = 0
-        self.underflows = 0
 
     def push(self, return_pc: int) -> None:
         self._stack[self._top] = return_pc
         self._stack_snapshot = None        # contents changed: drop cache
         self._top = (self._top + 1) % self.entries
         self._depth = min(self._depth + 1, self.entries)
-        self.pushes += 1
 
     def pop(self) -> int:
         """Predicted return target; 0 on underflow."""
-        self.pops += 1
         if self._depth == 0:
-            self.underflows += 1
             return 0
         self._top = (self._top - 1) % self.entries
         self._depth -= 1
@@ -66,9 +60,6 @@ class ReturnAddressStack:
             "stack": list(self._stack),
             "top": self._top,
             "depth": self._depth,
-            "pushes": self.pushes,
-            "pops": self.pops,
-            "underflows": self.underflows,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -76,6 +67,3 @@ class ReturnAddressStack:
         self._top = state["top"]
         self._depth = state["depth"]
         self._stack_snapshot = None      # pure cache: rebuilt on demand
-        self.pushes = state["pushes"]
-        self.pops = state["pops"]
-        self.underflows = state["underflows"]

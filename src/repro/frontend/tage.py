@@ -73,8 +73,6 @@ class TageLite:
             for length in self.history_lengths
         ]
         self._rng_state = seed or 1
-        self.predictions = 0
-        self.mispredictions = 0
 
     # -- history management ---------------------------------------------
 
@@ -179,7 +177,6 @@ class TageLite:
         passed back to :meth:`update`. Global history is speculatively
         updated with the prediction.
         """
-        self.predictions += 1
         provider = -1
         provider_idx = -1
         alt_pred = None
@@ -234,12 +231,10 @@ class TageLite:
         tags, low table first, as the warming engine folds them
         in bulk (:func:`repro.pipeline.warming.engine.tage_fold_indices`)
         — they must equal what :meth:`predict` would compute for the
-        current history. Counter and state effects are identical to
-        :meth:`predict`; the live folds are left stale
-        (``_folds_history`` no longer matches) and rebuilt by the next
-        plain :meth:`predict`.
+        current history. State effects are identical to :meth:`predict`;
+        the live folds are left stale (``_folds_history`` no longer
+        matches) and rebuilt by the next plain :meth:`predict`.
         """
-        self.predictions += 1
         provider = -1
         provider_idx = -1
         alt_pred = None
@@ -267,9 +262,6 @@ class TageLite:
         """Train with the actual outcome; call once per predicted branch."""
         provider, provider_idx, alt_pred, pred, history, pc = state
         correct = pred == taken
-        if not correct:
-            self.mispredictions += 1
-
         saved_history = self._history
         self._history = history            # rebuild indices as at predict
         try:
@@ -312,12 +304,6 @@ class TageLite:
                 return
             useful[idx] -= 1    # age useful bits when allocation fails
 
-    @property
-    def accuracy(self) -> float:
-        if not self.predictions:
-            return 0.0
-        return 1.0 - self.mispredictions / self.predictions
-
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
@@ -330,8 +316,6 @@ class TageLite:
             "useful": [list(column) for column in self._useful],
             "history": self._history,
             "rng_state": self._rng_state,
-            "predictions": self.predictions,
-            "mispredictions": self.mispredictions,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -341,8 +325,6 @@ class TageLite:
                 column[:] = saved
         self._history = state["history"]
         self._rng_state = state["rng_state"]
-        self.predictions = state["predictions"]
-        self.mispredictions = state["mispredictions"]
         self._fold_memo = {}
         self._folds_history = -1
 

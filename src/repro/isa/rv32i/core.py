@@ -48,17 +48,15 @@ class HaltReason:
 class Retired:
     """One retired instruction, as the lowering layer sees it."""
 
-    __slots__ = ("pc", "instr", "mem_addr", "taken", "target", "next_pc")
+    __slots__ = ("pc", "instr", "mem_addr", "taken", "target")
 
     def __init__(self, pc: int, instr: Instr, mem_addr: int = 0,
-                 taken: bool = False, target: int = 0,
-                 next_pc: int = 0) -> None:
+                 taken: bool = False, target: int = 0) -> None:
         self.pc = pc
         self.instr = instr
         self.mem_addr = mem_addr
         self.taken = taken
         self.target = target
-        self.next_pc = next_pc
 
 
 def _signed32(value: int) -> int:
@@ -210,7 +208,7 @@ class Machine:
             self.halt_reason = (HaltReason.ECALL if name == "ecall"
                                 else HaltReason.EBREAK)
             self.retired += 1
-            return Retired(pc, instr, next_pc=pc + 4)
+            return Retired(pc, instr)
         else:                       # pragma: no cover - decode is total
             raise AssertionError(f"unhandled mnemonic {name}")
 
@@ -219,7 +217,7 @@ class Machine:
         self.pc = next_pc
         self.retired += 1
         return Retired(pc, instr, mem_addr=mem_addr, taken=taken,
-                       target=target, next_pc=next_pc)
+                       target=target)
 
     def run(self, max_steps: int = 1_000_000) -> int:
         """Run until halt (or the step cap); returns instructions retired."""

@@ -71,11 +71,10 @@ class DecodeError(ValueError):
 class Instr:
     """One decoded RV32I instruction (operands already extracted)."""
 
-    __slots__ = ("word", "mnemonic", "rd", "rs1", "rs2", "imm")
+    __slots__ = ("mnemonic", "rd", "rs1", "rs2", "imm")
 
-    def __init__(self, word: int, mnemonic: str, rd: int = 0,
+    def __init__(self, mnemonic: str, rd: int = 0,
                  rs1: int = 0, rs2: int = 0, imm: int = 0) -> None:
-        self.word = word
         self.mnemonic = mnemonic
         self.rd = rd
         self.rs1 = rs1
@@ -127,59 +126,58 @@ def decode(word: int) -> Instr:
     funct7 = word >> 25
 
     if opcode == _OP_LUI:
-        return Instr(word, "lui", rd=rd, imm=_imm_u(word))
+        return Instr("lui", rd=rd, imm=_imm_u(word))
     if opcode == _OP_AUIPC:
-        return Instr(word, "auipc", rd=rd, imm=_imm_u(word))
+        return Instr("auipc", rd=rd, imm=_imm_u(word))
     if opcode == _OP_JAL:
-        return Instr(word, "jal", rd=rd, imm=_imm_j(word))
+        return Instr("jal", rd=rd, imm=_imm_j(word))
     if opcode == _OP_JALR:
         if funct3 != 0:
             raise DecodeError(f"JALR with funct3={funct3}: {word:#010x}")
-        return Instr(word, "jalr", rd=rd, rs1=rs1, imm=_imm_i(word))
+        return Instr("jalr", rd=rd, rs1=rs1, imm=_imm_i(word))
     if opcode == _OP_BRANCH:
         mnemonic = _BRANCH_F3.get(funct3)
         if mnemonic is None:
             raise DecodeError(f"branch funct3={funct3}: {word:#010x}")
-        return Instr(word, mnemonic, rs1=rs1, rs2=rs2, imm=_imm_b(word))
+        return Instr(mnemonic, rs1=rs1, rs2=rs2, imm=_imm_b(word))
     if opcode == _OP_LOAD:
         mnemonic = _LOAD_F3.get(funct3)
         if mnemonic is None:
             raise DecodeError(f"load funct3={funct3}: {word:#010x}")
-        return Instr(word, mnemonic, rd=rd, rs1=rs1, imm=_imm_i(word))
+        return Instr(mnemonic, rd=rd, rs1=rs1, imm=_imm_i(word))
     if opcode == _OP_STORE:
         mnemonic = _STORE_F3.get(funct3)
         if mnemonic is None:
             raise DecodeError(f"store funct3={funct3}: {word:#010x}")
-        return Instr(word, mnemonic, rs1=rs1, rs2=rs2, imm=_imm_s(word))
+        return Instr(mnemonic, rs1=rs1, rs2=rs2, imm=_imm_s(word))
     if opcode == _OP_IMM:
         if funct3 == 0b001:
             if funct7 != 0:
                 raise DecodeError(f"SLLI funct7={funct7:#x}: {word:#010x}")
-            return Instr(word, "slli", rd=rd, rs1=rs1, imm=rs2)
+            return Instr("slli", rd=rd, rs1=rs1, imm=rs2)
         if funct3 == 0b101:
             if funct7 == 0:
-                return Instr(word, "srli", rd=rd, rs1=rs1, imm=rs2)
+                return Instr("srli", rd=rd, rs1=rs1, imm=rs2)
             if funct7 == 0b0100000:
-                return Instr(word, "srai", rd=rd, rs1=rs1, imm=rs2)
+                return Instr("srai", rd=rd, rs1=rs1, imm=rs2)
             raise DecodeError(f"shift funct7={funct7:#x}: {word:#010x}")
-        return Instr(word, _IMM_F3[funct3], rd=rd, rs1=rs1,
-                     imm=_imm_i(word))
+        return Instr(_IMM_F3[funct3], rd=rd, rs1=rs1, imm=_imm_i(word))
     if opcode == _OP_OP:
         entry = _OP_F3.get(funct3)
         if funct7 == 0 and entry is not None:
-            return Instr(word, entry[0], rd=rd, rs1=rs1, rs2=rs2)
+            return Instr(entry[0], rd=rd, rs1=rs1, rs2=rs2)
         if funct7 == 0b0100000 and entry is not None and entry[1]:
-            return Instr(word, entry[1], rd=rd, rs1=rs1, rs2=rs2)
+            return Instr(entry[1], rd=rd, rs1=rs1, rs2=rs2)
         raise DecodeError(
             f"OP funct3={funct3} funct7={funct7:#x}: {word:#010x}")
     if opcode == _OP_MISC_MEM:
         # FENCE / FENCE.I: a uniprocessor functional model runs them as
         # no-ops; the operand fields are ignored by design.
-        return Instr(word, "fence")
+        return Instr("fence")
     if opcode == _OP_SYSTEM:
         if word == 0x00000073:
-            return Instr(word, "ecall")
+            return Instr("ecall")
         if word == 0x00100073:
-            return Instr(word, "ebreak")
+            return Instr("ebreak")
         raise DecodeError(f"unsupported SYSTEM word {word:#010x}")
     raise DecodeError(f"unknown opcode {opcode:#04x} in word {word:#010x}")

@@ -45,9 +45,9 @@ class MicroOp:
         "actual_latency", "promised_latency", "executed", "completed",
         "num_issues", "spec_woken", "replay_pending", "squashed", "dead",
         # memory outcome
-        "l1_hit", "forwarded",
+        "l1_hit",
         # bookkeeping
-        "fetch_cycle", "commit_cycle", "was_critical",
+        "fetch_cycle", "was_critical",
     )
 
     def __init__(
@@ -100,10 +100,8 @@ class MicroOp:
         self.dead = False
 
         self.l1_hit = True
-        self.forwarded = False
 
         self.fetch_cycle = -1
-        self.commit_cycle = -1
         self.was_critical = False
 
         # Classification: plain attributes, precomputed once.

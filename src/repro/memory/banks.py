@@ -57,8 +57,6 @@ class BankScheduler:
         # cycle -> total accesses serviced that cycle.
         self._cycle_total: Dict[int, int] = {}
         self._min_live_cycle = 0
-        self.conflicts = 0          # accesses delayed at least one cycle
-        self.total_delay = 0
 
     def access(self, addr: int, now: int) -> int:
         """Reserve a service slot for a load reaching the cache at ``now``.
@@ -84,12 +82,8 @@ class BankScheduler:
                     break
             cycle += 1
         self._cycle_total[cycle] = self._cycle_total.get(cycle, 0) + 1
-        delay = cycle - now
-        if delay:
-            self.conflicts += 1
-            self.total_delay += delay
         self._maybe_prune(now)
-        return delay
+        return cycle - now
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
@@ -99,8 +93,6 @@ class BankScheduler:
                            for key, value in self._bank_slots.items()],
             "cycle_total": list(self._cycle_total.items()),
             "min_live_cycle": self._min_live_cycle,
-            "conflicts": self.conflicts,
-            "total_delay": self.total_delay,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -108,8 +100,6 @@ class BankScheduler:
                             for key, value in state["bank_slots"]}
         self._cycle_total = dict(state["cycle_total"])
         self._min_live_cycle = state["min_live_cycle"]
-        self.conflicts = state["conflicts"]
-        self.total_delay = state["total_delay"]
 
     def _maybe_prune(self, now: int) -> None:
         """Drop bookkeeping for long-past cycles to bound memory."""

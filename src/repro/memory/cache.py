@@ -19,7 +19,6 @@ class SetAssocCache:
 
     def __init__(self, config: CacheConfig) -> None:
         config.validate()
-        self.config = config
         self.num_sets = config.num_sets
         self.assoc = config.assoc
         self._offset_bits = log2_int(config.line_bytes)
@@ -30,8 +29,6 @@ class SetAssocCache:
         # Per set: tag -> LRU stamp. Small dicts; max len == associativity.
         self._sets: List[Dict[int, int]] = [dict() for _ in range(self.num_sets)]
         self._stamp = 0
-        self.accesses = 0
-        self.misses = 0
 
     # -- address helpers -------------------------------------------------
 
@@ -45,7 +42,6 @@ class SetAssocCache:
 
         Does *not* allocate on a miss — callers decide fill timing.
         """
-        self.accesses += 1
         line = addr >> self._offset_bits
         cache_set = self._sets[line & self._index_mask]
         tag = line >> self._set_bits
@@ -53,11 +49,10 @@ class SetAssocCache:
             self._stamp += 1
             cache_set[tag] = self._stamp
             return True
-        self.misses += 1
         return False
 
     def probe(self, addr: int) -> bool:
-        """Hit/miss check with no statistics and no LRU update."""
+        """Hit/miss check with no LRU update."""
         line = addr >> self._offset_bits
         return (line >> self._set_bits) in self._sets[line & self._index_mask]
 
@@ -85,11 +80,11 @@ class SetAssocCache:
 
         For each ``(set_index, tag)`` pair in order: bump the LRU stamp,
         touch the line if resident, otherwise evict-and-insert — the
-        exact per-access state effects of :meth:`fill`, with **no**
-        access/miss accounting (warming never counts: see
-        :mod:`repro.pipeline.functional`). With ``record_hits`` the
-        pre-install probe outcome of every access is returned (the
-        hit/miss-filter training input); otherwise returns ``None``.
+        exact per-access state effects of :meth:`fill` (warming never
+        counts: see :mod:`repro.pipeline.functional`). With
+        ``record_hits`` the pre-install probe outcome of every access is
+        returned (the hit/miss-filter training input); otherwise returns
+        ``None``.
         """
         sets = self._sets
         assoc = self.assoc
@@ -122,10 +117,6 @@ class SetAssocCache:
         """Total lines currently valid (for tests / occupancy checks)."""
         return sum(len(s) for s in self._sets)
 
-    @property
-    def miss_rate(self) -> float:
-        return self.misses / self.accesses if self.accesses else 0.0
-
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
@@ -137,8 +128,6 @@ class SetAssocCache:
             "tags": list(chain.from_iterable(sets)),
             "stamps": list(chain.from_iterable(map(dict.values, sets))),
             "stamp": self._stamp,
-            "accesses": self.accesses,
-            "misses": self.misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -149,5 +138,3 @@ class SetAssocCache:
                 start, end = end, end + size
                 cache_set.update(zip(tags[start:end], stamps[start:end]))
         self._stamp = state["stamp"]
-        self.accesses = state["accesses"]
-        self.misses = state["misses"]

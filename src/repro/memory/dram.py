@@ -28,9 +28,6 @@ class DdrModel:
         self._open_row: List[int] = [-1] * nbanks
         self._bank_free_at: List[int] = [0] * nbanks
         self._bus_free_at = 0
-        self.reads = 0
-        self.row_hits = 0
-        self.row_misses = 0
 
     def _map(self, line_addr: int) -> int:
         """Line address -> bank (low-order line bits, rank-interleaved)."""
@@ -47,23 +44,14 @@ class DdrModel:
         row = self._row_of(line_addr)
         start = max(now, self._bank_free_at[bank], self._bus_free_at)
         latency = start - now + cfg.base_latency
-        if self._open_row[bank] == row:
-            self.row_hits += 1
-        else:
-            self.row_misses += 1
+        if self._open_row[bank] != row:
             latency += cfg.row_miss_penalty
             self._open_row[bank] = row
         latency = min(latency, cfg.max_latency)
         done = now + latency
         self._bank_free_at[bank] = done
         self._bus_free_at = max(self._bus_free_at, start + cfg.bus_cycles)
-        self.reads += 1
         return latency
-
-    @property
-    def row_hit_rate(self) -> float:
-        total = self.row_hits + self.row_misses
-        return self.row_hits / total if total else 0.0
 
     # -- state protocol (repro.checkpoint) -----------------------------
 
@@ -72,15 +60,9 @@ class DdrModel:
             "open_row": list(self._open_row),
             "bank_free_at": list(self._bank_free_at),
             "bus_free_at": self._bus_free_at,
-            "reads": self.reads,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
         }
 
     def load_state_dict(self, state: dict) -> None:
         self._open_row[:] = state["open_row"]
         self._bank_free_at[:] = state["bank_free_at"]
         self._bus_free_at = state["bus_free_at"]
-        self.reads = state["reads"]
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]

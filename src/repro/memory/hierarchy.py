@@ -87,8 +87,7 @@ class MemoryHierarchy:
         inflight = self.l1_mshrs.lookup(line)
         if inflight is not None and inflight > access_at:
             stats.l1d_misses += 1
-            self.l1_mshrs.merges += 1
-            self.l1d.lookup(addr)     # touch LRU; counted in cache stats
+            self.l1d.lookup(addr)     # touch LRU
             latency = max(self.l1_hit_latency + bank_delay, inflight - now)
             return LoadOutcome(hit=False, bank_delay=bank_delay,
                                latency=latency, merged=True)
@@ -131,7 +130,6 @@ class MemoryHierarchy:
         inflight = self.l2_mshrs.lookup(line)
         if inflight is not None and inflight > now:
             stats.l2_misses += 1
-            self.l2_mshrs.merges += 1
             self.l2.lookup(addr)
             return self.config.l2.latency + max(0, inflight - now)
 

@@ -19,9 +19,6 @@ class MshrFile:
             raise ValueError("MSHR capacity must be >= 1")
         self.capacity = capacity
         self._inflight: Dict[int, int] = {}
-        self.allocations = 0
-        self.merges = 0
-        self.full_stalls = 0
 
     def __len__(self) -> int:
         return len(self._inflight)
@@ -47,10 +44,8 @@ class MshrFile:
         self.expire(now)
         existing = self._inflight.get(line)
         if existing is not None:
-            self.merges += 1
             return existing
         if len(self._inflight) >= self.capacity:
-            self.full_stalls += 1
             earliest = min(self._inflight.values())
             ready_cycle = max(ready_cycle, earliest + 1)
             # The stalled request re-requests once a register frees up; we
@@ -60,7 +55,6 @@ class MshrFile:
                     del self._inflight[key]
                     break
         self._inflight[line] = ready_cycle
-        self.allocations += 1
         return ready_cycle
 
     # -- state protocol (repro.checkpoint) -----------------------------
@@ -68,15 +62,7 @@ class MshrFile:
     def state_dict(self) -> dict:
         """Entries keep insertion order — the full-file eviction walk
         breaks completion-cycle ties by it."""
-        return {
-            "inflight": list(self._inflight.items()),
-            "allocations": self.allocations,
-            "merges": self.merges,
-            "full_stalls": self.full_stalls,
-        }
+        return {"inflight": list(self._inflight.items())}
 
     def load_state_dict(self, state: dict) -> None:
         self._inflight = dict(state["inflight"])
-        self.allocations = state["allocations"]
-        self.merges = state["merges"]
-        self.full_stalls = state["full_stalls"]

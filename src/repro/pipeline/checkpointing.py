@@ -14,8 +14,7 @@ Invariants (normative list in ``docs/ARCHITECTURE.md``):
 * the µop table is encoded *last*, after every component has had the
   chance to register in-flight µops;
 * inter-stage latches and wires are serialized by the driver alongside
-  the components; stage objects contribute a ``stages`` table only when
-  they own state (default stages own none);
+  the components; stages own no state and contribute nothing;
 * a table is saved as flat int columns, one list per field, never as a
   list of per-entry containers; a layout change bumps ``STATE_VERSION``.
 """
@@ -63,9 +62,6 @@ def machine_state_dict(sim) -> Dict:
     for key, attr, takes_ctx in COMPONENT_REGISTRY:
         component = getattr(sim, attr)
         state[key] = (component.state_dict(ctx) if takes_ctx else component.state_dict())
-    stage_states = {stage.name: blob for stage in sim.stages if (blob := stage.state_dict(ctx))}
-    if stage_states:
-        state["stages"] = stage_states
     # Encode the µop table last: serializing components (and then the
     # table itself, via store_dep chains) may register further µops.
     state["uops"] = ctx.table()
@@ -80,14 +76,9 @@ def load_machine_state_dict(sim, state: Dict) -> None:
             f"checkpoint state version {state.get('version')} "
             f"(this build reads {sim.STATE_VERSION})"
         )
-    # Validate before mutating anything: a half-restored simulator that
-    # survives a caught exception would silently produce wrong results.
-    stage_states = dict(state.get("stages", ()))
-    unknown = set(stage_states) - {stage.name for stage in sim.stages}
-    if unknown:
-        raise ValueError(
-            f"checkpoint carries state for unknown stage(s): " f"{', '.join(sorted(unknown))}"
-        )
+    # The decoder checks the µop slot layout before anything is mutated:
+    # a half-restored simulator that survives a caught exception would
+    # silently produce wrong results.
     ctx = UopDecoder(state["uops"], state.get("uop_slots"))
     sim.now = state["now"]
     sim.issue_block.load_state_dict(state["issue_block_cycle"])
@@ -102,9 +93,3 @@ def load_machine_state_dict(sim, state: Dict) -> None:
             component.load_state_dict(state[key], ctx)
         else:
             component.load_state_dict(state[key])
-    # Every stage is restored, with {} standing in when the snapshot
-    # stored nothing for it (empty blobs are elided at save time to keep
-    # the default payload layout byte-identical): a stage's
-    # load_state_dict must treat {} as "reset to the empty state".
-    for stage in sim.stages:
-        stage.load_state_dict(stage_states.get(stage.name, {}), ctx)

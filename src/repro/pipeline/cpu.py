@@ -48,7 +48,7 @@ class Simulator:
     #: Cycles without a commit before we declare the model wedged.
     DEADLOCK_LIMIT = 100_000
     #: Bumped when the simulator-level state layout changes.
-    STATE_VERSION = 4
+    STATE_VERSION = 5
 
     def __init__(
         self,

@@ -15,10 +15,9 @@ engine runs every cell with the cyclic garbage collector paused
 
 Contract (normative statement in ``docs/ARCHITECTURE.md``):
 
-* ``name`` identifies the stage in the tick order, the per-stage
-  instrumentation breakdown (:mod:`repro.perf.instrument`) and the
-  checkpoint payload's ``stages`` table — names must be unique per
-  machine;
+* ``name`` identifies the stage in the tick order and the per-stage
+  instrumentation breakdown (:mod:`repro.perf.instrument`) — names
+  must be unique per machine;
 * ``tick(now)`` advances the stage one cycle and communicates only
   through wires, latches and the shared structures it bound;
 * ``next_event(now)`` returns the first cycle ``>= now`` whose tick the
@@ -31,13 +30,9 @@ Contract (normative statement in ``docs/ARCHITECTURE.md``):
   that overrides ``tick`` without redefining ``next_event`` gets the
   default ``next_event`` back, so an observer sees every cycle unless
   it implements both methods;
-* ``state_dict(ctx)`` / ``load_state_dict(state, ctx)`` implement the
-  component state protocol (:mod:`repro.checkpoint.state`) for state the
-  stage *owns* (most stages own none — shared structures and latches are
-  serialized by the driver); a checkpoint round-trip must restore the
-  stage bit-identically, and ``load_state_dict({})`` must reset the
-  stage to its empty state (snapshots elide empty blobs, so restore
-  hands ``{}`` to any stage the payload recorded nothing for);
+* a stage owns no machine state: everything a checkpoint must carry
+  lives in the shared structures, wires and latches the driver
+  serializes, so a stage keeps only bound references and constants;
 * ``after`` (class attribute) names the insertion anchor used when the
   stage is added through ``extra_stages`` — see
   :func:`repro.pipeline.stages.build_stages`.
@@ -68,8 +63,7 @@ class Stage:
     """Base class for pipeline stages (see the module docstring for the
     full protocol contract)."""
 
-    #: Stage name: unique per machine, keys the instrumentation and
-    #: checkpoint tables.
+    #: Stage name: unique per machine, keys the instrumentation table.
     name = "stage"
 
     #: For ``extra_stages``: name of the stage to insert after
@@ -102,13 +96,3 @@ class Stage:
     def skip(self, now: int, until: int) -> None:
         """Apply the ticks of cycles ``now .. until-1`` in bulk (default:
         nothing, for stages whose quiescent ticks do nothing)."""
-
-    # -- state protocol (repro.checkpoint) -------------------------------
-
-    def state_dict(self, ctx) -> Dict:
-        """Stage-owned state as plain data (empty for stateless stages)."""
-        return {}
-
-    def load_state_dict(self, state: Dict, ctx) -> None:
-        """Restore a :meth:`state_dict` snapshot — ``{}`` means "reset
-        to the empty state" (no-op by default: stateless)."""

@@ -22,10 +22,9 @@ class Commit(Stage):
     name = "commit"
 
     def __init__(self, sim) -> None:
-        """Bind the ROB, renamer, LSQ, the policy tables trained at
-        commit (``None`` when the cell has none) and the commit wire."""
+        """Bind the ROB's window, renamer, LSQ, the policy tables trained
+        at commit (``None`` when the cell has none) and the commit wire."""
         super().__init__(sim)
-        self.rob = sim.rob
         self._entries = sim.rob.entries
         self.renamer = sim.renamer
         self.lsq = sim.lsq
@@ -38,13 +37,12 @@ class Commit(Stage):
 
     def tick(self, now: int) -> None:
         """Retire completed ROB-head µops, oldest first: the loop pops
-        the ROB's deque and counts the cycle's retirements once."""
+        the ROB's deque directly."""
         entries = self._entries
         if not entries or not entries[0].completed:
             return
         retire = self._retire
         pop = entries.popleft
-        retired = 0
         for _ in range(self.width):
             if not entries:
                 break
@@ -55,8 +53,6 @@ class Commit(Stage):
                 raise SimulationError(f"wrong-path µop reached ROB head: {head!r}")
             pop()
             retire(head, now)
-            retired += 1
-        self.rob.retired += retired
         self.last_commit.value = now
 
     def next_event(self, now: int) -> int:
@@ -71,7 +67,6 @@ class Commit(Stage):
         self.renamer.commit(head)
         if head.is_mem:
             self.lsq.release(head)
-        head.commit_cycle = now
         self.stats.committed_uops += 1
         if head.is_load and self._train_filter is not None:
             self._train_filter(head.pc, head.l1_hit)

@@ -101,7 +101,6 @@ class Execute(Stage):
     def _execute_load(self, uop: MicroOp, now: int) -> None:
         forwarding_store = self.lsq.forwarding_store(uop)
         if forwarding_store is not None:
-            uop.forwarded = True
             uop.l1_hit = True
             alat = self.load_to_use
             self.stats.store_forwards += 1

@@ -146,8 +146,6 @@ class Issue(Stage):
         stats.issued_total += 1
         if num_issues == 1:
             stats.unique_issued += 1
-        else:
-            self.recovery.replays_issued += 1
         if uop.wrong_path:
             stats.wrong_path_issued += 1
 

@@ -13,7 +13,6 @@ class RegisterAliasTable:
     """
 
     def __init__(self, num_arch_regs: int) -> None:
-        self.num_arch_regs = num_arch_regs
         #: arch -> preg, ``-1`` while unmapped (the renamer reads it
         #: directly; restores refill it in place).
         self.mapping: List[int] = [-1] * num_arch_regs

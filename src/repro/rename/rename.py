@@ -24,7 +24,6 @@ class RegisterRenamer:
 
     def __init__(self, config: Optional[CoreConfig] = None) -> None:
         cfg = config or CoreConfig()
-        self.config = cfg
         self.rat = RegisterAliasTable(NUM_ARCH_REGS)
         self.int_free = FreeList(0, cfg.int_prf, reserved=FP_REG_BASE)
         self.fp_free = FreeList(cfg.int_prf, cfg.fp_prf,
@@ -35,7 +34,6 @@ class RegisterRenamer:
         for arch in range(FP_REG_BASE, NUM_ARCH_REGS):
             self.rat.set(arch, cfg.int_prf + (arch - FP_REG_BASE))
         self._map = self.rat.mapping
-        self.renames = 0
 
     # ------------------------------------------------------------------
 
@@ -61,7 +59,6 @@ class RegisterRenamer:
         else:
             uop.pdst = -1
             uop.prev_pdst = -1
-        self.renames += 1
 
     def commit(self, uop: MicroOp) -> None:
         """Retire: the previous mapping of the destination is now dead."""
@@ -89,7 +86,6 @@ class RegisterRenamer:
             "rat": self.rat.state_dict(),
             "int_free": self.int_free.state_dict(),
             "fp_free": self.fp_free.state_dict(),
-            "renames": self.renames,
         }
 
     def load_state_dict(self, state: dict) -> None:
@@ -99,4 +95,3 @@ class RegisterRenamer:
         self.rat.load_state_dict(state["rat"])
         self.int_free.load_state_dict(state["int_free"])
         self.fp_free.load_state_dict(state["fp_free"])
-        self.renames = state["renames"]

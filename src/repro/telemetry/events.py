@@ -266,14 +266,13 @@ def _stream_error(path: Path, exc: BaseException) -> EventsFormatError:
 
 
 def _open_text(path: Path):
-    handle = path.open("rb")
-    magic = handle.read(2)
-    handle.seek(0)
-    if magic == b"\x1f\x8b":
-        return gzip.open(handle, "rt", encoding="utf-8")
-    import io
-
-    return io.TextIOWrapper(handle, encoding="utf-8")
+    # gzip.open closes only the files it opened itself, so the gzip
+    # reader opens the path rather than wrapping the probe's handle.
+    with path.open("rb") as probe:
+        gzipped = probe.read(2) == b"\x1f\x8b"
+    if gzipped:
+        return gzip.open(path, "rt", encoding="utf-8")
+    return path.open("r", encoding="utf-8")
 
 
 def open_events(path) -> Tuple[Dict[str, Any], Iterator[tuple]]:

@@ -20,7 +20,7 @@ class TestBroadcastAndWakeup:
         sb, _ = make()
         u = consumer([1, 2])
         assert sb.watch(u) == 0
-        assert all(sb.ready[p] and sb.ready_at[p] <= 0 for p in u.psrcs)
+        assert all(sb.ready[p] for p in u.psrcs)
         assert all(sb.data_ready_at[p] <= 0 for p in u.psrcs)
 
     def test_broadcast_then_event_fires(self):
@@ -64,7 +64,7 @@ class TestSquashSemantics:
         sb.tick(10)                      # stale event must not fire
         assert not woken
         assert not sb.ready[3]
-        assert sb.ready_at[3] == NEVER
+        assert sb.data_ready_at[3] == NEVER
 
     def test_rebroadcast_after_unready(self):
         sb, woken = make()
@@ -117,9 +117,12 @@ class TestDataValidity:
         assert sb.watch(u) == 0
         assert sb.data_ready_at[7] == 5
 
-    def test_wakeups_fired_counter(self):
-        sb, _ = make()
+    def test_same_cycle_wakeups_all_fire(self):
+        sb, woken = make()
         sb.broadcast(1, 3, 4)
         sb.broadcast(2, 3, 4)
+        u = consumer([1, 2])
+        assert sb.watch(u) == 2
         sb.tick(3)
-        assert sb.wakeups_fired == 2
+        assert sb.ready[1] and sb.ready[2]
+        assert woken == [u] and u.pending == 0

@@ -118,9 +118,3 @@ class TestIq:
         iq.make_ready(u)
         iq.make_ready(u)
         assert iq.take_ready() == [u]
-
-    def test_peak_occupancy(self):
-        iq = IssueQueue(8)
-        for i in range(5):
-            iq.insert(op(i))
-        assert iq.peak_occupancy == 5

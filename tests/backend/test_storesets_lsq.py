@@ -100,7 +100,6 @@ class TestForwarding:
         for u in (s1, s2, load):
             lsq.insert(u)
         assert lsq.forwarding_store(load) is s2
-        assert lsq.forwards == 1
 
     def test_no_forward_from_younger_store(self):
         lsq = LoadStoreQueue()
@@ -141,7 +140,6 @@ class TestViolationDetection:
         lsq.insert(store)
         lsq.insert(early_load)
         assert lsq.detect_violation(store) is early_load
-        assert lsq.violations == 1
 
     def test_oldest_offender_chosen(self):
         lsq = LoadStoreQueue()

@@ -7,16 +7,19 @@ meta JSON is not an object, a version-1 checkpoint file, bad
 TOML, unknown workload and configuration names, and bad
 ``REPRO_*`` values, each sent through every subcommand that reads it.
 None may end in a traceback or a silent success. Digest mismatches
-under ``--verify`` keep their documented exit 1.
+and refused payloads under ``--verify`` keep their documented exit 1,
+each reported on its own line.
 """
 
 from __future__ import annotations
 
+import pickle
 import shutil
 
 import pytest
 
-from repro.checkpoint.format import load_checkpoint, write_checkpoint
+from repro.checkpoint.format import (CONTAINER, load_checkpoint,
+                                     write_checkpoint)
 from repro.cli import main
 from repro.common.container import FRAME_HEADER, HEADER
 from repro.isa.rv32i.corpus import bundled_programs
@@ -72,6 +75,13 @@ def _relabel_version(src, dst, version) -> None:
     write_checkpoint(payload, dst)
 
 
+def _not_a_state(src, dst) -> None:
+    """Copy a checkpoint's header with a payload whose digest holds but
+    which is not a checkpoint state (the list ``[1, 2, 3]``)."""
+    CONTAINER.write(dst, CONTAINER.header(src).meta,
+                    (pickle.dumps([1, 2, 3], protocol=4),), level=1)
+
+
 def _second_frame_offset(path) -> int:
     data = path.read_bytes()
     first = HEADER.size + HEADER.unpack_from(data)[5]
@@ -112,6 +122,8 @@ def inputs(tmp_path_factory):
     _relabel_version(root / "good.ckpt", root / "v1.ckpt", 1)
     _relabel_version(root / "good.ckpt", root / "v2.ckpt", 2)
     _relabel_version(root / "good.ckpt", root / "v3.ckpt", 3)
+    _relabel_version(root / "good.ckpt", root / "v4.ckpt", 4)
+    _not_a_state(root / "good.ckpt", root / "odd.ckpt")
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
     _cut(root / "good.hex", root / "cut.hex", lambda n: n - 5)
@@ -153,6 +165,12 @@ _CHECKPOINT_MISMATCHES = {
     "run-from-v3-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v3.ckpt"],
     "checkpoint-rebase-v3-ckpt": ["checkpoint", "rebase", "v3.ckpt",
+                                  "SpecSched_2", "-o", "out.ckpt"],
+    # Version 4 is the layout before the components lost the counters
+    # nothing reported and the stages lost their state hook.
+    "run-from-v4-ckpt": ["run", "gzip", "SpecSched_4",
+                         "--from-checkpoint", "v4.ckpt"],
+    "checkpoint-rebase-v4-ckpt": ["checkpoint", "rebase", "v4.ckpt",
                                   "SpecSched_2", "-o", "out.ckpt"],
     "run-from-ckpt-dual-ported": ["run", "gzip", "SpecSched_4",
                                   "--dual-ported",
@@ -291,15 +309,18 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("case_id, message", [
-    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 4)"),
+    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 5)"),
     ("checkpoint-rebase-v1-ckpt",
-     "checkpoint state version 1 (this build reads 4)"),
-    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 4)"),
+     "checkpoint state version 1 (this build reads 5)"),
+    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 5)"),
     ("checkpoint-rebase-v2-ckpt",
-     "checkpoint state version 2 (this build reads 4)"),
-    ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 4)"),
+     "checkpoint state version 2 (this build reads 5)"),
+    ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 5)"),
     ("checkpoint-rebase-v3-ckpt",
-     "checkpoint state version 3 (this build reads 4)"),
+     "checkpoint state version 3 (this build reads 5)"),
+    ("run-from-v4-ckpt", "checkpoint state version 4 (this build reads 5)"),
+    ("checkpoint-rebase-v4-ckpt",
+     "checkpoint state version 4 (this build reads 5)"),
     ("run-from-ckpt-dual-ported",
      "(memory.l1d.banked: checkpoint True, cell False)"),
 ])
@@ -324,6 +345,26 @@ def test_verify_reports_digest_mismatch_with_exit_1(inputs, capsys, argv):
     # check fails.
     assert main(argv[:2] + [str(inputs / argv[2])] + argv[3:]) == 1
     assert "DIGEST MISMATCH" in capsys.readouterr().out
+
+
+def test_checkpoint_verify_names_a_digest_mismatch(inputs, capsys):
+    assert main(["checkpoint", "info", str(inputs / "cut.ckpt"),
+                 "--verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1].startswith("  payload    DIGEST MISMATCH (")
+    assert not any("REFUSED" in line for line in lines)
+
+
+def test_checkpoint_verify_names_a_refused_payload(inputs, capsys):
+    """A payload whose digest holds but which is not a checkpoint
+    state is refused on its own line, not reported as a mismatch."""
+    assert main(["checkpoint", "info", str(inputs / "odd.ckpt"),
+                 "--verify"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "  payload    digest OK"
+    assert lines[-1].startswith("  state      REFUSED (")
+    assert "payload is not a checkpoint state" in lines[-1]
+    assert not any("DIGEST MISMATCH" in line for line in lines)
 
 
 _ENV_COMMANDS = {

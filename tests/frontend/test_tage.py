@@ -69,13 +69,6 @@ def test_history_snapshot_restore():
     assert t.snapshot_history() == snap
 
 
-def test_accuracy_counter():
-    t = TageLite()
-    run_pattern(t, 0x58, [True] * 50)
-    assert t.predictions == 50
-    assert 0.0 <= t.accuracy <= 1.0
-
-
 def test_distinct_pcs_do_not_destructively_alias():
     t = TageLite()
     a = run_pattern(t, 0x100, [True] * 150)

@@ -34,23 +34,19 @@ class TestConflictRules:
     def test_same_bank_different_set_conflicts(self):
         b = BankScheduler()
         assert self.second_delay(b, addr(3, 1), addr(3, 2)) == 1
-        assert b.conflicts == 1
 
     def test_same_set_does_not_conflict(self):
         # Rivers line buffer: two reads to the same set may proceed.
         b = BankScheduler()
         assert self.second_delay(b, addr(3, 5), addr(3, 5)) == 0
-        assert b.conflicts == 0
 
     def test_different_bank_does_not_conflict(self):
         b = BankScheduler()
         assert self.second_delay(b, addr(1, 4), addr(2, 4)) == 0
-        assert b.conflicts == 0
 
     def test_unbanked_never_conflicts(self):
         b = BankScheduler(banked=False)
         assert self.second_delay(b, addr(3, 1), addr(3, 2)) == 0
-        assert b.conflicts == 0
 
 
 class TestAccessScheduling:
@@ -58,7 +54,6 @@ class TestAccessScheduling:
         b = BankScheduler()
         assert b.access(addr(0, 1), 100) == 0
         assert b.access(addr(0, 2), 100) == 1
-        assert b.conflicts == 1
 
     def test_same_set_pair_no_delay(self):
         b = BankScheduler()
@@ -96,13 +91,9 @@ class TestAccessScheduling:
         assert b.access(addr(1, 3), 1) == 0      # different bank: fits
         assert b.access(addr(2, 4), 1) == 1      # port limit pushes to 2
 
-    def test_delay_statistics(self):
+    def test_delays_accumulate_in_one_bank(self):
         b = BankScheduler()
-        b.access(addr(0, 1), 0)
-        b.access(addr(0, 2), 0)
-        b.access(addr(0, 3), 0)
-        assert b.conflicts == 2
-        assert b.total_delay == 1 + 2
+        assert [b.access(addr(0, s), 0) for s in (1, 2, 3)] == [0, 1, 2]
 
     def test_prune_keeps_behaviour(self):
         b = BankScheduler()

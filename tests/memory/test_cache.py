@@ -24,18 +24,14 @@ class TestBasics:
         assert c.probe(0x103F)
         assert not c.probe(0x1040)
 
-    def test_miss_counting(self):
-        c = small_cache()
-        c.lookup(0)
-        c.fill(0)
-        c.lookup(0)
-        assert c.accesses == 2 and c.misses == 1
-        assert c.miss_rate == pytest.approx(0.5)
-
     def test_probe_has_no_side_effects(self):
-        c = small_cache()
-        c.probe(0x40)
-        assert c.accesses == 0 and c.misses == 0
+        c = small_cache(assoc=2, sets=1)
+        assert not c.probe(0x40)
+        assert c.resident_lines() == 0     # a probe never allocates
+        c.fill(0)
+        c.fill(64)
+        assert c.probe(0)                  # no LRU refresh: 0 stays LRU
+        assert c.fill(128) == 0
 
 
 class TestLru:

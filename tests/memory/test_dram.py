@@ -1,4 +1,3 @@
-import pytest
 
 from repro.common.config import DramConfig
 from repro.memory.dram import DdrModel
@@ -8,7 +7,6 @@ def test_first_read_is_row_miss_at_base_plus_penalty():
     d = DdrModel(DramConfig())
     lat = d.read(0, now=0)
     assert lat == 75 + 55
-    assert d.row_misses == 1
 
 
 def test_row_hit_pays_base_only():
@@ -17,7 +15,6 @@ def test_row_hit_pays_base_only():
     # Same row, same bank, long after the first completes.
     lat = d.read(16, now=10_000)    # lines 0 and 16 share bank 0 (16 banks)
     assert lat == 75
-    assert d.row_hits == 1
 
 
 def test_latency_within_paper_band():
@@ -42,11 +39,10 @@ def test_bus_contention_affects_other_banks():
     assert lat >= 75 + 20        # waits at least the burst occupancy
 
 
-def test_row_hit_rate_tracks():
+def test_open_row_pays_the_penalty_once():
     d = DdrModel(DramConfig())
-    for _ in range(4):
-        d.read(0, now=d.reads * 1000)
-    assert d.row_hit_rate == pytest.approx(3 / 4)
+    lats = [d.read(0, now=i * 1000) for i in range(4)]
+    assert lats == [75 + 55, 75, 75, 75]
 
 
 def test_deterministic():

@@ -30,7 +30,7 @@ class TestLoadLatencies:
         out = h.load(0x100000, pc=1, now=100)
         assert not out.hit
         assert out.latency >= 13 + 75
-        assert h.dram.reads == 1
+        assert h.stats.dram_reads == 1
 
     def test_fill_after_miss(self):
         h = make(banked=False)
@@ -43,7 +43,7 @@ class TestLoadLatencies:
         b = h.load(0x3008, pc=2, now=1)       # same line, one cycle later
         assert b.merged
         assert b.latency <= a.latency
-        assert h.dram.reads == 1
+        assert h.stats.dram_reads == 1
 
     def test_bank_conflict_adds_delay(self):
         h = make(banked=True)
@@ -85,7 +85,7 @@ class TestPrefetcher:
             h.load(0x800000 + i * 64, pc=42, now=i * 400)
         assert h.prefetcher.issued > 0
         # With generous spacing the prefetched data has arrived: far-ahead
-        # demand accesses hit in the L2 (dram.reads also counts the
+        # demand accesses hit in the L2 (the DRAM also serves the
         # prefetch traffic itself, so check demand-side L2 misses).
         assert h.stats.l2_misses < 8
         assert h.prefetcher.useful > 0

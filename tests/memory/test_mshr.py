@@ -15,8 +15,7 @@ def test_merge_returns_primary_completion():
     m = MshrFile(4)
     m.allocate(0x10, 100, now=0)
     assert m.allocate(0x10, 150, now=5) == 100
-    assert m.merges == 1
-    assert m.allocations == 1
+    assert len(m) == 1 and m.lookup(0x10) == 100
 
 
 def test_expiry():
@@ -34,7 +33,6 @@ def test_capacity_pressure_serializes():
     m.allocate(2, 60, now=0)
     done = m.allocate(3, 55, now=0)
     assert done >= 51          # waits behind the earliest completion
-    assert m.full_stalls == 1
     assert len(m) == 2
 
 

@@ -237,7 +237,6 @@ def test_fig8_cells_keep_only_live_uops_on_the_ready_lists(
     sim.functional_warmup(workload.build_trace(1), 2_000)
     sim.run_with_warmup(500, 2_500)
     assert checked_take_ready["members"] > 0
-    assert sim.rob.retired == sim.stats.committed_uops
 
 
 def _step_until(sim, predicate, limit=20_000):

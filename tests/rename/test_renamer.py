@@ -50,7 +50,7 @@ class TestRenamer:
         r = RegisterRenamer()
         u = op([FP_REG_BASE], FP_REG_BASE + 1)
         r.rename(u)
-        assert u.pdst >= r.config.int_prf    # FP pool is above the INT file
+        assert u.pdst >= CoreConfig().int_prf    # FP pool is above the INT file
 
     def test_dependency_chain_through_rat(self):
         r = RegisterRenamer()
