@@ -8,9 +8,11 @@ Four layers:
 * :mod:`repro.checkpoint.format` — the plain-data state payload of a
   ``.ckpt`` file (a :mod:`repro.common.container` file) and the
   save/load/restore entry points;
-* :mod:`repro.checkpoint.rebase` — cross-configuration re-targeting of
-  purely functional checkpoints (one warming pass serves a whole
-  scheduling-policy grid);
+* :mod:`repro.checkpoint.rebase` — when a checkpoint restores under
+  another configuration: a purely functional one as a fresh machine of
+  that configuration plus the warmed islands, so one warming pass
+  serves a whole scheduling-policy grid (``rebase_checkpoint`` saves
+  such a restore);
 * :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and its
   compilation into checkpoint-chained engine cells (run one sampled
   cell with ``repro.run_workload(..., sampling=spec)``).

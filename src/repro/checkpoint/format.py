@@ -120,9 +120,7 @@ def _canonical_state(obj: Any) -> Any:
 def _dumps(state: Any) -> bytes:
     # fast=True disables the pickle memo, so the byte stream depends only
     # on *values*, never on object identity/aliasing inside the state
-    # graph. Rebased payloads stitch islands from two different object
-    # graphs; without this, content-identical states could hash apart.
-    # State dicts are plain acyclic data, which fast mode requires.
+    # graph. State dicts are plain acyclic data, which fast mode requires.
     buffer = io.BytesIO()
     pickler = pickle.Pickler(buffer, protocol=PICKLE_PROTOCOL)
     pickler.fast = True
@@ -207,9 +205,7 @@ def write_checkpoint(payload: Dict[str, Any], path, *,
 
     ``payload`` is the on-disk payload shape (``schema`` / ``config`` /
     ``workload`` / ``seed`` / ``sim``); the meta header is derived from
-    it. This is the writer :func:`save_checkpoint` funnels through, and
-    what :mod:`repro.checkpoint.rebase` uses to emit a re-targeted state
-    without ever building a live simulator.
+    it. This is the writer :func:`save_checkpoint` funnels through.
     """
     raw = _dumps(payload)
     meta = {
@@ -266,27 +262,32 @@ class Checkpoint:
         self.info = info
         self.payload = payload
 
-    @property
-    def config(self) -> SimConfig:
-        return SimConfig.from_dict(self.payload["config"]).validate()
+    def restore(self, config: Optional[SimConfig] = None, trace=None,
+                phase_profile=None, event_bus=None, extra_stages=()):
+        """Build a fresh :class:`~repro.pipeline.cpu.Simulator` under
+        ``config`` (default: the saved one) and load this checkpoint's
+        state into it.
 
-    def restore(self, trace=None, phase_profile=None,
-                event_bus=None, extra_stages=()):
-        """Build a fresh :class:`~repro.pipeline.cpu.Simulator` and load
-        this checkpoint's state into it.
-
-        ``trace`` overrides the recorded workload (required when the
-        checkpoint was saved without one); it must be an equivalent
-        source — same workload, same seed — since its cursor state is
-        overwritten from the checkpoint. ``event_bus`` / ``extra_stages``
-        pass through to the Simulator constructor, so a restored run can
-        be instrumented exactly like a cold one (telemetry stages own no
-        checkpoint state — the saved payload restores cleanly into the
-        instrumented machine).
+        A purely functional checkpoint restores as the fresh machine plus
+        the islands warming touched, under its own configuration or any
+        other that :func:`~repro.checkpoint.rebase.check_restorable`
+        accepts; a checkpoint with detailed state restores whole, under
+        its own configuration only. ``trace`` overrides the recorded
+        workload (required when the checkpoint was saved without one);
+        it must be an equivalent source — same workload, same seed —
+        since its cursor state is overwritten from the checkpoint.
+        ``event_bus`` / ``extra_stages`` pass through to the Simulator
+        constructor, so a restored run can be instrumented exactly like a
+        cold one (telemetry stages own no checkpoint state).
         """
+        from repro.checkpoint.rebase import check_restorable, load_warmed_islands
         from repro.pipeline.cpu import Simulator
         from repro.traces.registry import workload_from_payload
 
+        if config is None:
+            config = SimConfig.from_dict(self.payload["config"])
+        config = config.validate()
+        functional = check_restorable(self, config.to_dict())
         if trace is None:
             workload_data = self.payload.get("workload")
             if workload_data is None:
@@ -295,9 +296,12 @@ class Checkpoint:
                     f"pass an explicit trace to restore()")
             workload = workload_from_payload(workload_data)
             trace = workload.build_trace(self.payload.get("seed"))
-        sim = Simulator(self.config, trace, phase_profile=phase_profile,
+        sim = Simulator(config, trace, phase_profile=phase_profile,
                         event_bus=event_bus, extra_stages=extra_stages)
-        sim.load_state_dict(self.payload["sim"])
+        if functional:
+            load_warmed_islands(sim, self.payload["sim"])
+        else:
+            sim.load_state_dict(self.payload["sim"])
         return sim
 
 

@@ -1,4 +1,4 @@
-"""Cross-configuration checkpoint rebase: one warming pass, many configs.
+"""Cross-configuration restore: one warming pass, many configs.
 
 Functional warming (:mod:`repro.pipeline.warming` and its reference
 loop :mod:`repro.pipeline.functional`) mutates exactly five state
@@ -12,25 +12,30 @@ configuration alone; nothing the scheduling-policy parameters control
 tables) is touched before the first detailed cycle.
 
 So a *purely functional* checkpoint (zero committed µops, zero cycles,
-no in-flight state) taken under configuration A can be re-targeted to
+no in-flight state) taken under configuration A restores under
 configuration B whenever A and B agree on the memory and branch
-configurations: keep the five warmed islands, take everything else from
-a freshly built B machine, and the result is byte-identical to having
-warmed B natively over the same stream. That is what :func:`rebase_
-checkpoint` does — and why one warming pass per workload can serve the
-whole fig8 preset grid (the presets differ only in scheduling policy).
+configurations: build a fresh B machine and load the warmed islands
+into it (:meth:`~repro.checkpoint.format.Checkpoint.restore`). The
+result is the machine a native warming of B over the same stream would
+have built, state for state. That is how one warming chain per workload
+serves the whole fig8 preset grid (the presets differ only in
+scheduling policy), and :func:`rebase_checkpoint` is that restore
+followed by a save.
 
-Compatibility rules, enforced before any state is assembled:
+Refusals, checked in this order before any machine is built
+(:func:`check_restorable`):
 
-* source must be purely functional (detailed state cannot be re-targeted
-  — ROB/IQ/rename contents are shaped by the scheduling policy);
+* the state layout version must be this build's;
+* a checkpoint with detailed state restores whole, and only under its
+  own configuration — ROB/IQ/rename contents are shaped by the
+  scheduling policy;
 * ``memory`` and ``branch`` configuration dicts must be equal (they size
   and seed the warmed islands);
 * a ``filter_ctr`` target needs a ``filter_ctr`` source with the same
   filter shape (entries, counter bits, reset interval, silence bit) —
   the warmed filter table transplants only into an identically shaped
-  one. A filterless target simply drops the source's filter state
-  (policy tables reset, caches/predictors carried over).
+  one. A filterless target simply leaves the source's filter state
+  behind (policy tables fresh, caches/predictors carried over).
 """
 
 from __future__ import annotations
@@ -39,24 +44,25 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.common.config import HitMissPolicy, SimConfig
 from repro.checkpoint.format import (
-    CHECKPOINT_SCHEMA,
     Checkpoint,
     CheckpointError,
     CheckpointInfo,
     load_checkpoint,
-    write_checkpoint,
+    save_checkpoint,
 )
 
 __all__ = [
     "RebaseError",
     "check_rebase_compatible",
+    "check_restorable",
     "filter_shape",
+    "load_warmed_islands",
     "rebase_checkpoint",
 ]
 
 
 class RebaseError(CheckpointError):
-    """Source checkpoint cannot be re-targeted to the requested config."""
+    """Checkpoint cannot be restored under the requested config."""
 
 
 #: The sched-config fields that size the hit/miss filter: a warmed filter
@@ -81,43 +87,61 @@ def check_rebase_compatible(source_config: Dict[str, Any],
     for section in ("memory", "branch"):
         if source_config.get(section) != target_config.get(section):
             raise RebaseError(
-                f"cannot rebase {source_config.get('name', '?')!r} -> "
-                f"{target_config.get('name', '?')!r}: the {section} "
-                f"configurations differ, so the warmed state would be "
-                f"wrong (rebase only re-targets scheduling-policy "
-                f"parameters)")
+                f"cannot restore {source_config.get('name', '?')!r} "
+                f"state under {target_config.get('name', '?')!r}: the "
+                f"{section} configurations differ, so the warmed state "
+                f"would be wrong (only scheduling-policy parameters may "
+                f"differ)")
     source_shape = filter_shape(source_config.get("sched", {}))
     target_shape = filter_shape(target_config.get("sched", {}))
     if target_shape is not None and source_shape != target_shape:
         detail = ("carries no hit/miss filter" if source_shape is None
                   else "filter shapes differ")
         raise RebaseError(
-            f"cannot rebase {source_config.get('name', '?')!r} -> "
-            f"{target_config.get('name', '?')!r}: the target needs a "
-            f"warmed {FILTER_SHAPE_FIELDS} filter but the source "
+            f"cannot restore {source_config.get('name', '?')!r} state "
+            f"under {target_config.get('name', '?')!r}: the target needs "
+            f"a warmed {FILTER_SHAPE_FIELDS} filter but the source "
             f"{detail}; warm the target family from a filter-bearing "
             f"donor instead")
 
 
-def _require_purely_functional(ckpt: Checkpoint) -> None:
-    info = ckpt.info
-    if info.uops_committed or info.cycles:
+def check_restorable(ckpt: Checkpoint, target_config: Dict[str, Any]) -> bool:
+    """Raise unless ``ckpt`` restores under ``target_config`` (a config
+    dict); returns whether it is purely functional, i.e. restores as a
+    fresh target machine plus the warmed islands."""
+    from repro.pipeline.cpu import Simulator
+
+    info, state = ckpt.info, ckpt.payload["sim"]
+    version = state.get("version")
+    if version != Simulator.STATE_VERSION:     # the islands keep the saved layout
+        raise CheckpointError(f"{info.path}: checkpoint state version {version} "
+                              f"(this build reads {Simulator.STATE_VERSION})")
+    functional = not (info.uops_committed or info.cycles or state.get("uops"))
+    if ckpt.payload["config"] == target_config:
+        return functional
+    if not functional:
         raise RebaseError(
-            f"{info.path}: checkpoint has detailed state "
-            f"({info.uops_committed} committed µops, {info.cycles} "
-            f"cycles); only purely functional checkpoints rebase — "
-            f"in-flight pipeline contents are shaped by the scheduling "
+            f"checkpoint has detailed state ({info.uops_committed} "
+            f"committed µops, {info.cycles} cycles); only purely "
+            f"functional checkpoints restore under another configuration "
+            f"— in-flight pipeline contents are shaped by the scheduling "
             f"policy")
-    state = ckpt.payload.get("sim") or {}
-    if state.get("uops"):
-        raise RebaseError(
-            f"{info.path}: checkpoint carries in-flight µops; only "
-            f"purely functional checkpoints rebase")
+    check_rebase_compatible(ckpt.payload["config"], target_config)
+    return True
 
 
-#: State-dict islands functional warming mutates (everything else is
-#: taken fresh from the target machine). Policy is handled separately.
-_WARMED_KEYS = ("stats", "trace", "branch_unit", "hierarchy")
+#: State-dict islands functional warming mutates, each the state of the
+#: simulator attribute of the same name. Policy is handled separately.
+WARMED_ISLANDS = ("stats", "trace", "branch_unit", "hierarchy")
+
+
+def load_warmed_islands(sim, state: Dict[str, Any]) -> None:
+    """Load the warmed islands of a purely functional ``state`` into the
+    fresh machine ``sim``; everything else stays as built."""
+    for key in WARMED_ISLANDS:
+        getattr(sim, key).load_state_dict(state[key])
+    if sim.policy.hm_filter is not None:
+        sim.policy.hm_filter.load_state_dict(state["policy"]["hm_filter"])
 
 
 def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
@@ -125,52 +149,22 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     """Re-target the warm checkpoint ``source`` to ``target_config``,
     writing the result to ``output``; returns the new checkpoint's info.
 
-    The output is byte-identical to a checkpoint taken by natively
-    fast-forwarding a fresh ``target_config`` machine over the same
-    stream span (the property the rebase tests pin): the warmed islands
-    are carried over verbatim, everything else — including every
-    scheduling-policy table except a shape-compatible hit/miss filter —
-    comes from a freshly built target machine.
+    The source restores under the target (:func:`check_restorable`
+    refuses what cannot), and the restored machine is saved. The output
+    is byte-identical to a checkpoint taken by natively fast-forwarding
+    a fresh ``target_config`` machine over the same stream span (the
+    property the rebase tests pin).
     """
-    from repro.pipeline.cpu import Simulator
     from repro.traces.registry import workload_from_payload
 
     ckpt = source if isinstance(source, Checkpoint) else \
         load_checkpoint(source)
-    target_config = target_config.validate()
-    target_dict = target_config.to_dict()
-    version = (ckpt.payload.get("sim") or {}).get("version")
-    if version != Simulator.STATE_VERSION:     # carried islands keep the source's layout
-        raise RebaseError(f"{ckpt.info.path}: checkpoint state version {version} "
-                          f"(this build reads {Simulator.STATE_VERSION})")
-    _require_purely_functional(ckpt)
-    check_rebase_compatible(ckpt.payload["config"], target_dict)
     workload_data = ckpt.payload.get("workload")
     if workload_data is None:
         raise RebaseError(
             f"{ckpt.info.path}: checkpoint records no workload, so the "
             f"target machine's trace source cannot be rebuilt")
-
-    workload = workload_from_payload(workload_data)
-    seed = ckpt.payload.get("seed")
-    fresh = Simulator(target_config,
-                      workload.build_trace(seed)).state_dict()
-    source_state = ckpt.payload["sim"]
-    merged = dict(fresh)                 # preserves native key order
-    for key in _WARMED_KEYS:
-        merged[key] = source_state[key]
-    if "hm_filter" in fresh["policy"]:
-        policy = dict(fresh["policy"])
-        policy["hm_filter"] = source_state["policy"]["hm_filter"]
-        merged["policy"] = policy
-
-    payload = {
-        "schema": CHECKPOINT_SCHEMA,
-        "config": target_dict,
-        "workload": workload_data,
-        "seed": seed,
-        "sim": merged,
-    }
+    sim = ckpt.restore(target_config.validate())
     provenance = {
         "mode": "rebase",
         "source_digest": ckpt.info.digest,
@@ -178,5 +172,7 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     }
     if "stream_uops" in ckpt.info.provenance:
         provenance["stream_uops"] = ckpt.info.provenance["stream_uops"]
-    return write_checkpoint(payload, output, uops_committed=0, cycles=0,
-                            provenance=provenance)
+    return save_checkpoint(sim, output,
+                           workload=workload_from_payload(workload_data),
+                           seed=ckpt.payload.get("seed"),
+                           provenance=provenance)

@@ -21,13 +21,15 @@ Each interval compiles to one self-contained engine cell
 persistently cached like any other cell. Its fast-forward chains off
 the previous interval's checkpoint (produced by a checkpoint-producing
 cell, content-addressed in the engine's checkpoint store), so total
-warming cost is linear in the span. One warming chain serves every config of a workload that
-shares memory/branch parameters — the chain's checkpoints are rebased
-(:mod:`repro.checkpoint.rebase`) across scheduling-policy configs. A
-chain starts at µop zero or at a user checkpoint. ``repro run
---sample`` (through :func:`repro.pipeline.sim.run_workload`), sweeps,
-figures and perfbench all run these cells; the interval mean IPC and
-its confidence interval come from
+warming cost is linear in the span. One warming chain serves every
+config of a workload that shares memory/branch parameters: each
+interval cell restores the chain's own checkpoint under its config
+(:mod:`repro.checkpoint.rebase`), so the store holds one file per
+chain and interval, whatever the number of scheduling-policy configs. A
+chain starts at µop zero or at a purely functional user checkpoint.
+``repro run --sample`` (through :func:`repro.pipeline.sim.
+run_workload`), sweeps, figures and perfbench all run these cells; the
+interval mean IPC and its confidence interval come from
 :class:`~repro.pipeline.sim.RunResult`.
 
 :func:`sample_payloads` compiles the from-zero form of the same
@@ -46,7 +48,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List
 
-from repro.common.config import SimConfig
 from repro.common.serialize import stable_hash
 
 
@@ -148,46 +149,6 @@ def sample_payloads(base_payload: Dict[str, Any],
     ]
 
 
-def _rebased_refs(ref: Dict[str, Any], targets: Dict[str, SimConfig],
-                  store: Path) -> Dict[str, Dict[str, Any]]:
-    """Refs for chain checkpoint ``ref`` re-targeted to each of
-    ``targets`` (keyed by the caller's target ids), materialized
-    content-addressed in ``store`` (reused when present).
-
-    The store name hashes the *source digest* + target config + code
-    version, so a regenerated or re-warmed source chain can never serve
-    a stale rebased file. The source is loaded at most once, and only
-    when some target's entry is missing; each new entry's ref comes from
-    the info :func:`~repro.checkpoint.rebase.rebase_checkpoint` returns,
-    so the file is not read back.
-    """
-    from repro.checkpoint.format import CHECKPOINT_SUFFIX, load_checkpoint
-    from repro.checkpoint.rebase import rebase_checkpoint
-    from repro.experiments.engine import (
-        _checkpoint_ref,
-        _gc_paused,
-        checkpoint_store_ref,
-        code_version,
-    )
-
-    source = None
-    rebased = {}
-    with _gc_paused():
-        for target_id, target_config in targets.items():
-            key = stable_hash({"rebase": ref["digest"],
-                               "config": target_config.to_dict(),
-                               "code_version": code_version()})
-            out = store / f"{key}{CHECKPOINT_SUFFIX}"
-            cached = checkpoint_store_ref(out)
-            if cached is None:
-                if source is None:
-                    source = load_checkpoint(ref["path"])
-                cached = _checkpoint_ref(
-                    out, rebase_checkpoint(source, target_config, out))
-            rebased[target_id] = cached
-    return rebased
-
-
 def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                           store, *, options=None,
                           progress=None) -> List[Dict[str, Any]]:
@@ -201,14 +162,16 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     lock-step batches through :func:`~repro.experiments.engine.
     run_produce_cells`, so warming parallelism across workloads/configs
     is preserved even though each chain is sequential. A base carrying a
-    ``checkpoint`` ref starts its chain there instead of at µop zero.
-    Chain checkpoints are then rebased (cheap, in-process) to every
-    other config in the chain's group, and the returned measurement
+    ``checkpoint`` ref starts its chain there instead of at µop zero;
+    that checkpoint must be purely functional. The returned measurement
     payloads — in ``bases``-major, interval-minor order, ready for
-    ``run_cells`` — reference the (possibly rebased) checkpoints by
-    digest. ``store`` is the checkpoint store directory (see
+    ``run_cells`` — reference their chain's checkpoints by digest, and
+    each cell restores its chain checkpoint under its own config
+    (:meth:`~repro.checkpoint.format.Checkpoint.restore`). ``store`` is
+    the checkpoint store directory (see
     :func:`~repro.experiments.engine.checkpoint_store`).
     """
+    from repro.checkpoint.format import read_info
     from repro.checkpoint.rebase import filter_shape
     from repro.experiments.engine import (
         EngineOptions,
@@ -223,22 +186,33 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     store.mkdir(parents=True, exist_ok=True)
 
     # Partition bases into warming chains. A warming chain is valid for
-    # every config sharing its memory/branch parameters (rebase's
+    # every config sharing its memory/branch parameters (the restore
     # compatibility rule); filter-bearing configs additionally need a
     # donor of their own filter shape, so each distinct shape in a group
     # gets its own chain. Filterless configs ride the group's first
-    # filter-bearing chain when one exists (rebase drops the filter
-    # state) — one warming pass per workload serves the whole grid.
+    # filter-bearing chain when one exists (their restore leaves the
+    # filter state behind) — one warming pass per workload serves the
+    # whole grid.
     described = []                       # per base: (group, shape)
     donors: Dict[Any, Dict[str, Any]] = {}   # chain id -> donor base
     group_shapes: Dict[str, List[Any]] = {}
     for base in bases:
+        start = base.get("checkpoint")
+        if start is not None:
+            info = read_info(start["path"])
+            if info.uops_committed or info.cycles:
+                raise SamplingError(
+                    f"{start['path']}: a sampled chain starts from a "
+                    f"purely functional checkpoint, but this one has "
+                    f"detailed state ({info.uops_committed} committed "
+                    f"µops, {info.cycles} cycles); create it with "
+                    f"--mode functional")
         group = stable_hash({
             "workload": workload_identity(base["workload"]),
             "seed": base["seed"],
             "memory": base["config"]["memory"],
             "branch": base["config"]["branch"],
-            "start": (base.get("checkpoint") or {}).get("digest"),
+            "start": (start or {}).get("digest"),
         })
         shape = filter_shape(base["config"].get("sched", {}))
         described.append((group, shape))
@@ -270,31 +244,8 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
             prev[cid] = ref
             refs[cid].append(ref)
 
-    # Rebase index-major — per chain, per checkpoint, every target — so
-    # each chain checkpoint is loaded once, and only one is held at a
-    # time.
-    targets: Dict[Any, Dict[str, SimConfig]] = {}
-    target_of = []                       # per base: target id or None
-    for base, cid in zip(bases, chain_of):
-        if base["config"] == donors[cid]["config"]:
-            target_of.append(None)
-            continue
-        target_id = stable_hash(base["config"])
-        chain_targets = targets.setdefault(cid, {})
-        if target_id not in chain_targets:
-            chain_targets[target_id] = \
-                SimConfig.from_dict(base["config"]).validate()
-        target_of.append(target_id)
-    rebased = {cid: [_rebased_refs(ref, chain_targets, store)
-                     for ref in refs[cid]]
-               for cid, chain_targets in targets.items()}
-
     payloads = []
-    for base, cid, target_id in zip(bases, chain_of, target_of):
-        if target_id is None:
-            base_refs = refs[cid]
-        else:
-            base_refs = [by_target[target_id] for by_target in rebased[cid]]
+    for base, cid in zip(bases, chain_of):
         for index in range(spec.intervals):
             payloads.append({
                 **{key: value for key, value in base.items()
@@ -303,6 +254,6 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                 "warmup_uops": spec.warmup_uops,
                 "measure_uops": spec.interval_uops,
                 "sampling": {"spec": spec.to_dict(), "index": index},
-                "checkpoint": base_refs[index],
+                "checkpoint": refs[cid][index],
             })
     return payloads

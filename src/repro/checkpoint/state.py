@@ -135,10 +135,6 @@ class UopDecoder:
 # RNG state helpers (random.Random round-trips as plain data)
 
 
-def rng_state(rng: random.Random) -> Tuple:
-    return rng.getstate()
-
-
 def set_rng_state(rng: random.Random, state: Sequence[Any]) -> None:
     version, internal, gauss_next = state
     rng.setstate((version, tuple(internal), gauss_next))

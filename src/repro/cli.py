@@ -22,9 +22,9 @@ Commands:
   ``checkpoint rebase FILE CONFIG`` — freeze a mid-run simulator's
   complete state to a versioned ``.ckpt`` file, inspect one
   (``--verify`` re-checks the content digest, then decodes the state),
-  or re-target a purely
-  functional checkpoint to another scheduling-policy configuration
-  (one warming pass, many configs — see
+  or save a purely functional checkpoint as restored under another
+  scheduling-policy configuration (``run --from-checkpoint`` restores
+  it under that configuration directly — see
   :mod:`repro.checkpoint.rebase`);
 * ``events info FILE`` / ``events dump FILE`` / ``events export FILE``
   — inspect an event trace written by ``run --events``, print raw
@@ -104,7 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="measured µops (default: REPRO_MEASURE)")
     run_p.add_argument("--from-checkpoint", default=None, metavar="FILE",
                        help="resume from a saved .ckpt instead of "
-                            "starting cold (see 'repro checkpoint')")
+                            "starting cold: a functional one under any "
+                            "config sharing its memory and branch setup, "
+                            "a detailed one under its own config only "
+                            "(see 'repro checkpoint')")
     run_p.add_argument("--sample", action="store_true",
                        help="SMARTS-style interval sampling instead of "
                             "one contiguous measured region")
@@ -213,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
                                 "then decode the state")
 
     ckpt_rebase = ckpt_sub.add_parser(
-        "rebase", help="re-target a purely functional checkpoint to a "
-                       "configuration differing only in scheduling-"
-                       "policy parameters")
+        "rebase", help="save a purely functional checkpoint as restored "
+                       "under a configuration differing only in "
+                       "scheduling-policy parameters")
     ckpt_rebase.add_argument("file", help="source .ckpt (functional mode)")
     ckpt_rebase.add_argument("config", help="target preset, e.g. Baseline_0")
     ckpt_rebase.add_argument("-o", "--output", default=None, metavar="FILE",
@@ -320,9 +323,10 @@ def _print_run(result) -> None:
     stats = result.stats
     print(f"{result.workload} under {result.config_name}:")
     for key in ("cycles", "committed_uops", "issued_total", "unique_issued",
-                "replayed_miss", "replayed_bank", "l1d_accesses",
-                "l1d_misses", "l1d_bank_conflicts", "branches",
-                "branch_mispredicts", "issue_cycles_lost"):
+                "replayed_miss", "replayed_bank", "squash_events_miss",
+                "squash_events_bank", "l1d_accesses", "l1d_misses",
+                "l1d_bank_conflicts", "branches", "branch_mispredicts",
+                "issue_cycles_lost"):
         print(f"  {key:22s} {getattr(stats, key)}")
     print(f"  {'IPC':22s} {stats.ipc:.3f}")
     print(f"  {'L1D miss rate':22s} {stats.l1d_miss_rate:.1%}")
@@ -468,9 +472,11 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
             if functional:
                 sim.functional_warmup(workload.build_trace(seed), functional)
             sim.run(max_uops=args.uops)
+            # The stream position is the trace cursor, which runs
+            # ahead of commit by the µops in flight.
             provenance = {"mode": "detailed",
                           "functional_warmup_uops": functional,
-                          "stream_uops": sim.stats.committed_uops}
+                          "stream_uops": sim.trace.emitted}
         output = args.output or f"{workload.name}-{args.config}.ckpt"
         info = save_checkpoint(sim, output, workload=workload, seed=seed,
                                provenance=provenance)

@@ -349,17 +349,6 @@ def payload_identity(payload: Dict[str, Any]) -> Dict[str, Any]:
     return normalized
 
 
-def cell_seed(payload: Dict[str, Any]) -> int:
-    """The cell's trace seed: the sweep-wide base seed, unchanged.
-
-    Every cell of a sweep deliberately shares one seed so all
-    configurations of a workload see the *same* µop stream (the paper
-    compares configurations, not trace instances). It is a function of
-    the payload alone — never of dispatch order or worker identity.
-    """
-    return payload["seed"]
-
-
 def _config_difference(saved: Any, cell: Any, path: str = "") -> str:
     """``"dotted.path: checkpoint X, cell Y"`` where two unequal config dicts first differ."""
     if isinstance(saved, dict) and isinstance(cell, dict):
@@ -369,17 +358,22 @@ def _config_difference(saved: Any, cell: Any, path: str = "") -> str:
     return f"{path[:-1]}: checkpoint {saved!r}, cell {cell!r}"
 
 
-def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
+def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
                              phase_profile=None, event_bus=None,
                              extra_stages=()) -> Tuple[Simulator, int]:
-    """Restore a cell's ``checkpoint`` base, fully verified.
+    """Restore a cell's ``checkpoint`` base under the cell's ``config``,
+    fully verified.
 
     The digest must match the ref (a regenerated checkpoint can never
-    serve a stale cell), the saved configuration must equal the cell's,
-    and the saved workload identity must equal the cell's. Returns the
-    restored simulator and the checkpoint's stream position.
+    serve a stale cell), the saved workload identity must equal the
+    cell's, and the checkpoint must restore under the cell's
+    configuration (:func:`~repro.checkpoint.rebase.check_restorable`:
+    a purely functional one under any configuration sharing its memory,
+    branch and filter shape, a detailed one under its own only).
+    Returns the restored simulator and the checkpoint's stream position.
     """
     from repro.checkpoint.format import CheckpointError, load_checkpoint
+    from repro.checkpoint.rebase import RebaseError
 
     checkpoint = payload["checkpoint"]
     loaded = load_checkpoint(checkpoint["path"])
@@ -387,11 +381,6 @@ def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
         raise CheckpointError(
             f"checkpoint {checkpoint['path']} changed since the cell "
             f"was built (digest mismatch)")
-    if loaded.payload["config"] != payload["config"]:
-        raise CheckpointError(
-            f"checkpoint {checkpoint['path']} was saved under another configuration "
-            f"({_config_difference(loaded.payload['config'], payload['config'])}); "
-            f"checkpoints resume their own configuration")
     saved_workload = loaded.payload.get("workload")
     if saved_workload is not None and (
             workload_identity(saved_workload)
@@ -400,9 +389,16 @@ def _restore_checkpoint_base(payload: Dict[str, Any], workload, seed: int, *,
             f"checkpoint {checkpoint['path']} was saved for a "
             f"different workload; restoring its trace cursor into "
             f"this cell's stream would silently corrupt the run")
-    sim = loaded.restore(trace=workload.build_trace(seed),
-                         phase_profile=phase_profile,
-                         event_bus=event_bus, extra_stages=extra_stages)
+    try:
+        sim = loaded.restore(config, trace=workload.build_trace(payload["seed"]),
+                             phase_profile=phase_profile,
+                             event_bus=event_bus, extra_stages=extra_stages)
+    except RebaseError as exc:
+        raise CheckpointError(
+            f"checkpoint {checkpoint['path']} does not resume this cell's "
+            f"configuration "
+            f"({_config_difference(loaded.payload['config'], payload['config'])}): "
+            f"{exc}") from exc
     return sim, int(checkpoint.get("position", 0))
 
 
@@ -465,11 +461,11 @@ def simulate_payload(payload: Dict[str, Any],
                         warmup_uops=payload["warmup_uops"],
                         measure_uops=payload["measure_uops"],
                         sampling=sampling)
-    seed = cell_seed(payload)
+    seed = payload["seed"]
     checkpoint = payload.get("checkpoint")
     if checkpoint is not None:
         sim, position = _restore_checkpoint_base(
-            payload, workload, seed, phase_profile=phase_profile,
+            payload, config, workload, phase_profile=phase_profile,
             event_bus=event_bus, extra_stages=extra_stages)
     else:
         position = 0
@@ -590,8 +586,8 @@ def produce_payload(base: Dict[str, Any], position: int, store, *,
     The cell functionally fast-forwards to stream ``position`` (from the
     optional base ``checkpoint`` ref, else from µop zero) and captures a
     purely functional checkpoint into ``store``. All timed volumes are
-    zeroed — the cell simulates no detailed cycle, so its output rebases
-    cleanly across scheduling-policy configs.
+    zeroed — the cell simulates no detailed cycle, so its output restores
+    under every scheduling-policy config of its chain.
     """
     payload = {key: value for key, value in base.items()
                if key not in ("sampling", "produce", "checkpoint",
@@ -634,9 +630,9 @@ def produce_checkpoint(payload: Dict[str, Any]) -> Dict[str, Any]:
 
     config = SimConfig.from_dict(payload["config"]).validate()
     workload = workload_from_payload(payload["workload"])
-    seed = cell_seed(payload)
+    seed = payload["seed"]
     if payload.get("checkpoint") is not None:
-        sim, position = _restore_checkpoint_base(payload, workload, seed)
+        sim, position = _restore_checkpoint_base(payload, config, workload)
     else:
         sim = Simulator(config, workload.build_trace(seed))
         position = 0
@@ -836,7 +832,7 @@ class Sweep:
     to SMARTS-style interval sampling; the per-cell volume fields above
     are then superseded by the spec's per-interval volumes. Each
     interval chains off the previous interval's checkpoint, with one
-    warming pass per workload rebased across the config grid.
+    warming pass per workload restored under every config of the grid.
     """
 
     name: str

@@ -267,7 +267,7 @@ def run_sweep(sweep: Sweep,
     grid entry becomes the counter-wise interval sum and the result
     carries the interval-mean IPC ± 95% CI per cell (``ipc_ci``).
     Interval warming chains through checkpoints, one warming pass per
-    workload rebased across the config grid (see
+    workload restored under every config of the grid (see
     :func:`~repro.checkpoint.sampling.chained_cell_payloads`).
     """
     import contextlib

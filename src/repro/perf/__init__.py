@@ -2,8 +2,8 @@
 
 :mod:`repro.perf.instrument` holds a :class:`PhaseProfile` that the
 simulator fills with per-stage wall time (one bucket per entry of the
-pipeline tick order, ``docs/ARCHITECTURE.md``) and event counters
-(replay storms). Attaching one swaps :meth:`Simulator.step` for an
+pipeline tick order, ``docs/ARCHITECTURE.md``) and a cycle count.
+Attaching one swaps :meth:`Simulator.step` for an
 instrumented twin; with none attached the hot loop is untouched.
 
 Simulator speed itself is measured by the layered benchmark in

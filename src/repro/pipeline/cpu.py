@@ -224,9 +224,6 @@ class Simulator:
     def _step_profiled(self) -> None:
         """:meth:`step` twin with per-stage timers (repro.perf.instrument)."""
         profile = self.phase_profile
-        stats = self.stats
-        storms_before = stats.squash_events_miss + stats.squash_events_bank
-        committed_before = stats.committed_uops
         now = self.now
         self.l1_miss.value = self.l1_access.value = False
         self.fus.new_cycle()
@@ -236,10 +233,8 @@ class Simulator:
             stage.tick(now)
             seconds[stage.name] = seconds.get(stage.name, 0.0) + perf_counter() - start
         profile.cycles += 1
-        profile.replay_storms += stats.squash_events_miss + stats.squash_events_bank - storms_before
-        stats.cycles += 1
+        self.stats.cycles += 1
         self.now = now + 1
-        profile.uops_committed += stats.committed_uops - committed_before
         if now - self.last_commit.value > self.DEADLOCK_LIMIT:
             self._raise_deadlock(now)
 

@@ -116,7 +116,6 @@ class WorkloadTrace(TraceSource):
 
     def __init__(self, spec: WorkloadSpec, seed: int) -> None:
         super().__init__(seed)
-        self.spec = spec
         self.rng = random.Random(seed)
         self.kernels: List[Kernel] = []
         for i, kspec in enumerate(spec.kernels):

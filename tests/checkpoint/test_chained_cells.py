@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import struct
 from collections import Counter
-from pathlib import Path
 
 import pytest
 
@@ -151,30 +150,18 @@ def test_store_ref_verifies_without_decoding(tmp_path, monkeypatch):
     assert ref["digest"] == read_info(entry).digest
 
 
-def test_rebase_loads_each_chain_checkpoint_once(tmp_path, monkeypatch):
-    """Two rebase targets share one load per chain checkpoint."""
+def test_interval_cells_restore_their_chains_own_files(tmp_path):
+    """Configs sharing a chain point at the chain's files, interval by
+    interval; the store holds nothing else."""
     bases = [_base(preset) for preset in
              ("SpecSched_4_Combined", "SpecSched_4", "SpecSched_4_Crit")]
-    first = chained_cell_payloads(bases, SPEC, tmp_path, options=OFF)
-    chain = {p["checkpoint"]["path"] for p in first[:SPEC.intervals]}
-    rebased = {p["checkpoint"]["path"] for p in first} - chain
-    assert len(chain) == SPEC.intervals
-    assert len(rebased) == 2 * SPEC.intervals
-    for path in rebased:                # force every rebase to rerun
-        Path(path).unlink()
-
-    loads = Counter()
-    real_load = checkpoint_format.load_checkpoint
-
-    def counting_load(path):
-        loads[str(path)] += 1
-        return real_load(path)
-
-    monkeypatch.setattr(checkpoint_format, "load_checkpoint", counting_load)
-    again = chained_cell_payloads(bases, SPEC, tmp_path, options=OFF)
-    assert loads == Counter({path: 1 for path in chain})
-    assert [p["checkpoint"] for p in again] == \
-        [p["checkpoint"] for p in first]
+    payloads = chained_cell_payloads(bases, SPEC, tmp_path, options=OFF)
+    chain = [p["checkpoint"] for p in payloads[:SPEC.intervals]]
+    for offset in range(0, len(payloads), SPEC.intervals):
+        assert [p["checkpoint"] for p in
+                payloads[offset:offset + SPEC.intervals]] == chain
+    assert sorted(str(path) for path in tmp_path.glob(
+        f"*{CHECKPOINT_SUFFIX}")) == sorted(ref["path"] for ref in chain)
 
 
 def test_checkpoint_store_is_temporary_without_persistent_cache(tmp_path):
@@ -205,19 +192,45 @@ def test_checkpoint_store_location_not_in_cell_key(tmp_path):
     assert cell_key(other) != cell_key(here)
 
 
-def test_rebased_chains_share_one_warming_pass(tmp_path):
+def test_chains_share_one_warming_pass(tmp_path):
     bases = [_base("Baseline_0"), _base("SpecSched_4")]
     payloads = chained_cell_payloads(bases, SPEC, options=OFF,
                                      store=tmp_path)
     assert len(payloads) == len(bases) * SPEC.intervals
-    # One chain of produced checkpoints plus one rebased file per
-    # interval for the second config — not two independent chains.
+    # One chain of produced checkpoints serves both configs — not two
+    # independent chains, and no re-targeted copies.
     entries = sorted(tmp_path.glob(f"*{CHECKPOINT_SUFFIX}"))
-    assert len(entries) == 2 * SPEC.intervals
-    digests = {p.name: load_checkpoint(p).info for p in entries}
-    rebased = [info for info in digests.values()
-               if info.provenance.get("mode") == "rebase"]
-    assert len(rebased) == SPEC.intervals
+    assert len(entries) == SPEC.intervals
+    assert {read_info(p).provenance["mode"] for p in entries} == \
+        {"functional"}
     for payload in payloads:
         assert payload["checkpoint"]["digest"]
         assert payload["sampling"]["spec"] == SPEC.to_dict()
+
+
+def test_figure8_sweep_leaves_only_functional_chain_files(tmp_path):
+    """The Figure-8 series (Baseline_0 dual-ported, three banked
+    SpecSched_4 presets) warm two chains per workload: the store holds
+    two functional files per interval, and a Crit cell restored from the
+    Combined chain measures what its own from-zero cells measure."""
+    series = [{"label": preset, "preset": preset, "banked": banked}
+              for preset, banked in (("Baseline_0", False),
+                                     ("SpecSched_4", True),
+                                     ("SpecSched_4_Combined", True),
+                                     ("SpecSched_4_Crit", True))]
+    sweep = Sweep.from_dict({"name": "fig8-sampled",
+                             "baseline": "Baseline_0", "series": series,
+                             "workloads": ["gzip"],
+                             "sampling": SPEC.to_dict()})
+    result = run_sweep(sweep, settings=Settings(workloads=("gzip",)),
+                       options=_persistent(tmp_path),
+                       cache=ResultCache(None))
+    entries = sorted((tmp_path / "checkpoints").glob(
+        f"*{CHECKPOINT_SUFFIX}"))
+    assert len(entries) == 2 * SPEC.intervals
+    assert Counter(read_info(p).provenance["mode"] for p in entries) == \
+        Counter({"functional": 2 * SPEC.intervals})
+    crit = RunResult.from_intervals(
+        "gzip", "SpecSched_4_Crit", _from_zero(_base("SpecSched_4_Crit")))
+    assert result.get("SpecSched_4_Crit", "gzip").to_dict() == \
+        crit.stats.to_dict()

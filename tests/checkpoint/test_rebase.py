@@ -23,7 +23,7 @@ from repro.checkpoint.rebase import (
     filter_shape,
     rebase_checkpoint,
 )
-from repro.core.presets import make_config
+from repro.core.presets import PRESET_NAMES, make_config
 from repro.pipeline.cpu import Simulator
 from repro.traces.format import capture
 from repro.traces.registry import TraceWorkload, resolve_workload
@@ -187,3 +187,53 @@ def test_rebase_refuses_workloadless_checkpoint(tmp_path):
     with pytest.raises(RebaseError, match="workload"):
         rebase_checkpoint(tmp_path / "bare.ckpt",
                           make_config("SpecSched_4"), tmp_path / "out.ckpt")
+
+
+# ---------------------------------------------------------------------------
+# Restore under another configuration
+
+
+CONFIGS = [(preset, banked) for preset in PRESET_NAMES
+           for banked in (True, False)]
+
+
+@pytest.fixture(scope="module")
+def fast_forwarded(tmp_path_factory):
+    """Per (preset, banked): the loaded functional checkpoint of a gzip
+    machine fast-forwarded WARM_UOPS, and that machine's state."""
+    workload = resolve_workload("gzip")
+    root = tmp_path_factory.mktemp("ff")
+    out = {}
+    for preset, banked in CONFIGS:
+        sim = Simulator(make_config(preset, banked=banked),
+                        workload.build_trace(SEED))
+        sim.fast_forward(WARM_UOPS)
+        path = root / f"{preset}-{banked}.ckpt"
+        save_checkpoint(sim, path, workload=workload, seed=SEED)
+        out[preset, banked] = (load_checkpoint(path), sim.state_dict())
+    return out
+
+
+@pytest.mark.parametrize("preset,banked", CONFIGS)
+def test_functional_checkpoint_restores_under_every_compatible_config(
+        fast_forwarded, preset, banked):
+    """A functional checkpoint restored under any config the
+    compatibility rule accepts holds the state native fast-forwarding of
+    that config reaches; every other config is refused."""
+    source, _ = fast_forwarded[preset, banked]
+    restored = 0
+    for target in CONFIGS:
+        checkpoint, native = fast_forwarded[target]
+        config = make_config(*target)
+        try:
+            check_rebase_compatible(source.payload["config"],
+                                    checkpoint.payload["config"])
+        except RebaseError:
+            with pytest.raises(RebaseError):
+                source.restore(config)
+            continue
+        assert source.restore(config).state_dict() == native, target
+        restored += 1
+    # Every source restores under at least the ten filterless presets of
+    # its own memory configuration.
+    assert restored >= 10

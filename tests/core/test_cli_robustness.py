@@ -102,6 +102,9 @@ def inputs(tmp_path_factory):
                      "-o", str(root / "long.trc")]) == 0
         assert main(["checkpoint", "create", "gzip", "SpecSched_4",
                      "--uops", "2000", "-o", str(root / "good.ckpt")]) == 0
+        assert main(["checkpoint", "create", "gzip", "SpecSched_4",
+                     "--mode", "detailed", "--uops", "400",
+                     "-o", str(root / "detailed.ckpt")]) == 0
         for events in ("good.events.jsonl.gz", "good.events.jsonl"):
             assert main(["run", "gzip", "SpecSched_4", "--measure", "300",
                          "--events", str(root / events)]) == 0
@@ -147,7 +150,8 @@ def inputs(tmp_path_factory):
 
 
 #: A sound checkpoint that does not fit the run: an older state layout,
-#: or another configuration than the cell's.
+#: a configuration the checkpoint cannot restore under, or detailed
+#: state where only a functional checkpoint will do.
 _CHECKPOINT_MISMATCHES = {
     "run-from-v1-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v1.ckpt"],
@@ -175,6 +179,14 @@ _CHECKPOINT_MISMATCHES = {
     "run-from-ckpt-dual-ported": ["run", "gzip", "SpecSched_4",
                                   "--dual-ported",
                                   "--from-checkpoint", "good.ckpt"],
+    # Detailed state resumes only its own configuration, and never
+    # starts a sampled chain (its cursor runs ahead of commit).
+    "run-from-detailed-ckpt-other-config": ["run", "gzip", "Baseline_0",
+                                            "--from-checkpoint",
+                                            "detailed.ckpt"],
+    "run-sample-from-detailed-ckpt": ["run", "gzip", "SpecSched_4",
+                                      "--from-checkpoint",
+                                      "detailed.ckpt"] + SAMPLE,
 }
 
 
@@ -323,6 +335,9 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
      "checkpoint state version 4 (this build reads 5)"),
     ("run-from-ckpt-dual-ported",
      "(memory.l1d.banked: checkpoint True, cell False)"),
+    ("run-from-detailed-ckpt-other-config", "checkpoint has detailed state"),
+    ("run-sample-from-detailed-ckpt",
+     "a sampled chain starts from a purely functional checkpoint"),
 ])
 def test_checkpoint_mismatch_names_what_differs(inputs, tmp_path, capsys,
                                                 monkeypatch, case_id,

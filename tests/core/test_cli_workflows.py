@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from repro.checkpoint.format import read_info
+from repro.checkpoint.format import load_checkpoint, read_info
 from repro.cli import main
 
 
@@ -58,6 +58,9 @@ class TestCheckpointRoundTrip:
                            "g-base.ckpt", "--measure", "500"])
         assert run.startswith("gzip under Baseline_0:")
         assert "IPC" in run
+        # The functional source restores under Baseline_0 directly.
+        assert _ok(capsys, ["run", "gzip", "Baseline_0", "--from-checkpoint",
+                            "g.ckpt", "--measure", "500"]) == run
 
         # The rebased state is the one a native warming would have saved.
         _ok(capsys, ["checkpoint", "create", "gzip", "Baseline_0",
@@ -77,9 +80,20 @@ class TestCheckpointRoundTrip:
         assert "mode       detailed" in info
         assert "functional_warmup_uops 1000" in info
         assert "payload    digest OK" in info
+        # The recorded stream position is the trace cursor, ahead of
+        # commit by the µops in flight.
+        saved = load_checkpoint("d.ckpt")
+        assert saved.info.provenance["stream_uops"] == \
+            saved.payload["sim"]["trace"]["emitted"] > 400
         run = _ok(capsys, ["run", "gzip", "SpecSched_4", "--from-checkpoint",
                            "d.ckpt", "--measure", "500"])
         assert "IPC" in run
+        # Detailed state resumes only its own configuration.
+        assert main(["run", "gzip", "Baseline_0", "--from-checkpoint",
+                     "d.ckpt", "--measure", "500"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "detailed state" in err
         # Only a purely functional checkpoint can be re-targeted.
         assert main(["checkpoint", "rebase", "d.ckpt", "Baseline_0",
                      "-o", "d-base.ckpt"]) == 2

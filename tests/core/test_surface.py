@@ -40,8 +40,6 @@ ALLOWED = frozenset({
     "branch_mpki",
     # Reference oracles the tests compare the production paths against.
     "functional_stream", "sample_payloads",
-    # repro.perf, kept whole until the benchmark stops importing it.
-    "as_dict", "merge",
 })
 
 

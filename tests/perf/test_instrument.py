@@ -18,54 +18,16 @@ def hand_trace(n=64):
     return uops
 
 
-class TestPhaseProfile:
-    def test_initial_state(self):
-        profile = PhaseProfile()
-        assert set(profile.seconds) == set(PHASES)
-        assert profile.total_seconds == 0.0
-        assert profile.fractions()["fetch"] == 0.0
-
-    def test_add_and_fractions(self):
-        profile = PhaseProfile()
-        profile.add("fetch", 3.0)
-        profile.add("commit", 1.0)
-        fractions = profile.fractions()
-        assert fractions["fetch"] == 0.75
-        assert fractions["commit"] == 0.25
-
-    def test_merge(self):
-        a, b = PhaseProfile(), PhaseProfile()
-        a.add("issue", 1.0)
-        b.add("issue", 2.0)
-        b.cycles = 5
-        b.replay_storms = 2
-        a.merge(b)
-        assert a.seconds["issue"] == 3.0
-        assert a.cycles == 5 and a.replay_storms == 2
-
-    def test_as_dict_keys(self):
-        data = PhaseProfile().as_dict()
-        for phase in PHASES:
-            assert f"{phase}_seconds" in data
-        assert {"cycles", "replay_storms", "uops_committed"} <= set(data)
-
-    def test_summary_renders(self):
-        profile = PhaseProfile()
-        profile.add("fetch", 0.25)
-        text = profile.summary()
-        assert "fetch" in text and "storms" in text
-
-
 class TestInstrumentedStep:
-    def test_profiled_run_counts_cycles_and_commits(self):
+    def test_profiled_run_counts_cycles(self):
         profile = PhaseProfile()
         sim = Simulator(spec_config(), ListTrace(hand_trace()),
                         phase_profile=profile)
         sim.run(max_cycles=2_000)
         assert sim.done
         assert profile.cycles == sim.stats.cycles > 0
-        assert profile.uops_committed == sim.stats.committed_uops
-        assert profile.total_seconds > 0.0
+        assert set(PHASES) <= set(profile.seconds)
+        assert sum(profile.seconds.values()) > 0.0
 
     def test_profiling_does_not_change_stats(self):
         plain = Simulator(spec_config(), ListTrace(hand_trace()))
