@@ -11,16 +11,24 @@ configuration alone; nothing the scheduling-policy parameters control
 (issue-to-execute delay, shifting, the global counter, criticality
 tables) is touched before the first detailed cycle.
 
+Within the memory configuration, warming fills the L1D and L2
+directories and trains the prefetcher, but never reads the L1D's
+``banked`` field and never touches the bank scheduler, the MSHR files
+or the DRAM model (``tests/checkpoint/test_rebase.py`` checks that they
+stay as a fresh machine builds them). :func:`warm_view` is the
+configuration as warming sees it: ``banked`` dropped.
+
 So a *purely functional* checkpoint (zero committed µops, zero cycles,
 no in-flight state) taken under configuration A restores under
 configuration B whenever A and B agree on the memory and branch
-configurations: build a fresh B machine and load the warmed islands
-into it (:meth:`~repro.checkpoint.format.Checkpoint.restore`). The
-result is the machine a native warming of B over the same stream would
-have built, state for state. That is how one warming chain per workload
-serves the whole fig8 preset grid (the presets differ only in
-scheduling policy), and :func:`rebase_checkpoint` is that restore
-followed by a save.
+configurations as :func:`warm_view` sees them: build a fresh B machine
+and load the warmed islands into it
+(:meth:`~repro.checkpoint.format.Checkpoint.restore`). The result is
+the machine a native warming of B over the same stream would have
+built, state for state. That is how one warming chain per workload and
+seed serves the whole fig8 grid (the banked presets differ only in
+scheduling policy, and Baseline_0 also in the L1D's banking), and
+:func:`rebase_checkpoint` is that restore followed by a save.
 
 Refusals, checked in this order before any machine is built
 (:func:`check_restorable`):
@@ -29,8 +37,8 @@ Refusals, checked in this order before any machine is built
 * a checkpoint with detailed state restores whole, and only under its
   own configuration — ROB/IQ/rename contents are shaped by the
   scheduling policy;
-* ``memory`` and ``branch`` configuration dicts must be equal (they size
-  and seed the warmed islands);
+* the ``memory`` and ``branch`` configuration dicts of :func:`warm_view`
+  must be equal (they size and seed the warmed islands);
 * a ``filter_ctr`` target needs a ``filter_ctr`` source with the same
   filter shape (entries, counter bits, reset interval, silence bit) —
   the warmed filter table transplants only into an identically shaped
@@ -58,6 +66,7 @@ __all__ = [
     "filter_shape",
     "load_warmed_islands",
     "rebase_checkpoint",
+    "warm_view",
 ]
 
 
@@ -80,18 +89,29 @@ def filter_shape(sched: Dict[str, Any]) -> Optional[Tuple]:
     return tuple(sched.get(field) for field in FILTER_SHAPE_FIELDS)
 
 
+def warm_view(config: Dict[str, Any]) -> Dict[str, Any]:
+    """A config dict as functional warming sees it: the L1D's ``banked``
+    field, which warming never reads, dropped (a copy; the rest shared)."""
+    memory = config.get("memory")
+    if not memory or "banked" not in memory.get("l1d", {}):
+        return config
+    l1d = {key: value for key, value in memory["l1d"].items() if key != "banked"}
+    return {**config, "memory": {**memory, "l1d": l1d}}
+
+
 def check_rebase_compatible(source_config: Dict[str, Any],
                             target_config: Dict[str, Any]) -> None:
     """Raise :class:`RebaseError` unless warm state captured under
     ``source_config`` is valid warm state for ``target_config``."""
+    source_view, target_view = warm_view(source_config), warm_view(target_config)
     for section in ("memory", "branch"):
-        if source_config.get(section) != target_config.get(section):
+        if source_view.get(section) != target_view.get(section):
             raise RebaseError(
                 f"cannot restore {source_config.get('name', '?')!r} "
                 f"state under {target_config.get('name', '?')!r}: the "
                 f"{section} configurations differ, so the warmed state "
-                f"would be wrong (only scheduling-policy parameters may "
-                f"differ)")
+                f"would be wrong (only scheduling-policy parameters and "
+                f"the L1D's banking may differ)")
     source_shape = filter_shape(source_config.get("sched", {}))
     target_shape = filter_shape(target_config.get("sched", {}))
     if target_shape is not None and source_shape != target_shape:

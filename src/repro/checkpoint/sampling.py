@@ -22,10 +22,12 @@ persistently cached like any other cell. Its fast-forward chains off
 the previous interval's checkpoint (produced by a checkpoint-producing
 cell, content-addressed in the engine's checkpoint store), so total
 warming cost is linear in the span. One warming chain serves every
-config of a workload that shares memory/branch parameters: each
-interval cell restores the chain's own checkpoint under its config
+config of a workload that shares memory/branch parameters, the L1D's
+banking aside (warming never reads it): each interval cell restores
+the chain's own checkpoint under its config
 (:mod:`repro.checkpoint.rebase`), so the store holds one file per
-chain and interval, whatever the number of scheduling-policy configs. A
+chain and interval, whatever the number of scheduling-policy configs
+and whether their L1D is banked or dual-ported. A
 chain starts at µop zero or at a purely functional user checkpoint.
 ``repro run --sample`` (through :func:`repro.pipeline.sim.
 run_workload`), sweeps, figures and perfbench all run these cells; the
@@ -155,8 +157,9 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     """Compile base payloads into checkpoint-chained interval cells.
 
     For each distinct warming chain among ``bases`` (same workload,
-    seed, memory and branch configuration — and, for filter-bearing
-    configs, the same hit/miss-filter shape) one sequence of
+    seed, memory and branch configuration as
+    :func:`~repro.checkpoint.rebase.warm_view` sees them — and, for
+    filter-bearing configs, the same hit/miss-filter shape) one sequence of
     checkpoint-producing cells walks the stream once, each interval's
     cell chaining off the previous interval's checkpoint. Chains step in
     lock-step batches through :func:`~repro.experiments.engine.
@@ -172,7 +175,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     :func:`~repro.experiments.engine.checkpoint_store`).
     """
     from repro.checkpoint.format import read_info
-    from repro.checkpoint.rebase import filter_shape
+    from repro.checkpoint.rebase import filter_shape, warm_view
     from repro.experiments.engine import (
         EngineOptions,
         produce_payload,
@@ -186,8 +189,8 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     store.mkdir(parents=True, exist_ok=True)
 
     # Partition bases into warming chains. A warming chain is valid for
-    # every config sharing its memory/branch parameters (the restore
-    # compatibility rule); filter-bearing configs additionally need a
+    # every config sharing its memory/branch parameters up to the L1D's
+    # banking (the restore compatibility rule); filter-bearing configs additionally need a
     # donor of their own filter shape, so each distinct shape in a group
     # gets its own chain. Filterless configs ride the group's first
     # filter-bearing chain when one exists (their restore leaves the
@@ -210,7 +213,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
         group = stable_hash({
             "workload": workload_identity(base["workload"]),
             "seed": base["seed"],
-            "memory": base["config"]["memory"],
+            "memory": warm_view(base["config"])["memory"],
             "branch": base["config"]["branch"],
             "start": (start or {}).get("digest"),
         })

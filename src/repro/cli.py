@@ -218,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_rebase = ckpt_sub.add_parser(
         "rebase", help="save a purely functional checkpoint as restored "
                        "under a configuration differing only in "
-                       "scheduling-policy parameters")
+                       "scheduling-policy parameters or L1D banking")
     ckpt_rebase.add_argument("file", help="source .ckpt (functional mode)")
     ckpt_rebase.add_argument("config", help="target preset, e.g. Baseline_0")
     ckpt_rebase.add_argument("-o", "--output", default=None, metavar="FILE",
@@ -226,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
                                   "<source>-<config>.ckpt)")
     ckpt_rebase.add_argument("--dual-ported", action="store_true",
                              help="ideal dual-ported L1D instead of banked "
-                                  "(must match the source — rebase never "
-                                  "crosses memory configs)")
+                                  "(may differ from the source: warming "
+                                  "never touches the L1D banks)")
 
     events_p = sub.add_parser(
         "events", help="inspect and export per-µop pipeline event traces "

@@ -368,12 +368,13 @@ def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
     serve a stale cell), the saved workload identity must equal the
     cell's, and the checkpoint must restore under the cell's
     configuration (:func:`~repro.checkpoint.rebase.check_restorable`:
-    a purely functional one under any configuration sharing its memory,
-    branch and filter shape, a detailed one under its own only).
+    a purely functional one under any configuration sharing its memory
+    (the L1D's banking aside), branch and filter shape, a detailed one
+    under its own only).
     Returns the restored simulator and the checkpoint's stream position.
     """
     from repro.checkpoint.format import CheckpointError, load_checkpoint
-    from repro.checkpoint.rebase import RebaseError
+    from repro.checkpoint.rebase import RebaseError, warm_view
 
     checkpoint = payload["checkpoint"]
     loaded = load_checkpoint(checkpoint["path"])
@@ -394,10 +395,14 @@ def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
                              phase_profile=phase_profile,
                              event_bus=event_bus, extra_stages=extra_stages)
     except RebaseError as exc:
+        # Name a field the refusal rests on: banking only when nothing
+        # else differs (a detailed checkpoint under another banking).
+        saved, cell = loaded.payload["config"], payload["config"]
+        if warm_view(saved) != warm_view(cell):
+            saved, cell = warm_view(saved), warm_view(cell)
         raise CheckpointError(
             f"checkpoint {checkpoint['path']} does not resume this cell's "
-            f"configuration "
-            f"({_config_difference(loaded.payload['config'], payload['config'])}): "
+            f"configuration ({_config_difference(saved, cell)}): "
             f"{exc}") from exc
     return sim, int(checkpoint.get("position", 0))
 

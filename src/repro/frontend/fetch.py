@@ -19,8 +19,9 @@ miss feeding a mispredict) keeps the frontend in wrong-path mode for
 hundreds of cycles, and an eager frontend would materialize
 ``fetch_width`` µop objects every one of them only to discard nearly all
 at redirect — on miss-heavy workloads that flood used to dominate whole-
-simulation wall time. Instead the stage records one *virtual group*
-(ready-cycle, count) per wrong-path cycle and synthesizes a µop only when
+simulation wall time. Instead the stage records the wrong-path cycles as
+*virtual groups*, one full-width group per cycle kept run-length (a run
+of consecutive cycles is one entry), and synthesizes a µop only when
 Rename actually consumes it; at redirect the undelivered remainder is
 dropped in bulk while :meth:`TraceSource.skip_wrong_path` advances the
 synthesis stream exactly as if the µops had been built. Delivered µops,
@@ -57,8 +58,10 @@ class FetchStage:
         self.depth = config.frontend_depth
         # (ready_cycle, uop) in fetch order; Rename reads its head.
         self.pipe: Deque[Tuple[int, MicroOp]] = deque()
-        # Virtual wrong-path groups behind the pipe: [ready_cycle, count]
-        # lists in fetch order, materialized on demand (module docstring).
+        # Virtual wrong-path groups behind the pipe, in fetch order and
+        # materialized on demand (module docstring): runs of consecutive
+        # cycles' full-width groups, each [ready cycle of its oldest
+        # group, µops left in that group, ready cycle of its last group].
         self._wp_groups: Deque[List[int]] = deque()
         self._wp_pending = 0
         # Correct-path µops to re-fetch after a memory-order violation.
@@ -79,9 +82,7 @@ class FetchStage:
             # Lazy wrong-path fetch: one full-width virtual group per
             # cycle (wrong-path filler is never a branch, so an eager
             # frontend would always fetch the full width too).
-            width = self.width
-            self._wp_groups.append([now + self.depth, width])
-            self._wp_pending += width
+            self._extend_wrong_path(now, now + 1)
             return
         taken_seen = 0
         pipe_append = self.pipe.append
@@ -125,29 +126,47 @@ class FetchStage:
         in bulk by :meth:`skip` (``None`` when no such cycle is due
         without another stage's event).
 
-        Correct-path fetch pulls the trace and predicts, so it ticks
-        every cycle; a stall ends at ``_stall_until``. Wrong-path fetch
-        only appends virtual groups, which :meth:`skip` reproduces; the
-        one cycle it names is the first group's arrival when nothing is
-        in flight, which Rename must see (it materialises that group).
+        A stall ends at ``_stall_until``. While anything is in flight,
+        every tick, correct path or wrong path, only appends behind the
+        head Rename reads, so :meth:`skip` replays it. With nothing in
+        flight, a correct-path tick hands Rename its next head, and so
+        does the first wrong-path group's arrival (Rename materialises
+        that group).
         """
         if now < self._stall_until:
             return self._stall_until
-        if not self.wrong_path:
-            return now
         if self.pipe or self._wp_groups:
             return None
-        return now + self.depth
+        return now + self.depth if self.wrong_path else now
 
     def skip(self, now: int, until: int) -> None:
         """Apply the ticks of cycles ``now .. until-1``, a span that ends
-        by :meth:`next_event`: stalled throughout, or in wrong-path mode
-        throughout, where each tick appends one full-width group."""
-        if now < self._stall_until or not self.wrong_path:
+        by :meth:`next_event`: stalled throughout, or with µops in
+        flight. Correct-path ticks replay one by one, since each pulls
+        the trace and predicts (nothing else moves during the span, and
+        the predictor trains only when a branch executes); from a
+        mispredict on, the rest of the span is wrong-path groups."""
+        if now < self._stall_until:
             return
-        width, depth = self.width, self.depth
-        self._wp_groups.extend([cycle + depth, width] for cycle in range(now, until))
-        self._wp_pending += (until - now) * width
+        tick = self.tick
+        for cycle in range(now, until):
+            if self.wrong_path:
+                self._extend_wrong_path(cycle, until)
+                return
+            tick(cycle)
+
+    def _extend_wrong_path(self, now: int, until: int) -> None:
+        """Append the full-width wrong-path groups of cycles ``now ..
+        until-1``. Wrong-path ticks come every cycle (a stall follows
+        only a redirect, which clears the runs), so they extend the last
+        run whenever one is left."""
+        groups = self._wp_groups
+        last = until - 1 + self.depth
+        if groups:
+            groups[-1][2] = last
+        else:
+            groups.append([now + self.depth, self.width, last])
+        self._wp_pending += (until - now) * self.width
 
     # ------------------------------------------------------------------
     # delivery to Rename
@@ -193,7 +212,11 @@ class FetchStage:
         self._wp_pending -= 1
         group[1] -= 1
         if not group[1]:
-            self._wp_groups.popleft()
+            if ready == group[2]:
+                self._wp_groups.popleft()
+            else:
+                group[0] = ready + 1
+                group[1] = self.width
         self.pipe.append((ready, uop))
         return True
 

@@ -57,7 +57,6 @@ class WrongPathSynth:
     """
 
     def __init__(self, seed: int) -> None:
-        self.seed = seed
         self._rng = random.Random(seed ^ WRONG_PATH_SEED_SALT)
 
     def _draw_variant(self) -> int:
@@ -94,12 +93,11 @@ class WrongPathSynth:
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:
-        return {"seed": self.seed, "rng": self._rng.getstate()}
+        return {"rng": self._rng.getstate()}
 
     def load_state_dict(self, state: dict) -> None:
         from repro.checkpoint.state import set_rng_state
 
-        self.seed = state["seed"]
         set_rng_state(self._rng, state["rng"])
 
 

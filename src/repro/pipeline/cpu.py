@@ -48,7 +48,7 @@ class Simulator:
     #: Cycles without a commit before we declare the model wedged.
     DEADLOCK_LIMIT = 100_000
     #: Bumped when the simulator-level state layout changes.
-    STATE_VERSION = 5
+    STATE_VERSION = 6
 
     def __init__(
         self,
@@ -136,18 +136,14 @@ class Simulator:
         deadlock-trap cycle and the ``max_cycles`` bound are reached
         exactly as by stepping.
 
-        Fetch is asked first: on the correct path it ticks every cycle,
-        so on most busy cycles its answer alone settles the question.
-        The others are asked in tick order. Rename's question peeks
+        The stages are asked in tick order. Rename's question peeks
         nothing (the head it reads is already built, or it answers the
         virtual group's ready cycle), and Issue's reads the ready lists,
         which hold only live µops, so no question has a side effect.
         """
         stats = self.stats
         step = self.step if self.phase_profile is None else self._step_profiled
-        fetch = self.stage("fetch")
-        next_events = [fetch.next_event]
-        next_events += [stage.next_event for stage in self.stages if stage is not fetch]
+        next_events = [stage.next_event for stage in self.stages]
         last_commit = self.last_commit
         trap_distance = self.DEADLOCK_LIMIT + 1
         uop_budget = float("inf") if max_uops is None else max_uops

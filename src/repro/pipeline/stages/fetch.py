@@ -41,5 +41,6 @@ class Fetch(Stage):
         return NEVER if due is None else due
 
     def skip(self, now: int, until: int) -> None:
-        """Append the wrong-path groups the skipped ticks would have."""
+        """Apply the skipped ticks (see :meth:`repro.frontend.fetch.
+        FetchStage.skip`)."""
         self.frontend.skip(now, until)

@@ -42,38 +42,28 @@ LINE = 64
 
 
 class Kernel:
-    """Base: a block generator bound to PC/register/address regions."""
+    """Base: a block generator bound to PC/register/address regions.
+
+    A kernel's registers are ``REG_WINDOW`` consecutive ones from
+    ``reg_base``: integer registers for addresses and the loop-closing
+    branch, and for values the FP window 32 above when ``fp``. Each ``_emit``
+    reads the window bases and the ALU opclass, fixed at construction,
+    straight off the kernel."""
 
     #: registers a kernel may use inside its window
     REG_WINDOW = 6
 
-    def __init__(self, name: str, pc_base: int, reg_base: int,
-                 addr_base: int, rng: random.Random,
-                 fp: bool = False) -> None:
-        self.name = name
+    def __init__(self, pc_base: int, reg_base: int, addr_base: int,
+                 rng: random.Random, fp: bool = False) -> None:
         self.pc_base = pc_base
         self.reg_base = reg_base
         self.addr_base = addr_base
         self.rng = rng
         self.fp = fp
         self._iteration = 0
-
-    # -- register / pc helpers -------------------------------------------
-
-    def reg(self, i: int) -> int:
-        """i-th register of this kernel's window (FP window if ``fp``)."""
-        base = self.reg_base + (32 if self.fp else 0)
-        return base + (i % self.REG_WINDOW)
-
-    def ireg(self, i: int) -> int:
-        """Integer register regardless of the kernel's FP-ness (addresses)."""
-        return self.reg_base + (i % self.REG_WINDOW)
-
-    def pc(self, i: int) -> int:
-        return self.pc_base + i
-
-    def alu_op(self) -> OpClass:
-        return OpClass.FP_ADD if self.fp else OpClass.INT_ALU
+        # Derived from the above, so not part of the checkpoint state.
+        self._value_base = reg_base + (32 if fp else 0)
+        self._alu = OpClass.FP_ADD if fp else OpClass.INT_ALU
 
     # -- block emission ----------------------------------------------------
 
@@ -85,11 +75,17 @@ class Kernel:
     def _emit(self) -> List[Row]:
         raise NotImplementedError
 
-    def _branch(self, pc_off: int, taken: bool) -> Row:
-        return (self.pc(pc_off), OpClass.BRANCH, [self.ireg(0)], None, 0, 8,
-                taken, self.pc_base if taken else self.pc(pc_off) + 1)
+    def _branch(self, pc: int, taken: bool) -> Row:
+        """The loop-closing branch at ``pc``: back to ``pc_base`` when
+        taken."""
+        return (pc, OpClass.BRANCH, [self.reg_base], None, 0, 8,
+                taken, self.pc_base if taken else pc + 1)
 
     # -- state protocol (repro.checkpoint) -------------------------------
+
+    #: Attributes :meth:`state_dict` leaves out: the RNG (saved as its
+    #: state) and the constants ``__init__`` derives.
+    _NOT_STATE = frozenset(("rng", "_value_base", "_alu"))
 
     def state_dict(self) -> dict:
         """Every kernel attribute is plain data except the RNG, so one
@@ -97,7 +93,7 @@ class Kernel:
         ``_offsets``/``_idx``/``_cursor`` included)."""
         attrs = {}
         for key, value in self.__dict__.items():
-            if key == "rng":
+            if key in self._NOT_STATE:
                 continue
             attrs[key] = list(value) if isinstance(value, list) else value
         return {"attrs": attrs, "rng": self.rng.getstate()}
@@ -128,22 +124,22 @@ class StreamKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu, addr_reg = self._value_base, self._alu, self.reg_base
+        offsets = self._offsets
+        serial_acc = self.serial_acc
+        acc = base if serial_acc else base + 4
         for u in range(self.unroll):
             stream = u % self.streams
-            addr = self.addr_base + self._offsets[stream]
-            self._offsets[stream] = (
-                self._offsets[stream] + self.stride) % self.ws_bytes
-            value_reg = self.reg(1 + (u % 3))
-            block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
-                          value_reg, addr, 8, False, 0))
-            pc_off += 1
-            acc = self.reg(0) if self.serial_acc else self.reg(4)
-            srcs = [acc, value_reg] if self.serial_acc else [value_reg]
-            block.append((self.pc(pc_off), self.alu_op(), srcs, acc, 0, 8,
+            addr = self.addr_base + offsets[stream]
+            offsets[stream] = (offsets[stream] + self.stride) % self.ws_bytes
+            value_reg = base + 1 + u % 3
+            block.append((pc, OpClass.LOAD, [addr_reg], value_reg, addr, 8,
                           False, 0))
-            pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
+            srcs = [acc, value_reg] if serial_acc else [value_reg]
+            block.append((pc + 1, alu, srcs, acc, 0, 8, False, 0))
+            pc += 2
+        block.append(self._branch(pc, taken=self._iteration % 64 != 63))
         return block
 
 
@@ -163,23 +159,21 @@ class PointerChaseKernel(Kernel):
         return self._idx
 
     def _emit(self) -> List[Row]:
-        block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu = self._value_base, self._alu
         addr = self.addr_base + self._next_index() * LINE
-        ptr = self.ireg(1)
+        ptr = self.reg_base + 1
         # The load's address source is the previous load's destination —
         # a genuinely serial chain.
-        block.append((self.pc(pc_off), OpClass.LOAD, [ptr], ptr, addr, 8,
-                      False, 0))
-        pc_off += 1
+        block: List[Row] = [(pc, OpClass.LOAD, [ptr], ptr, addr, 8, False, 0)]
         prev = ptr
         for w in range(self.work):
-            dst = self.reg(2 + (w % 2))
-            block.append((self.pc(pc_off), self.alu_op(), [prev], dst, 0, 8,
-                          False, 0))
+            pc += 1
+            dst = base + 2 + w % 2
+            block.append((pc, alu, [prev], dst, 0, 8, False, 0))
             prev = dst
-            pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 32 != 31))
+        block.append(self._branch(pc + 1,
+                                  taken=self._iteration % 32 != 31))
         return block
 
 
@@ -222,40 +216,40 @@ class RandomLoadKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu, int_base = self._value_base, self._alu, self.reg_base
+        addr_base = self.addr_base
+        randrange = self.rng.randrange
         hot = self._in_hot_phase()
+        lines = self.hot_lines if hot else self.ws_lines
         # Cold phases are load-dominated (the gather loop is traversing
         # cold data and does little compute per element), which is what
         # produces the dense miss *cycles* the global counter keys on.
         work_per_load = self.work_per_load if (hot or not self.phase_blocks) \
             else 0
         for i in range(self.loads):
-            line = self.rng.randrange(self.hot_lines if hot
-                                      else self.ws_lines)
-            offset = self.rng.randrange(LINE // 8) * 8
-            addr = self.addr_base + line * LINE + offset
-            value_reg = self.reg(1 + (i % 3))
-            addr_reg = self.ireg(0)
+            line = randrange(lines)
+            offset = randrange(LINE // 8) * 8
+            addr = addr_base + line * LINE + offset
+            value_reg = base + 1 + i % 3
+            addr_reg = int_base
             if self.indirect:
                 # Index load: small strided table, L1-resident, feeds the
                 # data load's address register.
                 self._index_cursor = (self._index_cursor + 8) % (
                     self.INDEX_LINES * LINE)
-                idx_reg = self.ireg(5)
-                block.append((self.pc(pc_off), OpClass.LOAD,
-                              [self.ireg(0)], idx_reg,
-                              self.addr_base + self._index_cursor, 8,
-                              False, 0))
-                pc_off += 1
-                addr_reg = idx_reg
-            block.append((self.pc(pc_off), OpClass.LOAD, [addr_reg],
-                          value_reg, addr, 8, False, 0))
-            pc_off += 1
+                addr_reg = int_base + 5
+                block.append((pc, OpClass.LOAD, [int_base], addr_reg,
+                              addr_base + self._index_cursor, 8, False, 0))
+                pc += 1
+            block.append((pc, OpClass.LOAD, [addr_reg], value_reg, addr, 8,
+                          False, 0))
+            pc += 1
             for w in range(work_per_load):
-                block.append((self.pc(pc_off), self.alu_op(), [value_reg],
-                              self.reg(4 + (w % 2)), 0, 8, False, 0))
-                pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 16 != 15))
+                block.append((pc, alu, [value_reg], base + 4 + w % 2, 0, 8,
+                              False, 0))
+                pc += 1
+        block.append(self._branch(pc, taken=self._iteration % 16 != 15))
         return block
 
 
@@ -271,18 +265,20 @@ class ComputeKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu = self._value_base, self._alu
+        chains, mul_every = self.chains, self.mul_every
+        mul = OpClass.FP_MUL if self.fp else OpClass.INT_MUL
         for step in range(self.chain_len):
-            for chain in range(self.chains):
-                reg = self.reg(1 + chain)
-                opclass = self.alu_op()
-                if self.mul_every and (step * self.chains + chain) \
-                        % self.mul_every == self.mul_every - 1:
-                    opclass = OpClass.FP_MUL if self.fp else OpClass.INT_MUL
-                block.append((self.pc(pc_off), opclass, [reg], reg, 0, 8,
-                              False, 0))
-                pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
+            for chain in range(chains):
+                reg = base + 1 + chain
+                opclass = alu
+                if mul_every and (step * chains + chain) \
+                        % mul_every == mul_every - 1:
+                    opclass = mul
+                block.append((pc, opclass, [reg], reg, 0, 8, False, 0))
+                pc += 1
+        block.append(self._branch(pc, taken=self._iteration % 64 != 63))
         return block
 
 
@@ -312,25 +308,26 @@ class BankConflictKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu, addr_reg = self._value_base, self._alu, self.reg_base
+        lines = self._line
         for u in range(self.unroll):
             bank = (self._iteration * self.unroll + u) % 8
             for side in range(2):
                 stream = side % self.streams
-                line = self._line[stream] % self.ws_lines
-                self._line[stream] += 1
+                line = lines[stream] % self.ws_lines
+                lines[stream] += 1
                 offset = (bank if self.same_bank else (bank + side) % 8) * 8
                 addr = self.addr_base + line * LINE + offset
-                value_reg = self.reg(1 + ((2 * u + side) % 3))
-                block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
-                              value_reg, addr, 8, False, 0))
-                pc_off += 1
+                value_reg = base + 1 + (2 * u + side) % 3
+                block.append((pc, OpClass.LOAD, [addr_reg], value_reg, addr,
+                              8, False, 0))
+                pc += 1
             for f in range(self.filler):
-                block.append((self.pc(pc_off), self.alu_op(),
-                              [self.reg(1 + f % 3)], self.reg(4), 0, 8,
+                block.append((pc, alu, [base + 1 + f % 3], base + 4, 0, 8,
                               False, 0))
-                pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 64 != 63))
+                pc += 1
+        block.append(self._branch(pc, taken=self._iteration % 64 != 63))
         return block
 
 
@@ -352,19 +349,18 @@ class BranchKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu = self._value_base, self._alu
         for b in range(self.branches):
             for f in range(self.filler):
-                block.append((self.pc(pc_off), self.alu_op(),
-                              [self.reg(1 + f % 2)], self.reg(1 + f % 2),
-                              0, 8, False, 0))
-                pc_off += 1
+                reg = base + 1 + f % 2
+                block.append((pc, alu, [reg], reg, 0, 8, False, 0))
+                pc += 1
             pattern = (self._iteration + b) % self.period != 0
             taken = pattern ^ (self.rng.random() < self.noise)
-            block.append((self.pc(pc_off), OpClass.BRANCH, [self.reg(1)],
-                          None, 0, 8, taken,
-                          self.pc_base if taken else self.pc(pc_off) + 1))
-            pc_off += 1
+            block.append((pc, OpClass.BRANCH, [base + 1], None, 0, 8, taken,
+                          self.pc_base if taken else pc + 1))
+            pc += 1
         return block
 
 
@@ -388,26 +384,25 @@ class StoreLoadKernel(Kernel):
 
     def _emit(self) -> List[Row]:
         block: List[Row] = []
-        pc_off = 0
+        pc = self.pc_base
+        base, alu, addr_reg = self._value_base, self._alu, self.reg_base
+        data_reg = base + 1
         for p in range(self.pairs):
             self._cursor = (self._cursor + 8) % self.buffer_bytes
             store_addr = self.addr_base + self._cursor
-            data_reg = self.reg(1)
             for c in range(self.chain):
-                block.append((self.pc(pc_off), self.alu_op(), [data_reg],
-                              data_reg, 0, 8, False, 0))
-                pc_off += 1
-            block.append((self.pc(pc_off), OpClass.STORE,
-                          [self.ireg(0), data_reg], None, store_addr, 8,
-                          False, 0))
-            pc_off += 1
+                block.append((pc, alu, [data_reg], data_reg, 0, 8, False, 0))
+                pc += 1
+            block.append((pc, OpClass.STORE, [addr_reg, data_reg], None,
+                          store_addr, 8, False, 0))
+            pc += 1
             if self.rng.random() < self.alias_prob:
                 load_addr = store_addr
             else:
                 load_addr = (self.addr_base
                              + self.rng.randrange(self.buffer_bytes // 8) * 8)
-            block.append((self.pc(pc_off), OpClass.LOAD, [self.ireg(0)],
-                          self.reg(3), load_addr, 8, False, 0))
-            pc_off += 1
-        block.append(self._branch(pc_off, taken=self._iteration % 32 != 31))
+            block.append((pc, OpClass.LOAD, [addr_reg], base + 3, load_addr,
+                          8, False, 0))
+            pc += 1
+        block.append(self._branch(pc, taken=self._iteration % 32 != 31))
         return block

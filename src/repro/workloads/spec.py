@@ -121,7 +121,6 @@ class WorkloadTrace(TraceSource):
         for i, kspec in enumerate(spec.kernels):
             cls = KERNEL_KINDS[kspec.kind]
             kernel = cls(
-                f"{spec.name}/{kspec.kind}{i}",
                 pc_base=(i + 1) * _PC_REGION,
                 reg_base=_FIRST_KERNEL_REG + i * Kernel.REG_WINDOW,
                 addr_base=(i + 1) * _ADDR_REGION,

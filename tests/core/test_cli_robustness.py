@@ -75,6 +75,14 @@ def _relabel_version(src, dst, version) -> None:
     write_checkpoint(payload, dst)
 
 
+def _l2_mismatch(src, dst) -> None:
+    """Copy a checkpoint as saved under an L2 of half the ways: warm
+    state no cell of the default memory configuration may restore."""
+    payload = load_checkpoint(src).payload
+    payload["config"]["memory"]["l2"]["assoc"] = 8
+    write_checkpoint(payload, dst)
+
+
 def _not_a_state(src, dst) -> None:
     """Copy a checkpoint's header with a payload whose digest holds but
     which is not a checkpoint state (the list ``[1, 2, 3]``)."""
@@ -126,6 +134,8 @@ def inputs(tmp_path_factory):
     _relabel_version(root / "good.ckpt", root / "v2.ckpt", 2)
     _relabel_version(root / "good.ckpt", root / "v3.ckpt", 3)
     _relabel_version(root / "good.ckpt", root / "v4.ckpt", 4)
+    _relabel_version(root / "good.ckpt", root / "v5.ckpt", 5)
+    _l2_mismatch(root / "good.ckpt", root / "l2-mismatch.ckpt")
     _not_a_state(root / "good.ckpt", root / "odd.ckpt")
     _cut(root / "good.ckpt", root / "head.ckpt", lambda n: 10)
     # Mid-word: the last line keeps 4 of its 8 hex digits.
@@ -176,9 +186,14 @@ _CHECKPOINT_MISMATCHES = {
                          "--from-checkpoint", "v4.ckpt"],
     "checkpoint-rebase-v4-ckpt": ["checkpoint", "rebase", "v4.ckpt",
                                   "SpecSched_2", "-o", "out.ckpt"],
-    "run-from-ckpt-dual-ported": ["run", "gzip", "SpecSched_4",
-                                  "--dual-ported",
-                                  "--from-checkpoint", "good.ckpt"],
+    # Version 5 is the layout before the wrong-path groups became runs
+    # and the kernels and wrong-path synthesizer lost their labels.
+    "run-from-v5-ckpt": ["run", "gzip", "SpecSched_4",
+                         "--from-checkpoint", "v5.ckpt"],
+    "checkpoint-rebase-v5-ckpt": ["checkpoint", "rebase", "v5.ckpt",
+                                  "SpecSched_2", "-o", "out.ckpt"],
+    "run-from-ckpt-l2-mismatch": ["run", "gzip", "SpecSched_4",
+                                  "--from-checkpoint", "l2-mismatch.ckpt"],
     # Detailed state resumes only its own configuration, and never
     # starts a sampled chain (its cursor runs ahead of commit).
     "run-from-detailed-ckpt-other-config": ["run", "gzip", "Baseline_0",
@@ -321,20 +336,22 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
 
 
 @pytest.mark.parametrize("case_id, message", [
-    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 5)"),
+    ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 6)"),
     ("checkpoint-rebase-v1-ckpt",
-     "checkpoint state version 1 (this build reads 5)"),
-    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 5)"),
+     "checkpoint state version 1 (this build reads 6)"),
+    ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 6)"),
     ("checkpoint-rebase-v2-ckpt",
-     "checkpoint state version 2 (this build reads 5)"),
-    ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 5)"),
+     "checkpoint state version 2 (this build reads 6)"),
+    ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 6)"),
     ("checkpoint-rebase-v3-ckpt",
-     "checkpoint state version 3 (this build reads 5)"),
-    ("run-from-v4-ckpt", "checkpoint state version 4 (this build reads 5)"),
+     "checkpoint state version 3 (this build reads 6)"),
+    ("run-from-v4-ckpt", "checkpoint state version 4 (this build reads 6)"),
     ("checkpoint-rebase-v4-ckpt",
-     "checkpoint state version 4 (this build reads 5)"),
-    ("run-from-ckpt-dual-ported",
-     "(memory.l1d.banked: checkpoint True, cell False)"),
+     "checkpoint state version 4 (this build reads 6)"),
+    ("run-from-v5-ckpt", "checkpoint state version 5 (this build reads 6)"),
+    ("checkpoint-rebase-v5-ckpt",
+     "checkpoint state version 5 (this build reads 6)"),
+    ("run-from-ckpt-l2-mismatch", "(memory.l2.assoc: checkpoint 8, cell 16)"),
     ("run-from-detailed-ckpt-other-config", "checkpoint has detailed state"),
     ("run-sample-from-detailed-ckpt",
      "a sampled chain starts from a purely functional checkpoint"),

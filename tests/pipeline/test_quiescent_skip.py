@@ -98,6 +98,65 @@ def test_memory_bound_cell_skips_cycles():
     assert steps["steps"] < 0.75 * sim.stats.cycles
 
 
+def _count_fetch_ticks(sim):
+    """Wrap the frontend's ``tick`` to count the cycles fetch applies,
+    ticked or replayed by its ``skip``; a one-item list."""
+    counter = [0]
+    tick = sim.fetch.tick
+
+    def counted(now):
+        counter[0] += 1
+        tick(now)
+
+    sim.fetch.tick = counted
+    return counter
+
+
+def test_flooded_frontend_cell_skips_and_matches_per_cycle_ticking():
+    """libquantum under SpecSched_4 floods the frontend pipe: fetch runs
+    far ahead of Rename, and its correct-path ticks jump with the rest
+    while anything is in flight (replayed by its ``skip``, so fetch
+    ticks more cycles than the machine does)."""
+    workload = resolve_workload("libquantum")
+    config = make_config("SpecSched_4")
+    snapshots, steps, fetch_ticks = [], [], []
+    for per_cycle in (False, True):
+        sim = _build(config, workload.build_trace(1), per_cycle)
+        sim.functional_warmup(workload.build_trace(1), FUNCTIONAL)
+        steps.append(_count_steps(sim))
+        fetch_ticks.append(_count_fetch_ticks(sim))
+        sim.run_with_warmup(WARMUP, MEASURE)
+        snapshots.append(_snapshot(sim))
+    assert snapshots[0] == snapshots[1]
+    assert steps[1]["steps"] == fetch_ticks[1][0] == sim.stats.cycles
+    assert steps[0]["steps"] < fetch_ticks[0][0] <= sim.stats.cycles
+    assert steps[0]["steps"] < 0.75 * sim.stats.cycles
+
+
+def test_checkpoint_mid_wrong_path_episode_restores_and_continues():
+    """Save a skipping run while its frontend holds a partly consumed
+    run of wrong-path groups, restore into a skipping machine, continue:
+    identical to an uninterrupted per-cycle run."""
+    workload = resolve_workload("mcf")
+    config = make_config("SpecSched_4")
+    reference = _build(config, workload.build_trace(1), per_cycle=True)
+    reference.run(max_uops=1_500)
+
+    first = _build(config, workload.build_trace(1), per_cycle=False)
+    width = config.core.fetch_width
+    while True:
+        first.run(max_cycles=first.stats.cycles + 1)
+        assert first.stats.committed_uops < 1_500, "no wrong-path episode"
+        groups = first.fetch._wp_groups
+        if groups and groups[0][0] < groups[0][2] and groups[0][1] < width:
+            break
+    state = pickle.loads(pickle.dumps(first.state_dict(), protocol=4))
+    resumed = _build(config, workload.build_trace(1), per_cycle=False)
+    resumed.load_state_dict(state)
+    resumed.run(max_uops=1_500)
+    assert _snapshot(resumed) == _snapshot(reference)
+
+
 @pytest.mark.parametrize("name", sorted(BUNDLED))
 def test_rv32i_kernel_matches_per_cycle_ticking(name):
     workload = resolve_workload(name)

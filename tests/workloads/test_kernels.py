@@ -17,7 +17,7 @@ from repro.workloads.kernels import (
 
 
 def make(cls, **params):
-    return cls("k", pc_base=0x1000, reg_base=2, addr_base=1 << 26,
+    return cls(pc_base=0x1000, reg_base=2, addr_base=1 << 26,
                rng=random.Random(42), **params)
 
 
