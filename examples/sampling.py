@@ -22,7 +22,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.checkpoint.format import restore_simulator, save_checkpoint
+from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro import SamplingSpec, run_workload
 from repro.common.stats import SimStats
 from repro.core.presets import make_config
@@ -55,7 +55,7 @@ def checkpoint_roundtrip(tmp: Path) -> None:
     print(f"  saved {path.name}: {info.file_bytes} bytes, "
           f"digest {info.digest[:16]}…")
 
-    resumed = restore_simulator(path)
+    resumed = load_checkpoint(path).restore()
     resumed.run(max_uops=8_000)
     identical = resumed.stats.to_dict() == reference.stats.to_dict()
     print(f"  resumed run == uninterrupted run: {identical}")

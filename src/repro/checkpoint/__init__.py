@@ -6,13 +6,13 @@ Four layers:
   ``state_dict()`` / ``load_state_dict()`` protocol every stateful
   pipeline component implements;
 * :mod:`repro.checkpoint.format` — the plain-data state payload of a
-  ``.ckpt`` file (a :mod:`repro.common.container` file) and the
-  save/load/restore entry points;
-* :mod:`repro.checkpoint.rebase` — when a checkpoint restores under
-  another configuration: a purely functional one as a fresh machine of
-  that configuration plus the warmed islands, so one warming pass
-  serves a whole scheduling-policy grid (``rebase_checkpoint`` saves
-  such a restore);
+  ``.ckpt`` file (a :mod:`repro.common.container` file):
+  ``save_checkpoint``, then ``load_checkpoint(path).restore(config)``;
+* :mod:`repro.checkpoint.rebase` — when saved warm state serves another
+  configuration (``restore_refusal``, the one statement of the rule): a
+  purely functional checkpoint restores as a fresh machine of that
+  configuration plus the warmed islands, so one warming pass serves a
+  whole scheduling-policy grid;
 * :mod:`repro.checkpoint.sampling` — :class:`SamplingSpec` and its
   compilation into checkpoint-chained engine cells (run one sampled
   cell with ``repro.run_workload(..., sampling=spec)``).
@@ -35,7 +35,6 @@ _EXPORTS = {
     "load_checkpoint": "repro.checkpoint.format",
     "verify_checkpoint": "repro.checkpoint.format",
     "save_checkpoint": "repro.checkpoint.format",
-    "restore_simulator": "repro.checkpoint.format",
     "RebaseError": "repro.checkpoint.rebase",
     "rebase_checkpoint": "repro.checkpoint.rebase",
     "SamplingSpec": "repro.checkpoint.sampling",

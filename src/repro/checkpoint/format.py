@@ -197,58 +197,43 @@ def read_info(path) -> CheckpointInfo:
 # Save
 
 
-def write_checkpoint(payload: Dict[str, Any], path, *,
-                     uops_committed: int = 0, cycles: int = 0,
-                     provenance: Optional[Dict[str, Any]] = None
-                     ) -> CheckpointInfo:
-    """Write an already-assembled checkpoint payload dict to ``path``.
-
-    ``payload`` is the on-disk payload shape (``schema`` / ``config`` /
-    ``workload`` / ``seed`` / ``sim``); the meta header is derived from
-    it. This is the writer :func:`save_checkpoint` funnels through.
-    """
-    raw = _dumps(payload)
-    meta = {
-        "schema": CHECKPOINT_SCHEMA,
-        "config_name": payload["config"].get("name", "?"),
-        "config_hash": stable_hash(payload["config"]),
-        "workload": payload.get("workload"),
-        "seed": payload.get("seed"),
-        "uops_committed": uops_committed,
-        "cycles": cycles,
-        "provenance": {
-            "python": platform.python_version(),
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-            **(provenance or {}),
-        },
-    }
-    CONTAINER.write(path, meta, (raw,), level=ZLIB_LEVEL)
-    return read_info(path)
-
-
 def save_checkpoint(sim, path, *, workload=None, seed: Optional[int] = None,
                     provenance: Optional[Dict[str, Any]] = None
                     ) -> CheckpointInfo:
     """Freeze ``sim`` to ``path``.
 
     ``workload`` (anything the workload registry hands out) and ``seed``
-    are recorded so :func:`restore_simulator` can rebuild the trace
+    are recorded so :meth:`Checkpoint.restore` can rebuild the trace
     source without the caller re-supplying them; pass ``workload=None``
     for hand-built traces and supply the trace at restore time.
     """
     from repro.traces.registry import workload_payload
 
+    config = sim.config.to_dict()
     payload = {
         "schema": CHECKPOINT_SCHEMA,
-        "config": sim.config.to_dict(),
+        "config": config,
         "workload": (workload_payload(workload)
                      if workload is not None else None),
         "seed": seed,
         "sim": sim.state_dict(),
     }
-    return write_checkpoint(payload, path,
-                            uops_committed=sim.stats.committed_uops,
-                            cycles=sim.stats.cycles, provenance=provenance)
+    meta = {
+        "schema": CHECKPOINT_SCHEMA,
+        "config_name": config.get("name", "?"),
+        "config_hash": stable_hash(config),
+        "workload": payload["workload"],
+        "seed": seed,
+        "uops_committed": sim.stats.committed_uops,
+        "cycles": sim.stats.cycles,
+        "provenance": {
+            "python": platform.python_version(),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            **(provenance or {}),
+        },
+    }
+    CONTAINER.write(path, meta, (_dumps(payload),), level=ZLIB_LEVEL)
+    return read_info(path)
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +310,3 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path.name}: payload is not a checkpoint state (a dict of "
             f"config, workload, seed and sim)")
     return Checkpoint(info, payload)
-
-
-def restore_simulator(path, trace=None):
-    """One-call restore: load ``path`` and rebuild its simulator."""
-    return load_checkpoint(path).restore(trace=trace)

@@ -27,13 +27,17 @@ and load the warmed islands into it
 the machine a native warming of B over the same stream would have
 built, state for state. That is how one warming chain per workload and
 seed serves the whole fig8 grid (the banked presets differ only in
-scheduling policy, and Baseline_0 also in the L1D's banking), and
-:func:`rebase_checkpoint` is that restore followed by a save.
+scheduling policy, and Baseline_0 also in the L1D's banking).
 
-Refusals, checked in this order before any machine is built
-(:func:`check_restorable`):
+:func:`restore_refusal` is the one statement of that rule: whether warm
+state saved under one configuration serves another, and if not, why.
+:func:`check_restorable` raises its reason before any machine is built,
+and the sampled-chain compiler
+(:func:`~repro.checkpoint.sampling.chained_cell_payloads`) picks each
+cell's chain with it. Refusals, in this order:
 
-* the state layout version must be this build's;
+* the state layout version must be this build's (checked by
+  :func:`check_restorable`, from the saved state);
 * a checkpoint with detailed state restores whole, and only under its
   own configuration — ROB/IQ/rename contents are shaped by the
   scheduling policy;
@@ -44,6 +48,9 @@ Refusals, checked in this order before any machine is built
   the warmed filter table transplants only into an identically shaped
   one. A filterless target simply leaves the source's filter state
   behind (policy tables fresh, caches/predictors carried over).
+
+Each refusal names the first field that differs, e.g.
+``(memory.l2.assoc: checkpoint 8, cell 16)``.
 """
 
 from __future__ import annotations
@@ -61,11 +68,11 @@ from repro.checkpoint.format import (
 
 __all__ = [
     "RebaseError",
-    "check_rebase_compatible",
     "check_restorable",
     "filter_shape",
     "load_warmed_islands",
     "rebase_checkpoint",
+    "restore_refusal",
     "warm_view",
 ]
 
@@ -78,6 +85,10 @@ class RebaseError(CheckpointError):
 #: table transplants only between identically shaped filters.
 FILTER_SHAPE_FIELDS = ("filter_entries", "filter_ctr_bits",
                        "filter_reset_interval", "filter_silence_bit")
+
+#: The sched-config fields that decide whether a policy carries a filter,
+#: then its shape: where a filter refusal looks for the differing field.
+_FILTER_FIELDS = ("speculative", "hit_miss", *FILTER_SHAPE_FIELDS)
 
 
 def filter_shape(sched: Dict[str, Any]) -> Optional[Tuple]:
@@ -99,30 +110,56 @@ def warm_view(config: Dict[str, Any]) -> Dict[str, Any]:
     return {**config, "memory": {**memory, "l1d": l1d}}
 
 
-def check_rebase_compatible(source_config: Dict[str, Any],
-                            target_config: Dict[str, Any]) -> None:
-    """Raise :class:`RebaseError` unless warm state captured under
-    ``source_config`` is valid warm state for ``target_config``."""
-    source_view, target_view = warm_view(source_config), warm_view(target_config)
+def _first_difference(saved: Any, cell: Any, path: str = "") -> str:
+    """``"dotted.path: checkpoint X, cell Y"`` where two unequal config
+    dicts first differ (in ``saved``'s key order)."""
+    if isinstance(saved, dict) and isinstance(cell, dict):
+        for key in [*saved, *(key for key in cell if key not in saved)]:
+            if saved.get(key) != cell.get(key):
+                return _first_difference(saved.get(key), cell.get(key), f"{path}{key}.")
+    return f"{path[:-1]}: checkpoint {saved!r}, cell {cell!r}"
+
+
+def restore_refusal(saved_config: Dict[str, Any], cell_config: Dict[str, Any],
+                    *, functional: bool = True) -> Optional[str]:
+    """Why warm state saved under ``saved_config`` does not serve
+    ``cell_config`` (both config dicts), or ``None`` when it does.
+
+    ``functional`` says whether the state is purely functional: such
+    state serves any configuration of equal :func:`warm_view` memory and
+    branch dicts whose hit/miss filter, if it has one, the saved state
+    holds warmed; detailed state serves only its own configuration. The
+    reason names the first field that differs.
+    """
+    if saved_config == cell_config:
+        return None
+    refused = (f"cannot restore {saved_config.get('name', '?')!r} state "
+               f"under {cell_config.get('name', '?')!r}")
+    if not functional:
+        return (f"{refused}: checkpoint has detailed state "
+                f"({_first_difference(saved_config, cell_config)}); only "
+                f"purely functional checkpoints restore under another "
+                f"configuration — in-flight pipeline contents are shaped "
+                f"by the scheduling policy")
+    saved, cell = warm_view(saved_config), warm_view(cell_config)
     for section in ("memory", "branch"):
-        if source_view.get(section) != target_view.get(section):
-            raise RebaseError(
-                f"cannot restore {source_config.get('name', '?')!r} "
-                f"state under {target_config.get('name', '?')!r}: the "
-                f"{section} configurations differ, so the warmed state "
-                f"would be wrong (only scheduling-policy parameters and "
-                f"the L1D's banking may differ)")
-    source_shape = filter_shape(source_config.get("sched", {}))
-    target_shape = filter_shape(target_config.get("sched", {}))
-    if target_shape is not None and source_shape != target_shape:
-        detail = ("carries no hit/miss filter" if source_shape is None
-                  else "filter shapes differ")
-        raise RebaseError(
-            f"cannot restore {source_config.get('name', '?')!r} state "
-            f"under {target_config.get('name', '?')!r}: the target needs "
-            f"a warmed {FILTER_SHAPE_FIELDS} filter but the source "
-            f"{detail}; warm the target family from a filter-bearing "
-            f"donor instead")
+        if saved.get(section) != cell.get(section):
+            difference = _first_difference(saved.get(section),
+                                           cell.get(section), f"{section}.")
+            return (f"{refused}: the {section} configurations differ "
+                    f"({difference}), so the warmed state would be wrong "
+                    f"(only scheduling-policy parameters and the L1D's "
+                    f"banking may differ)")
+    saved_sched, cell_sched = saved.get("sched", {}), cell.get("sched", {})
+    cell_shape = filter_shape(cell_sched)
+    if cell_shape is None or filter_shape(saved_sched) == cell_shape:
+        return None
+    difference = _first_difference(
+        {field: saved_sched.get(field) for field in _FILTER_FIELDS},
+        {field: cell_sched.get(field) for field in _FILTER_FIELDS}, "sched.")
+    return (f"{refused}: the cell needs a warmed hit/miss filter the "
+            f"checkpoint does not hold ({difference}); warm it from a "
+            f"filter-bearing checkpoint of the same filter shape instead")
 
 
 def check_restorable(ckpt: Checkpoint, target_config: Dict[str, Any]) -> bool:
@@ -137,17 +174,11 @@ def check_restorable(ckpt: Checkpoint, target_config: Dict[str, Any]) -> bool:
         raise CheckpointError(f"{info.path}: checkpoint state version {version} "
                               f"(this build reads {Simulator.STATE_VERSION})")
     functional = not (info.uops_committed or info.cycles or state.get("uops"))
-    if ckpt.payload["config"] == target_config:
-        return functional
-    if not functional:
-        raise RebaseError(
-            f"checkpoint has detailed state ({info.uops_committed} "
-            f"committed µops, {info.cycles} cycles); only purely "
-            f"functional checkpoints restore under another configuration "
-            f"— in-flight pipeline contents are shaped by the scheduling "
-            f"policy")
-    check_rebase_compatible(ckpt.payload["config"], target_config)
-    return True
+    refusal = restore_refusal(ckpt.payload["config"], target_config,
+                              functional=functional)
+    if refusal is not None:
+        raise RebaseError(f"{info.path}: {refusal}")
+    return functional
 
 
 #: State-dict islands functional warming mutates, each the state of the
@@ -172,8 +203,16 @@ def rebase_checkpoint(source: Union[str, Checkpoint], target_config: SimConfig,
     The source restores under the target (:func:`check_restorable`
     refuses what cannot), and the restored machine is saved. The output
     is byte-identical to a checkpoint taken by natively fast-forwarding
-    a fresh ``target_config`` machine over the same stream span (the
-    property the rebase tests pin).
+    a fresh ``target_config`` machine over the same stream span.
+
+    No command or engine path calls this; restores go through
+    :meth:`~repro.checkpoint.format.Checkpoint.restore`. It stays for
+    two readers: ``tests/checkpoint/test_rebase.py`` pins the
+    byte-identity above through it (a restore is correct exactly when
+    this save equals the native one), and the benchmark
+    (``perfbench/layers.py``) wraps it by name for its
+    ``checkpoint.rebase_share`` metric, so it goes together with that
+    metric.
     """
     from repro.traces.registry import workload_from_payload
 

@@ -22,13 +22,14 @@ persistently cached like any other cell. Its fast-forward chains off
 the previous interval's checkpoint (produced by a checkpoint-producing
 cell, content-addressed in the engine's checkpoint store), so total
 warming cost is linear in the span. One warming chain serves every
-config of a workload that shares memory/branch parameters, the L1D's
-banking aside (warming never reads it): each interval cell restores
-the chain's own checkpoint under its config
-(:mod:`repro.checkpoint.rebase`), so the store holds one file per
-chain and interval, whatever the number of scheduling-policy configs
-and whether their L1D is banked or dual-ported. A
-chain starts at µop zero or at a purely functional user checkpoint.
+config of a workload its checkpoints restore under
+(:func:`~repro.checkpoint.rebase.restore_refusal`: the same
+memory/branch parameters, the L1D's banking aside): each interval cell
+restores the chain's own checkpoint under its config, so the store
+holds one file per chain and interval, whatever the number of
+scheduling-policy configs and whether their L1D is banked or
+dual-ported. A chain starts at µop zero or at a purely functional user
+checkpoint taken at or before the first interval.
 ``repro run --sample`` (through :func:`repro.pipeline.sim.
 run_workload`), sweeps, figures and perfbench all run these cells; the
 interval mean IPC and its confidence interval come from
@@ -156,26 +157,28 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                           progress=None) -> List[Dict[str, Any]]:
     """Compile base payloads into checkpoint-chained interval cells.
 
-    For each distinct warming chain among ``bases`` (same workload,
-    seed, memory and branch configuration as
-    :func:`~repro.checkpoint.rebase.warm_view` sees them — and, for
-    filter-bearing configs, the same hit/miss-filter shape) one sequence of
-    checkpoint-producing cells walks the stream once, each interval's
-    cell chaining off the previous interval's checkpoint. Chains step in
-    lock-step batches through :func:`~repro.experiments.engine.
-    run_produce_cells`, so warming parallelism across workloads/configs
-    is preserved even though each chain is sequential. A base carrying a
-    ``checkpoint`` ref starts its chain there instead of at µop zero;
-    that checkpoint must be purely functional. The returned measurement
-    payloads — in ``bases``-major, interval-minor order, ready for
-    ``run_cells`` — reference their chain's checkpoints by digest, and
-    each cell restores its chain checkpoint under its own config
-    (:meth:`~repro.checkpoint.format.Checkpoint.restore`). ``store`` is
-    the checkpoint store directory (see
+    Bases of one stream (same workload, seed and start) share warming
+    chains: a chain's checkpoints serve every base whose configuration
+    :func:`~repro.checkpoint.rebase.restore_refusal` lets restore them,
+    and each base rides the first chain that serves it, so one warming
+    pass per workload serves a scheduling-policy grid. Each chain is one
+    sequence of checkpoint-producing cells that walks the stream once,
+    each interval's cell chaining off the previous interval's
+    checkpoint. Chains step in lock-step batches through
+    :func:`~repro.experiments.engine.run_produce_cells`, so warming
+    parallelism across workloads/configs is preserved even though each
+    chain is sequential. A base carrying a ``checkpoint`` ref starts its
+    chain there instead of at µop zero; that checkpoint must be purely
+    functional and lie at or before the first interval. The returned
+    measurement payloads — in ``bases``-major, interval-minor order,
+    ready for ``run_cells`` — reference their chain's checkpoints by
+    digest, and each cell restores its chain checkpoint under its own
+    config (:meth:`~repro.checkpoint.format.Checkpoint.restore`).
+    ``store`` is the checkpoint store directory (see
     :func:`~repro.experiments.engine.checkpoint_store`).
     """
     from repro.checkpoint.format import read_info
-    from repro.checkpoint.rebase import filter_shape, warm_view
+    from repro.checkpoint.rebase import restore_refusal
     from repro.experiments.engine import (
         EngineOptions,
         produce_payload,
@@ -188,18 +191,8 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
     store = Path(store)
     store.mkdir(parents=True, exist_ok=True)
 
-    # Partition bases into warming chains. A warming chain is valid for
-    # every config sharing its memory/branch parameters up to the L1D's
-    # banking (the restore compatibility rule); filter-bearing configs additionally need a
-    # donor of their own filter shape, so each distinct shape in a group
-    # gets its own chain. Filterless configs ride the group's first
-    # filter-bearing chain when one exists (their restore leaves the
-    # filter state behind) — one warming pass per workload serves the
-    # whole grid.
-    described = []                       # per base: (group, shape)
-    donors: Dict[Any, Dict[str, Any]] = {}   # chain id -> donor base
-    group_shapes: Dict[str, List[Any]] = {}
-    for base in bases:
+    streams: Dict[str, List[int]] = {}       # stream -> indices into bases
+    for index, base in enumerate(bases):
         start = base.get("checkpoint")
         if start is not None:
             info = read_info(start["path"])
@@ -210,36 +203,41 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                     f"detailed state ({info.uops_committed} committed "
                     f"µops, {info.cycles} cycles); create it with "
                     f"--mode functional")
-        group = stable_hash({
+            if start["position"] > spec.offset_uops:
+                raise SamplingError(
+                    f"{start['path']}: the checkpoint is at stream "
+                    f"position {start['position']}, past the first "
+                    f"interval at sampling.offset_uops "
+                    f"{spec.offset_uops} (--offset); raise the offset "
+                    f"or create the checkpoint with fewer --uops")
+        streams.setdefault(stable_hash({
             "workload": workload_identity(base["workload"]),
             "seed": base["seed"],
-            "memory": warm_view(base["config"])["memory"],
-            "branch": base["config"]["branch"],
             "start": (start or {}).get("digest"),
-        })
-        shape = filter_shape(base["config"].get("sched", {}))
-        described.append((group, shape))
-        if shape is not None and (group, shape) not in donors:
-            donors[(group, shape)] = base
-            group_shapes.setdefault(group, []).append(shape)
-    chain_of = []                        # per base: chain id
-    for base, (group, shape) in zip(bases, described):
-        if shape is None:
-            shapes = group_shapes.get(group)
-            chain = (group, shapes[0]) if shapes else (group, None)
-            if chain not in donors:
-                donors[chain] = base
-        else:
-            chain = (group, shape)
-        chain_of.append(chain)
+        }), []).append(index)
+
+    def serves(donor: int, index: int) -> bool:
+        return restore_refusal(bases[donor]["config"],
+                               bases[index]["config"]) is None
+
+    # A chain is warmed under its donor's config. Donors are the bases
+    # no other base of their stream outclasses (a filter-bearing config
+    # serves its filterless peers, not the reverse), so filter-bearing
+    # bases donate first and a filterless one rides their chain.
+    donor_of: Dict[int, int] = {}
+    for members in streams.values():
+        donors = [a for a in members
+                  if all(serves(a, b) or not serves(b, a) for b in members)]
+        for b in members:
+            donor_of[b] = next(a for a in donors if serves(a, b))
 
     # Build every chain stepwise; step i of all chains runs as one
     # produce batch (pool parallelism across chains, sequential within).
-    chain_ids = list(donors)
-    refs: Dict[Any, List[Dict[str, Any]]] = {cid: [] for cid in chain_ids}
-    prev = {cid: donors[cid].get("checkpoint") for cid in chain_ids}
+    chain_ids = sorted(set(donor_of.values()))
+    refs: Dict[int, List[Dict[str, Any]]] = {cid: [] for cid in chain_ids}
+    prev = {cid: bases[cid].get("checkpoint") for cid in chain_ids}
     for index in range(spec.intervals):
-        batch = [produce_payload(donors[cid], spec.interval_offset(index),
+        batch = [produce_payload(bases[cid], spec.interval_offset(index),
                                  store, checkpoint=prev[cid])
                  for cid in chain_ids]
         out = run_produce_cells(batch, options=options, progress=progress)
@@ -248,7 +246,7 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
             refs[cid].append(ref)
 
     payloads = []
-    for base, cid in zip(bases, chain_of):
+    for base_index, base in enumerate(bases):
         for index in range(spec.intervals):
             payloads.append({
                 **{key: value for key, value in base.items()
@@ -257,6 +255,6 @@ def chained_cell_payloads(bases: List[Dict[str, Any]], spec: SamplingSpec,
                 "warmup_uops": spec.warmup_uops,
                 "measure_uops": spec.interval_uops,
                 "sampling": {"spec": spec.to_dict(), "index": index},
-                "checkpoint": refs[cid][index],
+                "checkpoint": refs[donor_of[base_index]][index],
             })
     return payloads

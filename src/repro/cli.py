@@ -18,14 +18,12 @@ Commands:
 * ``trace record WORKLOAD`` / ``trace info FILE`` — capture a µop
   stream (suite workload or RV32I program) to the binary trace format,
   inspect a recording;
-* ``checkpoint create WORKLOAD CONFIG`` / ``checkpoint info FILE`` /
-  ``checkpoint rebase FILE CONFIG`` — freeze a mid-run simulator's
-  complete state to a versioned ``.ckpt`` file, inspect one
-  (``--verify`` re-checks the content digest, then decodes the state),
-  or save a purely functional checkpoint as restored under another
-  scheduling-policy configuration (``run --from-checkpoint`` restores
-  it under that configuration directly — see
-  :mod:`repro.checkpoint.rebase`);
+* ``checkpoint create WORKLOAD CONFIG`` / ``checkpoint info FILE`` —
+  freeze a mid-run simulator's complete state to a versioned ``.ckpt``
+  file, or inspect one (``--verify`` re-checks the content digest, then
+  decodes the state); ``run --from-checkpoint`` restores a purely
+  functional checkpoint under any configuration that shares its memory
+  and branch setup (see :mod:`repro.checkpoint.rebase`);
 * ``events info FILE`` / ``events dump FILE`` / ``events export FILE``
   — inspect an event trace written by ``run --events``, print raw
   events, or export it to the gem5/Konata O3PipeView format (see
@@ -214,20 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     ckpt_info.add_argument("--verify", action="store_true",
                            help="check the payload against the digest, "
                                 "then decode the state")
-
-    ckpt_rebase = ckpt_sub.add_parser(
-        "rebase", help="save a purely functional checkpoint as restored "
-                       "under a configuration differing only in "
-                       "scheduling-policy parameters or L1D banking")
-    ckpt_rebase.add_argument("file", help="source .ckpt (functional mode)")
-    ckpt_rebase.add_argument("config", help="target preset, e.g. Baseline_0")
-    ckpt_rebase.add_argument("-o", "--output", default=None, metavar="FILE",
-                             help="output path (default "
-                                  "<source>-<config>.ckpt)")
-    ckpt_rebase.add_argument("--dual-ported", action="store_true",
-                             help="ideal dual-ported L1D instead of banked "
-                                  "(may differ from the source: warming "
-                                  "never touches the L1D banks)")
 
     events_p = sub.add_parser(
         "events", help="inspect and export per-µop pipeline event traces "
@@ -488,28 +472,6 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
     print(f"  size       {info.file_bytes} bytes "
           f"(raw state {info.raw_bytes})")
     print(f"  committed  {info.uops_committed} µops, {info.cycles} cycles")
-    return 0
-
-
-def _cmd_checkpoint_rebase(args: argparse.Namespace) -> int:
-    from repro.checkpoint.rebase import rebase_checkpoint
-    from repro.core.presets import make_config
-
-    try:
-        config = make_config(args.config, banked=not args.dual_ported)
-        output = (args.output
-                  or f"{Path(args.file).stem}-{args.config}.ckpt")
-        info = rebase_checkpoint(args.file, config, output)
-    except (KeyError, OSError, ValueError) as exc:
-        return _fail(exc)
-    provenance = info.provenance
-    print(f"rebased {args.file} -> {output} under {args.config} at "
-          f"{provenance.get('stream_uops', '?')} stream µops")
-    print(f"  digest     {info.digest}")
-    print(f"  size       {info.file_bytes} bytes "
-          f"(raw state {info.raw_bytes})")
-    print(f"  source     {provenance.get('source_config', '?')} "
-          f"({str(provenance.get('source_digest', ''))[:12]})")
     return 0
 
 
@@ -893,8 +855,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             return _cmd_checkpoint_create(args)
         if args.checkpoint_command == "info":
             return _cmd_checkpoint_info(args)
-        if args.checkpoint_command == "rebase":
-            return _cmd_checkpoint_rebase(args)
     if args.command == "events":
         if args.events_command == "info":
             return _cmd_events_info(args)

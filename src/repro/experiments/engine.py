@@ -349,15 +349,6 @@ def payload_identity(payload: Dict[str, Any]) -> Dict[str, Any]:
     return normalized
 
 
-def _config_difference(saved: Any, cell: Any, path: str = "") -> str:
-    """``"dotted.path: checkpoint X, cell Y"`` where two unequal config dicts first differ."""
-    if isinstance(saved, dict) and isinstance(cell, dict):
-        for key in [*saved, *(key for key in cell if key not in saved)]:
-            if saved.get(key) != cell.get(key):
-                return _config_difference(saved.get(key), cell.get(key), f"{path}{key}.")
-    return f"{path[:-1]}: checkpoint {saved!r}, cell {cell!r}"
-
-
 def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
                              phase_profile=None, event_bus=None,
                              extra_stages=()) -> Tuple[Simulator, int]:
@@ -367,14 +358,11 @@ def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
     The digest must match the ref (a regenerated checkpoint can never
     serve a stale cell), the saved workload identity must equal the
     cell's, and the checkpoint must restore under the cell's
-    configuration (:func:`~repro.checkpoint.rebase.check_restorable`:
-    a purely functional one under any configuration sharing its memory
-    (the L1D's banking aside), branch and filter shape, a detailed one
-    under its own only).
+    configuration (:func:`~repro.checkpoint.rebase.restore_refusal`
+    states when it does, and the refusal names the first differing field).
     Returns the restored simulator and the checkpoint's stream position.
     """
     from repro.checkpoint.format import CheckpointError, load_checkpoint
-    from repro.checkpoint.rebase import RebaseError, warm_view
 
     checkpoint = payload["checkpoint"]
     loaded = load_checkpoint(checkpoint["path"])
@@ -390,20 +378,9 @@ def _restore_checkpoint_base(payload: Dict[str, Any], config, workload, *,
             f"checkpoint {checkpoint['path']} was saved for a "
             f"different workload; restoring its trace cursor into "
             f"this cell's stream would silently corrupt the run")
-    try:
-        sim = loaded.restore(config, trace=workload.build_trace(payload["seed"]),
-                             phase_profile=phase_profile,
-                             event_bus=event_bus, extra_stages=extra_stages)
-    except RebaseError as exc:
-        # Name a field the refusal rests on: banking only when nothing
-        # else differs (a detailed checkpoint under another banking).
-        saved, cell = loaded.payload["config"], payload["config"]
-        if warm_view(saved) != warm_view(cell):
-            saved, cell = warm_view(saved), warm_view(cell)
-        raise CheckpointError(
-            f"checkpoint {checkpoint['path']} does not resume this cell's "
-            f"configuration ({_config_difference(saved, cell)}): "
-            f"{exc}") from exc
+    sim = loaded.restore(config, trace=workload.build_trace(payload["seed"]),
+                         phase_profile=phase_profile,
+                         event_bus=event_bus, extra_stages=extra_stages)
     return sim, int(checkpoint.get("position", 0))
 
 

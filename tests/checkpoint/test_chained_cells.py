@@ -5,6 +5,7 @@ cache-key contract for producing cells."""
 
 from __future__ import annotations
 
+import copy
 import struct
 from collections import Counter
 
@@ -15,25 +16,30 @@ from repro.checkpoint.format import (
     CHECKPOINT_SUFFIX,
     load_checkpoint,
     read_info,
+    save_checkpoint,
 )
 from repro.checkpoint.sampling import (
+    SamplingError,
     SamplingSpec,
     chained_cell_payloads,
     sample_payloads,
 )
 from repro.core.presets import make_config
+from repro.experiments import engine
 from repro.experiments.engine import (
     EngineOptions,
     ResultCache,
     Sweep,
     base_cell_payload,
     cell_key,
+    checkpoint_reference,
     checkpoint_store,
     checkpoint_store_ref,
     produce_payload,
     run_cells,
 )
 from repro.experiments.runner import Settings, run_sweep
+from repro.pipeline.cpu import Simulator
 from repro.pipeline.sim import RunResult, run_workload
 from repro.traces.registry import resolve_workload
 
@@ -54,11 +60,11 @@ def _persistent(tmp_path):
     return EngineOptions(jobs=1, cache_dir=str(tmp_path))
 
 
-def _base(preset="SpecSched_4", workload="gzip", banked=True):
+def _base(preset="SpecSched_4", workload="gzip", banked=True, seed=1):
     return base_cell_payload(
         make_config(preset, banked=banked), resolve_workload(workload),
         warmup_uops=SPEC.warmup_uops, measure_uops=SPEC.interval_uops,
-        functional_warmup_uops=0, seed=1)
+        functional_warmup_uops=0, seed=seed)
 
 
 def _from_zero(base):
@@ -206,6 +212,117 @@ def test_chains_share_one_warming_pass(tmp_path):
     for payload in payloads:
         assert payload["checkpoint"]["digest"]
         assert payload["sampling"]["spec"] == SPEC.to_dict()
+
+
+# ---------------------------------------------------------------------------
+# Chain assignment
+
+
+def _reshaped(base, section, *path, value):
+    """``base`` with ``config[section][path...]`` set to ``value``."""
+    config = copy.deepcopy(base["config"])
+    node = config[section]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return dict(base, config=config)
+
+
+def _stream_config(payload):
+    return (payload["workload"], payload["seed"], payload["config"])
+
+
+def _donor_chains(monkeypatch, tmp_path, bases):
+    """Which base's config warms each base's chain: the index into
+    ``bases`` of its donor, per base. Producing cells are stubbed out;
+    each stub ref carries the donor's config, so no stream is warmed."""
+    produced = []
+
+    def fake_produce(payloads, options=None, progress=None):
+        produced.append(len(payloads))
+        return [{"path": "", "digest": "", "position": payload["produce"][
+                    "position"], "donor": _stream_config(payload)}
+                for payload in payloads]
+
+    monkeypatch.setattr(engine, "run_produce_cells", fake_produce)
+    payloads = chained_cell_payloads(bases, SPEC, options=OFF,
+                                     store=tmp_path)
+    keys = [_stream_config(base) for base in bases]
+    donors = [keys.index(p["checkpoint"]["donor"])
+              for p in payloads[::SPEC.intervals]]
+    # Chains step in lock-step: one batch per interval, one cell per chain.
+    assert produced == [len(set(donors))] * SPEC.intervals
+    return donors
+
+
+#: (bases, index of each base's donor). The filter-bearing Combined
+#: config warms for its filterless peers wherever it sits in the list,
+#: and for Crit, whose filter has its shape; another stream (workload,
+#: seed), memory geometry or filter shape warms its own chain.
+CHAIN_CASES = {
+    "figure8-grid": (lambda: [_base("Baseline_0", banked=False),
+                              _base("SpecSched_4"),
+                              _base("SpecSched_4_Combined"),
+                              _base("SpecSched_4_Crit")],
+                     [2, 2, 2, 2]),
+    "filterless-first": (lambda: [_base("Baseline_0"), _base("SpecSched_4"),
+                                  _base("SpecSched_4_Combined")],
+                         [2, 2, 2]),
+    "other-workload": (lambda: [_base("SpecSched_4"),
+                                _base("SpecSched_4", workload="mcf"),
+                                _base("Baseline_0")],
+                       [0, 1, 0]),
+    "other-seed": (lambda: [_base("SpecSched_4"), _base("Baseline_0", seed=2),
+                            _base("Baseline_0")],
+                   [0, 1, 0]),
+    "other-memory": (lambda: [_base("SpecSched_4"),
+                              _reshaped(_base("Baseline_0"), "memory", "l2",
+                                        "assoc", value=8)],
+                     [0, 1]),
+    "two-filter-shapes": (lambda: [
+        _base("Baseline_0"),
+        _base("SpecSched_4_Combined"),
+        _reshaped(_base("SpecSched_4_Combined"), "sched", "filter_entries",
+                  value=1024)],
+        [1, 1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", CHAIN_CASES)
+def test_each_base_rides_the_first_chain_that_serves_it(monkeypatch,
+                                                         tmp_path, case):
+    bases, donors = CHAIN_CASES[case]
+    assert _donor_chains(monkeypatch, tmp_path, bases()) == donors
+
+
+def _functional_start(tmp_path, position):
+    """A base whose chain starts from a functional gzip checkpoint at
+    stream ``position``."""
+    workload = resolve_workload("gzip")
+    sim = Simulator(make_config("SpecSched_4"), workload.build_trace(1))
+    sim.fast_forward(position)
+    path = tmp_path / f"at-{position}.ckpt"
+    save_checkpoint(sim, path, workload=workload, seed=1,
+                    provenance={"mode": "functional",
+                                "stream_uops": position})
+    return dict(_base(), checkpoint=checkpoint_reference(path))
+
+
+def test_chain_start_past_first_interval_is_refused(tmp_path):
+    base = _functional_start(tmp_path, SPEC.offset_uops + 500)
+    with pytest.raises(SamplingError, match=(
+            f"at stream position {SPEC.offset_uops + 500}, past the first "
+            f"interval at sampling.offset_uops {SPEC.offset_uops} "
+            r"\(--offset\)")):
+        chained_cell_payloads([base], SPEC, options=OFF,
+                              store=tmp_path / "store")
+    assert not (tmp_path / "store").exists() or \
+        not any((tmp_path / "store").iterdir())
+
+
+def test_chain_may_start_at_the_first_interval(monkeypatch, tmp_path):
+    base = _functional_start(tmp_path, SPEC.offset_uops)
+    assert _donor_chains(monkeypatch, tmp_path / "store", [base]) == [0]
 
 
 def test_figure8_sweep_leaves_only_functional_chain_files(tmp_path):

@@ -22,7 +22,7 @@ import pickle
 
 import pytest
 
-from repro.checkpoint.format import restore_simulator, save_checkpoint
+from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro.core.presets import make_config
 from repro.pipeline.cpu import Simulator
 from repro.traces.format import capture
@@ -91,7 +91,7 @@ def test_file_checkpoint_roundtrip_is_bit_identical(tmp_path, workload_name,
     info = save_checkpoint(sim, path, workload=workload, seed=1)
     assert info.uops_committed == sim.stats.committed_uops
 
-    restored = restore_simulator(path)
+    restored = load_checkpoint(path).restore()
     restored.run(max_uops=TOTAL_UOPS)
     assert restored.stats.to_dict() == reference
 

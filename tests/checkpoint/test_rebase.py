@@ -14,16 +14,12 @@ import dataclasses
 
 import pytest
 
-from repro.checkpoint.format import (
-    load_checkpoint,
-    restore_simulator,
-    save_checkpoint,
-)
+from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro.checkpoint.rebase import (
     RebaseError,
-    check_rebase_compatible,
     filter_shape,
     rebase_checkpoint,
+    restore_refusal,
 )
 from repro.core.presets import PRESET_NAMES, make_config
 from repro.pipeline.cpu import Simulator
@@ -118,7 +114,7 @@ def test_rebased_checkpoint_restores_and_resumes(tmp_path):
                        workload.build_trace(SEED))
     native.functional_warmup(workload.build_trace(SEED), WARM_UOPS)
     stats_native = native.run_with_warmup(300, 1_000)
-    restored = restore_simulator(tmp_path / "rebased.ckpt")
+    restored = load_checkpoint(tmp_path / "rebased.ckpt").restore()
     stats_rebased = restored.run_with_warmup(300, 1_000)
     assert stats_rebased.to_dict() == stats_native.to_dict()
 
@@ -167,13 +163,63 @@ def test_rebase_refuses_filterless_donor_for_filter_target(tmp_path):
                           tmp_path / "out.ckpt")
 
 
-def test_check_rebase_compatible_is_the_cli_precheck():
-    a = make_config("Baseline_0").to_dict()
-    b = make_config("SpecSched_4").to_dict()
-    check_rebase_compatible(a, b)       # must not raise
-    with pytest.raises(RebaseError):
-        check_rebase_compatible(
-            a, _with_l2(make_config("SpecSched_4"), size_bytes=512 * 1024).to_dict())
+def _config_dict(preset, *, banked=True, **sections):
+    """``preset``'s config dict with ``sections`` (``{section: {field:
+    value}}``) merged over its own sections."""
+    config = make_config(preset, banked=banked).to_dict()
+    for section, fields in sections.items():
+        config[section] = dict(config[section], **fields)
+    return config
+
+
+def _l2_dict(preset, **l2_fields):
+    return _with_l2(make_config(preset), **l2_fields).to_dict()
+
+
+#: (saved config, cell config, functional, expected refusal fragment or
+#: None when the saved state serves the cell).
+RESTORE_RULE = {
+    "other-policy": (_config_dict("Baseline_0"),
+                     _config_dict("SpecSched_4"), True, None),
+    "other-banking": (_config_dict("Baseline_0"),
+                      _config_dict("SpecSched_4", banked=False), True, None),
+    "filter-for-filterless": (_config_dict("SpecSched_4_Combined"),
+                              _config_dict("Baseline_0"), True, None),
+    "detailed-same-config": (_config_dict("SpecSched_4"),
+                             _config_dict("SpecSched_4"), False, None),
+    "detailed-other-policy": (_config_dict("Baseline_0"),
+                              _config_dict("SpecSched_4"), False,
+                              "checkpoint has detailed state (name:"),
+    "memory-geometry": (_config_dict("Baseline_0"),
+                        _l2_dict("SpecSched_4", size_bytes=512 * 1024), True,
+                        "(memory.l2.size_bytes: checkpoint 1048576, "
+                        "cell 524288)"),
+    "branch-geometry": (_config_dict("Baseline_0"),
+                        _config_dict("SpecSched_4",
+                                     branch={"btb_entries": 4096}), True,
+                        "(branch.btb_entries: checkpoint 8192, cell 4096)"),
+    "filterless-for-filter": (_config_dict("Baseline_0"),
+                              _config_dict("SpecSched_4_Combined"), True,
+                              "(sched.speculative: checkpoint False, "
+                              "cell True)"),
+    "filter-shape": (_config_dict("SpecSched_4_Combined"),
+                     _config_dict("SpecSched_4_Combined",
+                                  sched={"filter_entries": 1024}), True,
+                     "(sched.filter_entries: checkpoint 2048, cell 1024)"),
+}
+
+
+@pytest.mark.parametrize("case", RESTORE_RULE)
+def test_restore_refusal_names_the_first_differing_field(case):
+    """The one restore rule: functional state serves another scheduling
+    policy or L1D banking, not another memory or branch geometry or
+    filter shape; detailed state serves only its own configuration."""
+    saved, cell, functional, fragment = RESTORE_RULE[case]
+    refusal = restore_refusal(saved, cell, functional=functional)
+    if fragment is None:
+        assert refusal is None
+    else:
+        assert fragment in refusal
 
 
 def test_filter_shape_only_for_filter_policies():
@@ -255,10 +301,8 @@ def test_functional_checkpoint_restores_under_every_compatible_config(
     for target in CONFIGS:
         checkpoint, native = fast_forwarded[target]
         config = make_config(*target)
-        try:
-            check_rebase_compatible(source.payload["config"],
-                                    checkpoint.payload["config"])
-        except RebaseError:
+        if restore_refusal(source.payload["config"],
+                           checkpoint.payload["config"]) is not None:
             with pytest.raises(RebaseError):
                 source.restore(config)
             continue

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.checkpoint.format import restore_simulator, save_checkpoint
+from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro.core.presets import make_config
 from repro.pipeline.cpu import Simulator
 from repro.traces.registry import resolve_workload
@@ -67,7 +67,7 @@ def test_tage_heavy_checkpoint_resumes_identically(tmp_path):
     path = tmp_path / "mid.ckpt"
     save_checkpoint(sim, path, workload=workload, seed=1)
 
-    restored = restore_simulator(path)
+    restored = load_checkpoint(path).restore()
     assert restored.state_dict() == sim.state_dict()
     sim.run(max_uops=8_000)
     restored.run(max_uops=8_000)

@@ -140,17 +140,18 @@ class TestSweepErrors:
          "unrecognized arguments: --no-compress"),
         (["checkpoint", "create", "gzip", "SpecSched_4", "--no-compress"],
          "unrecognized arguments: --no-compress"),
-        (["checkpoint", "rebase", "a.ckpt", "Baseline_0", "--no-compress"],
-         "unrecognized arguments: --no-compress"),
+        (["checkpoint", "rebase", "a.ckpt", "Baseline_0"],
+         "invalid choice: 'rebase'"),
     ], ids=["trace-replay", "rv32i-capture", "events-o3pipeview",
             "events-record", "checkpoint-create-functional-warmup",
             "trace-record-no-compress", "checkpoint-create-no-compress",
-            "checkpoint-rebase-no-compress"])
+            "checkpoint-rebase"])
     def test_duplicate_surface_is_gone(self, tmp_path, capsys, monkeypatch,
                                        argv, message):
         # Each removed command or flag duplicated a remaining one: `run
         # FILE.trc`, `trace record`, `events export`, `run --events`,
-        # REPRO_FUNC_WARMUP; records are always zlib-framed.
+        # REPRO_FUNC_WARMUP, `run --from-checkpoint`; records are always
+        # zlib-framed.
         monkeypatch.chdir(tmp_path)
         with pytest.raises(SystemExit) as excinfo:
             main(argv)

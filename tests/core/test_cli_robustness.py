@@ -18,8 +18,7 @@ import shutil
 
 import pytest
 
-from repro.checkpoint.format import (CONTAINER, load_checkpoint,
-                                     write_checkpoint)
+from repro.checkpoint.format import CONTAINER, load_checkpoint
 from repro.cli import main
 from repro.common.container import FRAME_HEADER, HEADER
 from repro.isa.rv32i.corpus import bundled_programs
@@ -30,6 +29,10 @@ TINY = {"REPRO_WARMUP": "200", "REPRO_MEASURE": "500",
 
 SAMPLE = ["--sample", "--intervals", "2", "--interval-uops", "200",
           "--sample-warmup", "100", "--period", "1000", "--offset", "500"]
+
+#: The same geometry with its first interval past the 2,000-µop
+#: functional checkpoints below, so a chain may start from them.
+SAMPLE_LATE = SAMPLE[:-1] + ["3000"]
 
 _SWEEP = ('name = "s"\nbaseline = "B"\nworkloads = ["{workload}"]\n'
           '[[series]]\nlabel = "B"\npreset = "{preset}"\n')
@@ -67,12 +70,19 @@ def _format_v1(src, dst) -> None:
                     + data[first + FRAME_HEADER.size:])
 
 
+def _rewrite(src, dst, payload) -> None:
+    """Copy a checkpoint's header with ``payload`` as its state, under a
+    digest that holds."""
+    CONTAINER.write(dst, CONTAINER.header(src).meta,
+                    (pickle.dumps(payload, protocol=4),), level=1)
+
+
 def _relabel_version(src, dst, version) -> None:
     """Copy a checkpoint with its machine state's layout version set to
     ``version``, as an older build would have written it."""
     payload = load_checkpoint(src).payload
     payload["sim"]["version"] = version
-    write_checkpoint(payload, dst)
+    _rewrite(src, dst, payload)
 
 
 def _l2_mismatch(src, dst) -> None:
@@ -80,14 +90,13 @@ def _l2_mismatch(src, dst) -> None:
     state no cell of the default memory configuration may restore."""
     payload = load_checkpoint(src).payload
     payload["config"]["memory"]["l2"]["assoc"] = 8
-    write_checkpoint(payload, dst)
+    _rewrite(src, dst, payload)
 
 
 def _not_a_state(src, dst) -> None:
     """Copy a checkpoint's header with a payload whose digest holds but
     which is not a checkpoint state (the list ``[1, 2, 3]``)."""
-    CONTAINER.write(dst, CONTAINER.header(src).meta,
-                    (pickle.dumps([1, 2, 3], protocol=4),), level=1)
+    _rewrite(src, dst, [1, 2, 3])
 
 
 def _second_frame_offset(path) -> int:
@@ -166,32 +175,22 @@ _CHECKPOINT_MISMATCHES = {
     "run-from-v1-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v1.ckpt"],
     "run-sample-from-v1-ckpt": ["run", "gzip", "SpecSched_4",
-                                "--from-checkpoint", "v1.ckpt"] + SAMPLE,
-    "checkpoint-rebase-v1-ckpt": ["checkpoint", "rebase", "v1.ckpt",
-                                  "SpecSched_2", "-o", "out.ckpt"],
+                                "--from-checkpoint", "v1.ckpt"] + SAMPLE_LATE,
     # Version 2 is the layout before the FU pool lost its counters.
     "run-from-v2-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v2.ckpt"],
-    "checkpoint-rebase-v2-ckpt": ["checkpoint", "rebase", "v2.ckpt",
-                                  "SpecSched_2", "-o", "out.ckpt"],
     # Version 3 is the layout before the policy lost its kind tag and
     # its absent tables.
     "run-from-v3-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v3.ckpt"],
-    "checkpoint-rebase-v3-ckpt": ["checkpoint", "rebase", "v3.ckpt",
-                                  "SpecSched_2", "-o", "out.ckpt"],
     # Version 4 is the layout before the components lost the counters
     # nothing reported and the stages lost their state hook.
     "run-from-v4-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v4.ckpt"],
-    "checkpoint-rebase-v4-ckpt": ["checkpoint", "rebase", "v4.ckpt",
-                                  "SpecSched_2", "-o", "out.ckpt"],
     # Version 5 is the layout before the wrong-path groups became runs
     # and the kernels and wrong-path synthesizer lost their labels.
     "run-from-v5-ckpt": ["run", "gzip", "SpecSched_4",
                          "--from-checkpoint", "v5.ckpt"],
-    "checkpoint-rebase-v5-ckpt": ["checkpoint", "rebase", "v5.ckpt",
-                                  "SpecSched_2", "-o", "out.ckpt"],
     "run-from-ckpt-l2-mismatch": ["run", "gzip", "SpecSched_4",
                                   "--from-checkpoint", "l2-mismatch.ckpt"],
     # Detailed state resumes only its own configuration, and never
@@ -202,6 +201,11 @@ _CHECKPOINT_MISMATCHES = {
     "run-sample-from-detailed-ckpt": ["run", "gzip", "SpecSched_4",
                                       "--from-checkpoint",
                                       "detailed.ckpt"] + SAMPLE,
+    # A chain starts at its checkpoint, so the checkpoint must not lie
+    # past the first interval.
+    "run-sample-from-ckpt-past-offset": ["run", "gzip", "SpecSched_4",
+                                         "--from-checkpoint",
+                                         "good.ckpt"] + SAMPLE,
 }
 
 
@@ -236,15 +240,11 @@ def _bad_input_cases():
     for ckpt in ("cut.ckpt", "head.ckpt", "raw.ckpt", "meta-not-object.ckpt",
                  "format-v1.ckpt"):
         stem = ckpt.split(".")[0]
-        add(f"checkpoint-rebase-{stem}-ckpt",
-            ["checkpoint", "rebase", ckpt, "Baseline_0", "-o", "out.ckpt"])
         add(f"run-from-{stem}-ckpt",
             ["run", "gzip", "SpecSched_4", "--from-checkpoint", ckpt])
         add(f"run-sample-from-{stem}-ckpt",
-            ["run", "gzip", "SpecSched_4", "--from-checkpoint", ckpt,
-             "--sample", "--intervals", "2", "--interval-uops", "200",
-             "--sample-warmup", "100", "--period", "1000",
-             "--offset", "3000"])
+            ["run", "gzip", "SpecSched_4", "--from-checkpoint", ckpt]
+            + SAMPLE_LATE)
     for case_id, argv in _CHECKPOINT_MISMATCHES.items():
         add(case_id, argv)
     for ckpt in ("head.ckpt", "raw.ckpt", "meta-not-object.ckpt",
@@ -300,8 +300,6 @@ def _bad_input_cases():
             ("run-sample", ["run", "gzip", "Turbo_9"] + SAMPLE),
             ("checkpoint-create", ["checkpoint", "create", "gzip",
                                    "Turbo_9"]),
-            ("checkpoint-rebase", ["checkpoint", "rebase", "good.ckpt",
-                                   "Turbo_9", "-o", "out.ckpt"]),
             ("events-record", ["run", "gzip", "Turbo_9",
                                "--events", "out.events.jsonl"]),
             ("sweep", ["sweep", "sweep-unknown-config.toml"])):
@@ -337,24 +335,19 @@ def test_bad_input_is_one_error_line(inputs, tmp_path, capsys, monkeypatch,
 
 @pytest.mark.parametrize("case_id, message", [
     ("run-from-v1-ckpt", "checkpoint state version 1 (this build reads 6)"),
-    ("checkpoint-rebase-v1-ckpt",
+    ("run-sample-from-v1-ckpt",
      "checkpoint state version 1 (this build reads 6)"),
     ("run-from-v2-ckpt", "checkpoint state version 2 (this build reads 6)"),
-    ("checkpoint-rebase-v2-ckpt",
-     "checkpoint state version 2 (this build reads 6)"),
     ("run-from-v3-ckpt", "checkpoint state version 3 (this build reads 6)"),
-    ("checkpoint-rebase-v3-ckpt",
-     "checkpoint state version 3 (this build reads 6)"),
     ("run-from-v4-ckpt", "checkpoint state version 4 (this build reads 6)"),
-    ("checkpoint-rebase-v4-ckpt",
-     "checkpoint state version 4 (this build reads 6)"),
     ("run-from-v5-ckpt", "checkpoint state version 5 (this build reads 6)"),
-    ("checkpoint-rebase-v5-ckpt",
-     "checkpoint state version 5 (this build reads 6)"),
     ("run-from-ckpt-l2-mismatch", "(memory.l2.assoc: checkpoint 8, cell 16)"),
     ("run-from-detailed-ckpt-other-config", "checkpoint has detailed state"),
     ("run-sample-from-detailed-ckpt",
      "a sampled chain starts from a purely functional checkpoint"),
+    ("run-sample-from-ckpt-past-offset",
+     "the checkpoint is at stream position 2000, past the first interval "
+     "at sampling.offset_uops 500 (--offset)"),
 ])
 def test_checkpoint_mismatch_names_what_differs(inputs, tmp_path, capsys,
                                                 monkeypatch, case_id,

@@ -87,17 +87,6 @@ def test_fig8_cell_matches_per_cycle_ticking(workload_name, family, banked, dela
     assert _snapshot(skipping) == _snapshot(ticking)
 
 
-def test_memory_bound_cell_skips_cycles():
-    """The equivalence above is not vacuous: on mcf a third of the
-    cycles jump (correct-path fetch still ticks every cycle)."""
-    workload = resolve_workload("mcf")
-    sim = _build(make_config("SpecSched_4_Combined"), workload.build_trace(1), False)
-    sim.functional_warmup(workload.build_trace(1), 2_000)
-    steps = _count_steps(sim)
-    sim.run(max_uops=400)
-    assert steps["steps"] < 0.75 * sim.stats.cycles
-
-
 def _count_fetch_ticks(sim):
     """Wrap the frontend's ``tick`` to count the cycles fetch applies,
     ticked or replayed by its ``skip``; a one-item list."""
@@ -110,6 +99,21 @@ def _count_fetch_ticks(sim):
 
     sim.fetch.tick = counted
     return counter
+
+
+def test_memory_bound_cell_skips_cycles():
+    """The equivalence above is not vacuous: on mcf over a third of the
+    cycles jump, and correct-path fetch spans jump with them (fetch
+    applies more cycles than the machine ticks, the extra ones replayed
+    by its ``skip``)."""
+    workload = resolve_workload("mcf")
+    sim = _build(make_config("SpecSched_4_Combined"), workload.build_trace(1), False)
+    sim.functional_warmup(workload.build_trace(1), 2_000)
+    steps = _count_steps(sim)
+    fetch_ticks = _count_fetch_ticks(sim)
+    sim.run(max_uops=400)
+    assert steps["steps"] < 0.75 * sim.stats.cycles
+    assert steps["steps"] < fetch_ticks[0]
 
 
 def test_flooded_frontend_cell_skips_and_matches_per_cycle_ticking():

@@ -204,8 +204,7 @@ class TestCheckpointRoundtrip:
         assert restored.stats.to_dict() == reference
 
     def test_file_checkpoint_roundtrip(self, tmp_path):
-        from repro.checkpoint.format import (restore_simulator,
-                                             save_checkpoint)
+        from repro.checkpoint.format import load_checkpoint, save_checkpoint
 
         workload = resolve_workload("state-machine")
         config = make_config("SpecSched_4_Crit")
@@ -219,7 +218,7 @@ class TestCheckpointRoundtrip:
         info = save_checkpoint(sim, path, workload=workload, seed=seed)
         assert info.uops_committed == sim.stats.committed_uops
 
-        restored = restore_simulator(path)
+        restored = load_checkpoint(path).restore()
         restored.run(max_uops=self.TOTAL)
         assert restored.stats.to_dict() == reference
 
@@ -239,8 +238,7 @@ class TestRestart:
         assert again[one_run] == first[0]
 
     def test_checkpoint_after_restart_round_trips(self, tmp_path):
-        from repro.checkpoint.format import (restore_simulator,
-                                             save_checkpoint)
+        from repro.checkpoint.format import load_checkpoint, save_checkpoint
 
         workload = resolve_workload("ptr-chase")
         one_run = workload.program.machine().run()
@@ -251,7 +249,7 @@ class TestRestart:
         path = tmp_path / "restarted.ckpt"
         info = save_checkpoint(sim, path, workload=workload,
                                seed=workload.seed)
-        restored = restore_simulator(path)
+        restored = load_checkpoint(path).restore()
         again = save_checkpoint(restored, tmp_path / "again.ckpt",
                                 workload=workload, seed=workload.seed)
         assert again.digest == info.digest
