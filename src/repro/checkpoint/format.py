@@ -9,6 +9,7 @@ re-simulating (or re-warming) from µop zero. A ``.ckpt`` file is a
 
     meta JSON:
         {"schema": 1, "config_name": ..., "config_hash": ...,
+         "l1d": "banked" | "dual-ported",
          "workload": <workload payload or null>, "seed": ...,
          "uops_committed": ..., "cycles": ..., "provenance": {...}}
     one frame:
@@ -150,6 +151,7 @@ class CheckpointInfo:
     digest: str                     # hex sha256 over the raw payload
     config_name: str
     config_hash: str
+    l1d: str                        # "banked" or "dual-ported"
     workload: Optional[Dict[str, Any]]   # workload payload encoding
     seed: Optional[int]
     uops_committed: int
@@ -177,6 +179,7 @@ def _info(path: Path, head: Header) -> CheckpointInfo:
         digest=head.digest.hex(),
         config_name=meta.get("config_name", "?"),
         config_hash=meta.get("config_hash", ""),
+        l1d=meta.get("l1d", "?"),
         workload=meta.get("workload"),
         seed=meta.get("seed"),
         uops_committed=int(meta.get("uops_committed", 0)),
@@ -222,6 +225,7 @@ def save_checkpoint(sim, path, *, workload=None, seed: Optional[int] = None,
         "schema": CHECKPOINT_SCHEMA,
         "config_name": config.get("name", "?"),
         "config_hash": stable_hash(config),
+        "l1d": "banked" if sim.config.memory.l1d.banked else "dual-ported",
         "workload": payload["workload"],
         "seed": seed,
         "uops_committed": sim.stats.committed_uops,

@@ -461,7 +461,9 @@ def _cmd_checkpoint_create(args: argparse.Namespace) -> int:
             provenance = {"mode": "detailed",
                           "functional_warmup_uops": functional,
                           "stream_uops": sim.trace.emitted}
-        output = args.output or f"{workload.name}-{args.config}.ckpt"
+        porting = "-dual-ported" if args.dual_ported else ""
+        output = (args.output
+                  or f"{workload.name}-{args.config}{porting}.ckpt")
         info = save_checkpoint(sim, output, workload=workload, seed=seed,
                                provenance=provenance)
     except (KeyError, OSError, ValueError) as exc:
@@ -486,6 +488,7 @@ def _cmd_checkpoint_info(args: argparse.Namespace) -> int:
     print(f"  format     v{info.version} (zlib payload)")
     print(f"  workload   {info.workload_name}")
     print(f"  config     {info.config_name}")
+    print(f"  l1d        {info.l1d}")
     print(f"  seed       {info.seed}")
     print(f"  committed  {info.uops_committed} µops, {info.cycles} cycles")
     print(f"  digest     {info.digest}")
@@ -512,8 +515,12 @@ def default_capture_uops(settings: Optional[Settings] = None) -> int:
     """Enough µops that replay never starves at the current volumes.
 
     The recording must cover the functional-warmup stream *and* the timed
-    stream (warmup + measure, plus the bounded fetch-ahead of µops still
-    in flight when the measured budget is reached).
+    stream (warmup + measure, plus a margin for the µops still in flight
+    when the measured budget is reached). Fetch is not bounded: on a
+    flooding workload it runs far past this margin, and a recording that
+    ends inside the flood still replays the live counters, because µops
+    Rename never takes change nothing (libquantum at the default volumes
+    replays its live counters from a 60,000-µop recording).
     """
     settings = settings or Settings.from_env()
     in_flight_margin = 8_192

@@ -14,29 +14,45 @@ consuming the correct-path trace and injects synthetic wrong-path µops
 issued-µop counts, as in Figure 4b) until the branch resolves and
 :meth:`redirect` is called.
 
-Wrong-path fetch is **lazy**: a long-latency resolving branch (an L2/DRAM
-miss feeding a mispredict) keeps the frontend in wrong-path mode for
-hundreds of cycles, and an eager frontend would materialize
-``fetch_width`` µop objects every one of them only to discard nearly all
-at redirect — on miss-heavy workloads that flood used to dominate whole-
-simulation wall time. Instead the stage records the wrong-path cycles as
-*virtual groups*, one full-width group per cycle kept run-length (a run
-of consecutive cycles is one entry), and synthesizes a µop only when
-Rename actually consumes it; at redirect the undelivered remainder is
-dropped in bulk while :meth:`TraceSource.skip_wrong_path` advances the
-synthesis stream exactly as if the µops had been built. Delivered µops,
-their seq numbers and the wrong-path RNG stream are bit-identical to the
-eager frontend's.
+Both paths are **lazy**: apart from a branch, whose prediction is
+written onto it at fetch, the stage builds a :class:`MicroOp` only for
+a µop Rename takes. The pipe is unbounded (fetch runs ahead of a stalled
+backend), and on a flooding workload (libquantum) tens of thousands of
+fetched µops wait in it, most of them never renamed before the run ends
+or a redirect drops them.
+
+* Correct path: one cycle's run of non-branch trace rows
+  (:data:`repro.isa.trace.Row`) is one pipe entry ``[ready, first seq,
+  rows]``. A row's seq is its offset from the first seq and its fetch
+  cycle is ``ready - frontend_depth``; :meth:`take` builds the µop from
+  those. Three kinds of µop are built before Rename takes them and kept
+  as ``(ready, µop)`` entries: branches (prediction writes onto them at
+  fetch), refetch clones and wrong-path µops.
+* Wrong path: a long-latency resolving branch (an L2/DRAM miss feeding a
+  mispredict) keeps the frontend in wrong-path mode for hundreds of
+  cycles. The stage records those cycles as *virtual groups*, one
+  full-width group per cycle kept run-length (a run of consecutive
+  cycles is one entry), and synthesizes a µop only when its group
+  reaches the head of an empty pipe (:meth:`materialize_wrong_path`,
+  which Rename calls); at redirect the undelivered
+  remainder is dropped in bulk while :meth:`TraceSource.skip_wrong_path`
+  advances the synthesis stream exactly as if the µops had been built.
+
+Delivered µops, their seq numbers and the wrong-path RNG stream are
+bit-identical to an eager frontend's, and :meth:`in_flight` (which the
+checkpoint state and :meth:`squash_all` read) yields the µops an eager
+pipe would hold.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Iterator, List, Optional, Tuple
 
 from repro.common.config import CoreConfig
 from repro.common.stats import SimStats
 from repro.frontend.branch_unit import BranchUnit
+from repro.isa.opclass import BRANCH_OPS, OpClass
 from repro.isa.trace import TraceSource
 from repro.isa.uop import MicroOp
 
@@ -44,6 +60,9 @@ from repro.isa.uop import MicroOp
 #: with the constant frontend_depth + D = 15 sum, this keeps the minimum
 #: misprediction penalty constant (~20 cycles) across delay configurations.
 REDIRECT_BUBBLE = 2
+
+#: OpClass value -> whether fetch predicts it (and so builds its µop).
+_IS_BRANCH = tuple(op in BRANCH_OPS for op in OpClass)
 
 
 class FetchStage:
@@ -56,8 +75,9 @@ class FetchStage:
         self.stats = stats
         self.width = config.fetch_width
         self.depth = config.frontend_depth
-        # (ready_cycle, uop) in fetch order; Rename reads its head.
-        self.pipe: Deque[Tuple[int, MicroOp]] = deque()
+        # In fetch order (module docstring): built µops as (ready, µop)
+        # and runs of rows as [ready, first seq, rows].
+        self.pipe: Deque = deque()
         # Virtual wrong-path groups behind the pipe, in fetch order and
         # materialized on demand (module docstring): runs of consecutive
         # cycles' full-width groups, each [ready cycle of its oldest
@@ -87,17 +107,28 @@ class FetchStage:
         taken_seen = 0
         pipe_append = self.pipe.append
         replay_queue = self.replay_queue
-        next_trace_uop = self.trace.next_uop
+        next_row = self.trace.next_row
+        is_branch = _IS_BRANCH
         ready = now + self.depth
         seq = self._next_seq
+        rows = None         # this cycle's open run of rows
         for _ in range(self.width):
             if replay_queue:
                 uop = replay_queue.popleft()
             else:
-                uop = next_trace_uop()
-                if uop is None:
+                row = next_row()
+                if row is None:
                     self.trace_exhausted = True
                     break
+                if not is_branch[row[1]]:
+                    if rows is None:
+                        rows = []
+                        pipe_append([ready, seq, rows])
+                    rows.append(row)
+                    seq += 1
+                    continue
+                uop = MicroOp(seq, *row)
+            rows = None
             uop.fetch_cycle = now
             uop.seq = seq
             seq += 1
@@ -171,35 +202,28 @@ class FetchStage:
     # ------------------------------------------------------------------
     # delivery to Rename
 
-    def head(self) -> Optional[Tuple[int, Optional[MicroOp]]]:
-        """``(ready cycle, µop)`` of the next µop to deliver, with the µop
-        ``None`` when it is still a virtual wrong-path group; ``None``
-        when nothing is in flight."""
-        if self.pipe:
-            return self.pipe[0]
+    def head(self) -> Optional[Tuple[int, Optional[OpClass], Optional[int]]]:
+        """``(ready cycle, opclass, dst)`` of the next µop to deliver,
+        with the opclass ``None`` when it is still a virtual wrong-path
+        group; ``None`` when nothing is in flight. Nothing is built.
+        Rename's tick reads the pipe's head entry the same way."""
+        pipe = self.pipe
+        if pipe:
+            entry = pipe[0]
+            if len(entry) == 2:
+                uop = entry[1]
+                return entry[0], uop.opclass, uop.dst
+            row = entry[2][0]
+            return entry[0], row[1], row[3]
         if self._wp_groups:
-            return self._wp_groups[0][0], None
+            return self._wp_groups[0][0], None, None
         return None
 
-    def peek(self, now: int) -> Optional[MicroOp]:
-        """The next µop Rename could take at ``now`` (without taking it;
-        Rename pops the pipe's head itself).
-
-        Materializes at most one virtual wrong-path µop. Returns ``None``
-        when nothing has finished its frontend traversal yet.
-        """
-        pipe = self.pipe
-        if not pipe:
-            if not self._wp_groups or not self._materialize_wrong_path(now):
-                return None
-        ready, uop = pipe[0]
-        if ready > now:
-            return None
-        return uop
-
-    def _materialize_wrong_path(self, now: int) -> bool:
-        """Build the oldest virtual wrong-path µop if it is ready by
-        ``now``; True when one was appended to the (empty) pipe."""
+    def materialize_wrong_path(self, now: int) -> bool:
+        """Build the oldest virtual wrong-path µop into the empty pipe if
+        its group is ready by ``now``; True when one was appended."""
+        if not self._wp_groups:
+            return False
         group = self._wp_groups[0]
         ready = group[0]
         if ready > now:
@@ -219,6 +243,40 @@ class FetchStage:
                 group[1] = self.width
         self.pipe.append((ready, uop))
         return True
+
+    def take(self) -> MicroOp:
+        """Remove the pipe's head µop and return it, building it when it
+        is still a row (numbered by its offset in the run, stamped with
+        the run's fetch cycle). The caller has seen the head is ready."""
+        pipe = self.pipe
+        entry = pipe[0]
+        if len(entry) == 2:
+            pipe.popleft()
+            return entry[1]
+        ready, seq, rows = entry
+        uop = MicroOp(seq, *rows.pop(0))
+        uop.fetch_cycle = ready - self.depth
+        if rows:
+            entry[1] = seq + 1
+        else:
+            pipe.popleft()
+        return uop
+
+    def in_flight(self) -> Iterator[Tuple[int, MicroOp]]:
+        """``(ready cycle, µop)`` for every µop in the pipe, in fetch
+        order, as an eager frontend would hold them: a row is built into
+        a fresh µop numbered and stamped as :meth:`take` would. Virtual
+        wrong-path groups are not µops yet and are left out."""
+        depth = self.depth
+        for entry in self.pipe:
+            if len(entry) == 2:
+                yield entry
+                continue
+            ready, seq, rows = entry
+            for offset, row in enumerate(rows):
+                uop = MicroOp(seq + offset, *row)
+                uop.fetch_cycle = ready - depth
+                yield ready, uop
 
     # ------------------------------------------------------------------
 
@@ -254,7 +312,7 @@ class FetchStage:
         *after* this, putting them ahead of the salvaged µops in
         program order.
         """
-        salvaged = [u.clone_arch() for _, u in self.pipe
+        salvaged = [u.clone_arch() for _, u in self.in_flight()
                     if not u.wrong_path]
         self.redirect(now)
         self.inject_refetch(salvaged)
@@ -281,7 +339,7 @@ class FetchStage:
         """Frontend pipe + wrong-path bookkeeping; trace-cursor state is
         owned by the trace source itself."""
         return {
-            "pipe": [(ready, ctx.ref(uop)) for ready, uop in self.pipe],
+            "pipe": [(ready, ctx.ref(uop)) for ready, uop in self.in_flight()],
             "wp_groups": [list(group) for group in self._wp_groups],
             "wp_pending": self._wp_pending,
             "replay_queue": ctx.refs(self.replay_queue),
@@ -293,9 +351,20 @@ class FetchStage:
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
-        # In place: Rename reads the pipe's head directly.
-        self.pipe.clear()
-        self.pipe.extend((ready, ctx.uop(ref)) for ready, ref in state["pipe"])
+        # A saved correct-path non-branch µop becomes a row again, joining
+        # the run of its fetch cycle (one ready cycle) when it follows one.
+        pipe = self.pipe = deque()
+        for ready, ref in state["pipe"]:
+            uop = ctx.uop(ref)
+            if uop.is_branch or uop.wrong_path:
+                pipe.append((ready, uop))
+                continue
+            row = (uop.pc, uop.opclass, uop.srcs, uop.dst, uop.mem_addr,
+                   uop.mem_size, uop.taken, uop.target)
+            if pipe and len(pipe[-1]) == 3 and pipe[-1][0] == ready:
+                pipe[-1][2].append(row)
+            else:
+                pipe.append([ready, uop.seq, [row]])
         self._wp_groups = deque(list(g) for g in state["wp_groups"])
         self._wp_pending = state["wp_pending"]
         self.replay_queue = deque(ctx.uops(state["replay_queue"]))

@@ -3,20 +3,24 @@
 A :class:`TraceSource` is an infinite (or finite) supplier of
 correct-path µops in two shapes over one stream position:
 
-* :meth:`TraceSource.next_uop` — one :class:`MicroOp`, for the fetch
-  stage of the detailed machine;
+* :meth:`TraceSource.next_row` — one plain row (:data:`Row`), the
+  supply the fetch stage of the detailed machine reads (it builds a
+  ``MicroOp`` only for a µop Rename takes, see
+  :mod:`repro.frontend.fetch`);
 * :meth:`TraceSource.next_record_block` — a block of records in the
   trace file's layout (:func:`repro.traces.format.record_dtype`), the
   only input of functional warming and trace capture.
 
-Every generated source supplies its stream as plain rows
-(:data:`Row`) through one buffer the base class owns: a subclass only
-implements :meth:`TraceSource._refill`, and the base builds a
-``MicroOp`` from a row when fetch asks for one and fills record columns
-from rows otherwise (:func:`repro.traces.format.encode_rows`), so
-warming never builds a ``MicroOp``. A recording
+Every generated source supplies its stream as plain rows through one
+buffer the base class owns: a subclass only implements
+:meth:`TraceSource._refill`, and the base hands rows out one by one or
+fills record columns from them
+(:func:`repro.traces.format.encode_rows`), so neither fetch nor warming
+builds a ``MicroOp`` from the source. A recording
 (:class:`repro.traces.format.FileTrace`) overrides both shapes to read
-its frame bytes instead.
+its frame bytes instead. :meth:`TraceSource.next_uop` wraps
+:meth:`TraceSource.next_row` for the functional oracle and tools that
+want one ``MicroOp`` at a time.
 
 The base class also owns the seeded synthesizer for wrong-path µops
 fetched after a branch misprediction. :class:`ListTrace` wraps a plain
@@ -105,7 +109,7 @@ class TraceSource:
     """Protocol for correct-path + wrong-path µop supply.
 
     The correct path is a buffer of rows (:data:`Row`) that a subclass
-    tops up in :meth:`_refill`; :meth:`next_uop` and
+    tops up in :meth:`_refill`; :meth:`next_row` and
     :meth:`next_record_block` drain it and count ``emitted``. The
     checkpoint state holds the buffer, ``emitted`` and the wrong-path
     stream; a subclass whose refill keeps its own cursor (an RNG, a
@@ -125,13 +129,19 @@ class TraceSource:
         stream is exhausted."""
         raise NotImplementedError
 
-    def next_uop(self) -> Optional[MicroOp]:
-        """Return the next correct-path µop, or ``None`` when exhausted."""
+    def next_row(self) -> Optional[Row]:
+        """Return the next correct-path row, or ``None`` when exhausted."""
         buffer = self._buffer
         if not buffer and not self._refill():
             return None
         self.emitted += 1
-        return MicroOp(0, *buffer.popleft())
+        return buffer.popleft()
+
+    def next_uop(self) -> Optional[MicroOp]:
+        """The next correct-path row as an unnumbered :class:`MicroOp`,
+        or ``None`` when exhausted."""
+        row = self.next_row()
+        return None if row is None else MicroOp(0, *row)
 
     def next_record_block(self, max_uops: int):
         """Return up to ``max_uops`` correct-path µops as a record array.
@@ -140,7 +150,7 @@ class TraceSource:
         :func:`repro.traces.format.record_dtype` and holds at least one
         record; ``None`` means the stream is exhausted. Whole refills
         are drained at once, so the stream position and checkpoint state
-        advance exactly as if :meth:`next_uop` had been called per µop.
+        advance exactly as if :meth:`next_row` had been called per µop.
         No :class:`MicroOp` is built.
         """
         from repro.traces.format import encode_rows

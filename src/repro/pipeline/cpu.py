@@ -136,8 +136,8 @@ class Simulator:
         deadlock-trap cycle and the ``max_cycles`` bound are reached
         exactly as by stepping.
 
-        The stages are asked in tick order. Rename's question peeks
-        nothing (the head it reads is already built, or it answers the
+        The stages are asked in tick order. Rename's question builds
+        nothing (it reads the head µop or trace row, or answers the
         virtual group's ready cycle), and Issue's reads the ready lists,
         which hold only live µops, so no question has a side effect.
         """

@@ -1,8 +1,10 @@
 """Rename/Dispatch stage: pull decoded µops into the out-of-order window.
 
-Inputs: the frontend pipe's delivery buffer (pull interface —
-``peek``, then a pop of the pipe head, so a stalled µop simply stays in
-the frontend).
+Inputs: the frontend pipe's delivery buffer (pull interface — the
+hazards read the head entry, then ``FetchStage.take`` removes it, so a
+stalled µop simply stays in the frontend). A correct-path non-branch µop
+waits in the frontend as a trace row and is built when ``take`` hands it
+over (:mod:`repro.frontend.fetch`).
 Outputs: renamed µops allocated into ROB + IQ (+ LSQ for memory µops),
 registered with the scoreboard's waiter lists, store-set dependences
 installed, and immediately-ready µops placed on the IQ ready list.
@@ -19,8 +21,11 @@ frontend pipe) in the stage map.
 from __future__ import annotations
 
 from repro.backend.iq import insert_by_seq
+from repro.isa.opclass import OpClass
 from repro.pipeline.stages.base import NEVER, Stage
 from repro.rename.rename import FP_REG_BASE
+
+LOAD, STORE = OpClass.LOAD, OpClass.STORE
 
 
 class Rename(Stage):
@@ -39,9 +44,8 @@ class Rename(Stage):
         self.scoreboard = sim.scoreboard
         self.store_sets = sim.store_sets
         self.width = sim.config.core.rename_width
-        # Containers the per-µop path touches; restores refill them in
-        # place, so these bindings stay valid.
-        self._pipe = sim.fetch.pipe
+        # The container the per-µop path touches; restores refill it in
+        # place, so this binding stays valid.
         self._iq_ready = sim.iq.ready
 
     def _room(self):
@@ -62,22 +66,31 @@ class Rename(Stage):
         order on the first structural hazard.
 
         The budgets are read once and counted down per µop; only this
-        stage allocates, so they track the structures exactly. The head
-        is peeked before every hazard test, because a peek materialises
-        a virtual wrong-path µop (see :meth:`next_event`); a µop already
-        in the pipe is read from it directly."""
-        pipe = self._pipe
-        peek = self.frontend.peek
-        uop = pipe[0][1] if pipe and pipe[0][0] <= now else peek(now)
-        if uop is None:
+        stage allocates, so they track the structures exactly. The
+        hazards read the head entry's opclass and destination (a built
+        µop's, or its trace row's), so the frontend builds a µop only
+        once it is taken. An empty pipe has the frontend materialise the
+        next virtual wrong-path µop before each hazard test (see
+        :meth:`next_event`)."""
+        frontend = self.frontend
+        pipe = frontend.pipe
+        if not pipe and not frontend.materialize_wrong_path(now):
+            return
+        entry = pipe[0]
+        if entry[0] > now:
             return
         window, lq, sq, int_regs, fp_regs = self._room()
-        pop = pipe.popleft
+        take = frontend.take
         dispatch = self._dispatch
         for left in range(self.width - 1, -1, -1):
             if not window:
                 return
-            dst = uop.dst
+            if len(entry) == 2:         # a built µop
+                uop = entry[1]
+                opclass, dst = uop.opclass, uop.dst
+            else:                       # a run of trace rows
+                row = entry[2][0]
+                opclass, dst = row[1], row[3]
             if dst is not None:
                 if dst >= FP_REG_BASE:
                     if not fp_regs:
@@ -87,41 +100,41 @@ class Rename(Stage):
                     return
                 else:
                     int_regs -= 1
-            if uop.is_load:
+            if opclass == LOAD:
                 if not lq:
                     return
                 lq -= 1
-            elif uop.is_store:
+            elif opclass == STORE:
                 if not sq:
                     return
                 sq -= 1
             window -= 1
-            pop()
-            dispatch(uop, now)
+            dispatch(take(), now)
             if not left:
                 return
-            uop = pipe[0][1] if pipe and pipe[0][0] <= now else peek(now)
-            if uop is None:
+            if not pipe and not frontend.materialize_wrong_path(now):
+                return
+            entry = pipe[0]
+            if entry[0] > now:
                 return
 
     def next_event(self, now: int) -> int:
         """When the frontend's head is deliverable, or :data:`NEVER`
         while a hazard blocks it (only another stage's event lifts one).
-        An empty pipe answers the oldest virtual wrong-path group's
-        ready cycle even under a hazard, because ``peek`` materialises
-        that group's first µop."""
+        A virtual wrong-path head answers its ready cycle even under a
+        hazard, because :meth:`tick` materialises that group's first
+        µop."""
         head = self.frontend.head()
         if head is None:
             return NEVER
-        ready, uop = head
-        if uop is not None:
+        ready, opclass, dst = head
+        if opclass is not None:
             window, lq, sq, int_regs, fp_regs = self._room()
-            dst = uop.dst
             if (
                 not window
                 or (dst is not None and not (fp_regs if dst >= FP_REG_BASE else int_regs))
-                or (uop.is_load and not lq)
-                or (uop.is_store and not sq)
+                or (opclass == LOAD and not lq)
+                or (opclass == STORE and not sq)
             ):
                 return NEVER
         return ready if ready > now else now

@@ -45,8 +45,7 @@ from typing import Any, Dict, Iterator, Optional, Sequence
 
 from repro.common.container import Container
 from repro.isa.opclass import OpClass
-from repro.isa.trace import TraceSource
-from repro.isa.uop import MicroOp
+from repro.isa.trace import Row, TraceSource
 
 FORMAT_VERSION = 1
 RECORD_VERSION = 1
@@ -257,7 +256,7 @@ class FileTrace(TraceSource):
     """Replay a recorded trace as a :class:`TraceSource`.
 
     The reader holds one inflated frame and a byte offset into it:
-    :meth:`next_uop` decodes the record at the offset, and
+    :meth:`next_row` decodes the record at the offset into a row, and
     :meth:`next_record_block` views the records from the offset on, so
     the two calls interleave freely. Replay is streaming — one frame
     (about 150 KB) resident regardless of trace length. Wrong-path µops
@@ -291,7 +290,7 @@ class FileTrace(TraceSource):
 
     # -- TraceSource ---------------------------------------------------
 
-    def next_uop(self) -> Optional[MicroOp]:
+    def next_row(self) -> Optional[Row]:
         if not self._records_left():
             return None
         pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size \
@@ -305,9 +304,9 @@ class FileTrace(TraceSource):
                 srcs.append(s1)
                 if s2 >= 0:
                     srcs.append(s2)
-        return MicroOp(0, pc, _OPCLASS_BY_VALUE[opclass], srcs,
-                       dst if dst >= 0 else None, mem_addr, mem_size,
-                       bool(flags & _FLAG_TAKEN), target)
+        return (pc, _OPCLASS_BY_VALUE[opclass], srcs,
+                dst if dst >= 0 else None, mem_addr, mem_size,
+                bool(flags & _FLAG_TAKEN), target)
 
     def next_record_block(self, max_uops: int):
         """Up to ``max_uops`` records as a view over the current frame.

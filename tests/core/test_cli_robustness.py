@@ -439,3 +439,28 @@ def test_format_v1_checkpoint_names_both_versions(inputs, capsys):
     assert main(["checkpoint", "info", str(inputs / "format-v1.ckpt")]) == 2
     err = capsys.readouterr().err
     assert "checkpoint format version 1 (this build reads 2)" in err
+
+
+#: (``checkpoint create`` flags, default output file, ``info``'s L1D line).
+_L1D_PORTING = [
+    ([], "gzip-SpecSched_4.ckpt", "banked"),
+    (["--dual-ported"], "gzip-SpecSched_4-dual-ported.ckpt", "dual-ported"),
+]
+
+
+def test_checkpoint_default_name_and_info_carry_the_l1d_porting(
+        tmp_path, capsys, monkeypatch):
+    """A banked and a dual-ported checkpoint of one preset land in their
+    own default files, and ``checkpoint info`` tells them apart."""
+    for name, value in TINY.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.chdir(tmp_path)
+    for flags, output, _ in _L1D_PORTING:
+        assert main(["checkpoint", "create", "gzip", "SpecSched_4",
+                     "--uops", "300", *flags]) == 0
+        assert capsys.readouterr().out.splitlines()[0].endswith(f"-> {output}")
+    assert sorted(path.name for path in tmp_path.iterdir()) \
+        == sorted(output for _, output, _ in _L1D_PORTING)
+    for _, output, l1d in _L1D_PORTING:
+        assert main(["checkpoint", "info", output]) == 0
+        assert f"  l1d        {l1d}" in capsys.readouterr().out.splitlines()

@@ -17,22 +17,30 @@ def make_fetch(uops, delay=4):
 
 
 def take(f, now, max_uops):
-    """Consume up to ``max_uops`` ready µops the way Rename does:
-    ``peek`` the next one, then pop it off the pipe's head."""
+    """Consume up to ``max_uops`` ready µops the way Rename does: an
+    empty pipe materialises the next wrong-path µop, then the ready head
+    is taken."""
     out = []
     while len(out) < max_uops:
-        uop = f.peek(now)
-        if uop is None:
+        if not f.pipe and not f.materialize_wrong_path(now):
             break
-        assert f.pipe.popleft()[1] is uop
+        ready, opclass, dst = f.head()
+        if ready > now:
+            break
+        uop = f.take()
+        assert (uop.opclass, uop.dst) == (opclass, dst)
         out.append(uop)
     return out
+
+
+def in_flight(f):
+    return [uop for _, uop in f.in_flight()]
 
 
 def test_fetch_width_limit():
     f = make_fetch([alu(i) for i in range(20)])
     f.tick(0)
-    assert len(f.pipe) == 8     # fetch_width
+    assert len(in_flight(f)) == 8     # fetch_width
 
 
 def test_frontend_depth_delays_delivery():
@@ -55,7 +63,7 @@ def test_seq_assignment_monotonic():
     f = make_fetch([alu(i) for i in range(12)])
     f.tick(0)
     f.tick(1)
-    seqs = [u.seq for _, u in f.pipe]
+    seqs = [u.seq for u in in_flight(f)]
     assert seqs == sorted(seqs) and len(set(seqs)) == len(seqs)
 
 
@@ -63,8 +71,10 @@ def test_stalled_peek_keeps_uop_in_order():
     f = make_fetch([alu(i) for i in range(6)])
     f.tick(0)
     take(f, 50, 2)
-    # A stalled Rename peeks without popping: the µop stays at the head.
-    assert f.peek(50) is f.peek(50)
+    # A stalled Rename reads the head without taking it: the µop stays.
+    left = [(u.seq, u.pc) for u in in_flight(f)]
+    assert f.head() == f.head() == (11, OpClass.INT_ALU, 2)
+    assert [(u.seq, u.pc) for u in in_flight(f)] == left
     again = take(f, 50, 6)
     assert [u.pc for u in again] == [2, 3, 4, 5]
 
@@ -79,7 +89,7 @@ def test_wrong_path_mode_on_mispredict():
     f.tick(1)
     # Wrong-path fetch is lazy: tick(1) records a virtual full-width
     # group instead of materializing µops into the pipe...
-    assert not any(u.wrong_path for _, u in f.pipe)
+    assert not any(u.wrong_path for u in in_flight(f))
     # ...but delivery materializes them once their frontend traversal
     # completes, younger than (and behind) the mispredicted branch.
     out = take(f, 1 + f.depth, 16)
@@ -128,7 +138,7 @@ def test_redirect_clears_and_stalls():
     assert not f.pipe            # redirect bubble
     f.tick(5 + 2)
     assert f.pipe                # fetch resumed on the correct path
-    assert all(not u.wrong_path for _, u in f.pipe)
+    assert all(not u.wrong_path for u in in_flight(f))
 
 
 def test_trace_exhaustion_and_done():
@@ -146,7 +156,7 @@ def test_refetch_queue_served_before_trace():
     clones = [alu(1), alu(2)]
     f.inject_refetch(clones)
     f.tick(0)
-    pcs = [u.pc for _, u in f.pipe]
+    pcs = [u.pc for u in in_flight(f)]
     assert pcs[:2] == [1, 2]
     assert pcs[2:] == [5, 6]
 
@@ -167,4 +177,29 @@ def test_group_stops_after_second_taken_branch():
     f = FetchStage(trace, bu, CoreConfig(), SimStats())
     f.tick(0)
     # Group must end with the second predicted-taken branch.
-    assert len(f.pipe) <= 3
+    assert len(in_flight(f)) <= 3
+
+
+def test_squash_all_salvages_row_runs_in_program_order():
+    """A violation flush over refetch clones, row runs and a branch
+    between them salvages every correct-path µop, oldest first, as
+    fresh clones that fetch serves before the trace."""
+    br = MicroOp(0, 0x13, OpClass.BRANCH, srcs=[1], taken=False)
+    trace = [alu(0x10), alu(0x11), alu(0x12), br] + [alu(0x14 + i)
+                                                      for i in range(8)]
+    f = make_fetch(trace)
+    f.inject_refetch([alu(0x1), alu(0x2)])
+    f.tick(0)
+    f.tick(1)
+    runs = [entry for entry in f.pipe if len(entry) == 3]
+    assert len(runs) == 3 and not f.wrong_path
+    pcs = [0x1, 0x2, 0x10, 0x11, 0x12, 0x13] + [0x14 + i for i in range(8)]
+    in_pipe = in_flight(f)
+    assert [u.pc for u in in_pipe] == pcs
+    f.squash_all(5)
+    assert not f.pipe
+    salvaged = list(f.replay_queue)
+    assert [u.pc for u in salvaged] == pcs
+    assert not any(u.wrong_path or u in in_pipe for u in salvaged)
+    f.tick(5 + 2)                           # after the redirect bubble
+    assert [u.pc for u in in_flight(f)] == pcs[:8]

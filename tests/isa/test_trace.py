@@ -28,7 +28,7 @@ def test_fetch_assigns_monotone_seq():
     t = ListTrace(_uops(5))
     fetch = FetchStage(t, None, CoreConfig(), SimStats())
     fetch.tick(0)
-    seqs = [uop.seq for _, uop in fetch.pipe]
+    seqs = [uop.seq for _, uop in fetch.in_flight()]
     assert seqs == list(range(5))
 
 
@@ -149,7 +149,7 @@ def test_source_wrong_path_is_the_base_synthesizer(kind, tmp_path):
 def test_only_a_recording_overrides_the_row_supply(kind, tmp_path):
     """Generated sources refill the base class's row buffer; only a
     recording reads its own frames."""
-    supply = ("next_uop", "next_record_block")
+    supply = ("next_row", "next_record_block")
     overridden = [name for name in supply
                   if name in vars(type(_source(kind, tmp_path)))]
     assert overridden == (list(supply) if kind == "recording" else [])

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from repro.backend.iq import IssueQueue
 from repro.backend.recovery import RecoveryBuffer
 from repro.core.presets import make_config
+from repro.isa.opclass import OpClass
 from repro.pipeline.cpu import Simulator
 from repro.pipeline.stages import Execute, Rename
 from repro.rename.rename import FP_REG_BASE
@@ -39,22 +40,22 @@ class PerUopRename(Rename):
     def tick(self, now: int) -> None:
         fetch = self.frontend
         for _ in range(self.width):
-            uop = fetch.peek(now)
-            if uop is None or self._blocked(uop):
+            if not fetch.pipe and not fetch.materialize_wrong_path(now):
                 return
-            fetch.pipe.popleft()
-            self._dispatch(uop, now)
+            ready, opclass, dst = fetch.head()
+            if ready > now or self._blocked(opclass, dst):
+                return
+            self._dispatch(fetch.take(), now)
 
-    def _blocked(self, uop) -> bool:
+    def _blocked(self, opclass, dst) -> bool:
         renamer, lsq = self.renamer, self.lsq
-        dst = uop.dst
         pool = renamer.fp_free if dst is not None and dst >= FP_REG_BASE else renamer.int_free
         return (
             self.rob.full
             or self.iq.full
             or (dst is not None and pool.empty)
-            or (uop.is_load and len(lsq.loads) >= lsq.lq_capacity)
-            or (uop.is_store and len(lsq.stores) >= lsq.sq_capacity)
+            or (opclass == OpClass.LOAD and len(lsq.loads) >= lsq.lq_capacity)
+            or (opclass == OpClass.STORE and len(lsq.stores) >= lsq.sq_capacity)
         )
 
 

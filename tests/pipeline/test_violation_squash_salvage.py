@@ -62,7 +62,7 @@ def test_squash_all_salvages_correct_path_pipe_occupants():
     sim = Simulator(spec_config(delay=0), ListTrace(uops))
     fetch = sim.fetch
     fetch.tick(0)                       # µops now sit in the delay pipe
-    in_pipe = [u.pc for _, u in fetch.pipe if not u.wrong_path]
+    in_pipe = [u.pc for _, u in fetch.in_flight() if not u.wrong_path]
     assert in_pipe, "precondition: the pipe holds correct-path µops"
     fetch.squash_all(0)
     assert not fetch.pipe
