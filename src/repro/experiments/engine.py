@@ -55,7 +55,6 @@ import hashlib
 import json
 import os
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -701,6 +700,10 @@ def _dispatch(payloads: Sequence[Dict[str, Any]], options: EngineOptions,
             progress(done, len(misses), manifest)
 
     if options.jobs > 1 and len(misses) > 1:
+        # Imported here: the pool's modules (multiprocessing and what it
+        # loads) would add to every serial run's import time.
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
         with ProcessPoolExecutor(
                 max_workers=min(options.jobs, len(misses))) as pool:
             futures = {pool.submit(run_cell, first[key]): key

@@ -21,14 +21,13 @@ from repro.isa.uop import MicroOp
 class _WarmBranch:
     """Reusable µop stand-in for :meth:`BranchUnit.resolve_block`.
 
-    :meth:`BranchUnit.predict` and :meth:`BranchUnit.resolve` read and
-    write only these fields and never retain the object, so one shim can
-    carry every branch of a warming block — skipping the ~40-slot
-    :class:`MicroOp` construction per branch that dominates the scalar
-    tier's branch cost.
+    :meth:`BranchUnit.resolve` reads only these fields and never retains
+    the object, so one shim can carry every call and return of a
+    warming block — skipping the ~40-slot :class:`MicroOp` construction
+    per branch.
     """
 
-    __slots__ = ("pc", "opclass", "target", "taken",
+    __slots__ = ("pc", "target", "taken",
                  "pred_taken", "pred_target", "bp_state")
 
 
@@ -41,38 +40,40 @@ class BranchUnit:
         self.btb = Btb(self.config.btb_entries, self.config.btb_ways)
         self.ras = ReturnAddressStack(self.config.ras_entries)
 
-    def predict(self, uop: MicroOp) -> Tuple[bool, int]:
-        """Predict direction and target for a branch µop at fetch.
+    def predict(self, pc: int, opclass: OpClass,
+                target: int) -> Tuple[bool, int, tuple]:
+        """Predict direction and target for the branch at ``pc`` at fetch
+        (``target`` is its encoded target, which a call falls back on).
 
-        Returns ``(pred_taken, pred_target)`` and stashes recovery state
-        on the µop as a ``(kind, component-state, ras-checkpoint)`` tuple.
-        A BTB miss on a predicted-taken conditional demotes the prediction
-        to not-taken (the frontend has no target to redirect to).
+        Returns ``(pred_taken, pred_target, bp_state)``: the recovery
+        state is a ``(kind, component-state, ras-checkpoint)`` tuple,
+        which :meth:`resolve` reads off the µop's ``bp_state``. A BTB
+        miss on a predicted-taken conditional demotes the prediction to
+        not-taken (the frontend has no target to redirect to).
         """
-        pc = uop.pc
-        opclass = uop.opclass
         if opclass == OpClass.CALL:
-            uop.bp_state = ("call", self.tage.snapshot_history(),
-                            self.ras.snapshot())
+            state = ("call", self.tage.snapshot_history(),
+                     self.ras.snapshot())
             self.ras.push(pc + 1)
-            target = self.btb.lookup(pc)
-            return True, target if target is not None else uop.target
+            btb_target = self.btb.lookup(pc)
+            return (True, target if btb_target is None else btb_target,
+                    state)
 
         if opclass == OpClass.RET:
-            uop.bp_state = ("ret", self.tage.snapshot_history(),
-                            self.ras.snapshot())
-            return True, self.ras.pop()
+            state = ("ret", self.tage.snapshot_history(),
+                     self.ras.snapshot())
+            return True, self.ras.pop(), state
 
         pred_taken, tage_state = self.tage.predict(pc)
-        uop.bp_state = ("cond", tage_state, self.ras.snapshot())
+        state = ("cond", tage_state, self.ras.snapshot())
         if not pred_taken:
-            return False, pc + 1
-        target = self.btb.lookup(pc)
-        if target is None:
+            return False, pc + 1, state
+        btb_target = self.btb.lookup(pc)
+        if btb_target is None:
             # No target available: fall through; resolves as a mispredict
             # if the branch is actually taken.
-            return False, pc + 1
-        return True, target
+            return False, pc + 1, state
+        return True, btb_target, state
 
     def resolve(self, uop: MicroOp) -> bool:
         """Train predictors when a branch executes; True if mispredicted."""
@@ -129,11 +130,10 @@ class BranchUnit:
             if opclass == call or opclass == ret:
                 btb._stamp = btb_stamp
                 shim.pc = pc
-                shim.opclass = opclass
                 shim.target = target
                 shim.taken = taken
-                shim.bp_state = None
-                shim.pred_taken, shim.pred_target = predict(shim)
+                (shim.pred_taken, shim.pred_target,
+                 shim.bp_state) = predict(pc, opclass, target)
                 resolve(shim)
                 btb_stamp = btb._stamp
                 continue

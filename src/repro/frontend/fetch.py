@@ -14,20 +14,24 @@ consuming the correct-path trace and injects synthetic wrong-path µops
 issued-µop counts, as in Figure 4b) until the branch resolves and
 :meth:`redirect` is called.
 
-Both paths are **lazy**: apart from a branch, whose prediction is
-written onto it at fetch, the stage builds a :class:`MicroOp` only for
-a µop Rename takes. The pipe is unbounded (fetch runs ahead of a stalled
+Both paths are **lazy**: the stage builds a :class:`MicroOp` only for a
+µop Rename takes. The pipe is unbounded (fetch runs ahead of a stalled
 backend), and on a flooding workload (libquantum) tens of thousands of
 fetched µops wait in it, most of them never renamed before the run ends
-or a redirect drops them.
+or a redirect drops them. They cost the pipe one tuple slot each: a
+row is the trace source's own tuple, which a kernel shares between the
+iterations of its loop wherever it does not vary.
 
-* Correct path: one cycle's run of non-branch trace rows
+* Correct path: one cycle's group of trace rows
   (:data:`repro.isa.trace.Row`) is one pipe entry ``[ready, first seq,
   rows]``. A row's seq is its offset from the first seq and its fetch
   cycle is ``ready - frontend_depth``; :meth:`take` builds the µop from
-  those. Three kinds of µop are built before Rename takes them and kept
-  as ``(ready, µop)`` entries: branches (prediction writes onto them at
-  fetch), refetch clones and wrong-path µops.
+  those. A branch's row carries its prediction after the eight row
+  fields (``pred_taken, pred_target, mispredicted, bp_state``), which
+  :meth:`take` writes onto its µop. Refetched µops (memory-order
+  violations) wait in ``replay_queue`` as rows and join a group like
+  trace rows. Only wrong-path µops are built before Rename takes them,
+  one at a time, as ``(ready, µop)`` entries.
 * Wrong path: a long-latency resolving branch (an L2/DRAM miss feeding a
   mispredict) keeps the frontend in wrong-path mode for hundreds of
   cycles. The stage records those cycles as *virtual groups*, one
@@ -53,7 +57,7 @@ from repro.common.config import CoreConfig
 from repro.common.stats import SimStats
 from repro.frontend.branch_unit import BranchUnit
 from repro.isa.opclass import BRANCH_OPS, OpClass
-from repro.isa.trace import TraceSource
+from repro.isa.trace import Row, TraceSource
 from repro.isa.uop import MicroOp
 
 #: Cycles between branch resolution and the first re-fetched µop. Together
@@ -61,8 +65,21 @@ from repro.isa.uop import MicroOp
 #: misprediction penalty constant (~20 cycles) across delay configurations.
 REDIRECT_BUBBLE = 2
 
-#: OpClass value -> whether fetch predicts it (and so builds its µop).
+#: OpClass value -> whether fetch predicts it.
 _IS_BRANCH = tuple(op in BRANCH_OPS for op in OpClass)
+
+
+def _build(seq: int, row: tuple, fetch_cycle: int) -> MicroOp:
+    """The µop of a pipe row: numbered, stamped with its fetch cycle and,
+    for a branch, carrying the prediction its row holds."""
+    if len(row) == 8:
+        uop = MicroOp(seq, *row)
+    else:
+        uop = MicroOp(seq, *row[:8])
+        (uop.pred_taken, uop.pred_target, uop.mispredicted,
+         uop.bp_state) = row[8:]
+    uop.fetch_cycle = fetch_cycle
+    return uop
 
 
 class FetchStage:
@@ -75,8 +92,8 @@ class FetchStage:
         self.stats = stats
         self.width = config.fetch_width
         self.depth = config.frontend_depth
-        # In fetch order (module docstring): built µops as (ready, µop)
-        # and runs of rows as [ready, first seq, rows].
+        # In fetch order (module docstring): one [ready, first seq, rows]
+        # per fetch group, and a built wrong-path µop as (ready, µop).
         self.pipe: Deque = deque()
         # Virtual wrong-path groups behind the pipe, in fetch order and
         # materialized on demand (module docstring): runs of consecutive
@@ -84,8 +101,9 @@ class FetchStage:
         # group, µops left in that group, ready cycle of its last group].
         self._wp_groups: Deque[List[int]] = deque()
         self._wp_pending = 0
-        # Correct-path µops to re-fetch after a memory-order violation.
-        self.replay_queue: Deque[MicroOp] = deque()
+        # Rows of correct-path µops to re-fetch after a memory-order
+        # violation, oldest first.
+        self.replay_queue: Deque[Row] = deque()
         self.wrong_path = False
         self._wrong_path_pc = 0
         self._stall_until = 0
@@ -105,52 +123,40 @@ class FetchStage:
             self._extend_wrong_path(now, now + 1)
             return
         taken_seen = 0
-        pipe_append = self.pipe.append
         replay_queue = self.replay_queue
         next_row = self.trace.next_row
         is_branch = _IS_BRANCH
-        ready = now + self.depth
-        seq = self._next_seq
-        rows = None         # this cycle's open run of rows
+        rows = []
         for _ in range(self.width):
             if replay_queue:
-                uop = replay_queue.popleft()
+                row = replay_queue.popleft()
             else:
                 row = next_row()
                 if row is None:
                     self.trace_exhausted = True
                     break
-                if not is_branch[row[1]]:
-                    if rows is None:
-                        rows = []
-                        pipe_append([ready, seq, rows])
-                    rows.append(row)
-                    seq += 1
-                    continue
-                uop = MicroOp(seq, *row)
-            rows = None
-            uop.fetch_cycle = now
-            uop.seq = seq
-            seq += 1
-            pipe_append((ready, uop))
-            if uop.is_branch:
-                pred_taken, pred_target = self.branch_unit.predict(uop)
-                uop.pred_taken = pred_taken
-                uop.pred_target = pred_target
-                uop.mispredicted = (pred_taken != uop.taken) or (
-                    uop.taken and pred_target != uop.target)
-                if uop.mispredicted:
-                    self.wrong_path = True
-                    self._wrong_path_pc = (pred_target if pred_taken
-                                           else uop.pc + 1)
-                    # Rest of this group comes from the wrong path next cycle.
+            if not is_branch[row[1]]:
+                rows.append(row)
+                continue
+            pc, opclass, _, _, _, _, taken, target = row
+            pred_taken, pred_target, bp_state = self.branch_unit.predict(
+                pc, opclass, target)
+            mispredicted = (pred_taken != taken) or (
+                taken and pred_target != target)
+            rows.append((*row, pred_taken, pred_target, mispredicted,
+                         bp_state))
+            if mispredicted:
+                self.wrong_path = True
+                self._wrong_path_pc = pred_target if pred_taken else pc + 1
+                # Rest of this group comes from the wrong path next cycle.
+                break
+            if pred_taken:
+                taken_seen += 1
+                if taken_seen >= 2:
                     break
-                if pred_taken:
-                    taken_seen += 1
-                    if taken_seen >= 2:
-                        break
-        # The group's numbering is written back once per cycle.
-        self._next_seq = seq
+        if rows:
+            self.pipe.append([now + self.depth, self._next_seq, rows])
+            self._next_seq += len(rows)
 
     def next_event(self, now: int) -> Optional[int]:
         """First cycle ``>= now`` whose :meth:`tick` cannot be applied
@@ -246,16 +252,16 @@ class FetchStage:
 
     def take(self) -> MicroOp:
         """Remove the pipe's head µop and return it, building it when it
-        is still a row (numbered by its offset in the run, stamped with
-        the run's fetch cycle). The caller has seen the head is ready."""
+        is still a row (numbered by its offset in the group, stamped with
+        the group's fetch cycle, a branch given its prediction). The
+        caller has seen the head is ready."""
         pipe = self.pipe
         entry = pipe[0]
         if len(entry) == 2:
             pipe.popleft()
             return entry[1]
         ready, seq, rows = entry
-        uop = MicroOp(seq, *rows.pop(0))
-        uop.fetch_cycle = ready - self.depth
+        uop = _build(seq, rows.pop(0), ready - self.depth)
         if rows:
             entry[1] = seq + 1
         else:
@@ -265,8 +271,8 @@ class FetchStage:
     def in_flight(self) -> Iterator[Tuple[int, MicroOp]]:
         """``(ready cycle, µop)`` for every µop in the pipe, in fetch
         order, as an eager frontend would hold them: a row is built into
-        a fresh µop numbered and stamped as :meth:`take` would. Virtual
-        wrong-path groups are not µops yet and are left out."""
+        a fresh µop as :meth:`take` would build it. Virtual wrong-path
+        groups are not µops yet and are left out."""
         depth = self.depth
         for entry in self.pipe:
             if len(entry) == 2:
@@ -274,9 +280,7 @@ class FetchStage:
                 continue
             ready, seq, rows = entry
             for offset, row in enumerate(rows):
-                uop = MicroOp(seq + offset, *row)
-                uop.fetch_cycle = ready - depth
-                yield ready, uop
+                yield ready, _build(seq + offset, row, ready - depth)
 
     # ------------------------------------------------------------------
 
@@ -306,25 +310,26 @@ class FetchStage:
         frontend is wrong-path by construction — a violation can flush
         while the pipe holds *correct-path* µops fetched after the last
         branch resolved. Dropping those would lose trace µops forever
-        (the trace cursor never rewinds), so they are salvaged into the
-        replay queue as fresh clones; only wrong-path filler is
-        discarded. The caller re-injects the squashed ROB occupants
-        *after* this, putting them ahead of the salvaged µops in
-        program order.
+        (the trace cursor never rewinds), so their rows go back to the
+        front of the replay queue, a branch's without its prediction;
+        only wrong-path filler is discarded. The caller re-injects the
+        squashed ROB occupants *after* this, putting them ahead of the
+        salvaged µops in program order.
         """
-        salvaged = [u.clone_arch() for _, u in self.in_flight()
-                    if not u.wrong_path]
+        salvaged = [row[:8] for entry in self.pipe if len(entry) == 3
+                    for row in entry[2]]
         self.redirect(now)
-        self.inject_refetch(salvaged)
+        self.replay_queue.extendleft(reversed(salvaged))
 
     def inject_refetch(self, uops_in_program_order: List[MicroOp]) -> None:
-        """Queue squashed correct-path µops for re-fetch (violations).
+        """Queue squashed correct-path µops for re-fetch (violations) as
+        the rows of their architectural fields.
 
-        New clones are older in program order than anything not yet fetched,
+        They are older in program order than anything not yet fetched,
         so they go to the *front* of the replay queue.
         """
-        for uop in reversed(uops_in_program_order):
-            self.replay_queue.appendleft(uop)
+        self.replay_queue.extendleft(
+            uop.arch_row() for uop in reversed(uops_in_program_order))
 
     @property
     def done(self) -> bool:
@@ -342,7 +347,8 @@ class FetchStage:
             "pipe": [(ready, ctx.ref(uop)) for ready, uop in self.in_flight()],
             "wp_groups": [list(group) for group in self._wp_groups],
             "wp_pending": self._wp_pending,
-            "replay_queue": ctx.refs(self.replay_queue),
+            "replay_queue": ctx.refs(MicroOp(0, *row)
+                                     for row in self.replay_queue),
             "wrong_path": self.wrong_path,
             "wrong_path_pc": self._wrong_path_pc,
             "stall_until": self._stall_until,
@@ -351,23 +357,27 @@ class FetchStage:
         }
 
     def load_state_dict(self, state: dict, ctx) -> None:
-        # A saved correct-path non-branch µop becomes a row again, joining
-        # the run of its fetch cycle (one ready cycle) when it follows one.
+        # A saved correct-path µop becomes a row again (a branch's with
+        # its prediction), joining the group of its fetch cycle (one
+        # ready cycle) when it follows one.
         pipe = self.pipe = deque()
         for ready, ref in state["pipe"]:
             uop = ctx.uop(ref)
-            if uop.is_branch or uop.wrong_path:
+            if uop.wrong_path:
                 pipe.append((ready, uop))
                 continue
-            row = (uop.pc, uop.opclass, uop.srcs, uop.dst, uop.mem_addr,
-                   uop.mem_size, uop.taken, uop.target)
+            row = uop.arch_row()
+            if uop.is_branch:
+                row += (uop.pred_taken, uop.pred_target, uop.mispredicted,
+                        uop.bp_state)
             if pipe and len(pipe[-1]) == 3 and pipe[-1][0] == ready:
                 pipe[-1][2].append(row)
             else:
                 pipe.append([ready, uop.seq, [row]])
         self._wp_groups = deque(list(g) for g in state["wp_groups"])
         self._wp_pending = state["wp_pending"]
-        self.replay_queue = deque(ctx.uops(state["replay_queue"]))
+        self.replay_queue = deque(
+            uop.arch_row() for uop in ctx.uops(state["replay_queue"]))
         self.wrong_path = state["wrong_path"]
         self._wrong_path_pc = state["wrong_path_pc"]
         self._stall_until = state["stall_until"]

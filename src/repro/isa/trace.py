@@ -4,9 +4,9 @@ A :class:`TraceSource` is an infinite (or finite) supplier of
 correct-path µops in two shapes over one stream position:
 
 * :meth:`TraceSource.next_row` — one plain row (:data:`Row`), the
-  supply the fetch stage of the detailed machine reads (it builds a
-  ``MicroOp`` only for a µop Rename takes, see
-  :mod:`repro.frontend.fetch`);
+  supply the fetch stage of the detailed machine reads (it keeps the
+  row in its pipe, and a ``MicroOp`` is built only when Rename takes
+  it, see :mod:`repro.frontend.fetch`);
 * :meth:`TraceSource.next_record_block` — a block of records in the
   trace file's layout (:func:`repro.traces.format.record_dtype`), the
   only input of functional warming and trace capture.
@@ -16,7 +16,12 @@ buffer the base class owns: a subclass only implements
 :meth:`TraceSource._refill`, and the base hands rows out one by one or
 fills record columns from them
 (:func:`repro.traces.format.encode_rows`), so neither fetch nor warming
-builds a ``MicroOp`` from the source. A recording
+builds a ``MicroOp`` from the source. A row is read-only and may be
+shared: a kernel repeats the rows it does not vary between loop
+iterations, so one tuple and one ``srcs`` list can stand for many
+µops. Nothing mutates a ``srcs`` list (a µop built from a row keeps
+the row's), and the checkpoint state and the µop codec copy it. A
+recording
 (:class:`repro.traces.format.FileTrace`) overrides both shapes to read
 its frame bytes instead. :meth:`TraceSource.next_uop` wraps
 :meth:`TraceSource.next_row` for the functional oracle and tools that
@@ -38,7 +43,8 @@ from repro.isa.uop import MicroOp
 
 #: One correct-path µop as a plain row: the ``MicroOp`` positional
 #: arguments after ``seq``, ``(pc, opclass, srcs, dst, mem_addr,
-#: mem_size, taken, target)``, with at most 3 sources.
+#: mem_size, taken, target)``, with at most 3 sources. Read-only, and
+#: possibly shared by many µops (module docstring).
 Row = Tuple[int, OpClass, List[int], Optional[int], int, int, bool, int]
 
 #: Mixed into wrong-path RNG seeds so the wrong-path stream is decorrelated
@@ -226,9 +232,7 @@ class ListTrace(TraceSource):
                 raise ValueError(
                     f"ListTrace: µop at pc={uop.pc:#x} is wrong-path; "
                     f"a trace holds only the correct path")
-            self._buffer.append(
-                (uop.pc, uop.opclass, list(uop.srcs), uop.dst,
-                 uop.mem_addr, uop.mem_size, uop.taken, uop.target))
+            self._buffer.append(uop.arch_row())
 
     def _refill(self) -> bool:
         return False

@@ -108,23 +108,15 @@ class MicroOp:
         (self.is_load, self.is_store,
          self.is_mem, self.is_branch) = _KIND_FLAGS[opclass]
 
-    def clone_arch(self, seq: int = 0) -> "MicroOp":
-        """Fresh dynamic instance carrying only the architectural fields.
+    def arch_row(self) -> tuple:
+        """The architectural fields as a trace row
+        (:data:`repro.isa.trace.Row`), with a copy of ``srcs``."""
+        return (self.pc, self.opclass, list(self.srcs), self.dst,
+                self.mem_addr, self.mem_size, self.taken, self.target)
 
-        Used to re-fetch µops after a memory-order-violation squash.
-        """
-        return MicroOp(
-            seq=seq,
-            pc=self.pc,
-            opclass=self.opclass,
-            srcs=list(self.srcs),
-            dst=self.dst,
-            mem_addr=self.mem_addr,
-            mem_size=self.mem_size,
-            taken=self.taken,
-            target=self.target,
-            wrong_path=self.wrong_path,
-        )
+    def clone_arch(self, seq: int = 0) -> "MicroOp":
+        """Fresh dynamic instance carrying only the architectural fields."""
+        return MicroOp(seq, *self.arch_row(), self.wrong_path)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         flags = []

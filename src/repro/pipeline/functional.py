@@ -82,6 +82,6 @@ def functional_stream(sim, trace: TraceSource, uops: int, train_policy: bool = F
                     l2_fill(line * line_bytes)
                 l2_fill(addr)
         elif uop.is_branch:
-            uop.pred_taken, uop.pred_target = predict(uop)
+            uop.pred_taken, uop.pred_target, uop.bp_state = predict(uop.pc, uop.opclass, uop.target)
             resolve(uop)
     return uops

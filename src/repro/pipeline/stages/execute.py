@@ -150,8 +150,10 @@ class Execute(Stage):
         if uop.wrong_path:
             return  # wrong-path branches never redirect anything
         self.stats.branches += 1
-        mispredicted = self.branch_unit.resolve(uop)
-        if mispredicted:
+        self.branch_unit.resolve(uop)
+        # Fetch went down the wrong path exactly when it saw this
+        # outcome, so the redirect follows the same flag.
+        if uop.mispredicted:
             self.stats.branch_mispredicts += 1
             self._branch_squash(uop, now)
 
@@ -260,7 +262,7 @@ class Execute(Stage):
         doomed = self.rob.squash_younger(offender.seq, inclusive=True)
         self._kill_uops(doomed)
         self.renamer.rollback(doomed)
-        refetch = [u.clone_arch() for u in reversed(doomed) if not u.wrong_path]
+        refetch = [u for u in reversed(doomed) if not u.wrong_path]
         self.frontend.squash_all(now)
         self.frontend.inject_refetch(refetch)
         self._note_squash("violation", offender, doomed, now)

@@ -7,8 +7,15 @@ def branch(pc, taken, target, opclass=OpClass.BRANCH):
     return MicroOp(0, pc, opclass, srcs=[1], taken=taken, target=target)
 
 
+def predict(bu, uop):
+    """Predict ``uop`` and write the prediction onto it, as fetch does."""
+    uop.pred_taken, uop.pred_target, uop.bp_state = bu.predict(
+        uop.pc, uop.opclass, uop.target)
+    return uop.pred_taken, uop.pred_target
+
+
 def predict_resolve(bu, uop):
-    uop.pred_taken, uop.pred_target = bu.predict(uop)
+    predict(bu, uop)
     return bu.resolve(uop)
 
 
@@ -27,7 +34,7 @@ class TestConditional:
         uop = branch(0x200, taken=True, target=0x90)
         # TAGE may predict taken, but with no BTB entry the frontend cannot
         # redirect: prediction reported as not-taken -> mispredict.
-        pred_taken, pred_target = bu.predict(uop)
+        pred_taken, pred_target = predict(bu, uop)
         if pred_taken:
             # only possible after install; first lookup must fall through
             raise AssertionError("no target should be available yet")
@@ -47,20 +54,20 @@ class TestCallReturn:
     def test_call_then_ret_roundtrip(self):
         bu = BranchUnit()
         call = branch(0x1000, True, 0x2000, OpClass.CALL)
-        call.pred_taken, call.pred_target = bu.predict(call)
+        predict(bu, call)
         ret = branch(0x2010, True, 0x1001, OpClass.RET)
-        ret.pred_taken, ret.pred_target = bu.predict(ret)
+        predict(bu, ret)
         assert ret.pred_target == 0x1001       # RAS: call pc + 1
 
     def test_nested_calls(self):
         bu = BranchUnit()
         for pc in (0x100, 0x200, 0x300):
             c = branch(pc, True, pc + 0x1000, OpClass.CALL)
-            bu.predict(c)
+            predict(bu, c)
         targets = []
         for pc in (0x900, 0x910, 0x920):
             r = branch(pc, True, 0, OpClass.RET)
-            _, tgt = bu.predict(r)
+            _, tgt = predict(bu, r)
             targets.append(tgt)
         assert targets == [0x301, 0x201, 0x101]
 

@@ -170,7 +170,8 @@ def test_group_stops_after_second_taken_branch():
     for pc in (0x10, 0x20):
         for _ in range(50):
             u = taken_br(pc)
-            u.pred_taken, u.pred_target = bu.predict(u)
+            u.pred_taken, u.pred_target, u.bp_state = bu.predict(
+                u.pc, u.opclass, u.target)
             bu.resolve(u)
     trace = ListTrace([taken_br(0x10), alu(0x11), taken_br(0x20),
                        alu(0x21), alu(0x22)])
@@ -181,9 +182,10 @@ def test_group_stops_after_second_taken_branch():
 
 
 def test_squash_all_salvages_row_runs_in_program_order():
-    """A violation flush over refetch clones, row runs and a branch
-    between them salvages every correct-path µop, oldest first, as
-    fresh clones that fetch serves before the trace."""
+    """A violation flush over refetched rows, trace rows and a branch
+    between them salvages every correct-path µop, oldest first, as its
+    plain row (the branch's without its prediction), which fetch serves
+    before the trace."""
     br = MicroOp(0, 0x13, OpClass.BRANCH, srcs=[1], taken=False)
     trace = [alu(0x10), alu(0x11), alu(0x12), br] + [alu(0x14 + i)
                                                       for i in range(8)]
@@ -191,15 +193,14 @@ def test_squash_all_salvages_row_runs_in_program_order():
     f.inject_refetch([alu(0x1), alu(0x2)])
     f.tick(0)
     f.tick(1)
-    runs = [entry for entry in f.pipe if len(entry) == 3]
-    assert len(runs) == 3 and not f.wrong_path
+    # One group per fetch cycle: the branch joins its cycle's rows.
+    assert [len(entry[2]) for entry in f.pipe] == [8, 6]
+    assert not f.wrong_path
     pcs = [0x1, 0x2, 0x10, 0x11, 0x12, 0x13] + [0x14 + i for i in range(8)]
     in_pipe = in_flight(f)
     assert [u.pc for u in in_pipe] == pcs
     f.squash_all(5)
     assert not f.pipe
-    salvaged = list(f.replay_queue)
-    assert [u.pc for u in salvaged] == pcs
-    assert not any(u.wrong_path or u in in_pipe for u in salvaged)
+    assert list(f.replay_queue) == [u.arch_row() for u in in_pipe]
     f.tick(5 + 2)                           # after the redirect bubble
     assert [u.pc for u in in_flight(f)] == pcs[:8]

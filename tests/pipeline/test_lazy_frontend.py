@@ -1,11 +1,13 @@
-"""The flooded frontend holds trace rows, not µops.
+"""The flooded frontend holds shared trace rows, not µops.
 
 libquantum under SpecSched_4 (the perfbench ``fig8-memory`` cell: 20k
 µops of functional warmup, then 500 + 3,000 detailed) ends with tens of
 thousands of fetched µops in the frontend pipe that Rename never takes.
-Fetch keeps a correct-path non-branch µop as its trace row until Rename
-takes it, so the only µops built in flight are branches (prediction
-writes onto them at fetch), refetch clones and wrong-path µops.
+Fetch keeps every correct-path µop, a branch and its prediction too, as
+its trace row until Rename takes it, and the kernel shares the rows that
+do not vary between its loop iterations; so the only µops built in
+flight are wrong-path ones, and an in-flight µop costs well under the
+335 bytes (deep size) an eager frontend or a per-iteration row paid.
 
 The pipe's checkpoint state is unchanged by this: a detailed checkpoint
 taken mid-flood has the payload digest the eager frontend (one built
@@ -15,10 +17,14 @@ uninterrupted run.
 
 from __future__ import annotations
 
+import sys
+from collections import deque
+
 import pytest
 
 from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro.core.presets import make_config
+from repro.isa.uop import MicroOp
 from repro.pipeline.cpu import Simulator
 from repro.traces.registry import resolve_workload
 
@@ -29,62 +35,82 @@ MID_FLOOD_DIGEST = (
 
 FUNCTIONAL, WARMUP, MEASURE, MID = 20_000, 500, 3_000, 1_500
 
+#: Deep size per in-flight µop the flooded pipe must stay under, in
+#: bytes. Building the branches and a fresh row per kernel iteration
+#: cost 335.5; shared rows cost about 138 (CPython 3.11, 64-bit).
+MAX_BYTES_PER_UOP = 200
 
-def _built_and_rows(fetch):
-    """The µops the pipe holds built, and the count it holds as rows
-    (entries are ``(ready, µop)`` or ``[ready, first seq, rows]``)."""
-    built = [entry[1] for entry in fetch.pipe if len(entry) == 2]
-    rows = sum(len(entry[2]) for entry in fetch.pipe if len(entry) == 3)
-    return built, rows
+
+def _layout(fetch):
+    """The pipe as fetch grouped it: ``(ready, first seq, rows)`` per
+    fetch group (rows copied) and ``(ready, seq)`` per built µop."""
+    return [(entry[0], entry[1], list(entry[2])) if len(entry) == 3
+            else (entry[0], entry[1].seq) for entry in fetch.pipe]
+
+
+def _deep_size(root) -> int:
+    """Bytes reachable from ``root`` through containers and µops, each
+    object counted once."""
+    seen, total, stack = set(), 0, [root]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        total += sys.getsizeof(obj)
+        if isinstance(obj, (tuple, list, deque)):
+            stack.extend(obj)
+        elif isinstance(obj, MicroOp):
+            stack.extend(getattr(obj, slot) for slot in MicroOp.__slots__)
+    return total
 
 
 @pytest.fixture(scope="module")
 def flood(tmp_path_factory):
     """The libquantum cell, checkpointed after ``MID`` measured µops:
     (simulator at the cell's end, checkpoint path, checkpoint info,
-    built pipe entries at the checkpoint, refetch clones)."""
+    pipe layout at the checkpoint)."""
     workload = resolve_workload("libquantum")
     sim = Simulator(make_config("SpecSched_4", banked=True),
                     workload.build_trace(1))
-    clones = []
-    inject = sim.fetch.inject_refetch
-
-    def recorded(uops):
-        clones.extend(uops)
-        inject(uops)
-
-    sim.fetch.inject_refetch = recorded
     sim.functional_warmup(workload.build_trace(1), FUNCTIONAL)
     sim.run_with_warmup(WARMUP, MID)
     path = tmp_path_factory.mktemp("flood") / "mid.ckpt"
     info = save_checkpoint(sim, path, workload=workload, seed=1)
-    mid_built = [(entry[0], entry[1].seq) for entry in sim.fetch.pipe
-                 if len(entry) == 2]
+    mid_layout = _layout(sim.fetch)
     sim.run(max_uops=WARMUP + MEASURE)
-    return sim, path, info, mid_built, clones
+    return sim, path, info, mid_layout
 
 
-def test_flooded_pipe_builds_only_branches_clones_and_wrong_path(flood):
-    sim, _, _, _, clones = flood
+def test_flooded_pipe_builds_only_wrong_path(flood):
+    sim, _, _, _ = flood
     assert sim.stats.committed_uops == WARMUP + MEASURE
-    built, rows = _built_and_rows(sim.fetch)
-    assert len(built) + rows > 80_000
-    assert rows > 5 * len(built)
-    clone_ids = {id(uop) for uop in clones}
-    assert all(uop.is_branch or uop.wrong_path or id(uop) in clone_ids
-               for uop in built)
-    assert sum(1 for _ in sim.fetch.in_flight()) == len(built) + rows
+    built = [entry[1] for entry in sim.fetch.pipe if len(entry) == 2]
+    rows = [row for entry in sim.fetch.pipe if len(entry) == 3
+            for row in entry[2]]
+    assert len(built) + len(rows) > 80_000
+    assert all(uop.wrong_path for uop in built)
+    # Branches wait as rows too, carrying their prediction.
+    assert sum(1 for row in rows if len(row) == 12) > 1_000
+    assert sum(1 for _ in sim.fetch.in_flight()) == len(built) + len(rows)
+
+
+def test_flooded_pipe_costs_shared_rows(flood):
+    sim, _, _, _ = flood
+    in_flight = sum(1 for _ in sim.fetch.in_flight())
+    assert _deep_size(sim.fetch.pipe) / in_flight < MAX_BYTES_PER_UOP
 
 
 def test_mid_flood_checkpoint_keeps_the_eager_digest_and_resumes(flood,
                                                                  tmp_path):
-    sim, path, info, mid_built, _ = flood
+    sim, path, info, mid_layout = flood
     assert info.digest == MID_FLOOD_DIGEST
     restored = load_checkpoint(path).restore()
-    # The loader regroups the saved µops into the runs fetch made.
-    assert [(entry[0], entry[1].seq) for entry in restored.fetch.pipe
-            if len(entry) == 2] == mid_built
-    assert _built_and_rows(restored.fetch)[1] > 0
+    # The loader regroups the saved µops into the groups fetch made:
+    # same ready cycles, first seqs and rows, branch predictions
+    # included.
+    assert _layout(restored.fetch) == mid_layout
+    assert any(len(entry) == 3 for entry in restored.fetch.pipe)
     again = save_checkpoint(restored, tmp_path / "again.ckpt",
                             workload=resolve_workload("libquantum"), seed=1)
     assert again.digest == MID_FLOOD_DIGEST

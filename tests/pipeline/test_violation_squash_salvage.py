@@ -66,9 +66,10 @@ def test_squash_all_salvages_correct_path_pipe_occupants():
     assert in_pipe, "precondition: the pipe holds correct-path µops"
     fetch.squash_all(0)
     assert not fetch.pipe
-    salvaged = [u.pc for u in fetch.replay_queue]
-    assert salvaged == in_pipe          # same µops, program order kept
-    assert all(not u.wrong_path for u in fetch.replay_queue)
+    salvaged = list(fetch.replay_queue)
+    assert [row[0] for row in salvaged] == in_pipe   # program order kept
+    # Plain correct-path rows: the trace µops' architectural fields.
+    assert salvaged == [u.arch_row() for u in uops[:len(salvaged)]]
 
 
 def test_branch_redirect_alone_still_discards_wrong_path():

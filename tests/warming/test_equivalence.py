@@ -189,7 +189,8 @@ class TestBtbDemoteDivergence:
         events = 0
         for template in self._stream():
             uop = template.clone_arch(0)
-            pred_taken, pred_target = unit.predict(uop)
+            pred_taken, pred_target, uop.bp_state = unit.predict(
+                uop.pc, uop.opclass, uop.target)
             uop.pred_taken, uop.pred_target = pred_taken, pred_target
             tage_direction = uop.bp_state[1][3]
             mispredicted = (pred_taken != uop.taken) or (

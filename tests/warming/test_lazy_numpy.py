@@ -1,10 +1,12 @@
-"""Importing the simulator must not import numpy.
+"""Importing the simulator must not import numpy or a process pool.
 
-The warming engine (and with it numpy) loads on the first warm call.
-A fresh import of the modules a benchmark set-up imports
+The warming engine (and with it numpy) loads on the first warm call,
+and the engine's process pool only when a batch runs with more than one
+job. A fresh import of the modules a benchmark set-up imports
 (``perfbench/grid.py``'s ``IMPORTS``) plus the simulator driver must
-leave numpy unloaded: importing it there would add a large share of
-that import's wall time.
+leave numpy, ``concurrent.futures.process`` and ``multiprocessing``
+unloaded: importing them there would add a large share of that import's
+wall time.
 """
 
 from __future__ import annotations
@@ -23,12 +25,15 @@ MODULES = (
     "repro.pipeline.cpu",
 )
 
+#: Modules the imports above must leave unloaded.
+LAZY = ("numpy", "concurrent.futures.process", "multiprocessing")
 
-def test_simulator_imports_leave_numpy_unloaded():
+
+def test_simulator_imports_leave_numpy_and_the_pool_unloaded():
     code = (f"import sys\nimport {', '.join(MODULES)}\n"
-            "print('numpy' in sys.modules)")
+            f"print([name for name in {LAZY!r} if name in sys.modules])")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert out.strip() == "False"
+    assert out.strip() == "[]"
 
