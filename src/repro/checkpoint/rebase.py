@@ -1,9 +1,8 @@
 """Cross-configuration restore: one warming pass, many configs.
 
-Functional warming (:mod:`repro.pipeline.warming` and its reference
-loop :mod:`repro.pipeline.functional`) mutates exactly five state
-islands: the trace cursor, the cache hierarchy (fills, LRU order,
-prefetcher training), the branch unit, the stats block, and — only
+Functional warming (:mod:`repro.pipeline.warming`) mutates exactly
+five state islands: the trace cursor, the cache hierarchy (fills, LRU
+order, prefetcher training), the branch unit, the stats block, and — only
 under the ``filter_ctr`` hit/miss policy — the per-PC
 :class:`~repro.core.hm_filter.HitMissFilter`. Every one of those
 is a deterministic function of the µop stream and the *memory/branch*

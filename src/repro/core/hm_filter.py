@@ -90,19 +90,6 @@ class HitMissFilter:
         if self._committed_loads % self.reset_interval == 0:
             self._reset_silence()
 
-    def train_batch(self, outcomes) -> None:
-        """Observe an ordered batch of committed-load ``(pc, hit)`` outcomes.
-
-        State-identical to calling :meth:`train` per pair in the same
-        order — the counter saturation, silence transitions and periodic
-        silence resets are all order-dependent, so the batch form keeps
-        the loop and only amortizes the call dispatch (the warming
-        engine's filter entry point).
-        """
-        train = self.train
-        for pc, hit in outcomes:
-            train(pc, hit)
-
     def _reset_silence(self) -> None:
         self._silenced = [False] * self.entries
 

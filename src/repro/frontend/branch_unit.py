@@ -18,19 +18,6 @@ from repro.isa.opclass import OpClass
 from repro.isa.uop import MicroOp
 
 
-class _WarmBranch:
-    """Reusable µop stand-in for :meth:`BranchUnit.resolve_block`.
-
-    :meth:`BranchUnit.resolve` reads only these fields and never retains
-    the object, so one shim can carry every call and return of a
-    warming block — skipping the ~40-slot :class:`MicroOp` construction
-    per branch.
-    """
-
-    __slots__ = ("pc", "target", "taken",
-                 "pred_taken", "pred_target", "bp_state")
-
-
 class BranchUnit:
     """Frontend branch prediction state machine."""
 
@@ -78,49 +65,35 @@ class BranchUnit:
     def resolve(self, uop: MicroOp) -> bool:
         """Train predictors when a branch executes; True if mispredicted."""
         state = uop.bp_state
-        mispredicted = (uop.pred_taken != uop.taken) or (
-            uop.taken and uop.pred_target != uop.target)
+        taken = uop.taken
+        mispredicted = (uop.pred_taken != taken) or (
+            taken and uop.pred_target != uop.target)
         if state is not None and state[0] == "cond":
-            self.tage.update(uop.taken, state[1])
-        if uop.taken:
+            self.tage.update(taken, state[1])
+        if taken:
             self.btb.install(uop.pc, uop.target)
-        if mispredicted:
-            self._repair(uop)
+        if mispredicted and state is not None:
+            self._repair(state, uop.pc, taken)
         return mispredicted
 
-    def resolve_block(self, pcs, opclasses, targets, takens,
-                      cond_indices=None) -> None:
-        """Batch predict+resolve for functional warming, in stream order.
+    def warm(self, pcs, opclasses, targets, takens) -> None:
+        """Predict and resolve correct-path branches in stream order, as
+        fetch and execute would one right after the other (functional
+        warming; ``opclasses`` may be raw ints).
 
-        TAGE's speculative history makes every prediction depend on the
-        previous branch, so the walk is sequential; the batch form's
-        wins are skipping per-branch µop construction and, for
-        conditionals, the RAS snapshot/restore round trip (a conditional
-        never touches the RAS between predict and resolve, so repairing
-        it to its own snapshot is a content no-op — calls/returns go
-        through the full :meth:`predict`/:meth:`resolve` pair via a
-        reusable shim). ``cond_indices``, when given, is the
-        ``(idx_rows, tag_rows)`` pair of block-folded TAGE lookups
-        (:func:`repro.pipeline.warming.engine.tage_fold_indices`), one
-        row per conditional branch in order. ``opclasses`` may be raw
-        ints (``OpClass`` is an ``IntEnum``). State effects are identical
-        to calling :meth:`predict` + :meth:`resolve` per branch µop.
+        State effects are those of :meth:`predict` then :meth:`resolve`
+        per branch. A conditional branch takes a shorter way to them:
+        its BTB accesses are inlined against the BTB's internals, and a
+        misprediction needs no repair, since TAGE's update already puts
+        the outcome in the history and the branch never touched the RAS.
         """
-        shim = _WarmBranch()
         predict = self.predict
-        resolve = self.resolve
         tage = self.tage
         tage_predict = tage.predict
-        warm_predict = tage.warm_predict
         tage_update = tage.update
-        restore_history = tage.restore_history
-        push_history = tage._push_history
         call, ret = OpClass.CALL, OpClass.RET
-        rows = iter(zip(*cond_indices)) if cond_indices is not None else None
-        # The BTB is inlined against its internals (exact lookup/install
-        # semantics incl. LRU stamps); its stamp lives in a local and is
-        # synced around the call/ret path, which goes through the real
-        # methods.
+        # The BTB's stamp lives in a local, synced around the call/ret
+        # path, which goes through the real methods.
         btb = self.btb
         btb_sets = btb._sets
         btb_num_sets = btb.num_sets
@@ -129,33 +102,20 @@ class BranchUnit:
         for pc, opclass, target, taken in zip(pcs, opclasses, targets, takens):
             if opclass == call or opclass == ret:
                 btb._stamp = btb_stamp
-                shim.pc = pc
-                shim.target = target
-                shim.taken = taken
-                (shim.pred_taken, shim.pred_target,
-                 shim.bp_state) = predict(pc, opclass, target)
-                resolve(shim)
+                pred_taken, pred_target, state = predict(pc, opclass, target)
+                if taken:
+                    btb.install(pc, target)
+                if pred_taken != taken or (taken and pred_target != target):
+                    self._repair(state, pc, taken)
                 btb_stamp = btb._stamp
                 continue
-            if rows is None:
-                pred_taken, tage_state = tage_predict(pc)
-            else:
-                idxs, tags = next(rows)
-                pred_taken, tage_state = warm_predict(pc, idxs, tags)
-            tage_pred = pred_taken
-            if pred_taken:
+            pred_taken, tage_state = tage_predict(pc)
+            if pred_taken:                    # lookup(): a hit is an LRU touch
                 btb_set = btb_sets.get((pc >> 2) % btb_num_sets)
                 entry = None if btb_set is None else btb_set.get(pc)
-                if entry is None:             # BTB miss: demote (predict)
-                    pred_taken, pred_target = False, pc + 1
-                else:
+                if entry is not None:
                     btb_stamp += 1
-                    pred_target = entry[0]
-                    btb_set[pc] = (pred_target, btb_stamp)
-            else:
-                pred_target = pc + 1
-            mispredicted = (pred_taken != taken) or (
-                taken and pred_target != target)
+                    btb_set[pc] = (entry[0], btb_stamp)
             tage_update(taken, tage_state)
             if taken:                         # install()
                 index = (pc >> 2) % btb_num_sets
@@ -167,33 +127,21 @@ class BranchUnit:
                     victim = min(btb_set, key=lambda key: btb_set[key][1])
                     del btb_set[victim]
                 btb_set[pc] = (target, btb_stamp)
-            if mispredicted:                  # _repair, minus the RAS no-op
-                restore_history(tage_state[STATE_HISTORY])
-                push_history(taken)
-            elif tage_pred != taken:
-                # A BTB-demoted taken prediction that came true as
-                # not-taken: no repair fires, so the history keeps the
-                # TAGE *direction*, not the outcome — the one case where
-                # block-folded indices (which assume outcome history) go
-                # stale. Finish the block on the self-folding predict.
-                rows = None
         btb._stamp = btb_stamp
 
-    def _repair(self, uop: MicroOp) -> None:
-        """Restore speculative history/RAS to the post-branch state."""
-        state = uop.bp_state
-        if state is None:
-            return
+    def _repair(self, state: tuple, pc: int, taken: bool) -> None:
+        """Restore speculative history/RAS to the post-branch state of
+        the branch at ``pc`` predicted with ``state``."""
         kind, component, ras_snap = state
         self.ras.restore(ras_snap)
         if kind == "cond":
             self.tage.restore_history(component[STATE_HISTORY])
             # Re-apply the *actual* outcome to the history.
-            self.tage._push_history(uop.taken)
+            self.tage._push_history(taken)
         else:
             self.tage.restore_history(component)
         if kind == "call":
-            self.ras.push(uop.pc + 1)
+            self.ras.push(pc + 1)
         elif kind == "ret":
             self.ras.pop()
 

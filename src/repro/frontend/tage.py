@@ -60,19 +60,78 @@ class TageLite:
         self._index_mask = cfg.table_entries - 1
         self._tag_mask = (1 << cfg.tag_bits) - 1
         self._fold_memo = {}
-        # Incrementally maintained per-table history folds (see
-        # :meth:`_recompute_folds`); valid only while ``_folds_history``
-        # equals ``_history``.
-        self._fold_idx = [0] * cfg.num_tagged_tables
-        self._fold_tag = [0] * cfg.num_tagged_tables
+        # The per-table index and tag history folds, kept live by
+        # :meth:`predict` in one packed int (see :meth:`_recompute_folds`
+        # and :meth:`_init_fold_layout`); valid only while
+        # ``_folds_history`` equals ``_history``.
+        self._folds = 0
         self._folds_history = -1
-        # Per-table advance constants: (oldest-bit shift, index-fold
-        # re-entry position, tag-fold re-entry position).
-        self._fold_geometry = [
-            (length - 1, length % self._index_bits, length % cfg.tag_bits)
-            for length in self.history_lengths
-        ]
+        self._init_fold_layout()
         self._rng_state = seed or 1
+
+    def _init_fold_layout(self) -> None:
+        """Constants of the packed folds. Table ``t`` owns the field of
+        ``index_bits + tag_bits`` bits from bit ``t * width`` up: its
+        index fold low, its tag fold above it."""
+        cfg = self.config
+        index_bits, tag_bits = self._index_bits, cfg.tag_bits
+        width = index_bits + tag_bits
+        tables = range(cfg.num_tagged_tables)
+        self._history_mask = (1 << (cfg.max_history + 1)) - 1
+        self._bimodal_mask = cfg.bimodal_entries - 1
+        # Bit 0 of every index fold and of every tag fold, and every
+        # bit of them but the top one.
+        self._idx_lows = sum(1 << (t * width) for t in tables)
+        self._tag_lows = self._idx_lows << index_bits
+        self._lows = self._idx_lows | self._tag_lows
+        self._body = (self._idx_lows * ((1 << (index_bits - 1)) - 1)
+                      | self._tag_lows * ((1 << (tag_bits - 1)) - 1))
+        # How far each fold's top bit shifts down to its bit 0.
+        self._idx_top, self._tag_top = index_bits - 1, tag_bits - 1
+        # The table number each table's index hash XORs in.
+        self._table_ids = sum((t & self._index_mask) << (t * width)
+                              for t in tables)
+        # Highest table first: (table, tags, ctrs, index shift, tag shift).
+        self._lookup_order = [
+            (t, self._tags[t], self._ctrs[t], t * width, t * width + index_bits)
+            for t in reversed(tables)]
+        # The history bits the tables drop on a push (each its oldest):
+        # ``history & _drop_mask`` keys :meth:`_drop_bits`.
+        self._drop_mask = sum(1 << (length - 1)
+                              for length in self.history_lengths)
+        self._drops: dict = {}
+        self._pc_keys: dict = {}
+
+    def _drop_bits(self, dropped: int) -> Tuple[int, int]:
+        """What a push XORs into the rotated folds, after a not-taken and
+        after a taken prediction, when the history bits ``dropped``
+        (``history & _drop_mask``) leave their tables: the oldest bit of
+        a table of length ``L`` sits at fold position ``L % bits`` after
+        the rotation, and the new bit enters at position 0."""
+        index_bits, tag_bits = self._index_bits, self.config.tag_bits
+        width = index_bits + tag_bits
+        out = 0
+        for t, length in enumerate(self.history_lengths):
+            if dropped >> (length - 1) & 1:
+                out |= 1 << (t * width + length % index_bits)
+                out |= 1 << (t * width + index_bits + length % tag_bits)
+        self._drops[dropped] = bits = (out, out ^ self._lows)
+        return bits
+
+    def _pc_key(self, pc: int) -> int:
+        """Every table's pc hash for its index and tag, packed like the
+        folds (memoised: a program has few branch pcs)."""
+        key = self._pc_keys.get(pc)
+        if key is None:
+            key = (self._table_ids
+                   ^ self._idx_lows * (((pc >> 2) ^ (pc >> (self._index_bits + 2)))
+                                       & self._index_mask)
+                   ^ self._tag_lows * (((pc >> 2) ^ (pc * 0x9E3779B1 >> 13))
+                                       & self._tag_mask))
+            if len(self._pc_keys) >= self._FOLD_MEMO_LIMIT:
+                self._pc_keys.clear()
+            self._pc_keys[pc] = key
+        return key
 
     # -- history management ---------------------------------------------
 
@@ -83,8 +142,7 @@ class TageLite:
         self._history = snapshot
 
     def _push_history(self, taken: bool) -> None:
-        mask = (1 << (self.config.max_history + 1)) - 1
-        self._history = ((self._history << 1) | int(taken)) & mask
+        self._history = ((self._history << 1) | int(taken)) & self._history_mask
 
     # -- hashing ----------------------------------------------------------
 
@@ -110,23 +168,25 @@ class TageLite:
         return folded
 
     def _recompute_folds(self, history: int) -> None:
-        """Rebuild the per-table index/tag history folds from scratch.
+        """Rebuild the packed per-table index/tag history folds.
 
         The folds are the chunked-XOR folds :meth:`_fold` computes, kept
         as live state: folding is XOR-linear, so shifting one bit into
         the history rotates each fold by one position within its chunk
-        width and XORs in/out the entering/leaving bits — the O(tables)
-        incremental step at the end of :meth:`predict`. Any other
-        history write (squash repair, misprediction repair, checkpoint
-        restore) invalidates ``_folds_history`` and lands here. This is
-        the frontend's hottest math, and the functional fast-forward
-        mode is bounded by it."""
+        width and XORs in/out the entering/leaving bits — the step at
+        the end of :meth:`predict`, done for every table at once on the
+        packed fields. For the same reason a misprediction repair, which
+        flips only the newest history bit, flips bit 0 of every fold.
+        Any other history write (squash repair, checkpoint restore)
+        invalidates ``_folds_history`` and lands here. This is the
+        frontend's hottest math, and functional warming is bounded by
+        it."""
         index_bits = self._index_bits
         index_mask = (1 << index_bits) - 1
         tag_bits = self.config.tag_bits
         tag_mask = (1 << tag_bits) - 1
-        fold_idx = self._fold_idx
-        fold_tag = self._fold_tag
+        width = index_bits + tag_bits
+        folds = 0
         for t, hist_mask in enumerate(self._hist_masks):
             hist = history & hist_mask
             folded = 0
@@ -134,13 +194,14 @@ class TageLite:
             while v:
                 folded ^= v & index_mask
                 v >>= index_bits
-            fold_idx[t] = folded
+            folds |= folded << (t * width)
             folded = 0
             v = hist
             while v:
                 folded ^= v & tag_mask
                 v >>= tag_bits
-            fold_tag[t] = folded
+            folds |= folded << (t * width + index_bits)
+        self._folds = folds
         self._folds_history = history
 
     def _index(self, pc: int, table: int) -> int:
@@ -155,7 +216,7 @@ class TageLite:
                 ^ (pc * 0x9E3779B1 >> 13)) & self._tag_mask
 
     def _bimodal_index(self, pc: int) -> int:
-        return (pc >> 2) & (self.config.bimodal_entries - 1)
+        return (pc >> 2) & self._bimodal_mask
 
     def _rand(self) -> int:
         # xorshift, deterministic across runs
@@ -177,86 +238,48 @@ class TageLite:
         passed back to :meth:`update`. Global history is speculatively
         updated with the prediction.
         """
-        provider = -1
-        provider_idx = -1
-        alt_pred = None
-        pred = None
         history = self._history
         if history != self._folds_history:
-            self._recompute_folds(history)
-        fold_idx = self._fold_idx
-        fold_tag = self._fold_tag
-        tags, ctrs = self._tags, self._ctrs
-        bits = self._index_bits
+            if history ^ self._folds_history == 1:
+                # A misprediction repair (see _recompute_folds).
+                self._folds ^= self._lows
+                self._folds_history = history
+            else:
+                self._recompute_folds(history)
+        folds = self._folds
+        # Every table's index and tag at once, one field per table.
+        keys = folds ^ (self._pc_keys.get(pc) or self._pc_key(pc))
         index_mask = self._index_mask
         tag_mask = self._tag_mask
-        pc_idx = (pc >> 2) ^ (pc >> (bits + 2))
-        pc_tag = ((pc >> 2) ^ (pc * 0x9E3779B1 >> 13)) & tag_mask
-        for t in range(self.config.num_tagged_tables - 1, -1, -1):
-            idx = (fold_idx[t] ^ pc_idx ^ t) & index_mask
-            if tags[t][idx] == (fold_tag[t] ^ pc_tag) & tag_mask:
-                if provider == -1:
-                    provider, provider_idx = t, idx
-                    pred = ctrs[t][idx] >= 0
-                elif alt_pred is None:
-                    alt_pred = ctrs[t][idx] >= 0
-                    break
-        bimodal_pred = self._bimodal[self._bimodal_index(pc)] >= 2
-        if alt_pred is None:
-            alt_pred = bimodal_pred
-        if pred is None:
-            pred = bimodal_pred
-        state = (provider, provider_idx, alt_pred, pred, history, pc)
-        self._push_history(pred)
-        # Advance the live folds to the pushed history (rotate-and-XOR;
-        # see _recompute_folds): each table shifts in the predicted bit
-        # and drops its oldest history bit.
-        bit = 1 if pred else 0
-        tag_bits = self.config.tag_bits
-        for t, (drop_shift, idx_pos, tag_pos) in enumerate(self._fold_geometry):
-            dropped = (history >> drop_shift) & 1
-            f = fold_idx[t]
-            fold_idx[t] = (((f << 1) | (f >> (bits - 1))) & index_mask
-                           ) ^ bit ^ (dropped << idx_pos)
-            f = fold_tag[t]
-            fold_tag[t] = (((f << 1) | (f >> (tag_bits - 1))) & tag_mask
-                           ) ^ bit ^ (dropped << tag_pos)
-        self._folds_history = self._history
-        return pred, state
-
-    def warm_predict(self, pc: int, idxs, tags) -> Tuple[bool, tuple]:
-        """:meth:`predict` with precomputed per-table indices and tags.
-
-        ``idxs``/``tags`` are this branch's table indices and partial
-        tags, low table first, as the warming engine folds them
-        in bulk (:func:`repro.pipeline.warming.engine.tage_fold_indices`)
-        — they must equal what :meth:`predict` would compute for the
-        current history. State effects are identical to :meth:`predict`;
-        the live folds are left stale (``_folds_history`` no longer
-        matches) and rebuilt by the next plain :meth:`predict`.
-        """
         provider = -1
         provider_idx = -1
         alt_pred = None
         pred = None
-        table_tags, ctrs = self._tags, self._ctrs
-        for t in range(self.config.num_tagged_tables - 1, -1, -1):
-            idx = idxs[t]
-            if table_tags[t][idx] == tags[t]:
+        for t, tags, ctrs, idx_shift, tag_shift in self._lookup_order:
+            idx = (keys >> idx_shift) & index_mask
+            if tags[idx] == (keys >> tag_shift) & tag_mask:
                 if provider == -1:
                     provider, provider_idx = t, idx
-                    pred = ctrs[t][idx] >= 0
-                elif alt_pred is None:
-                    alt_pred = ctrs[t][idx] >= 0
+                    pred = ctrs[idx] >= 0
+                else:
+                    alt_pred = ctrs[idx] >= 0
                     break
-        bimodal_pred = self._bimodal[self._bimodal_index(pc)] >= 2
+        bimodal_pred = self._bimodal[(pc >> 2) & self._bimodal_mask] >= 2
         if alt_pred is None:
             alt_pred = bimodal_pred
         if pred is None:
             pred = bimodal_pred
-        state = (provider, provider_idx, alt_pred, pred, self._history, pc)
-        self._push_history(pred)
-        return pred, state
+        self._history = self._folds_history = (
+            (history << 1) | pred) & self._history_mask
+        # Advance the live folds to the pushed history (see
+        # _recompute_folds): each fold rotates left by one, takes the
+        # predicted bit in and drops its table's oldest history bit.
+        dropped = history & self._drop_mask
+        self._folds = (((folds & self._body) << 1)
+                       | ((folds >> self._idx_top) & self._idx_lows)
+                       | ((folds >> self._tag_top) & self._tag_lows)
+                       ) ^ (self._drops.get(dropped) or self._drop_bits(dropped))[pred]
+        return pred, (provider, provider_idx, alt_pred, pred, history, pc)
 
     def update(self, taken: bool, state: tuple) -> None:
         """Train with the actual outcome; call once per predicted branch."""

@@ -7,25 +7,24 @@ correct-path µops in two shapes over one stream position:
   supply the fetch stage of the detailed machine reads (it keeps the
   row in its pipe, and a ``MicroOp`` is built only when Rename takes
   it, see :mod:`repro.frontend.fetch`);
-* :meth:`TraceSource.next_record_block` — a block of records in the
-  trace file's layout (:func:`repro.traces.format.record_dtype`), the
-  only input of functional warming and trace capture.
+* :meth:`TraceSource.next_record_block` — up to a few thousand µops
+  as a :class:`RecordBlock`, the plain columns functional warming
+  reads. A generated source transposes its rows into them with
+  ``zip``; a recording unpacks them from its frame bytes.
 
 Every generated source supplies its stream as plain rows through one
 buffer the base class owns: a subclass only implements
-:meth:`TraceSource._refill`, and the base hands rows out one by one or
-fills record columns from them
-(:func:`repro.traces.format.encode_rows`), so neither fetch nor warming
-builds a ``MicroOp`` from the source. A row is read-only and may be
-shared: a kernel repeats the rows it does not vary between loop
-iterations, so one tuple and one ``srcs`` list can stand for many
-µops. Nothing mutates a ``srcs`` list (a µop built from a row keeps
-the row's), and the checkpoint state and the µop codec copy it. A
-recording
+:meth:`TraceSource._refill`, and the base hands rows out one by one or a
+block at a time, so neither fetch nor warming builds a ``MicroOp`` from
+the source. A row is read-only and may be shared: a kernel repeats the
+rows it does not vary between loop iterations, so one tuple and one
+``srcs`` list can stand for many µops. Nothing mutates a ``srcs`` list
+(a µop built from a row keeps the row's), and the checkpoint state and
+the µop codec copy it. A recording
 (:class:`repro.traces.format.FileTrace`) overrides both shapes to read
 its frame bytes instead. :meth:`TraceSource.next_uop` wraps
-:meth:`TraceSource.next_row` for the functional oracle and tools that
-want one ``MicroOp`` at a time.
+:meth:`TraceSource.next_row` for tests and tools that want one
+``MicroOp`` at a time.
 
 The base class also owns the seeded synthesizer for wrong-path µops
 fetched after a branch misprediction. :class:`ListTrace` wraps a plain
@@ -36,7 +35,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Deque, Iterable, Iterator, List, Optional, Tuple
+from typing import Deque, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.isa.opclass import OpClass
 from repro.isa.uop import MicroOp
@@ -111,6 +110,28 @@ class WrongPathSynth:
         set_rng_state(self._rng, state["rng"])
 
 
+class RecordBlock:
+    """Consecutive correct-path µops as the columns functional warming
+    reads (:meth:`TraceSource.next_record_block`): one entry per µop in
+    stream order, ``opclasses`` as :class:`OpClass` members or their
+    values and ``takens`` as bools or 0/1. ``len()`` is the µop count.
+    """
+
+    __slots__ = ("pcs", "opclasses", "mem_addrs", "takens", "targets")
+
+    def __init__(self, pcs: Sequence[int], opclasses: Sequence[int],
+                 mem_addrs: Sequence[int], takens: Sequence[int],
+                 targets: Sequence[int]) -> None:
+        self.pcs = pcs
+        self.opclasses = opclasses
+        self.mem_addrs = mem_addrs
+        self.takens = takens
+        self.targets = targets
+
+    def __len__(self) -> int:
+        return len(self.pcs)
+
+
 class TraceSource:
     """Protocol for correct-path + wrong-path µop supply.
 
@@ -149,18 +170,15 @@ class TraceSource:
         row = self.next_row()
         return None if row is None else MicroOp(0, *row)
 
-    def next_record_block(self, max_uops: int):
-        """Return up to ``max_uops`` correct-path µops as a record array.
+    def next_record_block(self, max_uops: int) -> Optional[RecordBlock]:
+        """Return up to ``max_uops`` correct-path µops as columns.
 
-        ``max_uops`` is positive. The array has dtype
-        :func:`repro.traces.format.record_dtype` and holds at least one
-        record; ``None`` means the stream is exhausted. Whole refills
-        are drained at once, so the stream position and checkpoint state
+        ``max_uops`` is positive. The block holds at least one µop;
+        ``None`` means the stream is exhausted. Whole refills are
+        drained at once, so the stream position and checkpoint state
         advance exactly as if :meth:`next_row` had been called per µop.
         No :class:`MicroOp` is built.
         """
-        from repro.traces.format import encode_rows
-
         buffer = self._buffer
         rows: List[Row] = []
         while len(rows) < max_uops:
@@ -175,7 +193,8 @@ class TraceSource:
         if not rows:
             return None
         self.emitted += len(rows)
-        return encode_rows(rows)
+        pcs, opclasses, _, _, mem_addrs, _, takens, targets = zip(*rows)
+        return RecordBlock(pcs, opclasses, mem_addrs, takens, targets)
 
     def wrong_path_uop(self, seq: int, pc: int) -> MicroOp:
         """Synthesize one wrong-path µop fetched from (bogus) ``pc``.

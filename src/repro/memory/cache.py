@@ -75,44 +75,6 @@ class SetAssocCache:
         cache_set[tag] = self._stamp
         return victim_line
 
-    def warm_block(self, set_indices, tags, record_hits: bool = False):
-        """Batch touch-or-fill for functional warming (stream order kept).
-
-        For each ``(set_index, tag)`` pair in order: bump the LRU stamp,
-        touch the line if resident, otherwise evict-and-insert — the
-        exact per-access state effects of :meth:`fill` (warming never
-        counts: see :mod:`repro.pipeline.functional`). With
-        ``record_hits`` the pre-install probe outcome of every access is
-        returned (the hit/miss-filter training input); otherwise returns
-        ``None``.
-        """
-        sets = self._sets
-        assoc = self.assoc
-        stamp = self._stamp
-        if not record_hits:
-            for set_idx, tag in zip(set_indices, tags):
-                cache_set = sets[set_idx]
-                stamp += 1
-                if tag not in cache_set and len(cache_set) >= assoc:
-                    del cache_set[min(cache_set, key=cache_set.get)]
-                cache_set[tag] = stamp
-            self._stamp = stamp
-            return None
-        hits = []
-        append = hits.append
-        for set_idx, tag in zip(set_indices, tags):
-            cache_set = sets[set_idx]
-            stamp += 1
-            if tag in cache_set:
-                append(True)
-            else:
-                append(False)
-                if len(cache_set) >= assoc:
-                    del cache_set[min(cache_set, key=cache_set.get)]
-            cache_set[tag] = stamp
-        self._stamp = stamp
-        return hits
-
     def resident_lines(self) -> int:
         """Total lines currently valid (for tests / occupancy checks)."""
         return sum(len(s) for s in self._sets)

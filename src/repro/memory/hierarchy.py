@@ -145,47 +145,6 @@ class MemoryHierarchy:
         self.l2.fill(addr)
         return total
 
-    # -- functional warming (repro.pipeline.warming) -------------------
-
-    def warm_l2_block(self, pcs, addrs, set_indices, tags) -> None:
-        """Batch L2 arm of functional warming, in stream order.
-
-        Per access: LRU-touch a resident line; on a miss, train the
-        stride prefetcher and install its lines plus the demand line as
-        timeless fills — the exact per-µop sequence of the scalar loop
-        in :mod:`repro.pipeline.functional` (no MSHR/DRAM/stat effects;
-        warming models directory state only). The L1 arm is
-        :meth:`SetAssocCache.warm_block` on ``self.l1d``.
-        """
-        l2 = self.l2
-        sets = l2._sets
-        stamp = l2._stamp
-        assoc = l2.assoc
-        index_mask = l2._index_mask
-        set_bits = l2._set_bits
-        train = self.prefetcher.train_and_prefetch
-        for pc, addr, set_idx, tag in zip(pcs, addrs, set_indices, tags):
-            cache_set = sets[set_idx]
-            if tag in cache_set:
-                stamp += 1
-                cache_set[tag] = stamp
-            else:
-                # fill(), inlined on the already-decomposed addresses
-                # (a prefetch may install the demand line, hence the
-                # re-check before evicting).
-                for line in train(pc, addr):
-                    pf_set = sets[line & index_mask]
-                    pf_tag = line >> set_bits
-                    stamp += 1
-                    if pf_tag not in pf_set and len(pf_set) >= assoc:
-                        del pf_set[min(pf_set, key=pf_set.get)]
-                    pf_set[pf_tag] = stamp
-                stamp += 1
-                if tag not in cache_set and len(cache_set) >= assoc:
-                    del cache_set[min(cache_set, key=cache_set.get)]
-                cache_set[tag] = stamp
-        l2._stamp = stamp
-
     # -- state protocol (repro.checkpoint) -----------------------------
 
     def state_dict(self) -> dict:

@@ -7,7 +7,7 @@ Layout (see ``docs/ARCHITECTURE.md`` for the full contract):
 * :mod:`repro.pipeline.stages` — the stage objects, in tick order;
 * :mod:`repro.pipeline.ports` — typed ports, wires and delay-queue
   latches connecting the stages;
-* :mod:`repro.pipeline.functional` — timing-free warmup/fast-forward;
+* :mod:`repro.pipeline.warming` — timing-free warmup/fast-forward;
 * :mod:`repro.pipeline.checkpointing` — the component codec
   registration behind ``state_dict``/``load_state_dict``;
 * :mod:`repro.pipeline.sim` — :func:`run_workload`, the driver of one

@@ -29,11 +29,10 @@ them); the header's ``wp_seed`` seeds the same
 :class:`~repro.isa.trace.WrongPathSynth` stream the live generator used,
 which is what makes replayed ``SimStats`` bit-identical.
 
-The same record layout, as a numpy array (:func:`record_dtype`), is what
-every trace source serves from
-:meth:`~repro.isa.trace.TraceSource.next_record_block`: :func:`capture`
-writes those arrays straight into frames, and :class:`FileTrace` hands
-its frame bytes back as views.
+:func:`capture` packs a source's rows into frames with :data:`RECORD`
+(:func:`pack_rows`); :class:`FileTrace` decodes them back into rows
+(:meth:`FileTrace.next_row`), or unpacks a block of them into the
+columns functional warming reads (:meth:`FileTrace.next_record_block`).
 """
 
 from __future__ import annotations
@@ -41,11 +40,11 @@ from __future__ import annotations
 import dataclasses
 import struct
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.container import Container
 from repro.isa.opclass import OpClass
-from repro.isa.trace import Row, TraceSource
+from repro.isa.trace import RecordBlock, Row, TraceSource
 
 FORMAT_VERSION = 1
 RECORD_VERSION = 1
@@ -53,49 +52,37 @@ RECORD_VERSION = 1
 #: Canonical file suffix for recorded traces.
 TRACE_SUFFIX = ".trc"
 
-#: pc, mem_addr, target, src0..src2, dst, opclass, flags, mem_size.
-#: Absent registers are encoded as -1; flag bit 0 is the branch outcome.
-RECORD = struct.Struct("<QQQhhhhBBH")
+#: The fields of a record in file order, with their struct codes.
+#: Absent registers are encoded as -1; flag bit 0 is the branch outcome,
+#: and it is the only flag a record carries.
+RECORD_FIELDS = (("pc", "Q"), ("mem_addr", "Q"), ("target", "Q"),
+                 ("src0", "h"), ("src1", "h"), ("src2", "h"), ("dst", "h"),
+                 ("opclass", "B"), ("flags", "B"), ("mem_size", "H"))
+RECORD = struct.Struct("<" + "".join(code for _, code in RECORD_FIELDS))
 
 _FLAG_TAKEN = 0x1
 
-#: Lazily-built numpy structured dtype mirroring :data:`RECORD` (see
-#: :func:`record_dtype`); None until first requested so importing this
-#: module does not import numpy.
-_RECORD_DTYPE = None
+
+def _field_offset(field: str) -> int:
+    """Byte offset of ``field`` within a record."""
+    names = [name for name, _ in RECORD_FIELDS]
+    return struct.calcsize("<" + "".join(
+        code for _, code in RECORD_FIELDS[:names.index(field)]))
 
 
-def record_dtype():
-    """The numpy structured dtype of one :data:`RECORD` (lazy, cached).
+#: The three address fields a :class:`~repro.isa.trace.RecordBlock`
+#: carries (they lead the record), every other byte skipped.
+_ADDRESS_FIELDS = struct.Struct(
+    "<" + "".join(code for _, code in RECORD_FIELDS[:3])
+    + f"{RECORD.size - _field_offset('src0')}x")
+#: The one-byte fields a block carries, read as strided byte slices.
+_OPCLASS_AT = _field_offset("opclass")
+_FLAGS_AT = _field_offset("flags")
+#: Flag byte -> its taken bit, for ``bytes.translate``.
+_TAKEN_BIT = bytes(flags & _FLAG_TAKEN for flags in range(256))
 
-    Field-for-field mirror of the packed struct layout, so a frame's raw
-    bytes can be viewed with ``np.frombuffer``. Every trace source serves
-    blocks in this dtype (:meth:`~repro.isa.trace.TraceSource.
-    next_record_block`), and it is the one input of functional warming
-    and :func:`capture`.
-    """
-    global _RECORD_DTYPE
-    if _RECORD_DTYPE is None:
-        import numpy as np
-
-        dtype = np.dtype([
-            ("pc", "<u8"),
-            ("mem_addr", "<u8"),
-            ("target", "<u8"),
-            ("s0", "<i2"),
-            ("s1", "<i2"),
-            ("s2", "<i2"),
-            ("dst", "<i2"),
-            ("opclass", "u1"),
-            ("flags", "u1"),
-            ("mem_size", "<u2"),
-        ])
-        if dtype.itemsize != RECORD.size:
-            raise TraceFormatError(
-                f"record dtype is {dtype.itemsize} bytes; the packed "
-                f"record is {RECORD.size}")
-        _RECORD_DTYPE = dtype
-    return _RECORD_DTYPE
+#: Source-register padding by source count: a record holds three.
+_NO_SRCS = ((-1, -1, -1), (-1, -1), (-1,), ())
 
 #: Value -> OpClass member without the (slow) enum constructor — decode
 #: runs once per replayed µop, squarely on the replay hot path.
@@ -118,34 +105,26 @@ CONTAINER = Container(b"RPTR", FORMAT_VERSION, "trace", TraceFormatError,
 # Record encoding
 
 
-def encode_rows(rows: Sequence[tuple]):
-    """Trace rows as one record array, filled column by column.
+def pack_rows(rows: List[Row]) -> bytes:
+    """Trace rows as packed records, in order.
 
     A row is ``(pc, opclass, srcs, dst, mem_addr, mem_size, taken,
     target)`` (:data:`repro.isa.trace.Row`); absent registers become -1
     and ``taken`` is flag bit 0. A row with more than 3 sources is
     refused rather than cut short.
     """
-    import numpy as np
-
-    pcs, opclasses, srcs, dsts, addrs, sizes, takens, targets = zip(*rows)
-    if max(map(len, srcs)) > 3:
+    pack = RECORD.pack
+    try:
+        return b"".join([
+            pack(pc, mem_addr, target, *srcs, *_NO_SRCS[len(srcs)],
+                 -1 if dst is None else dst, opclass, taken, mem_size)
+            for pc, opclass, srcs, dst, mem_addr, mem_size, taken, target
+            in rows])
+    except IndexError:
         row = next(row for row in rows if len(row[2]) > 3)
         raise TraceFormatError(
             f"µop at pc={row[0]:#x} has {len(row[2])} sources; the record "
-            f"format encodes at most 3")
-    records = np.empty(len(rows), dtype=record_dtype())
-    records["pc"] = pcs
-    records["mem_addr"] = addrs
-    records["target"] = targets
-    records["s0"] = [s[0] if s else -1 for s in srcs]
-    records["s1"] = [s[1] if len(s) > 1 else -1 for s in srcs]
-    records["s2"] = [s[2] if len(s) > 2 else -1 for s in srcs]
-    records["dst"] = [-1 if d is None else d for d in dsts]
-    records["opclass"] = opclasses
-    records["flags"] = takens
-    records["mem_size"] = sizes
-    return records
+            f"format encodes at most 3") from None
 
 
 # ---------------------------------------------------------------------------
@@ -207,26 +186,22 @@ def verify(path) -> bool:
 
 
 def _frames(source: TraceSource, limit: int,
-            frame_records: int) -> Iterator[bytearray]:
+            frame_records: int) -> Iterator[bytes]:
     """The first ``limit`` records of ``source`` as raw frames of
-    ``frame_records`` records (the last may hold fewer), whatever block
-    sizes the source serves, so the file bytes depend only on the record
-    stream."""
-    frame_bytes = frame_records * RECORD.size
-    pending = bytearray()
+    ``frame_records`` records (the last may hold fewer)."""
+    next_row = source.next_row
     count = 0
     while count < limit:
-        records = source.next_record_block(
-            min(frame_records, limit - count))
-        if records is None:
-            break
-        count += len(records)
-        pending += records.tobytes()
-        while len(pending) >= frame_bytes:
-            yield pending[:frame_bytes]
-            del pending[:frame_bytes]
-    if pending:
-        yield pending
+        rows = []
+        for _ in range(min(frame_records, limit - count)):
+            row = next_row()
+            if row is None:
+                break
+            rows.append(row)
+        if not rows:
+            return
+        count += len(rows)
+        yield pack_rows(rows)
 
 
 def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
@@ -234,8 +209,8 @@ def capture(source: TraceSource, path, limit: int, *, wp_seed: int,
             frame_records: int = DEFAULT_FRAME_RECORDS) -> TraceInfo:
     """Pull up to ``limit`` correct-path µops from ``source`` to disk.
 
-    The stream is read as record blocks
-    (:meth:`~repro.isa.trace.TraceSource.next_record_block`), one frame's
+    The stream is read row by row
+    (:meth:`~repro.isa.trace.TraceSource.next_row`) and packed one frame's
     worth at a time. ``wp_seed`` must be the seed whose
     :class:`WrongPathSynth` stream the source uses, so replay reproduces
     the wrong path exactly; for live workload traces that is the build
@@ -257,8 +232,8 @@ class FileTrace(TraceSource):
 
     The reader holds one inflated frame and a byte offset into it:
     :meth:`next_row` decodes the record at the offset into a row, and
-    :meth:`next_record_block` views the records from the offset on, so
-    the two calls interleave freely. Replay is streaming — one frame
+    :meth:`next_record_block` unpacks the records from the offset on,
+    so the two calls interleave freely. Replay is streaming — one frame
     (about 150 KB) resident regardless of trace length. Wrong-path µops
     come from the header-seeded :class:`WrongPathSynth` — the same stream
     the live generator produced, which is what keeps replayed
@@ -266,7 +241,17 @@ class FileTrace(TraceSource):
     frame headers once, so a recording cut short of its header's µop
     count is refused before any µop is read. The stream ends (``None``)
     after the last record.
+
+    A recording repeats its loop bodies record for record, so
+    :meth:`next_row` keeps the rows it decoded by record bytes and hands
+    a repeated record the same row, as a kernel shares its invariant
+    rows; rows with the same source registers (a load whose address
+    varies, say) share one ``srcs`` list. Both memos are cleared
+    whenever the rows reach :attr:`ROW_MEMO_LIMIT` entries.
     """
+
+    #: Decoded rows :meth:`next_row` keeps for repeated records.
+    ROW_MEMO_LIMIT = 1 << 12
 
     def __init__(self, path) -> None:
         self.path = Path(path)
@@ -276,6 +261,8 @@ class FileTrace(TraceSource):
         self._frames = CONTAINER.frames(self.path)
         self._frame = b""
         self._offset = 0
+        self._rows: Dict[bytes, Row] = {}
+        self._srcs: Dict[tuple, List[int]] = {}
 
     def _records_left(self) -> bool:
         """Move to the next frame once this one is used up; False at the
@@ -293,40 +280,48 @@ class FileTrace(TraceSource):
     def next_row(self) -> Optional[Row]:
         if not self._records_left():
             return None
-        pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, mem_size \
-            = RECORD.unpack_from(self._frame, self._offset)
-        self._offset += RECORD.size
+        offset = self._offset
+        self._offset = end = offset + RECORD.size
         self.emitted += 1
-        srcs = []
-        if s0 >= 0:
-            srcs.append(s0)
-            if s1 >= 0:
-                srcs.append(s1)
-                if s2 >= 0:
-                    srcs.append(s2)
-        return (pc, _OPCLASS_BY_VALUE[opclass], srcs,
-                dst if dst >= 0 else None, mem_addr, mem_size,
-                bool(flags & _FLAG_TAKEN), target)
+        record = self._frame[offset:end]
+        row = self._rows.get(record)
+        if row is None:
+            pc, mem_addr, target, s0, s1, s2, dst, opclass, flags, \
+                mem_size = RECORD.unpack(record)
+            srcs = self._srcs.get((s0, s1, s2))
+            if srcs is None:
+                srcs = self._srcs[s0, s1, s2] = [
+                    s for s in (s0, s1, s2) if s >= 0]
+            row = (pc, _OPCLASS_BY_VALUE[opclass], srcs,
+                   dst if dst >= 0 else None, mem_addr, mem_size,
+                   bool(flags & _FLAG_TAKEN), target)
+            if len(self._rows) >= self.ROW_MEMO_LIMIT:
+                self._rows.clear()
+                self._srcs.clear()
+            self._rows[record] = row
+        return row
 
-    def next_record_block(self, max_uops: int):
-        """Up to ``max_uops`` records as a view over the current frame.
+    def next_record_block(self, max_uops: int) -> Optional[RecordBlock]:
+        """Up to ``max_uops`` records of the current frame as columns.
 
-        One ``np.frombuffer`` per call, nothing decoded: a block never
-        spans two frames. ``None`` once the stream is exhausted. Stream
-        position (``emitted``, checkpoint state) advances exactly as if
-        the records had been replayed per µop.
+        One ``iter_unpack`` per call for the address fields, and one
+        strided slice each for opclass and flags, whose taken bit is
+        masked as :meth:`next_row` masks it: a block never spans two
+        frames. ``None`` once the stream is exhausted. Stream position
+        (``emitted``, checkpoint state) advances exactly as if the
+        records had been replayed per µop.
         """
         if not self._records_left():
             return None
-        import numpy as np
-
-        count = min(max_uops,
-                    (len(self._frame) - self._offset) // RECORD.size)
-        records = np.frombuffer(self._frame, dtype=record_dtype(),
-                                count=count, offset=self._offset)
-        self._offset += count * RECORD.size
+        frame, offset = self._frame, self._offset
+        count = min(max_uops, (len(frame) - offset) // RECORD.size)
+        self._offset = end = offset + count * RECORD.size
         self.emitted += count
-        return records
+        pcs, mem_addrs, targets = zip(
+            *_ADDRESS_FIELDS.iter_unpack(memoryview(frame)[offset:end]))
+        opclasses = frame[offset + _OPCLASS_AT:end:RECORD.size]
+        takens = frame[offset + _FLAGS_AT:end:RECORD.size].translate(_TAKEN_BIT)
+        return RecordBlock(pcs, opclasses, mem_addrs, takens, targets)
 
     # -- state protocol (repro.checkpoint) -----------------------------
 

@@ -39,7 +39,7 @@ ALLOWED = frozenset({
     "free_slots", "free_counts", "resident_lines", "entry_count",
     "branch_mpki",
     # Reference oracles the tests compare the production paths against.
-    "functional_stream", "sample_payloads",
+    "sample_payloads",
 })
 
 

@@ -13,6 +13,9 @@ The pipe's checkpoint state is unchanged by this: a detailed checkpoint
 taken mid-flood has the payload digest the eager frontend (one built
 µop per pipe entry) wrote, and a run resumed from it matches the
 uninterrupted run.
+
+Replayed from a recording, the same cell keeps the same cost: the
+reader hands a repeated record the row it already decoded.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from repro.checkpoint.format import load_checkpoint, save_checkpoint
 from repro.core.presets import make_config
 from repro.isa.uop import MicroOp
 from repro.pipeline.cpu import Simulator
+from repro.traces.format import FileTrace, capture
 from repro.traces.registry import resolve_workload
 
 #: Payload digest of the mid-flood checkpoint below, as the eager
@@ -34,6 +38,10 @@ MID_FLOOD_DIGEST = (
     "2e27c833c278f9f33dea39ea47a1bb866cce7269f90fbb305a514577b4277582")
 
 FUNCTIONAL, WARMUP, MEASURE, MID = 20_000, 500, 3_000, 1_500
+
+#: µops recorded for the replayed cell: its warmup, measurement and
+#: flood, with room to spare.
+RECORDED = 120_000
 
 #: Deep size per in-flight µop the flooded pipe must stay under, in
 #: bytes. Building the branches and a fresh row per kernel iteration
@@ -98,6 +106,20 @@ def test_flooded_pipe_builds_only_wrong_path(flood):
 def test_flooded_pipe_costs_shared_rows(flood):
     sim, _, _, _ = flood
     in_flight = sum(1 for _ in sim.fetch.in_flight())
+    assert _deep_size(sim.fetch.pipe) / in_flight < MAX_BYTES_PER_UOP
+
+
+def test_replayed_flood_costs_shared_rows(tmp_path):
+    """The cell replayed from a recording: a fresh row and ``srcs`` list
+    per record cost 303 bytes per in-flight µop."""
+    path = tmp_path / "libquantum.trc"
+    capture(resolve_workload("libquantum").build_trace(1), path, RECORDED,
+            wp_seed=1)
+    sim = Simulator(make_config("SpecSched_4", banked=True), FileTrace(path))
+    sim.functional_warmup(FileTrace(path), FUNCTIONAL)
+    sim.run_with_warmup(WARMUP, MEASURE)
+    in_flight = sum(1 for _ in sim.fetch.in_flight())
+    assert in_flight > 80_000
     assert _deep_size(sim.fetch.pipe) / in_flight < MAX_BYTES_PER_UOP
 
 

@@ -33,9 +33,10 @@ from repro.experiments.engine import (
     run_cells,
 )
 from repro.pipeline.cpu import Simulator
-from repro.pipeline.functional import functional_stream
 from repro.traces.format import FileTrace, capture
 from repro.traces.registry import TraceWorkload, resolve_workload
+
+from tests.warming.oracle import functional_stream
 
 # seq is assigned by fetch at runtime, not part of the recorded contract
 # (see repro/traces/format.py).

@@ -18,7 +18,7 @@ from repro.traces.format import (
     RECORD,
     TraceFormatError,
     capture,
-    encode_rows,
+    pack_rows,
     read_info,
     verify,
 )
@@ -85,7 +85,7 @@ uop_strategy = st.builds(
 @given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
 def test_record_roundtrip_property(uops):
     """Recorded µops replay field for field (``FileTrace.next_uop``
-    decodes what :func:`encode_rows` wrote)."""
+    decodes what :func:`pack_rows` wrote)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "t.trc"
         capture(ListTrace(uops), path, len(uops), wp_seed=0,
@@ -95,25 +95,24 @@ def test_record_roundtrip_property(uops):
 
 @settings(max_examples=100, deadline=None)
 @given(uops=st.lists(uop_strategy, min_size=1, max_size=12))
-def test_rows_encode_like_records_property(uops):
-    """The columnwise fill of rows equals per-µop packing."""
+def test_rows_pack_like_records_property(uops):
+    """Packing rows equals packing each µop field by field."""
     rows = [arch(u) for u in uops]
-    assert encode_rows(rows).tobytes() == b"".join(packed(u) for u in uops)
+    assert pack_rows(rows) == b"".join(packed(u) for u in uops)
 
 
 def test_record_is_fixed_width():
-    assert len(encode_rows([arch(_mixed_uops(1)[0])]).tobytes()) == \
-        RECORD.size
+    assert len(pack_rows([arch(_mixed_uops(1)[0])])) == RECORD.size
 
 
 def test_too_many_sources_rejected():
-    """No block drops a fourth source, wherever its row sits."""
+    """Packing drops no fourth source, wherever its row sits."""
     wide = arch(MicroOp(0, 0x1, OpClass.INT_ALU, srcs=[1, 2, 3, 4], dst=5))
     for position in range(3):
         rows = [arch(u) for u in _mixed_uops(3)]
         rows[position] = wide
         with pytest.raises(TraceFormatError, match="at most 3"):
-            encode_rows(rows)
+            pack_rows(rows)
 
 
 def test_wrong_path_uop_rejected():
@@ -207,6 +206,20 @@ def test_record_blocks_end_after_last_record(tmp_path):
     assert trace.next_uop() is None
 
 
+def test_flag_bits_beyond_taken_are_ignored(tmp_path):
+    """Only flag bit 0 is the outcome: a flag byte with other bits set
+    (a non-bool ``taken`` is packed as is) reads the same as a µop and
+    in a block."""
+    flags = (0, 1, 2, 3, 0xFE, 0xFF)
+    uops = [MicroOp(0, 0x100 + 4 * i, OpClass.BRANCH, taken=flag,
+                    target=0x800) for i, flag in enumerate(flags)]
+    path = tmp_path / "t.trc"
+    capture(ListTrace(uops), path, len(uops), wp_seed=0)
+    assert [u.taken for u in replay(path)] == [bool(f & 1) for f in flags]
+    block = FileTrace(path).next_record_block(len(uops))
+    assert [bool(t) for t in block.takens] == [bool(f & 1) for f in flags]
+
+
 def test_file_trace_wrong_path_matches_header_seed(tmp_path):
     from repro.isa.trace import WrongPathSynth
 
@@ -247,7 +260,7 @@ def _restored(path, position):
 def test_restore_seek_matches_skipping_from_zero(tmp_path):
     """Every cursor — 0, each frame boundary, mid-frame and the end —
     resumes exactly where a from-zero reader would, through both the
-    per-µop and the raw-record-block supply."""
+    per-µop and the record-block supply."""
     path = _seek_recording(tmp_path)
     follow = SEEK_UOPS + 9                # runs past the end
     for position in range(SEEK_UOPS + 1):
@@ -271,8 +284,9 @@ def test_restore_seek_matches_skipping_from_zero(tmp_path):
                 min(5, len(expected) - len(records)))
             if block is None:
                 break
-            records.extend(tuple(row) for row in block.tolist())
-        assert records == [RECORD.unpack(packed(u))
+            records.extend(zip(block.pcs, block.opclasses, block.mem_addrs,
+                               block.takens, block.targets))
+        assert records == [(u.pc, u.opclass, u.mem_addr, u.taken, u.target)
                            for u in expected], position
         assert restored.emitted == reference.emitted
 

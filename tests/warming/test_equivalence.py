@@ -1,13 +1,14 @@
 """Production warming vs the reference loop: identical state and checkpoints.
 
-The contract under test (see ``repro.pipeline.warming.engine``): after
-warming the same stream span, the numpy kernels behind
-:func:`warm_stream` (and so :meth:`Simulator.fast_forward` and
-:meth:`Simulator.functional_warmup`) must leave every component
-byte-identical to the scalar reference
-:func:`repro.pipeline.functional.functional_stream` — same
-``state_dict`` pickles, same ``.ckpt`` digests. Everything else about
-the kernels is an implementation detail; this equality is the feature.
+The contract under test (see ``repro.pipeline.warming``): after warming
+the same stream span, :func:`warm_stream` (and so
+:meth:`Simulator.fast_forward` and :meth:`Simulator.functional_warmup`)
+must leave every component byte-identical to the per-µop reference
+:func:`tests.warming.oracle.functional_stream` — same ``state_dict``
+pickles, same ``.ckpt`` digests — on live workloads, recordings,
+RV32I programs and hand-built lists, with and without filter training,
+whatever the block size. Everything else about the loop is an
+implementation detail; this equality is the feature.
 """
 
 from __future__ import annotations
@@ -17,9 +18,8 @@ import pytest
 from repro.isa.opclass import OpClass
 from repro.isa.trace import ListTrace
 from repro.isa.uop import MicroOp
-from repro.pipeline.functional import functional_stream
+from repro.pipeline import warming
 from repro.pipeline.warming import warm_stream
-from repro.pipeline.warming.engine import warm_stream_vectorized
 
 from tests.warming.conftest import (
     PRESETS,
@@ -29,12 +29,47 @@ from tests.warming.conftest import (
     state_bytes,
     workload_sim,
 )
+from tests.warming.oracle import functional_stream
 
 
 def oracle_state(sim, uops):
     """Fast-forward ``sim`` through the reference loop instead."""
     consumed = functional_stream(sim, sim.trace, uops, train_policy=True)
     return consumed, state_bytes(sim)
+
+
+class TestEverySource:
+    """Each kind of source, warmed with and without filter training, in
+    whole and in odd-sized blocks."""
+
+    @staticmethod
+    def _source(kind, recording):
+        from repro.traces.format import FileTrace
+        from repro.traces.registry import resolve_workload
+
+        if kind == "workload":
+            return resolve_workload("mcf").build_trace(5)
+        if kind == "file":
+            return FileTrace(recording)
+        if kind == "rv32i":
+            return resolve_workload("dhry-mix").build_trace(1)
+        return list_trace(29, 7000)
+
+    @pytest.mark.parametrize("block", (None, 97))
+    @pytest.mark.parametrize("train_policy", (False, True))
+    @pytest.mark.parametrize("kind", ("workload", "file", "rv32i", "list"))
+    def test_identity(self, kind, train_policy, block, recorded_trace,
+                      monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(warming, "BLOCK_UOPS", block)
+        sims = [build_sim("SpecSched_4_Combined",
+                          self._source(kind, recorded_trace))
+                for _ in range(2)]
+        assert warm_stream(sims[0], sims[0].trace, 6000,
+                           train_policy=train_policy) == 6000
+        assert functional_stream(sims[1], sims[1].trace, 6000,
+                                 train_policy=train_policy) == 6000
+        assert state_bytes(sims[0]) == state_bytes(sims[1])
 
 
 class TestSyntheticWorkloads:
@@ -106,15 +141,15 @@ class TestRecordedTraces:
             digests.append(save_checkpoint(warmed, ckpt).digest)
         assert digests[0] == digests[1]
 
-    def test_non_frame_aligned_blocks(self, recorded_trace):
+    def test_non_frame_aligned_blocks(self, recorded_trace, monkeypatch):
         from repro.traces.format import FileTrace
 
         def build():
-            return build_sim("Baseline_0", FileTrace(recorded_trace))
+            return build_sim("SpecSched_4_Combined", FileTrace(recorded_trace))
 
+        monkeypatch.setattr(warming, "BLOCK_UOPS", 97)
         sim = build()
-        assert warm_stream_vectorized(sim, sim.trace, 8503, train_policy=True,
-                                      block_uops=97) == 8503
+        assert warm_stream(sim, sim.trace, 8503, train_policy=True) == 8503
         assert (8503, state_bytes(sim)) == oracle_state(build(), 8503)
 
 
@@ -125,10 +160,10 @@ class TestListStreams:
         oracle = build_sim("SpecSched_4_Combined", list_trace(11, 4000))
         assert (4000, state_bytes(sim)) == oracle_state(oracle, 4000)
 
-    def test_unaligned_block_identity(self):
+    def test_unaligned_block_identity(self, monkeypatch):
+        monkeypatch.setattr(warming, "BLOCK_UOPS", 97)
         sim = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
-        assert warm_stream_vectorized(sim, sim.trace, 3000, train_policy=True,
-                                      block_uops=97) == 3000
+        assert warm_stream(sim, sim.trace, 3000, train_policy=True) == 3000
         oracle = build_sim("SpecSched_4_Combined", list_trace(13, 3000))
         assert (3000, state_bytes(sim)) == oracle_state(oracle, 3000)
 
@@ -149,14 +184,14 @@ class TestListStreams:
 
 
 class TestBtbDemoteDivergence:
-    """The one case where folded-ahead TAGE indices go stale.
+    """A BTB-demoted prediction, where the branch unit and TAGE disagree.
 
-    A branch trained taken (TAGE direction = taken) whose BTB entry has
-    been evicted demotes to not-taken at predict; when it then resolves
-    not-taken, no repair fires and the history keeps the TAGE
-    *direction*, not the outcome. ``resolve_block`` must detect this and
-    abandon the remaining precomputed rows, or every later branch in the
-    block hashes with a wrong history bit.
+    A branch trained taken whose BTB entry has been evicted demotes to
+    not-taken at predict. When it then resolves not-taken, the branch
+    unit saw no misprediction and repairs nothing, while TAGE's own
+    update (its direction was taken) puts the outcome in the history.
+    ``BranchUnit.warm`` never repairs a conditional branch, relying on
+    that update; this stream holds it to the reference in that case.
     """
 
     @staticmethod
@@ -209,14 +244,14 @@ class TestBtbDemoteDivergence:
 
 
 class TestPropertyEquivalence:
-    def test_random_seeds_identity(self):
+    def test_random_seeds_identity(self, monkeypatch):
         """Property-style sweep: many random streams, exact identity."""
+        monkeypatch.setattr(warming, "BLOCK_UOPS", 101)
         for seed in range(12):
             count = 600 + 137 * seed
             sim = build_sim("SpecSched_4_Combined",
                             ListTrace(random_uops(seed, count)))
-            warm_stream_vectorized(sim, sim.trace, count, train_policy=True,
-                                   block_uops=101)
+            warm_stream(sim, sim.trace, count, train_policy=True)
             oracle = build_sim("SpecSched_4_Combined",
                                ListTrace(random_uops(seed, count)))
             assert state_bytes(sim) == oracle_state(oracle, count)[1], seed

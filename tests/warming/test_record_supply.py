@@ -1,6 +1,10 @@
 """One stream, two shapes: every trace source serves ``next_uop`` and
 ``next_record_block`` over the same stream position.
 
+A block carries only the columns warming reads (pc, opclass, mem_addr,
+taken, target), so a block is compared with the ``next_uop`` stream on
+those fields; µop streams are compared on every architectural field.
+
 The four sources — the kernel generator (``WorkloadTrace``), a recording
 (``FileTrace``), an RV32I program (``Rv32iTrace``) and a hand-built list
 (``ListTrace``) — must hand out the same µops whichever way the stream
@@ -51,15 +55,20 @@ def uop_fields(uop):
             uop.mem_addr, uop.mem_size, bool(uop.taken), uop.target)
 
 
-def record_fields(records):
-    """The ``uop_fields`` of each record in a record array."""
-    out = []
-    for (pc, mem_addr, target, s0, s1, s2, dst, opclass, flags,
-         mem_size) in records.tolist():
-        srcs = tuple(s for s in (s0, s1, s2) if s >= 0)
-        out.append((pc, opclass, srcs, None if dst < 0 else dst, mem_addr,
-                    mem_size, bool(flags & 1), target))
-    return out
+def block_fields(fields):
+    """The fields of ``uop_fields`` a record block carries."""
+    pc, opclass, _srcs, _dst, mem_addr, _mem_size, taken, target = fields
+    return (pc, opclass, mem_addr, taken, target)
+
+
+def record_fields(block):
+    """The ``block_fields`` of each µop in a record block."""
+    assert len({len(block.pcs), len(block.opclasses), len(block.mem_addrs),
+                len(block.takens), len(block.targets)}) == 1
+    return [(pc, int(opclass), mem_addr, bool(taken), target)
+            for pc, opclass, mem_addr, taken, target
+            in zip(block.pcs, block.opclasses, block.mem_addrs,
+                   block.takens, block.targets)]
 
 
 def uop_stream(source, count):
@@ -77,9 +86,9 @@ _REFERENCE = {}
 
 def reference(name, sources):
     """The pure ``next_uop`` stream of a source, far enough to cover
-    every interleaving."""
+    every interleaving and the 50 µops resumed after it."""
     if name not in _REFERENCE:
-        _REFERENCE[name] = uop_stream(sources[name](), STREAM + MAX_BLOCK)
+        _REFERENCE[name] = uop_stream(sources[name](), STREAM + MAX_BLOCK + 50)
     return _REFERENCE[name]
 
 
@@ -108,10 +117,10 @@ def test_interleaving_equals_next_uop_stream(sources, name, plan):
                 got.extend(record_fields(records))
         else:
             uops = uop_stream(source, count)
-            got.extend(uops)
+            got.extend(map(block_fields, uops))
             exhausted = len(uops) < count
     expected = reference(name, sources)
-    assert got == expected[:len(got)]
+    assert got == list(map(block_fields, expected[:len(got)]))
     if exhausted:
         assert len(got) == len(expected)
         assert source.next_uop() is None
@@ -132,7 +141,7 @@ def test_state_round_trip_between_shapes(sources, name):
     state = pickle.loads(pickle.dumps(source.state_dict()))
     if name == "workload":
         assert state["buffer"]           # cut inside a kernel block
-    expected = uop_stream(source, 500)
+    expected = list(map(block_fields, uop_stream(source, 500)))
     resumed = sources[name]()
     resumed.load_state_dict(state)
     got = []
@@ -141,18 +150,12 @@ def test_state_round_trip_between_shapes(sources, name):
     assert got[:len(expected)] == expected
 
 
-def test_kind_masks_match_uop_flags():
-    from repro.isa.opclass import OpClass
-    from repro.pipeline.warming.blocks import (
-        IS_BRANCH,
-        IS_CALL_OR_RET,
-        IS_LOAD,
-        IS_MEM,
-    )
+def test_kind_tables_match_uop_flags():
+    from repro.pipeline.warming import _IS_BRANCH, _LOAD, _MEM_KIND, _STORE
 
     for uop in random_uops(37, 300):
-        assert IS_MEM[int(uop.opclass)] == uop.is_mem
-        assert IS_LOAD[int(uop.opclass)] == uop.is_load
-        assert IS_BRANCH[int(uop.opclass)] == uop.is_branch
-        assert IS_CALL_OR_RET[int(uop.opclass)] == (
-            uop.opclass in (OpClass.CALL, OpClass.RET))
+        kind = _MEM_KIND[uop.opclass]
+        assert bool(kind) == uop.is_mem
+        assert (kind == _LOAD) == uop.is_load
+        assert (kind == _STORE) == (uop.is_mem and not uop.is_load)
+        assert _IS_BRANCH[uop.opclass] == uop.is_branch

@@ -1,10 +1,8 @@
-"""TAGE fold math: incremental folds, bulk folds, warm_predict."""
+"""TAGE fold math: the live folds predict keeps match a fresh recompute."""
 
 from __future__ import annotations
 
 import random
-
-import numpy as np
 
 from repro.frontend.tage import TageLite
 
@@ -16,88 +14,52 @@ def branch_stream(seed: int, count: int, pcs: int = 64):
             for _ in range(count)]
 
 
-def scalar_rows(tage: TageLite, pc: int):
-    """Per-table (idx, tag) via the reference hash methods."""
-    tables = range(tage.config.num_tagged_tables)
-    return ([tage._index(pc, t) for t in tables],
-            [tage._tag(pc, t) for t in tables])
-
-
 class TestIncrementalFolds:
     def test_predict_keeps_folds_live(self):
-        """After every predict, the live folds equal a fresh recompute."""
+        """After every predict, the live folds equal a fresh recompute
+        (a mispredict repair leaves them to the next predict, which
+        flips their newest bit)."""
         tage = TageLite()
         for pc, taken in branch_stream(1, 800):
             _, state = tage.predict(pc)
-            tage.update(taken, state)
-            if tage._folds_history != tage._history:
-                continue           # a mispredict repair invalidated them
-            live_idx = list(tage._fold_idx)
-            live_tag = list(tage._fold_tag)
+            live = tage._folds
             tage._recompute_folds(tage._history)
-            assert tage._fold_idx == live_idx
-            assert tage._fold_tag == live_tag
-
-
-class TestBulkFolds:
-    def test_rows_match_scalar_hashes(self):
-        """tage_fold_indices rows == _index/_tag with outcome history."""
-        from repro.pipeline.warming.engine import tage_fold_indices
-
-        tage = TageLite()
-        for pc, taken in branch_stream(2, 300):     # arbitrary start state
-            _, state = tage.predict(pc)
+            assert tage._folds == live
             tage.update(taken, state)
 
-        block = branch_stream(3, 257)
-        pcs = np.array([pc for pc, _ in block], dtype=np.uint64)
-        takens = np.array([taken for _, taken in block], dtype=np.uint64)
-        idx_rows, tag_rows = tage_fold_indices(tage, pcs, takens)
-
-        for i, (pc, taken) in enumerate(block):
-            expected_idx, expected_tag = scalar_rows(tage, pc)
-            assert list(idx_rows[i]) == expected_idx, i
-            assert list(tag_rows[i]) == expected_tag, i
-            tage._push_history(taken)    # history after branch = outcome
-
-    def test_split_blocks_match_whole(self):
-        """Folding a block in two halves equals folding it at once."""
-        from repro.pipeline.warming.engine import tage_fold_indices
-
+    def test_predict_matches_reference_hashes(self):
+        """Every table's packed index and tag field is the one
+        ``_index``/``_tag`` compute for the history the prediction is
+        made with, and the prediction is the one those scalar hashes
+        give."""
         tage = TageLite()
-        for pc, taken in branch_stream(4, 200):
-            _, state = tage.predict(pc)
+        tables = range(tage.config.num_tagged_tables)
+        hits = 0
+        for pc, taken in branch_stream(2, 1500):
+            history = tage._history
+            if tage._folds_history ^ history == 1:   # a mispredict repair
+                folds = tage._folds ^ tage._lows
+            else:
+                if tage._folds_history != history:   # the first predict
+                    tage._recompute_folds(history)
+                folds = tage._folds
+            keys = folds ^ tage._pc_key(pc)
+            indices = [tage._index(pc, t) for t in tables]
+            tag_values = [tage._tag(pc, t) for t in tables]
+            for t, _, _, idx_shift, tag_shift in tage._lookup_order:
+                assert (keys >> idx_shift) & tage._index_mask == indices[t]
+                assert (keys >> tag_shift) & tage._tag_mask == tag_values[t]
+            hit = [t for t in reversed(tables)
+                   if tage._tags[t][indices[t]] == tag_values[t]]
+            bimodal = tage._bimodal[tage._bimodal_index(pc)] >= 2
+            preds = [tage._ctrs[t][indices[t]] >= 0 for t in hit[:2]]
+            preds += [bimodal] * (2 - len(preds))
+            provider = hit[0] if hit else -1
+            expected = (provider, indices[provider] if hit else -1,
+                        preds[1], preds[0], history, pc)
+
+            pred, state = tage.predict(pc)
+            assert (pred, state) == (preds[0], expected)
+            hits += bool(hit)
             tage.update(taken, state)
-
-        block = branch_stream(5, 180)
-        pcs = np.array([pc for pc, _ in block], dtype=np.uint64)
-        takens = np.array([taken for _, taken in block], dtype=np.uint64)
-        whole_idx, whole_tag = tage_fold_indices(tage, pcs, takens)
-
-        split = 77
-        half_idx, half_tag = tage_fold_indices(
-            tage, pcs[:split], takens[:split])
-        for taken in takens[:split]:     # advance history to the boundary
-            tage._push_history(bool(taken))
-        rest_idx, rest_tag = tage_fold_indices(
-            tage, pcs[split:], takens[split:])
-
-        assert [list(r) for r in half_idx + rest_idx] == \
-            [list(r) for r in whole_idx]
-        assert [list(r) for r in half_tag + rest_tag] == \
-            [list(r) for r in whole_tag]
-
-
-class TestWarmPredict:
-    def test_matches_predict(self):
-        """warm_predict with correct rows is bit-identical to predict."""
-        reference = TageLite()
-        warmed = TageLite()
-        for pc, taken in branch_stream(6, 600):
-            pred_r, state_r = reference.predict(pc)
-            idxs, tags = scalar_rows(warmed, pc)
-            pred_w, state_w = warmed.warm_predict(pc, idxs, tags)
-            assert (pred_r, state_r) == (pred_w, state_w)
-            reference.update(taken, state_r)
-            warmed.update(taken, state_w)
-        assert reference.state_dict() == warmed.state_dict()
+        assert hits > 50
