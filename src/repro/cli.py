@@ -32,10 +32,9 @@ Commands:
   (wall time, cache hit rate, peak RSS) from the cache directory
   (``--cache-dir`` selects it; the command runs no cell, so it takes no
   ``--jobs``);
-* ``rv32i run PROGRAM`` / ``rv32i check`` — execute a real RV32I
-  program image functionally to halt (end-state registers + memory
-  digest), or re-assemble the bundled kernel corpus and verify the
-  checked-in images (see ``docs/RV32I.md``);
+* ``rv32i run PROGRAM`` — execute a real RV32I program image
+  functionally to halt and print its end-state registers and memory
+  digest (see ``docs/RV32I.md``);
 * ``list`` — available workloads (suite, rv32i programs, traces) and
   presets.
 
@@ -249,8 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cache_dir_flag(report_manifests)
 
     rv32i_p = sub.add_parser(
-        "rv32i", help="run and check real RV32I program images (record "
-                      "one with 'repro trace record')")
+        "rv32i", help="run real RV32I program images (record one with "
+                      "'repro trace record')")
     rv32i_sub = rv32i_p.add_subparsers(dest="rv32i_command", required=True)
 
     rv_run = rv32i_sub.add_parser(
@@ -266,11 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     rv_run.add_argument("--regs", action="store_true",
                         help="print the full register file, not just the "
                              "non-zero entries")
-
-    rv32i_sub.add_parser(
-        "check", help="re-assemble every bundled kernel listing and "
-                      "verify the checked-in .hex images match "
-                      "byte-for-byte")
 
     sub.add_parser("list", help="available workloads and presets")
     return parser
@@ -776,47 +770,6 @@ def _cmd_rv32i_run(args: argparse.Namespace) -> int:
     return 0 if machine.halted else 1
 
 
-def _cmd_rv32i_check() -> int:
-    from repro.isa.rv32i.asm import AsmError, assemble, to_hex
-    from repro.isa.rv32i.corpus import BUNDLED, bundled_programs
-
-    programs = bundled_programs()
-    if not programs:
-        return _fail(ValueError(
-            "no bundled corpus found (examples/rv32i missing and "
-            "REPRO_RV32I_DIR unset)"))
-    failures = 0
-    for name in BUNDLED:
-        image = programs.get(name)
-        if image is None:
-            print(f"  {name:14s} MISSING image")
-            failures += 1
-            continue
-        listing = image.with_suffix(".s")
-        if not listing.is_file():
-            print(f"  {name:14s} MISSING listing {listing.name}")
-            failures += 1
-            continue
-        try:
-            text = to_hex(assemble(listing.read_text()))
-        except AsmError as exc:
-            print(f"  {name:14s} ASSEMBLY FAILED: {exc}")
-            failures += 1
-            continue
-        if image.read_text() != text:
-            print(f"  {name:14s} STALE: {image.name} differs from "
-                  f"re-assembled {listing.name}")
-            failures += 1
-        else:
-            print(f"  {name:14s} ok ({len(text.splitlines())} words)")
-    if failures:
-        print(f"rv32i check: {failures} problem(s)", file=sys.stderr)
-        return 1
-    print(f"rv32i check: all {len(BUNDLED)} bundled images match their "
-          f"listings")
-    return 0
-
-
 def _cmd_list() -> int:
     registry = default_registry()
     kinds = registry.names()
@@ -875,8 +828,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.command == "rv32i":
         if args.rv32i_command == "run":
             return _cmd_rv32i_run(args)
-        if args.rv32i_command == "check":
-            return _cmd_rv32i_check()
     if args.command == "list":
         return _cmd_list()
     return 1

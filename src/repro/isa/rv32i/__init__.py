@@ -10,21 +10,22 @@ Layers (each importable on its own):
 
 * :mod:`~repro.isa.rv32i.decode` — pure-python decoder for the full
   RV32I base set;
-* :mod:`~repro.isa.rv32i.asm` — a minimal two-pass assembler + flat
-  ``.hex`` image codec for the bundled corpus;
 * :mod:`~repro.isa.rv32i.core` — the functional machine (register file,
   sparse byte memory, run-to-halt);
 * :mod:`~repro.isa.rv32i.lower` — retired instruction -> µop row lowering;
-* :mod:`~repro.isa.rv32i.workload` — registry workloads and the
+* :mod:`~repro.isa.rv32i.workload` — the ``.hex``/``.bin`` image
+  reader, registry workloads and the
   :class:`~repro.isa.trace.TraceSource` the pipeline fetches from;
 * :mod:`~repro.isa.rv32i.corpus` — the bundled kernel programs under
   ``examples/rv32i/``.
+
+The assembler that writes the bundled images is a corpus tool, not part
+of the package: ``scripts/asm_corpus.py``.
 
 See ``docs/RV32I.md`` for the CLI surface and the bring-your-own-program
 guide.
 """
 
-from repro.isa.rv32i.asm import AsmError, assemble, parse_hex, to_hex
 from repro.isa.rv32i.core import HaltReason, Machine, Retired
 from repro.isa.rv32i.corpus import (
     BUNDLED,
@@ -40,10 +41,10 @@ from repro.isa.rv32i.workload import (
     Rv32iProgram,
     Rv32iTrace,
     Rv32iWorkload,
+    parse_hex,
 )
 
 __all__ = [
-    "AsmError",
     "BUNDLED",
     "DecodeError",
     "HaltReason",
@@ -55,12 +56,10 @@ __all__ = [
     "Rv32iProgram",
     "Rv32iTrace",
     "Rv32iWorkload",
-    "assemble",
     "bundled_programs",
     "bundled_workload",
     "corpus_dir",
     "decode",
     "lower",
     "parse_hex",
-    "to_hex",
 ]

@@ -3,20 +3,20 @@
 Five small hand-written kernels, checked in under ``examples/rv32i/`` as
 assembled ``.hex`` images next to their ``.s`` source listings. The
 table below is the registry of record: names resolve through the
-workload registry (``repro run ptr-chase SpecSched_4`` just works), and
-``repro rv32i check`` re-assembles every listing and compares it to the
-checked-in image byte-for-byte (the CI assemble-check).
+workload registry (``repro run ptr-chase SpecSched_4`` just works).
+``scripts/asm_corpus.py`` writes the images, and the tier-1 test
+``tests/rv32i/test_goldens.py::test_images_match_listings`` fails when
+one differs from its re-assembled listing.
 
-The corpus directory resolves, in order: ``REPRO_RV32I_DIR``, the
-repo-relative ``examples/rv32i`` next to this package's source tree, and
-``examples/rv32i`` under the current directory. When none exists the
+The corpus directory resolves, in order: the repo-relative
+``examples/rv32i`` next to this package's source tree, and
+``examples/rv32i`` under the current directory. When neither exists the
 corpus is simply absent (``bundled_programs()`` is empty) — explicit
 image paths and ``REPRO_WORKLOAD_PATH`` discovery keep working.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 from typing import Dict, Optional
 
@@ -39,10 +39,6 @@ BUNDLED: Dict[str, str] = {
 
 def corpus_dir() -> Optional[Path]:
     """The directory holding the bundled images, or ``None``."""
-    override = os.environ.get("REPRO_RV32I_DIR")
-    if override:
-        path = Path(override)
-        return path if path.is_dir() else None
     # src/repro/isa/rv32i/corpus.py -> repo root is four parents up from
     # the package dir; tolerate installs where that layout doesn't hold.
     repo_relative = Path(__file__).resolve().parents[4] / "examples/rv32i"

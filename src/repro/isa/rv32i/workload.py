@@ -24,10 +24,10 @@ run-to-halt path.
 from __future__ import annotations
 
 import hashlib
+import string
 from pathlib import Path
 from typing import List, Optional
 
-from repro.isa.rv32i.asm import parse_hex
 from repro.isa.rv32i.core import Machine
 from repro.isa.rv32i.lower import lower
 from repro.isa.trace import TraceSource
@@ -38,6 +38,26 @@ RV32I_SUFFIXES = (".hex", ".bin")
 
 class Rv32iError(ValueError):
     """Unloadable or malformed program image."""
+
+
+def parse_hex(text: str, name: str) -> List[int]:
+    """Read a flat ``.hex`` image: one 8-digit hex word per line.
+
+    ``#`` starts a comment and blank lines are skipped. Every word must
+    be exactly 8 hex digits, so an image cut mid-line is an error rather
+    than a shorter, different program; the error names ``name`` and the
+    line.
+    """
+    words: List[int] = []
+    for line_number, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if len(line) != 8 or line.strip(string.hexdigits):
+            raise Rv32iError(f"{name}: line {line_number}: not an 8-digit "
+                             f"hex word {line!r}")
+        words.append(int(line, 16))
+    return words
 
 
 class Rv32iProgram:
@@ -59,10 +79,9 @@ class Rv32iProgram:
         path = Path(path)
         suffix = path.suffix.lower()
         if suffix == ".hex":
-            try:
-                words = parse_hex(path.read_text())
-            except ValueError as exc:
-                raise Rv32iError(f"{path.name}: {exc}") from None
+            # Undecodable bytes become U+FFFD, which parse_hex refuses
+            # with the file and line.
+            words = parse_hex(path.read_text(errors="replace"), path.name)
         elif suffix == ".bin":
             blob = path.read_bytes()
             if len(blob) % 4:

@@ -1,8 +1,10 @@
 """CLI surface for the rv32i workload kind.
 
-Exercises ``repro rv32i run|check``, capture through ``repro trace
-record``, bundled-name resolution through ``repro run`` / ``repro list``,
-and the clean-error paths — all in-process through ``repro.cli.main``.
+Exercises ``repro rv32i run``, capture through ``repro trace record``,
+bundled-name resolution through ``repro run`` / ``repro list``, and the
+clean-error paths — all in-process through ``repro.cli.main``. The
+bundled images' staleness check is
+``test_goldens.py::test_images_match_listings``.
 """
 
 from __future__ import annotations
@@ -71,31 +73,6 @@ class TestRv32iCapture:
         assert (info_a.wp_seed, info_b.wp_seed) == (5, 9)
         assert info_a.provenance["image_sha"] == \
             info_b.provenance["image_sha"]
-
-
-class TestRv32iCheck:
-    def test_bundled_corpus_checks_clean(self, capsys):
-        assert main(["rv32i", "check"]) == 0
-        out = capsys.readouterr().out
-        for name in BUNDLED:
-            assert name in out
-
-    def test_stale_image_detected(self, tmp_path, capsys, monkeypatch):
-        import shutil
-
-        from repro.isa.rv32i.corpus import bundled_programs
-
-        for image in bundled_programs().values():
-            shutil.copy(image, tmp_path / image.name)
-            shutil.copy(image.with_suffix(".s"),
-                        tmp_path / image.with_suffix(".s").name)
-        victim = tmp_path / "dhry-mix.hex"
-        lines = victim.read_text().splitlines()
-        lines[0] = "00000013"            # swap first word for a nop
-        victim.write_text("\n".join(lines) + "\n")
-        monkeypatch.setenv("REPRO_RV32I_DIR", str(tmp_path))
-        assert main(["rv32i", "check"]) == 1
-        assert "STALE" in capsys.readouterr().out
 
 
 class TestRegistrySurface:

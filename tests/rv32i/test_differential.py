@@ -2,7 +2,8 @@
 
 Each case assembles a randomized instruction sequence with the local
 encoders below (a third independent encoding path — shared with neither
-``repro.isa.rv32i.asm`` nor the oracle), runs it through both
+the corpus assembler in ``scripts/asm_corpus.py`` nor the oracle), runs
+it through both
 :class:`repro.isa.rv32i.core.Machine` and the reference interpreter in
 ``tests/rv32i/rv32i_reference.py``, and requires identical end states:
 register file, final pc, halt reason, retire count and the full set of

@@ -3,8 +3,8 @@
 Each bundled program runs functionally to halt; its complete register
 file, final pc, halt reason, retire count and data-memory digest are
 compared against ``tests/rv32i/goldens.json``. Any semantic change to
-the executor, the assembler, or a kernel listing shows up here as a
-concrete end-state diff.
+the executor, the assembler (``scripts/asm_corpus.py``), or a kernel
+listing shows up here as a concrete end-state diff.
 
 If a change is *intentional*, regenerate and commit the goldens::
 
@@ -83,7 +83,7 @@ def test_corpus_complete(goldens):
 
 def test_images_match_listings():
     """The checked-in .hex images are exactly the assembled listings."""
-    from repro.isa.rv32i.asm import assemble, to_hex
+    from asm_corpus import assemble, to_hex
 
     for name, image in sorted(bundled_programs().items()):
         listing = image.with_suffix(".s")
